@@ -41,9 +41,9 @@
 
 use gd_mmsim::{AllocationId, MemoryManager};
 use gd_types::{GdError, Result, SimTime};
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::ops::Bound::{Excluded, Unbounded};
 
 /// A content-class fingerprint (stands in for a page-content hash).
 pub type ContentKey = u64;
@@ -104,6 +104,8 @@ struct Region {
     logical_pages: u64,
     /// Shareable content: key -> unmerged page count.
     pending: BTreeMap<ContentKey, u64>,
+    /// Sum of `pending`'s counts, kept in step with every change to it.
+    pending_pages: u64,
     /// Already merged content: key -> merged (duplicate, frame-released)
     /// page count.
     merged: BTreeMap<ContentKey, u64>,
@@ -118,7 +120,7 @@ struct Region {
 
 impl Region {
     fn scannable_pages(&self) -> u64 {
-        self.pending.values().sum::<u64>() + self.unique_pages
+        self.pending_pages + self.unique_pages
     }
 }
 
@@ -130,8 +132,11 @@ pub struct RegionAccounting {
     pub region: RegionId,
     /// Pages registered at `madvise` time.
     pub logical_pages: u64,
-    /// Shareable pages not yet scanned/merged.
+    /// Shareable pages not yet scanned/merged, summed over the region's
+    /// per-content map.
     pub pending: u64,
+    /// The region's cached running total of `pending`; the two must agree.
+    pub pending_pages: u64,
     /// Merged duplicates (frames released).
     pub merged: u64,
     /// Stable-tree originals this region keeps resident.
@@ -202,13 +207,14 @@ impl Ksm {
                 *pending.entry(k).or_insert(0) += n;
             }
         }
-        let logical_pages = pending.values().sum::<u64>() + unique_pages;
+        let pending_pages = pending.values().sum::<u64>();
         self.regions.insert(
             id,
             Region {
                 owner,
-                logical_pages,
+                logical_pages: pending_pages + unique_pages,
                 pending,
+                pending_pages,
                 merged: BTreeMap::new(),
                 originals: BTreeMap::new(),
                 unique_pages,
@@ -267,6 +273,7 @@ impl Ksm {
                 region: *id,
                 logical_pages: r.logical_pages,
                 pending: r.pending.values().sum(),
+                pending_pages: r.pending_pages,
                 merged: r.merged.values().sum(),
                 originals: r.originals.values().sum(),
                 unique_pages: r.unique_pages,
@@ -336,14 +343,10 @@ impl Ksm {
             let Some(&rid) = self
                 .regions
                 .keys()
-                .cycle()
                 .nth(self.region_cursor as usize % self.regions.len().max(1))
             else {
                 break;
             };
-            if self.regions.is_empty() {
-                break;
-            }
             let (scanned, released) = self.scan_region(rid, budget, mm)?;
             released_total += released;
             budget = budget.saturating_sub(scanned.max(1));
@@ -395,7 +398,7 @@ impl Ksm {
         let mut remaining = to_scan;
         // Skip over the unique prefix proportionally: unique pages soak up
         // scan budget without producing merges.
-        let total = region.pending.values().sum::<u64>() + region.unique_pages;
+        let total = region.scannable_pages();
         if total > 0 && region.unique_pages > 0 {
             let unique_share =
                 (remaining as f64 * region.unique_pages as f64 / total as f64).round() as u64;
@@ -412,17 +415,21 @@ impl Ksm {
         // (first of a same-region duplicate run).
         let mut self_originals: Vec<ContentKey> = Vec::new();
         {
-            let keys: Vec<ContentKey> = region.pending.keys().copied().collect();
-            for k in keys {
-                if remaining == 0 {
+            // Walk the keys in order, resuming after the last one visited,
+            // so consuming an entry never invalidates the walk.
+            let mut from = Unbounded;
+            while remaining > 0 {
+                let Some((&k, &count)) = region.pending.range((from, Unbounded)).next() else {
                     break;
-                }
-                let Entry::Occupied(mut e) = region.pending.entry(k) else {
-                    continue;
                 };
-                let here = (*e.get()).min(remaining);
+                from = Excluded(k);
+                let here = count.min(remaining);
                 let in_stable = self.stable.contains_key(&k);
-                let holder = self.unstable.get(&k).copied();
+                // A region revisited within one pass (regions came or went
+                // since the pass began) can meet its own candidate: a page
+                // never merges with itself, so only another region's
+                // candidate counts as a hit.
+                let holder = self.unstable.get(&k).copied().filter(|&h| h != rid);
                 let mergeable = if in_stable {
                     here // all scanned duplicates merge against the stable page
                 } else if let Some(holder) = holder {
@@ -442,12 +449,13 @@ impl Ksm {
                 if mergeable > 0 {
                     // Consume the scanned pages (including a self-original,
                     // which moves to `originals` below).
-                    let left = *e.get() - here;
+                    let left = count - here;
                     if left == 0 {
-                        e.remove();
+                        region.pending.remove(&k);
                     } else {
-                        *e.get_mut() = left;
+                        region.pending.insert(k, left);
                     }
+                    region.pending_pages -= here;
                     merges.push((k, mergeable));
                 }
                 remaining = remaining.saturating_sub(here);
@@ -475,6 +483,7 @@ impl Ksm {
                     if *p == 0 {
                         h.pending.remove(&k);
                     }
+                    h.pending_pages -= 1;
                 }
                 *h.originals.entry(k).or_insert(0) += 1;
             }
@@ -633,6 +642,45 @@ mod tests {
         ksm.advance(SimTime::from_secs(1), &mut mm).unwrap();
         assert_eq!(ksm.stats().pages_sharing, 1);
         assert_eq!(mm.meminfo().used_pages, 1);
+    }
+
+    #[test]
+    fn pending_total_follows_holder_conversions() {
+        let (mut mm, mut ksm) = setup();
+        let a = mm.allocate(31, PageKind::UserMovable).unwrap();
+        let b = mm.allocate(1, PageKind::UserMovable).unwrap();
+        let ra = ksm.register_region(a, vec![(APP_DATA, 1), (OS_IMAGE, 30)], 0);
+        let rb = ksm.register_region(b, vec![(APP_DATA, 1)], 0);
+        let pending_pages = |ksm: &Ksm, id: RegionId| ksm.regions[&id].pending_pages;
+        assert_eq!(pending_pages(&ksm, ra), 31);
+        // 1 ms is a 20-page budget, spent on region a alone: its APP_DATA
+        // page goes to the unstable tree and 19 OS_IMAGE pages merge.
+        ksm.advance(SimTime::from_millis(1), &mut mm).unwrap();
+        assert_eq!(ksm.unstable.get(&APP_DATA), Some(&ra));
+        assert_eq!(pending_pages(&ksm, ra), 12);
+        // Region b's scan hits that candidate, which becomes the stable
+        // original inside region a without a's own scan consuming it.
+        ksm.advance(SimTime::from_millis(1), &mut mm).unwrap();
+        assert_eq!(ksm.regions[&ra].originals.get(&APP_DATA), Some(&1));
+        for acc in ksm.region_accounting() {
+            assert_eq!(acc.pending_pages, acc.pending, "{}", acc.region);
+            assert_eq!(acc.pending_pages, 0, "{}", acc.region);
+        }
+        assert_eq!(pending_pages(&ksm, rb), 0);
+    }
+
+    #[test]
+    fn own_unstable_candidate_is_not_a_duplicate() {
+        let (mut mm, mut ksm) = setup();
+        let a = mm.allocate(5, PageKind::UserMovable).unwrap();
+        let ra = ksm.register_region(a, vec![(APP_DATA, 5)], 0);
+        // As left by an earlier visit in the same pass that ran out of
+        // budget on this key's first page.
+        ksm.unstable.insert(APP_DATA, ra);
+        ksm.scan_region(ra, 100, &mut mm).unwrap();
+        let acc = ksm.region_accounting()[0];
+        assert_eq!((acc.pending, acc.merged, acc.originals), (0, 4, 1));
+        assert_eq!(mm.pages_of(a), 1);
     }
 
     #[test]

@@ -19,6 +19,7 @@ pub struct Chunk {
 /// on/off-line as a unit (default 128 MB in Linux; GreenDIMM sizes it to one
 /// or more sub-array groups).
 #[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq, Eq))]
 pub struct MemoryBlock {
     index: usize,
     pages: u32,
@@ -154,14 +155,18 @@ impl MemoryBlock {
                     order: *order,
                 },
             );
-            let n = 1u64 << order;
-            match kind {
-                PageKind::UserMovable => self.movable_pages += n,
-                PageKind::KernelUnmovable => self.unmovable_pages += n,
-                PageKind::Pinned => self.pinned_pages += n,
-            }
+            *self.kind_pages_mut(kind) += 1u64 << order;
         }
         chunks
+    }
+
+    /// The used-page counter for `kind`.
+    fn kind_pages_mut(&mut self, kind: PageKind) -> &mut u64 {
+        match kind {
+            PageKind::UserMovable => &mut self.movable_pages,
+            PageKind::KernelUnmovable => &mut self.unmovable_pages,
+            PageKind::Pinned => &mut self.pinned_pages,
+        }
     }
 
     /// Frees the chunk at `offset`, returning its metadata.
@@ -175,32 +180,41 @@ impl MemoryBlock {
             .remove(&offset)
             .expect("free of unknown chunk offset");
         self.buddy.free(offset, chunk.order);
-        let n = 1u64 << chunk.order;
-        match chunk.kind {
-            PageKind::UserMovable => self.movable_pages -= n,
-            PageKind::KernelUnmovable => self.unmovable_pages -= n,
-            PageKind::Pinned => self.pinned_pages -= n,
-        }
+        *self.kind_pages_mut(chunk.kind) -= 1u64 << chunk.order;
         chunk
     }
 
-    /// Splits the chunk at `offset` into its two buddy halves (both remain
-    /// allocated to the same owner). Returns the offsets of the halves.
+    /// Frees the top `need` pages of the chunk at `offset` in one step; the
+    /// rest stays allocated to the same owner. The kept lower part
+    /// `[offset, offset + keep)` becomes its aligned binary decomposition,
+    /// largest piece first; the freed upper part goes back to the buddy
+    /// allocator smallest piece first, starting at `offset + keep`. Returns
+    /// the offsets of the kept pieces in ascending order.
+    ///
+    /// The result is the state that repeatedly splitting the chunk into
+    /// buddy halves and freeing the upper halves would leave behind.
     ///
     /// # Panics
     ///
-    /// Panics if no chunk starts at `offset` or the chunk is order 0.
-    pub fn split_chunk(&mut self, offset: u32) -> (u32, u32) {
-        let chunk = *self.chunks.get(&offset).expect("split of unknown chunk");
-        assert!(chunk.order > 0, "cannot split an order-0 chunk");
-        let half = Chunk {
-            order: chunk.order - 1,
-            ..chunk
-        };
-        let upper = offset + (1u32 << half.order);
-        self.chunks.insert(offset, half);
-        self.chunks.insert(upper, half);
-        (offset, upper)
+    /// Panics if no chunk starts at `offset` or `need` is not in
+    /// `1..2^order`.
+    pub fn trim_chunk(&mut self, offset: u32, need: u32) -> impl Iterator<Item = u32> {
+        let chunk = self.chunks.remove(&offset).expect("trim of unknown chunk");
+        let size = 1u32 << chunk.order;
+        assert!(
+            need > 0 && need < size,
+            "cannot trim {need} pages from a {size}-page chunk"
+        );
+        let keep = size - need;
+        let kept = aligned_pieces(offset, keep, (0..chunk.order).rev());
+        for (off, order) in kept.clone() {
+            self.chunks.insert(off, Chunk { order, ..chunk });
+        }
+        for (off, order) in aligned_pieces(offset + keep, need, 0..chunk.order) {
+            self.buddy.free(off, order);
+        }
+        *self.kind_pages_mut(chunk.kind) -= u64::from(need);
+        kept.map(|(off, _)| off)
     }
 
     /// Verifies the block's books: the buddy structure is sound, allocated
@@ -271,6 +285,41 @@ impl MemoryBlock {
     pub fn chunk_at(&self, offset: u32) -> Option<&Chunk> {
         self.chunks.get(&offset)
     }
+
+    /// Splits the chunk at `offset` into its two buddy halves, both still
+    /// owned; returns their offsets. Only the reference model of the old
+    /// split-by-halves shrink loop uses it.
+    #[cfg(test)]
+    pub(crate) fn split_chunk(&mut self, offset: u32) -> (u32, u32) {
+        let chunk = *self.chunks.get(&offset).expect("split of unknown chunk");
+        assert!(chunk.order > 0, "cannot split an order-0 chunk");
+        let half = Chunk {
+            order: chunk.order - 1,
+            ..chunk
+        };
+        let upper = offset + (1u32 << half.order);
+        self.chunks.insert(offset, half);
+        self.chunks.insert(upper, half);
+        (offset, upper)
+    }
+}
+
+/// The `(offset, order)` pieces of the `len`-page range starting at
+/// `start`: one piece per set bit of `len`, laid out in the order `orders`
+/// yields the bits. The pieces are aligned when the range is cut from an
+/// aligned chunk with its small pieces facing the cut.
+fn aligned_pieces(
+    start: u32,
+    len: u32,
+    orders: impl Iterator<Item = u8> + Clone,
+) -> impl Iterator<Item = (u32, u8)> + Clone {
+    orders
+        .filter(move |o| len >> o & 1 == 1)
+        .scan(start, |at, order| {
+            let off = *at;
+            *at += 1 << order;
+            Some((off, order))
+        })
 }
 
 #[cfg(test)]

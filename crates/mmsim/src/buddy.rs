@@ -12,6 +12,7 @@ pub const MAX_ORDER: u8 = 10;
 
 /// A buddy allocator managing `total_pages` pages (offsets are block-local).
 #[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq, Eq))]
 pub struct BuddyAllocator {
     total_pages: u32,
     /// Free chunk offsets per order.

@@ -165,6 +165,7 @@ impl HotplugStats {
 }
 
 #[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq, Eq))]
 struct AllocInfo {
     kind: PageKind,
     /// (block index, chunk offset) pairs, in allocation order.
@@ -419,9 +420,15 @@ impl MemoryManager {
         Ok(())
     }
 
-    /// Shrinks an allocation by up to `pages` pages (LIFO chunk order),
-    /// returning the number of pages actually freed. Used by KSM when
-    /// merging duplicate pages releases frames.
+    /// Shrinks an allocation by up to `pages` pages, returning the number
+    /// of pages actually freed. Used by KSM when merging duplicate pages
+    /// releases frames.
+    ///
+    /// Whole chunks are freed last-allocated first. When the next chunk
+    /// holds more pages than are still wanted, only its top pages are
+    /// freed ([`MemoryBlock::trim_chunk`]); its kept lower pages stay owned
+    /// as aligned pieces, appended to the chunk list in ascending offset
+    /// order. An allocation left without chunks is dropped.
     ///
     /// # Errors
     ///
@@ -440,17 +447,19 @@ impl MemoryManager {
                 .chunk_at(off)
                 .expect("alloc bookkeeping out of sync")
                 .order;
-            if freed + (1u64 << order) > pages && order > 0 {
-                // Freeing the whole chunk would overshoot: split and retry,
-                // keeping both halves owned.
-                let (lo, hi) = self.blocks[bi].split_chunk(off);
-                info.chunks.push((bi, lo));
-                info.chunks.push((bi, hi));
-                continue;
-            }
-            let chunk = self.blocks[bi].free_chunk(off);
-            freed += 1u64 << chunk.order;
-            info.pages = info.pages.saturating_sub(1u64 << chunk.order);
+            let need = pages - freed;
+            let n = if need < 1u64 << order {
+                // Freeing the whole chunk would overshoot: free its top
+                // `need` pages and keep the rest.
+                let kept = self.blocks[bi].trim_chunk(off, need as u32);
+                info.chunks.extend(kept.map(|o| (bi, o)));
+                need
+            } else {
+                self.blocks[bi].free_chunk(off);
+                1u64 << order
+            };
+            freed += n;
+            info.pages = info.pages.saturating_sub(n);
         }
         if info.chunks.is_empty() {
             self.allocs.remove(&id);
@@ -986,6 +995,102 @@ mod tests {
         assert!(freed >= 1000);
         assert_eq!(m.pages_of(id), 4096 - freed);
         assert_eq!(m.meminfo().used_pages, 4096 - freed);
+    }
+
+    /// The split-push-pop loop that `shrink` replaced: pop the last chunk;
+    /// if freeing it whole would overshoot, split it into buddy halves,
+    /// push both back and retry; otherwise free it.
+    fn reference_shrink(m: &mut MemoryManager, id: AllocationId, pages: u64) -> u64 {
+        let info = m.allocs.get_mut(&id).expect("live allocation");
+        let mut freed = 0u64;
+        while freed < pages {
+            let Some((bi, off)) = info.chunks.pop() else {
+                break;
+            };
+            let order = m.blocks[bi].chunk_at(off).expect("recorded chunk").order;
+            if freed + (1u64 << order) > pages && order > 0 {
+                let (lo, hi) = m.blocks[bi].split_chunk(off);
+                info.chunks.push((bi, lo));
+                info.chunks.push((bi, hi));
+                continue;
+            }
+            let chunk = m.blocks[bi].free_chunk(off);
+            freed += 1u64 << chunk.order;
+            info.pages = info.pages.saturating_sub(1u64 << chunk.order);
+        }
+        if info.chunks.is_empty() {
+            m.allocs.remove(&id);
+        }
+        freed
+    }
+
+    #[test]
+    fn shrink_matches_split_reference_model() {
+        const KINDS: [PageKind; 3] = [
+            PageKind::UserMovable,
+            PageKind::KernelUnmovable,
+            PageKind::Pinned,
+        ];
+        let mut trims = 0u32;
+        for seed in 0..8u64 {
+            let mut rng = component_rng(seed, "shrink-differential");
+            let mut fast = mm();
+            let mut reference = mm();
+            let mut live: Vec<AllocationId> = Vec::new();
+            for step in 0..300 {
+                let ctx = format!("seed {seed} step {step}");
+                match rng.gen_range(0u32..10) {
+                    0..=2 => {
+                        let pages = rng.gen_range(1u64..6000);
+                        let kind = KINDS[rng.gen_range(0usize..3)];
+                        let a = fast.allocate(pages, kind);
+                        let b = reference.allocate(pages, kind);
+                        assert_eq!(a.is_ok(), b.is_ok(), "{ctx}: allocate");
+                        if let (Ok(a), Ok(b)) = (a, b) {
+                            assert_eq!(a, b, "{ctx}: allocation ids");
+                            live.push(a);
+                        }
+                    }
+                    3 if !live.is_empty() => {
+                        let id = live.swap_remove(rng.gen_range(0..live.len()));
+                        fast.free(id).unwrap();
+                        reference.free(id).unwrap();
+                    }
+                    4 if !live.is_empty() => {
+                        let id = live[rng.gen_range(0..live.len())];
+                        let pages = rng.gen_range(1u64..2000);
+                        let a = fast.grow(id, pages);
+                        let b = reference.grow(id, pages);
+                        assert_eq!(a.is_ok(), b.is_ok(), "{ctx}: grow");
+                    }
+                    _ if !live.is_empty() => {
+                        let at = rng.gen_range(0..live.len());
+                        let id = live[at];
+                        let held = fast.pages_of(id);
+                        // Mostly partial shrinks; now and then one that
+                        // asks for more than the allocation holds.
+                        let pages = rng.gen_range(1u64..held + held / 8 + 2);
+                        let before = fast.allocs[&id].chunks.clone();
+                        let a = fast.shrink(id, pages).unwrap();
+                        let b = reference_shrink(&mut reference, id, pages);
+                        assert_eq!(a, b, "{ctx}: freed count");
+                        match fast.allocs.get(&id) {
+                            Some(info) if !before.starts_with(&info.chunks) => trims += 1,
+                            Some(_) => {}
+                            None => {
+                                live.swap_remove(at);
+                            }
+                        }
+                    }
+                    _ => {}
+                }
+                assert_eq!(fast.allocs, reference.allocs, "{ctx}: chunk lists");
+                assert_eq!(fast.blocks, reference.blocks, "{ctx}: blocks");
+                assert_eq!(fast.audit(), Ok(()), "{ctx}: audit");
+                assert_eq!(reference.audit(), Ok(()), "{ctx}: reference audit");
+            }
+        }
+        assert!(trims > 100, "only {trims} shrinks trimmed a chunk");
     }
 
     #[test]

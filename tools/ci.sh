@@ -118,6 +118,18 @@ cmp /tmp/fig14.j1.ci.jsonl /tmp/fig14.j2.ci.jsonl || {
 }
 rm -f /tmp/fig14.{j1,j2}.ci.txt /tmp/fig14.{j1,j2}.ci.jsonl
 
+echo "==> benchmark tests (perfbench: statistics, compare verdicts, BENCHMARK.json agreement, --smoke run)"
+cargo test --quiet --manifest-path perfbench/Cargo.toml
+
+echo "==> benchmark smoke (every workload once; sim_digest identity across reps, traced pass and check pass)"
+# Exits nonzero when any check fails, including a digest that differs
+# between the timed repetitions and the check pass.
+cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+  --smoke --reps 1 > /dev/null 2>&1 || {
+  echo "ERROR: gd-benchmark --smoke reported a failed check" >&2
+  exit 1
+}
+
 echo "==> memspec smoke (fig09 on the DDR5 backend, trimmed request count)"
 cargo run --quiet --release -p gd-bench --bin fig09_dram_energy -- \
   --memspec ddr5 --jobs 2 --requests 6000 > /dev/null
