@@ -41,7 +41,6 @@ fn main() {
                 1,
                 None,
                 topts.enabled(),
-                mopts.engine,
             )
             .expect("co-sim");
             let (adaptive, tele_adaptive) = block_size_experiment_tele(
@@ -55,7 +54,6 @@ fn main() {
                 1,
                 None,
                 topts.enabled(),
-                mopts.engine,
             )
             .expect("co-sim");
             (fixed, adaptive, tele_fixed, tele_adaptive)

@@ -45,7 +45,6 @@ fn main() {
                 1,
                 None,
                 topts.enabled(),
-                mopts.engine,
             )
             .expect("co-sim");
             let (without, tele_without) = block_size_experiment_tele(
@@ -59,7 +58,6 @@ fn main() {
                 1,
                 None,
                 topts.enabled(),
-                mopts.engine,
             )
             .expect("co-sim");
             (with, without, tele_with, tele_without)

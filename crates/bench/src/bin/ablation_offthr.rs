@@ -39,17 +39,8 @@ fn main() {
                 on_thr: off_thr / 2.0,
                 ..GreenDimmConfig::paper_default()
             };
-            block_size_experiment_tele(
-                &gcc,
-                128,
-                cfg,
-                |c| c,
-                1,
-                None,
-                topts.enabled(),
-                mopts.engine,
-            )
-            .expect("co-sim")
+            block_size_experiment_tele(&gcc, 128, cfg, |c| c, 1, None, topts.enabled())
+                .expect("co-sim")
         },
     );
     topts.write(

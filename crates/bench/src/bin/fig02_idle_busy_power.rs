@@ -6,7 +6,7 @@
 //! `results/BENCH_fig02_idle_busy_power.json` and `--telemetry PATH` dumps
 //! the per-capacity power gauges as JSONL.
 
-use gd_bench::energy::{memspec_suffix, platform_desc, reject_sampled_engine, MeasureOpts};
+use gd_bench::energy::{memspec_suffix, platform_desc, MeasureOpts};
 use gd_bench::report::{f2, header, pct, row};
 use gd_bench::{provenance_line, timed_sweep, SweepOpts, TelemetryOpts};
 use gd_obs::Telemetry;
@@ -15,10 +15,6 @@ use gd_types::config::DramConfig;
 
 fn main() {
     let mopts = MeasureOpts::from_args();
-    if let Err(e) = reject_sampled_engine("fig02_idle_busy_power", &mopts) {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
     let sw = SweepOpts::from_args();
     let topts = TelemetryOpts::from_args();
     println!(

@@ -8,7 +8,6 @@
 use gd_bench::blocks::block_size_experiment_tele;
 use gd_bench::report::{f2, header, row};
 use gd_bench::{print_provenance, timed_sweep, SweepOpts, TelemetryOpts};
-use gd_dram::EngineMode;
 use gd_workloads::{spec2006_offlining_set, AppProfile};
 use greendimm::GreenDimmConfig;
 
@@ -45,7 +44,6 @@ fn main() {
                 1,
                 None,
                 topts.enabled(),
-                EngineMode::EventDriven,
             )
             .expect("co-sim")
         },

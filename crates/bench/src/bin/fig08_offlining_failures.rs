@@ -11,7 +11,6 @@
 use gd_bench::blocks::block_size_experiment_tele;
 use gd_bench::report::{header, row};
 use gd_bench::{print_provenance, timed_sweep, SweepOpts, TelemetryOpts};
-use gd_dram::EngineMode;
 use gd_mmsim::MmConfig;
 use gd_obs::Telemetry;
 use gd_workloads::spec2006_offlining_set;
@@ -61,7 +60,6 @@ fn main() {
                         seed,
                         None,
                         topts.enabled(),
-                        EngineMode::EventDriven,
                     )
                     .expect("co-sim");
                     totals[slot] += r.failures;

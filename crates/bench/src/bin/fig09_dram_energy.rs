@@ -9,8 +9,7 @@
 //! `--telemetry PATH` dumps each run's DRAM books as JSONL.
 
 use gd_bench::energy::{
-    engine_name, evaluate_app_tele, memspec_suffix, platform_desc, reject_sampled_engine,
-    MeasureOpts,
+    engine_name, evaluate_app_tele, memspec_suffix, platform_desc, MeasureOpts,
 };
 use gd_bench::report::{f2, header, row};
 use gd_bench::{provenance_line_with_engine, timed_sweep, SweepOpts, TelemetryOpts};
@@ -20,10 +19,6 @@ use gd_workloads::energy_figure_set;
 
 fn main() {
     let opts = MeasureOpts::from_args();
-    if let Err(e) = reject_sampled_engine("fig09_dram_energy", &opts) {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
     let sw = SweepOpts::from_args();
     let topts = TelemetryOpts::from_args();
     let cfg = DramConfig::preset_64gb(opts.memspec);

@@ -47,7 +47,6 @@ fn main() {
                 1,
                 verify,
                 topts.enabled(),
-                opts.engine,
             )
             .expect("co-sim")
         },

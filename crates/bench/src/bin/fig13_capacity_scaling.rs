@@ -7,9 +7,7 @@
 //! `results/BENCH_fig13_capacity_scaling.json` and `--telemetry PATH`
 //! dumps every run's daemon/mm/ksm books as JSONL.
 
-use gd_bench::energy::{
-    engine_name, memspec_suffix, platform_desc, reject_sampled_engine, MeasureOpts,
-};
+use gd_bench::energy::{engine_name, memspec_suffix, platform_desc, MeasureOpts};
 use gd_bench::report::{f2, header, pct, row};
 use gd_bench::{
     provenance_line_with_engine, run_vm_trace_tele, timed_sweep, SweepOpts, TelemetryOpts,
@@ -26,10 +24,6 @@ fn main() {
         .map(|n| (n as u64 * 300).clamp(3_600, 86_400))
         .unwrap_or(86_400);
     let mopts = MeasureOpts::from_args();
-    if let Err(e) = reject_sampled_engine("fig13_capacity_scaling", &mopts) {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
     // The VM-trace co-simulation is mm/daemon-level (block off-lining and
     // deep power-down dwell) and memory-generation-independent; the backend
     // only changes the analytic power model the dwell fractions feed. Keep

@@ -7,11 +7,11 @@
 //!
 //! Hosts shard across the deterministic worker pool (`--jobs N` fans hosts
 //! out *inside* each point; the outer sweep over points runs serially, so
-//! the pool is never oversubscribed). The default engine is epoch replay
-//! at fleet granularity: every `replay_stride`-th host is co-simulated
-//! exactly and the rest use a surrogate calibrated against those anchors —
-//! `--engine stepped|event` co-simulates every host exactly. Output is
-//! byte-identical for any `--jobs`. `--hosts N` sets the fleet size
+//! the pool is never oversubscribed). `--stride N` (default 16) samples the
+//! fleet: every N-th host is co-simulated exactly on the `--engine`
+//! (`stepped|event`, default event) and the rest use a surrogate
+//! calibrated against those anchors; `--stride 1` co-simulates every host.
+//! Output is byte-identical for any `--jobs`. `--hosts N` sets the fleet size
 //! (default 1000), `--requests N` trims the simulated day to N scheduler
 //! periods, `--telemetry PATH` dumps the exact hosts' daemon/mm/ksm books
 //! as JSONL, and timing lands in `results/BENCH_fig14_fleet_energy.json`.
@@ -19,7 +19,6 @@
 use gd_bench::energy::{engine_name, MeasureOpts};
 use gd_bench::report::{f2, header, pct, row};
 use gd_bench::{provenance_line_with_engine, timed_sweep_jobs, SweepOpts, TelemetryOpts};
-use gd_dram::{EngineMode, EpochReplayCfg};
 use gd_fleet::{run_fleet, FleetOutcome};
 use gd_power::{ActivityProfile, DramPowerModel, PowerGating, SystemPowerModel};
 use gd_types::config::DramConfig;
@@ -66,22 +65,32 @@ fn hosts_from_args() -> usize {
         .unwrap_or(1_000)
 }
 
+/// `--stride N` (default 16): a whole number ≥ 1, or the error to report.
+fn stride_from_args() -> Result<usize, String> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some(i) = args.iter().position(|a| a == "--stride") else {
+        return Ok(16);
+    };
+    let v = args.get(i + 1).map_or("", String::as_str);
+    match v.parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!("--stride {v:?} must be a whole number >= 1")),
+    }
+}
+
 fn main() {
     let sw = SweepOpts::from_args();
     let topts = TelemetryOpts::from_args();
     let mopts = MeasureOpts::from_args();
     let hosts = hosts_from_args();
+    let stride = stride_from_args().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     let duration_s = sw
         .requests
         .map(|n| (n as u64 * 300).clamp(3_600, 86_400))
         .unwrap_or(86_400);
-    // Fleet default is the sampled replay engine (the exact engines
-    // co-simulate every host and take ~stride× longer); `--engine` pins it.
-    let engine = if mopts.engine_explicit {
-        mopts.engine
-    } else {
-        EngineMode::EpochReplay(EpochReplayCfg::default())
-    };
     let verify = mopts.strict_validate.then_some(gd_verify::Mode::Strict);
     println!(
         "{}",
@@ -89,9 +98,9 @@ fn main() {
             "fig14_fleet_energy",
             &format!(
                 "azure-cluster hosts={hosts} 256GB/host block=1GB seed=42 \
-                 duration_s={duration_s} stride=16 utils=0.50..0.95 x base/gd/gd+ksm"
+                 duration_s={duration_s} stride={stride} utils=0.50..0.95 x base/gd/gd+ksm"
             ),
-            engine_name(engine),
+            engine_name(mopts.engine),
             &sw,
         )
     );
@@ -123,9 +132,10 @@ fn main() {
                 placement: v.placement,
                 ksm: v.ksm,
                 greendimm: v.greendimm,
+                sample_stride: stride,
                 ..FleetConfig::paper_1k()
             };
-            run_fleet(&cfg, engine, sw.jobs, verify, topts.enabled()).expect("fleet run")
+            run_fleet(&cfg, mopts.engine, sw.jobs, verify, topts.enabled()).expect("fleet run")
         },
     );
     if topts.enabled() {
@@ -203,10 +213,7 @@ fn main() {
         );
     }
     let exact = runs[0].exact_hosts;
-    println!(
-        "\n{hosts} hosts/point, {exact} co-simulated exactly per point ({})",
-        engine_name(engine)
-    );
+    println!("\n{hosts} hosts/point, {exact} co-simulated exactly per point (stride {stride})");
     println!("mean scheduled utilization at cap 0.80 (gd): {}", {
         let gd = &runs[3 * UTILS.iter().position(|&u| u == 0.80).unwrap() + 1];
         pct(gd.mean_utilization())

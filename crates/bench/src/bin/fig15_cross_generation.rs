@@ -5,14 +5,9 @@
 //!
 //! Each {backend × app} pair is one sweep point (`--jobs N`); the
 //! wall-clock profile lands in `results/BENCH_fig15_cross_generation.json`
-//! and `--telemetry PATH` dumps each run's DRAM books as JSONL. The figure
-//! refuses the sampled epoch-replay engine outright: the point of the
-//! table is a bit-exact cross-backend comparison, so a bounded sampling
-//! error is not acceptable even flagged.
+//! and `--telemetry PATH` dumps each run's DRAM books as JSONL.
 
-use gd_bench::energy::{
-    engine_name, evaluate_app_tele, platform_desc, require_exact_engine, EnergyRow, MeasureOpts,
-};
+use gd_bench::energy::{engine_name, evaluate_app_tele, platform_desc, EnergyRow, MeasureOpts};
 use gd_bench::report::{f2, header, pct, row};
 use gd_bench::{provenance_line_with_engine, timed_sweep, SweepOpts, TelemetryOpts};
 use gd_types::config::{DramConfig, MemSpecKind};
@@ -21,10 +16,6 @@ use gd_workloads::energy_figure_set;
 
 fn main() {
     let opts = MeasureOpts::from_args();
-    if let Err(e) = require_exact_engine("fig15_cross_generation", &opts) {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
     let sw = SweepOpts::from_args();
     let topts = TelemetryOpts::from_args();
     let requests = sw.requests.unwrap_or(20_000);

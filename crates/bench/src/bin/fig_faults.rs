@@ -10,11 +10,10 @@
 //! `--jobs`, and the rate-0 row is byte-identical to a run with no fault
 //! injectors installed at all.
 
-use gd_bench::energy::{engine_name, parse_engine, MeasureOpts};
+use gd_bench::energy::{engine_name, MeasureOpts};
 use gd_bench::report::{header, row};
 use gd_bench::robustness::{robustness_experiment, RobustnessRow, FAULT_RATES};
 use gd_bench::{provenance_line_with_engine, timed_sweep, SweepOpts, TelemetryOpts};
-use gd_dram::EngineMode;
 use gd_obs::Telemetry;
 use gd_workloads::by_name;
 
@@ -23,30 +22,13 @@ struct Point {
     shards: Vec<(String, Option<Telemetry>)>,
 }
 
-fn parse_args() -> (Option<f64>, EngineMode) {
+fn parse_rate() -> Option<f64> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut rate = None;
-    let mut engine = EngineMode::EventDriven;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--fault-rate" => {
-                if let Some(r) = args.get(i + 1).and_then(|v| v.parse::<f64>().ok()) {
-                    rate = Some(r.clamp(0.0, 1.0));
-                    i += 1;
-                }
-            }
-            "--engine" => {
-                if let Some(e) = args.get(i + 1) {
-                    engine = parse_engine(e);
-                    i += 1;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    (rate, engine)
+    args.iter()
+        .position(|a| a == "--fault-rate")
+        .and_then(|i| args.get(i + 1))
+        .and_then(|v| v.parse::<f64>().ok())
+        .map(|r| r.clamp(0.0, 1.0))
 }
 
 fn main() {
@@ -54,7 +36,8 @@ fn main() {
     let topts = TelemetryOpts::from_args();
     let mopts = MeasureOpts::from_args();
     let verify = mopts.strict_validate.then_some(gd_verify::Mode::Strict);
-    let (single_rate, engine) = parse_args();
+    let single_rate = parse_rate();
+    let engine = mopts.engine;
     let seed_count = sw.requests.unwrap_or(3).clamp(1, 16) as u64;
     let engine_name = engine_name(engine);
     let rates: Vec<f64> = match single_rate {

@@ -9,7 +9,6 @@
 use gd_bench::blocks::block_size_experiment_tele;
 use gd_bench::report::{header, row};
 use gd_bench::{print_provenance, timed_sweep, SweepOpts, TelemetryOpts};
-use gd_dram::EngineMode;
 use gd_workloads::{spec2006_offlining_set, AppProfile};
 use greendimm::GreenDimmConfig;
 
@@ -46,7 +45,6 @@ fn main() {
                 1,
                 None,
                 topts.enabled(),
-                EngineMode::EventDriven,
             )
             .expect("co-sim")
         },

@@ -4,7 +4,6 @@
 //! machine: with 128 MB blocks, one block maps to exactly one sub-array
 //! group of the managed region; 256/512 MB blocks map to two/four.
 
-use gd_dram::EngineMode;
 use gd_mmsim::{MemoryManager, MmConfig, PageKind, PAGE_BYTES};
 use gd_types::{Result, SimTime};
 use gd_workloads::AppProfile;
@@ -77,27 +76,22 @@ pub fn block_size_experiment_verified(
         seed,
         verify,
         false,
-        EngineMode::EventDriven,
     )?
     .0)
 }
 
-/// [`block_size_experiment_verified`] with optional telemetry and engine
-/// selection: when `with_telemetry` is true the co-simulation traces every
-/// daemon tick and allocation stall, exports the mm/daemon books under the
-/// `blocks.*` scope, and returns the filled sink.
+/// [`block_size_experiment_verified`] with optional telemetry: when
+/// `with_telemetry` is true the co-simulation traces every daemon tick and
+/// allocation stall, exports the mm/daemon books under the `blocks.*`
+/// scope, and returns the filled sink.
 ///
-/// The managed-region loop steps at 1 s epochs, so `Stepped` and
-/// `EventDriven` are the same exact engine here. `EpochReplay`
-/// fast-forwards an epoch when both footprint targets repeat the previous
-/// epoch's *and* the previous exactly-simulated epoch moved no blocks —
-/// the page cache churns most epochs, so replay only engages across the
-/// settled stretches between reclaim events.
+/// The managed-region loop steps at 1 s epochs, so the stepped and
+/// event-driven engines are the same exact loop here and the experiment
+/// takes no engine.
 ///
 /// # Errors
 ///
 /// Same as [`block_size_experiment_verified`].
-#[allow(clippy::too_many_arguments)]
 pub fn block_size_experiment_tele(
     profile: &AppProfile,
     block_mib: u64,
@@ -106,7 +100,6 @@ pub fn block_size_experiment_tele(
     seed: u64,
     verify: Option<gd_verify::Mode>,
     with_telemetry: bool,
-    engine: EngineMode,
 ) -> Result<(BlockSizeRow, Option<gd_obs::Telemetry>)> {
     let mm_cfg = mm_cfg_tweaks(MmConfig {
         capacity_bytes: MANAGED_BYTES,
@@ -147,10 +140,6 @@ pub fn block_size_experiment_tele(
     let mut fp = FootprintDriver::new();
     let mut cache = FootprintDriver::new();
     let mut offline_gib_sum = 0.0;
-    let mut prev_targets = (u64::MAX, u64::MAX);
-    let mut prev_offline_pages = 0u64;
-    let mut prev_hotplug = settle_stats.hotplug_events();
-    let mut last_quiet = false;
     for t in 0..epochs {
         let frac = profile.footprint_fraction_at(t as f64 * runtime_s / epochs as f64);
         let fp_target = (peak_pages as f64 * frac) as u64;
@@ -160,26 +149,11 @@ pub fn block_size_experiment_tele(
         } else {
             (cache.pages() + cache_rate_pages).min(cache_max_pages)
         };
-        let replay = matches!(engine, EngineMode::EpochReplay(_))
-            && (fp_target, cache_target) == prev_targets
-            && last_quiet;
-        if replay {
-            // Targets repeat and the previous exact epoch was stationary:
-            // skip the epoch analytically.
-            sim.fast_forward(SimTime::from_secs(1));
-            offline_gib_sum += (prev_offline_pages * PAGE_BYTES) as f64 / (1u64 << 30) as f64;
-            continue;
-        }
         let _ = sim.set_footprint(&mut fp, fp_target);
         let _ = sim.set_footprint(&mut cache, cache_target);
         sim.step(SimTime::from_secs(1))?;
         let info = sim.mm.meminfo();
         offline_gib_sum += (info.offline_pages * PAGE_BYTES) as f64 / (1u64 << 30) as f64;
-        let hotplug = sim.daemon.stats.hotplug_events();
-        last_quiet = info.offline_pages == prev_offline_pages && hotplug == prev_hotplug;
-        prev_targets = (fp_target, cache_target);
-        prev_offline_pages = info.offline_pages;
-        prev_hotplug = hotplug;
     }
     // Counters attributable to the app run (settling excluded, as the paper
     // measures during benchmark execution).
@@ -263,38 +237,6 @@ mod tests {
         let r =
             block_size_experiment(&mcf, 128, GreenDimmConfig::paper_default(), |c| c, 1).unwrap();
         assert!(r.overhead_fraction < 0.06, "{}", r.overhead_fraction);
-    }
-
-    #[test]
-    fn epoch_replay_tracks_the_exact_engine() {
-        let mcf = by_name("mcf").unwrap();
-        let run = |engine: EngineMode| {
-            block_size_experiment_tele(
-                &mcf,
-                128,
-                GreenDimmConfig::paper_default(),
-                |c| c,
-                1,
-                None,
-                false,
-                engine,
-            )
-            .unwrap()
-            .0
-        };
-        let exact = run(EngineMode::EventDriven);
-        let replay = run(EngineMode::EpochReplay(Default::default()));
-        if replay.daemon.replayed_ticks == 0 {
-            // Replay never engaged: the run must be bit-identical.
-            assert_eq!(replay.offlined_gib_avg, exact.offlined_gib_avg);
-            assert_eq!(replay.hotplug_events, exact.hotplug_events);
-        } else {
-            // Replay skipped settled epochs only: the time-averaged
-            // offlined capacity stays within a few percent.
-            let rel = (replay.offlined_gib_avg - exact.offlined_gib_avg).abs()
-                / exact.offlined_gib_avg.max(1e-9);
-            assert!(rel < 0.05, "replay drifted {rel}");
-        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use gd_baselines::{
     GovernorContext, GovernorOutcome, GreenDimmGovernor, Pasr, PowerGovernor, RamZzz, SrfOnly,
 };
-use gd_dram::{EngineMode, EpochReplayCfg, LowPowerPolicy, MemorySystem, TimingChecker};
+use gd_dram::{EngineMode, LowPowerPolicy, MemorySystem, TimingChecker};
 use gd_power::{memspec_for, ActivityProfile, MemSpec, SystemPowerModel};
 use gd_types::config::{DramConfig, InterleaveMode, MemSpecKind};
 use gd_types::{Cycles, GdError, Result};
@@ -18,14 +18,9 @@ pub struct MeasureOpts {
     /// ([`gd_baselines::sanity`]); any violation aborts the figure.
     /// Enabled by `--strict-validate` on the figure binaries.
     pub strict_validate: bool,
-    /// Time-advance engine for the cycle-level runs. Defaults to the exact
-    /// event-driven engine; `EpochReplay` trades a bounded sampling error
-    /// for speed and is flagged in provenance headers.
+    /// Time-advance engine for the cycle-level runs. Both engines are
+    /// exact; the default is event-driven.
     pub engine: EngineMode,
-    /// True when the user pinned the engine via `--engine`. Binaries with a
-    /// non-default engine (e.g. the fleet figure defaults to epoch replay)
-    /// only override the engine when this is false.
-    pub engine_explicit: bool,
     /// Memory-generation backend for the figure's platform config and power
     /// model (`--memspec ddr4|ddr5|lpddr4-pasr`). Defaults to the paper's
     /// DDR4 platform, whose outputs are bit-identical to the pre-backend
@@ -36,10 +31,10 @@ pub struct MeasureOpts {
 impl MeasureOpts {
     /// Parses the figure binaries' shared command line: `--strict-validate`
     /// (or a `GD_STRICT_VALIDATE=1` environment) turns the verification
-    /// gate on; `--engine stepped|event|epoch-replay` selects the
-    /// time-advance engine; `--memspec ddr4|ddr5|lpddr4-pasr` selects the
-    /// memory-generation backend. An unknown `--memspec` value aborts
-    /// rather than silently running the DDR4 default.
+    /// gate on; `--engine stepped|event` selects the time-advance engine;
+    /// `--memspec ddr4|ddr5|lpddr4-pasr` selects the memory-generation
+    /// backend. An unknown `--engine` or `--memspec` value exits 2 rather
+    /// than silently running a default.
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
         let strict = args.iter().any(|a| a == "--strict-validate")
@@ -50,7 +45,12 @@ impl MeasureOpts {
             .iter()
             .position(|a| a == "--engine")
             .and_then(|i| args.get(i + 1))
-            .map(|v| parse_engine(v));
+            .map(|v| {
+                parse_engine(v).unwrap_or_else(|| {
+                    eprintln!("error: unknown --engine {v:?} (expected stepped, event)");
+                    std::process::exit(2);
+                })
+            });
         let memspec = args
             .iter()
             .position(|a| a == "--memspec")
@@ -64,46 +64,9 @@ impl MeasureOpts {
         MeasureOpts {
             strict_validate: strict,
             engine: engine.unwrap_or_default(),
-            engine_explicit: engine.is_some(),
             memspec: memspec.unwrap_or_default(),
         }
     }
-}
-
-/// Refuses the sampled epoch-replay engine outright. The cross-generation
-/// figure compares backends bit for bit, so a bounded sampling error would
-/// silently contaminate the comparison even though the provenance header
-/// carries the `(sampled)` flag.
-///
-/// # Errors
-///
-/// [`GdError::InvalidConfig`] when `opts` selects the epoch-replay engine.
-pub fn require_exact_engine(fig: &str, opts: &MeasureOpts) -> Result<()> {
-    if matches!(opts.engine, EngineMode::EpochReplay(_)) {
-        return Err(GdError::InvalidConfig(format!(
-            "{fig}: --engine epoch-replay is sampled and only calibrated against the \
-             DDR4 command mix; this run requires an exact engine (omit --engine or \
-             pass stepped)"
-        )));
-    }
-    Ok(())
-}
-
-/// Enforces the exactness contract of cross-generation runs (satellite of
-/// the multi-backend work): the epoch-replay engine samples representative
-/// epochs and was only ever calibrated against the DDR4 command mix, so a
-/// non-DDR4 backend refuses it outright instead of emitting a snapshot
-/// whose `engine=epoch-replay(sampled)` flag the reader might miss.
-///
-/// # Errors
-///
-/// [`GdError::InvalidConfig`] when `opts` combines a non-DDR4 backend with
-/// the epoch-replay engine.
-pub fn reject_sampled_engine(fig: &str, opts: &MeasureOpts) -> Result<()> {
-    if opts.memspec != MemSpecKind::Ddr4 {
-        require_exact_engine(fig, opts)?;
-    }
-    Ok(())
 }
 
 /// Provenance name of a backend's paper-platform speed grade, used in the
@@ -129,23 +92,21 @@ pub fn memspec_suffix(kind: MemSpecKind) -> String {
     }
 }
 
-/// Maps an `--engine` argument to an [`EngineMode`]; unknown values fall
-/// back to the exact event-driven default.
-pub fn parse_engine(v: &str) -> EngineMode {
+/// Maps an `--engine` argument (`stepped` or `event`) to an
+/// [`EngineMode`]; `None` for any other value.
+pub fn parse_engine(v: &str) -> Option<EngineMode> {
     match v {
-        "stepped" => EngineMode::Stepped,
-        "epoch-replay" => EngineMode::EpochReplay(EpochReplayCfg::default()),
-        _ => EngineMode::EventDriven,
+        "stepped" => Some(EngineMode::Stepped),
+        "event" => Some(EngineMode::EventDriven),
+        _ => None,
     }
 }
 
-/// Provenance-header name of an engine. The replay engine is suffixed
-/// `(sampled)` so any figure produced with it is visibly non-exact.
+/// Provenance-header name of an engine.
 pub fn engine_name(mode: EngineMode) -> &'static str {
     match mode {
         EngineMode::Stepped => "stepped",
         EngineMode::EventDriven => "event-driven",
-        EngineMode::EpochReplay(_) => "epoch-replay(sampled)",
     }
 }
 
@@ -481,6 +442,15 @@ mod tests {
 
     fn small() -> DramConfig {
         DramConfig::small_test()
+    }
+
+    #[test]
+    fn parse_engine_accepts_only_the_two_exact_engines() {
+        assert_eq!(parse_engine("stepped"), Some(EngineMode::Stepped));
+        assert_eq!(parse_engine("event"), Some(EngineMode::EventDriven));
+        for bad in ["epoch-replay", "bogus", ""] {
+            assert_eq!(parse_engine(bad), None, "{bad:?}");
+        }
     }
 
     /// libquantum scaled to the small test config: its 64 MB footprint

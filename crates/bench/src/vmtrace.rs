@@ -27,9 +27,8 @@ pub struct VmTraceConfig {
     pub duration_s: u64,
     /// RNG seed.
     pub seed: u64,
-    /// Time-advance engine (`--engine` on the figure binaries). The exact
-    /// engines agree bit for bit; `EpochReplay` fast-forwards quiet
-    /// scheduler periods.
+    /// Time-advance engine (`--engine` on the figure binaries). Both
+    /// engines agree bit for bit.
     pub engine: EngineMode,
 }
 
@@ -251,14 +250,5 @@ mod tests {
         .unwrap();
         assert_eq!(exact.samples, stepped.samples);
         assert_eq!(exact.daemon, stepped.daemon);
-        let replay = run_vm_trace(&VmTraceConfig {
-            engine: EngineMode::EpochReplay(Default::default()),
-            ..VmTraceConfig::short_test()
-        })
-        .unwrap();
-        // The replay engine only skips settled periods, so the means stay
-        // close even when it engages.
-        assert!((replay.mean_deep_pd_fraction() - exact.mean_deep_pd_fraction()).abs() < 0.02);
-        assert!((replay.mean_used_fraction() - exact.mean_used_fraction()).abs() < 0.02);
     }
 }

@@ -236,36 +236,6 @@ impl EpochSim {
         Ok(aggregate)
     }
 
-    /// Advances simulated time by `dt` **without** running the daemon, KSM,
-    /// or any workload — the epoch-replay engine's steady-state jump. The
-    /// caller asserts that the skipped window is quiescent (no VM events,
-    /// the last exact tick changed nothing); under that assumption the jump
-    /// is loss-free for state and a bounded-error sample for counters:
-    ///
-    /// * register residency needs no catch-up — it is integrated lazily
-    ///   from `now`, so deep power-down dwell accrues across the jump;
-    /// * monitor deadlines are rolled past the window, and every skipped
-    ///   tick is counted in [`DaemonStats::replayed_ticks`]
-    ///   (`0` ⇒ the run was exact);
-    /// * KSM scanning is *not* advanced: replay only engages once merging
-    ///   has gone idle, which is exactly when skipping it is free.
-    ///
-    /// Returns the number of monitor ticks skipped.
-    ///
-    /// [`DaemonStats::replayed_ticks`]: crate::daemon::DaemonStats::replayed_ticks
-    pub fn fast_forward(&mut self, dt: SimTime) -> u64 {
-        let target = self.now + dt;
-        let period = self.daemon.config().monitor_period;
-        let mut skipped = 0u64;
-        while self.next_monitor <= target {
-            self.next_monitor += period;
-            skipped += 1;
-        }
-        self.now = target;
-        self.daemon.stats.replayed_ticks += skipped;
-        skipped
-    }
-
     /// Resizes a footprint, modelling the kernel's demand-driven on-lining
     /// when growth outruns on-line free memory: the allocation stalls, the
     /// daemon on-lines blocks, and the allocation retries.
@@ -355,7 +325,6 @@ impl EpochSim {
             &format!("{scope}.daemon.hotplug_time_us"),
             s.hotplug_time.as_micros(),
         );
-        reg.counter_add(&format!("{scope}.daemon.replayed_ticks"), s.replayed_ticks);
         reg.gauge_set(
             &format!("{scope}.daemon.degraded_groups"),
             self.daemon.degraded_groups() as f64,
@@ -517,44 +486,6 @@ mod tests {
             tele.render_jsonl("p"),
             again.telemetry.as_ref().unwrap().render_jsonl("p")
         );
-    }
-
-    #[test]
-    fn fast_forward_skips_ticks_but_accrues_residency() {
-        let mut exact = sim();
-        exact.settle(30).unwrap();
-        let mut replay = sim();
-        replay.settle(30).unwrap();
-        assert_eq!(
-            exact.mm.offline_block_count(),
-            replay.mm.offline_block_count()
-        );
-        let ticks_before = replay.daemon.stats.ticks;
-        // A quiescent window: stepping exactly and fast-forwarding must
-        // leave identical state (steady daemon does nothing) while the
-        // replay run charges the window to replayed_ticks instead.
-        exact.step(SimTime::from_secs(60)).unwrap();
-        let skipped = replay.fast_forward(SimTime::from_secs(60));
-        assert_eq!(skipped, 60);
-        assert_eq!(replay.daemon.stats.ticks, ticks_before, "no daemon work");
-        assert_eq!(replay.daemon.stats.replayed_ticks, 60);
-        assert_eq!(exact.daemon.stats.replayed_ticks, 0);
-        assert_eq!(replay.now(), exact.now());
-        assert_eq!(
-            exact.mm.offline_block_count(),
-            replay.mm.offline_block_count()
-        );
-        // Deep-PD dwell is integrated lazily from `now`, so the jump
-        // accrues the same residency as exact stepping.
-        let g = gd_types::ids::SubArrayGroup::new(0);
-        assert_eq!(
-            exact.daemon.registers().residency(g, exact.now()),
-            replay.daemon.registers().residency(g, replay.now()),
-        );
-        // The next monitor deadline rolled past the window: one more step
-        // ticks exactly once.
-        replay.step(SimTime::from_secs(1)).unwrap();
-        assert_eq!(replay.daemon.stats.ticks, ticks_before + 1);
     }
 
     #[test]

@@ -43,9 +43,8 @@ pub struct DaemonStats {
     /// Wall-clock time spent inside hotplug operations and deep power-down
     /// exits.
     pub hotplug_time: SimTime,
-    /// Monitor ticks skipped by the epoch-replay engine's steady-state
-    /// fast-forward ([`crate::EpochSim::fast_forward`]). 0 ⇒ the run is
-    /// exact; anything else flags a sampled result.
+    /// Always 0; every monitor tick is simulated. Kept only because the
+    /// `perfbench/` fleet digest reads it.
     pub replayed_ticks: u64,
 }
 

@@ -82,24 +82,6 @@ impl BankArray {
         self.next_write[b] = self.next_write[b].max(until);
         self.next_pre[b] = self.next_pre[b].max(until);
     }
-
-    /// Translates every absolute-cycle gate forward by `delta` (epoch-replay
-    /// fast-forward: the bank's *relative* timing state is preserved while
-    /// the clock jumps over a replayed window).
-    pub fn time_shift(&mut self, delta: u64) {
-        for v in &mut self.next_act {
-            *v += delta;
-        }
-        for v in &mut self.next_read {
-            *v += delta;
-        }
-        for v in &mut self.next_write {
-            *v += delta;
-        }
-        for v in &mut self.next_pre {
-            *v += delta;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -153,21 +135,5 @@ mod tests {
         b.block_until(0, 100);
         assert_eq!(b.next_act[0], 500);
         assert_eq!(b.next_read[0], 500);
-    }
-
-    #[test]
-    fn time_shift_translates_all_gates() {
-        let t = timing();
-        let mut b = BankArray::new(2);
-        b.on_activate(1, 10, 4, &t);
-        let before = b.clone();
-        b.time_shift(1000);
-        assert_eq!(b.open_row, before.open_row, "rows unaffected by a shift");
-        for i in 0..2 {
-            assert_eq!(b.next_act[i], before.next_act[i] + 1000);
-            assert_eq!(b.next_read[i], before.next_read[i] + 1000);
-            assert_eq!(b.next_write[i], before.next_write[i] + 1000);
-            assert_eq!(b.next_pre[i], before.next_pre[i] + 1000);
-        }
     }
 }

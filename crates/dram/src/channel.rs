@@ -39,40 +39,6 @@ pub(crate) struct ChannelCounters {
     pub read_latency: Summary,
 }
 
-impl ChannelCounters {
-    /// Adds `times` copies of the delta `end − start` to the counters —
-    /// epoch replay's scaled accounting for skipped steady-state windows.
-    pub fn add_scaled_delta(&mut self, start: &ChannelCounters, end: &ChannelCounters, times: u64) {
-        self.reads += (end.reads - start.reads) * times;
-        self.writes += (end.writes - start.writes) * times;
-        self.activates += (end.activates - start.activates) * times;
-        self.precharges += (end.precharges - start.precharges) * times;
-        self.refreshes += (end.refreshes - start.refreshes) * times;
-        self.row_hits += (end.row_hits - start.row_hits) * times;
-        self.row_misses += (end.row_misses - start.row_misses) * times;
-        self.row_conflicts += (end.row_conflicts - start.row_conflicts) * times;
-        self.read_latency
-            .merge_scaled(&end.read_latency.delta_since(&start.read_latency), times);
-    }
-}
-
-///// Point-in-time accounting snapshot used by epoch replay: cumulative
-/// counters plus live residency (each rank's currently-open state interval
-/// attributed up to the mark cycle).
-#[derive(Debug, Clone)]
-pub(crate) struct ReplayMark {
-    pub counters: ChannelCounters,
-    pub ranks: Vec<RankMark>,
-}
-
-/// Per-rank slice of a [`ReplayMark`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RankMark {
-    pub residency: RankResidency,
-    pub pd_entries: u64,
-    pub sr_entries: u64,
-}
-
 /// One request inside a per-bank FIFO.
 #[derive(Debug, Clone, Copy)]
 struct QueuedReq {
@@ -84,7 +50,7 @@ struct QueuedReq {
     phase: RequestPhase,
 }
 
-///// Cached FR-FCFS candidates for one bank: FIFO positions of the oldest
+/// Cached FR-FCFS candidates for one bank: FIFO positions of the oldest
 /// row-matching read, the oldest row-matching write, and the oldest request
 /// that needs bank progress (ACT, or PRE on a conflict). Invalidated when
 /// the bank's row state or FIFO membership changes.
@@ -1044,67 +1010,6 @@ impl ChannelCtrl {
         let sr = self.ranks.iter().map(|r| r.sr_entries).sum();
         (pd, sr)
     }
-
-    /// Accounting snapshot at cycle `now` for epoch replay. Residency
-    /// includes each rank's currently-open state interval so that the delta
-    /// of two marks one epoch apart sums to exactly the epoch length.
-    pub fn replay_mark(&self, now: u64) -> ReplayMark {
-        ReplayMark {
-            counters: self.counters.clone(),
-            ranks: self
-                .ranks
-                .iter()
-                .map(|r| {
-                    let mut residency = r.residency;
-                    residency.add_state(r.power, now.saturating_sub(r.state_since));
-                    RankMark {
-                        residency,
-                        pd_entries: r.pd_entries,
-                        sr_entries: r.sr_entries,
-                    }
-                })
-                .collect(),
-        }
-    }
-
-    /// Adds `times` copies of the accounting delta between two marks
-    /// (epoch replay's scaled bookkeeping for skipped windows).
-    pub fn apply_replay_delta(&mut self, start: &ReplayMark, end: &ReplayMark, times: u64) {
-        self.counters
-            .add_scaled_delta(&start.counters, &end.counters, times);
-        for (r, (s, e)) in self
-            .ranks
-            .iter_mut()
-            .zip(start.ranks.iter().zip(end.ranks.iter()))
-        {
-            r.residency
-                .merge_scaled_delta(&s.residency, &e.residency, times);
-            r.pd_entries += (e.pd_entries - s.pd_entries) * times;
-            r.sr_entries += (e.sr_entries - s.sr_entries) * times;
-        }
-    }
-
-    /// Translates every absolute-cycle gate and stamp forward by `delta`
-    /// (epoch-replay fast-forward). Relative timing state — and therefore
-    /// every future scheduling decision — is preserved exactly; queued
-    /// requests' arrival stamps shift too so their eventual latency excludes
-    /// the skipped window.
-    pub fn time_shift(&mut self, delta: u64) {
-        self.bus_free_at += delta;
-        self.next_col_any += delta;
-        for v in &mut self.next_col_bg {
-            *v += delta;
-        }
-        self.banks.time_shift(delta);
-        for r in &mut self.ranks {
-            r.time_shift(delta);
-        }
-        for q in &mut self.queues {
-            for req in q.iter_mut() {
-                req.req.arrival += delta;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1321,31 +1226,5 @@ mod tests {
         assert!(soon <= far);
         // The cap never stalls the clock: result is strictly after `now`.
         assert_eq!(ch.next_poll(5, 0), 6);
-    }
-
-    #[test]
-    fn time_shift_preserves_drain_schedule_shape() {
-        // Two identical channels; one is shifted by a constant before the
-        // (identical) work arrives. Command counts must match and the
-        // shifted channel's latencies must equal the unshifted ones.
-        let (mut a, mapper) = make(LowPowerPolicy::disabled());
-        let (mut b, _) = make(LowPowerPolicy::disabled());
-        const SHIFT: u64 = 100_000;
-        b.time_shift(SHIFT);
-        for i in 0..8u64 {
-            let addr = i * 64;
-            a.enqueue(pend(&mapper, MemRequest::read(addr, 0)), 0);
-            b.enqueue(pend(&mapper, MemRequest::read(addr, SHIFT)), SHIFT);
-        }
-        drain(&mut a, 0);
-        drain(&mut b, SHIFT);
-        assert_eq!(a.counters.reads, b.counters.reads);
-        assert_eq!(a.counters.activates, b.counters.activates);
-        assert_eq!(a.counters.row_hits, b.counters.row_hits);
-        assert_eq!(
-            a.counters.read_latency.mean(),
-            b.counters.read_latency.mean(),
-            "latency must be shift-invariant"
-        );
     }
 }

@@ -55,5 +55,5 @@ pub use command::{AccessKind, DramCommand, MemRequest};
 pub use policy::LowPowerPolicy;
 pub use rank::{RankPowerState, RankResidency};
 pub use stats::RunStats;
-pub use system::{EngineMode, EpochReplayCfg, MemorySystem};
+pub use system::{EngineMode, MemorySystem};
 pub use validate::{CommandRecord, TimingChecker, TimingViolation};

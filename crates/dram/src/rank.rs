@@ -96,18 +96,6 @@ impl RankResidency {
         self.power_down += other.power_down;
         self.self_refresh += other.self_refresh;
     }
-
-    /// Adds `times` copies of the element-wise delta `end − start` between
-    /// two cumulative snapshots — epoch replay's scaled residency
-    /// accounting. When the two marks lie exactly one epoch apart, the
-    /// delta sums to the epoch length, so the residency-sums-to-elapsed
-    /// invariant survives the fast-forward exactly.
-    pub fn merge_scaled_delta(&mut self, start: &RankResidency, end: &RankResidency, times: u64) {
-        self.active_standby += (end.active_standby - start.active_standby) * times;
-        self.precharge_standby += (end.precharge_standby - start.precharge_standby) * times;
-        self.power_down += (end.power_down - start.power_down) * times;
-        self.self_refresh += (end.self_refresh - start.self_refresh) * times;
-    }
 }
 
 /// Scheduling and power state of one rank.
@@ -124,8 +112,7 @@ pub(crate) struct RankCtl {
     /// Refresh in progress until this cycle.
     pub refresh_until: u64,
     /// Rotating same-bank refresh set (DDR5 REFsb): the bank-in-group index
-    /// the next REFsb targets. Always 0 under all-bank refresh. An index,
-    /// not a timestamp — epoch-replay time shifts leave it alone.
+    /// the next REFsb targets. Always 0 under all-bank refresh.
     pub refresh_set: u32,
     /// Number of banks with an open row.
     pub open_banks: u32,
@@ -228,30 +215,6 @@ impl RankCtl {
     /// True if the rank is fully precharged (required for REF, PDE, SRE).
     pub fn all_precharged(&self) -> bool {
         self.open_banks == 0
-    }
-
-    /// Translates every absolute-cycle stamp forward by `delta`
-    /// (epoch-replay fast-forward). Shifting `state_since` leaves the
-    /// currently-open residency interval pending — the skipped window's
-    /// residency is added separately from the representative-epoch delta,
-    /// so total residency plus the pending interval still equals the clock.
-    pub fn time_shift(&mut self, delta: u64) {
-        self.state_since += delta;
-        if let Some(w) = &mut self.wake_at {
-            *w += delta;
-        }
-        self.next_refresh += delta;
-        self.refresh_until += delta;
-        self.next_act_any += delta;
-        for v in &mut self.next_act_bg {
-            *v += delta;
-        }
-        for v in &mut self.act_window {
-            *v += delta;
-        }
-        self.next_read += delta;
-        self.next_write += delta;
-        self.idle_since += delta;
     }
 }
 

@@ -40,12 +40,6 @@ pub struct RunStats {
     pub rank_residency: Vec<RankResidency>,
     /// Per-sub-array-group cycles spent in GreenDIMM deep power-down.
     pub group_deep_pd_cycles: Vec<u64>,
-    /// Cycles covered by epoch-replay fast-forward rather than exact
-    /// simulation. 0 in the exact engine modes; non-zero marks the run as
-    /// *sampled* and provenance headers flag it accordingly.
-    pub replayed_cycles: u64,
-    /// Whole epochs fast-forwarded by epoch replay.
-    pub replayed_epochs: u64,
 }
 
 impl RunStats {

@@ -3,7 +3,7 @@
 
 use crate::addrmap::AddressMapper;
 use crate::channel::ChannelCtrl;
-use crate::command::{AccessKind, MemRequest, PendingRequest};
+use crate::command::{MemRequest, PendingRequest};
 use crate::policy::LowPowerPolicy;
 use crate::stats::RunStats;
 use gd_types::config::{DramConfig, MemSpecKind, PASR_SEGMENTS};
@@ -12,13 +12,11 @@ use gd_types::{GdError, Result};
 
 /// How the run loops advance simulated time.
 ///
-/// `Stepped` and `EventDriven` are *exact* modes: both produce bit-identical
-/// [`RunStats`] and telemetry — every state transition (command issue,
-/// wake-up completion, refresh, governor demotion) lands on the same cycle
-/// either way. `Stepped` is the reference implementation the equivalence
-/// suite checks the fast paths against. `EpochReplay` is a *sampled* mode
-/// with a bounded, tolerance-controlled error; it is never the default and
-/// results produced with it are flagged in provenance headers.
+/// Both modes are *exact*: they produce bit-identical [`RunStats`] and
+/// telemetry — every state transition (command issue, wake-up completion,
+/// refresh, governor demotion) lands on the same cycle either way.
+/// `Stepped` is the reference implementation the equivalence suite checks
+/// the fast path against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
     /// Reference semantics: poll every channel on every cycle.
@@ -37,121 +35,6 @@ pub enum EngineMode {
     /// both modes hit on identical cycles.
     #[default]
     EventDriven,
-    /// Sampled steady-state fast-forward on top of the event-driven engine
-    /// (see [`EpochReplayCfg`]): traces are segmented into fixed epochs;
-    /// once `stable_epochs` consecutive epochs show the same command mix
-    /// (within `tolerance_millis` per mille), subsequent epochs whose
-    /// arrival mix still matches are skipped wholesale — counters,
-    /// residency, and energy accounting are advanced by the representative
-    /// epoch's deltas and all timing state is translated in time. Error is
-    /// bounded by the tolerance times the number of skipped epochs;
-    /// [`RunStats::replayed_cycles`] reports how much of the run was
-    /// sampled rather than simulated (0 ⇒ the result is exact).
-    EpochReplay(EpochReplayCfg),
-}
-
-/// Tuning for [`EngineMode::EpochReplay`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EpochReplayCfg {
-    /// Epoch length in memory cycles; 0 selects
-    /// [`DramTiming::steady_epoch_cycles`] (4 × tREFI).
-    ///
-    /// [`DramTiming::steady_epoch_cycles`]: gd_types::config::DramTiming::steady_epoch_cycles
-    pub epoch_cycles: u64,
-    /// Consecutive similar epochs required before replay engages (min 2).
-    pub stable_epochs: u32,
-    /// Per-mille tolerance when comparing epoch signatures (50 = 5 %).
-    pub tolerance_millis: u32,
-}
-
-impl Default for EpochReplayCfg {
-    fn default() -> Self {
-        EpochReplayCfg {
-            epoch_cycles: 0,
-            stable_epochs: 3,
-            tolerance_millis: 50,
-        }
-    }
-}
-
-/// Per-epoch command-mix fingerprint used for steady-state detection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct EpochSig {
-    arr_reads: u64,
-    arr_writes: u64,
-    reads: u64,
-    writes: u64,
-    activates: u64,
-    precharges: u64,
-    refreshes: u64,
-    row_hits: u64,
-    row_conflicts: u64,
-}
-
-/// Integer closeness: |a − b| ≤ max(a, b) × tol‰ + 2 (the absolute slack
-/// absorbs quantization on small counts such as per-epoch refreshes).
-fn close(a: u64, b: u64, tol_millis: u32) -> bool {
-    a.abs_diff(b).saturating_mul(1000) <= a.max(b).saturating_mul(u64::from(tol_millis)) + 2000
-}
-
-impl EpochSig {
-    fn similar(&self, other: &EpochSig, tol: u32) -> bool {
-        close(self.arr_reads, other.arr_reads, tol)
-            && close(self.arr_writes, other.arr_writes, tol)
-            && close(self.reads, other.reads, tol)
-            && close(self.writes, other.writes, tol)
-            && close(self.activates, other.activates, tol)
-            && close(self.precharges, other.precharges, tol)
-            && close(self.refreshes, other.refreshes, tol)
-            && close(self.row_hits, other.row_hits, tol)
-            && close(self.row_conflicts, other.row_conflicts, tol)
-    }
-}
-
-/// The captured representative epoch replay scales from.
-#[derive(Debug, Clone)]
-struct RepEpoch {
-    sig: EpochSig,
-    start: Vec<crate::channel::ReplayMark>,
-    end: Vec<crate::channel::ReplayMark>,
-}
-
-/// Tallies one fed request into an epoch's `(reads, writes)` arrival pair.
-fn count_arrival(acc: &mut (u64, u64), req: MemRequest) {
-    match req.kind {
-        AccessKind::Read => acc.0 += 1,
-        AccessKind::Write => acc.1 += 1,
-    }
-}
-
-/// Builds the command-mix fingerprint of one epoch from the accounting
-/// marks at its two boundaries, summed across channels.
-fn epoch_signature(
-    start: &[crate::channel::ReplayMark],
-    end: &[crate::channel::ReplayMark],
-    arrivals: (u64, u64),
-) -> EpochSig {
-    let mut sig = EpochSig {
-        arr_reads: arrivals.0,
-        arr_writes: arrivals.1,
-        reads: 0,
-        writes: 0,
-        activates: 0,
-        precharges: 0,
-        refreshes: 0,
-        row_hits: 0,
-        row_conflicts: 0,
-    };
-    for (s, e) in start.iter().zip(end.iter()) {
-        sig.reads += e.counters.reads - s.counters.reads;
-        sig.writes += e.counters.writes - s.counters.writes;
-        sig.activates += e.counters.activates - s.counters.activates;
-        sig.precharges += e.counters.precharges - s.counters.precharges;
-        sig.refreshes += e.counters.refreshes - s.counters.refreshes;
-        sig.row_hits += e.counters.row_hits - s.counters.row_hits;
-        sig.row_conflicts += e.counters.row_conflicts - s.counters.row_conflicts;
-    }
-    sig
 }
 
 /// A simulated multi-channel DDR4 memory system.
@@ -181,10 +64,6 @@ pub struct MemorySystem {
     pasr_mask: Vec<bool>,
     pasr_mask_since: Vec<u64>,
     pasr_mask_cycles: Vec<u64>,
-    /// Cycles fast-forwarded by epoch replay (0 in the exact modes).
-    replayed_cycles: u64,
-    /// Whole epochs fast-forwarded by epoch replay.
-    replayed_epochs: u64,
 }
 
 impl MemorySystem {
@@ -219,8 +98,6 @@ impl MemorySystem {
             pasr_mask: vec![false; segments],
             pasr_mask_since: vec![0; segments],
             pasr_mask_cycles: vec![0; segments],
-            replayed_cycles: 0,
-            replayed_epochs: 0,
         })
     }
 
@@ -430,9 +307,6 @@ impl MemorySystem {
         I: IntoIterator<Item = MemRequest>,
     {
         let mut iter = requests.into_iter().peekable();
-        if let EngineMode::EpochReplay(rcfg) = self.mode {
-            return self.run_trace_replay(&mut iter, rcfg);
-        }
         loop {
             // Feed due arrivals.
             while let Some(r) = iter.peek() {
@@ -466,164 +340,6 @@ impl MemorySystem {
         Ok(self.snapshot_stats())
     }
 
-    /// The sampled [`EngineMode::EpochReplay`] trace loop: event-driven
-    /// simulation segmented into fixed epochs, with steady-state epochs
-    /// fast-forwarded once detection locks on (see [`EpochReplayCfg`]).
-    fn run_trace_replay<I>(
-        &mut self,
-        iter: &mut std::iter::Peekable<I>,
-        rcfg: EpochReplayCfg,
-    ) -> Result<RunStats>
-    where
-        I: Iterator<Item = MemRequest>,
-    {
-        let epoch = if rcfg.epoch_cycles == 0 {
-            self.cfg.timing.steady_epoch_cycles()
-        } else {
-            rcfg.epoch_cycles
-        };
-        let stable_needed = rcfg.stable_epochs.max(2) as usize;
-        // Arrivals pulled ahead of the clock while probing a skip window sit
-        // here and are fed before the iterator, preserving order.
-        let mut lookahead: std::collections::VecDeque<MemRequest> =
-            std::collections::VecDeque::new();
-        let mut boundary = self.clock + epoch;
-        let mut marks = self.channel_marks();
-        let mut arrivals = (0u64, 0u64); // (reads, writes) fed this epoch
-        let mut history: std::collections::VecDeque<EpochSig> = std::collections::VecDeque::new();
-        let mut rep: Option<RepEpoch> = None;
-        loop {
-            // Feed due arrivals: lookahead buffer first, then the iterator.
-            while let Some(r) = lookahead.front() {
-                if r.arrival <= self.clock {
-                    let req = *r;
-                    lookahead.pop_front();
-                    count_arrival(&mut arrivals, req);
-                    self.enqueue(req)?;
-                } else {
-                    break;
-                }
-            }
-            if lookahead.is_empty() {
-                while let Some(r) = iter.peek() {
-                    if r.arrival <= self.clock {
-                        let req = *r;
-                        iter.next();
-                        count_arrival(&mut arrivals, req);
-                        self.enqueue(req)?;
-                    } else {
-                        break;
-                    }
-                }
-            }
-            self.poll_channels();
-            let busy = self.channels.iter().any(|c| c.busy());
-            if !busy && lookahead.is_empty() && iter.peek().is_none() {
-                break;
-            }
-            let mut next = self.next_horizon();
-            if let Some(r) = lookahead.front() {
-                next = next.min(r.arrival);
-            } else if let Some(r) = iter.peek() {
-                next = next.min(r.arrival);
-            }
-            self.clock = next.max(self.clock + 1).min(boundary);
-            if self.clock < boundary {
-                continue;
-            }
-            // ---- Epoch boundary: close the simulated epoch. ----
-            let end_marks = self.channel_marks();
-            let sig = epoch_signature(&marks, &end_marks, arrivals);
-            history.push_back(sig);
-            if history.len() > stable_needed {
-                history.pop_front();
-            }
-            if rep.is_none() && history.len() == stable_needed {
-                let newest = *history.back().expect("non-empty history");
-                // A zero-arrival epoch is a drain (or idle) phase, not a
-                // steady state: replay only shifts counters, never empties
-                // the physical queue, so skipping drain epochs would spin
-                // forever on a backlog that stays `busy`. Require traffic.
-                if newest.arr_reads + newest.arr_writes > 0
-                    && history
-                        .iter()
-                        .all(|s| s.similar(&newest, rcfg.tolerance_millis))
-                {
-                    rep = Some(RepEpoch {
-                        sig: newest,
-                        start: marks.clone(),
-                        end: end_marks.clone(),
-                    });
-                }
-            }
-            if let Some(r) = rep.clone() {
-                // Greedily fast-forward whole epochs whose arrival mix still
-                // matches the representative epoch.
-                let mut still_matching = true;
-                while still_matching {
-                    let window_end = boundary + epoch;
-                    while let Some(n) = iter.peek() {
-                        if n.arrival < window_end {
-                            let req = *n;
-                            iter.next();
-                            lookahead.push_back(req);
-                        } else {
-                            break;
-                        }
-                    }
-                    // Past the last arrival the run is all drain; the
-                    // event-driven loop covers it in a handful of jumps and
-                    // the queue must empty for real, so stop skipping.
-                    if lookahead.is_empty() && iter.peek().is_none() {
-                        break;
-                    }
-                    let mut win = (0u64, 0u64);
-                    for q in &lookahead {
-                        count_arrival(&mut win, *q);
-                    }
-                    still_matching = close(win.0, r.sig.arr_reads, rcfg.tolerance_millis)
-                        && close(win.1, r.sig.arr_writes, rcfg.tolerance_millis);
-                    if !still_matching {
-                        break;
-                    }
-                    for (ch, (s, e)) in self
-                        .channels
-                        .iter_mut()
-                        .zip(r.start.iter().zip(r.end.iter()))
-                    {
-                        ch.apply_replay_delta(s, e, 1);
-                        ch.time_shift(epoch);
-                    }
-                    self.clock += epoch;
-                    self.replayed_cycles += epoch;
-                    self.replayed_epochs += 1;
-                    // The skipped arrivals are accounted by the replay
-                    // delta; everything queued keeps draining afterwards.
-                    lookahead.clear();
-                    let c = self.clock;
-                    self.attention.fill(c);
-                    boundary += epoch;
-                }
-                if !still_matching {
-                    // Phase change: fall back to exact simulation and
-                    // restart detection from scratch.
-                    rep = None;
-                    history.clear();
-                }
-            }
-            marks = self.channel_marks();
-            arrivals = (0, 0);
-            boundary += epoch;
-        }
-        Ok(self.snapshot_stats())
-    }
-
-    /// Per-channel replay accounting marks at the current clock.
-    fn channel_marks(&self) -> Vec<crate::channel::ReplayMark> {
-        let now = self.clock;
-        self.channels.iter().map(|c| c.replay_mark(now)).collect()
-    }
-
     /// Advances the system with no new traffic for `cycles` cycles
     /// (refresh and the low-power governor keep running), then returns
     /// cumulative statistics. Used for idle-power measurements (Fig. 2).
@@ -639,15 +355,13 @@ impl MemorySystem {
             if self.mode == EngineMode::Stepped {
                 self.clock += 1;
             } else {
-                // Epoch replay has nothing to sample on an idle run; it
-                // falls through to plain event-driven advance.
                 self.clock = self.next_horizon().max(self.clock + 1).min(target);
             }
         }
         self.snapshot_stats()
     }
 
-    /// Polls channels at the current cycle. In the event-driven modes only
+    /// Polls channels at the current cycle. In the event-driven mode only
     /// channels whose attention time has arrived are visited, and every
     /// visit — successful issue or not — refreshes that channel's attention
     /// time from [`ChannelCtrl::next_poll`]. A channel issues at most one
@@ -662,7 +376,7 @@ impl MemorySystem {
                     ch.try_issue(now);
                 }
             }
-            EngineMode::EventDriven | EngineMode::EpochReplay(_) => {
+            EngineMode::EventDriven => {
                 for (ch, attn) in self.channels.iter_mut().zip(self.attention.iter_mut()) {
                     if *attn > now {
                         continue;
@@ -714,8 +428,6 @@ impl MemorySystem {
         }
         let mut stats = RunStats {
             cycles: self.clock,
-            replayed_cycles: self.replayed_cycles,
-            replayed_epochs: self.replayed_epochs,
             ..Default::default()
         };
         for ch in &self.channels {
@@ -763,12 +475,6 @@ impl MemorySystem {
         }
         let reg = &mut tele.registry;
         reg.counter_add(&format!("{scope}.dram.cycles"), self.clock);
-        // Emitted only when replay actually fired, so exact-mode telemetry
-        // stays byte-identical to the pre-replay format.
-        if self.replayed_epochs > 0 {
-            reg.counter_add(&format!("{scope}.dram.replay.epochs"), self.replayed_epochs);
-            reg.counter_add(&format!("{scope}.dram.replay.cycles"), self.replayed_cycles);
-        }
         for (ci, ch) in self.channels.iter().enumerate() {
             let p = format!("{scope}.dram.ch{ci}");
             let c = &ch.counters;

@@ -5,19 +5,12 @@
 //! Figs. 1/12/13, hoisted below the bench crate so the fleet can drive it
 //! once per host with scheduler-produced event streams (and so the bench
 //! crate can delegate to it, keeping exactly one copy of the loop). The
-//! three [`EngineMode`]s:
+//! two [`EngineMode`]s:
 //!
 //! * [`EngineMode::Stepped`] — one [`EpochSim::step`] per second;
 //! * [`EngineMode::EventDriven`] — one step per scheduler period.
 //!   `EpochSim::step` slices internally at monitor boundaries, so the two
-//!   exact engines agree bit for bit by construction;
-//! * [`EngineMode::EpochReplay`] — once a period sees no VM events *and*
-//!   the previous exactly-simulated period was quiet (no hotplug, no KSM
-//!   progress), the period is fast-forwarded: monitor ticks are replayed
-//!   analytically ([`EpochSim::fast_forward`]) and the sample repeats the
-//!   settled state. Footprints only move at VM events, so a settled quiet
-//!   host is exactly stationary; the approximation is the skipped KSM scan
-//!   work, which the quiet gate requires to have already converged.
+//!   engines agree bit for bit by construction.
 
 use gd_dram::EngineMode;
 use gd_ksm::{Ksm, KsmConfig, RegionId};
@@ -82,12 +75,10 @@ pub struct HostSample {
 pub struct HostRun {
     /// Per-scheduler-period samples.
     pub samples: Vec<HostSample>,
-    /// Daemon counters (including `replayed_ticks` under epoch replay).
+    /// Daemon counters.
     pub daemon: DaemonStats,
     /// Pages KSM released over the run.
     pub ksm_released_pages: u64,
-    /// Scheduler periods that were fast-forwarded instead of simulated.
-    pub replayed_periods: u64,
 }
 
 impl HostRun {
@@ -168,23 +159,14 @@ pub fn run_host(
         HashMap::new(); // detlint: allow(maporder)
     let mut samples = Vec::new();
     let mut event_idx = 0;
-    let mut replayed_periods = 0u64;
-    // Epoch-replay quiet gate: the previous period was simulated exactly
-    // and moved nothing the fast path cannot reproduce.
-    let mut last_quiet = false;
-    let mut prev_offline = 0usize;
-    let mut prev_hotplug = 0u64;
-    let mut prev_released = 0u64;
     let tick = cfg.schedule_period_s;
     let ticks = cfg.duration_s / tick;
     for t in 0..=ticks {
         let now_s = t * tick;
         // Apply this period's VM lifecycle events.
-        let mut had_events = false;
         while event_idx < events.len() && events[event_idx].time_s <= now_s {
             let ev = &events[event_idx];
             event_idx += 1;
-            had_events = true;
             match ev.kind {
                 VmEventKind::Start => {
                     let mut fp = FootprintDriver::new();
@@ -215,43 +197,21 @@ pub fn run_host(
                 }
             }
         }
-        let replay =
-            matches!(cfg.engine, EngineMode::EpochReplay(_)) && t > 0 && !had_events && last_quiet;
-        if replay {
-            sim.fast_forward(SimTime::from_secs(tick));
-            replayed_periods += 1;
-            // State is stationary by the quiet gate: repeat the previous
-            // sample at the new timestamp.
-            let prev = *samples.last().expect("t > 0 implies a prior sample");
-            samples.push(HostSample {
-                time_s: now_s,
-                ..prev
-            });
-            continue;
-        }
         match cfg.engine {
             EngineMode::Stepped => {
                 for _ in 0..tick {
                     sim.step(SimTime::from_secs(1))?;
                 }
             }
-            _ => {
+            EngineMode::EventDriven => {
                 sim.step(SimTime::from_secs(tick))?;
             }
         }
-        let offline = sim.mm.offline_block_count();
-        let hotplug = sim.daemon.stats.hotplug_events();
-        let released = sim.ksm.as_ref().map(|k| k.frames_released()).unwrap_or(0);
-        last_quiet =
-            offline == prev_offline && hotplug == prev_hotplug && released == prev_released;
-        prev_offline = offline;
-        prev_hotplug = hotplug;
-        prev_released = released;
         let info = sim.mm.meminfo();
         samples.push(HostSample {
             time_s: now_s,
             used_fraction: info.used_pages as f64 / info.installed_pages as f64,
-            offline_blocks: offline,
+            offline_blocks: sim.mm.offline_block_count(),
             deep_pd_fraction: sim.deep_pd_fraction(),
         });
     }
@@ -263,7 +223,6 @@ pub fn run_host(
             samples,
             daemon: sim.daemon.stats,
             ksm_released_pages: released,
-            replayed_periods,
         },
         tele,
     ))
@@ -298,62 +257,5 @@ mod tests {
         assert_eq!(stepped.samples, event.samples);
         assert_eq!(stepped.ksm_released_pages, event.ksm_released_pages);
         assert_eq!(stepped.daemon, event.daemon);
-        assert_eq!(stepped.replayed_periods, 0);
-        assert_eq!(event.replayed_periods, 0);
-    }
-
-    #[test]
-    fn epoch_replay_fast_forwards_quiet_periods() {
-        // A single short burst of events, then a long idle tail: the tail
-        // must be replayed, and the replayed samples must repeat the
-        // settled state.
-        let mut events = short_events();
-        events.retain(|e| e.time_s <= 600);
-        let cfg = HostSimConfig {
-            duration_s: 6 * 3_600,
-            ..short_cfg(EngineMode::EpochReplay(Default::default()))
-        };
-        let (run, _) = run_host(&cfg, &events, false).unwrap();
-        assert!(run.replayed_periods > 0, "idle tail was not replayed");
-        assert!(run.daemon.replayed_ticks > 0);
-        let last = run.samples.last().unwrap();
-        let prev = run.samples[run.samples.len() - 2];
-        assert_eq!(last.offline_blocks, prev.offline_blocks);
-        assert_eq!(last.deep_pd_fraction, prev.deep_pd_fraction);
-        // The exact engine on the same stream agrees on the settled state
-        // (the replay approximation only skips converged work).
-        let (exact, _) = run_host(
-            &HostSimConfig {
-                engine: EngineMode::EventDriven,
-                ..cfg
-            },
-            &events,
-            false,
-        )
-        .unwrap();
-        let e_last = exact.samples.last().unwrap();
-        assert_eq!(last.offline_blocks, e_last.offline_blocks);
-        assert!((last.deep_pd_fraction - e_last.deep_pd_fraction).abs() < 1e-12);
-    }
-
-    #[test]
-    fn replay_is_exact_when_every_period_has_events() {
-        // The Azure stream keeps every period busy, so the quiet gate never
-        // opens and epoch replay degenerates to the exact engine.
-        let events = short_events();
-        let (replay, _) = run_host(
-            &short_cfg(EngineMode::EpochReplay(Default::default())),
-            &events,
-            false,
-        )
-        .unwrap();
-        let (exact, _) = run_host(&short_cfg(EngineMode::EventDriven), &events, false).unwrap();
-        if replay.replayed_periods == 0 {
-            assert_eq!(replay.samples, exact.samples);
-        } else {
-            // If some periods did go quiet, the means must still agree
-            // closely (replay only skips settled periods).
-            assert!((replay.mean_deep_pd_fraction() - exact.mean_deep_pd_fraction()).abs() < 0.02);
-        }
     }
 }

@@ -16,12 +16,12 @@
 //!    fan out across the deterministic shard pool ([`pool`]): results merge
 //!    in host order and the outcome is byte-identical for any `--jobs`.
 //!
-//! Engine selection trades fidelity for wall-clock at the *fleet* level:
-//! the exact engines (`stepped`, `event-driven`) co-simulate every host,
-//! while `epoch-replay` co-simulates every `replay_stride`-th host exactly
-//! and replays the rest through an analytic surrogate calibrated against
-//! the exact hosts (deep power-down tracks scheduled-memory headroom; the
-//! calibration runs serially after the merge, so it is jobs-invariant).
+//! Host sampling trades fidelity for wall-clock at the *fleet* level:
+//! [`FleetConfig::sample_stride`] co-simulates every `sample_stride`-th
+//! host exactly and fills in the rest through an analytic surrogate
+//! calibrated against the exact hosts (deep power-down tracks
+//! scheduled-memory headroom; the calibration runs serially after the
+//! merge, so it is jobs-invariant). A stride of 1 co-simulates every host.
 
 pub mod host;
 pub mod pool;
@@ -42,7 +42,7 @@ pub struct HostSummary {
     /// Host index within the fleet.
     pub host: usize,
     /// True when this host was co-simulated exactly; false when its numbers
-    /// come from the calibrated epoch-replay surrogate.
+    /// come from the calibrated surrogate.
     pub exact: bool,
     /// Mean used fraction (simulated for exact hosts, scheduled-memory mean
     /// for surrogate hosts).
@@ -53,7 +53,8 @@ pub struct HostSummary {
     pub hotplug_events: u64,
     /// Pages KSM released over the run.
     pub ksm_released_pages: u64,
-    /// Monitor ticks replayed analytically instead of simulated.
+    /// Monitor ticks filled in by the surrogate instead of simulated: 0 for
+    /// an exact host, the whole run for a surrogate host.
     pub replayed_ticks: u64,
 }
 
@@ -109,11 +110,10 @@ impl FleetOutcome {
 /// Runs the full fleet: schedule, then per-host co-simulation sharded
 /// across `jobs` workers.
 ///
-/// Under [`EngineMode::EpochReplay`], only every `cfg.replay_stride`-th
-/// host is co-simulated (exactly, with the event-driven engine); the
-/// remaining hosts get surrogate numbers calibrated against the exact
+/// Every `cfg.sample_stride`-th host is co-simulated exactly on `engine`;
+/// the remaining hosts get surrogate numbers calibrated against the exact
 /// hosts in a serial post-pass, so the outcome is byte-identical for any
-/// `jobs`. The exact engines co-simulate every host.
+/// `jobs`. Both engines give bit-identical outcomes.
 ///
 /// # Errors
 ///
@@ -128,14 +128,6 @@ pub fn run_fleet(
     with_telemetry: bool,
 ) -> Result<FleetOutcome> {
     let schedule = schedule_fleet(cfg, verify)?;
-    let sampled = matches!(engine, EngineMode::EpochReplay(_));
-    // Exact hosts run the event-driven engine (the calibration anchors
-    // must be exact); a non-sampled fleet runs every host on `engine`.
-    let host_engine = if sampled {
-        EngineMode::EventDriven
-    } else {
-        engine
-    };
     let host_cfg = |host: usize| HostSimConfig {
         capacity_gb: cfg.host_capacity_gb,
         block_gb: cfg.block_gb,
@@ -144,14 +136,14 @@ pub fn run_fleet(
         duration_s: cfg.duration_s,
         schedule_period_s: cfg.schedule_period_s,
         seed: sweep_point_seed(cfg.seed, host),
-        engine: host_engine,
+        engine,
     };
     type HostResult = Option<(HostRun, Option<gd_obs::Telemetry>)>;
     let runs: Vec<Result<HostResult>> = shard_map(
         &schedule.host_events,
         jobs,
         |host, events: &Vec<gd_workloads::VmEvent>| {
-            if sampled && !host.is_multiple_of(cfg.replay_stride) {
+            if !host.is_multiple_of(cfg.sample_stride) {
                 return Ok(None);
             }
             run_host(&host_cfg(host), events, with_telemetry).map(Some)
@@ -204,7 +196,7 @@ pub fn run_fleet(
                     mean_deep_pd_fraction: run.mean_deep_pd_fraction(),
                     hotplug_events: run.daemon.hotplug_events(),
                     ksm_released_pages: run.ksm_released_pages,
-                    replayed_ticks: run.daemon.replayed_ticks,
+                    replayed_ticks: 0,
                 });
                 if let (Some(out), Some(tele)) = (telemetry.as_mut(), tele) {
                     out.push((format!("host{host:04}"), tele));
@@ -220,8 +212,6 @@ pub fn run_fleet(
                     mean_deep_pd_fraction: (alpha_pd * headroom).clamp(0.0, 1.0),
                     hotplug_events: mean_hotplug,
                     ksm_released_pages: (alpha_released * sched_used).round() as u64,
-                    // Every monitor tick of a surrogate host is, in effect,
-                    // replayed.
                     replayed_ticks: cfg.duration_s,
                 });
             }
@@ -260,13 +250,13 @@ mod tests {
     }
 
     #[test]
-    fn epoch_replay_samples_by_stride_and_stays_jobs_invariant() {
+    fn sampled_fleet_follows_stride_and_stays_jobs_invariant() {
         let cfg = FleetConfig {
             hosts: 8,
-            replay_stride: 4,
+            sample_stride: 4,
             ..tiny()
         };
-        let engine = EngineMode::EpochReplay(Default::default());
+        let engine = EngineMode::EventDriven;
         let a = run_fleet(&cfg, engine, 1, None, false).unwrap();
         assert_eq!(a.exact_hosts, 2, "hosts 0 and 4 are the anchors");
         assert!(a.hosts[0].exact && a.hosts[4].exact);
@@ -282,21 +272,16 @@ mod tests {
     fn surrogate_tracks_exact_hosts() {
         // With a homogeneous fleet the surrogate's fleet-mean deep-PD must
         // land near the all-exact fleet's.
-        let cfg = FleetConfig {
-            hosts: 8,
-            replay_stride: 2,
-            ..tiny()
+        let exact_cfg = FleetConfig { hosts: 8, ..tiny() };
+        let sampled_cfg = FleetConfig {
+            sample_stride: 2,
+            ..exact_cfg
         };
-        let exact = run_fleet(&cfg, EngineMode::EventDriven, 2, None, false).unwrap();
-        let replay = run_fleet(
-            &cfg,
-            EngineMode::EpochReplay(Default::default()),
-            2,
-            None,
-            false,
-        )
-        .unwrap();
-        let d = (exact.mean_deep_pd_fraction() - replay.mean_deep_pd_fraction()).abs();
+        let exact = run_fleet(&exact_cfg, EngineMode::EventDriven, 2, None, false).unwrap();
+        let sampled = run_fleet(&sampled_cfg, EngineMode::EventDriven, 2, None, false).unwrap();
+        assert_eq!(exact.exact_hosts, 8);
+        assert_eq!(sampled.exact_hosts, 4);
+        let d = (exact.mean_deep_pd_fraction() - sampled.mean_deep_pd_fraction()).abs();
         assert!(d < 0.10, "surrogate drifted: {d}");
     }
 
@@ -304,18 +289,11 @@ mod tests {
     fn telemetry_covers_exact_hosts_only() {
         let cfg = FleetConfig {
             hosts: 4,
-            replay_stride: 2,
+            sample_stride: 2,
             duration_s: 3_600,
             ..FleetConfig::paper_1k()
         };
-        let out = run_fleet(
-            &cfg,
-            EngineMode::EpochReplay(Default::default()),
-            2,
-            None,
-            true,
-        )
-        .unwrap();
+        let out = run_fleet(&cfg, EngineMode::EventDriven, 2, None, true).unwrap();
         let tele = out.telemetry.expect("telemetry requested");
         assert_eq!(tele.len(), out.exact_hosts);
         assert_eq!(tele[0].0, "host0000");

@@ -45,7 +45,7 @@ pub struct FleetSchedule {
     /// memory over total installed capacity (before KSM).
     pub utilization: Vec<(u64, f64)>,
     /// Per-host mean scheduled-memory fraction over the run (feeds the
-    /// epoch-replay engine's analytic host surrogate).
+    /// sampled fleet's analytic host surrogate).
     pub host_mean_used: Vec<f64>,
 }
 
@@ -107,9 +107,9 @@ fn place(
 /// [`gd_verify::Mode::Strict`] (the conservation and capacity invariants
 /// are checked after every scheduler tick).
 pub fn schedule_fleet(cfg: &FleetConfig, verify: Option<gd_verify::Mode>) -> Result<FleetSchedule> {
-    if cfg.hosts == 0 || cfg.schedule_period_s == 0 || cfg.replay_stride == 0 {
+    if cfg.hosts == 0 || cfg.schedule_period_s == 0 || cfg.sample_stride == 0 {
         return Err(GdError::InvalidConfig(
-            "fleet needs hosts >= 1, schedule_period_s >= 1, replay_stride >= 1".into(),
+            "fleet needs hosts >= 1, schedule_period_s >= 1, sample_stride >= 1".into(),
         ));
     }
     if !(0.0..=1.0).contains(&cfg.max_util) {
@@ -370,6 +370,14 @@ mod tests {
         assert!(schedule_fleet(
             &FleetConfig {
                 hosts: 0,
+                ..FleetConfig::small_test()
+            },
+            None
+        )
+        .is_err());
+        assert!(schedule_fleet(
+            &FleetConfig {
+                sample_stride: 0,
                 ..FleetConfig::small_test()
             },
             None

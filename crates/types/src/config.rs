@@ -327,15 +327,6 @@ impl DramTiming {
         self.burst_length / 2
     }
 
-    /// Default epoch length for steady-state phase detection (the
-    /// epoch-replay engine): four refresh intervals. A multiple of tREFI
-    /// keeps the per-epoch refresh count stable, so a steady bandwidth
-    /// phase produces identical epoch signatures instead of aliasing
-    /// against the refresh schedule.
-    pub fn steady_epoch_cycles(&self) -> u64 {
-        self.t_refi * 4
-    }
-
     /// [`burst_cycles`](Self::burst_cycles) as a typed count, for
     /// unit-safe conversion to seconds or energy.
     pub fn burst(&self) -> crate::time::Cycles {

@@ -65,11 +65,10 @@ pub struct FleetConfig {
     pub ksm: bool,
     /// Run each host's GreenDIMM daemon (off = conventional kernel).
     pub greendimm: bool,
-    /// Exact co-sim host stride for the sampled epoch-replay engine: hosts
-    /// whose index is a multiple of this are simulated exactly; the rest
-    /// are replayed analytically from the exact sample. Ignored by the
-    /// exact engines. Must be ≥ 1.
-    pub replay_stride: usize,
+    /// Host sampling stride: hosts whose index is a multiple of this are
+    /// co-simulated exactly; the rest get a surrogate calibrated against
+    /// that sample. 1 co-simulates every host. Must be ≥ 1.
+    pub sample_stride: usize,
     /// Experiment seed (per-host seeds derive from it by host index).
     pub seed: u64,
 }
@@ -91,7 +90,7 @@ impl FleetConfig {
             placement: FleetPlacement::BestFit,
             ksm: false,
             greendimm: true,
-            replay_stride: 16,
+            sample_stride: 1,
             seed: 42,
         }
     }
@@ -164,7 +163,7 @@ mod tests {
         let cfg = FleetConfig::paper_1k();
         assert_eq!(cfg.hosts, 1000);
         assert_eq!(cfg.ticks(), 288);
-        assert!(cfg.replay_stride >= 1);
+        assert_eq!(cfg.sample_stride, 1, "the default fleet is exact");
     }
 
     #[test]

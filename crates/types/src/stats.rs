@@ -53,8 +53,8 @@ impl Summary {
         (self.count > 0).then(|| self.sum / self.count as f64)
     }
 
-    /// Minimum, or `None` if empty or the accumulator carries no bounds
-    /// (a [`Self::delta_since`] snapshot difference).
+    /// Minimum, or `None` if empty or no recorded sample was ordered
+    /// (all NaN).
     pub fn min(&self) -> Option<f64> {
         (self.count > 0 && self.min <= self.max).then_some(self.min)
     }
@@ -69,32 +69,6 @@ impl Summary {
         self.count += other.count;
         self.sum += other.sum;
         if other.count > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-    }
-
-    /// Count/sum difference `self − earlier` between two snapshots of the
-    /// same accumulator. Min/max are not recoverable from cumulative
-    /// snapshots, so the delta carries empty bounds and
-    /// [`Self::merge_scaled`] leaves the target's bounds untouched when
-    /// merging such a delta.
-    pub fn delta_since(&self, earlier: &Summary) -> Summary {
-        Summary {
-            count: self.count - earlier.count,
-            sum: self.sum - earlier.sum,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Merges `times` copies of `other` — used to scale a
-    /// representative-epoch delta across fast-forwarded repeats. Bounds are
-    /// merged once (they do not scale) and only when `other` carries any.
-    pub fn merge_scaled(&mut self, other: &Summary, times: u64) {
-        self.count += other.count * times;
-        self.sum += other.sum * times as f64;
-        if times > 0 && other.count > 0 && other.min <= other.max {
             self.min = self.min.min(other.min);
             self.max = self.max.max(other.max);
         }
@@ -182,29 +156,6 @@ mod tests {
         a.merge(&Summary::new());
         assert_eq!(a.min(), Some(5.0));
         assert_eq!(a.max(), Some(5.0));
-    }
-
-    #[test]
-    fn delta_and_scaled_merge() {
-        let earlier: Summary = [10.0, 20.0].into_iter().collect();
-        let mut later = earlier;
-        later.record(30.0);
-        later.record(50.0);
-        let delta = later.delta_since(&earlier);
-        assert_eq!(delta.count(), 2);
-        assert_eq!(delta.sum(), 80.0);
-        assert_eq!(delta.min(), None, "delta carries no bounds");
-        // Scaling the delta three times onto a live accumulator adds the
-        // count/sum contributions without disturbing min/max.
-        let mut acc: Summary = [1.0, 99.0].into_iter().collect();
-        acc.merge_scaled(&delta, 3);
-        assert_eq!(acc.count(), 2 + 6);
-        assert_eq!(acc.sum(), 100.0 + 240.0);
-        assert_eq!(acc.min(), Some(1.0));
-        assert_eq!(acc.max(), Some(99.0));
-        // Scaling by zero is a no-op.
-        acc.merge_scaled(&delta, 0);
-        assert_eq!(acc.count(), 8);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! * [`verify`] — the cross-crate invariant checker and determinism gate.
 //! * [`core`] — the GreenDIMM daemon and full-system co-simulation.
 //! * [`fleet`] — the datacenter-scale fleet simulation: placement
-//!   scheduler, sharded per-host co-simulation, sampled replay.
+//!   scheduler, sharded per-host co-simulation, host sampling.
 //!
 //! # Quickstart
 //!

@@ -14,7 +14,7 @@
 use greendimm_suite::bench::sweep;
 use greendimm_suite::bench::telemetry::render_shards;
 use greendimm_suite::dram::{
-    AddressMapper, EngineMode, EpochReplayCfg, LowPowerPolicy, MemRequest, MemorySystem, RunStats,
+    AddressMapper, EngineMode, LowPowerPolicy, MemRequest, MemorySystem, RunStats,
 };
 use greendimm_suite::obs::Telemetry;
 use greendimm_suite::types::config::{DramConfig, InterleaveMode, MemSpecKind};
@@ -450,63 +450,6 @@ fn armed_fault_plan_equivalent_across_engines() {
         b_tele.unwrap().render_jsonl("p"),
         "armed-plan telemetry diverged between engines"
     );
-}
-
-/// The sampled epoch-replay engine on steady periodic traffic: replay must
-/// actually engage (epochs skipped), keep every rank's residency summing to
-/// the clock (no cycles invented or lost), and land within the configured
-/// tolerance of the exact event-driven run on every major counter.
-#[test]
-fn epoch_replay_engages_and_error_is_bounded() {
-    let cfg = DramConfig::small_test();
-    // Steady state: one read every 10 cycles round-robining over 8 rows.
-    let trace: Vec<_> = (0..20_000u64)
-        .map(|i| MemRequest::read((i % 8) * 8192, i * 10))
-        .collect();
-    let mut exact_sys = MemorySystem::new(cfg, LowPowerPolicy::srf_default())
-        .unwrap()
-        .with_engine_mode(EngineMode::EventDriven);
-    let exact = exact_sys.run_trace(trace.clone()).unwrap();
-    // One tREFI per epoch: refresh-aligned (like the 4x-tREFI auto epoch)
-    // but short enough that the 200k-cycle trace spans ~24 epochs.
-    let epoch = cfg.timing.t_refi;
-    let rcfg = EpochReplayCfg {
-        epoch_cycles: epoch,
-        stable_epochs: 3,
-        tolerance_millis: 50,
-    };
-    let mut replay_sys = MemorySystem::new(cfg, LowPowerPolicy::srf_default())
-        .unwrap()
-        .with_engine_mode(EngineMode::EpochReplay(rcfg));
-    let sampled = replay_sys.run_trace(trace).unwrap();
-
-    assert!(
-        sampled.replayed_epochs > 0,
-        "steady traffic must trigger replay"
-    );
-    assert_eq!(sampled.replayed_cycles, sampled.replayed_epochs * epoch);
-    assert_eq!(exact.replayed_cycles, 0, "exact engines never sample");
-    for (ri, r) in sampled.rank_residency.iter().enumerate() {
-        assert_eq!(
-            r.total(),
-            sampled.cycles,
-            "rank {ri} residency must sum to the clock after fast-forward"
-        );
-    }
-    // Bounded error: every major counter within 10 % of the exact run
-    // (2× the 5 % signature tolerance, covering boundary effects).
-    let within = |a: u64, b: u64, what: &str| {
-        let hi = a.max(b) as f64;
-        assert!(
-            a.abs_diff(b) as f64 <= hi * 0.10 + 2.0,
-            "{what} drifted past the bound: sampled {a} vs exact {b}"
-        );
-    };
-    within(sampled.reads, exact.reads, "reads");
-    within(sampled.cycles, exact.cycles, "cycles");
-    within(sampled.activates, exact.activates, "activates");
-    within(sampled.refreshes, exact.refreshes, "refreshes");
-    within(sampled.row_hits, exact.row_hits, "row_hits");
 }
 
 /// Merged telemetry shards from the sweep pool must be byte-identical for

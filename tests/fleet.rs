@@ -1,10 +1,10 @@
 //! End-to-end gates for the fleet simulation: VM/capacity conservation
-//! under `Strict` verification, bit-for-bit agreement of the exact engines
-//! on a small fleet, byte-identity across shard-pool worker counts, and
-//! the sampled replay engine's host-stride contract.
+//! under `Strict` verification, bit-for-bit agreement of the two engines
+//! on a small fleet (exact and sampled), byte-identity across shard-pool
+//! worker counts, and the `sample_stride` host-sampling contract.
 
 use greendimm_suite::bench::telemetry::render_shards;
-use greendimm_suite::dram::{EngineMode, EpochReplayCfg};
+use greendimm_suite::dram::EngineMode;
 use greendimm_suite::fleet::{run_fleet, schedule_fleet, FleetOutcome};
 use greendimm_suite::types::fleet::{FleetConfig, FleetPlacement};
 use greendimm_suite::verify::Mode;
@@ -37,22 +37,15 @@ fn strict_conservation_holds_for_every_placement() {
     }
 }
 
-/// The Strict fleet checker also holds under the sampled replay engine —
-/// scheduling (where the invariants live) is engine-independent.
+/// The Strict fleet checker also holds for a sampled fleet — scheduling
+/// (where the invariants live) does not depend on host sampling.
 #[test]
-fn strict_conservation_holds_under_sampled_replay() {
+fn strict_conservation_holds_for_a_sampled_fleet() {
     let cfg = FleetConfig {
-        replay_stride: 4,
+        sample_stride: 4,
         ..small(FleetPlacement::BestFit, false)
     };
-    let out = run_fleet(
-        &cfg,
-        EngineMode::EpochReplay(EpochReplayCfg::default()),
-        2,
-        Some(Mode::Strict),
-        false,
-    )
-    .unwrap();
+    let out = run_fleet(&cfg, EngineMode::EventDriven, 2, Some(Mode::Strict), false).unwrap();
     assert!(out.stats.conserved());
     // Hosts 0 and 4 are the exact anchors at stride 4 over 8 hosts.
     assert_eq!(out.exact_hosts, 2);
@@ -65,7 +58,7 @@ fn strict_conservation_holds_under_sampled_replay() {
     assert_eq!(exact, vec![0, 4]);
     assert!(
         out.hosts.iter().all(|h| h.exact || h.replayed_ticks > 0),
-        "surrogate hosts must account their replayed ticks"
+        "surrogate hosts must account their filled-in ticks"
     );
 }
 
@@ -76,16 +69,24 @@ fn assert_outcomes_equal(a: &FleetOutcome, b: &FleetOutcome, what: &str) {
     assert_eq!(a.exact_hosts, b.exact_hosts, "exact count diverged: {what}");
 }
 
-/// The two exact engines co-simulate every host bit-for-bit identically:
-/// the fleet outcome (scheduler books, per-host roll-ups, utilization
-/// series) must not depend on the time-advance strategy.
+/// The two exact engines co-simulate hosts bit-for-bit identically: the
+/// fleet outcome (scheduler books, per-host roll-ups, utilization series)
+/// must not depend on the time-advance strategy, whether every host is
+/// co-simulated or only every `sample_stride`-th one anchors the surrogate.
 #[test]
 fn exact_engines_agree_on_a_small_fleet() {
-    let cfg = small(FleetPlacement::BestFit, false);
-    let stepped = run_fleet(&cfg, EngineMode::Stepped, 2, None, false).unwrap();
-    let event = run_fleet(&cfg, EngineMode::EventDriven, 2, None, false).unwrap();
-    assert_outcomes_equal(&stepped, &event, "stepped vs event-driven");
-    assert!(event.mean_deep_pd_fraction() > 0.0);
+    for stride in [1, 4] {
+        let cfg = FleetConfig {
+            sample_stride: stride,
+            ..small(FleetPlacement::BestFit, false)
+        };
+        let stepped = run_fleet(&cfg, EngineMode::Stepped, 2, None, false).unwrap();
+        let event = run_fleet(&cfg, EngineMode::EventDriven, 2, None, false).unwrap();
+        let what = format!("stepped vs event-driven, stride {stride}");
+        assert_outcomes_equal(&stepped, &event, &what);
+        assert_eq!(event.exact_hosts, cfg.hosts.div_ceil(stride), "{what}");
+        assert!(event.mean_deep_pd_fraction() > 0.0, "{what}");
+    }
 }
 
 /// `--jobs 1` and `--jobs 4` produce identical outcomes and byte-identical

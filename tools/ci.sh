@@ -146,12 +146,20 @@ diff -u <(grep -v '^\[timing ->' results/fig02_idle_busy_power.txt) \
 }
 rm -f /tmp/fig02.ci.txt
 
-echo "==> epoch-replay refusal (sampled engine must be rejected off the DDR4 backend)"
-if cargo run --quiet --release -p gd-bench --bin fig09_dram_energy -- \
-    --memspec ddr5 --engine epoch-replay --requests 6000 > /dev/null 2>&1; then
-  echo "ERROR: fig09 --memspec ddr5 accepted the sampled epoch-replay engine" >&2
-  exit 1
-fi
+echo "==> bad engine/stride values exit 2 (no silent fallback to a default)"
+for args in "fig09_dram_energy --engine epoch-replay" "fig09_dram_energy --engine bogus" \
+            "fig14_fleet_energy --stride 0" "fig14_fleet_energy --stride x"; do
+  set -- $args
+  bin=$1
+  shift
+  status=0
+  cargo run --quiet --release -p gd-bench --bin "$bin" -- "$@" --requests 8 \
+    > /dev/null 2>&1 || status=$?
+  [ "$status" -eq 2 ] || {
+    echo "ERROR: $args exited $status, expected 2" >&2
+    exit 1
+  }
+done
 
 echo "==> fig15 smoke (cross-generation sweep, --jobs 2 vs --jobs 1 and stepped vs event)"
 cargo run --quiet --release -p gd-bench --bin fig15_cross_generation -- \
