@@ -428,73 +428,39 @@ impl ChannelCtrl {
                 self.record(now, ri as u32, 0, 0, 0, DramCommand::PowerDownExit);
                 return true;
             }
-            let issued = match self.scheme {
-                RefreshScheme::AllBank => self.service_refresh_all_bank(ri, now),
-                RefreshScheme::SameBank { sets } => self.service_refresh_same_bank(ri, now, sets),
-            };
-            if issued {
+            if self.service_refresh_rank(ri, now) {
                 return true;
             }
         }
         false
     }
 
-    /// All-bank REF: the whole rank must be precharged, and every bank
-    /// stalls for tRFC.
-    fn service_refresh_all_bank(&mut self, ri: usize, now: u64) -> bool {
-        if !self.ranks[ri].all_precharged() {
-            // Close one open bank whose tRAS/tRTP/tWR window allows it.
-            for bi in 0..self.banks_per_rank {
-                let idx = ri * self.banks_per_rank + bi;
-                if self.banks.is_open(idx) && now >= self.banks.next_pre[idx] {
-                    self.banks.on_precharge(idx, now, &self.timing);
-                    self.ranks[ri].on_precharge_bank();
-                    self.counters.precharges += 1;
-                    self.record(
-                        now,
-                        ri as u32,
-                        bi as u32,
-                        (bi / self.banks_per_group) as u32,
-                        0,
-                        DramCommand::Precharge,
-                    );
-                    // Any queued request that had this row open must
-                    // re-activate.
-                    for q in self.queues[idx].iter_mut() {
-                        q.phase = RequestPhase::NeedsActivate;
-                    }
-                    self.cands[idx].valid = false;
-                    return true;
-                }
+    /// The banks a rank's next refresh covers, all of which must be
+    /// precharged before it issues: every bank for all-bank REF, or the due
+    /// set for DDR5 same-bank REFsb — one bank per group, flat index
+    /// `bg * banks_per_group + set`. `service_refresh_rank` closes these
+    /// banks and `next_event` waits on them, so both read them from here.
+    fn refresh_targets(&self, ri: usize) -> std::iter::StepBy<std::ops::Range<usize>> {
+        let base = ri * self.banks_per_rank;
+        let end = base + self.banks_per_rank;
+        match self.scheme {
+            RefreshScheme::AllBank => (base..end).step_by(1),
+            RefreshScheme::SameBank { .. } => {
+                (base + self.ranks[ri].refresh_set as usize..end).step_by(self.banks_per_group)
             }
-            return false; // waiting on tRAS etc.
         }
-        if now >= self.ranks[ri].refresh_until {
-            let until = now + self.timing.t_rfc;
-            let base = ri * self.banks_per_rank;
-            for idx in base..base + self.banks_per_rank {
-                self.banks.block_until(idx, until);
-            }
-            let rank = &mut self.ranks[ri];
-            rank.refresh_until = until;
-            rank.next_refresh += self.timing.t_refi;
-            self.counters.refreshes += 1;
-            self.record(now, ri as u32, 0, 0, 0, DramCommand::Refresh);
-            return true;
-        }
-        false
     }
 
-    /// DDR5 same-bank REFsb: the due set is one bank per bank group (flat
-    /// index `bg * banks_per_group + set`). Only those banks must be
-    /// precharged and only they stall — for tRFCsb — while the rest of the
-    /// rank keeps serving requests. The set rotates so `sets` consecutive
-    /// commands (tREFI/sets apart) refresh the whole rank once per tREFI.
-    fn service_refresh_same_bank(&mut self, ri: usize, now: u64, sets: u32) -> bool {
-        let set = self.ranks[ri].refresh_set as usize;
+    /// Refreshes one due, awake rank: closes one open target bank whose
+    /// tRAS/tRTP/tWR window allows it, or — once every target is precharged
+    /// and the previous refresh has finished — issues the refresh. All-bank
+    /// REF stalls the whole rank for tRFC. DDR5 REFsb stalls only the due
+    /// set, for tRFCsb, while the rest of the rank keeps serving requests;
+    /// the set rotates so `sets` consecutive commands (tREFI/sets apart)
+    /// refresh the whole rank once per tREFI.
+    fn service_refresh_rank(&mut self, ri: usize, now: u64) -> bool {
         let mut target_open = false;
-        for bg in 0..self.bank_groups {
-            let idx = self.bank_idx(ri, bg, set);
+        for idx in self.refresh_targets(ri) {
             if !self.banks.is_open(idx) {
                 continue;
             }
@@ -507,7 +473,7 @@ impl ChannelCtrl {
                     now,
                     ri as u32,
                     (idx % self.banks_per_rank) as u32,
-                    bg as u32,
+                    self.bg_of(idx) as u32,
                     0,
                     DramCommand::Precharge,
                 );
@@ -519,32 +485,30 @@ impl ChannelCtrl {
                 return true;
             }
         }
-        if target_open {
-            return false; // waiting on tRAS etc.
+        if target_open || now < self.ranks[ri].refresh_until {
+            return false; // waiting on tRAS etc., or on the previous refresh
         }
-        if now >= self.ranks[ri].refresh_until {
-            let until = now + self.timing.t_rfc_sb;
-            for bg in 0..self.bank_groups {
-                let idx = self.bank_idx(ri, bg, set);
-                self.banks.block_until(idx, until);
-            }
-            let rank = &mut self.ranks[ri];
-            rank.refresh_until = until;
-            rank.next_refresh += self.timing.t_refi / u64::from(sets);
-            rank.refresh_set = (rank.refresh_set + 1) % sets;
-            self.counters.refreshes += 1;
-            // bank = the refreshed set index (one bank per group).
-            self.record(
-                now,
-                ri as u32,
-                set as u32,
-                0,
-                0,
-                DramCommand::RefreshSameBank,
-            );
-            return true;
+        let (t_rfc, command) = match self.scheme {
+            RefreshScheme::AllBank => (self.timing.t_rfc, DramCommand::Refresh),
+            RefreshScheme::SameBank { .. } => (self.timing.t_rfc_sb, DramCommand::RefreshSameBank),
+        };
+        let until = now + t_rfc;
+        for idx in self.refresh_targets(ri) {
+            self.banks.block_until(idx, until);
         }
-        false
+        let interval = self.refresh_interval();
+        let rank = &mut self.ranks[ri];
+        let set = rank.refresh_set;
+        rank.refresh_until = until;
+        rank.next_refresh += interval;
+        if let RefreshScheme::SameBank { sets } = self.scheme {
+            rank.refresh_set = (set + 1) % sets;
+        }
+        self.counters.refreshes += 1;
+        // bank = the refreshed set index (one bank per group; always 0 for
+        // all-bank REF).
+        self.record(now, ri as u32, set, 0, 0, command);
+        true
     }
 
     fn rank_ready(&self, rank: usize) -> bool {
@@ -877,6 +841,53 @@ impl ChannelCtrl {
         false
     }
 
+    /// Earliest cycle at which `service_refresh` could act on rank `ri`:
+    /// the refresh deadline, floored by whatever that function waits on
+    /// once the refresh is due — a pending wake-up, CKE low for tCKE on a
+    /// power-down rank, or, on an awake rank, the first open target bank
+    /// that may precharge or else the end of the previous refresh.
+    fn refresh_horizon(&self, ri: usize, now: u64) -> u64 {
+        let rank = &self.ranks[ri];
+        let blocker = match (rank.wake_at, rank.power) {
+            // The device refreshes itself; nothing for the controller to do.
+            (_, RankPowerState::SelfRefresh) => return u64::MAX,
+            (Some(w), _) => w,
+            (None, RankPowerState::PowerDown) => rank.state_since + self.timing.t_cke,
+            // Not due yet: the deadline alone is the bound.
+            _ if rank.next_refresh > now => return rank.next_refresh,
+            _ => self
+                .refresh_targets(ri)
+                .filter(|&b| self.banks.is_open(b))
+                .map(|b| self.banks.next_pre[b])
+                .min()
+                .unwrap_or(rank.refresh_until),
+        };
+        rank.next_refresh.max(blocker)
+    }
+
+    /// Earliest cycle at which `run_governor` could act on rank `ri`: its
+    /// next idle-timeout demotion, floored — as the governor itself is — at
+    /// the end of the rank's refresh window.
+    fn governor_horizon(&self, ri: usize, now: u64) -> u64 {
+        let rank = &self.ranks[ri];
+        if rank.wake_at.is_some() || !rank.all_precharged() || self.queue_has_rank(ri) {
+            return u64::MAX;
+        }
+        let timeout = |limit: Option<u64>| limit.map_or(u64::MAX, |l| rank.idle_since + l);
+        let deadline = match rank.power {
+            // The ActiveStandby → PrechargeStandby bookkeeping transition is
+            // untimed: it fires on the first poll at which the governor
+            // reaches the rank.
+            RankPowerState::ActiveStandby => now + 1,
+            RankPowerState::PrechargeStandby => {
+                timeout(self.policy.pd_timeout).min(timeout(self.policy.sr_timeout))
+            }
+            RankPowerState::PowerDown => timeout(self.policy.sr_timeout),
+            RankPowerState::SelfRefresh => u64::MAX,
+        };
+        deadline.max(rank.refresh_until)
+    }
+
     /// Earliest future cycle at which this channel could do something.
     /// Returns `u64::MAX` when nothing is outstanding (other than
     /// self-refresh bookkeeping, which needs no controller action).
@@ -884,56 +895,23 @@ impl ChannelCtrl {
     /// The estimate may be conservative (an extra poll that issues nothing
     /// is harmless) but must never overshoot a cycle on which `try_issue`
     /// would act — that is the invariant the engine-equivalence suite pins
-    /// down. It is exact for the common cases: the per-bank candidate gates
-    /// reuse the same `column_time`/tRP/tRRD/tFAW arithmetic the issue
-    /// passes check, so after a successful issue the driving loop can jump
-    /// straight to the next legal issue cycle.
+    /// down. Each term is the cycle the function that acts on it would
+    /// act, floored by the same blockers that function checks: the per-bank
+    /// candidate gates reuse the `column_time`/tRP/tRRD/tFAW arithmetic of
+    /// the issue passes, the refresh term waits where `service_refresh`
+    /// waits, and the governor deadlines wait out the refresh window
+    /// `run_governor` waits out. So after any poll the driving loop jumps
+    /// straight to the next cycle something can happen.
     pub fn next_event(&mut self, now: u64) -> u64 {
         let mut t = u64::MAX;
-        for (ri, rank) in self.ranks.iter().enumerate() {
-            if let Some(w) = rank.wake_at {
+        for ri in 0..self.ranks.len() {
+            if let Some(w) = self.ranks[ri].wake_at {
                 t = t.min(w);
             }
-            if rank.power != RankPowerState::SelfRefresh {
-                // A power-down rank cannot begin its refresh wake-up before
-                // CKE has been low for tCKE.
-                let mut refr = rank.next_refresh;
-                if rank.power == RankPowerState::PowerDown {
-                    refr = refr.max(rank.state_since + self.timing.t_cke);
-                }
-                t = t.min(refr.max(now + 1));
-                if rank.refresh_until > now {
-                    t = t.min(rank.refresh_until);
-                }
-            }
-            // Governor deadlines.
-            if rank.wake_at.is_none() && rank.all_precharged() && self.queued_per_rank[ri] == 0 {
-                let base = rank.idle_since;
-                match rank.power {
-                    RankPowerState::PrechargeStandby => {
-                        if let Some(pdt) = self.policy.pd_timeout {
-                            t = t.min((base + pdt).max(now + 1));
-                        }
-                        if let Some(srt) = self.policy.sr_timeout {
-                            t = t.min((base + srt).max(now + 1));
-                        }
-                    }
-                    RankPowerState::PowerDown => {
-                        if let Some(srt) = self.policy.sr_timeout {
-                            t = t.min((base + srt).max(now + 1));
-                        }
-                    }
-                    RankPowerState::ActiveStandby => {
-                        // The governor's ActiveStandby → PrechargeStandby
-                        // bookkeeping transition is untimed: it fires on the
-                        // next poll once the rank is fully precharged and
-                        // has no queued work, so the next poll must come at
-                        // now + 1 for residency to match the stepped engine.
-                        t = t.min(now + 1);
-                    }
-                    RankPowerState::SelfRefresh => {}
-                }
-            }
+            let rank_t = self
+                .refresh_horizon(ri, now)
+                .min(self.governor_horizon(ri, now));
+            t = t.min(rank_t.max(now + 1));
         }
         for b in 0..self.queues.len() {
             if self.queues[b].is_empty() {
@@ -960,7 +938,13 @@ impl ChannelCtrl {
                 continue;
             }
             self.ensure_cands(b);
-            let c = self.cands[b];
+            let mut c = self.cands[b];
+            if self.refresh_due(ri, now) {
+                // `issue_oldest` neither precharges nor activates on a rank
+                // whose refresh is due; the refresh term covers the REF that
+                // lifts the block.
+                c.act = None;
+            }
             let bg = self.bg_of(b);
             if self.banks.is_open(b) {
                 for (slot, kind) in [
@@ -1211,6 +1195,47 @@ mod tests {
             "latency {lat} must include tXS {}",
             t.t_xs
         );
+    }
+
+    /// The refresh and governor terms of `next_event` wait on exactly what
+    /// `service_refresh` and `run_governor` wait on, instead of re-polling
+    /// every cycle while a refresh is blocked or running.
+    #[test]
+    fn refresh_and_governor_horizons_wait_on_their_blockers() {
+        let cfg = DramConfig::small_test_ddr5();
+        let policy = LowPowerPolicy {
+            pd_timeout: Some(64),
+            sr_timeout: None,
+        };
+        let mut ch = ChannelCtrl::new(&cfg, policy);
+        let mapper = AddressMapper::new(&cfg).unwrap();
+        let coord = mapper.decode(0).unwrap();
+        let (ri, bank) = (coord.rank.index(), coord.bank.index());
+        let idx = ch.bank_idx(ri, coord.bank_group.index(), bank);
+        // A write leaves its bank open behind a tWR-bound precharge gate.
+        ch.enqueue(pend(&mapper, MemRequest::write(0, 0)), 0);
+        let now = drain(&mut ch, 0);
+        let next_pre = ch.banks.next_pre[idx];
+        assert!(ch.banks.is_open(idx) && next_pre > now + 1);
+        // A refresh falls due on the set holding that bank: it must wait for
+        // the bank's precharge gate, not re-poll every cycle.
+        ch.ranks[ri].refresh_set = bank as u32;
+        ch.ranks[ri].next_refresh = now;
+        assert_eq!(ch.refresh_horizon(ri, now), next_pre);
+        assert_eq!(ch.governor_horizon(ri, now), u64::MAX, "a row is open");
+        // At the gate the refresh closes the bank, then issues REFsb.
+        assert!(ch.try_issue(next_pre));
+        assert!(ch.try_issue(next_pre + 1));
+        let until = ch.ranks[ri].refresh_until;
+        assert_eq!(until, next_pre + 1 + cfg.timing.t_rfc_sb);
+        // The rank still counts as ActiveStandby; the governor's untimed
+        // demotion waits out the tRFCsb window like the governor does.
+        assert_eq!(ch.ranks[ri].power, RankPowerState::ActiveStandby);
+        assert_eq!(ch.governor_horizon(ri, next_pre + 1), until);
+        // A refresh due behind a pending wake-up waits for the wake-up.
+        ch.ranks[ri].next_refresh = until;
+        ch.ranks[ri].wake_at = Some(until + 7);
+        assert_eq!(ch.refresh_horizon(ri, until), until + 7);
     }
 
     #[test]

@@ -37,7 +37,31 @@ pub enum EngineMode {
     EventDriven,
 }
 
-/// A simulated multi-channel DDR4 memory system.
+/// Deterministic work counts of a [`MemorySystem`]'s run loops.
+///
+/// Kept out of [`RunStats`] on purpose: the engines differ here by design —
+/// [`EngineMode::Stepped`] polls every channel on every cycle, while
+/// [`EngineMode::EventDriven`] polls a channel only when it could act. The
+/// counts do not depend on the machine, so a test can pin how much work the
+/// event engine does per command.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PollCounts {
+    /// Channel polls (`try_issue` calls).
+    pub polls: u64,
+    /// Polls on which the channel issued a command, power-down and
+    /// self-refresh entries and exits included.
+    pub issuing: u64,
+}
+
+impl PollCounts {
+    fn record(&mut self, issued: bool) {
+        self.polls += 1;
+        self.issuing += u64::from(issued);
+    }
+}
+
+/// A simulated multi-channel memory system (DDR4, DDR5 or LPDDR4-PASR,
+/// per the configuration's [`MemSpecKind`]).
 ///
 /// The system exposes GreenDIMM's hardware interface: a bit-vector register
 /// with one bit per sub-array group ([`set_group_deep_pd`]). While a group's
@@ -64,6 +88,7 @@ pub struct MemorySystem {
     pasr_mask: Vec<bool>,
     pasr_mask_since: Vec<u64>,
     pasr_mask_cycles: Vec<u64>,
+    polls: PollCounts,
 }
 
 impl MemorySystem {
@@ -98,6 +123,7 @@ impl MemorySystem {
             pasr_mask: vec![false; segments],
             pasr_mask_since: vec![0; segments],
             pasr_mask_cycles: vec![0; segments],
+            polls: PollCounts::default(),
         })
     }
 
@@ -109,14 +135,20 @@ impl MemorySystem {
     ///
     /// # Errors
     ///
-    /// Returns [`GdError::InvalidConfig`] for inconsistent configurations.
+    /// Returns [`GdError::InvalidConfig`] when `mult` is 0 (a wake-up cannot
+    /// take no time) and for inconsistent configurations.
     pub fn with_wake_stretch(
         mut cfg: DramConfig,
         policy: LowPowerPolicy,
         mult: u64,
     ) -> Result<Self> {
-        cfg.timing.t_xp *= mult.max(1);
-        cfg.timing.t_xs *= mult.max(1);
+        if mult == 0 {
+            return Err(GdError::InvalidConfig(
+                "wake stretch multiplier must be at least 1, got 0".into(),
+            ));
+        }
+        cfg.timing.t_xp *= mult;
+        cfg.timing.t_xs *= mult;
         MemorySystem::new(cfg, policy)
     }
 
@@ -152,6 +184,12 @@ impl MemorySystem {
     /// Current simulated clock, in memory cycles.
     pub fn clock(&self) -> u64 {
         self.clock
+    }
+
+    /// Channel polls made so far, and how many of them issued something
+    /// (see [`PollCounts`]).
+    pub fn poll_counts(&self) -> PollCounts {
+        self.polls
     }
 
     /// Enables command logging on every channel (see
@@ -345,9 +383,11 @@ impl MemorySystem {
     /// cumulative statistics. Used for idle-power measurements (Fig. 2).
     ///
     /// In [`EngineMode::EventDriven`] a long idle stretch costs one loop
-    /// iteration per *event* (refresh deadline, governor demotion, wake-up)
-    /// rather than one per cycle; once every rank sits in self-refresh the
-    /// remaining horizon is covered in a single jump.
+    /// iteration per cycle on which some channel can act — a refresh (the
+    /// power-down exit, the REF, the re-entry once its tRFC window closes),
+    /// a governor demotion, a wake-up completion — never one per cycle in
+    /// between; once every rank sits in self-refresh the remaining horizon
+    /// is covered in a single jump.
     pub fn run_idle(&mut self, cycles: u64) -> RunStats {
         let target = self.clock + cycles;
         while self.clock < target {
@@ -373,7 +413,7 @@ impl MemorySystem {
         match self.mode {
             EngineMode::Stepped => {
                 for ch in &mut self.channels {
-                    ch.try_issue(now);
+                    self.polls.record(ch.try_issue(now));
                 }
             }
             EngineMode::EventDriven => {
@@ -381,7 +421,7 @@ impl MemorySystem {
                     if *attn > now {
                         continue;
                     }
-                    ch.try_issue(now);
+                    self.polls.record(ch.try_issue(now));
                     *attn = ch.next_poll(now, u64::MAX);
                 }
             }
@@ -764,6 +804,17 @@ mod tests {
             slow_lat > fast_lat,
             "stretched wakes must raise mean latency: {slow_lat} vs {fast_lat}"
         );
+    }
+
+    #[test]
+    fn zero_wake_stretch_is_rejected() {
+        let err = MemorySystem::with_wake_stretch(
+            DramConfig::small_test(),
+            LowPowerPolicy::srf_default(),
+            0,
+        )
+        .unwrap_err();
+        assert!(matches!(err, GdError::InvalidConfig(_)), "{err}");
     }
 
     #[test]

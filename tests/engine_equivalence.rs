@@ -193,8 +193,13 @@ fn sweep_jobs_equivalent_and_ordered() {
 }
 
 /// Runs a profile trace through one engine and exports its telemetry.
-fn telemetry_of(cfg: &DramConfig, engine: EngineMode, trace: &[MemRequest]) -> (RunStats, String) {
-    let mut sys = MemorySystem::new(*cfg, LowPowerPolicy::srf_default())
+fn telemetry_of(
+    cfg: &DramConfig,
+    policy: LowPowerPolicy,
+    engine: EngineMode,
+    trace: &[MemRequest],
+) -> (RunStats, String) {
+    let mut sys = MemorySystem::new(*cfg, policy)
         .unwrap()
         .with_engine_mode(engine);
     let stats = sys.run_trace(trace.to_vec()).unwrap();
@@ -212,8 +217,9 @@ fn telemetry_identical_across_engines() {
         let cfg = DramConfig::small_test().with_interleave(mode);
         let mut generator = TraceGenerator::new(by_name("mcf").unwrap(), 23);
         let trace = fold_into(&cfg, generator.take(1500));
-        let (a_stats, a) = telemetry_of(&cfg, EngineMode::Stepped, &trace);
-        let (b_stats, b) = telemetry_of(&cfg, EngineMode::EventDriven, &trace);
+        let policy = LowPowerPolicy::srf_default();
+        let (a_stats, a) = telemetry_of(&cfg, policy, EngineMode::Stepped, &trace);
+        let (b_stats, b) = telemetry_of(&cfg, policy, EngineMode::EventDriven, &trace);
         assert_eq!(a_stats, b_stats, "run stats diverged under {mode:?}");
         assert_eq!(a, b, "telemetry bytes diverged under {mode:?}");
         assert!(!a.is_empty());
@@ -250,14 +256,79 @@ fn backend_matrix_equivalent_across_engines() {
             let cfg = DramConfig::small_test_for(kind).with_interleave(mode);
             let mut generator = TraceGenerator::new(by_name("mcf").unwrap(), 29);
             let trace = fold_into(&cfg, generator.take(1200));
-            let (a_stats, a_tele) = telemetry_of(&cfg, EngineMode::Stepped, &trace);
-            let (b_stats, b_tele) = telemetry_of(&cfg, EngineMode::EventDriven, &trace);
+            let policy = LowPowerPolicy::srf_default();
+            let (a_stats, a_tele) = telemetry_of(&cfg, policy, EngineMode::Stepped, &trace);
+            let (b_stats, b_tele) = telemetry_of(&cfg, policy, EngineMode::EventDriven, &trace);
             assert_eq!(a_stats, b_stats, "{kind:?} {mode:?}: run stats diverged");
             assert_eq!(
                 a_tele, b_tele,
                 "{kind:?} {mode:?}: telemetry bytes diverged"
             );
             assert!(!a_tele.is_empty());
+        }
+    }
+}
+
+/// Sparse traffic on every backend: light profiles leave ranks idle between
+/// requests, so refresh windows, power-down exits and governor demotions —
+/// not arbitration — decide where the event engine may jump. Every backend
+/// × policy × interleave mode must agree bit for bit with the stepped
+/// reference, on RunStats and on the rendered telemetry bytes.
+#[test]
+fn sparse_profiles_equivalent_on_every_backend() {
+    for kind in MemSpecKind::all() {
+        for mode in MODES {
+            let cfg = DramConfig::small_test_for(kind).with_interleave(mode);
+            for name in ["povray", "500.perlbench"] {
+                let mut generator = TraceGenerator::new(by_name(name).unwrap(), 37);
+                let trace = fold_into(&cfg, generator.take(100));
+                for policy in POLICIES {
+                    let what = format!("{kind:?} {mode:?} {name} {:?}", policy());
+                    let (a_stats, a_tele) =
+                        telemetry_of(&cfg, policy(), EngineMode::Stepped, &trace);
+                    let (b_stats, b_tele) =
+                        telemetry_of(&cfg, policy(), EngineMode::EventDriven, &trace);
+                    assert_eq!(a_stats, b_stats, "{what}: run stats diverged");
+                    assert_eq!(a_tele, b_tele, "{what}: telemetry bytes diverged");
+                }
+            }
+        }
+    }
+}
+
+/// The event engine's work bound on sparse DDR5 traffic: it polls a channel
+/// only on cycles where the channel can act, so most polls issue a command
+/// or a power-state transition. Stepping one cycle at a time through
+/// refresh windows (tRFCsb) or power-down exits (tXP) multiplies the idle
+/// polls many times over; poll counts are deterministic, so that shows up
+/// here rather than as wall-time noise.
+#[test]
+fn event_engine_polls_only_when_a_channel_can_act() {
+    let cfg = DramConfig::preset_64gb(MemSpecKind::Ddr5);
+    let cap = cfg.total_capacity_bytes();
+    for mode in MODES {
+        for name in ["povray", "500.perlbench"] {
+            let trace: Vec<_> = TraceGenerator::new(by_name(name).unwrap(), 42)
+                .take(750)
+                .into_iter()
+                .map(|mut r| {
+                    r.addr %= cap;
+                    r
+                })
+                .collect();
+            let mut sys =
+                MemorySystem::new(cfg.with_interleave(mode), LowPowerPolicy::srf_default())
+                    .unwrap()
+                    .with_engine_mode(EngineMode::EventDriven);
+            let stats = sys.run_trace(trace).unwrap();
+            let work = sys.poll_counts();
+            assert!(stats.refreshes > 0 && work.issuing > 0, "{name} {mode:?}");
+            assert!(
+                work.polls <= 2 * work.issuing,
+                "{name} {mode:?}: {} polls for {} issuing polls",
+                work.polls,
+                work.issuing
+            );
         }
     }
 }

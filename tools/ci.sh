@@ -146,6 +146,20 @@ diff -u <(grep -v '^\[timing ->' results/fig02_idle_busy_power.txt) \
 }
 rm -f /tmp/fig02.ci.txt
 
+echo "==> DDR5 / LPDDR4-PASR identity (default fig15 and fig09 regenerated at HEAD must match the committed snapshots)"
+# fig15 covers all three memory backends and fig09 the DDR4 energy tables;
+# both take seconds serially. As above, only the sidecar announcement line
+# may differ.
+for fig in fig15_cross_generation fig09_dram_energy; do
+  cargo run --quiet --release -p gd-bench --bin "$fig" > "/tmp/$fig.ci.txt"
+  diff -u <(grep -v '^\[timing ->' "results/$fig.txt") \
+          <(grep -v '^\[timing ->' "/tmp/$fig.ci.txt") || {
+    echo "ERROR: results/$fig.txt is stale — regenerate results/*.txt and commit" >&2
+    exit 1
+  }
+  rm -f "/tmp/$fig.ci.txt"
+done
+
 echo "==> bad engine/stride values exit 2 (no silent fallback to a default)"
 for args in "fig09_dram_energy --engine epoch-replay" "fig09_dram_energy --engine bogus" \
             "fig14_fleet_energy --stride 0" "fig14_fleet_energy --stride x"; do
