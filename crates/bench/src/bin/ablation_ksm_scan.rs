@@ -39,7 +39,8 @@ fn main() {
             let mut ksm = Ksm::new(KsmConfig {
                 pages_to_scan,
                 ..KsmConfig::default()
-            });
+            })
+            .expect("ksm config");
             let a = mm.allocate(4096, PageKind::UserMovable).expect("alloc");
             let b = mm.allocate(4096, PageKind::UserMovable).expect("alloc");
             ksm.register_region(a, vec![(7, 4096)], 0);

@@ -147,7 +147,10 @@ pub fn run_host(
     };
     let map = GroupMap::new(mm_cfg.capacity_bytes, 64, mm_cfg.block_bytes)?;
     let daemon = Daemon::new(gd_cfg, map);
-    let ksm = cfg.ksm.then(|| Ksm::new(KsmConfig::default()));
+    let ksm = cfg
+        .ksm
+        .then(|| Ksm::new(KsmConfig::default()))
+        .transpose()?;
     let mut sim = EpochSim::new(mm, daemon, ksm);
     if with_telemetry {
         sim.enable_telemetry();

@@ -23,7 +23,7 @@
 //!
 //! # fn main() -> gd_types::Result<()> {
 //! let mut mm = MemoryManager::new(MmConfig::small_test())?;
-//! let mut ksm = Ksm::new(KsmConfig::default());
+//! let mut ksm = Ksm::new(KsmConfig::default())?;
 //!
 //! // Two VMs booted from the same image share 1000 pages of content.
 //! const OS_IMAGE: u64 = 0xAB;
@@ -68,6 +68,35 @@ pub struct KsmConfig {
     /// Fraction of one core the daemon consumes while scanning (paper: the
     /// chosen configuration costs ~10 % of a core).
     pub cpu_utilization: f64,
+}
+
+impl KsmConfig {
+    /// Checks that the daemon can run with these parameters.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GdError::InvalidConfig`] when `pages_to_scan` or
+    /// `scan_period` is zero (the scan budget per unit of time would be
+    /// zero or undefined), or `cpu_utilization` is not in `[0, 1]`.
+    pub fn validate(&self) -> Result<()> {
+        if self.pages_to_scan == 0 {
+            return Err(GdError::InvalidConfig(
+                "KSM pages_to_scan must be at least 1".into(),
+            ));
+        }
+        if self.scan_period == SimTime::ZERO {
+            return Err(GdError::InvalidConfig(
+                "KSM scan_period must be positive".into(),
+            ));
+        }
+        if !(0.0..=1.0).contains(&self.cpu_utilization) {
+            return Err(GdError::InvalidConfig(format!(
+                "KSM cpu_utilization {} is outside [0, 1]",
+                self.cpu_utilization
+            )));
+        }
+        Ok(())
+    }
 }
 
 impl Default for KsmConfig {
@@ -166,8 +195,14 @@ pub struct Ksm {
 
 impl Ksm {
     /// Creates a daemon with the given configuration.
-    pub fn new(cfg: KsmConfig) -> Self {
-        Ksm {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GdError::InvalidConfig`] for a configuration
+    /// [`KsmConfig::validate`] rejects.
+    pub fn new(cfg: KsmConfig) -> Result<Self> {
+        cfg.validate()?;
+        Ok(Ksm {
             cfg,
             stable: HashMap::new(),
             unstable: HashMap::new(),
@@ -176,7 +211,7 @@ impl Ksm {
             region_cursor: 0,
             carry_pages: 0.0,
             stats: KsmStats::default(),
-        }
+        })
     }
 
     /// The configuration.
@@ -404,7 +439,6 @@ impl Ksm {
                 (remaining as f64 * region.unique_pages as f64 / total as f64).round() as u64;
             remaining = remaining.saturating_sub(unique_share);
         }
-        let mut released = 0u64;
         let owner = region.owner;
         let mut merges: Vec<(ContentKey, u64)> = Vec::new();
         let mut candidates: Vec<ContentKey> = Vec::new();
@@ -488,6 +522,7 @@ impl Ksm {
                 *h.originals.entry(k).or_insert(0) += 1;
             }
         }
+        let mut to_release = 0u64;
         for (k, n) in merges {
             let was_shared = self.stable.contains_key(&k);
             let sharing = self.stable.entry(k).or_insert(0);
@@ -506,10 +541,16 @@ impl Ksm {
                 .merged
                 .entry(k)
                 .or_insert(0) += n;
-            // Release the duplicate frames.
-            let freed = mm.shrink(owner, n)?;
-            released += freed;
+            to_release += n;
         }
+        // Release the duplicate frames in one call: nothing touches `mm`
+        // between the merges above, so one shrink by the sum leaves the
+        // state a shrink per content would (DESIGN.md §6.3).
+        let released = if to_release > 0 {
+            mm.shrink(owner, to_release)?
+        } else {
+            0
+        };
         Ok((to_scan, released))
     }
 
@@ -572,7 +613,7 @@ mod tests {
     fn setup() -> (MemoryManager, Ksm) {
         (
             MemoryManager::new(MmConfig::small_test()).unwrap(),
-            Ksm::new(KsmConfig::default()),
+            Ksm::new(KsmConfig::default()).unwrap(),
         )
     }
 
@@ -681,6 +722,60 @@ mod tests {
         let acc = ksm.region_accounting()[0];
         assert_eq!((acc.pending, acc.merged, acc.originals), (0, 4, 1));
         assert_eq!(mm.pages_of(a), 1);
+    }
+
+    #[test]
+    fn one_release_per_visit_survives_an_emptied_owner() {
+        let (mut mm, mut ksm) = setup();
+        // Three contents of two pages each over a two-page allocation: the
+        // visit merges one duplicate per content. Released content by
+        // content, the third shrink would find the allocation already gone.
+        let a = mm.allocate(2, PageKind::UserMovable).unwrap();
+        let ra = ksm.register_region(a, vec![(1, 2), (2, 2), (3, 2)], 0);
+        assert_eq!(ksm.scan_region(ra, 100, &mut mm).unwrap(), (6, 2));
+        assert_eq!(ksm.stats().pages_sharing, 3);
+        assert_eq!(mm.pages_of(a), 0);
+    }
+
+    #[test]
+    fn invalid_configs_are_rejected() {
+        let base = KsmConfig::default();
+        let bad = [
+            KsmConfig {
+                pages_to_scan: 0,
+                ..base
+            },
+            KsmConfig {
+                scan_period: SimTime::ZERO,
+                ..base
+            },
+            KsmConfig {
+                cpu_utilization: -0.1,
+                ..base
+            },
+            KsmConfig {
+                cpu_utilization: 1.5,
+                ..base
+            },
+            KsmConfig {
+                cpu_utilization: f64::NAN,
+                ..base
+            },
+        ];
+        for cfg in bad {
+            assert!(
+                matches!(cfg.validate(), Err(GdError::InvalidConfig(_))),
+                "{cfg:?}"
+            );
+            assert!(Ksm::new(cfg).is_err(), "{cfg:?}");
+        }
+        for cpu_utilization in [0.0, 1.0] {
+            let cfg = KsmConfig {
+                cpu_utilization,
+                ..base
+            };
+            assert_eq!(cfg.validate(), Ok(()));
+        }
     }
 
     #[test]

@@ -231,6 +231,17 @@ mod tests {
     }
 
     #[test]
+    fn panic_path_covers_the_hot_crates_only() {
+        let src = "fn f(m: &std::collections::BTreeMap<u32, u64>) -> u64 { *m.get(&1).unwrap() }\n";
+        for krate in ["dram", "mmsim", "ksm", "core", "fleet", "power"] {
+            let path = format!("crates/{krate}/src/x.rs");
+            let fs = lint_source(Path::new(&path), src);
+            assert!(fs.iter().any(|f| f.rule == "panic-path"), "{path}");
+        }
+        assert!(lint_source(Path::new("crates/bench/src/x.rs"), src).is_empty());
+    }
+
+    #[test]
     fn findings_are_sorted_and_spanned() {
         let src = "fn f(m: &std::collections::HashMap<u32, f64>) -> f64 {\n    let a = m.values().sum::<f64>();\n    a\n}\n";
         let fs = lint_source(Path::new("crates/core/src/x.rs"), src);

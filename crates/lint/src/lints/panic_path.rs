@@ -23,7 +23,14 @@ use crate::source::SourceFile;
 use crate::Finding;
 
 /// Crates whose non-test code must be panic-disciplined.
-pub const HOT_CRATES: &[&str] = &["crates/dram", "crates/mmsim", "crates/ksm", "crates/core"];
+pub const HOT_CRATES: &[&str] = &[
+    "crates/dram",
+    "crates/mmsim",
+    "crates/ksm",
+    "crates/core",
+    "crates/fleet",
+    "crates/power",
+];
 
 /// Keywords that can directly precede `[` without making it an index
 /// expression (e.g. `&mut [T]`, `return [a, b]`).

@@ -186,6 +186,12 @@ pub struct MemoryManager {
     /// First block of ZONE_MOVABLE (== blocks.len() when not configured).
     movable_zone_start: usize,
     allocs: HashMap<AllocationId, AllocInfo>,
+    /// Free pages over the on-line blocks, kept in step with every block
+    /// mutation so [`MemoryManager::meminfo`] is O(1).
+    /// [`MemoryManager::audit`] checks it against the per-block sum.
+    online_free: u64,
+    /// Pages of the off-line blocks, kept in step with every on/off-lining.
+    offline_pages: u64,
     next_id: u64,
     rng: StdRng,
     latencies: HotplugLatencies,
@@ -248,6 +254,8 @@ impl MemoryManager {
             None => n_blocks,
         };
         Ok(MemoryManager {
+            online_free: n_blocks as u64 * block_pages,
+            offline_pages: 0,
             blocks: (0..n_blocks)
                 .map(|i| MemoryBlock::new(i, block_pages as u32))
                 .collect(),
@@ -319,11 +327,25 @@ impl MemoryManager {
 
     /// Number of off-line blocks.
     pub fn offline_block_count(&self) -> usize {
-        self.blocks.iter().filter(|b| !b.online()).count()
+        (self.offline_pages / self.block_pages()) as usize
     }
 
-    /// A `/proc/meminfo` snapshot.
+    /// A `/proc/meminfo` snapshot, read from running totals.
     pub fn meminfo(&self) -> MemInfo {
+        let installed = self.blocks.len() as u64 * self.block_pages();
+        let total = installed - self.offline_pages;
+        MemInfo {
+            total_pages: total,
+            free_pages: self.online_free,
+            used_pages: total - self.online_free,
+            offline_pages: self.offline_pages,
+            installed_pages: installed,
+        }
+    }
+
+    /// The `meminfo` totals summed block by block: the reference
+    /// [`MemoryManager::audit`] holds the running totals to.
+    fn meminfo_from_blocks(&self) -> MemInfo {
         let mut total = 0;
         let mut free = 0;
         let mut used = 0;
@@ -343,6 +365,42 @@ impl MemoryManager {
             used_pages: used,
             offline_pages: offline,
             installed_pages: total + offline,
+        }
+    }
+
+    /// Allocates up to `pages` pages in block `bi`, taking them off the
+    /// free total; returns the placed `(offset, order)` chunks.
+    fn alloc_in_block(
+        &mut self,
+        bi: usize,
+        pages: u64,
+        owner: AllocationId,
+        kind: PageKind,
+    ) -> Vec<(u32, u8)> {
+        let chunks = self.blocks[bi].alloc_chunks(pages, owner, kind);
+        self.online_free -= chunks.iter().map(|&(_, o)| 1u64 << o).sum::<u64>();
+        chunks
+    }
+
+    /// Frees the chunk at `off` in block `bi`, returning it to the free
+    /// total.
+    fn free_in_block(&mut self, bi: usize, off: u32) {
+        let chunk = self.blocks[bi].free_chunk(off);
+        self.online_free += 1u64 << chunk.order;
+    }
+
+    /// On- or off-lines block `index`, moving its pages between the
+    /// running totals.
+    fn set_block_online(&mut self, index: usize, online: bool) {
+        let block = &mut self.blocks[index];
+        block.set_online(online);
+        let (free, total) = (block.free_pages(), block.total_pages());
+        if online {
+            self.offline_pages -= total;
+            self.online_free += free;
+        } else {
+            self.online_free -= free;
+            self.offline_pages += total;
         }
     }
 
@@ -385,8 +443,7 @@ impl MemoryManager {
             if remaining == 0 {
                 break;
             }
-            let chunks = self.blocks[bi].alloc_chunks(remaining, id, kind);
-            for (off, order) in chunks {
+            for (off, order) in self.alloc_in_block(bi, remaining, id, kind) {
                 placed.push((bi, off));
                 remaining = remaining.saturating_sub(1 << order);
             }
@@ -415,7 +472,7 @@ impl MemoryManager {
             .remove(&id)
             .ok_or_else(|| GdError::NotFound(id.to_string()))?;
         for (bi, off) in info.chunks {
-            self.blocks[bi].free_chunk(off);
+            self.free_in_block(bi, off);
         }
         Ok(())
     }
@@ -464,6 +521,7 @@ impl MemoryManager {
         if info.chunks.is_empty() {
             self.allocs.remove(&id);
         }
+        self.online_free += freed;
         Ok(freed)
     }
 
@@ -493,7 +551,7 @@ impl MemoryManager {
             if remaining == 0 {
                 break;
             }
-            for (off, order) in self.blocks[bi].alloc_chunks(remaining, id, kind) {
+            for (off, order) in self.alloc_in_block(bi, remaining, id, kind) {
                 placed.push((bi, off));
                 remaining = remaining.saturating_sub(1 << order);
             }
@@ -563,7 +621,7 @@ impl MemoryManager {
         let to_migrate = self.blocks[index].movable_pages();
         if to_migrate == 0 {
             let latency = self.latencies.offline_success;
-            self.blocks[index].set_online(false);
+            self.set_block_online(index, false);
             self.stats.offline_success += 1;
             self.stats
                 .offline_latency_us
@@ -614,7 +672,7 @@ impl MemoryManager {
             self.latencies.per_migrated_page
         };
         let latency = self.latencies.offline_success + per_page * to_migrate;
-        self.blocks[index].set_online(false);
+        self.set_block_online(index, false);
         self.stats.offline_success += 1;
         self.stats.migrated_pages += to_migrate;
         self.stats
@@ -639,13 +697,7 @@ impl MemoryManager {
     /// picks exactly the chunks the old single-pass code did.
     fn try_migrate_out(&mut self, index: usize) -> MigrateOutcome {
         let needed = self.blocks[index].movable_pages();
-        let free_elsewhere: u64 = self
-            .blocks
-            .iter()
-            .enumerate()
-            .filter(|(i, b)| *i != index && b.online())
-            .map(|(_, b)| b.free_pages())
-            .sum();
+        let free_elsewhere = self.online_free - self.blocks[index].free_pages();
         if free_elsewhere < needed {
             return MigrateOutcome::NoSpace;
         }
@@ -675,9 +727,7 @@ impl MemoryManager {
                 if bi == index || !self.blocks[bi].online() || remaining == 0 {
                     continue;
                 }
-                for (noff, norder) in
-                    self.blocks[bi].alloc_chunks(remaining, chunk.owner, chunk.kind)
-                {
+                for (noff, norder) in self.alloc_in_block(bi, remaining, chunk.owner, chunk.kind) {
                     placed.push((bi, noff));
                     remaining = remaining.saturating_sub(1 << norder);
                 }
@@ -687,7 +737,7 @@ impl MemoryManager {
         }
         // Phase 2: commit — free sources, patch the owners' chunk lists.
         for (off, chunk, placed) in journal {
-            self.blocks[index].free_chunk(off);
+            self.free_in_block(index, off);
             if let Some(info) = self.allocs.get_mut(&chunk.owner) {
                 info.chunks.retain(|(bi, o)| !(*bi == index && *o == off));
                 info.chunks.extend(placed);
@@ -712,7 +762,7 @@ impl MemoryManager {
                     }
                     continue;
                 }
-                self.blocks[bi].free_chunk(noff);
+                self.free_in_block(bi, noff);
             }
         }
     }
@@ -778,6 +828,12 @@ impl MemoryManager {
                 ));
             }
         }
+        let (running, summed) = (self.meminfo(), self.meminfo_from_blocks());
+        if running != summed {
+            problems.push(format!(
+                "running meminfo totals {running:?} disagree with the block sums {summed:?}"
+            ));
+        }
         if problems.is_empty() {
             Ok(())
         } else {
@@ -801,7 +857,7 @@ impl MemoryManager {
                 "block {index} is already online"
             )));
         }
-        self.blocks[index].set_online(true);
+        self.set_block_online(index, true);
         let latency = self.latencies.online;
         self.stats.online_count += 1;
         self.stats
@@ -1021,6 +1077,7 @@ mod tests {
         if info.chunks.is_empty() {
             m.allocs.remove(&id);
         }
+        m.online_free += freed;
         freed
     }
 
@@ -1091,6 +1148,158 @@ mod tests {
             }
         }
         assert!(trims > 100, "only {trims} shrinks trimmed a chunk");
+    }
+
+    /// KSM releases a scan's merged frames with one shrink by their sum
+    /// instead of one shrink per content: the two must leave the same
+    /// manager behind, down to the chunk lists and the buddy free lists.
+    #[test]
+    fn split_shrinks_match_one_shrink_by_their_sum() {
+        let mut partial_batches = 0u32;
+        for seed in 0..8u64 {
+            let mut rng = component_rng(seed, "shrink-batching");
+            let mut split = mm();
+            let mut summed = mm();
+            let mut live: Vec<AllocationId> = Vec::new();
+            for step in 0..300 {
+                let ctx = format!("seed {seed} step {step}");
+                match rng.gen_range(0u32..10) {
+                    0..=2 => {
+                        let pages = rng.gen_range(1u64..6000);
+                        let a = split.allocate(pages, PageKind::UserMovable);
+                        let b = summed.allocate(pages, PageKind::UserMovable);
+                        assert_eq!(a.is_ok(), b.is_ok(), "{ctx}: allocate");
+                        if let (Ok(a), Ok(_)) = (a, b) {
+                            live.push(a);
+                        }
+                    }
+                    3 if !live.is_empty() => {
+                        let id = live.swap_remove(rng.gen_range(0..live.len()));
+                        split.free(id).unwrap();
+                        summed.free(id).unwrap();
+                    }
+                    4 if !live.is_empty() => {
+                        let id = live[rng.gen_range(0..live.len())];
+                        let pages = rng.gen_range(1u64..2000);
+                        let a = split.grow(id, pages);
+                        let b = summed.grow(id, pages);
+                        assert_eq!(a.is_ok(), b.is_ok(), "{ctx}: grow");
+                    }
+                    _ if !live.is_empty() => {
+                        let at = rng.gen_range(0..live.len());
+                        let id = live[at];
+                        let held = split.pages_of(id);
+                        // A few counts that mostly fit in the allocation;
+                        // now and then their sum asks for more than it holds.
+                        let counts: Vec<u64> = (0..rng.gen_range(1usize..6))
+                            .map(|_| rng.gen_range(1u64..held / 3 + 2))
+                            .collect();
+                        let mut freed_split = 0;
+                        for &n in &counts {
+                            // Once an earlier call empties the allocation,
+                            // the later ones find nothing to shrink.
+                            match split.shrink(id, n) {
+                                Ok(freed) => freed_split += freed,
+                                Err(GdError::NotFound(_)) => break,
+                                Err(e) => panic!("{ctx}: {e}"),
+                            }
+                        }
+                        let freed_summed = summed.shrink(id, counts.iter().sum()).unwrap();
+                        assert_eq!(freed_split, freed_summed, "{ctx}: freed total");
+                        if counts.len() > 1 && split.pages_of(id) > 0 {
+                            partial_batches += 1;
+                        }
+                        if split.pages_of(id) == 0 {
+                            live.swap_remove(at);
+                        }
+                    }
+                    _ => {}
+                }
+                assert_eq!(split.allocs, summed.allocs, "{ctx}: chunk lists");
+                assert_eq!(split.blocks, summed.blocks, "{ctx}: blocks");
+                assert_eq!(split.meminfo(), summed.meminfo(), "{ctx}: meminfo");
+                assert_eq!(summed.audit(), Ok(()), "{ctx}: audit");
+            }
+        }
+        assert!(
+            partial_batches > 100,
+            "only {partial_batches} multi-count shrinks left pages behind"
+        );
+    }
+
+    /// `meminfo()` reads running totals; after every kind of block
+    /// mutation they must equal the per-block sums.
+    #[test]
+    fn running_meminfo_matches_block_sums() {
+        use gd_faults::{FaultPlan, FaultTrigger};
+        const KINDS: [PageKind; 3] = [
+            PageKind::UserMovable,
+            PageKind::UserMovable,
+            PageKind::KernelUnmovable,
+        ];
+        let (mut migrations, mut onlines) = (0u64, 0u64);
+        let mut rollbacks = 0u64;
+        for seed in 0..8u64 {
+            let mut rng = component_rng(seed, "meminfo-running-totals");
+            let mut m = mm();
+            m.set_fault_injector(
+                FaultPlan::none()
+                    .with(FaultSite::MigrationAbort, FaultTrigger::Prob(0.3))
+                    .build(seed),
+            );
+            let mut live: Vec<AllocationId> = Vec::new();
+            for step in 0..300 {
+                let ctx = format!("seed {seed} step {step}");
+                match rng.gen_range(0u32..12) {
+                    0..=2 => {
+                        let kind = KINDS[rng.gen_range(0usize..3)];
+                        if let Ok(id) = m.allocate(rng.gen_range(1u64..5000), kind) {
+                            live.push(id);
+                        }
+                    }
+                    3 if !live.is_empty() => {
+                        let id = live.swap_remove(rng.gen_range(0..live.len()));
+                        m.free(id).unwrap();
+                    }
+                    4 if !live.is_empty() => {
+                        let id = live[rng.gen_range(0..live.len())];
+                        let _ = m.grow(id, rng.gen_range(1u64..2000));
+                    }
+                    5 if !live.is_empty() => {
+                        let at = rng.gen_range(0..live.len());
+                        let id = live[at];
+                        m.shrink(id, rng.gen_range(1u64..3000)).unwrap();
+                        if m.pages_of(id) == 0 {
+                            live.swap_remove(at);
+                        }
+                    }
+                    6..=8 => {
+                        let index = rng.gen_range(0..m.block_count());
+                        if m.blocks[index].online() {
+                            if let Ok(report) = m.offline_block(index).unwrap() {
+                                migrations += u64::from(report.migrated_pages > 0);
+                            }
+                        }
+                    }
+                    9 => {
+                        let index = rng.gen_range(0..m.block_count());
+                        if !m.blocks[index].online() {
+                            m.online_block(index).unwrap();
+                            onlines += 1;
+                        }
+                    }
+                    _ => {}
+                }
+                assert_eq!(m.meminfo(), m.meminfo_from_blocks(), "{ctx}: meminfo");
+                let offline = m.blocks.iter().filter(|b| !b.online()).count();
+                assert_eq!(m.offline_block_count(), offline, "{ctx}: offline blocks");
+                assert_eq!(m.audit(), Ok(()), "{ctx}: audit");
+            }
+            rollbacks += m.stats.rollbacks;
+        }
+        assert!(migrations > 20, "only {migrations} migrating off-linings");
+        assert!(rollbacks > 20, "only {rollbacks} migration rollbacks");
+        assert!(onlines > 20, "only {onlines} on-linings");
     }
 
     #[test]

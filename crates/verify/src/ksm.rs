@@ -93,7 +93,7 @@ mod tests {
     #[test]
     fn conservation_holds_through_merge_cow_unregister() {
         let mut mm = MemoryManager::new(MmConfig::small_test()).unwrap();
-        let mut ksm = Ksm::new(KsmConfig::default());
+        let mut ksm = Ksm::new(KsmConfig::default()).unwrap();
         let mut checker = standard_checker(Mode::Strict);
         let a = mm.allocate(1000, PageKind::UserMovable).unwrap();
         let b = mm.allocate(1000, PageKind::UserMovable).unwrap();
@@ -122,7 +122,7 @@ mod tests {
         for seed in 0..6u64 {
             let mut rng = component_rng(seed, "ksm-stress");
             let mut mm = MemoryManager::new(MmConfig::small_test()).unwrap();
-            let mut ksm = Ksm::new(KsmConfig::default());
+            let mut ksm = Ksm::new(KsmConfig::default()).unwrap();
             let mut checker = standard_checker(Mode::Strict);
             let mut live = Vec::new();
             let mut min_live = usize::MAX;

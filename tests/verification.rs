@@ -17,7 +17,7 @@ fn strict_sim(ksm: bool) -> EpochSim {
     mm.allocate(kernel, PageKind::KernelUnmovable).unwrap();
     let map = GroupMap::new(256 << 20, 16, 16 << 20).unwrap();
     let daemon = Daemon::new(GreenDimmConfig::paper_default(), map);
-    let ksm = ksm.then(|| Ksm::new(KsmConfig::default()));
+    let ksm = ksm.then(|| Ksm::new(KsmConfig::default()).unwrap());
     let mut sim = EpochSim::new(mm, daemon, ksm);
     sim.enable_verification(Mode::Strict);
     sim

@@ -160,6 +160,20 @@ for fig in fig15_cross_generation fig09_dram_energy; do
   rm -f "/tmp/$fig.ci.txt"
 done
 
+echo "==> KSM / hotplug identity (default fig12, ablation_ksm_scan and fig13 regenerated at HEAD must match the committed snapshots)"
+# These three run KSM merging and memory on/off-lining end to end in about
+# three seconds serially; as above, only the sidecar announcement line may
+# differ.
+for fig in fig12_vm_offlined_blocks ablation_ksm_scan fig13_capacity_scaling; do
+  cargo run --quiet --release -p gd-bench --bin "$fig" > "/tmp/$fig.ci.txt"
+  diff -u <(grep -v '^\[timing ->' "results/$fig.txt") \
+          <(grep -v '^\[timing ->' "/tmp/$fig.ci.txt") || {
+    echo "ERROR: results/$fig.txt is stale — regenerate results/*.txt and commit" >&2
+    exit 1
+  }
+  rm -f "/tmp/$fig.ci.txt"
+done
+
 echo "==> bad engine/stride values exit 2 (no silent fallback to a default)"
 for args in "fig09_dram_energy --engine epoch-replay" "fig09_dram_energy --engine bogus" \
             "fig14_fleet_energy --stride 0" "fig14_fleet_energy --stride x"; do
