@@ -1,8 +1,8 @@
 //! The cluster placement/consolidation scheduler (phase 1 of a fleet run).
 //!
-//! Scheduling is cheap and inherently sequential (every placement decision
-//! depends on the cluster state the previous one left behind), so it runs
-//! serially over scheduler ticks and produces, for every host, the exact
+//! Scheduling is inherently sequential (every placement decision depends on
+//! the cluster state the previous one left behind), so it runs serially
+//! over scheduler ticks and produces, for every host, the exact
 //! VM lifecycle event stream that host's co-simulation (phase 2, sharded
 //! across workers) will replay. All state lives in index-ordered vectors —
 //! no hash maps — so the schedule is a pure function of the configuration.
@@ -107,6 +107,16 @@ fn place(
 /// [`gd_verify::Mode::Strict`] (the conservation and capacity invariants
 /// are checked after every scheduler tick).
 pub fn schedule_fleet(cfg: &FleetConfig, verify: Option<gd_verify::Mode>) -> Result<FleetSchedule> {
+    schedule(cfg, verify, true)
+}
+
+/// [`schedule_fleet`]; with `skip_unplaceable` off, every queued VM scans
+/// the hosts, which is the reference the skip is tested against.
+fn schedule(
+    cfg: &FleetConfig,
+    verify: Option<gd_verify::Mode>,
+    skip_unplaceable: bool,
+) -> Result<FleetSchedule> {
     if cfg.hosts == 0 || cfg.schedule_period_s == 0 || cfg.sample_stride == 0 {
         return Err(GdError::InvalidConfig(
             "fleet needs hosts >= 1, schedule_period_s >= 1, sample_stride >= 1".into(),
@@ -163,9 +173,21 @@ pub fn schedule_fleet(cfg: &FleetConfig, verify: Option<gd_verify::Mode>) -> Res
             stats.arrivals += 1;
             arrival_idx += 1;
         }
-        // 3. FIFO placement under the consolidation cap.
+        // 3. FIFO placement under the consolidation cap. Host usage only
+        // grows during this step, so once a `(vcpus, mem_gb)` class finds
+        // no host, no VM at least as large in both finds one later in the
+        // tick; those wait without a host scan.
         let mut waiting = Vec::with_capacity(queue.len());
+        let mut unplaceable: Vec<(u32, u32)> = Vec::new();
         for (arrived, vm) in queue.drain(..) {
+            let dominated = skip_unplaceable
+                && unplaceable
+                    .iter()
+                    .any(|&(vcpus, mem_gb)| vm.vcpus >= vcpus && vm.mem_gb >= mem_gb);
+            if dominated {
+                waiting.push((arrived, vm));
+                continue;
+            }
             match place(cfg, &hosts, &vm, vcpu_cap, mem_cap_gb) {
                 Some(hi) => {
                     let host = &mut hosts[hi];
@@ -180,7 +202,10 @@ pub fn schedule_fleet(cfg: &FleetConfig, verify: Option<gd_verify::Mode>) -> Res
                         vm,
                     });
                 }
-                None => waiting.push((arrived, vm)),
+                None => {
+                    unplaceable.push((vm.vcpus, vm.mem_gb));
+                    waiting.push((arrived, vm));
+                }
             }
         }
         // 4. Patience: stale queue entries give up (their request went to
@@ -363,6 +388,36 @@ mod tests {
             ksm_aware >= best_fit,
             "ksm-aware {ksm_aware} vs best-fit {best_fit}"
         );
+    }
+
+    /// Skipping VMs that a smaller, already failed class dominates must
+    /// not change the schedule.
+    #[test]
+    fn skipping_unplaceable_classes_matches_the_full_scan() {
+        for placement in [
+            FleetPlacement::FirstFit,
+            FleetPlacement::BestFit,
+            FleetPlacement::KsmAware,
+        ] {
+            for seed in 0..4u64 {
+                let cfg = FleetConfig {
+                    placement,
+                    seed,
+                    hosts: 6,
+                    duration_s: 21_600,
+                    arrivals_per_tick_per_host: 8.0,
+                    ..FleetConfig::small_test()
+                };
+                let strict = Some(gd_verify::Mode::Strict);
+                let fast = schedule(&cfg, strict, true).expect("schedule");
+                let full = schedule(&cfg, strict, false).expect("reference schedule");
+                let ctx = format!("{placement:?} seed {seed}");
+                assert!(fast.stats.abandoned > 0, "{ctx}: the queue never backed up");
+                assert_eq!(fast.host_events, full.host_events, "{ctx}: host events");
+                assert_eq!(fast.stats, full.stats, "{ctx}: stats");
+                assert_eq!(fast.utilization, full.utilization, "{ctx}: utilization");
+            }
+        }
     }
 
     #[test]

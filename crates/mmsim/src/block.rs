@@ -1,6 +1,6 @@
 //! A hot-pluggable memory block: the kernel's unit of on/off-lining.
 
-use crate::buddy::BuddyAllocator;
+use crate::buddy::{BuddyAllocator, MAX_ORDER};
 use crate::frame::{AllocationId, PageKind};
 use std::collections::BTreeMap;
 
@@ -25,7 +25,11 @@ pub struct MemoryBlock {
     pages: u32,
     online: bool,
     buddy: BuddyAllocator,
+    /// Allocated chunks below `MAX_ORDER`, by offset.
     chunks: BTreeMap<u32, Chunk>,
+    /// Allocated max-order chunks, indexed by `offset >> MAX_ORDER`; empty
+    /// in the test reference built by [`Self::all_btrees`].
+    top_chunks: Vec<Option<Chunk>>,
     movable_pages: u64,
     unmovable_pages: u64,
     pinned_pages: u64,
@@ -58,10 +62,29 @@ impl MemoryBlock {
             online: true,
             buddy: BuddyAllocator::new(pages),
             chunks: BTreeMap::new(),
+            top_chunks: vec![None; (pages >> MAX_ORDER) as usize],
             movable_pages: 0,
             unmovable_pages: 0,
             pinned_pages: 0,
         }
+    }
+
+    /// A block that keeps every allocated chunk in the ordered map and
+    /// every free chunk in ordered sets: the all-B-tree layout the slot
+    /// table and the free bitmap replaced, kept as the tests' reference.
+    #[cfg(test)]
+    pub(crate) fn all_btrees(index: usize, pages: u32) -> Self {
+        MemoryBlock {
+            buddy: BuddyAllocator::all_sets(pages),
+            top_chunks: Vec::new(),
+            ..Self::new(index, pages)
+        }
+    }
+
+    /// Offsets of the free chunks of exactly `order`, ascending.
+    #[cfg(test)]
+    pub(crate) fn free_offsets(&self, order: u8) -> Vec<u32> {
+        self.buddy.free_offsets(order)
     }
 
     /// Block index.
@@ -146,18 +169,59 @@ impl MemoryBlock {
     ) -> Vec<(u32, u8)> {
         debug_assert!(self.online);
         let chunks = self.buddy.alloc_pages(pages);
-        for (off, order) in &chunks {
-            self.chunks.insert(
-                *off,
-                Chunk {
-                    owner,
-                    kind,
-                    order: *order,
-                },
-            );
+        for &(off, order) in &chunks {
+            self.put_chunk(off, Chunk { owner, kind, order });
             *self.kind_pages_mut(kind) += 1u64 << order;
         }
         chunks
+    }
+
+    /// Records `chunk` as allocated at `offset`: in the slot table when it
+    /// is max-order and the table has its slot, in the ordered map
+    /// otherwise.
+    fn put_chunk(&mut self, offset: u32, chunk: Chunk) {
+        let slot = self
+            .top_slot(offset)
+            .filter(|_| chunk.order == MAX_ORDER)
+            .and_then(|slot| self.top_chunks.get_mut(slot));
+        match slot {
+            Some(slot) => *slot = Some(chunk),
+            None => {
+                self.chunks.insert(offset, chunk);
+            }
+        }
+    }
+
+    /// Removes and returns the chunk starting at `offset`, if any.
+    fn take_chunk(&mut self, offset: u32) -> Option<Chunk> {
+        self.top_slot(offset)
+            .and_then(|slot| self.top_chunks.get_mut(slot)?.take())
+            .or_else(|| self.chunks.remove(&offset))
+    }
+
+    /// The slot-table index of a max-order chunk at `offset`; `None` when
+    /// `offset` is not max-order aligned.
+    fn top_slot(&self, offset: u32) -> Option<usize> {
+        offset
+            .is_multiple_of(1 << MAX_ORDER)
+            .then_some((offset >> MAX_ORDER) as usize)
+    }
+
+    /// Every allocated chunk with its offset, ascending: the slot table
+    /// and the ordered map merged.
+    fn chunks(&self) -> impl Iterator<Item = (u32, &Chunk)> {
+        let mut top = self
+            .top_chunks
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, c)| Some(((slot as u32) << MAX_ORDER, c.as_ref()?)))
+            .peekable();
+        let mut small = self.chunks.iter().map(|(&off, c)| (off, c)).peekable();
+        std::iter::from_fn(move || match (top.peek(), small.peek()) {
+            (Some(t), Some(s)) if s.0 < t.0 => small.next(),
+            (Some(_), _) => top.next(),
+            (None, _) => small.next(),
+        })
     }
 
     /// The used-page counter for `kind`.
@@ -176,8 +240,7 @@ impl MemoryBlock {
     /// Panics if no chunk starts at `offset`.
     pub fn free_chunk(&mut self, offset: u32) -> Chunk {
         let chunk = self
-            .chunks
-            .remove(&offset)
+            .take_chunk(offset)
             .expect("free of unknown chunk offset");
         self.buddy.free(offset, chunk.order);
         *self.kind_pages_mut(chunk.kind) -= 1u64 << chunk.order;
@@ -189,7 +252,8 @@ impl MemoryBlock {
     /// `[offset, offset + keep)` becomes its aligned binary decomposition,
     /// largest piece first; the freed upper part goes back to the buddy
     /// allocator smallest piece first, starting at `offset + keep`. Returns
-    /// the offsets of the kept pieces in ascending order.
+    /// the offsets of the kept pieces in ascending order. Kept pieces are
+    /// all below the chunk's order, so they go to the ordered map.
     ///
     /// The result is the state that repeatedly splitting the chunk into
     /// buddy halves and freeing the upper halves would leave behind.
@@ -199,7 +263,7 @@ impl MemoryBlock {
     /// Panics if no chunk starts at `offset` or `need` is not in
     /// `1..2^order`.
     pub fn trim_chunk(&mut self, offset: u32, need: u32) -> impl Iterator<Item = u32> {
-        let chunk = self.chunks.remove(&offset).expect("trim of unknown chunk");
+        let chunk = self.take_chunk(offset).expect("trim of unknown chunk");
         let size = 1u32 << chunk.order;
         assert!(
             need > 0 && need < size,
@@ -233,7 +297,7 @@ impl MemoryBlock {
         let mut pinned = 0u64;
         let mut alloc_pages = 0u64;
         let mut prev_end = 0u32;
-        for (&off, chunk) in &self.chunks {
+        for (off, chunk) in self.chunks() {
             let len = 1u32 << chunk.order;
             if off % len != 0 || off + len > self.pages {
                 return Err(format!(
@@ -278,12 +342,14 @@ impl MemoryBlock {
 
     /// Offsets of all chunks currently in the block (ascending).
     pub fn chunk_offsets(&self) -> Vec<u32> {
-        self.chunks.keys().copied().collect()
+        self.chunks().map(|(off, _)| off).collect()
     }
 
     /// The chunk starting at `offset`, if any.
     pub fn chunk_at(&self, offset: u32) -> Option<&Chunk> {
-        self.chunks.get(&offset)
+        self.top_slot(offset)
+            .and_then(|slot| self.top_chunks.get(slot)?.as_ref())
+            .or_else(|| self.chunks.get(&offset))
     }
 
     /// Splits the chunk at `offset` into its two buddy halves, both still
@@ -291,7 +357,7 @@ impl MemoryBlock {
     /// split-by-halves shrink loop uses it.
     #[cfg(test)]
     pub(crate) fn split_chunk(&mut self, offset: u32) -> (u32, u32) {
-        let chunk = *self.chunks.get(&offset).expect("split of unknown chunk");
+        let chunk = self.take_chunk(offset).expect("split of unknown chunk");
         assert!(chunk.order > 0, "cannot split an order-0 chunk");
         let half = Chunk {
             order: chunk.order - 1,

@@ -1302,6 +1302,167 @@ mod tests {
         assert!(onlines > 20, "only {onlines} on-linings");
     }
 
+    /// A manager whose blocks keep every chunk in B-trees: the layout the
+    /// free bitmap and the chunk slot table replaced.
+    fn all_btree_manager(cfg: MmConfig) -> MemoryManager {
+        let mut m = MemoryManager::new(cfg).unwrap();
+        let pages = m.block_pages;
+        for b in &mut m.blocks {
+            *b = MemoryBlock::all_btrees(b.index(), pages);
+        }
+        m
+    }
+
+    /// Every chunk of a block with its metadata, ascending.
+    fn chunk_list(b: &MemoryBlock) -> Vec<(u32, Chunk)> {
+        b.chunk_offsets()
+            .into_iter()
+            .map(|off| (off, *b.chunk_at(off).expect("listed chunk exists")))
+            .collect()
+    }
+
+    /// The flat max-order stores must make every placement, split,
+    /// coalesce, migration and rollback the B-tree layout makes. Blocks of
+    /// 1, 64 and 65 max-order chunks put the bitmap's word edge inside,
+    /// at and past a block's end.
+    #[test]
+    fn flat_max_order_stores_match_the_btree_reference() {
+        use gd_faults::{FaultPlan, FaultTrigger};
+        const KINDS: [PageKind; 4] = [
+            PageKind::UserMovable,
+            PageKind::UserMovable,
+            PageKind::KernelUnmovable,
+            PageKind::Pinned,
+        ];
+        let (mut trims, mut migrations, mut rollbacks, mut onlines) = (0u32, 0u64, 0u64, 0u32);
+        let mut word_edge_hits = 0u32;
+        for (chunks_per_block, blocks) in [(1u64, 16u64), (64, 4), (65, 4)] {
+            let block_bytes = chunks_per_block << (MAX_ORDER as u64 + 12);
+            let cfg = MmConfig {
+                capacity_bytes: blocks * block_bytes,
+                block_bytes,
+                movablecore_bytes: Some(blocks / 2 * block_bytes),
+                unmovable_leak_prob: 0.05,
+                transient_fail_prob: 0.1,
+                seed: 3,
+            };
+            for seed in 0..4u64 {
+                let mut rng = component_rng(seed, "flat-store-reference");
+                let mut fast = MemoryManager::new(cfg).unwrap();
+                let mut reference = all_btree_manager(cfg);
+                for m in [&mut fast, &mut reference] {
+                    m.set_fault_injector(
+                        FaultPlan::none()
+                            .with(FaultSite::MigrationAbort, FaultTrigger::Prob(0.3))
+                            .build(seed),
+                    );
+                }
+                let block_pages = fast.block_pages();
+                let mut live: Vec<AllocationId> = Vec::new();
+                for step in 0..250 {
+                    let ctx = format!("{chunks_per_block}-chunk blocks, seed {seed} step {step}");
+                    match rng.gen_range(0u32..12) {
+                        0..=2 => {
+                            let pages = rng.gen_range(1..block_pages * 3 / 2);
+                            let kind = KINDS[rng.gen_range(0usize..KINDS.len())];
+                            let a = fast.allocate(pages, kind);
+                            let b = reference.allocate(pages, kind);
+                            assert_eq!(a.is_ok(), b.is_ok(), "{ctx}: allocate");
+                            if let (Ok(a), Ok(_)) = (a, b) {
+                                live.push(a);
+                            }
+                        }
+                        3 if !live.is_empty() => {
+                            let id = live.swap_remove(rng.gen_range(0..live.len()));
+                            fast.free(id).unwrap();
+                            reference.free(id).unwrap();
+                        }
+                        4 if !live.is_empty() => {
+                            let id = live[rng.gen_range(0..live.len())];
+                            let pages = rng.gen_range(1..block_pages / 2 + 2);
+                            let a = fast.grow(id, pages);
+                            let b = reference.grow(id, pages);
+                            assert_eq!(a.is_ok(), b.is_ok(), "{ctx}: grow");
+                        }
+                        5 | 6 if !live.is_empty() => {
+                            let at = rng.gen_range(0..live.len());
+                            let id = live[at];
+                            let held = fast.pages_of(id);
+                            let pages = rng.gen_range(1..held + held / 8 + 2);
+                            let before = fast.allocs[&id].chunks.clone();
+                            let a = fast.shrink(id, pages).unwrap();
+                            let b = reference.shrink(id, pages).unwrap();
+                            assert_eq!(a, b, "{ctx}: freed count");
+                            match fast.allocs.get(&id) {
+                                Some(info) if !before.starts_with(&info.chunks) => trims += 1,
+                                Some(_) => {}
+                                None => {
+                                    live.swap_remove(at);
+                                }
+                            }
+                        }
+                        7..=9 => {
+                            let index = rng.gen_range(0..fast.block_count());
+                            if fast.blocks[index].online() {
+                                let a = fast.offline_block(index).unwrap();
+                                let b = reference.offline_block(index).unwrap();
+                                assert_eq!(a, b, "{ctx}: offline outcome");
+                                migrations += u64::from(a.is_ok_and(|r| r.migrated_pages > 0));
+                            }
+                        }
+                        10 | 11 => {
+                            let index = rng.gen_range(0..fast.block_count());
+                            if !fast.blocks[index].online() {
+                                let a = fast.online_block(index).unwrap();
+                                let b = reference.online_block(index).unwrap();
+                                assert_eq!(a, b, "{ctx}: online latency");
+                                onlines += 1;
+                            }
+                        }
+                        _ => {}
+                    }
+                    assert_eq!(
+                        fast.allocs, reference.allocs,
+                        "{ctx}: allocation chunk lists"
+                    );
+                    for (a, b) in fast.blocks.iter().zip(&reference.blocks) {
+                        let i = a.index();
+                        for o in 0..=MAX_ORDER {
+                            assert_eq!(
+                                a.free_offsets(o),
+                                b.free_offsets(o),
+                                "{ctx}: block {i} free chunks of order {o}"
+                            );
+                        }
+                        assert_eq!(chunk_list(a), chunk_list(b), "{ctx}: block {i} chunks");
+                        assert_eq!(a.info(), b.info(), "{ctx}: block {i} info");
+                        word_edge_hits += u32::from(
+                            a.chunk_at(64 << MAX_ORDER)
+                                .is_some_and(|c| c.order == MAX_ORDER),
+                        );
+                    }
+                    assert_eq!(fast.meminfo(), reference.meminfo(), "{ctx}: meminfo");
+                    assert_eq!(fast.audit(), Ok(()), "{ctx}: audit");
+                    assert_eq!(reference.audit(), Ok(()), "{ctx}: reference audit");
+                }
+                assert_eq!(
+                    format!("{:?}", fast.stats),
+                    format!("{:?}", reference.stats),
+                    "{chunks_per_block}-chunk blocks, seed {seed}: hotplug stats"
+                );
+                rollbacks += fast.stats.rollbacks;
+            }
+        }
+        assert!(trims > 50, "only {trims} shrinks trimmed a chunk");
+        assert!(migrations > 20, "only {migrations} migrating off-linings");
+        assert!(rollbacks > 10, "only {rollbacks} migration rollbacks");
+        assert!(onlines > 20, "only {onlines} on-linings");
+        assert!(
+            word_edge_hits > 0,
+            "no max-order chunk past the first bitmap word"
+        );
+    }
+
     #[test]
     fn grow_extends_allocation() {
         let mut m = mm();

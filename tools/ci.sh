@@ -160,11 +160,14 @@ for fig in fig15_cross_generation fig09_dram_energy; do
   rm -f "/tmp/$fig.ci.txt"
 done
 
-echo "==> KSM / hotplug identity (default fig12, ablation_ksm_scan and fig13 regenerated at HEAD must match the committed snapshots)"
-# These three run KSM merging and memory on/off-lining end to end in about
-# three seconds serially; as above, only the sidecar announcement line may
-# differ.
-for fig in fig12_vm_offlined_blocks ablation_ksm_scan fig13_capacity_scaling; do
+echo "==> KSM / hotplug identity (every KSM, hotplug and migration snapshot regenerated at HEAD must match the committed one)"
+# These run KSM merging, memory on/off-lining, page migration and its
+# rollback, and the block-size sweeps end to end in a few seconds serially;
+# as above, only the sidecar announcement line may differ.
+for fig in fig12_vm_offlined_blocks ablation_ksm_scan fig13_capacity_scaling \
+           fig01_vm_utilization fig06_blocksize_capacity fig07_blocksize_overhead \
+           fig08_offlining_failures tab02_online_offline_counts tab03_hotplug_latency \
+           fig_faults ablation_adaptive_thr ablation_neighbor ablation_offthr; do
   cargo run --quiet --release -p gd-bench --bin "$fig" > "/tmp/$fig.ci.txt"
   diff -u <(grep -v '^\[timing ->' "results/$fig.txt") \
           <(grep -v '^\[timing ->' "/tmp/$fig.ci.txt") || {
@@ -174,9 +177,11 @@ for fig in fig12_vm_offlined_blocks ablation_ksm_scan fig13_capacity_scaling; do
   rm -f "/tmp/$fig.ci.txt"
 done
 
-echo "==> bad engine/stride values exit 2 (no silent fallback to a default)"
+echo "==> bad engine/stride/hosts values exit 2 (no silent fallback to a default)"
 for args in "fig09_dram_energy --engine epoch-replay" "fig09_dram_energy --engine bogus" \
-            "fig14_fleet_energy --stride 0" "fig14_fleet_energy --stride x"; do
+            "fig14_fleet_energy --stride 0" "fig14_fleet_energy --stride x" \
+            "fig14_fleet_energy --hosts abc" "fig14_fleet_energy --hosts 0" \
+            "fig14_fleet_energy --hosts 50000"; do
   set -- $args
   bin=$1
   shift
