@@ -15,7 +15,7 @@ use greendimm::GreenDimmConfig;
 fn main() {
     let sw = SweepOpts::from_args();
     let topts = TelemetryOpts::from_args();
-    let mopts = MeasureOpts::from_args();
+    let mopts = MeasureOpts::from_args().fixed_platform();
     println!(
         "{}",
         provenance_line_with_engine(

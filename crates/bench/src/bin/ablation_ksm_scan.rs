@@ -17,7 +17,7 @@ fn main() {
     // The KSM scan loop is exact under every engine (no time-advance
     // co-simulation); `--engine` is accepted for flag uniformity and
     // recorded in the provenance header.
-    let mopts = MeasureOpts::from_args();
+    let mopts = MeasureOpts::from_args().fixed_platform();
     println!(
         "{}",
         provenance_line_with_engine(

@@ -10,7 +10,7 @@ use gd_bench::energy::{memspec_suffix, platform_desc, MeasureOpts};
 use gd_bench::report::{f2, header, pct, row};
 use gd_bench::{provenance_line, timed_sweep, SweepOpts, TelemetryOpts};
 use gd_obs::Telemetry;
-use gd_power::{memspec_for, ActivityProfile, PowerGating};
+use gd_power::{ActivityProfile, DramPowerModel, PowerGating};
 use gd_types::config::DramConfig;
 
 fn main() {
@@ -37,7 +37,8 @@ fn main() {
         &labels,
         sw.jobs,
         |_ctx, &cap_gb| {
-            let base = memspec_for(DramConfig::preset_256gb(mopts.memspec)).expect("paper preset");
+            let base =
+                DramPowerModel::new(DramConfig::preset_256gb(mopts.memspec)).expect("paper preset");
             let idle_256 =
                 base.analytic_power_w(&ActivityProfile::idle_standby(), &PowerGating::none());
             let busy_256 =
@@ -47,8 +48,8 @@ fn main() {
             // with DIMM count.
             let activity_w = busy_256 - idle_256;
             let idle = if cap_gb == 64 {
-                let m64 =
-                    memspec_for(DramConfig::preset_64gb(mopts.memspec)).expect("paper preset");
+                let m64 = DramPowerModel::new(DramConfig::preset_64gb(mopts.memspec))
+                    .expect("paper preset");
                 m64.analytic_power_w(&ActivityProfile::idle_standby(), &PowerGating::none())
             } else {
                 // Capacity past the preset scales linearly in installed

@@ -26,7 +26,7 @@ struct Point {
 fn main() {
     let sw = SweepOpts::from_args();
     let topts = TelemetryOpts::from_args();
-    let mopts = MeasureOpts::from_args();
+    let mopts = MeasureOpts::from_args().fixed_platform();
     let cfg = DramConfig::ddr4_2133_64gb();
     let apps = ["mcf", "soplex", "lbm", "libquantum"];
     let requests = sw.requests.unwrap_or(25_000);

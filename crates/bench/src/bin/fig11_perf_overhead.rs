@@ -15,7 +15,7 @@ use gd_workloads::energy_figure_set;
 use greendimm::GreenDimmConfig;
 
 fn main() {
-    let opts = MeasureOpts::from_args();
+    let opts = MeasureOpts::from_args().fixed_platform();
     let sw = SweepOpts::from_args();
     let topts = TelemetryOpts::from_args();
     let verify = opts.strict_validate.then_some(gd_verify::Mode::Strict);

@@ -90,7 +90,7 @@ fn main() {
     );
 
     // Background power reduction from the deep power-down residency.
-    let model = DramPowerModel::new(DramConfig::ddr4_2133_256gb());
+    let model = DramPowerModel::new(DramConfig::ddr4_2133_256gb()).expect("paper preset");
     let idle = ActivityProfile::idle_standby();
     let full = model.analytic_power_w(&idle, &PowerGating::none());
     let with = model.analytic_power_w(&idle, &PowerGating::deep_pd(base.mean_deep_pd_fraction()));

@@ -13,7 +13,7 @@ use gd_bench::{
     provenance_line_with_engine, run_vm_trace_tele, timed_sweep, SweepOpts, TelemetryOpts,
     VmTraceConfig,
 };
-use gd_power::{memspec_for, ActivityProfile, PowerGating, SystemPowerModel};
+use gd_power::{ActivityProfile, DramPowerModel, PowerGating, SystemPowerModel};
 use gd_types::config::{DramConfig, MemSpecKind};
 
 fn main() {
@@ -90,7 +90,8 @@ fn main() {
     );
     let sys_model = SystemPowerModel::default();
     let cpu_util = 0.3; // consolidated VM server, modest CPU activity
-    let base_model = memspec_for(DramConfig::preset_256gb(mopts.memspec)).expect("paper preset");
+    let base_model =
+        DramPowerModel::new(DramConfig::preset_256gb(mopts.memspec)).expect("paper preset");
     let activity = ActivityProfile::busy(0.15);
     let p256 = base_model.analytic_power_w(&activity, &PowerGating::none());
 

@@ -5,6 +5,10 @@
 //! utilization (§1: 40–60 % average across fleets); this figure closes the
 //! loop by aggregating per-host savings into cluster power curves.
 //!
+//! Only the GreenDIMM variants are simulated. Without GreenDIMM no host
+//! ever enters deep power-down, so the baseline column is every host at
+//! the model's ungated power, summed host by host like the others.
+//!
 //! Hosts shard across the deterministic worker pool (`--jobs N` fans hosts
 //! out *inside* each point; the outer sweep over points runs serially, so
 //! the pool is never oversubscribed). `--stride N` (default 16) samples the
@@ -27,30 +31,21 @@ use gd_types::fleet::{FleetConfig, FleetPlacement};
 
 const UTILS: [f64; 4] = [0.50, 0.65, 0.80, 0.95];
 
-/// One fleet variant at each consolidation cap.
+/// One simulated GreenDIMM fleet variant at each consolidation cap.
 struct Variant {
     tag: &'static str,
-    greendimm: bool,
     ksm: bool,
     placement: FleetPlacement,
 }
 
-const VARIANTS: [Variant; 3] = [
-    Variant {
-        tag: "base",
-        greendimm: false,
-        ksm: false,
-        placement: FleetPlacement::BestFit,
-    },
+const VARIANTS: [Variant; 2] = [
     Variant {
         tag: "gd",
-        greendimm: true,
         ksm: false,
         placement: FleetPlacement::BestFit,
     },
     Variant {
         tag: "gd+ksm",
-        greendimm: true,
         ksm: true,
         placement: FleetPlacement::KsmAware,
     },
@@ -76,7 +71,7 @@ fn count_arg(name: &str, default: usize, max: usize) -> Result<usize, String> {
 fn main() {
     let sw = SweepOpts::from_args();
     let topts = TelemetryOpts::from_args();
-    let mopts = MeasureOpts::from_args();
+    let mopts = MeasureOpts::from_args().fixed_platform();
     let arg = |name, default, max| {
         count_arg(name, default, max).unwrap_or_else(|e| {
             eprintln!("error: {e}");
@@ -129,7 +124,7 @@ fn main() {
                 max_util: *max_util,
                 placement: v.placement,
                 ksm: v.ksm,
-                greendimm: v.greendimm,
+                greendimm: true,
                 sample_stride: stride,
                 ..FleetConfig::paper_1k()
             };
@@ -156,19 +151,24 @@ fn main() {
     // 256 GB measurement; deep power-down gates each host individually.
     let sys_model = SystemPowerModel::default();
     let cpu_util = 0.3; // consolidated VM server, modest CPU activity
-    let model = DramPowerModel::new(DramConfig::ddr4_2133_256gb());
+    let model = DramPowerModel::new(DramConfig::ddr4_2133_256gb()).expect("paper preset");
     let activity = ActivityProfile::busy(0.15);
-    let fleet_kw = |run: &FleetOutcome| -> (f64, f64) {
+    // (DRAM kW, system kW) of hosts at these deep power-down fractions.
+    let fleet_kw = |deep_pd: &[f64]| -> (f64, f64) {
         let mut dram_w = 0.0;
         let mut sys_w = 0.0;
-        for h in &run.hosts {
-            let w =
-                model.analytic_power_w(&activity, &PowerGating::deep_pd(h.mean_deep_pd_fraction));
+        for &f in deep_pd {
+            let w = model.analytic_power_w(&activity, &PowerGating::deep_pd(f));
             dram_w += w;
             sys_w += sys_model.system_power_w(w, cpu_util);
         }
         (dram_w / 1_000.0, sys_w / 1_000.0)
     };
+    let run_kw = |run: &FleetOutcome| {
+        let deep_pd: Vec<f64> = run.hosts.iter().map(|h| h.mean_deep_pd_fraction).collect();
+        fleet_kw(&deep_pd)
+    };
+    let (base_kw, base_sys) = fleet_kw(&vec![0.0; hosts]);
 
     let widths = [6, 10, 10, 9, 10, 9, 9, 9, 9, 10];
     header(
@@ -188,12 +188,10 @@ fn main() {
         &widths,
     );
     for (i, &u) in UTILS.iter().enumerate() {
-        let base = &runs[3 * i];
-        let gd = &runs[3 * i + 1];
-        let ksm = &runs[3 * i + 2];
-        let (base_kw, base_sys) = fleet_kw(base);
-        let (gd_kw, gd_sys) = fleet_kw(gd);
-        let (ksm_kw, ksm_sys) = fleet_kw(ksm);
+        let gd = &runs[2 * i];
+        let ksm = &runs[2 * i + 1];
+        let (gd_kw, gd_sys) = run_kw(gd);
+        let (ksm_kw, ksm_sys) = run_kw(ksm);
         row(
             &[
                 pct(u),
@@ -213,7 +211,7 @@ fn main() {
     let exact = runs[0].exact_hosts;
     println!("\n{hosts} hosts/point, {exact} co-simulated exactly per point (stride {stride})");
     println!("mean scheduled utilization at cap 0.80 (gd): {}", {
-        let gd = &runs[3 * UTILS.iter().position(|&u| u == 0.80).unwrap() + 1];
+        let gd = &runs[2 * UTILS.iter().position(|&u| u == 0.80).unwrap()];
         pct(gd.mean_utilization())
     });
     println!(

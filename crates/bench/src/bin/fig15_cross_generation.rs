@@ -1,7 +1,7 @@
 //! Fig. 15 (extension): GreenDIMM vs. rank power-down (RAMZzz) vs. PASR
 //! across memory generations — the same energy-figure workload set run on
-//! the DDR4, DDR5 (same-bank refresh), and LPDDR4-PASR backends of the
-//! [`gd_power::MemSpec`] power/timing layer.
+//! DDR4, DDR5 (same-bank refresh), and LPDDR4-PASR, each with its own
+//! timing and [`gd_power::DramPowerModel`] terms.
 //!
 //! Each {backend × app} pair is one sweep point (`--jobs N`); the
 //! wall-clock profile lands in `results/BENCH_fig15_cross_generation.json`
@@ -15,7 +15,7 @@ use gd_types::stats::geomean;
 use gd_workloads::energy_figure_set;
 
 fn main() {
-    let opts = MeasureOpts::from_args();
+    let opts = MeasureOpts::from_args().fixed_platform();
     let sw = SweepOpts::from_args();
     let topts = TelemetryOpts::from_args();
     let requests = sw.requests.unwrap_or(20_000);

@@ -34,7 +34,7 @@ fn parse_rate() -> Option<f64> {
 fn main() {
     let sw = SweepOpts::from_args();
     let topts = TelemetryOpts::from_args();
-    let mopts = MeasureOpts::from_args();
+    let mopts = MeasureOpts::from_args().fixed_platform();
     let verify = mopts.strict_validate.then_some(gd_verify::Mode::Strict);
     let single_rate = parse_rate();
     let engine = mopts.engine;

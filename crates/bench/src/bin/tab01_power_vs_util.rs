@@ -29,7 +29,7 @@ fn main() {
         &labels,
         sw.jobs,
         |_ctx, _util| {
-            let model = DramPowerModel::new(DramConfig::ddr4_2133_256gb());
+            let model = DramPowerModel::new(DramConfig::ddr4_2133_256gb()).expect("paper preset");
             let p = model.analytic_power_w(&ActivityProfile::busy(0.40), &PowerGating::none());
             let mut tele = topts.shard();
             if let Some(t) = &mut tele {

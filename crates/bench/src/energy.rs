@@ -4,7 +4,7 @@ use gd_baselines::{
     GovernorContext, GovernorOutcome, GreenDimmGovernor, Pasr, PowerGovernor, RamZzz, SrfOnly,
 };
 use gd_dram::{EngineMode, LowPowerPolicy, MemorySystem, TimingChecker};
-use gd_power::{memspec_for, ActivityProfile, MemSpec, SystemPowerModel};
+use gd_power::{ActivityProfile, DramPowerModel, SystemPowerModel};
 use gd_types::config::{DramConfig, InterleaveMode, MemSpecKind};
 use gd_types::{Cycles, GdError, Result};
 use gd_workloads::{estimate_runtime, AppProfile, TraceGenerator};
@@ -66,6 +66,22 @@ impl MeasureOpts {
             engine: engine.unwrap_or_default(),
             memspec: memspec.unwrap_or_default(),
         }
+    }
+
+    /// For figures whose memory platform is fixed (DDR4, or every
+    /// generation in turn): a `--memspec` other than DDR4 exits 2 rather
+    /// than printing numbers the flag did not select.
+    #[must_use]
+    pub fn fixed_platform(self) -> Self {
+        if self.memspec != MemSpecKind::Ddr4 {
+            eprintln!(
+                "error: --memspec {} is not supported here: this figure fixes its own \
+                 memory platform",
+                self.memspec.name()
+            );
+            std::process::exit(2);
+        }
+        self
     }
 }
 
@@ -213,7 +229,7 @@ pub fn measure_app_tele(
         sys.export_telemetry(tele, scope);
     }
     let avg_latency = stats.read_latency.mean().unwrap_or(60.0);
-    let model = memspec_for(cfg)?;
+    let model = DramPowerModel::new(cfg)?;
 
     // Closed-loop runtime model. The open-loop probe saturates a single
     // channel under linear mapping, growing queueing delay without bound,
@@ -270,7 +286,7 @@ pub struct EnergyRow {
 /// Computes energy for one (app, policy, mode) cell from its measurement
 /// and governor outcome.
 fn energy_cell(
-    model: &dyn MemSpec,
+    model: &DramPowerModel,
     system: &SystemPowerModel,
     profile: &AppProfile,
     meas: &AppMeasurement,
@@ -361,7 +377,7 @@ pub fn evaluate_app_tele(
         opts,
         tele,
     )?;
-    let model = memspec_for(cfg)?;
+    let model = DramPowerModel::new(cfg)?;
     let system = SystemPowerModel::default();
     let cpu_util = 0.6;
 
@@ -401,7 +417,7 @@ pub fn evaluate_app_tele(
                 None => g.evaluate(&ctx),
             };
             let (runtime, dram_j, system_j) =
-                energy_cell(model.as_ref(), &system, profile, meas, &out, cpu_util);
+                energy_cell(&model, &system, profile, meas, &out, cpu_util);
             if g.name() == "srf_only" && !meas.interleaved {
                 baseline = Some((dram_j, system_j));
             }

@@ -241,7 +241,7 @@ pub fn robustness_experiment_with_plan(
         ..ctx
     };
     let srf_out = checked_evaluate(&SrfOnly, &srf_ctx, &mut sanity)?;
-    let model = DramPowerModel::new(dram_cfg);
+    let model = DramPowerModel::new(dram_cfg)?;
     let gd_j = dram_energy_j(&model, profile, &ctx, &gd_out);
     let srf_j = dram_energy_j(&model, profile, &ctx, &srf_out);
 

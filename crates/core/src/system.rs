@@ -9,7 +9,7 @@ use crate::daemon::{Daemon, DaemonStats};
 use crate::groupmap::GroupMap;
 use gd_dram::{LowPowerPolicy, MemorySystem};
 use gd_mmsim::{MemoryManager, MmConfig, PageKind, PAGE_BYTES};
-use gd_power::{memspec_for, ActivityProfile, MemSpec, PowerGating, SystemPowerModel};
+use gd_power::{ActivityProfile, DramPowerModel, PowerGating, SystemPowerModel};
 use gd_types::config::DramConfig;
 use gd_types::{Result, SimTime};
 use gd_workloads::{by_name, estimate_runtime, AppProfile, TraceGenerator};
@@ -120,9 +120,8 @@ pub struct AppRunReport {
 #[derive(Debug)]
 pub struct GreenDimmSystem {
     cfg: SystemConfig,
-    /// Generation-specific power/timing backend ([`gd_power::MemSpec`]):
-    /// DDR4, DDR5, or LPDDR4-PASR, selected by `cfg.dram.kind`.
-    power: Box<dyn MemSpec>,
+    /// DRAM power model of the configured generation (`cfg.dram.kind`).
+    power: DramPowerModel,
     system_power: SystemPowerModel,
 }
 
@@ -137,7 +136,7 @@ impl GreenDimmSystem {
         cfg.dram.validate().expect("valid DRAM config");
         cfg.group_map().expect("valid block/group geometry");
         GreenDimmSystem {
-            power: memspec_for(cfg.dram).expect("valid power-model parameters"),
+            power: DramPowerModel::new(cfg.dram).expect("valid power-model parameters"),
             system_power: SystemPowerModel::default(),
             cfg,
         }

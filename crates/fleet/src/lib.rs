@@ -230,7 +230,7 @@ pub fn run_fleet(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gd_types::fleet::FleetConfig;
+    use gd_types::fleet::{FleetConfig, FleetPlacement};
 
     fn tiny() -> FleetConfig {
         FleetConfig {
@@ -283,6 +283,52 @@ mod tests {
         assert_eq!(sampled.exact_hosts, 4);
         let d = (exact.mean_deep_pd_fraction() - sampled.mean_deep_pd_fraction()).abs();
         assert!(d < 0.10, "surrogate drifted: {d}");
+    }
+
+    #[test]
+    fn inert_daemon_never_enters_deep_power_down() {
+        // Without GreenDIMM the daemon never off-lines a block, so every
+        // exact host reads 0 and the surrogate calibrated on them does too:
+        // fig14 computes its baseline column from that fact instead of
+        // simulating it.
+        for placement in [
+            FleetPlacement::FirstFit,
+            FleetPlacement::BestFit,
+            FleetPlacement::KsmAware,
+        ] {
+            for ksm in [false, true] {
+                for seed in [42, 7, 1234] {
+                    let cfg = FleetConfig {
+                        hosts: 6,
+                        duration_s: 3_600,
+                        sample_stride: 2,
+                        placement,
+                        ksm,
+                        greendimm: false,
+                        seed,
+                        ..FleetConfig::paper_1k()
+                    };
+                    let out = run_fleet(&cfg, EngineMode::EventDriven, 2, None, false).unwrap();
+                    assert_eq!(out.exact_hosts, 3);
+                    for h in &out.hosts {
+                        assert_eq!(
+                            h.mean_deep_pd_fraction, 0.0,
+                            "{placement:?} ksm={ksm} {h:?}"
+                        );
+                    }
+                }
+            }
+        }
+        // The same fleet under GreenDIMM does power groups down, so the
+        // zeros above come from the inert daemon, not from an idle fleet.
+        let cfg = FleetConfig {
+            hosts: 6,
+            duration_s: 3_600,
+            sample_stride: 2,
+            ..FleetConfig::paper_1k()
+        };
+        let gd = run_fleet(&cfg, EngineMode::EventDriven, 2, None, false).unwrap();
+        assert!(gd.hosts.iter().all(|h| h.mean_deep_pd_fraction > 0.0));
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //! delta means the parameter set itself is inconsistent — a datasheet
 //! typo or a bad override — and `.max(0.0)` at the subtraction site
 //! turns that configuration error into a silent zero-energy term that
-//! skews every figure downstream. The workspace contract (since the
-//! MemSpec backend refactor) is to *reject* inconsistent parameters at
-//! construction, via `IddParams::validate`, and compute plain deltas
-//! afterwards.
+//! skews every figure downstream. The workspace contract is to *reject*
+//! inconsistent parameters at construction, via `IddParams::validate`,
+//! and compute plain deltas afterwards.
 //!
 //! The rule is deliberately narrow: `.max(0.0)` is flagged only when the
 //! receiver expression names a rail current (`idd*` / `vdd*`). Clamps of

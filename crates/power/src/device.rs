@@ -83,7 +83,7 @@ impl IddParams {
     }
 
     /// Typical VDD-rail currents for a 16Gb ×8 DDR5-4800 device. The VDDQ
-    /// interface rail is modeled separately (`Ddr5InterfaceParams`); idd5c
+    /// interface rail is modeled separately (`DramPowerModel`); idd5c
     /// covers one REFsb burst — one bank per bank group — which is how
     /// same-bank refresh cuts refresh energy (~1/4 of the all-bank delta
     /// over a much shorter tRFCsb).
@@ -153,8 +153,8 @@ impl IddParams {
     /// The model integrates *deltas* like `idd4r - idd3n`; a mis-entered
     /// spec that inverts an ordering would otherwise yield negative (or
     /// silently clamped-to-zero) event energy. Rejecting it here — at
-    /// `MemSpec` construction — keeps every downstream energy a plain
-    /// subtraction with no clamping.
+    /// `DramPowerModel` construction — keeps every downstream energy a
+    /// plain subtraction with no clamping.
     ///
     /// # Errors
     ///

@@ -1,67 +1,57 @@
-//! The DRAM power/energy model.
+//! The DRAM power model: average power from an [`ActivityProfile`] of
+//! state-residency fractions and bus utilization, following the Micron
+//! IDD methodology.
 //!
-//! Two entry points:
+//! One [`DramPowerModel`] serves every memory generation. The generations
+//! share the aggregation (per-state background power over residency, awake
+//! refresh, per-transfer activity energy) and differ in three places, each
+//! a `match` on the configuration:
 //!
-//! * [`DramPowerModel::energy_from_stats`] integrates energy over a
-//!   cycle-level [`RunStats`] from `gd-dram` (used for Figs. 3, 9, 10).
-//! * [`DramPowerModel::analytic_power_w`] computes average power from an
-//!   [`ActivityProfile`] of state-residency fractions and bus utilization
-//!   (used by the epoch-level co-simulation behind Figs. 1–2, 12–13 and
-//!   Tables 1–3, where cycle simulation of 24 hours would be intractable).
+//! * **Refresh** ([`RefreshScheme`]): an all-bank REF draws IDD5B over tRFC
+//!   every tREFI; a DDR5 same-bank REFsb draws the lower IDD5C over tRFCsb
+//!   every tREFI/sets.
+//! * **VDDQ interface** (DDR5 only): the CA/CS driver and termination power
+//!   that DDR4's and LPDDR4's single-rail IDD figures already fold in.
+//! * **Masked self-refresh** (LPDDR4-PASR only): the array share of IDD6
+//!   (`PASR_IDD6_ARRAY_SHARE`) scales with the unmasked segment fraction.
 
 use crate::device::IddParams;
 use crate::gating::PowerGating;
-use gd_dram::{RankPowerState, RunStats};
-use gd_types::config::DramConfig;
-use gd_types::Cycles;
+use gd_dram::RankPowerState;
+use gd_types::config::{DramConfig, MemSpecKind, RefreshScheme};
+use gd_types::{GdError, Result};
 
-/// Energy breakdown of one run, in joules.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct DramEnergyBreakdown {
-    /// Standby (background) energy across all states.
-    pub background_j: f64,
-    /// Auto/self refresh energy.
-    pub refresh_j: f64,
-    /// Row activate/precharge energy.
-    pub activate_j: f64,
-    /// Read burst core energy.
-    pub read_j: f64,
-    /// Write burst core energy.
-    pub write_j: f64,
-    /// I/O and termination energy.
-    pub io_j: f64,
+/// Share of LPDDR4 IDD6 that is array retention current and therefore
+/// scales with the unmasked PASR segment fraction; the remainder is the
+/// control-logic/regulator floor that stays on while in self-refresh.
+pub(crate) const PASR_IDD6_ARRAY_SHARE: f64 = 0.7;
+
+/// VDDQ-rail interface parameters of a DDR5 rank (the CA/CS/CK drivers
+/// that DDR4's single-rail IDD figures fold into the core currents).
+#[derive(Debug, Clone, Copy)]
+struct Ddr5InterfaceParams {
+    /// Interface supply voltage (V).
+    vddq: f64,
+    /// Command/address pins per rank (14 per sub-channel × 2).
+    num_ca: u32,
+    /// Chip-select pins per rank.
+    num_cs: u32,
+    /// Per-pin driver current while toggling (mA).
+    ca_active_ma: f64,
+    /// Per-pin receiver/termination current while parked high (mA).
+    ca_standby_ma: f64,
 }
 
-impl DramEnergyBreakdown {
-    /// Total energy in joules.
-    pub fn total_j(&self) -> f64 {
-        self.background_j
-            + self.refresh_j
-            + self.activate_j
-            + self.read_j
-            + self.write_j
-            + self.io_j
-    }
-
-    /// Background (standby + refresh) fraction of the total — the quantity
-    /// the paper reports growing from 44 % (64 GB) to 78 % (1 TB).
-    pub fn background_fraction(&self) -> f64 {
-        let t = self.total_j();
-        if t == 0.0 {
-            0.0
-        } else {
-            (self.background_j + self.refresh_j) / t
-        }
-    }
-
-    /// Average power over a duration in seconds.
-    pub fn average_power_w(&self, seconds: f64) -> f64 {
-        if seconds <= 0.0 {
-            0.0
-        } else {
-            self.total_j() / seconds
-        }
-    }
+impl Ddr5InterfaceParams {
+    /// Typical DDR5-4800 interface rail: VDDQ = 1.1 V, two 14-pin CA
+    /// sub-channels plus chip selects.
+    const DDR5_4800: Self = Ddr5InterfaceParams {
+        vddq: 1.1,
+        num_ca: 28,
+        num_cs: 2,
+        ca_active_ma: 1.5,
+        ca_standby_ma: 0.35,
+    };
 }
 
 /// Average state-residency fractions and bus utilization for the analytic
@@ -115,7 +105,8 @@ impl ActivityProfile {
     }
 }
 
-/// IDD-based DRAM power model for a whole memory system.
+/// IDD-based power model of a whole memory system of any generation
+/// (`cfg.kind`).
 #[derive(Debug, Clone)]
 pub struct DramPowerModel {
     cfg: DramConfig,
@@ -123,30 +114,48 @@ pub struct DramPowerModel {
 }
 
 impl DramPowerModel {
-    /// Builds a model, choosing device parameters by the configured width.
-    pub fn new(cfg: DramConfig) -> Self {
-        let idd = if cfg.org.device_width == 4 {
-            IddParams::ddr4_2133_8gb_x4()
-        } else {
-            IddParams::ddr4_2133_4gb_x8()
-        };
-        DramPowerModel { cfg, idd }
-    }
-
-    /// Builds a model with explicit device parameters.
+    /// Builds the model for `cfg` with its generation's default device
+    /// parameters, chosen by device width.
     ///
-    /// The caller is responsible for parameter sanity: construction through
-    /// [`memspec_for`](crate::memspec::memspec_for) /
-    /// [`memspec_with_idd`](crate::memspec::memspec_with_idd) runs
-    /// [`IddParams::validate`] and is the checked entry point.
-    pub fn with_idd(cfg: DramConfig, idd: IddParams) -> Self {
-        debug_assert!(idd.validate().is_ok(), "unvalidated IDD parameters");
-        DramPowerModel { cfg, idd }
+    /// # Errors
+    ///
+    /// Same as [`with_idd`](Self::with_idd).
+    pub fn new(cfg: DramConfig) -> Result<Self> {
+        let x4 = cfg.org.device_width == 4;
+        let idd = match cfg.kind {
+            MemSpecKind::Ddr4 if x4 => IddParams::ddr4_2133_8gb_x4(),
+            MemSpecKind::Ddr4 => IddParams::ddr4_2133_4gb_x8(),
+            MemSpecKind::Ddr5 if x4 => IddParams::ddr5_4800_16gb_x4(),
+            MemSpecKind::Ddr5 => IddParams::ddr5_4800_16gb_x8(),
+            MemSpecKind::Lpddr4Pasr => IddParams::lpddr4_3200_8gb_x16(),
+        };
+        Self::with_idd(cfg, idd)
     }
 
-    /// The device parameters in use.
-    pub fn idd(&self) -> &IddParams {
-        &self.idd
+    /// Builds the model for `cfg` with explicit device parameters.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GdError::InvalidConfig`] if the configuration fails
+    /// [`DramConfig::validate`], its clock period is not positive and
+    /// finite, or the device parameters fail [`IddParams::validate`]. The
+    /// energy math relies on those orderings and never clamps a current
+    /// delta.
+    pub fn with_idd(cfg: DramConfig, idd: IddParams) -> Result<Self> {
+        cfg.validate()?;
+        if !(cfg.timing.t_ck_ns() > 0.0 && cfg.timing.t_ck_ns().is_finite()) {
+            return Err(GdError::InvalidConfig(format!(
+                "clock period must be positive and finite, got {} ns",
+                cfg.timing.t_ck_ns()
+            )));
+        }
+        idd.validate()?;
+        Ok(DramPowerModel { cfg, idd })
+    }
+
+    /// The generation this model covers.
+    pub fn kind(&self) -> MemSpecKind {
+        self.cfg.kind
     }
 
     /// The configuration in use.
@@ -154,139 +163,144 @@ impl DramPowerModel {
         &self.cfg
     }
 
-    fn devices_total(&self) -> f64 {
-        (self.cfg.org.total_ranks() * self.cfg.org.devices_per_rank) as f64
+    /// The core-rail device parameters in use.
+    pub fn idd(&self) -> &IddParams {
+        &self.idd
     }
 
     fn t_ck_s(&self) -> f64 {
         self.cfg.timing.t_ck_ns() * 1e-9
     }
 
-    /// Core (array-dependent, gateable) background power of one device in a
-    /// given state, W.
-    fn device_core_background_w(&self, state: RankPowerState) -> f64 {
+    fn burst_s(&self) -> f64 {
+        self.cfg.timing.burst().as_f64() * self.t_ck_s()
+    }
+
+    fn devices_per_rank(&self) -> f64 {
+        self.cfg.org.devices_per_rank as f64
+    }
+
+    /// The VDDQ interface rail modeled apart from the IDD currents: DDR5
+    /// only.
+    fn interface(&self) -> Option<Ddr5InterfaceParams> {
+        match self.cfg.kind {
+            MemSpecKind::Ddr5 => Some(Ddr5InterfaceParams::DDR5_4800),
+            MemSpecKind::Ddr4 | MemSpecKind::Lpddr4Pasr => None,
+        }
+    }
+
+    /// Core (gateable) background power of one device in `state`, W.
+    /// `refresh_off` is the fraction of the array whose refresh is masked;
+    /// only LPDDR4-PASR self-refresh shrinks with it.
+    fn device_core_background_w(&self, state: RankPowerState, refresh_off: f64) -> f64 {
         let i = &self.idd;
         let ma = match state {
             RankPowerState::ActiveStandby => i.idd3n,
             RankPowerState::PrechargeStandby => i.idd2n,
             RankPowerState::PowerDown => i.idd2p,
+            RankPowerState::SelfRefresh if self.cfg.kind == MemSpecKind::Lpddr4Pasr => {
+                let array_off = PASR_IDD6_ARRAY_SHARE * refresh_off.clamp(0.0, 1.0);
+                i.idd6 * (1.0 - array_off)
+            }
             RankPowerState::SelfRefresh => i.idd6,
         };
         i.vdd * ma * 1e-3
     }
 
-    /// Ungated static power of one device (DIMM support circuitry), W.
-    fn device_static_w(&self) -> f64 {
-        self.idd.dimm_static_mw * 1e-3
+    /// Interface-rail standby power of one rank in `state`, W: VDDQ
+    /// CA/CS/CK termination while the rank clock runs, off in power-down
+    /// and self-refresh (clock stopped).
+    fn interface_standby_w_per_rank(&self, state: RankPowerState) -> f64 {
+        match (self.interface(), state) {
+            (Some(p), RankPowerState::ActiveStandby | RankPowerState::PrechargeStandby) => {
+                let pins = (p.num_ca + p.num_cs + 1) as f64;
+                pins * p.vddq * p.ca_standby_ma * 1e-3
+            }
+            _ => 0.0,
+        }
+    }
+
+    /// Interface-rail energy of one transfer, J: the VDDQ CA/CS drivers of
+    /// the ~2 two-cycle commands behind it.
+    fn interface_transfer_energy_j(&self) -> f64 {
+        self.interface().map_or(0.0, |p| {
+            let pins = (p.num_ca + p.num_cs) as f64;
+            pins * p.vddq * p.ca_active_ma * 1e-3 * 4.0 * self.t_ck_s()
+        })
     }
 
     /// Background power of the whole system with every rank in `state`, W.
-    pub fn background_power_w(&self, state: RankPowerState, gating: &PowerGating) -> f64 {
-        self.devices_total()
-            * (self.device_core_background_w(state) * gating.background_multiplier()
-                + self.device_static_w())
+    fn background_power_w(&self, state: RankPowerState, gating: &PowerGating) -> f64 {
+        let org = &self.cfg.org;
+        let static_w = self.idd.dimm_static_mw * 1e-3;
+        let devices = (org.total_ranks() * org.devices_per_rank) as f64
+            * (self.device_core_background_w(state, gating.refresh_off)
+                * gating.background_multiplier()
+                + static_w);
+        let interface = org.total_ranks() as f64
+            * self.interface_standby_w_per_rank(state)
+            * gating.background_multiplier();
+        devices + interface
     }
 
-    /// Energy of one ACT/PRE pair across a rank, J (Micron methodology:
-    /// IDD0 minus the standby currents over tRC).
-    pub fn act_pre_energy_j(&self) -> f64 {
+    /// One refresh command on one rank under the configured scheme: its
+    /// energy, J (the current delta over standby for its duration), and the
+    /// cycles until the next one.
+    fn refresh_command(&self) -> (f64, u64) {
+        let i = &self.idd;
+        let t = &self.cfg.timing;
+        let (idd5, t_rfc, interval) = match self.cfg.refresh_scheme() {
+            RefreshScheme::AllBank => (i.idd5b, t.t_rfc, t.t_refi),
+            RefreshScheme::SameBank { sets } => (i.idd5c, t.t_rfc_sb, t.t_refi / u64::from(sets)),
+        };
+        let t_rfc_s = t_rfc as f64 * self.t_ck_s();
+        let energy_j = i.vdd * (idd5 - i.idd2n) * 1e-3 * t_rfc_s * self.devices_per_rank();
+        (energy_j, interval)
+    }
+
+    /// Average refresh power of the whole system when awake, W.
+    fn refresh_avg_power_w(&self, gating: &PowerGating) -> f64 {
+        let (energy_j, interval) = self.refresh_command();
+        let per_rank = energy_j / (interval as f64 * self.t_ck_s());
+        per_rank * self.cfg.org.total_ranks() as f64 * gating.refresh_multiplier()
+    }
+
+    /// Energy of one ACT/PRE pair across a rank, J (IDD0 minus the standby
+    /// currents over tRC).
+    fn act_pre_energy_j(&self) -> f64 {
         let i = &self.idd;
         let t = &self.cfg.timing;
         let t_rc_s = t.t_rc as f64 * self.t_ck_s();
         let t_ras_s = t.t_ras as f64 * self.t_ck_s();
         let background = i.idd3n * t_ras_s + i.idd2n * (t_rc_s - t_ras_s);
-        // No clamp: `IddParams::validate` rejects idd0 < idd3n at MemSpec
+        // No clamp: `IddParams::validate` rejects idd0 < idd3n at
         // construction, so the delta is non-negative by contract.
         let e_dev = i.vdd * (i.idd0 * t_rc_s - background) * 1e-3;
-        e_dev * self.cfg.org.devices_per_rank as f64
+        e_dev * self.devices_per_rank()
     }
 
     /// Core energy of one read burst across a rank, J.
-    pub fn read_energy_j(&self) -> f64 {
+    fn read_energy_j(&self) -> f64 {
         let i = &self.idd;
-        let burst_s = self.cfg.timing.burst().as_f64() * self.t_ck_s();
-        i.vdd * (i.idd4r - i.idd3n) * 1e-3 * burst_s * self.cfg.org.devices_per_rank as f64
+        i.vdd * (i.idd4r - i.idd3n) * 1e-3 * self.burst_s() * self.devices_per_rank()
     }
 
     /// Core energy of one write burst across a rank, J.
-    pub fn write_energy_j(&self) -> f64 {
+    fn write_energy_j(&self) -> f64 {
         let i = &self.idd;
-        let burst_s = self.cfg.timing.burst().as_f64() * self.t_ck_s();
-        i.vdd * (i.idd4w - i.idd3n) * 1e-3 * burst_s * self.cfg.org.devices_per_rank as f64
+        i.vdd * (i.idd4w - i.idd3n) * 1e-3 * self.burst_s() * self.devices_per_rank()
     }
 
-    /// I/O + termination energy of one 64-byte transfer, J.
-    pub fn io_energy_j(&self) -> f64 {
-        let burst_s = self.cfg.timing.burst().as_f64() * self.t_ck_s();
-        // 64 data pins per rank regardless of device width.
-        self.idd.io_mw_per_dq * 1e-3 * 64.0 * burst_s
-    }
-
-    /// Energy of one REF command on one rank, J.
-    pub fn refresh_energy_j(&self) -> f64 {
-        let i = &self.idd;
-        let t_rfc_s = self.cfg.timing.t_rfc as f64 * self.t_ck_s();
-        i.vdd * (i.idd5b - i.idd2n) * 1e-3 * t_rfc_s * self.cfg.org.devices_per_rank as f64
-    }
-
-    /// Average refresh power of the whole system when awake, W.
-    pub fn refresh_avg_power_w(&self, gating: &PowerGating) -> f64 {
-        let per_rank = self.refresh_energy_j() / (self.cfg.timing.t_refi as f64 * self.t_ck_s());
-        per_rank * self.cfg.org.total_ranks() as f64 * gating.refresh_multiplier()
-    }
-
-    /// Integrates energy over a cycle-level run.
-    ///
-    /// Deep power-down gating is taken from the run's own
-    /// `group_deep_pd_cycles` tracking; `extra_gating` layers policy-level
-    /// gating on top (e.g. a PASR baseline's refresh masks).
-    pub fn energy_from_stats(
-        &self,
-        stats: &RunStats,
-        extra_gating: &PowerGating,
-    ) -> DramEnergyBreakdown {
-        let t_ck = self.t_ck_s();
-        let dev_per_rank = self.cfg.org.devices_per_rank as f64;
-        let deep_pd = PowerGating::deep_pd(stats.mean_deep_pd_fraction());
-        let bg_mult = deep_pd.background_multiplier() * extra_gating.background_multiplier();
-        let ref_mult = deep_pd.refresh_multiplier() * extra_gating.refresh_multiplier();
-
-        let mut background_j = 0.0;
-        for res in &stats.rank_residency {
-            let pairs = [
-                (RankPowerState::ActiveStandby, res.active_standby),
-                (RankPowerState::PrechargeStandby, res.precharge_standby),
-                (RankPowerState::PowerDown, res.power_down),
-                (RankPowerState::SelfRefresh, res.self_refresh),
-            ];
-            for (state, cycles) in pairs {
-                let secs = Cycles::new(cycles).as_f64() * t_ck;
-                background_j += dev_per_rank
-                    * (self.device_core_background_w(state) * bg_mult + self.device_static_w())
-                    * secs;
-            }
-        }
-        // Self-refresh residency already embeds refresh current via IDD6;
-        // REF commands cover awake refresh.
-        let refresh_j = stats.refreshes as f64 * self.refresh_energy_j() * ref_mult;
-        let activate_j = stats.activates as f64 * self.act_pre_energy_j();
-        let read_j = stats.reads as f64 * self.read_energy_j();
-        let write_j = stats.writes as f64 * self.write_energy_j();
-        let io_j = (stats.reads + stats.writes) as f64 * self.io_energy_j();
-        DramEnergyBreakdown {
-            background_j,
-            refresh_j,
-            activate_j,
-            read_j,
-            write_j,
-            io_j,
-        }
+    /// I/O + termination energy of one 64-byte transfer, J (64 data pins
+    /// per rank regardless of device width).
+    fn io_energy_j(&self) -> f64 {
+        self.idd.io_mw_per_dq * 1e-3 * 64.0 * self.burst_s()
     }
 
     /// Peak data-bus throughput of the system in 64-byte transfers per
     /// second (all channels combined).
     pub fn peak_transfers_per_s(&self) -> f64 {
-        let per_channel = 1.0 / (self.cfg.timing.burst().as_f64() * self.t_ck_s());
+        let per_channel = 1.0 / self.burst_s();
         per_channel * self.cfg.org.channels as f64
     }
 
@@ -312,6 +326,7 @@ impl DramPowerModel {
         let per_xfer = rf * self.read_energy_j()
             + (1.0 - rf) * self.write_energy_j()
             + self.io_energy_j()
+            + self.interface_transfer_energy_j()
             + p.act_per_access * self.act_pre_energy_j();
         w + xfers * per_xfer
     }
@@ -320,12 +335,15 @@ impl DramPowerModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gd_dram::{LowPowerPolicy, MemRequest, MemorySystem};
+
+    fn model(cfg: DramConfig) -> DramPowerModel {
+        DramPowerModel::new(cfg).expect("paper preset")
+    }
 
     #[test]
     fn idle_power_256gb_matches_paper_measurement() {
         // Paper §3.2: 256 GB DRAM consumes ~18 W idle.
-        let model = DramPowerModel::new(DramConfig::ddr4_2133_256gb());
+        let model = model(DramConfig::ddr4_2133_256gb());
         let idle = model.analytic_power_w(&ActivityProfile::idle_standby(), &PowerGating::none());
         assert!(
             (14.0..24.0).contains(&idle),
@@ -336,7 +354,7 @@ mod tests {
     #[test]
     fn busy_power_exceeds_idle_by_several_watts() {
         // Paper §3.2: 18 W idle vs 26 W busy at 256 GB.
-        let model = DramPowerModel::new(DramConfig::ddr4_2133_256gb());
+        let model = model(DramConfig::ddr4_2133_256gb());
         let idle = model.analytic_power_w(&ActivityProfile::idle_standby(), &PowerGating::none());
         let busy = model.analytic_power_w(&ActivityProfile::busy(0.45), &PowerGating::none());
         assert!(busy > idle + 4.0, "busy {busy:.1} vs idle {idle:.1}");
@@ -347,7 +365,7 @@ mod tests {
     fn idle_power_is_flat_in_utilization() {
         // Table 1: without power management, DRAM power is constant no
         // matter how much of the capacity is used.
-        let model = DramPowerModel::new(DramConfig::ddr4_2133_256gb());
+        let model = model(DramConfig::ddr4_2133_256gb());
         let p = ActivityProfile::idle_standby();
         let base = model.analytic_power_w(&p, &PowerGating::none());
         for _util in [0.1, 0.25, 0.5, 0.75, 1.0] {
@@ -359,7 +377,7 @@ mod tests {
 
     #[test]
     fn deep_pd_halves_background_when_half_offline() {
-        let model = DramPowerModel::new(DramConfig::ddr4_2133_256gb());
+        let model = model(DramConfig::ddr4_2133_256gb());
         let p = ActivityProfile::idle_standby();
         let full = model.analytic_power_w(&p, &PowerGating::none());
         let half = model.analytic_power_w(&p, &PowerGating::deep_pd(0.5));
@@ -369,7 +387,7 @@ mod tests {
 
     #[test]
     fn pasr_saves_less_than_deep_pd() {
-        let model = DramPowerModel::new(DramConfig::ddr4_2133_256gb());
+        let model = model(DramConfig::ddr4_2133_256gb());
         let p = ActivityProfile::idle_standby();
         let pasr = model.analytic_power_w(&p, &PowerGating::pasr(0.5));
         let deep = model.analytic_power_w(&p, &PowerGating::deep_pd(0.5));
@@ -381,54 +399,103 @@ mod tests {
 
     #[test]
     fn capacity_scaling_is_monotone() {
-        let p64 = DramPowerModel::new(DramConfig::ddr4_2133_64gb())
+        let p64 = model(DramConfig::ddr4_2133_64gb())
             .analytic_power_w(&ActivityProfile::idle_standby(), &PowerGating::none());
-        let p256 = DramPowerModel::new(DramConfig::ddr4_2133_256gb())
+        let p256 = model(DramConfig::ddr4_2133_256gb())
             .analytic_power_w(&ActivityProfile::idle_standby(), &PowerGating::none());
         assert!(p256 > p64 * 1.3, "{p64:.1} -> {p256:.1}");
     }
 
     #[test]
-    fn energy_from_cycle_stats_integrates() {
-        let cfg = DramConfig::small_test();
-        let mut sys = MemorySystem::new(cfg, LowPowerPolicy::disabled()).unwrap();
-        let reqs: Vec<_> = (0..512).map(|i| MemRequest::read(i * 64, i * 8)).collect();
-        let stats = sys.run_trace(reqs).unwrap();
-        let model = DramPowerModel::new(cfg);
-        let e = model.energy_from_stats(&stats, &PowerGating::none());
-        assert!(e.total_j() > 0.0);
-        assert!(e.background_j > 0.0);
-        assert!(e.read_j > 0.0);
-        assert!(e.write_j == 0.0);
-        assert!(e.background_fraction() > 0.0 && e.background_fraction() < 1.0);
+    fn invalid_idd_rejected_at_construction() {
+        let cfg = DramConfig::ddr4_2133_64gb();
+        let mut idd = IddParams::ddr4_2133_4gb_x8();
+        idd.idd4r = idd.idd3n - 5.0;
+        assert!(DramPowerModel::with_idd(cfg, idd).is_err());
+        let mut idd = IddParams::ddr4_2133_4gb_x8();
+        idd.idd5b = idd.idd2n - 1.0;
+        assert!(DramPowerModel::with_idd(cfg, idd).is_err());
     }
 
     #[test]
-    fn deep_pd_residency_reduces_energy() {
-        use gd_types::ids::SubArrayGroup;
-        let cfg = DramConfig::small_test();
-        let model = DramPowerModel::new(cfg);
-        let run_idle = |pd_groups: u32| {
-            let mut sys = MemorySystem::new(cfg, LowPowerPolicy::disabled()).unwrap();
-            for g in 0..pd_groups {
-                sys.set_group_deep_pd(SubArrayGroup::new(g), true).unwrap();
-            }
-            let stats = sys.run_idle(1_000_000);
-            model
-                .energy_from_stats(&stats, &PowerGating::none())
-                .total_j()
-        };
-        let none = run_idle(0);
-        let half = run_idle(4); // 4 of 8 groups
-        assert!(half < none * 0.8, "half {half:.3e} vs none {none:.3e}");
+    fn zero_clock_rejected_at_construction() {
+        let mut cfg = DramConfig::ddr4_2133_64gb();
+        cfg.timing.clock_mhz = 0.0;
+        assert!(DramPowerModel::new(cfg).is_err());
+    }
+
+    #[test]
+    fn ddr5_refresh_power_undercuts_all_bank_equivalent() {
+        let cfg = DramConfig::ddr5_4800_64gb();
+        let model = model(cfg);
+        // What the same rank would pay with all-bank REF at IDD5B/tRFC1.
+        let idd = model.idd();
+        let t_ck_s = cfg.timing.t_ck_ns() * 1e-9;
+        let all_bank_j = idd.vdd
+            * (idd.idd5b - idd.idd2n)
+            * 1e-3
+            * (cfg.timing.t_rfc as f64 * t_ck_s)
+            * cfg.org.devices_per_rank as f64;
+        let all_bank_w =
+            all_bank_j / (cfg.timing.t_refi as f64 * t_ck_s) * cfg.org.total_ranks() as f64;
+        let same_bank_w = model.refresh_avg_power_w(&PowerGating::none());
+        assert!(
+            same_bank_w < all_bank_w * 0.8,
+            "REFsb {same_bank_w:.2} W should undercut all-bank {all_bank_w:.2} W"
+        );
+    }
+
+    #[test]
+    fn ddr5_interface_power_is_present_and_clock_gated() {
+        let model = model(DramConfig::ddr5_4800_64gb());
+        assert!(model.interface_transfer_energy_j() > 0.0);
+        assert!(model.interface_standby_w_per_rank(RankPowerState::PrechargeStandby) > 0.0);
+        assert_eq!(
+            model.interface_standby_w_per_rank(RankPowerState::SelfRefresh),
+            0.0
+        );
+    }
+
+    #[test]
+    fn pasr_mask_shrinks_self_refresh_power_on_lpddr4_only() {
+        let lp = model(DramConfig::lpddr4_3200_64gb());
+        let d4 = model(DramConfig::ddr4_2133_64gb());
+        let full = lp.device_core_background_w(RankPowerState::SelfRefresh, 0.0);
+        let half = lp.device_core_background_w(RankPowerState::SelfRefresh, 0.5);
+        assert!(
+            half < full,
+            "masking half the segments must shrink LPDDR4 IDD6"
+        );
+        assert!((full - half) / full - PASR_IDD6_ARRAY_SHARE * 0.5 < 1e-12);
+        // DDR4 has no segment mask: its IDD6 stays whole.
+        assert_eq!(
+            d4.device_core_background_w(RankPowerState::SelfRefresh, 0.5),
+            d4.device_core_background_w(RankPowerState::SelfRefresh, 0.0),
+        );
+    }
+
+    #[test]
+    fn every_generation_yields_positive_ordered_energies() {
+        for kind in MemSpecKind::all() {
+            let model = model(DramConfig::preset_64gb(kind));
+            assert_eq!(model.kind(), kind);
+            assert!(model.act_pre_energy_j() > 0.0, "{kind}");
+            assert!(model.read_energy_j() > 0.0, "{kind}");
+            assert!(model.write_energy_j() > 0.0, "{kind}");
+            assert!(model.refresh_command().0 > 0.0, "{kind}");
+            let idle =
+                model.analytic_power_w(&ActivityProfile::idle_standby(), &PowerGating::none());
+            let busy = model.analytic_power_w(&ActivityProfile::busy(0.45), &PowerGating::none());
+            assert!(busy > idle, "{kind}: busy {busy:.2} <= idle {idle:.2}");
+        }
     }
 
     #[test]
     fn event_energies_positive_and_ordered() {
-        let model = DramPowerModel::new(DramConfig::ddr4_2133_64gb());
+        let model = model(DramConfig::ddr4_2133_64gb());
         assert!(model.act_pre_energy_j() > 0.0);
         assert!(model.read_energy_j() > 0.0);
         assert!(model.write_energy_j() > 0.0);
-        assert!(model.refresh_energy_j() > model.act_pre_energy_j());
+        assert!(model.refresh_command().0 > model.act_pre_energy_j());
     }
 }

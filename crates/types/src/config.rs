@@ -386,9 +386,9 @@ impl InterleaveMode {
 }
 
 /// Memory generation the configuration models. Selects the refresh scheme,
-/// the protocol legality table, and the IDD power backend (`gd-power`'s
-/// `MemSpec` implementations); timing and organization numbers live in the
-/// presets below.
+/// the protocol legality table, and the generation-specific terms of
+/// `gd-power`'s `DramPowerModel`; timing and organization numbers live in
+/// the presets below.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MemSpecKind {
     /// DDR4: all-bank refresh, single-rail IDD power model (the paper's

@@ -46,7 +46,7 @@ fn main() {
 
     // What the same platform would burn without GreenDIMM: a tiny footprint
     // still keeps every sub-array powered and refreshing.
-    let model = DramPowerModel::new(sys.config().dram);
+    let model = DramPowerModel::new(sys.config().dram).expect("valid DRAM config");
     let conventional = model.analytic_power_w(&ActivityProfile::busy(0.2), &PowerGating::none());
     println!(
         "\nconventional DRAM power for the same run: {:.1} W -> GreenDIMM saves {:.0}%",

@@ -43,7 +43,7 @@ fn main() {
         );
     }
 
-    let model = DramPowerModel::new(DramConfig::ddr4_2133_256gb());
+    let model = DramPowerModel::new(DramConfig::ddr4_2133_256gb()).expect("paper preset");
     let light = ActivityProfile::busy(0.15);
     let before = model.analytic_power_w(&light, &PowerGating::none());
     let after = model.analytic_power_w(&light, &PowerGating::deep_pd(out.mean_deep_pd_fraction()));

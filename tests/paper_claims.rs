@@ -73,7 +73,7 @@ fn governor_ordering_without_interleaving() {
         offline_fraction: 0.85,
         offline_failures: Default::default(),
     };
-    let model = DramPowerModel::new(DramConfig::ddr4_2133_64gb());
+    let model = DramPowerModel::new(DramConfig::ddr4_2133_64gb()).expect("paper preset");
     let power = |g: &dyn PowerGovernor| {
         let out = g.evaluate(&ctx);
         let awake = 1.0 - out.sr_fraction;
@@ -129,7 +129,7 @@ fn ksm_increases_offlined_blocks_in_vm_trace() {
 /// off-lined capacity — the end-to-end power chain agrees.
 #[test]
 fn deep_power_down_gates_background_power_end_to_end() {
-    let model = DramPowerModel::new(DramConfig::ddr4_2133_256gb());
+    let model = DramPowerModel::new(DramConfig::ddr4_2133_256gb()).expect("paper preset");
     let idle = ActivityProfile::idle_standby();
     let full = model.analytic_power_w(&idle, &PowerGating::none());
     // 45% of capacity off-lined, as the paper's Fig. 12 average.

@@ -41,13 +41,11 @@ cargo test --quiet --release --test engine_equivalence
 echo "==> telemetry determinism (byte-identical across engines and job counts)"
 cargo test --quiet --release --test engine_equivalence telemetry
 
-echo "==> snapshot staleness (fig05 regenerated at HEAD must match the committed snapshot)"
-cargo run --quiet --release -p gd-bench --bin fig05_addrmap > /tmp/fig05_addrmap.ci.txt
-diff -u results/fig05_addrmap.txt /tmp/fig05_addrmap.ci.txt || {
-  echo "ERROR: results/fig05_addrmap.txt is stale — regenerate results/*.txt and commit" >&2
-  exit 1
-}
-rm -f /tmp/fig05_addrmap.ci.txt
+echo "==> snapshot gate (every results/*.txt regenerated at HEAD must match the committed snapshot)"
+# Runs each figure with the arguments its provenance line records, with the
+# timing sidecars redirected to a temporary directory; only the sidecar
+# announcement line may differ. Prints per-figure and total wall time.
+tools/regen_all.sh
 
 # Smoke runs below redirect the timing sidecar (GD_BENCH_DIR) so trimmed
 # configs never overwrite the committed full-run budgets in results/.
@@ -134,54 +132,12 @@ echo "==> memspec smoke (fig09 on the DDR5 backend, trimmed request count)"
 cargo run --quiet --release -p gd-bench --bin fig09_dram_energy -- \
   --memspec ddr5 --jobs 2 --requests 6000 > /dev/null
 
-echo "==> memspec DDR4 identity (default fig02 regenerated at HEAD must match the committed snapshot)"
-# fig02 is analytic (no --requests trim), so a default run is cheap and the
-# whole snapshot must be reproducible; only the sidecar announcement line
-# differs because GD_BENCH_DIR is redirected here.
-cargo run --quiet --release -p gd-bench --bin fig02_idle_busy_power > /tmp/fig02.ci.txt
-diff -u <(grep -v '^\[timing ->' results/fig02_idle_busy_power.txt) \
-        <(grep -v '^\[timing ->' /tmp/fig02.ci.txt) || {
-  echo "ERROR: default-backend fig02 no longer matches the committed DDR4 snapshot" >&2
-  exit 1
-}
-rm -f /tmp/fig02.ci.txt
-
-echo "==> DDR5 / LPDDR4-PASR identity (default fig15 and fig09 regenerated at HEAD must match the committed snapshots)"
-# fig15 covers all three memory backends and fig09 the DDR4 energy tables;
-# both take seconds serially. As above, only the sidecar announcement line
-# may differ.
-for fig in fig15_cross_generation fig09_dram_energy; do
-  cargo run --quiet --release -p gd-bench --bin "$fig" > "/tmp/$fig.ci.txt"
-  diff -u <(grep -v '^\[timing ->' "results/$fig.txt") \
-          <(grep -v '^\[timing ->' "/tmp/$fig.ci.txt") || {
-    echo "ERROR: results/$fig.txt is stale — regenerate results/*.txt and commit" >&2
-    exit 1
-  }
-  rm -f "/tmp/$fig.ci.txt"
-done
-
-echo "==> KSM / hotplug identity (every KSM, hotplug and migration snapshot regenerated at HEAD must match the committed one)"
-# These run KSM merging, memory on/off-lining, page migration and its
-# rollback, and the block-size sweeps end to end in a few seconds serially;
-# as above, only the sidecar announcement line may differ.
-for fig in fig12_vm_offlined_blocks ablation_ksm_scan fig13_capacity_scaling \
-           fig01_vm_utilization fig06_blocksize_capacity fig07_blocksize_overhead \
-           fig08_offlining_failures tab02_online_offline_counts tab03_hotplug_latency \
-           fig_faults ablation_adaptive_thr ablation_neighbor ablation_offthr; do
-  cargo run --quiet --release -p gd-bench --bin "$fig" > "/tmp/$fig.ci.txt"
-  diff -u <(grep -v '^\[timing ->' "results/$fig.txt") \
-          <(grep -v '^\[timing ->' "/tmp/$fig.ci.txt") || {
-    echo "ERROR: results/$fig.txt is stale — regenerate results/*.txt and commit" >&2
-    exit 1
-  }
-  rm -f "/tmp/$fig.ci.txt"
-done
-
-echo "==> bad engine/stride/hosts values exit 2 (no silent fallback to a default)"
+echo "==> bad engine/stride/hosts/memspec values exit 2 (no silent fallback to a default)"
 for args in "fig09_dram_energy --engine epoch-replay" "fig09_dram_energy --engine bogus" \
             "fig14_fleet_energy --stride 0" "fig14_fleet_energy --stride x" \
             "fig14_fleet_energy --hosts abc" "fig14_fleet_energy --hosts 0" \
-            "fig14_fleet_energy --hosts 50000"; do
+            "fig14_fleet_energy --hosts 50000" "fig14_fleet_energy --memspec ddr5" \
+            "fig03_interleaving --memspec lpddr4-pasr"; do
   set -- $args
   bin=$1
   shift

@@ -1,0 +1,61 @@
+#!/usr/bin/env bash
+# Regenerates every committed results/*.txt snapshot, one figure at a time,
+# and diffs each against the committed copy. The `[timing -> ...]` line is
+# ignored: it names where the timing sidecar went, and the sidecars go to a
+# temporary GD_BENCH_DIR so the committed results/BENCH_*.json stay as they
+# are. Each figure runs with the arguments its provenance line records
+# (`jobs`, `requests`, `engine`), so the regenerated header must match too.
+#
+# Prints each figure's wall time and the serial total; exits 1 if any
+# snapshot differs or any figure fails.
+#
+# Usage: tools/regen_all.sh
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+cargo build --quiet --release -p gd-bench --bins
+bin_dir="${CARGO_TARGET_DIR:-target}/release"
+
+out=$(mktemp -d)
+export GD_BENCH_DIR="$out/bench"
+
+now() { date +%s.%N; }
+field() { sed -n "s/.* $1=\([^ ]*\).*/\1/p" <<<"$2"; }
+
+failed=0
+total=0
+for snap in results/*.txt; do
+  prov=$(head -1 "$snap")
+  case "$prov" in "# provenance: "*) ;; *) continue ;; esac
+  fig=$(field fig "$prov")
+  args=()
+  jobs=$(field jobs "$prov")
+  [ "$jobs" = auto ] || args+=(--jobs "$jobs")
+  requests=$(field requests "$prov")
+  [ "$requests" = default ] || args+=(--requests "$requests")
+  [ "$(field engine "$prov")" = stepped ] && args+=(--engine stepped)
+
+  start=$(now)
+  status=0
+  "$bin_dir/$fig" ${args[@]+"${args[@]}"} > "$out/$fig.txt" 2> "$out/$fig.err" || status=$?
+  secs=$(awk -v a="$start" -v b="$(now)" 'BEGIN { printf "%.2f", b - a }')
+  total=$(awk -v t="$total" -v s="$secs" 'BEGIN { printf "%.2f", t + s }')
+
+  verdict=ok
+  if [ "$status" -ne 0 ]; then
+    verdict="FAILED (exit $status, see $out/$fig.err)"
+    failed=1
+  elif ! diff -u <(grep -v '^\[timing ->' "$snap") \
+                 <(grep -v '^\[timing ->' "$out/$fig.txt") > "$out/$fig.diff"; then
+    verdict="DIFFERS (see $out/$fig.diff)"
+    failed=1
+  fi
+  printf '%-30s %8.2f s  %s\n' "$fig" "$secs" "$verdict"
+done
+printf '%-30s %8.2f s\n' "total (serial)" "$total"
+
+if [ "$failed" -ne 0 ]; then
+  echo "ERROR: regenerated snapshots differ from results/ — outputs kept in $out" >&2
+  exit 1
+fi
+rm -rf "$out"
