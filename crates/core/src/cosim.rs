@@ -212,6 +212,8 @@ impl EpochSim {
                         .counter_add("daemon.tick_latency_us_total", latency.as_micros());
                 }
                 if let Some(v) = &mut self.verify {
+                    // The checks read the block layout.
+                    self.mm.settle();
                     let info = self.mm.meminfo();
                     let block_pages = self.mm.block_pages();
                     let obs = DaemonTickObs {
@@ -269,6 +271,7 @@ impl EpochSim {
                 if let Some(v) = &mut self.verify {
                     // The stall path changed hotplug + register state outside
                     // a monitor tick; re-check the state invariants.
+                    self.mm.settle();
                     v.check_state(&self.daemon, &self.mm, self.ksm.as_ref())?;
                 }
                 fp.set_target(&mut self.mm, target)

@@ -241,6 +241,9 @@ impl Daemon {
         block_pages: u64,
         report: &mut TickReport,
     ) -> Result<()> {
+        // The selector reads the block layout: place KSM's deferred
+        // releases first.
+        mm.settle();
         let mut excluded: HashSet<usize> = HashSet::new();
         let mut attempts = 0;
         while attempts < self.cfg.max_attempts_per_tick
@@ -283,7 +286,7 @@ impl Daemon {
         // On-line blocks until the free reserve is restored to the off
         // threshold (the hysteresis upper edge).
         while mm.meminfo().free_pages < off_floor {
-            let Some(block) = mm.blocks().iter().find(|b| !b.online).map(|b| b.index) else {
+            let Some(block) = mm.offline_flags().position(|off| off) else {
                 break; // everything already on-line
             };
             self.wake_groups_for_block(now, block)?;
@@ -321,7 +324,7 @@ impl Daemon {
             needed_pages + floor
         };
         while mm.meminfo().free_pages < target {
-            let Some(block) = mm.blocks().iter().find(|b| !b.online).map(|b| b.index) else {
+            let Some(block) = mm.offline_flags().position(|off| off) else {
                 break;
             };
             self.wake_groups_for_block(now, block)?;
@@ -380,7 +383,7 @@ impl Daemon {
     /// After off-lining, move every fully-off-lined group into deep
     /// power-down (honouring the shared-sense-amp neighbour constraint).
     fn update_registers_after_offline(&mut self, now: SimTime, mm: &MemoryManager) -> Result<()> {
-        let offline_flags: Vec<bool> = mm.blocks().iter().map(|b| !b.online).collect();
+        let offline_flags: Vec<bool> = mm.offline_flags().collect();
         // The managed geometry may be smaller than the whole machine (the
         // paper manages a movablecore region); map only the managed prefix.
         let managed = self.map.blocks().min(offline_flags.len());
@@ -577,7 +580,7 @@ mod tests {
         // §6.1 safety: every group still in deep power-down must have a
         // fully-off-lined sense-amp buddy — an on-lined block whose buddy
         // group stayed down would receive traffic without sense amps.
-        let offline: Vec<bool> = mm.blocks().iter().map(|b| !b.online).collect();
+        let offline: Vec<bool> = mm.offline_flags().collect();
         let fully = d.map.fully_offline_groups(&offline[..d.map.blocks()]);
         for g in 0..d.map.groups() {
             let group = SubArrayGroup::new(g);
@@ -767,7 +770,7 @@ mod tests {
         assert!(d.stats.retries >= d.stats.buddy_wake_failures);
         assert!(d.stats.hotplug_time > baseline);
         // Safety: every group backing an on-line block is awake.
-        let offline: Vec<bool> = mm.blocks().iter().map(|b| !b.online).collect();
+        let offline: Vec<bool> = mm.offline_flags().collect();
         let fully = d.map.fully_offline_groups(&offline[..d.map.blocks()]);
         for g in 0..d.map.groups() {
             let group = SubArrayGroup::new(g);

@@ -129,7 +129,7 @@ impl VerifyHarness {
 /// the block list (register programming is skipped in that case too).
 pub fn group_observations(daemon: &Daemon, mm: &MemoryManager) -> Vec<GroupStateObs> {
     let map = daemon.group_map();
-    let offline: Vec<bool> = mm.blocks().iter().map(|b| !b.online).collect();
+    let offline: Vec<bool> = mm.offline_flags().collect();
     if offline.len() < map.blocks() {
         return Vec::new();
     }
@@ -237,12 +237,7 @@ mod tests {
         assert!(d.registers().down_count() > 0);
         // Bring a deep-powered-down block back on-line *behind the daemon's
         // back* — its group register bit is now stale (§4.3 violation).
-        let stale = mm
-            .blocks()
-            .iter()
-            .find(|b| !b.online)
-            .map(|b| b.index)
-            .unwrap();
+        let stale = mm.offline_flags().position(|off| off).unwrap();
         mm.online_block(stale).unwrap();
         let mut h = VerifyHarness::new(Mode::Record);
         h.check_state(&d, &mm, None).unwrap();

@@ -190,6 +190,10 @@ pub struct Ksm {
     region_cursor: u64,
     /// Unspent scan budget carried between `advance` calls.
     carry_pages: f64,
+    /// Unstable-tree hits of the region being visited, `(content, holder)`:
+    /// each holder's candidate page becomes the stable original once the
+    /// visit's walk ends. Empty between visits; kept to reuse its buffer.
+    conversions: Vec<(ContentKey, RegionId)>,
     stats: KsmStats,
 }
 
@@ -210,6 +214,7 @@ impl Ksm {
             next_region: 1,
             region_cursor: 0,
             carry_pages: 0.0,
+            conversions: Vec::new(),
             stats: KsmStats::default(),
         })
     }
@@ -408,15 +413,28 @@ impl Ksm {
     }
 
     /// Scans up to `budget` pages of one region. Returns (scanned, released).
+    ///
+    /// Stable-tree merges, self-originals and new unstable candidates are
+    /// applied as the walk meets them: a region's keys are distinct, so no
+    /// later key of the walk reads what an earlier one wrote. Unstable-tree
+    /// hits change the holder region, so they wait in `conversions` until
+    /// the walk lets go of this one.
     fn scan_region(
         &mut self,
         rid: RegionId,
         budget: u64,
         mm: &mut MemoryManager,
     ) -> Result<(u64, u64)> {
-        let region = match self.regions.get_mut(&rid) {
-            Some(r) => r,
-            None => return Ok((0, 0)),
+        let Ksm {
+            stable,
+            unstable,
+            regions,
+            conversions,
+            stats,
+            ..
+        } = self;
+        let Some(region) = regions.get_mut(&rid) else {
+            return Ok((0, 0));
         };
         let scannable = region.scannable_pages().saturating_sub(region.cursor);
         let to_scan = budget.min(scannable);
@@ -424,7 +442,7 @@ impl Ksm {
             return Ok((0, 0));
         }
         region.cursor += to_scan;
-        self.stats.pages_scanned += to_scan;
+        stats.pages_scanned += to_scan;
 
         // Unique (volatile) pages are scanned but never merge; shareable
         // pages are processed content-class by content-class. We approximate
@@ -439,77 +457,65 @@ impl Ksm {
                 (remaining as f64 * region.unique_pages as f64 / total as f64).round() as u64;
             remaining = remaining.saturating_sub(unique_share);
         }
-        let owner = region.owner;
-        let mut merges: Vec<(ContentKey, u64)> = Vec::new();
-        let mut candidates: Vec<ContentKey> = Vec::new();
-        // Unstable-tree hits: the holder's candidate page becomes the
-        // resident stable original.
-        let mut conversions: Vec<(ContentKey, RegionId)> = Vec::new();
-        // Contents for which THIS region contributes the stable original
-        // (first of a same-region duplicate run).
-        let mut self_originals: Vec<ContentKey> = Vec::new();
-        {
-            // Walk the keys in order, resuming after the last one visited,
-            // so consuming an entry never invalidates the walk.
-            let mut from = Unbounded;
-            while remaining > 0 {
-                let Some((&k, &count)) = region.pending.range((from, Unbounded)).next() else {
-                    break;
-                };
-                from = Excluded(k);
-                let here = count.min(remaining);
-                let in_stable = self.stable.contains_key(&k);
-                // A region revisited within one pass (regions came or went
-                // since the pass began) can meet its own candidate: a page
-                // never merges with itself, so only another region's
-                // candidate counts as a hit.
-                let holder = self.unstable.get(&k).copied().filter(|&h| h != rid);
-                let mergeable = if in_stable {
-                    here // all scanned duplicates merge against the stable page
-                } else if let Some(holder) = holder {
-                    // The earlier candidate becomes the stable original; all
-                    // of our scanned pages merge against it.
-                    conversions.push((k, holder));
-                    here
-                } else if here > 1 {
-                    // First page becomes the stable original; the rest merge.
-                    self_originals.push(k);
-                    here - 1
-                } else {
-                    // Single candidate: goes to the unstable tree.
-                    candidates.push(k);
-                    0
-                };
-                if mergeable > 0 {
-                    // Consume the scanned pages (including a self-original,
-                    // which moves to `originals` below).
-                    let left = count - here;
-                    if left == 0 {
-                        region.pending.remove(&k);
-                    } else {
-                        region.pending.insert(k, left);
-                    }
-                    region.pending_pages -= here;
-                    merges.push((k, mergeable));
-                }
-                remaining = remaining.saturating_sub(here);
+        let mut to_release = 0u64;
+        // Walk the keys in order, resuming after the last one visited, so
+        // consuming an entry never invalidates the walk.
+        let mut from = Unbounded;
+        while remaining > 0 {
+            let Some((&k, &count)) = region.pending.range((from, Unbounded)).next() else {
+                break;
+            };
+            from = Excluded(k);
+            let here = count.min(remaining);
+            remaining -= here;
+            // A region revisited within one pass (regions came or went since
+            // the pass began) can meet its own candidate: a page never
+            // merges with itself, so only another region's candidate counts
+            // as a hit.
+            let holder = unstable.get(&k).copied().filter(|&h| h != rid);
+            let mergeable = if stable.contains_key(&k) {
+                here // all scanned duplicates merge against the stable page
+            } else if let Some(holder) = holder {
+                // The earlier candidate becomes the stable original; all of
+                // our scanned pages merge against it.
+                unstable.remove(&k);
+                conversions.push((k, holder));
+                here
+            } else if here > 1 {
+                // First page becomes the stable original this region
+                // contributes; the rest merge.
+                *region.originals.entry(k).or_insert(0) += 1;
+                here - 1
+            } else {
+                // Single candidate: goes to the unstable tree.
+                unstable.insert(k, rid);
+                0
+            };
+            if mergeable == 0 {
+                continue;
             }
+            // Consume the scanned pages (including a self-original, which
+            // moved to `originals` above).
+            if count == here {
+                region.pending.remove(&k);
+            } else {
+                region.pending.insert(k, count - here);
+            }
+            region.pending_pages -= here;
+            let sharing = stable.entry(k).or_insert_with(|| {
+                // The stable original itself stays resident: one frame
+                // keeps backing the content.
+                stats.pages_shared += 1;
+                1
+            });
+            *sharing += mergeable;
+            stats.pages_sharing += mergeable;
+            *region.merged.entry(k).or_insert(0) += mergeable;
+            to_release += mergeable;
         }
-        for k in candidates {
-            self.unstable.insert(k, rid);
-        }
-        for k in self_originals {
-            *self
-                .regions
-                .get_mut(&rid)
-                .expect("invariant: scanned region stays registered during scan")
-                .originals
-                .entry(k)
-                .or_insert(0) += 1;
-        }
-        for (k, holder) in conversions {
-            self.unstable.remove(&k);
-            if let Some(h) = self.regions.get_mut(&holder) {
+        let owner = region.owner;
+        for (k, holder) in conversions.drain(..) {
+            if let Some(h) = regions.get_mut(&holder) {
                 // Move the candidate page out of the holder's scannable pool:
                 // it now backs the shared frame.
                 if let Some(p) = h.pending.get_mut(&k) {
@@ -521,27 +527,6 @@ impl Ksm {
                 }
                 *h.originals.entry(k).or_insert(0) += 1;
             }
-        }
-        let mut to_release = 0u64;
-        for (k, n) in merges {
-            let was_shared = self.stable.contains_key(&k);
-            let sharing = self.stable.entry(k).or_insert(0);
-            if !was_shared {
-                self.stats.pages_shared += 1;
-                // The stable original itself stays resident: one frame keeps
-                // backing the content.
-                *sharing += 1;
-            }
-            *sharing += n;
-            self.stats.pages_sharing += n;
-            *self
-                .regions
-                .get_mut(&rid)
-                .expect("invariant: scanned region stays registered during scan")
-                .merged
-                .entry(k)
-                .or_insert(0) += n;
-            to_release += n;
         }
         // Release the duplicate frames in one call: nothing touches `mm`
         // between the merges above, so one shrink by the sum leaves the

@@ -11,6 +11,7 @@ use gd_faults::{FaultInjector, FaultSite, MIGRATION_SLOWDOWN};
 use gd_types::rng::{component_rng, StdRng};
 use gd_types::stats::Summary;
 use gd_types::{GdError, Result, SimTime};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Configuration of the simulated physical memory.
@@ -168,9 +169,13 @@ impl HotplugStats {
 #[cfg_attr(test, derive(PartialEq, Eq))]
 struct AllocInfo {
     kind: PageKind,
-    /// (block index, chunk offset) pairs, in allocation order.
+    /// (block index, chunk offset) pairs, in allocation order. They hold
+    /// `pages + deferred` pages.
     chunks: Vec<(usize, u32)>,
     pages: u64,
+    /// Pages already released by [`MemoryManager::shrink`] but still in
+    /// `chunks`, waiting for [`MemoryManager::settle`].
+    deferred: u64,
 }
 
 /// One journalled migration step: the source chunk's offset and
@@ -178,7 +183,7 @@ struct AllocInfo {
 type MigrationJournalEntry = (u32, Chunk, Vec<(usize, u32)>);
 
 /// The simulated physical-memory manager.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MemoryManager {
     cfg: MmConfig,
     blocks: Vec<MemoryBlock>,
@@ -186,9 +191,13 @@ pub struct MemoryManager {
     /// First block of ZONE_MOVABLE (== blocks.len() when not configured).
     movable_zone_start: usize,
     allocs: HashMap<AllocationId, AllocInfo>,
-    /// Free pages over the on-line blocks, kept in step with every block
-    /// mutation so [`MemoryManager::meminfo`] is O(1).
-    /// [`MemoryManager::audit`] checks it against the per-block sum.
+    /// The allocations with `deferred > 0`, each once, in the order they
+    /// first deferred: the order [`MemoryManager::settle`] places them.
+    deferred_ids: Vec<AllocationId>,
+    /// Free pages over the on-line blocks, deferred releases included,
+    /// kept in step with every block mutation and every shrink so
+    /// [`MemoryManager::meminfo`] is O(1). [`MemoryManager::audit`] checks
+    /// it against the per-block sum plus the deferred pages.
     online_free: u64,
     /// Pages of the off-line blocks, kept in step with every on/off-lining.
     offline_pages: u64,
@@ -262,6 +271,7 @@ impl MemoryManager {
             block_pages: block_pages as u32,
             movable_zone_start,
             allocs: HashMap::new(),
+            deferred_ids: Vec::new(),
             next_id: 1,
             rng: component_rng(cfg.seed, "mmsim"),
             latencies: HotplugLatencies::default(),
@@ -314,7 +324,8 @@ impl MemoryManager {
     ///
     /// Returns [`GdError::NotFound`] for an out-of-range index.
     pub fn block_info(&self, index: usize) -> Result<BlockInfo> {
-        self.blocks
+        self.settled_view()
+            .blocks
             .get(index)
             .map(|b| b.info())
             .ok_or_else(|| GdError::NotFound(format!("memory block {index}")))
@@ -322,7 +333,31 @@ impl MemoryManager {
 
     /// Snapshots of every block.
     pub fn blocks(&self) -> Vec<BlockInfo> {
-        self.blocks.iter().map(|b| b.info()).collect()
+        self.settled_view()
+            .blocks
+            .iter()
+            .map(|b| b.info())
+            .collect()
+    }
+
+    /// Whether each block is off-line, in block order. On/off-lining is
+    /// never deferred, so this reads the live blocks without a settle.
+    pub fn offline_flags(&self) -> impl Iterator<Item = bool> + '_ {
+        self.blocks.iter().map(|b| !b.online())
+    }
+
+    /// The layout with every deferred release placed: `self` when none is
+    /// pending, else a settled copy. The `&self` layout readers answer from
+    /// it, so a caller that forgets to [`settle`](Self::settle) pays for a
+    /// copy but never reads a stale layout.
+    fn settled_view(&self) -> Cow<'_, MemoryManager> {
+        if self.deferred_ids.is_empty() {
+            Cow::Borrowed(self)
+        } else {
+            let mut settled = self.clone();
+            settled.settle();
+            Cow::Owned(settled)
+        }
     }
 
     /// Number of off-line blocks.
@@ -343,8 +378,9 @@ impl MemoryManager {
         }
     }
 
-    /// The `meminfo` totals summed block by block: the reference
-    /// [`MemoryManager::audit`] holds the running totals to.
+    /// The `meminfo` totals summed block by block, with the deferred
+    /// pages counted as free: the reference [`MemoryManager::audit`] holds
+    /// the running totals to.
     fn meminfo_from_blocks(&self) -> MemInfo {
         let mut total = 0;
         let mut free = 0;
@@ -359,6 +395,11 @@ impl MemoryManager {
                 offline += b.total_pages();
             }
         }
+        // Deferred pages sit in chunks of on-line blocks: nothing
+        // off-lines a block before settling.
+        let deferred: u64 = self.allocs.values().map(|a| a.deferred).sum();
+        free += deferred;
+        used = used.saturating_sub(deferred);
         MemInfo {
             total_pages: total,
             free_pages: free,
@@ -428,6 +469,7 @@ impl MemoryManager {
         if pages == 0 {
             return Err(GdError::InvalidConfig("zero-page allocation".into()));
         }
+        self.settle();
         let id = AllocationId(self.next_id);
         let eligible = self.eligible_blocks(kind);
         let free_total: u64 = eligible.iter().map(|i| self.blocks[*i].free_pages()).sum();
@@ -456,6 +498,7 @@ impl MemoryManager {
                 kind,
                 chunks: placed,
                 pages,
+                deferred: 0,
             },
         );
         Ok(id)
@@ -467,6 +510,7 @@ impl MemoryManager {
     ///
     /// Returns [`GdError::NotFound`] for an unknown id.
     pub fn free(&mut self, id: AllocationId) -> Result<()> {
+        self.settle();
         let info = self
             .allocs
             .remove(&id)
@@ -481,48 +525,69 @@ impl MemoryManager {
     /// of pages actually freed. Used by KSM when merging duplicate pages
     /// releases frames.
     ///
-    /// Whole chunks are freed last-allocated first. When the next chunk
-    /// holds more pages than are still wanted, only its top pages are
-    /// freed ([`MemoryBlock::trim_chunk`]); its kept lower pages stay owned
-    /// as aligned pieces, appended to the chunk list in ascending offset
-    /// order. An allocation left without chunks is dropped.
+    /// The pages count as free at once (`meminfo`, `pages_of`); the frames
+    /// themselves go back to the buddy allocator at the next
+    /// [`settle`](Self::settle). An allocation shrunk to zero pages counts
+    /// as gone.
     ///
     /// # Errors
     ///
-    /// Returns [`GdError::NotFound`] for an unknown id.
+    /// Returns [`GdError::NotFound`] for an unknown or emptied id.
     pub fn shrink(&mut self, id: AllocationId, pages: u64) -> Result<u64> {
         let info = self
             .allocs
             .get_mut(&id)
+            .filter(|info| info.pages > 0)
             .ok_or_else(|| GdError::NotFound(id.to_string()))?;
-        let mut freed = 0u64;
-        while freed < pages {
-            let Some((bi, off)) = info.chunks.pop() else {
-                break;
-            };
-            let order = self.blocks[bi]
-                .chunk_at(off)
-                .expect("alloc bookkeeping out of sync")
-                .order;
-            let need = pages - freed;
-            let n = if need < 1u64 << order {
-                // Freeing the whole chunk would overshoot: free its top
-                // `need` pages and keep the rest.
-                let kept = self.blocks[bi].trim_chunk(off, need as u32);
-                info.chunks.extend(kept.map(|o| (bi, o)));
-                need
-            } else {
-                self.blocks[bi].free_chunk(off);
-                1u64 << order
-            };
-            freed += n;
-            info.pages = info.pages.saturating_sub(n);
+        let n = pages.min(info.pages);
+        if info.deferred == 0 && n > 0 {
+            self.deferred_ids.push(id);
         }
-        if info.chunks.is_empty() {
-            self.allocs.remove(&id);
+        info.pages -= n;
+        info.deferred += n;
+        self.online_free += n;
+        Ok(n)
+    }
+
+    /// Places every deferred release: each shrunk allocation frees its
+    /// deferred pages, in the order the allocations first deferred.
+    ///
+    /// Whole chunks are freed last-allocated first. When the next chunk
+    /// holds more pages than are still wanted, only its top pages are
+    /// freed ([`MemoryBlock::trim_chunk`]); its kept lower pages stay owned
+    /// as aligned pieces, appended to the chunk list in ascending offset
+    /// order. An allocation left without chunks is dropped. The result is
+    /// the layout eager shrinks would have left (DESIGN.md §6.3).
+    pub fn settle(&mut self) {
+        for id in self.deferred_ids.drain(..) {
+            let info = self
+                .allocs
+                .get_mut(&id)
+                .expect("deferred_ids lists live allocations");
+            let mut left = std::mem::take(&mut info.deferred);
+            while left > 0 {
+                let Some((bi, off)) = info.chunks.pop() else {
+                    break;
+                };
+                let order = self.blocks[bi]
+                    .chunk_at(off)
+                    .expect("alloc bookkeeping out of sync")
+                    .order;
+                if left < 1u64 << order {
+                    // Freeing the whole chunk would overshoot: free its top
+                    // `left` pages and keep the rest.
+                    let kept = self.blocks[bi].trim_chunk(off, left as u32);
+                    info.chunks.extend(kept.map(|o| (bi, o)));
+                    left = 0;
+                } else {
+                    self.blocks[bi].free_chunk(off);
+                    left -= 1u64 << order;
+                }
+            }
+            if info.chunks.is_empty() {
+                self.allocs.remove(&id);
+            }
         }
-        self.online_free += freed;
-        Ok(freed)
     }
 
     /// Grows an allocation by `pages` pages of its original kind.
@@ -532,6 +597,7 @@ impl MemoryManager {
     /// [`GdError::NotFound`] for an unknown id, [`GdError::OutOfMemory`] if
     /// space is insufficient.
     pub fn grow(&mut self, id: AllocationId, pages: u64) -> Result<()> {
+        self.settle();
         let kind = self
             .allocs
             .get(&id)
@@ -583,6 +649,7 @@ impl MemoryManager {
         &mut self,
         index: usize,
     ) -> Result<std::result::Result<OfflineReport, OfflineFailure>> {
+        self.settle();
         if index >= self.blocks.len() {
             return Err(GdError::NotFound(format!("memory block {index}")));
         }
@@ -775,7 +842,7 @@ impl MemoryManager {
     pub fn fragmentation_index(&self) -> f64 {
         let mut free_total = 0u64;
         let mut largest_order: Option<u8> = None;
-        for b in &self.blocks {
+        for b in &self.settled_view().blocks {
             if !b.online() {
                 continue;
             }
@@ -795,12 +862,28 @@ impl MemoryManager {
     /// Audits every block (buddy structure, chunk layout, per-kind
     /// counters) plus the allocation table: every chunk an allocation
     /// records must exist in its block with the right owner, and sum to
-    /// the allocation's page count.
+    /// the allocation's page count plus its deferred pages. The deferral
+    /// books must list exactly the allocations with deferred pages, and
+    /// the running totals must count those pages as free. With releases
+    /// pending, the settled layout must pass the same audit.
     ///
     /// # Errors
     ///
     /// Returns every problem found, one description per entry.
     pub fn audit(&self) -> std::result::Result<(), Vec<String>> {
+        let mut problems = self.audit_books();
+        if problems.is_empty() && !self.deferred_ids.is_empty() {
+            problems = self.settled_view().audit_books();
+        }
+        if problems.is_empty() {
+            Ok(())
+        } else {
+            Err(problems)
+        }
+    }
+
+    /// The checks behind [`MemoryManager::audit`] on the layout as it is.
+    fn audit_books(&self) -> Vec<String> {
         let mut problems = Vec::new();
         for b in &self.blocks {
             if let Err(e) = b.audit() {
@@ -821,12 +904,28 @@ impl MemoryManager {
                     )),
                 }
             }
-            if pages != info.pages {
+            if pages != info.pages + info.deferred {
                 problems.push(format!(
-                    "{id}: chunks hold {pages} pages but the table records {}",
-                    info.pages
+                    "{id}: chunks hold {pages} pages but the table records {} + {} deferred",
+                    info.pages, info.deferred
                 ));
             }
+        }
+        let mut listed = std::collections::HashSet::new();
+        for id in &self.deferred_ids {
+            if !listed.insert(*id) {
+                problems.push(format!("{id} is listed as deferred more than once"));
+            }
+            if self.allocs.get(id).is_none_or(|a| a.deferred == 0) {
+                problems.push(format!("{id} is listed as deferred but defers nothing"));
+            }
+        }
+        let deferring = self.allocs.values().filter(|a| a.deferred > 0).count();
+        if deferring != listed.len() {
+            problems.push(format!(
+                "{deferring} allocations defer pages but {} are listed",
+                listed.len()
+            ));
         }
         let (running, summed) = (self.meminfo(), self.meminfo_from_blocks());
         if running != summed {
@@ -834,11 +933,7 @@ impl MemoryManager {
                 "running meminfo totals {running:?} disagree with the block sums {summed:?}"
             ));
         }
-        if problems.is_empty() {
-            Ok(())
-        } else {
-            Err(problems)
-        }
+        problems
     }
 
     /// On-lines a previously off-lined block (the kernel's
@@ -849,6 +944,7 @@ impl MemoryManager {
     /// [`GdError::NotFound`] / [`GdError::InvalidState`] for bad indices or
     /// an already on-line block.
     pub fn online_block(&mut self, index: usize) -> Result<SimTime> {
+        self.settle();
         if index >= self.blocks.len() {
             return Err(GdError::NotFound(format!("memory block {index}")));
         }
@@ -1053,7 +1149,7 @@ mod tests {
         assert_eq!(m.meminfo().used_pages, 4096 - freed);
     }
 
-    /// The split-push-pop loop that `shrink` replaced: pop the last chunk;
+    /// The split-push-pop loop that `settle` replaced: pop the last chunk;
     /// if freeing it whole would overshoot, split it into buddy halves,
     /// push both back and retry; otherwise free it.
     fn reference_shrink(m: &mut MemoryManager, id: AllocationId, pages: u64) -> u64 {
@@ -1129,6 +1225,7 @@ mod tests {
                         let pages = rng.gen_range(1u64..held + held / 8 + 2);
                         let before = fast.allocs[&id].chunks.clone();
                         let a = fast.shrink(id, pages).unwrap();
+                        fast.settle();
                         let b = reference_shrink(&mut reference, id, pages);
                         assert_eq!(a, b, "{ctx}: freed count");
                         match fast.allocs.get(&id) {
@@ -1198,13 +1295,16 @@ mod tests {
                         for &n in &counts {
                             // Once an earlier call empties the allocation,
                             // the later ones find nothing to shrink.
-                            match split.shrink(id, n) {
+                            let freed = split.shrink(id, n);
+                            split.settle();
+                            match freed {
                                 Ok(freed) => freed_split += freed,
                                 Err(GdError::NotFound(_)) => break,
                                 Err(e) => panic!("{ctx}: {e}"),
                             }
                         }
                         let freed_summed = summed.shrink(id, counts.iter().sum()).unwrap();
+                        summed.settle();
                         assert_eq!(freed_split, freed_summed, "{ctx}: freed total");
                         if counts.len() > 1 && split.pages_of(id) > 0 {
                             partial_batches += 1;
@@ -1392,6 +1492,8 @@ mod tests {
                             let before = fast.allocs[&id].chunks.clone();
                             let a = fast.shrink(id, pages).unwrap();
                             let b = reference.shrink(id, pages).unwrap();
+                            fast.settle();
+                            reference.settle();
                             assert_eq!(a, b, "{ctx}: freed count");
                             match fast.allocs.get(&id) {
                                 Some(info) if !before.starts_with(&info.chunks) => trims += 1,
@@ -1461,6 +1563,235 @@ mod tests {
             word_edge_hits > 0,
             "no max-order chunk past the first bitmap word"
         );
+    }
+
+    /// Asserts that two managers hold the same layout: every allocation's
+    /// books, every block's chunks and free offsets per order, and audit.
+    fn assert_same_layout(a: &MemoryManager, b: &MemoryManager, ctx: &str) {
+        assert_eq!(a.allocs, b.allocs, "{ctx}: allocation books");
+        for (x, y) in a.blocks.iter().zip(&b.blocks) {
+            let i = x.index();
+            for o in 0..=MAX_ORDER {
+                assert_eq!(
+                    x.free_offsets(o),
+                    y.free_offsets(o),
+                    "{ctx}: block {i} free chunks of order {o}"
+                );
+            }
+            assert_eq!(chunk_list(x), chunk_list(y), "{ctx}: block {i} chunks");
+        }
+        assert_eq!(a.audit(), Ok(()), "{ctx}: eager audit");
+        assert_eq!(b.audit(), Ok(()), "{ctx}: deferred audit");
+    }
+
+    /// Deferred release is exact: a manager that settles only where the
+    /// code does answers every call as one that settles after every
+    /// shrink, and holds the same layout whenever it has settled.
+    #[test]
+    fn deferred_release_matches_eager_shrinks() {
+        use gd_faults::{FaultPlan, FaultTrigger};
+        const KINDS: [PageKind; 3] = [
+            PageKind::UserMovable,
+            PageKind::UserMovable,
+            PageKind::KernelUnmovable,
+        ];
+        let (mut trims, mut migrations, mut rollbacks, mut onlines) = (0u32, 0u64, 0u64, 0u32);
+        let (mut shared_settles, mut gone_calls) = (0u32, 0u32);
+        for (chunks_per_block, blocks) in [(1u64, 16u64), (64, 4), (65, 4)] {
+            let block_bytes = chunks_per_block << (MAX_ORDER as u64 + 12);
+            let cfg = MmConfig {
+                capacity_bytes: blocks * block_bytes,
+                block_bytes,
+                movablecore_bytes: Some(blocks / 2 * block_bytes),
+                unmovable_leak_prob: 0.05,
+                transient_fail_prob: 0.1,
+                seed: 5,
+            };
+            for seed in 0..4u64 {
+                let mut rng = component_rng(seed, "deferred-release");
+                let mut eager = MemoryManager::new(cfg).unwrap();
+                let mut lazy = MemoryManager::new(cfg).unwrap();
+                for m in [&mut eager, &mut lazy] {
+                    m.set_fault_injector(
+                        FaultPlan::none()
+                            .with(FaultSite::MigrationAbort, FaultTrigger::Prob(0.3))
+                            .build(seed),
+                    );
+                }
+                let block_pages = eager.block_pages();
+                let mut live: Vec<AllocationId> = Vec::new();
+                let mut gone: Vec<AllocationId> = Vec::new();
+                for step in 0..300 {
+                    let ctx = format!("{chunks_per_block}-chunk blocks, seed {seed} step {step}");
+                    let pending = lazy.deferred_ids.len();
+                    let roll = if live.len() < 3 {
+                        0
+                    } else {
+                        rng.gen_range(0u32..16)
+                    };
+                    let settles = match roll {
+                        0 | 1 => {
+                            let pages = rng.gen_range(1..block_pages / 2 + 2);
+                            let kind = KINDS[rng.gen_range(0usize..KINDS.len())];
+                            let a = eager.allocate(pages, kind);
+                            let b = lazy.allocate(pages, kind);
+                            assert_eq!(a, b, "{ctx}: allocate");
+                            live.extend(a.ok());
+                            true
+                        }
+                        2 => {
+                            let id = live.swap_remove(rng.gen_range(0..live.len()));
+                            assert_eq!(eager.free(id), lazy.free(id), "{ctx}: free");
+                            true
+                        }
+                        3 => {
+                            let id = live[rng.gen_range(0..live.len())];
+                            let pages = rng.gen_range(1..block_pages / 4 + 2);
+                            assert_eq!(eager.grow(id, pages), lazy.grow(id, pages), "{ctx}: grow");
+                            true
+                        }
+                        4..=9 => {
+                            let at = rng.gen_range(0..live.len());
+                            let id = live[at];
+                            let held = eager.pages_of(id);
+                            let pages = rng.gen_range(1..held / 2 + 2);
+                            let before = eager.allocs[&id].chunks.clone();
+                            let a = eager.shrink(id, pages);
+                            eager.settle();
+                            assert_eq!(a, lazy.shrink(id, pages), "{ctx}: shrink");
+                            match eager.allocs.get(&id) {
+                                Some(info) if !before.starts_with(&info.chunks) => trims += 1,
+                                Some(_) => {}
+                                None => gone.push(live.swap_remove(at)),
+                            }
+                            false
+                        }
+                        10 if !gone.is_empty() => {
+                            // An emptied allocation is gone for every call,
+                            // settled or not.
+                            let id = gone[rng.gen_range(0..gone.len())];
+                            let a = eager.shrink(id, 1);
+                            assert!(matches!(a, Err(GdError::NotFound(_))), "{ctx}: {a:?}");
+                            assert_eq!(a, lazy.shrink(id, 1), "{ctx}: shrink emptied");
+                            gone_calls += 1;
+                            let settles = rng.gen_bool(0.5);
+                            if settles {
+                                assert_eq!(eager.grow(id, 1), lazy.grow(id, 1), "{ctx}: grow");
+                            }
+                            settles
+                        }
+                        11..=13 => {
+                            let index = rng.gen_range(0..eager.block_count());
+                            let a = eager.offline_block(index);
+                            assert_eq!(a, lazy.offline_block(index), "{ctx}: offline");
+                            if let Ok(Ok(report)) = a {
+                                migrations += u64::from(report.migrated_pages > 0);
+                            }
+                            true
+                        }
+                        14 | 15 => {
+                            let index = rng.gen_range(0..eager.block_count());
+                            let a = eager.online_block(index);
+                            assert_eq!(a, lazy.online_block(index), "{ctx}: online");
+                            onlines += u32::from(a.is_ok());
+                            true
+                        }
+                        _ => false,
+                    };
+                    assert_eq!(eager.meminfo(), lazy.meminfo(), "{ctx}: meminfo");
+                    assert_eq!(
+                        eager.offline_block_count(),
+                        lazy.offline_block_count(),
+                        "{ctx}: offline blocks"
+                    );
+                    for &id in live.iter().chain(&gone) {
+                        assert_eq!(
+                            eager.pages_of(id),
+                            lazy.pages_of(id),
+                            "{ctx}: pages of {id}"
+                        );
+                    }
+                    if settles {
+                        assert!(lazy.deferred_ids.is_empty(), "{ctx}: settled");
+                        shared_settles += u32::from(pending > 1);
+                        assert_same_layout(&eager, &lazy, &ctx);
+                    }
+                }
+                assert_eq!(
+                    format!("{:?}", eager.stats),
+                    format!("{:?}", lazy.stats),
+                    "{chunks_per_block}-chunk blocks, seed {seed}: hotplug stats"
+                );
+                rollbacks += eager.stats.rollbacks;
+            }
+        }
+        assert!(trims > 50, "only {trims} shrinks trimmed a chunk");
+        assert!(
+            shared_settles > 50,
+            "only {shared_settles} settles placed several shrinks"
+        );
+        assert!(
+            gone_calls > 10,
+            "only {gone_calls} calls on emptied allocations"
+        );
+        assert!(migrations > 20, "only {migrations} migrating off-linings");
+        assert!(rollbacks > 10, "only {rollbacks} migration rollbacks");
+        assert!(onlines > 20, "only {onlines} on-linings");
+    }
+
+    /// With releases pending, the `&self` layout readers answer as a
+    /// settled copy does, and the audit checks the deferral books.
+    #[test]
+    fn unsettled_readers_answer_settled() {
+        let mut m = mm();
+        let singles: Vec<_> = (0..2000)
+            .map(|_| m.allocate(1, PageKind::UserMovable).unwrap())
+            .collect();
+        for id in singles.iter().step_by(2) {
+            m.free(*id).unwrap();
+        }
+        // Only fragments stay free; the big allocation holds every
+        // max-order chunk.
+        let big = m
+            .allocate(m.meminfo().free_pages - 900, PageKind::UserMovable)
+            .unwrap();
+        let other = m.allocate(600, PageKind::UserMovable).unwrap();
+        m.shrink(big, 3000).unwrap();
+        m.shrink(other, 77).unwrap();
+        m.shrink(big, 5000).unwrap();
+        assert_eq!(m.deferred_ids, vec![big, other]);
+
+        let mut settled = m.clone();
+        settled.settle();
+        let live: Vec<BlockInfo> = m.blocks.iter().map(|b| b.info()).collect();
+        assert_ne!(live, settled.blocks(), "the releases must move the layout");
+        assert_eq!(m.blocks(), settled.blocks());
+        for i in 0..m.block_count() {
+            assert_eq!(m.block_info(i).unwrap(), settled.block_info(i).unwrap());
+        }
+        assert!(settled.fragmentation_index() < 0.5);
+        assert_eq!(m.fragmentation_index(), settled.fragmentation_index());
+        assert_eq!(m.audit(), Ok(()));
+        assert_eq!(settled.audit(), Ok(()));
+        assert_eq!(m.meminfo(), settled.meminfo());
+        assert_eq!(
+            m.deferred_ids.len(),
+            2,
+            "readers leave the releases pending"
+        );
+
+        // Broken deferral books are caught before any settling.
+        let mut listed_twice = m.clone();
+        listed_twice.deferred_ids.push(other);
+        assert!(listed_twice
+            .audit()
+            .is_err_and(|p| p.iter().any(|p| p.contains("more than once"))));
+        let mut unlisted = m.clone();
+        unlisted.deferred_ids.pop();
+        assert!(unlisted.audit().is_err());
+        let mut uncounted = m;
+        uncounted.online_free -= 1;
+        assert!(uncounted.audit().is_err());
     }
 
     #[test]

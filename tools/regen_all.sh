@@ -7,9 +7,12 @@
 # (`jobs`, `requests`, `engine`), so the regenerated header must match too.
 #
 # Prints each figure's wall time and the serial total; exits 1 if any
-# snapshot differs or any figure fails.
+# snapshot differs or any figure fails. The last line of standard output is
+# the same timing as one JSON record, {"figures": {fig: seconds, ...},
+# "total_s": seconds}; results/BENCH_suite.json holds one such record.
 #
 # Usage: tools/regen_all.sh
+#        tools/regen_all.sh | tail -1 > results/BENCH_suite.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,6 +27,7 @@ field() { sed -n "s/.* $1=\([^ ]*\).*/\1/p" <<<"$2"; }
 
 failed=0
 total=0
+record=""
 for snap in results/*.txt; do
   prov=$(head -1 "$snap")
   case "$prov" in "# provenance: "*) ;; *) continue ;; esac
@@ -51,8 +55,10 @@ for snap in results/*.txt; do
     failed=1
   fi
   printf '%-30s %8.2f s  %s\n' "$fig" "$secs" "$verdict"
+  record+="${record:+, }\"$fig\": $secs"
 done
 printf '%-30s %8.2f s\n' "total (serial)" "$total"
+printf '{"figures": {%s}, "total_s": %s}\n' "$record" "$total"
 
 if [ "$failed" -ne 0 ]; then
   echo "ERROR: regenerated snapshots differ from results/ — outputs kept in $out" >&2
