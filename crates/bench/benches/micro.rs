@@ -3,7 +3,7 @@
 //! A self-contained harness (`harness = false`): each benchmark runs its
 //! closure in timed batches and reports ns/iter. This is the one place in
 //! the workspace allowed to read the wall clock — measuring real elapsed
-//! time is the point — so the `Instant` uses carry `detlint: allow`
+//! time is the point — so the `Instant` uses carry `gd-lint: allow`
 //! annotations and a scoped clippy allow.
 
 use gd_dram::{AddressMapper, EngineMode, LowPowerPolicy, MemRequest, MemorySystem};
@@ -18,7 +18,7 @@ fn bench(name: &str, mut f: impl FnMut()) {
     // Warm-up and calibration.
     let mut iters = 1u64;
     loop {
-        let t0 = Instant::now(); // detlint: allow(instant) gd-lint: allow(sim-purity)
+        let t0 = Instant::now(); // gd-lint: allow(sim-purity)
         for _ in 0..iters {
             f();
         }
@@ -31,7 +31,7 @@ fn bench(name: &str, mut f: impl FnMut()) {
     // Measurement: best of three batches.
     let mut best_ns = f64::INFINITY;
     for _ in 0..3 {
-        let t0 = Instant::now(); // detlint: allow(instant) gd-lint: allow(sim-purity)
+        let t0 = Instant::now(); // gd-lint: allow(sim-purity)
         for _ in 0..iters {
             f();
         }

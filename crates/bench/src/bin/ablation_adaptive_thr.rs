@@ -6,24 +6,20 @@
 //! dumps every run's daemon/mm books as JSONL.
 
 use gd_bench::blocks::block_size_experiment_tele;
-use gd_bench::energy::{engine_name, MeasureOpts};
 use gd_bench::report::{f2, header, pct, row};
-use gd_bench::{provenance_line_with_engine, timed_sweep, SweepOpts, TelemetryOpts};
+use gd_bench::{timed_sweep, BenchArgs};
 use gd_workloads::spec2006_offlining_set;
 use greendimm::GreenDimmConfig;
 
 fn main() {
-    let sw = SweepOpts::from_args();
-    let topts = TelemetryOpts::from_args();
-    let mopts = MeasureOpts::from_args().fixed_platform();
-    println!(
-        "{}",
-        provenance_line_with_engine(
-            "ablation_adaptive_thr",
-            "managed=8GiB spec2006-offlining blocks=128 seed=1 fixed-vs-adaptive",
-            engine_name(mopts.engine),
-            &sw,
-        )
+    let mut args = BenchArgs::from_env();
+    // `--engine` is accepted for flag uniformity and recorded in the
+    // provenance header; these co-simulations are exact under either.
+    args.engine();
+    args.finish();
+    args.provenance(
+        "ablation_adaptive_thr",
+        "managed=8GiB spec2006-offlining blocks=128 seed=1 fixed-vs-adaptive",
     );
     let profiles = spec2006_offlining_set();
     let labels: Vec<String> = profiles.iter().map(|p| p.name.to_string()).collect();
@@ -31,7 +27,7 @@ fn main() {
         "ablation_adaptive_thr",
         &profiles,
         &labels,
-        sw.jobs,
+        args.jobs,
         |_ctx, p| {
             let (fixed, tele_fixed) = block_size_experiment_tele(
                 p,
@@ -40,7 +36,7 @@ fn main() {
                 |c| c,
                 1,
                 None,
-                topts.enabled(),
+                args.telemetry.enabled(),
             )
             .expect("co-sim");
             let (adaptive, tele_adaptive) = block_size_experiment_tele(
@@ -53,13 +49,13 @@ fn main() {
                 |c| c,
                 1,
                 None,
-                topts.enabled(),
+                args.telemetry.enabled(),
             )
             .expect("co-sim");
             (fixed, adaptive, tele_fixed, tele_adaptive)
         },
     );
-    topts.write(
+    args.telemetry.write(
         &labels
             .iter()
             .zip(&mut results)

@@ -4,28 +4,22 @@
 //! Scan-rate points fan across the sweep pool (`--jobs N`); timing lands
 //! in `results/BENCH_ablation_ksm_scan.json`.
 
-use gd_bench::energy::{engine_name, MeasureOpts};
 use gd_bench::report::{header, row};
-use gd_bench::{provenance_line_with_engine, timed_sweep, SweepOpts, TelemetryOpts};
+use gd_bench::{timed_sweep, BenchArgs};
 use gd_ksm::{Ksm, KsmConfig};
 use gd_mmsim::{MemoryManager, MmConfig, PageKind};
 use gd_types::SimTime;
 
 fn main() {
-    let sw = SweepOpts::from_args();
-    let topts = TelemetryOpts::from_args();
+    let mut args = BenchArgs::from_env();
     // The KSM scan loop is exact under every engine (no time-advance
     // co-simulation); `--engine` is accepted for flag uniformity and
     // recorded in the provenance header.
-    let mopts = MeasureOpts::from_args().fixed_platform();
-    println!(
-        "{}",
-        provenance_line_with_engine(
-            "ablation_ksm_scan",
-            "mm-small-test 2x4096-page-vms rates=100..5000",
-            engine_name(mopts.engine),
-            &sw,
-        )
+    args.engine();
+    args.finish();
+    args.provenance(
+        "ablation_ksm_scan",
+        "mm-small-test 2x4096-page-vms rates=100..5000",
     );
     let rates = [100u64, 500, 1000, 5000];
     let labels: Vec<String> = rates.iter().map(|r| format!("pages_to_scan={r}")).collect();
@@ -33,7 +27,7 @@ fn main() {
         "ablation_ksm_scan",
         &rates,
         &labels,
-        sw.jobs,
+        args.jobs,
         |_ctx, &pages_to_scan| {
             let mut mm = MemoryManager::new(MmConfig::small_test()).expect("mm");
             let mut ksm = Ksm::new(KsmConfig {
@@ -47,7 +41,7 @@ fn main() {
             ksm.register_region(b, vec![(7, 4096)], 0);
             let at60 = ksm.advance(SimTime::from_secs(60), &mut mm).expect("scan");
             let more = ksm.advance(SimTime::from_secs(540), &mut mm).expect("scan");
-            let mut tele = topts.shard();
+            let mut tele = args.telemetry.shard();
             if let Some(t) = &mut tele {
                 ksm.export_telemetry(t, "ablation", SimTime::from_secs(600));
                 mm.export_telemetry(t, "ablation");
@@ -55,7 +49,7 @@ fn main() {
             (at60, at60 + more, tele)
         },
     );
-    topts.write(
+    args.telemetry.write(
         &labels
             .iter()
             .zip(&mut results)

@@ -5,26 +5,18 @@
 //! `results/BENCH_ablation_neighbor.json`.
 
 use gd_bench::blocks::block_size_experiment_tele;
-use gd_bench::energy::{engine_name, MeasureOpts};
 use gd_bench::report::{header, pct, row};
-use gd_bench::{
-    provenance_line_with_engine, run_vm_trace, timed_sweep, SweepOpts, TelemetryOpts, VmTraceConfig,
-};
+use gd_bench::{run_vm_trace, timed_sweep, BenchArgs, VmTraceConfig};
 use gd_workloads::spec2006_offlining_set;
 use greendimm::GreenDimmConfig;
 
 fn main() {
-    let sw = SweepOpts::from_args();
-    let topts = TelemetryOpts::from_args();
-    let mopts = MeasureOpts::from_args().fixed_platform();
-    println!(
-        "{}",
-        provenance_line_with_engine(
-            "ablation_neighbor",
-            "managed=8GiB spec2006-offlining blocks=128 seed=1 constraint-on-vs-off",
-            engine_name(mopts.engine),
-            &sw,
-        )
+    let mut args = BenchArgs::from_env();
+    let engine = args.engine();
+    args.finish();
+    args.provenance(
+        "ablation_neighbor",
+        "managed=8GiB spec2006-offlining blocks=128 seed=1 constraint-on-vs-off",
     );
     // The VM-trace runner uses the paper-default daemon (constraint ON).
     // For the ablation we compare against the same run with the constraint
@@ -35,7 +27,7 @@ fn main() {
         "ablation_neighbor",
         &profiles,
         &labels,
-        sw.jobs,
+        args.jobs,
         |_ctx, p| {
             let (with, tele_with) = block_size_experiment_tele(
                 p,
@@ -44,7 +36,7 @@ fn main() {
                 |c| c,
                 1,
                 None,
-                topts.enabled(),
+                args.telemetry.enabled(),
             )
             .expect("co-sim");
             let (without, tele_without) = block_size_experiment_tele(
@@ -57,7 +49,7 @@ fn main() {
                 |c| c,
                 1,
                 None,
-                topts.enabled(),
+                args.telemetry.enabled(),
             )
             .expect("co-sim");
             (with, without, tele_with, tele_without)
@@ -71,7 +63,7 @@ fn main() {
         &widths,
     );
     let mut results = results;
-    topts.write(
+    args.telemetry.write(
         &labels
             .iter()
             .zip(&mut results)
@@ -98,7 +90,7 @@ fn main() {
         );
     }
     let vm = run_vm_trace(&VmTraceConfig {
-        engine: mopts.engine,
+        engine,
         ..VmTraceConfig::short_test()
     })
     .expect("vm trace");

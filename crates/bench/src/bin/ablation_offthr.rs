@@ -6,24 +6,20 @@
 //! in `results/BENCH_ablation_offthr.json`.
 
 use gd_bench::blocks::block_size_experiment_tele;
-use gd_bench::energy::{engine_name, MeasureOpts};
 use gd_bench::report::{f2, header, pct, row};
-use gd_bench::{provenance_line_with_engine, timed_sweep, SweepOpts, TelemetryOpts};
+use gd_bench::{timed_sweep, BenchArgs};
 use gd_workloads::by_name;
 use greendimm::GreenDimmConfig;
 
 fn main() {
-    let sw = SweepOpts::from_args();
-    let topts = TelemetryOpts::from_args();
-    let mopts = MeasureOpts::from_args().fixed_platform();
-    println!(
-        "{}",
-        provenance_line_with_engine(
-            "ablation_offthr",
-            "managed=8GiB gcc blocks=128 seed=1 thresholds=0.05..0.30",
-            engine_name(mopts.engine),
-            &sw,
-        )
+    let mut args = BenchArgs::from_env();
+    // `--engine` is accepted for flag uniformity and recorded in the
+    // provenance header; these co-simulations are exact under either.
+    args.engine();
+    args.finish();
+    args.provenance(
+        "ablation_offthr",
+        "managed=8GiB gcc blocks=128 seed=1 thresholds=0.05..0.30",
     );
     let thresholds = [0.05, 0.10, 0.15, 0.20, 0.30];
     let labels: Vec<String> = thresholds.iter().map(|t| format!("off_thr={t}")).collect();
@@ -32,18 +28,18 @@ fn main() {
         "ablation_offthr",
         &thresholds,
         &labels,
-        sw.jobs,
+        args.jobs,
         |_ctx, &off_thr| {
             let cfg = GreenDimmConfig {
                 off_thr,
                 on_thr: off_thr / 2.0,
                 ..GreenDimmConfig::paper_default()
             };
-            block_size_experiment_tele(&gcc, 128, cfg, |c| c, 1, None, topts.enabled())
+            block_size_experiment_tele(&gcc, 128, cfg, |c| c, 1, None, args.telemetry.enabled())
                 .expect("co-sim")
         },
     );
-    topts.write(
+    args.telemetry.write(
         &labels
             .iter()
             .zip(&mut results)

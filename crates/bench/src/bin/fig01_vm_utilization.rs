@@ -8,9 +8,7 @@
 //! the co-simulation's daemon/mm/ksm books as JSONL.
 
 use gd_bench::report::{header, pct, row};
-use gd_bench::{
-    print_provenance, run_vm_trace_tele, timed_sweep, SweepOpts, TelemetryOpts, VmTraceConfig,
-};
+use gd_bench::{run_vm_trace_tele, timed_sweep, BenchArgs, VmTraceConfig};
 use gd_obs::Telemetry;
 use gd_workloads::azure::{synthesize, AzureConfig};
 
@@ -23,17 +21,16 @@ struct Point {
 }
 
 fn main() {
-    let sw = SweepOpts::from_args();
-    let topts = TelemetryOpts::from_args();
+    let args = BenchArgs::from_env();
+    args.finish();
     let azure = AzureConfig::paper_24h();
-    let duration_s = sw
+    let duration_s = args
         .requests
         .map(|n| (n as u64 * azure.schedule_period_s).clamp(3_600, 86_400))
         .unwrap_or(86_400);
-    print_provenance(
+    args.provenance(
         "fig01_vm_utilization",
         &format!("azure-24h capacity=256GB block=1GB seed=42 duration_s={duration_s} ksm"),
-        &sw,
     );
 
     let kinds = ["trace", "ksm"];
@@ -43,7 +40,7 @@ fn main() {
         "fig01_vm_utilization",
         &kinds,
         &labels,
-        sw.jobs,
+        args.jobs,
         |_ctx, kind| match *kind {
             "trace" => {
                 let trace = synthesize(&AzureConfig {
@@ -62,7 +59,7 @@ fn main() {
                             / 12.0
                     })
                     .collect();
-                let mut tele = topts.shard();
+                let mut tele = args.telemetry.shard();
                 if let Some(t) = &mut tele {
                     t.registry
                         .gauge_set("trace.mean_utilization", trace.mean_utilization());
@@ -82,7 +79,7 @@ fn main() {
                         duration_s,
                         ..VmTraceConfig::paper_256gb()
                     },
-                    topts.enabled(),
+                    args.telemetry.enabled(),
                 )
                 .expect("vm trace");
                 let hourly = (0..hours)
@@ -130,7 +127,7 @@ fn main() {
         "mean w/ KSM {} (paper: KSM saves 24% of used capacity on average)",
         pct(ksm.mean)
     );
-    topts.write(
+    args.telemetry.write(
         &labels
             .iter()
             .zip(&results)

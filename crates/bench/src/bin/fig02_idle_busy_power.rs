@@ -6,28 +6,23 @@
 //! `results/BENCH_fig02_idle_busy_power.json` and `--telemetry PATH` dumps
 //! the per-capacity power gauges as JSONL.
 
-use gd_bench::energy::{memspec_suffix, platform_desc, MeasureOpts};
+use gd_bench::energy::platform_desc;
 use gd_bench::report::{f2, header, pct, row};
-use gd_bench::{provenance_line, timed_sweep, SweepOpts, TelemetryOpts};
+use gd_bench::{timed_sweep, BenchArgs};
 use gd_obs::Telemetry;
 use gd_power::{ActivityProfile, DramPowerModel, PowerGating};
 use gd_types::config::DramConfig;
 
 fn main() {
-    let mopts = MeasureOpts::from_args();
-    let sw = SweepOpts::from_args();
-    let topts = TelemetryOpts::from_args();
-    println!(
-        "{}{}",
-        provenance_line(
-            "fig02_idle_busy_power",
-            &format!(
-                "analytic {} base=256GB busy_util=0.45 caps=64..1024",
-                platform_desc(mopts.memspec)
-            ),
-            &sw,
+    let mut args = BenchArgs::from_env();
+    let memspec = args.memspec();
+    args.finish();
+    args.provenance(
+        "fig02_idle_busy_power",
+        &format!(
+            "analytic {} base=256GB busy_util=0.45 caps=64..1024",
+            platform_desc(memspec)
         ),
-        memspec_suffix(mopts.memspec)
     );
     let caps = [64u64, 128, 256, 512, 768, 1024];
     let labels: Vec<String> = caps.iter().map(|c| format!("{c}GB")).collect();
@@ -35,10 +30,10 @@ fn main() {
         "fig02_idle_busy_power",
         &caps,
         &labels,
-        sw.jobs,
+        args.jobs,
         |_ctx, &cap_gb| {
             let base =
-                DramPowerModel::new(DramConfig::preset_256gb(mopts.memspec)).expect("paper preset");
+                DramPowerModel::new(DramConfig::preset_256gb(memspec)).expect("paper preset");
             let idle_256 =
                 base.analytic_power_w(&ActivityProfile::idle_standby(), &PowerGating::none());
             let busy_256 =
@@ -48,8 +43,8 @@ fn main() {
             // with DIMM count.
             let activity_w = busy_256 - idle_256;
             let idle = if cap_gb == 64 {
-                let m64 = DramPowerModel::new(DramConfig::preset_64gb(mopts.memspec))
-                    .expect("paper preset");
+                let m64 =
+                    DramPowerModel::new(DramConfig::preset_64gb(memspec)).expect("paper preset");
                 m64.analytic_power_w(&ActivityProfile::idle_standby(), &PowerGating::none())
             } else {
                 // Capacity past the preset scales linearly in installed
@@ -57,7 +52,7 @@ fn main() {
                 idle_256 * cap_gb as f64 / 256.0
             };
             let busy = idle + activity_w;
-            let mut tele = topts.shard();
+            let mut tele = args.telemetry.shard();
             if let Some(t) = &mut tele {
                 t.registry.gauge_set("power.idle_w", idle);
                 t.registry.gauge_set("power.busy_w", busy);
@@ -84,7 +79,7 @@ fn main() {
         );
     }
     println!("\npaper: 18/26 W at 256 GB; 9→91 W busy from 64 GB→1 TB; bg 44%→78%");
-    topts.write(
+    args.telemetry.write(
         &labels
             .iter()
             .zip(results)

@@ -7,9 +7,9 @@
 //! timing lands in `results/BENCH_fig03_interleaving.json` and
 //! `--telemetry PATH` dumps each run's DRAM books as JSONL.
 
-use gd_bench::energy::{engine_name, evaluate_app_tele, find_row, measure_app_opts, MeasureOpts};
+use gd_bench::energy::{evaluate_app_tele, find_row, measure_app_opts};
 use gd_bench::report::{f2, header, pct, row};
-use gd_bench::{provenance_line_with_engine, timed_sweep, SweepOpts, TelemetryOpts};
+use gd_bench::{timed_sweep, BenchArgs};
 use gd_obs::Telemetry;
 use gd_types::config::{DramConfig, InterleaveMode};
 use gd_workloads::by_name;
@@ -24,34 +24,29 @@ struct Point {
 }
 
 fn main() {
-    let sw = SweepOpts::from_args();
-    let topts = TelemetryOpts::from_args();
-    let mopts = MeasureOpts::from_args().fixed_platform();
+    let mut args = BenchArgs::from_env();
+    let mopts = args.measure_ddr4();
+    args.finish();
     let cfg = DramConfig::ddr4_2133_64gb();
     let apps = ["mcf", "soplex", "lbm", "libquantum"];
-    let requests = sw.requests.unwrap_or(25_000);
-    println!(
-        "{}",
-        provenance_line_with_engine(
-            "fig03_interleaving",
-            &format!("ddr4-2133 64GB apps=mcf/soplex/lbm/libquantum requests={requests} seed=1"),
-            engine_name(mopts.engine),
-            &sw,
-        )
+    let requests = args.requests.unwrap_or(25_000);
+    args.provenance(
+        "fig03_interleaving",
+        &format!("ddr4-2133 64GB apps=mcf/soplex/lbm/libquantum requests={requests} seed=1"),
     );
     let labels: Vec<String> = apps.iter().map(|a| (*a).to_string()).collect();
     let points = timed_sweep(
         "fig03_interleaving",
         &apps,
         &labels,
-        sw.jobs,
+        args.jobs,
         |_ctx, name| {
             let p = by_name(name).expect("profile");
             let with = measure_app_opts(&p, cfg, InterleaveMode::Interleaved, requests, 1, mopts)
                 .expect("cycle sim");
             let without = measure_app_opts(&p, cfg, InterleaveMode::Linear, requests, 1, mopts)
                 .expect("cycle sim");
-            let mut tele = topts.shard();
+            let mut tele = args.telemetry.shard();
             let rows =
                 evaluate_app_tele(&p, cfg, requests, 1, mopts, tele.as_mut()).expect("energy");
             let e_with = find_row(&rows, "srf_only", true).expect("cell").system_j;
@@ -89,5 +84,5 @@ fn main() {
     }
     println!("\npaper: speedup up to 3.8x (lbm); SR 0% w/ intlv vs ~54% w/o;");
     println!("w/o interleaving saves ~26% energy for these apps when SR is usable");
-    topts.write(&shards);
+    args.telemetry.write(&shards);
 }

@@ -7,7 +7,7 @@
 //! staleness probe: it is cheap, fully deterministic, and regenerating it
 //! at HEAD must reproduce `results/fig05_addrmap.txt` byte for byte.
 
-use gd_bench::{print_provenance, timed_sweep, SweepOpts, TelemetryOpts};
+use gd_bench::{timed_sweep, BenchArgs};
 use gd_dram::AddressMapper;
 use gd_obs::Telemetry;
 use gd_types::config::DramConfig;
@@ -73,15 +73,15 @@ fn render() -> String {
 }
 
 fn main() {
-    let sw = SweepOpts::from_args();
-    let topts = TelemetryOpts::from_args();
-    print_provenance("fig05_addrmap", "ddr4-2133 64GB 4ch x 4rank x8", &sw);
+    let args = BenchArgs::from_env();
+    args.finish();
+    args.provenance("fig05_addrmap", "ddr4-2133 64GB 4ch x 4rank x8");
     let points = ["64gb"];
     let labels = vec!["64gb".to_string()];
     let mut results: Vec<(String, Option<Telemetry>)> =
-        timed_sweep("fig05_addrmap", &points, &labels, sw.jobs, |_ctx, _| {
+        timed_sweep("fig05_addrmap", &points, &labels, args.jobs, |_ctx, _| {
             let body = render();
-            let mut tele = topts.shard();
+            let mut tele = args.telemetry.shard();
             if let Some(t) = &mut tele {
                 let cfg = DramConfig::ddr4_2133_64gb();
                 let mapper = AddressMapper::new(&cfg).expect("valid config");
@@ -97,5 +97,6 @@ fn main() {
             (body, tele)
         });
     print!("{}", results[0].0);
-    topts.write(&[("64gb".to_string(), results[0].1.take())]);
+    args.telemetry
+        .write(&[("64gb".to_string(), results[0].1.take())]);
 }

@@ -7,19 +7,18 @@
 
 use gd_bench::blocks::block_size_experiment_tele;
 use gd_bench::report::{f2, header, row};
-use gd_bench::{print_provenance, timed_sweep, SweepOpts, TelemetryOpts};
+use gd_bench::{timed_sweep, BenchArgs};
 use gd_workloads::{spec2006_offlining_set, AppProfile};
 use greendimm::GreenDimmConfig;
 
 const BLOCKS: [u64; 3] = [128, 256, 512];
 
 fn main() {
-    let sw = SweepOpts::from_args();
-    let topts = TelemetryOpts::from_args();
-    print_provenance(
+    let args = BenchArgs::from_env();
+    args.finish();
+    args.provenance(
         "fig06_blocksize_capacity",
         "managed=8GiB spec2006-offlining blocks=128/256/512 seed=1",
-        &sw,
     );
     let profiles = spec2006_offlining_set();
     let points: Vec<(AppProfile, u64)> = profiles
@@ -34,7 +33,7 @@ fn main() {
         "fig06_blocksize_capacity",
         &points,
         &labels,
-        sw.jobs,
+        args.jobs,
         |_ctx, (p, block_mib)| {
             block_size_experiment_tele(
                 p,
@@ -43,7 +42,7 @@ fn main() {
                 |c| c,
                 1,
                 None,
-                topts.enabled(),
+                args.telemetry.enabled(),
             )
             .expect("co-sim")
         },
@@ -63,7 +62,7 @@ fn main() {
         row(&cells, &widths);
     }
     println!("\npaper: smaller blocks off-line more (gcc: 3.125 GB @128MB vs 2 GB @512MB)");
-    topts.write(
+    args.telemetry.write(
         &labels
             .iter()
             .zip(results)

@@ -10,7 +10,7 @@
 
 use gd_bench::blocks::block_size_experiment_tele;
 use gd_bench::report::{header, row};
-use gd_bench::{print_provenance, timed_sweep, SweepOpts, TelemetryOpts};
+use gd_bench::{timed_sweep, BenchArgs};
 use gd_mmsim::MmConfig;
 use gd_obs::Telemetry;
 use gd_workloads::spec2006_offlining_set;
@@ -22,15 +22,14 @@ struct Point {
 }
 
 fn main() {
-    let sw = SweepOpts::from_args();
-    let topts = TelemetryOpts::from_args();
-    let seed_count = sw.requests.unwrap_or(5).clamp(1, 64) as u64;
-    print_provenance(
+    let args = BenchArgs::from_env();
+    args.finish();
+    let seed_count = args.requests.unwrap_or(5).clamp(1, 64) as u64;
+    args.provenance(
         "fig08_offlining_failures",
         &format!(
             "managed=8GiB blocks=128 transient_fail=0.5 unmovable_leak=0.30 seeds=1..{seed_count}"
         ),
-        &sw,
     );
     let tweaks = |c: MmConfig| MmConfig {
         transient_fail_prob: 0.5,
@@ -43,7 +42,7 @@ fn main() {
         "fig08_offlining_failures",
         &profiles,
         &labels,
-        sw.jobs,
+        args.jobs,
         |_ctx, p| {
             let mut totals = [0u64; 4];
             let mut shards = Vec::new();
@@ -59,7 +58,7 @@ fn main() {
                         tweaks,
                         seed,
                         None,
-                        topts.enabled(),
+                        args.telemetry.enabled(),
                     )
                     .expect("co-sim");
                     totals[slot] += r.failures;
@@ -91,7 +90,7 @@ fn main() {
     }
     println!("\n(summed over {seed_count} seeds)");
     println!("paper: removable-first reduces failures by ~50%; churny apps fail most");
-    topts.write(
+    args.telemetry.write(
         &results
             .into_iter()
             .flat_map(|r| r.shards)

@@ -8,33 +8,25 @@
 //! wall-clock profile lands in `results/BENCH_fig09_dram_energy.json`, and
 //! `--telemetry PATH` dumps each run's DRAM books as JSONL.
 
-use gd_bench::energy::{
-    engine_name, evaluate_app_tele, memspec_suffix, platform_desc, MeasureOpts,
-};
+use gd_bench::energy::{evaluate_app_tele, platform_desc};
 use gd_bench::report::{f2, header, row};
-use gd_bench::{provenance_line_with_engine, timed_sweep, SweepOpts, TelemetryOpts};
+use gd_bench::{timed_sweep, BenchArgs};
 use gd_types::config::DramConfig;
 use gd_types::stats::geomean;
 use gd_workloads::energy_figure_set;
 
 fn main() {
-    let opts = MeasureOpts::from_args();
-    let sw = SweepOpts::from_args();
-    let topts = TelemetryOpts::from_args();
+    let mut args = BenchArgs::from_env();
+    let opts = args.measure();
+    args.finish();
     let cfg = DramConfig::preset_64gb(opts.memspec);
-    let requests = sw.requests.unwrap_or(20_000);
-    println!(
-        "{}{}",
-        provenance_line_with_engine(
-            "fig09_dram_energy",
-            &format!(
-                "{} 64GB energy-figure-set requests={requests} seed=1",
-                platform_desc(opts.memspec)
-            ),
-            engine_name(opts.engine),
-            &sw,
+    let requests = args.requests.unwrap_or(20_000);
+    args.provenance(
+        "fig09_dram_energy",
+        &format!(
+            "{} 64GB energy-figure-set requests={requests} seed=1",
+            platform_desc(opts.memspec)
         ),
-        memspec_suffix(opts.memspec)
     );
     if opts.strict_validate {
         println!("[strict-validate: protocol + governor invariants enforced]");
@@ -45,14 +37,14 @@ fn main() {
         "fig09_dram_energy",
         &profiles,
         &labels,
-        sw.jobs,
+        args.jobs,
         |_ctx, p| {
-            let mut tele = topts.shard();
+            let mut tele = args.telemetry.shard();
             let rows = evaluate_app_tele(p, cfg, requests, 1, opts, tele.as_mut());
             (rows, tele)
         },
     );
-    topts.write(
+    args.telemetry.write(
         &labels
             .iter()
             .zip(&mut results)

@@ -7,26 +7,20 @@
 //! `--telemetry PATH` dumps each run's daemon/mm books as JSONL.
 
 use gd_bench::blocks::{block_size_experiment_tele, nominal_runtime_s};
-use gd_bench::energy::{engine_name, MeasureOpts};
 use gd_bench::report::{header, pct, row};
-use gd_bench::{provenance_line_with_engine, timed_sweep, SweepOpts, TelemetryOpts};
+use gd_bench::{timed_sweep, BenchArgs};
 use gd_types::stats::percentile;
 use gd_workloads::energy_figure_set;
 use greendimm::GreenDimmConfig;
 
 fn main() {
-    let opts = MeasureOpts::from_args().fixed_platform();
-    let sw = SweepOpts::from_args();
-    let topts = TelemetryOpts::from_args();
+    let mut args = BenchArgs::from_env();
+    let opts = args.measure_ddr4();
+    args.finish();
     let verify = opts.strict_validate.then_some(gd_verify::Mode::Strict);
-    println!(
-        "{}",
-        provenance_line_with_engine(
-            "fig11_perf_overhead",
-            "managed=8GiB energy-figure-set blocks=128 seed=1",
-            engine_name(opts.engine),
-            &sw,
-        )
+    args.provenance(
+        "fig11_perf_overhead",
+        "managed=8GiB energy-figure-set blocks=128 seed=1",
     );
     if verify.is_some() {
         println!("[strict-validate: co-simulation invariants enforced]");
@@ -37,7 +31,7 @@ fn main() {
         "fig11_perf_overhead",
         &profiles,
         &labels,
-        sw.jobs,
+        args.jobs,
         |_ctx, p| {
             block_size_experiment_tele(
                 p,
@@ -46,12 +40,12 @@ fn main() {
                 |c| c,
                 1,
                 verify,
-                topts.enabled(),
+                args.telemetry.enabled(),
             )
             .expect("co-sim")
         },
     );
-    topts.write(
+    args.telemetry.write(
         &labels
             .iter()
             .zip(&mut results)

@@ -8,23 +8,20 @@
 //! dumps both runs' daemon/mm books as JSONL.
 
 use gd_bench::report::{header, pct, row};
-use gd_bench::{
-    print_provenance, run_vm_trace_tele, timed_sweep, SweepOpts, TelemetryOpts, VmTraceConfig,
-};
+use gd_bench::{run_vm_trace_tele, timed_sweep, BenchArgs, VmTraceConfig};
 use gd_power::{ActivityProfile, DramPowerModel, PowerGating};
 use gd_types::config::DramConfig;
 
 fn main() {
-    let sw = SweepOpts::from_args();
-    let topts = TelemetryOpts::from_args();
-    let duration_s = sw
+    let args = BenchArgs::from_env();
+    args.finish();
+    let duration_s = args
         .requests
         .map(|n| (n as u64 * 300).clamp(3_600, 86_400))
         .unwrap_or(86_400);
-    print_provenance(
+    args.provenance(
         "fig12_vm_offlined_blocks",
         &format!("azure-24h capacity=256GB block=1GB seed=42 duration_s={duration_s} greendimm"),
-        &sw,
     );
 
     let kinds = [false, true];
@@ -33,7 +30,7 @@ fn main() {
         "fig12_vm_offlined_blocks",
         &kinds,
         &labels,
-        sw.jobs,
+        args.jobs,
         |_ctx, &ksm| {
             run_vm_trace_tele(
                 &VmTraceConfig {
@@ -41,7 +38,7 @@ fn main() {
                     duration_s,
                     ..VmTraceConfig::paper_256gb()
                 },
-                topts.enabled(),
+                args.telemetry.enabled(),
             )
             .expect("vm trace")
         },
@@ -101,5 +98,5 @@ fn main() {
         pct(1.0 - with / full),
         pct(1.0 - with_ksm / full)
     );
-    topts.write(&shards);
+    args.telemetry.write(&shards);
 }

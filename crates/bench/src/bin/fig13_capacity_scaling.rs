@@ -7,42 +7,34 @@
 //! `results/BENCH_fig13_capacity_scaling.json` and `--telemetry PATH`
 //! dumps every run's daemon/mm/ksm books as JSONL.
 
-use gd_bench::energy::{engine_name, memspec_suffix, platform_desc, MeasureOpts};
+use gd_bench::energy::platform_desc;
 use gd_bench::report::{f2, header, pct, row};
-use gd_bench::{
-    provenance_line_with_engine, run_vm_trace_tele, timed_sweep, SweepOpts, TelemetryOpts,
-    VmTraceConfig,
-};
+use gd_bench::{run_vm_trace_tele, timed_sweep, BenchArgs, VmTraceConfig};
 use gd_power::{ActivityProfile, DramPowerModel, PowerGating, SystemPowerModel};
 use gd_types::config::{DramConfig, MemSpecKind};
 
 fn main() {
-    let sw = SweepOpts::from_args();
-    let topts = TelemetryOpts::from_args();
-    let duration_s = sw
+    let mut args = BenchArgs::from_env();
+    let engine = args.engine();
+    let memspec = args.memspec();
+    args.finish();
+    let duration_s = args
         .requests
         .map(|n| (n as u64 * 300).clamp(3_600, 86_400))
         .unwrap_or(86_400);
-    let mopts = MeasureOpts::from_args();
     // The VM-trace co-simulation is mm/daemon-level (block off-lining and
     // deep power-down dwell) and memory-generation-independent; the backend
     // only changes the analytic power model the dwell fractions feed. Keep
     // the DDR4 config description verbatim so its provenance hash holds.
-    let platform = match mopts.memspec {
+    let platform = match memspec {
         MemSpecKind::Ddr4 => String::new(),
         kind => format!("{} ", platform_desc(kind)),
     };
-    println!(
-        "{}{}",
-        provenance_line_with_engine(
-            "fig13_capacity_scaling",
-            &format!(
-                "{platform}azure-24h block=1GB seed=42 duration_s={duration_s} caps=256..1024 x ksm"
-            ),
-            engine_name(mopts.engine),
-            &sw,
+    args.provenance(
+        "fig13_capacity_scaling",
+        &format!(
+            "{platform}azure-24h block=1GB seed=42 duration_s={duration_s} caps=256..1024 x ksm"
         ),
-        memspec_suffix(mopts.memspec)
     );
     let caps = [256u64, 512, 768, 1024];
     // One point per {capacity, ksm} pair; results stitched back per capacity.
@@ -58,19 +50,19 @@ fn main() {
         "fig13_capacity_scaling",
         &points,
         &labels,
-        sw.jobs,
+        args.jobs,
         |_ctx, &(cap_gb, ksm)| {
             let cfg = VmTraceConfig {
                 capacity_gb: cap_gb,
                 ksm,
                 duration_s,
-                engine: mopts.engine,
+                engine,
                 ..VmTraceConfig::paper_256gb()
             };
-            run_vm_trace_tele(&cfg, topts.enabled()).expect("vm trace")
+            run_vm_trace_tele(&cfg, args.telemetry.enabled()).expect("vm trace")
         },
     );
-    topts.write(
+    args.telemetry.write(
         &labels
             .iter()
             .zip(&mut runs)
@@ -90,8 +82,7 @@ fn main() {
     );
     let sys_model = SystemPowerModel::default();
     let cpu_util = 0.3; // consolidated VM server, modest CPU activity
-    let base_model =
-        DramPowerModel::new(DramConfig::preset_256gb(mopts.memspec)).expect("paper preset");
+    let base_model = DramPowerModel::new(DramConfig::preset_256gb(memspec)).expect("paper preset");
     let activity = ActivityProfile::busy(0.15);
     let p256 = base_model.analytic_power_w(&activity, &PowerGating::none());
 

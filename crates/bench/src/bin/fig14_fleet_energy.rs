@@ -21,9 +21,8 @@
 //! daemon/mm/ksm books as JSONL, and timing lands in
 //! `results/BENCH_fig14_fleet_energy.json`.
 
-use gd_bench::energy::{engine_name, MeasureOpts};
 use gd_bench::report::{f2, header, pct, row};
-use gd_bench::{provenance_line_with_engine, timed_sweep_jobs, SweepOpts, TelemetryOpts};
+use gd_bench::{timed_sweep_jobs, BenchArgs};
 use gd_fleet::{run_fleet, FleetOutcome};
 use gd_power::{ActivityProfile, DramPowerModel, PowerGating, SystemPowerModel};
 use gd_types::config::DramConfig;
@@ -51,51 +50,23 @@ const VARIANTS: [Variant; 2] = [
     },
 ];
 
-/// The value of `--name` (or `default` when absent): a whole number in
-/// `1..=max`, or the error to report.
-fn count_arg(name: &str, default: usize, max: usize) -> Result<usize, String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(i) = args.iter().position(|a| *a == format!("--{name}")) else {
-        return Ok(default);
-    };
-    let v = args.get(i + 1).map_or("", String::as_str);
-    match v.parse::<usize>() {
-        Ok(n) if (1..=max).contains(&n) => Ok(n),
-        _ if max == usize::MAX => Err(format!("--{name} {v:?} must be a whole number >= 1")),
-        _ => Err(format!(
-            "--{name} {v:?} must be a whole number in 1..={max}"
-        )),
-    }
-}
-
 fn main() {
-    let sw = SweepOpts::from_args();
-    let topts = TelemetryOpts::from_args();
-    let mopts = MeasureOpts::from_args().fixed_platform();
-    let arg = |name, default, max| {
-        count_arg(name, default, max).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        })
-    };
-    let hosts = arg("hosts", 1_000, 10_000);
-    let stride = arg("stride", 16, usize::MAX);
-    let duration_s = sw
+    let mut args = BenchArgs::from_env();
+    let mopts = args.measure_ddr4();
+    let hosts = args.count("hosts", 1_000, 10_000);
+    let stride = args.count("stride", 16, usize::MAX);
+    args.finish();
+    let duration_s = args
         .requests
         .map(|n| (n as u64 * 300).clamp(3_600, 86_400))
         .unwrap_or(86_400);
     let verify = mopts.strict_validate.then_some(gd_verify::Mode::Strict);
-    println!(
-        "{}",
-        provenance_line_with_engine(
-            "fig14_fleet_energy",
-            &format!(
-                "azure-cluster hosts={hosts} 256GB/host block=1GB seed=42 \
+    args.provenance(
+        "fig14_fleet_energy",
+        &format!(
+            "azure-cluster hosts={hosts} 256GB/host block=1GB seed=42 \
                  duration_s={duration_s} stride={stride} utils=0.50..0.95 x base/gd/gd+ksm"
-            ),
-            engine_name(mopts.engine),
-            &sw,
-        )
+        ),
     );
     if verify.is_some() {
         println!("[strict-validate: fleet + co-simulation invariants enforced]");
@@ -110,13 +81,13 @@ fn main() {
         .map(|(u, v)| format!("u{u:.2}/{}", v.tag))
         .collect();
     // Outer sweep serial (pool_jobs = 1): each point parallelizes over its
-    // hosts with `sw.jobs` workers, which the timing sidecar records.
+    // hosts with `args.jobs` workers, which the timing sidecar records.
     let mut runs: Vec<FleetOutcome> = timed_sweep_jobs(
         "fig14_fleet_energy",
         &points,
         &labels,
         1,
-        sw.jobs,
+        args.jobs,
         |_ctx, (max_util, v)| {
             let cfg = FleetConfig {
                 hosts,
@@ -128,10 +99,17 @@ fn main() {
                 sample_stride: stride,
                 ..FleetConfig::paper_1k()
             };
-            run_fleet(&cfg, mopts.engine, sw.jobs, verify, topts.enabled()).expect("fleet run")
+            run_fleet(
+                &cfg,
+                mopts.engine,
+                args.jobs,
+                verify,
+                args.telemetry.enabled(),
+            )
+            .expect("fleet run")
         },
     );
-    if topts.enabled() {
+    if args.telemetry.enabled() {
         let shards: Vec<(String, Option<gd_obs::Telemetry>)> = labels
             .iter()
             .zip(&mut runs)
@@ -144,7 +122,7 @@ fn main() {
                     .collect::<Vec<_>>()
             })
             .collect();
-        topts.write(&shards);
+        args.telemetry.write(&shards);
     }
 
     // Per-host DRAM power from the same model Fig. 13 fits to the paper's

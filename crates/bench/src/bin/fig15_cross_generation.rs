@@ -7,29 +7,24 @@
 //! wall-clock profile lands in `results/BENCH_fig15_cross_generation.json`
 //! and `--telemetry PATH` dumps each run's DRAM books as JSONL.
 
-use gd_bench::energy::{engine_name, evaluate_app_tele, platform_desc, EnergyRow, MeasureOpts};
+use gd_bench::energy::{evaluate_app_tele, platform_desc, EnergyRow};
 use gd_bench::report::{f2, header, pct, row};
-use gd_bench::{provenance_line_with_engine, timed_sweep, SweepOpts, TelemetryOpts};
+use gd_bench::{timed_sweep, BenchArgs};
 use gd_types::config::{DramConfig, MemSpecKind};
 use gd_types::stats::geomean;
 use gd_workloads::energy_figure_set;
 
 fn main() {
-    let opts = MeasureOpts::from_args().fixed_platform();
-    let sw = SweepOpts::from_args();
-    let topts = TelemetryOpts::from_args();
-    let requests = sw.requests.unwrap_or(20_000);
-    println!(
-        "{}",
-        provenance_line_with_engine(
-            "fig15_cross_generation",
-            &format!(
-                "cross-generation ddr4-2133/ddr5-4800/lpddr4-3200 64GB \
+    let mut args = BenchArgs::from_env();
+    let opts = args.measure_ddr4();
+    args.finish();
+    let requests = args.requests.unwrap_or(20_000);
+    args.provenance(
+        "fig15_cross_generation",
+        &format!(
+            "cross-generation ddr4-2133/ddr5-4800/lpddr4-3200 64GB \
                  energy-figure-set requests={requests} seed=1"
-            ),
-            engine_name(opts.engine),
-            &sw,
-        )
+        ),
     );
     if opts.strict_validate {
         println!("[strict-validate: protocol + governor invariants enforced]");
@@ -49,15 +44,15 @@ fn main() {
         "fig15_cross_generation",
         &points,
         &labels,
-        sw.jobs,
+        args.jobs,
         |_ctx, &(kind, p)| {
             let cfg = DramConfig::preset_64gb(kind);
-            let mut tele = topts.shard();
+            let mut tele = args.telemetry.shard();
             let rows = evaluate_app_tele(p, cfg, requests, 1, opts, tele.as_mut());
             (rows, tele)
         },
     );
-    topts.write(
+    args.telemetry.write(
         &labels
             .iter()
             .zip(&mut results)

@@ -10,10 +10,9 @@
 //! `--jobs`, and the rate-0 row is byte-identical to a run with no fault
 //! injectors installed at all.
 
-use gd_bench::energy::{engine_name, MeasureOpts};
 use gd_bench::report::{header, row};
 use gd_bench::robustness::{robustness_experiment, RobustnessRow, FAULT_RATES};
-use gd_bench::{provenance_line_with_engine, timed_sweep, SweepOpts, TelemetryOpts};
+use gd_bench::{timed_sweep, BenchArgs};
 use gd_obs::Telemetry;
 use gd_workloads::by_name;
 
@@ -22,49 +21,41 @@ struct Point {
     shards: Vec<(String, Option<Telemetry>)>,
 }
 
-fn parse_rate() -> Option<f64> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    args.iter()
-        .position(|a| a == "--fault-rate")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<f64>().ok())
-        .map(|r| r.clamp(0.0, 1.0))
-}
-
 fn main() {
-    let sw = SweepOpts::from_args();
-    let topts = TelemetryOpts::from_args();
-    let mopts = MeasureOpts::from_args().fixed_platform();
+    let mut args = BenchArgs::from_env();
+    let mopts = args.measure_ddr4();
+    let single_rate = args.fault_rate();
+    args.finish();
     let verify = mopts.strict_validate.then_some(gd_verify::Mode::Strict);
-    let single_rate = parse_rate();
     let engine = mopts.engine;
-    let seed_count = sw.requests.unwrap_or(3).clamp(1, 16) as u64;
-    let engine_name = engine_name(engine);
+    let seed_count = args.requests.unwrap_or(3).clamp(1, 16) as u64;
+    let mut desc = format!("app=gcc managed=8GiB blocks=128 uniform-plan seeds=1..{seed_count}");
     let rates: Vec<f64> = match single_rate {
-        Some(r) => vec![r],
+        Some(r) => {
+            desc.push_str(&format!(" rate={r}"));
+            vec![r]
+        }
         None => FAULT_RATES.to_vec(),
     };
-    println!(
-        "{}",
-        provenance_line_with_engine(
-            "fig_faults",
-            &format!("app=gcc managed=8GiB blocks=128 uniform-plan seeds=1..{seed_count}"),
-            engine_name,
-            &sw,
-        )
-    );
+    args.provenance("fig_faults", &desc);
     if verify.is_some() {
         println!("[strict-validate: co-simulation invariants enforced]");
     }
     let profile = by_name("gcc").expect("profile");
     let labels: Vec<String> = rates.iter().map(|r| format!("rate={r}")).collect();
-    let results = timed_sweep("fig_faults", &rates, &labels, sw.jobs, |_ctx, rate| {
+    let results = timed_sweep("fig_faults", &rates, &labels, args.jobs, |_ctx, rate| {
         let mut rows = Vec::new();
         let mut shards = Vec::new();
         for seed in 1..=seed_count {
-            let (r, tele) =
-                robustness_experiment(&profile, *rate, engine, seed, verify, topts.enabled())
-                    .expect("co-sim");
+            let (r, tele) = robustness_experiment(
+                &profile,
+                *rate,
+                engine,
+                seed,
+                verify,
+                args.telemetry.enabled(),
+            )
+            .expect("co-sim");
             shards.push((format!("rate{rate}/s{seed}", rate = *rate), tele));
             rows.push(r);
         }
@@ -109,7 +100,7 @@ fn main() {
     println!("\n(averaged/summed over {seed_count} seeds per rate)");
     println!("expectation: savings degrade gracefully while overhead stays bounded;");
     println!("rollbacks stay 0 under removable-first (free blocks need no migration)");
-    topts.write(
+    args.telemetry.write(
         &results
             .into_iter()
             .flat_map(|p| p.shards)

@@ -6,18 +6,17 @@
 //! the power gauges as JSONL.
 
 use gd_bench::report::{f2, header, row};
-use gd_bench::{print_provenance, timed_sweep, SweepOpts, TelemetryOpts};
+use gd_bench::{timed_sweep, BenchArgs};
 use gd_obs::Telemetry;
 use gd_power::{ActivityProfile, DramPowerModel, PowerGating};
 use gd_types::config::DramConfig;
 
 fn main() {
-    let sw = SweepOpts::from_args();
-    let topts = TelemetryOpts::from_args();
-    print_provenance(
+    let args = BenchArgs::from_env();
+    args.finish();
+    args.provenance(
         "tab01_power_vs_util",
         "analytic ddr4-2133 256GB busy_util=0.40 utils=10..100",
-        &sw,
     );
     // A lightly loaded server: capacity utilization does not enter the
     // conventional power equation at all — only traffic does.
@@ -27,11 +26,11 @@ fn main() {
         "tab01_power_vs_util",
         &utils,
         &labels,
-        sw.jobs,
+        args.jobs,
         |_ctx, _util| {
             let model = DramPowerModel::new(DramConfig::ddr4_2133_256gb()).expect("paper preset");
             let p = model.analytic_power_w(&ActivityProfile::busy(0.40), &PowerGating::none());
-            let mut tele = topts.shard();
+            let mut tele = args.telemetry.shard();
             if let Some(t) = &mut tele {
                 t.registry.gauge_set("power.dram_w", p);
             }
@@ -49,7 +48,7 @@ fn main() {
         row(&[label.clone(), f2(*p)], &widths);
     }
     println!("\npaper: 25.8 W .. 26.0 W — constant regardless of used capacity");
-    topts.write(
+    args.telemetry.write(
         &labels
             .iter()
             .zip(results)

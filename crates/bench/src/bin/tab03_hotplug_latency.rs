@@ -8,7 +8,7 @@
 //! dumps the mm books as JSONL.
 
 use gd_bench::report::{header, row};
-use gd_bench::{print_provenance, timed_sweep, SweepOpts, TelemetryOpts};
+use gd_bench::{timed_sweep, BenchArgs};
 use gd_mmsim::{HotplugStats, MemoryManager, MmConfig, PageKind};
 use gd_obs::Telemetry;
 
@@ -43,13 +43,12 @@ fn measure(iters: usize, tele: &mut Option<Telemetry>) -> HotplugStats {
 }
 
 fn main() {
-    let sw = SweepOpts::from_args();
-    let topts = TelemetryOpts::from_args();
-    let iters = sw.requests.unwrap_or(50);
-    print_provenance(
+    let args = BenchArgs::from_env();
+    args.finish();
+    let iters = args.requests.unwrap_or(50);
+    args.provenance(
         "tab03_hotplug_latency",
         &format!("mm-small-test transient_fail=1.0 iters={iters}"),
-        &sw,
     );
     let points = ["latency"];
     let labels = vec!["latency".to_string()];
@@ -57,9 +56,9 @@ fn main() {
         "tab03_hotplug_latency",
         &points,
         &labels,
-        sw.jobs,
+        args.jobs,
         |_ctx, _| {
-            let mut tele = topts.shard();
+            let mut tele = args.telemetry.shard();
             let stats = measure(iters, &mut tele);
             (stats, tele)
         },
@@ -113,5 +112,6 @@ fn main() {
         "\ncounts: {} offline, {} online, {} EAGAIN, {} EBUSY",
         s.offline_success, s.online_count, s.offline_eagain, s.offline_ebusy
     );
-    topts.write(&[("latency".to_string(), results[0].1.take())]);
+    args.telemetry
+        .write(&[("latency".to_string(), results[0].1.take())]);
 }

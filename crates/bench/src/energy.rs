@@ -28,63 +28,6 @@ pub struct MeasureOpts {
     pub memspec: MemSpecKind,
 }
 
-impl MeasureOpts {
-    /// Parses the figure binaries' shared command line: `--strict-validate`
-    /// (or a `GD_STRICT_VALIDATE=1` environment) turns the verification
-    /// gate on; `--engine stepped|event` selects the time-advance engine;
-    /// `--memspec ddr4|ddr5|lpddr4-pasr` selects the memory-generation
-    /// backend. An unknown `--engine` or `--memspec` value exits 2 rather
-    /// than silently running a default.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let strict = args.iter().any(|a| a == "--strict-validate")
-            || std::env::var("GD_STRICT_VALIDATE")
-                .map(|v| v == "1")
-                .unwrap_or(false);
-        let engine = args
-            .iter()
-            .position(|a| a == "--engine")
-            .and_then(|i| args.get(i + 1))
-            .map(|v| {
-                parse_engine(v).unwrap_or_else(|| {
-                    eprintln!("error: unknown --engine {v:?} (expected stepped, event)");
-                    std::process::exit(2);
-                })
-            });
-        let memspec = args
-            .iter()
-            .position(|a| a == "--memspec")
-            .and_then(|i| args.get(i + 1))
-            .map(|v| {
-                MemSpecKind::parse(v).unwrap_or_else(|| {
-                    eprintln!("error: unknown --memspec {v:?} (expected ddr4, ddr5, lpddr4-pasr)");
-                    std::process::exit(2);
-                })
-            });
-        MeasureOpts {
-            strict_validate: strict,
-            engine: engine.unwrap_or_default(),
-            memspec: memspec.unwrap_or_default(),
-        }
-    }
-
-    /// For figures whose memory platform is fixed (DDR4, or every
-    /// generation in turn): a `--memspec` other than DDR4 exits 2 rather
-    /// than printing numbers the flag did not select.
-    #[must_use]
-    pub fn fixed_platform(self) -> Self {
-        if self.memspec != MemSpecKind::Ddr4 {
-            eprintln!(
-                "error: --memspec {} is not supported here: this figure fixes its own \
-                 memory platform",
-                self.memspec.name()
-            );
-            std::process::exit(2);
-        }
-        self
-    }
-}
-
 /// Provenance name of a backend's paper-platform speed grade, used in the
 /// config descriptions the provenance hash covers. The DDR4 name matches
 /// the pre-backend description strings exactly, so default snapshot
@@ -95,34 +38,6 @@ pub fn platform_desc(kind: MemSpecKind) -> &'static str {
         MemSpecKind::Ddr4 => "ddr4-2133",
         MemSpecKind::Ddr5 => "ddr5-4800",
         MemSpecKind::Lpddr4Pasr => "lpddr4-3200",
-    }
-}
-
-/// Provenance fragment naming a non-default backend, e.g. ` memspec=ddr5`.
-/// Empty for DDR4 so committed DDR4 snapshot headers stay byte-identical.
-#[must_use]
-pub fn memspec_suffix(kind: MemSpecKind) -> String {
-    match kind {
-        MemSpecKind::Ddr4 => String::new(),
-        other => format!(" memspec={}", other.name()),
-    }
-}
-
-/// Maps an `--engine` argument (`stepped` or `event`) to an
-/// [`EngineMode`]; `None` for any other value.
-pub fn parse_engine(v: &str) -> Option<EngineMode> {
-    match v {
-        "stepped" => Some(EngineMode::Stepped),
-        "event" => Some(EngineMode::EventDriven),
-        _ => None,
-    }
-}
-
-/// Provenance-header name of an engine.
-pub fn engine_name(mode: EngineMode) -> &'static str {
-    match mode {
-        EngineMode::Stepped => "stepped",
-        EngineMode::EventDriven => "event-driven",
     }
 }
 
@@ -458,15 +373,6 @@ mod tests {
 
     fn small() -> DramConfig {
         DramConfig::small_test()
-    }
-
-    #[test]
-    fn parse_engine_accepts_only_the_two_exact_engines() {
-        assert_eq!(parse_engine("stepped"), Some(EngineMode::Stepped));
-        assert_eq!(parse_engine("event"), Some(EngineMode::EventDriven));
-        for bad in ["epoch-replay", "bogus", ""] {
-            assert_eq!(parse_engine(bad), None, "{bad:?}");
-        }
     }
 
     /// libquantum scaled to the small test config: its 64 MB footprint

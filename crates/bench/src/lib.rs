@@ -10,24 +10,22 @@
 //! cargo run --release -p gd-bench --bin fig09_dram_energy
 //! ```
 
+pub mod args;
 pub mod blocks;
 pub mod energy;
-pub mod provenance;
 pub mod report;
 pub mod robustness;
 pub mod sweep;
 pub mod telemetry;
 pub mod vmtrace;
 
+pub use args::BenchArgs;
 pub use blocks::{block_size_experiment, block_size_experiment_tele, BlockSizeRow, MANAGED_BYTES};
 pub use energy::{
-    engine_name, evaluate_app, evaluate_app_tele, find_row, measure_app, measure_app_tele,
-    parse_engine, AppMeasurement, EnergyRow,
+    evaluate_app, evaluate_app_tele, find_row, measure_app, measure_app_tele, AppMeasurement,
+    EnergyRow,
 };
-pub use provenance::{fnv1a, print_provenance, provenance_line, provenance_line_with_engine};
 pub use robustness::{robustness_experiment, RobustnessRow, FAULT_RATES};
-pub use sweep::{
-    default_jobs, sweep, timed_sweep, timed_sweep_jobs, PointCtx, SweepOpts, SweepTiming,
-};
+pub use sweep::{default_jobs, sweep, timed_sweep, timed_sweep_jobs, PointCtx, SweepTiming};
 pub use telemetry::{render_shards, TelemetryOpts};
 pub use vmtrace::{run_vm_trace, run_vm_trace_tele, VmTraceConfig, VmTraceOutcome, VmTraceSample};

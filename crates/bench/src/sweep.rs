@@ -41,74 +41,11 @@ impl PointCtx {
     }
 }
 
-/// Shared command-line options of the sweep-driven figure binaries.
-#[derive(Debug, Clone, Copy)]
-pub struct SweepOpts {
-    /// Worker threads (`--jobs N` / `GD_JOBS`); defaults to the machine's
-    /// available parallelism. `1` runs the plain serial path.
-    pub jobs: usize,
-    /// Optional request-count override (`--requests N`) for smoke runs;
-    /// `None` keeps each figure's paper-scale default.
-    pub requests: Option<usize>,
-    /// True when the user pinned `jobs` (via `--jobs` or `GD_JOBS`).
-    /// Provenance headers render `jobs=auto` otherwise, so a snapshot
-    /// never encodes the machine's core count.
-    pub jobs_explicit: bool,
-}
-
-impl Default for SweepOpts {
-    fn default() -> Self {
-        SweepOpts {
-            jobs: default_jobs(),
-            requests: None,
-            jobs_explicit: false,
-        }
-    }
-}
-
 /// The machine's available parallelism (1 if it cannot be determined).
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-impl SweepOpts {
-    /// Parses `--jobs N` and `--requests N` from the process arguments
-    /// (also honoring a `GD_JOBS` environment override), ignoring flags it
-    /// does not know about so it composes with `MeasureOpts::from_args`.
-    pub fn from_args() -> Self {
-        let mut opts = SweepOpts::default();
-        if let Ok(j) = std::env::var("GD_JOBS") {
-            if let Ok(j) = j.parse::<usize>() {
-                opts.jobs = j.max(1);
-                opts.jobs_explicit = true;
-            }
-        }
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            let value_of = |k: usize| args.get(k + 1).and_then(|v| v.parse::<usize>().ok());
-            match args[i].as_str() {
-                "--jobs" => {
-                    if let Some(j) = value_of(i) {
-                        opts.jobs = j.max(1);
-                        opts.jobs_explicit = true;
-                        i += 1;
-                    }
-                }
-                "--requests" => {
-                    if let Some(r) = value_of(i) {
-                        opts.requests = Some(r.max(1));
-                        i += 1;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        opts
-    }
 }
 
 /// Runs `f` over every point, fanning across `jobs` workers, and returns
@@ -264,9 +201,9 @@ where
     F: Fn(PointCtx, &T) -> R + Sync,
 {
     assert_eq!(points.len(), labels.len(), "one label per sweep point");
-    let t0 = Instant::now(); // detlint: allow(instant) gd-lint: allow(sim-purity)
+    let t0 = Instant::now(); // gd-lint: allow(sim-purity)
     let timed: Vec<(R, f64)> = sweep(points, pool_jobs, |ctx, p| {
-        let p0 = Instant::now(); // detlint: allow(instant) gd-lint: allow(sim-purity)
+        let p0 = Instant::now(); // gd-lint: allow(sim-purity)
         let r = f(ctx, p);
         (r, p0.elapsed().as_secs_f64())
     });

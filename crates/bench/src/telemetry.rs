@@ -13,7 +13,7 @@ use gd_types::SimTime;
 use std::io::Write as _;
 use std::path::PathBuf;
 
-/// Parsed telemetry options of a figure binary.
+/// The `--telemetry PATH` option of a figure binary.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryOpts {
     /// Where to write the merged JSONL trace; `None` disables telemetry
@@ -22,30 +22,6 @@ pub struct TelemetryOpts {
 }
 
 impl TelemetryOpts {
-    /// Parses `--telemetry PATH` from the process arguments (also honoring
-    /// a `GD_TELEMETRY` environment override), ignoring flags it does not
-    /// know about so it composes with the other `from_args` parsers.
-    pub fn from_args() -> Self {
-        let mut opts = TelemetryOpts::default();
-        if let Ok(p) = std::env::var("GD_TELEMETRY") {
-            if !p.is_empty() {
-                opts.path = Some(PathBuf::from(p));
-            }
-        }
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            if args[i] == "--telemetry" {
-                if let Some(p) = args.get(i + 1) {
-                    opts.path = Some(PathBuf::from(p));
-                    i += 1;
-                }
-            }
-            i += 1;
-        }
-        opts
-    }
-
     /// True when a telemetry sink was requested.
     #[must_use]
     pub fn enabled(&self) -> bool {

@@ -18,7 +18,7 @@ use gd_mmsim::{AllocationId, MemoryManager, MmConfig, PageKind};
 use gd_types::{Result, SimTime};
 use gd_workloads::{VmEvent, VmEventKind};
 use greendimm::{Daemon, DaemonStats, EpochSim, FootprintDriver, GreenDimmConfig, GroupMap};
-use std::collections::HashMap; // detlint: allow(maporder)
+use std::collections::HashMap;
 
 /// Configuration of one host co-simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -158,8 +158,8 @@ pub fn run_host(
 
     // Keyed lookups only (insert/remove by VM id) — never iterated, so the
     // hash order cannot reach any output.
-    let mut footprints: HashMap<u32, (FootprintDriver, Option<RegionId>, AllocationId)> = // detlint: allow(maporder)
-        HashMap::new(); // detlint: allow(maporder)
+    let mut footprints: HashMap<u32, (FootprintDriver, Option<RegionId>, AllocationId)> =
+        HashMap::new();
     let mut samples = Vec::new();
     let mut event_idx = 0;
     let tick = cfg.schedule_period_s;

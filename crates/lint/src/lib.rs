@@ -1,7 +1,6 @@
 //! gd-lint: the AST-level static-analysis gate for the GreenDIMM
 //! workspace.
 //!
-//! Where `detlint` (crates/verify) is a fast line-substring pre-gate,
 //! gd-lint parses every `.rs` file to a token stream with structural
 //! context (delimiter matching, test regions, attributes) and runs a
 //! pluggable catalog of lints with span-accurate diagnostics:
@@ -13,6 +12,7 @@
 //! | `float-order` | no float accumulation over hash-order iteration         |
 //! | `sim-purity`  | no wall-clock reads or entropy RNGs anywhere            |
 //! | `silent-clamp`| no `.max(0.0)` clamps on IDD current deltas             |
+//! | `map-order`   | no `HashMap` in the sweep/figure and telemetry crates   |
 //!
 //! A finding is suppressed by `// gd-lint: allow(<rule>)` on the
 //! offending line or the line directly above. See DESIGN.md §10 for the
@@ -137,8 +137,7 @@ pub fn lint_source(rel_path: &Path, src: &str) -> Vec<Finding> {
     findings
 }
 
-/// Directories under the workspace root that hold Rust sources (mirrors
-/// detlint's walk).
+/// Directories under the workspace root that hold Rust sources.
 pub const ROOTS: &[&str] = &["crates", "src", "tests", "examples", "benches"];
 
 /// Recursively collects `.rs` files, skipping build output and the lint

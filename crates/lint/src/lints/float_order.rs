@@ -4,8 +4,8 @@
 //! Float addition is not associative, so summing values out of a
 //! `HashMap`/`HashSet` iterator produces run-to-run (and
 //! machine-to-machine) drift — exactly the nondeterminism the telemetry
-//! byte-identity gate exists to prevent. This extends detlint's
-//! `maporder` line scan to expression level:
+//! byte-identity gate exists to prevent. This rule works at expression
+//! level in every crate:
 //!
 //! - a `.sum()` / `.fold(…)` / `.product()` chain rooted at an
 //!   identifier declared as `HashMap`/`HashSet` in the same file, and
@@ -18,9 +18,8 @@
 //!
 //! Declarations are tracked per file (field `x: HashMap<…>`, binding
 //! `let x = HashMap::new()`, parameters); cross-file type knowledge is
-//! out of reach without full inference, which is why detlint's crude
-//! per-crate `HashMap` ban stays on as the pre-gate in the sweep and
-//! telemetry crates.
+//! out of reach without full inference, which is why the `map-order`
+//! rule bans `HashMap` outright in the sweep and telemetry crates.
 
 use super::{postfix_chain_idents, Lint};
 use crate::lexer::TokKind;

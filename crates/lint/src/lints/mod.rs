@@ -6,6 +6,7 @@
 //! raw findings.
 
 pub mod float_order;
+pub mod map_order;
 pub mod panic_path;
 pub mod silent_clamp;
 pub mod sim_purity;
@@ -34,6 +35,7 @@ pub fn all() -> Vec<Box<dyn Lint>> {
         Box::new(float_order::FloatOrder),
         Box::new(sim_purity::SimPurity),
         Box::new(silent_clamp::SilentClamp),
+        Box::new(map_order::MapOrder),
     ]
 }
 

@@ -1,7 +1,7 @@
 //! `sim-purity`: AST-level determinism hazards.
 //!
-//! Reimplements the detlint hazard classes on tokens instead of raw
-//! lines: entropy-seeded RNG construction and wall-clock reads. Because
+//! Entropy-seeded RNG construction and wall-clock reads, matched on
+//! tokens rather than raw lines. Because
 //! the lexer never hands comments or string contents to lints, prose
 //! mentioning the hazards needs no special-casing, and hazards behind
 //! `cfg` attributes are still caught (the token stream does not expand

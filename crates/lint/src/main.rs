@@ -10,7 +10,7 @@
 //! Explicit fixture files may carry a `// gd-lint-fixture: path=…`
 //! header that remaps them into a scoped crate for rule testing.
 
-use gd_lint::{collect_rs_files, lint_files, lint_workspace, workspace_root, Report};
+use gd_lint::{collect_rs_files, lint_files, lint_workspace, lints, workspace_root, Report};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -21,11 +21,13 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--json" => json = true,
             "--help" | "-h" => {
+                let rules: Vec<&str> = lints::all().iter().map(|l| l.id()).collect();
                 println!(
                     "gd-lint: AST-level static analysis for the GreenDIMM workspace\n\
                      usage: gd-lint [--json] [paths…]\n\
-                     rules: unit-safety, panic-path, float-order, sim-purity\n\
-                     suppress with `// gd-lint: allow(<rule>)` on or above the line"
+                     rules: {}\n\
+                     suppress with `// gd-lint: allow(<rule>)` on or above the line",
+                    rules.join(", ")
                 );
                 return ExitCode::SUCCESS;
             }

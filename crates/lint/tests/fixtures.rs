@@ -64,6 +64,7 @@ fn corpus_has_at_least_two_pairs_per_lint() {
         "float_order",
         "sim_purity",
         "silent_clamp",
+        "map_order",
     ] {
         let bad = files
             .iter()

@@ -1,4 +1,4 @@
-// gd-lint-fixture: path=crates/bench/src/fixture.rs
+// gd-lint-fixture: path=crates/core/src/fixture.rs
 // The loop form of hash-order float accumulation.
 
 use std::collections::HashMap;

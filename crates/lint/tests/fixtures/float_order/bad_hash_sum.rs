@@ -1,4 +1,4 @@
-// gd-lint-fixture: path=crates/obs/src/fixture.rs
+// gd-lint-fixture: path=crates/fleet/src/fixture.rs
 // Float accumulation over hash-order iteration drifts run to run.
 
 use std::collections::HashMap;

@@ -1,4 +1,4 @@
-// gd-lint-fixture: path=crates/obs/src/fixture.rs
+// gd-lint-fixture: path=crates/fleet/src/fixture.rs
 // Ordered sources (BTreeMap, slices) and integer accumulation over hash
 // maps are both order-safe.
 

@@ -1,4 +1,4 @@
-// gd-lint-fixture: path=crates/bench/src/fixture.rs
+// gd-lint-fixture: path=crates/core/src/fixture.rs
 // Sorting (or any ordered container) before accumulating is the fix.
 
 use std::collections::HashMap;

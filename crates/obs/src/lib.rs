@@ -15,7 +15,7 @@
 //! `Telemetry` per sweep point and merge the shards in point-index order,
 //! so the rendered output is identical for any `--jobs N`.
 //!
-//! # Determinism rules (detlint-enforced)
+//! # Determinism rules (gd-lint-enforced)
 //!
 //! * No wall clock: every timestamp is a [`SimTime`] from the simulation.
 //! * No hash-order: all keyed state is `BTreeMap`; rendering iterates in

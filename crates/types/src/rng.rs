@@ -6,8 +6,8 @@
 //! both the generator implementation and seed derivation so that
 //! sub-component streams are independent even when built from one
 //! experiment-level seed — and so that no component can reach for an
-//! entropy-seeded generator (`detlint` rejects `from_entropy`/`thread_rng`
-//! at the source level).
+//! entropy-seeded generator (gd-lint's `sim-purity` rule rejects
+//! `from_entropy`/`thread_rng` at the source level).
 
 use std::ops::Range;
 

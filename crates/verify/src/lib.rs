@@ -20,9 +20,8 @@
 //!
 //! The DRAM command-protocol validator lives with the command log it
 //! replays, in [`gd_dram::validate`]; this crate covers everything above
-//! the memory controller. The `detlint` binary (see `src/bin/detlint.rs`)
-//! is the source-level determinism gate that backs the workspace clippy
-//! configuration.
+//! the memory controller. The source-level determinism gate that backs
+//! the workspace clippy configuration is gd-lint (`crates/lint`).
 
 pub mod faults;
 pub mod fleet;

@@ -16,10 +16,7 @@ cargo build --release --quiet
 echo "==> cargo test --workspace"
 cargo test --quiet --workspace
 
-echo "==> detlint (determinism pre-gate, line scan)"
-cargo run --quiet -p gd-verify --bin detlint
-
-echo "==> gd-lint (AST-level workspace analysis: unit-safety, panic-path, float-order, sim-purity)"
+echo "==> gd-lint (AST-level workspace analysis: unit-safety, panic-path, float-order, sim-purity, silent-clamp, map-order)"
 cargo run --quiet -p gd-lint
 
 echo "==> gd-lint JSON smoke (bad fixture must fail with the expected rule id)"
@@ -132,12 +129,18 @@ echo "==> memspec smoke (fig09 on the DDR5 backend, trimmed request count)"
 cargo run --quiet --release -p gd-bench --bin fig09_dram_energy -- \
   --memspec ddr5 --jobs 2 --requests 6000 > /dev/null
 
-echo "==> bad engine/stride/hosts/memspec values exit 2 (no silent fallback to a default)"
+echo "==> bad flags and values exit 2 (no silent fallback to a default, no ignored flag)"
+# `--requests 8` is appended to every case, so `fig03_interleaving --telemetry`
+# is a flag whose value is missing.
 for args in "fig09_dram_energy --engine epoch-replay" "fig09_dram_energy --engine bogus" \
             "fig14_fleet_energy --stride 0" "fig14_fleet_energy --stride x" \
             "fig14_fleet_energy --hosts abc" "fig14_fleet_energy --hosts 0" \
             "fig14_fleet_energy --hosts 50000" "fig14_fleet_energy --memspec ddr5" \
-            "fig03_interleaving --memspec lpddr4-pasr"; do
+            "fig03_interleaving --memspec lpddr4-pasr" \
+            "fig05_addrmap --bogus" "fig05_addrmap --jobs 0" "fig05_addrmap --jobs x" \
+            "fig01_vm_utilization --memspec ddr5" "fig12_vm_offlined_blocks --engine stepped" \
+            "fig03_interleaving --telemetry" "fig09_dram_energy --jobs 2 --jobs 3" \
+            "fig_faults --fault-rate 2" "fig_faults --fault-rate abc"; do
   set -- $args
   bin=$1
   shift
