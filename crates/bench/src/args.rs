@@ -186,6 +186,22 @@ impl BenchArgs {
         self.whole(name, max).unwrap_or(default)
     }
 
+    /// `--requests N` read as a count in `1..=max` (fig08 and `fig_faults`
+    /// read it as a seed count), or `default` when absent. A larger value
+    /// is an error, not a clamp.
+    pub fn requests_count(&mut self, default: usize, max: usize) -> usize {
+        match self.requests {
+            Some(n) if n > max => {
+                self.fail(format!(
+                    "--requests {:?} must be a whole number in 1..={max}",
+                    n.to_string()
+                ));
+                default
+            }
+            n => n.unwrap_or(default),
+        }
+    }
+
     /// `--fault-rate R`: a probability in `[0, 1]`, or `None` when absent.
     pub fn fault_rate(&mut self) -> Option<f64> {
         self.value("fault-rate", "a number in [0, 1]", |v| {
@@ -447,6 +463,18 @@ mod tests {
             });
             assert!(e.ends_with("must be a whole number in 1..=10000"), "{e}");
         }
+        let e = error_of(&["--requests", "65"], |a| {
+            a.requests_count(5, 64);
+        });
+        assert_eq!(e, "--requests \"65\" must be a whole number in 1..=64");
+    }
+
+    #[test]
+    fn requests_count_is_capped_not_clamped() {
+        assert_eq!(parse(&[]).requests_count(5, 64), 5);
+        let mut args = parse(&["--requests", "64"]);
+        assert_eq!(args.requests_count(5, 64), 64);
+        assert_eq!(args.check(), Ok(()));
     }
 
     #[test]

@@ -5,17 +5,14 @@
 //! `results/BENCH_ablation_adaptive_thr.json` and `--telemetry PATH`
 //! dumps every run's daemon/mm books as JSONL.
 
-use gd_bench::blocks::block_size_experiment_tele;
+use gd_bench::blocks::{block_size_experiment, managed_region};
 use gd_bench::report::{f2, header, pct, row};
 use gd_bench::{timed_sweep, BenchArgs};
 use gd_workloads::spec2006_offlining_set;
 use greendimm::GreenDimmConfig;
 
 fn main() {
-    let mut args = BenchArgs::from_env();
-    // `--engine` is accepted for flag uniformity and recorded in the
-    // provenance header; these co-simulations are exact under either.
-    args.engine();
+    let args = BenchArgs::from_env();
     args.finish();
     args.provenance(
         "ablation_adaptive_thr",
@@ -29,27 +26,25 @@ fn main() {
         &labels,
         args.jobs,
         |_ctx, p| {
-            let (fixed, tele_fixed) = block_size_experiment_tele(
+            let (fixed, tele_fixed) = block_size_experiment(
                 p,
-                128,
+                managed_region(128, 1),
                 GreenDimmConfig::paper_default(),
-                |c| c,
-                1,
                 None,
-                args.telemetry.enabled(),
+                None,
+                args.telemetry.enabled().then_some("blocks"),
             )
             .expect("co-sim");
-            let (adaptive, tele_adaptive) = block_size_experiment_tele(
+            let (adaptive, tele_adaptive) = block_size_experiment(
                 p,
-                128,
+                managed_region(128, 1),
                 GreenDimmConfig {
                     adaptive_off_thr: true,
                     ..GreenDimmConfig::paper_default()
                 },
-                |c| c,
-                1,
                 None,
-                args.telemetry.enabled(),
+                None,
+                args.telemetry.enabled().then_some("blocks"),
             )
             .expect("co-sim");
             (fixed, adaptive, tele_fixed, tele_adaptive)

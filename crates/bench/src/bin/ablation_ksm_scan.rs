@@ -11,11 +11,7 @@ use gd_mmsim::{MemoryManager, MmConfig, PageKind};
 use gd_types::SimTime;
 
 fn main() {
-    let mut args = BenchArgs::from_env();
-    // The KSM scan loop is exact under every engine (no time-advance
-    // co-simulation); `--engine` is accepted for flag uniformity and
-    // recorded in the provenance header.
-    args.engine();
+    let args = BenchArgs::from_env();
     args.finish();
     args.provenance(
         "ablation_ksm_scan",

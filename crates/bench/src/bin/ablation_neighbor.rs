@@ -4,9 +4,10 @@
 //! App points fan across the sweep pool (`--jobs N`); timing lands in
 //! `results/BENCH_ablation_neighbor.json`.
 
-use gd_bench::blocks::block_size_experiment_tele;
+use gd_bench::blocks::{block_size_experiment, managed_region};
 use gd_bench::report::{header, pct, row};
-use gd_bench::{run_vm_trace, timed_sweep, BenchArgs, VmTraceConfig};
+use gd_bench::{run_vm_trace, timed_sweep, BenchArgs};
+use gd_fleet::HostSimConfig;
 use gd_workloads::spec2006_offlining_set;
 use greendimm::GreenDimmConfig;
 
@@ -29,27 +30,25 @@ fn main() {
         &labels,
         args.jobs,
         |_ctx, p| {
-            let (with, tele_with) = block_size_experiment_tele(
+            let (with, tele_with) = block_size_experiment(
                 p,
-                128,
+                managed_region(128, 1),
                 GreenDimmConfig::paper_default(),
-                |c| c,
-                1,
                 None,
-                args.telemetry.enabled(),
+                None,
+                args.telemetry.enabled().then_some("blocks"),
             )
             .expect("co-sim");
-            let (without, tele_without) = block_size_experiment_tele(
+            let (without, tele_without) = block_size_experiment(
                 p,
-                128,
+                managed_region(128, 1),
                 GreenDimmConfig {
                     neighbor_constraint: false,
                     ..GreenDimmConfig::paper_default()
                 },
-                |c| c,
-                1,
                 None,
-                args.telemetry.enabled(),
+                None,
+                args.telemetry.enabled().then_some("blocks"),
             )
             .expect("co-sim");
             (with, without, tele_with, tele_without)
@@ -89,10 +88,14 @@ fn main() {
             &widths,
         );
     }
-    let vm = run_vm_trace(&VmTraceConfig {
-        engine,
-        ..VmTraceConfig::short_test()
-    })
+    let (vm, _) = run_vm_trace(
+        &HostSimConfig {
+            duration_s: 4 * 3_600,
+            engine,
+            ..HostSimConfig::paper_256gb()
+        },
+        false,
+    )
     .expect("vm trace");
     println!(
         "\nVM trace (4 h): mean deep-PD fraction {} with the constraint on",

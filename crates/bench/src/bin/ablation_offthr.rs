@@ -5,17 +5,14 @@
 //! Threshold points fan across the sweep pool (`--jobs N`); timing lands
 //! in `results/BENCH_ablation_offthr.json`.
 
-use gd_bench::blocks::block_size_experiment_tele;
+use gd_bench::blocks::{block_size_experiment, managed_region};
 use gd_bench::report::{f2, header, pct, row};
 use gd_bench::{timed_sweep, BenchArgs};
 use gd_workloads::by_name;
 use greendimm::GreenDimmConfig;
 
 fn main() {
-    let mut args = BenchArgs::from_env();
-    // `--engine` is accepted for flag uniformity and recorded in the
-    // provenance header; these co-simulations are exact under either.
-    args.engine();
+    let args = BenchArgs::from_env();
     args.finish();
     args.provenance(
         "ablation_offthr",
@@ -35,8 +32,15 @@ fn main() {
                 on_thr: off_thr / 2.0,
                 ..GreenDimmConfig::paper_default()
             };
-            block_size_experiment_tele(&gcc, 128, cfg, |c| c, 1, None, args.telemetry.enabled())
-                .expect("co-sim")
+            block_size_experiment(
+                &gcc,
+                managed_region(128, 1),
+                cfg,
+                None,
+                None,
+                args.telemetry.enabled().then_some("blocks"),
+            )
+            .expect("co-sim")
         },
     );
     args.telemetry.write(

@@ -8,7 +8,8 @@
 //! the co-simulation's daemon/mm/ksm books as JSONL.
 
 use gd_bench::report::{header, pct, row};
-use gd_bench::{run_vm_trace_tele, timed_sweep, BenchArgs, VmTraceConfig};
+use gd_bench::{run_vm_trace, timed_sweep, BenchArgs};
+use gd_fleet::HostSimConfig;
 use gd_obs::Telemetry;
 use gd_workloads::azure::{synthesize, AzureConfig};
 
@@ -72,12 +73,12 @@ fn main() {
                 }
             }
             _ => {
-                let (out, tele) = run_vm_trace_tele(
-                    &VmTraceConfig {
+                let (out, tele) = run_vm_trace(
+                    &HostSimConfig {
                         ksm: true,
                         greendimm: false,
                         duration_s,
-                        ..VmTraceConfig::paper_256gb()
+                        ..HostSimConfig::paper_256gb()
                     },
                     args.telemetry.enabled(),
                 )

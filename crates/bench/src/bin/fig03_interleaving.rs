@@ -7,7 +7,7 @@
 //! timing lands in `results/BENCH_fig03_interleaving.json` and
 //! `--telemetry PATH` dumps each run's DRAM books as JSONL.
 
-use gd_bench::energy::{evaluate_app_tele, find_row, measure_app_opts};
+use gd_bench::energy::{evaluate_app_tele, find_row, measure_app};
 use gd_bench::report::{f2, header, pct, row};
 use gd_bench::{timed_sweep, BenchArgs};
 use gd_obs::Telemetry;
@@ -42,9 +42,17 @@ fn main() {
         args.jobs,
         |_ctx, name| {
             let p = by_name(name).expect("profile");
-            let with = measure_app_opts(&p, cfg, InterleaveMode::Interleaved, requests, 1, mopts)
-                .expect("cycle sim");
-            let without = measure_app_opts(&p, cfg, InterleaveMode::Linear, requests, 1, mopts)
+            let with = measure_app(
+                &p,
+                cfg,
+                InterleaveMode::Interleaved,
+                requests,
+                1,
+                mopts,
+                None,
+            )
+            .expect("cycle sim");
+            let without = measure_app(&p, cfg, InterleaveMode::Linear, requests, 1, mopts, None)
                 .expect("cycle sim");
             let mut tele = args.telemetry.shard();
             let rows =

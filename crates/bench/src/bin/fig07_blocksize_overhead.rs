@@ -6,7 +6,7 @@
 //! timing lands in `results/BENCH_fig07_blocksize_overhead.json` and
 //! `--telemetry PATH` dumps every run's daemon/mm books as JSONL.
 
-use gd_bench::blocks::block_size_experiment_tele;
+use gd_bench::blocks::{block_size_experiment, managed_region};
 use gd_bench::report::{header, pct, row};
 use gd_bench::{timed_sweep, BenchArgs};
 use gd_workloads::{spec2006_offlining_set, AppProfile};
@@ -36,14 +36,13 @@ fn main() {
         &labels,
         args.jobs,
         |_ctx, (p, block_mib)| {
-            block_size_experiment_tele(
+            block_size_experiment(
                 p,
-                *block_mib,
+                managed_region(*block_mib, 1),
                 GreenDimmConfig::paper_default(),
-                |c| c,
-                1,
                 None,
-                args.telemetry.enabled(),
+                None,
+                args.telemetry.enabled().then_some("blocks"),
             )
             .expect("co-sim")
         },

@@ -3,12 +3,12 @@
 //! ~50 %, and churning apps fail most).
 //!
 //! Each app is one sweep point (`--jobs N`) aggregating seeds × both
-//! selector policies; `--requests N` sets the seed count; timing lands in
-//! `results/BENCH_fig08_offlining_failures.json` and `--telemetry PATH`
-//! dumps every run's daemon/mm books as JSONL (one shard per
-//! app/seed/policy).
+//! selector policies; `--requests N` sets the seed count (at most 64);
+//! timing lands in `results/BENCH_fig08_offlining_failures.json` and
+//! `--telemetry PATH` dumps every run's daemon/mm books as JSONL (one
+//! shard per app/seed/policy).
 
-use gd_bench::blocks::block_size_experiment_tele;
+use gd_bench::blocks::{block_size_experiment, managed_region};
 use gd_bench::report::{header, row};
 use gd_bench::{timed_sweep, BenchArgs};
 use gd_mmsim::MmConfig;
@@ -22,19 +22,19 @@ struct Point {
 }
 
 fn main() {
-    let args = BenchArgs::from_env();
+    let mut args = BenchArgs::from_env();
+    let seed_count = args.requests_count(5, 64) as u64;
     args.finish();
-    let seed_count = args.requests.unwrap_or(5).clamp(1, 64) as u64;
     args.provenance(
         "fig08_offlining_failures",
         &format!(
             "managed=8GiB blocks=128 transient_fail=0.5 unmovable_leak=0.30 seeds=1..{seed_count}"
         ),
     );
-    let tweaks = |c: MmConfig| MmConfig {
+    let region = |seed| MmConfig {
         transient_fail_prob: 0.5,
         unmovable_leak_prob: 0.30,
-        ..c
+        ..managed_region(128, seed)
     };
     let profiles = spec2006_offlining_set();
     let labels: Vec<String> = profiles.iter().map(|p| p.name.to_string()).collect();
@@ -51,14 +51,13 @@ fn main() {
                     (SelectorPolicy::Random, 0),
                     (SelectorPolicy::RemovableFirst, 2),
                 ] {
-                    let (r, tele) = block_size_experiment_tele(
+                    let (r, tele) = block_size_experiment(
                         p,
-                        128,
+                        region(seed),
                         GreenDimmConfig::paper_default().with_selector(policy),
-                        tweaks,
-                        seed,
                         None,
-                        args.telemetry.enabled(),
+                        None,
+                        args.telemetry.enabled().then_some("blocks"),
                     )
                     .expect("co-sim");
                     totals[slot] += r.failures;

@@ -6,7 +6,7 @@
 //! lands in `results/BENCH_fig11_perf_overhead.json` and
 //! `--telemetry PATH` dumps each run's daemon/mm books as JSONL.
 
-use gd_bench::blocks::{block_size_experiment_tele, nominal_runtime_s};
+use gd_bench::blocks::{block_size_experiment, managed_region, nominal_runtime_s};
 use gd_bench::report::{header, pct, row};
 use gd_bench::{timed_sweep, BenchArgs};
 use gd_types::stats::percentile;
@@ -33,14 +33,13 @@ fn main() {
         &labels,
         args.jobs,
         |_ctx, p| {
-            block_size_experiment_tele(
+            block_size_experiment(
                 p,
-                128,
+                managed_region(128, 1),
                 GreenDimmConfig::paper_default(),
-                |c| c,
-                1,
+                None,
                 verify,
-                args.telemetry.enabled(),
+                args.telemetry.enabled().then_some("blocks"),
             )
             .expect("co-sim")
         },

@@ -8,7 +8,8 @@
 //! dumps both runs' daemon/mm books as JSONL.
 
 use gd_bench::report::{header, pct, row};
-use gd_bench::{run_vm_trace_tele, timed_sweep, BenchArgs, VmTraceConfig};
+use gd_bench::{run_vm_trace, timed_sweep, BenchArgs};
+use gd_fleet::{HostRun, HostSimConfig};
 use gd_power::{ActivityProfile, DramPowerModel, PowerGating};
 use gd_types::config::DramConfig;
 
@@ -32,11 +33,11 @@ fn main() {
         &labels,
         args.jobs,
         |_ctx, &ksm| {
-            run_vm_trace_tele(
-                &VmTraceConfig {
+            run_vm_trace(
+                &HostSimConfig {
                     ksm,
                     duration_s,
-                    ..VmTraceConfig::paper_256gb()
+                    ..HostSimConfig::paper_256gb()
                 },
                 args.telemetry.enabled(),
             )
@@ -57,7 +58,7 @@ fn main() {
         &widths,
     );
     for h in 0..(duration_s / 3_600).max(1) {
-        let avg = |o: &gd_bench::VmTraceOutcome| {
+        let avg = |o: &HostRun| {
             let v: Vec<_> = o
                 .samples
                 .iter()

@@ -9,7 +9,8 @@
 
 use gd_bench::energy::platform_desc;
 use gd_bench::report::{f2, header, pct, row};
-use gd_bench::{run_vm_trace_tele, timed_sweep, BenchArgs, VmTraceConfig};
+use gd_bench::{run_vm_trace, timed_sweep, BenchArgs};
+use gd_fleet::HostSimConfig;
 use gd_power::{ActivityProfile, DramPowerModel, PowerGating, SystemPowerModel};
 use gd_types::config::{DramConfig, MemSpecKind};
 
@@ -52,14 +53,14 @@ fn main() {
         &labels,
         args.jobs,
         |_ctx, &(cap_gb, ksm)| {
-            let cfg = VmTraceConfig {
+            let cfg = HostSimConfig {
                 capacity_gb: cap_gb,
                 ksm,
                 duration_s,
                 engine,
-                ..VmTraceConfig::paper_256gb()
+                ..HostSimConfig::paper_256gb()
             };
-            run_vm_trace_tele(&cfg, args.telemetry.enabled()).expect("vm trace")
+            run_vm_trace(&cfg, args.telemetry.enabled()).expect("vm trace")
         },
     );
     args.telemetry.write(

@@ -3,16 +3,17 @@
 //! DESIGN.md §11).
 //!
 //! Each sweep point is one fault rate (`--jobs N` fans rates out across
-//! workers), aggregating `--requests N` seeds. `--fault-rate X` restricts
-//! the sweep to a single rate; `--engine stepped|event` selects the DRAM
-//! probe's time-advance engine (rows are byte-identical either way — the
-//! provenance header records the choice). Output is deterministic for any
-//! `--jobs`, and the rate-0 row is byte-identical to a run with no fault
-//! injectors installed at all.
+//! workers), aggregating `--requests N` seeds (at most 16). `--fault-rate
+//! X` restricts the sweep to a single rate; `--engine stepped|event`
+//! selects the DRAM probe's time-advance engine (rows are byte-identical
+//! either way — the provenance header records the choice). Output is
+//! deterministic for any `--jobs`, and the rate-0 row is byte-identical to
+//! a run with no fault injectors installed at all.
 
 use gd_bench::report::{header, row};
 use gd_bench::robustness::{robustness_experiment, RobustnessRow, FAULT_RATES};
 use gd_bench::{timed_sweep, BenchArgs};
+use gd_faults::FaultPlan;
 use gd_obs::Telemetry;
 use gd_workloads::by_name;
 
@@ -25,10 +26,10 @@ fn main() {
     let mut args = BenchArgs::from_env();
     let mopts = args.measure_ddr4();
     let single_rate = args.fault_rate();
+    let seed_count = args.requests_count(3, 16) as u64;
     args.finish();
     let verify = mopts.strict_validate.then_some(gd_verify::Mode::Strict);
     let engine = mopts.engine;
-    let seed_count = args.requests.unwrap_or(3).clamp(1, 16) as u64;
     let mut desc = format!("app=gcc managed=8GiB blocks=128 uniform-plan seeds=1..{seed_count}");
     let rates: Vec<f64> = match single_rate {
         Some(r) => {
@@ -46,10 +47,11 @@ fn main() {
     let results = timed_sweep("fig_faults", &rates, &labels, args.jobs, |_ctx, rate| {
         let mut rows = Vec::new();
         let mut shards = Vec::new();
+        let plan = (*rate > 0.0).then(|| FaultPlan::uniform(*rate));
         for seed in 1..=seed_count {
             let (r, tele) = robustness_experiment(
                 &profile,
-                *rate,
+                plan.as_ref(),
                 engine,
                 seed,
                 verify,

@@ -57,48 +57,17 @@ pub struct AppMeasurement {
 }
 
 /// Runs the cycle simulator for `profile` under the given interleave mode
-/// and derives runtime via the MLP-aware CPU model.
-///
-/// # Errors
-///
-/// Propagates simulator configuration errors.
-pub fn measure_app(
-    profile: &AppProfile,
-    cfg: DramConfig,
-    mode: InterleaveMode,
-    requests: usize,
-    seed: u64,
-) -> Result<AppMeasurement> {
-    measure_app_opts(profile, cfg, mode, requests, seed, MeasureOpts::default())
-}
-
-/// [`measure_app`] with explicit [`MeasureOpts`].
+/// and derives runtime via the MLP-aware CPU model. When `tele` is `Some`,
+/// the run's DRAM books (per-rank power-state residency, per-channel
+/// command counters, per-group deep power-down dwell) are exported under a
+/// scope named after the interleave mode.
 ///
 /// # Errors
 ///
 /// Propagates simulator configuration errors; with
 /// [`MeasureOpts::strict_validate`], also protocol violations in the
 /// scheduler's command stream.
-pub fn measure_app_opts(
-    profile: &AppProfile,
-    cfg: DramConfig,
-    mode: InterleaveMode,
-    requests: usize,
-    seed: u64,
-    opts: MeasureOpts,
-) -> Result<AppMeasurement> {
-    measure_app_tele(profile, cfg, mode, requests, seed, opts, None)
-}
-
-/// [`measure_app_opts`] with an optional telemetry sink: when `tele` is
-/// `Some`, the run's DRAM books (per-rank power-state residency, per-channel
-/// command counters, per-group deep power-down dwell) are exported under a
-/// scope named after the interleave mode.
-///
-/// # Errors
-///
-/// Same as [`measure_app_opts`].
-pub fn measure_app_tele(
+pub fn measure_app(
     profile: &AppProfile,
     cfg: DramConfig,
     mode: InterleaveMode,
@@ -113,16 +82,8 @@ pub fn measure_app_tele(
     if opts.strict_validate {
         sys.enable_command_log();
     }
-    let cap = cfg.total_capacity_bytes();
-    let mut gen = TraceGenerator::new(profile.clone(), seed);
-    let trace: Vec<_> = gen
-        .take(requests)
-        .into_iter()
-        .map(|mut r| {
-            r.addr %= cap;
-            r
-        })
-        .collect();
+    let trace = TraceGenerator::new(profile.clone(), seed)
+        .take_wrapped(requests, cfg.total_capacity_bytes());
     let stats = sys.run_trace(trace)?;
     if opts.strict_validate {
         let log = sys.take_command_log();
@@ -198,21 +159,22 @@ pub struct EnergyRow {
     pub system_norm: f64,
 }
 
-/// Computes energy for one (app, policy, mode) cell from its measurement
-/// and governor outcome.
-fn energy_cell(
+/// Runtime and DRAM power of one (app, policy, mode) cell: the governor
+/// outcome's low-power residencies and gating applied to a run of
+/// `runtime_s` seconds (plus the policy overhead) at `bandwidth_util` of
+/// peak bandwidth.
+pub(crate) fn energy_cell(
     model: &DramPowerModel,
-    system: &SystemPowerModel,
     profile: &AppProfile,
-    meas: &AppMeasurement,
+    runtime_s: f64,
+    bandwidth_util: f64,
     out: &GovernorOutcome,
-    cpu_util: f64,
-) -> (f64, f64, f64) {
-    let runtime = meas.runtime_s + out.overhead_s;
+) -> (f64, f64) {
+    let runtime = runtime_s + out.overhead_s;
     let lp = (out.sr_fraction + out.pd_fraction).clamp(0.0, 1.0);
     let awake = 1.0 - lp;
     let activity = ActivityProfile {
-        bandwidth_util: meas.bandwidth_util,
+        bandwidth_util,
         read_fraction: profile.read_fraction,
         act_per_access: 1.0 - profile.row_locality,
         active_standby: awake * 0.6,
@@ -220,29 +182,12 @@ fn energy_cell(
         power_down: out.pd_fraction,
         self_refresh: out.sr_fraction,
     };
-    let dram_w = model.analytic_power_w(&activity, &out.gating);
-    let dram_j = dram_w * runtime;
-    let system_j = system.system_energy_j(dram_w, cpu_util, runtime);
-    (runtime, dram_j, system_j)
+    (runtime, model.analytic_power_w(&activity, &out.gating))
 }
 
 /// Evaluates all four policies × both interleave modes for one benchmark,
 /// normalized to (w/o interleave, srf_only) — one group of bars in
 /// Figs. 9/10.
-///
-/// # Errors
-///
-/// Propagates cycle-simulation errors.
-pub fn evaluate_app(
-    profile: &AppProfile,
-    cfg: DramConfig,
-    requests: usize,
-    seed: u64,
-) -> Result<Vec<EnergyRow>> {
-    evaluate_app_opts(profile, cfg, requests, seed, MeasureOpts::default())
-}
-
-/// [`evaluate_app`] with explicit [`MeasureOpts`].
 ///
 /// # Errors
 ///
@@ -274,7 +219,7 @@ pub fn evaluate_app_tele(
     opts: MeasureOpts,
     mut tele: Option<&mut gd_obs::Telemetry>,
 ) -> Result<Vec<EnergyRow>> {
-    let with = measure_app_tele(
+    let with = measure_app(
         profile,
         cfg,
         InterleaveMode::Interleaved,
@@ -283,7 +228,7 @@ pub fn evaluate_app_tele(
         opts,
         tele.as_deref_mut(),
     )?;
-    let without = measure_app_tele(
+    let without = measure_app(
         profile,
         cfg,
         InterleaveMode::Linear,
@@ -331,8 +276,10 @@ pub fn evaluate_app_tele(
                 Some(checker) => gd_baselines::checked_evaluate(g.as_ref(), &ctx, checker)?,
                 None => g.evaluate(&ctx),
             };
-            let (runtime, dram_j, system_j) =
-                energy_cell(&model, &system, profile, meas, &out, cpu_util);
+            let (runtime, dram_w) =
+                energy_cell(&model, profile, meas.runtime_s, meas.bandwidth_util, &out);
+            let dram_j = dram_w * runtime;
+            let system_j = system.system_energy_j(dram_w, cpu_util, runtime);
             if g.name() == "srf_only" && !meas.interleaved {
                 baseline = Some((dram_j, system_j));
             }
@@ -356,7 +303,7 @@ pub fn evaluate_app_tele(
     Ok(rows)
 }
 
-/// Picks a row out of [`evaluate_app`] output.
+/// Picks a row out of [`evaluate_app_opts`] output.
 pub fn find_row<'a>(
     rows: &'a [EnergyRow],
     policy: &str,
@@ -390,8 +337,9 @@ mod tests {
     #[test]
     fn interleaving_speeds_up_memory_intensive() {
         let p = small_profile();
-        let with = measure_app(&p, small(), InterleaveMode::Interleaved, 8_000, 1).unwrap();
-        let without = measure_app(&p, small(), InterleaveMode::Linear, 8_000, 1).unwrap();
+        let run = |mode| measure_app(&p, small(), mode, 8_000, 1, MeasureOpts::default(), None);
+        let with = run(InterleaveMode::Interleaved).unwrap();
+        let without = run(InterleaveMode::Linear).unwrap();
         assert!(
             without.runtime_s > with.runtime_s * 1.3,
             "w/o {} vs w/ {}",
@@ -405,7 +353,7 @@ mod tests {
     #[test]
     fn greendimm_beats_baselines_under_interleaving() {
         let p = small_profile();
-        let rows = evaluate_app(&p, small(), 8_000, 1).unwrap();
+        let rows = evaluate_app_opts(&p, small(), 8_000, 1, MeasureOpts::default()).unwrap();
         assert_eq!(rows.len(), 8);
         let gd = find_row(&rows, "GreenDIMM", true).unwrap();
         let srf = find_row(&rows, "srf_only", true).unwrap();
@@ -424,7 +372,7 @@ mod tests {
     #[test]
     fn baseline_cell_is_normalized_to_one() {
         let p = small_profile();
-        let rows = evaluate_app(&p, small(), 6_000, 2).unwrap();
+        let rows = evaluate_app_opts(&p, small(), 6_000, 2, MeasureOpts::default()).unwrap();
         let base = find_row(&rows, "srf_only", false).unwrap();
         assert!((base.dram_norm - 1.0).abs() < 1e-9);
         assert!((base.system_norm - 1.0).abs() < 1e-9);
@@ -482,7 +430,7 @@ mod tests {
     #[test]
     fn rank_baselines_save_only_without_interleaving() {
         let p = small_profile();
-        let rows = evaluate_app(&p, small(), 6_000, 3).unwrap();
+        let rows = evaluate_app_opts(&p, small(), 6_000, 3, MeasureOpts::default()).unwrap();
         let rz_with = find_row(&rows, "RAMZzz", true).unwrap();
         let rz_without = find_row(&rows, "RAMZzz", false).unwrap();
         // Without interleaving RAMZzz parks ranks in self-refresh: lower

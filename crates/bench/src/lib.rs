@@ -20,12 +20,9 @@ pub mod telemetry;
 pub mod vmtrace;
 
 pub use args::BenchArgs;
-pub use blocks::{block_size_experiment, block_size_experiment_tele, BlockSizeRow, MANAGED_BYTES};
-pub use energy::{
-    evaluate_app, evaluate_app_tele, find_row, measure_app, measure_app_tele, AppMeasurement,
-    EnergyRow,
-};
+pub use blocks::{block_size_experiment, managed_region, BlockSizeRow, MANAGED_BYTES};
+pub use energy::{evaluate_app_tele, find_row, measure_app, AppMeasurement, EnergyRow};
 pub use robustness::{robustness_experiment, RobustnessRow, FAULT_RATES};
 pub use sweep::{default_jobs, sweep, timed_sweep, timed_sweep_jobs, PointCtx, SweepTiming};
 pub use telemetry::{render_shards, TelemetryOpts};
-pub use vmtrace::{run_vm_trace, run_vm_trace_tele, VmTraceConfig, VmTraceOutcome, VmTraceSample};
+pub use vmtrace::run_vm_trace;

@@ -1,6 +1,7 @@
 //! Bad command lines fail loudly on the real executables: an unknown flag,
-//! or a flag the figure does not read, exits 2 before the figure prints
-//! anything, with one `error:` line on stderr.
+//! a flag the figure does not read, or a value above the figure's cap
+//! exits 2 before the figure prints anything, with one `error:` line on
+//! stderr.
 
 use std::process::Command;
 
@@ -29,5 +30,17 @@ fn flag_the_figure_does_not_read_exits_2() {
     assert_exit_2(
         env!("CARGO_BIN_EXE_fig12_vm_offlined_blocks"),
         &["--engine", "stepped"],
+    );
+    assert_exit_2(
+        env!("CARGO_BIN_EXE_ablation_offthr"),
+        &["--engine", "stepped"],
+    );
+}
+
+#[test]
+fn seed_count_above_the_cap_exits_2() {
+    assert_exit_2(
+        env!("CARGO_BIN_EXE_fig08_offlining_failures"),
+        &["--requests", "65"],
     );
 }

@@ -138,11 +138,6 @@ impl Daemon {
         self.retry = retry;
     }
 
-    /// The active retry/backoff policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// Recovery state of one group (`None` when out of range).
     pub fn recovery(&self, g: SubArrayGroup) -> Option<&GroupRecovery> {
         self.recovery.get(g.index())

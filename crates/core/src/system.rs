@@ -21,6 +21,23 @@ use gd_workloads::{by_name, estimate_runtime, AppProfile, TraceGenerator};
 /// the paper's observed event rate (~0.5 events/s).
 pub const INTERFERENCE_COEFF: f64 = 0.0006;
 
+/// GreenDIMM's execution-time overhead for one run of `profile`, seconds:
+/// the raw hotplug time, the calibrated interference of `hotplug_events`
+/// on/off-linings ([`INTERFERENCE_COEFF`]), and 1 ms of a core per daemon
+/// tick over `epochs` one-second ticks.
+pub fn hotplug_overhead_s(
+    profile: &AppProfile,
+    hotplug_events: u64,
+    hotplug_time: SimTime,
+    epochs: u64,
+) -> f64 {
+    let interference_s = INTERFERENCE_COEFF
+        * hotplug_events as f64
+        * profile.mpki.max(0.1)
+        * (profile.footprint_bytes() as f64 / (1u64 << 30) as f64);
+    hotplug_time.as_secs_f64() + interference_s + 0.001 * epochs as f64
+}
+
 /// Fraction of installed capacity pre-allocated to the kernel (unmovable).
 const KERNEL_RESERVED_FRACTION: f64 = 0.02;
 
@@ -167,16 +184,10 @@ impl GreenDimmSystem {
     pub fn run_profile(&mut self, profile: &AppProfile, seed: u64) -> Result<AppRunReport> {
         // 1. Cycle-level latency probe under interleaving.
         let mut probe = MemorySystem::new(self.cfg.dram, LowPowerPolicy::srf_default())?;
-        let mut gen = TraceGenerator::new(profile.clone(), seed);
-        let footprint_cap = self.cfg.dram.total_capacity_bytes();
-        let trace: Vec<_> = gen
-            .take(self.cfg.probe_requests)
-            .into_iter()
-            .map(|mut r| {
-                r.addr %= footprint_cap;
-                r
-            })
-            .collect();
+        let trace = TraceGenerator::new(profile.clone(), seed).take_wrapped(
+            self.cfg.probe_requests,
+            self.cfg.dram.total_capacity_bytes(),
+        );
         let stats = probe.run_trace(trace)?;
         let avg_latency = stats.read_latency.mean().unwrap_or(60.0);
 
@@ -216,12 +227,12 @@ impl GreenDimmSystem {
         let daemon_stats = sim.daemon.stats;
 
         // 4. Overhead: raw hotplug time + calibrated interference + monitor.
-        let interference_s = INTERFERENCE_COEFF
-            * daemon_stats.hotplug_events() as f64
-            * profile.mpki.max(0.1)
-            * (profile.footprint_bytes() as f64 / (1u64 << 30) as f64);
-        let monitor_s = 0.001 * epochs as f64; // 1 ms of a core per tick
-        let overhead_s = daemon_stats.hotplug_time.as_secs_f64() + interference_s + monitor_s;
+        let overhead_s = hotplug_overhead_s(
+            profile,
+            daemon_stats.hotplug_events(),
+            daemon_stats.hotplug_time,
+            epochs,
+        );
         let runtime_s = baseline_runtime_s + overhead_s;
         let overhead_fraction = overhead_s / baseline_runtime_s;
 

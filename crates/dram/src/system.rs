@@ -304,14 +304,6 @@ impl MemorySystem {
         Ok(())
     }
 
-    /// Whether a PASR segment is currently masked out of self-refresh.
-    pub fn pasr_segment_masked(&self, segment: u32) -> bool {
-        self.pasr_mask
-            .get(segment as usize)
-            .copied()
-            .unwrap_or(false)
-    }
-
     /// Fraction of PASR segments currently masked (0 on non-PASR backends).
     pub fn pasr_masked_fraction(&self) -> f64 {
         if self.pasr_mask.is_empty() {

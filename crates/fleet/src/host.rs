@@ -1,11 +1,11 @@
 //! One host's co-simulation: replay a VM lifecycle event stream through
 //! the mm/daemon/KSM stack under a selectable engine.
 //!
-//! This is the single-host loop `gd_bench::vmtrace` pioneered for
-//! Figs. 1/12/13, hoisted below the bench crate so the fleet can drive it
-//! once per host with scheduler-produced event streams (and so the bench
-//! crate can delegate to it, keeping exactly one copy of the loop). The
-//! two [`EngineMode`]s:
+//! This is the one copy of the single-host loop. The fleet drives it once
+//! per host with scheduler-produced event streams; `gd_bench::vmtrace`
+//! drives it once with a synthesized Azure trace for Figs. 1, 12 and 13,
+//! and the figures read its [`HostRun`] directly. The two
+//! [`EngineMode`]s:
 //!
 //! * [`EngineMode::Stepped`] — one [`EpochSim::step`] per second;
 //! * [`EngineMode::EventDriven`] — one step per scheduler period.
@@ -95,6 +95,13 @@ impl HostRun {
     /// Mean deep power-down fraction (drives the power numbers).
     pub fn mean_deep_pd_fraction(&self) -> f64 {
         mean(self.samples.iter().map(|s| s.deep_pd_fraction))
+    }
+
+    /// Minimum and maximum off-line block counts.
+    pub fn offline_blocks_range(&self) -> (usize, usize) {
+        self.samples.iter().fold((usize::MAX, 0), |(lo, hi), s| {
+            (lo.min(s.offline_blocks), hi.max(s.offline_blocks))
+        })
     }
 }
 

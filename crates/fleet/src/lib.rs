@@ -95,16 +95,6 @@ impl FleetOutcome {
             .sum::<f64>()
             / self.hosts.len() as f64
     }
-
-    /// Total hotplug events across the fleet.
-    pub fn total_hotplug_events(&self) -> u64 {
-        self.hosts.iter().map(|h| h.hotplug_events).sum()
-    }
-
-    /// Total pages KSM released across the fleet.
-    pub fn total_ksm_released_pages(&self) -> u64 {
-        self.hosts.iter().map(|h| h.ksm_released_pages).sum()
-    }
 }
 
 /// Runs the full fleet: schedule, then per-host co-simulation sharded

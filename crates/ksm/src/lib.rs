@@ -327,12 +327,6 @@ impl Ksm {
         self.stable.len()
     }
 
-    /// Total sharing count over the stable tree (originals plus merged
-    /// duplicates).
-    pub fn stable_sharing_total(&self) -> u64 {
-        self.stable.values().sum()
-    }
-
     /// Pages released so far (frames saved by merging).
     pub fn frames_released(&self) -> u64 {
         self.stats.pages_sharing

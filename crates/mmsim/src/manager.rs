@@ -51,18 +51,6 @@ impl MmConfig {
         }
     }
 
-    /// The paper's VM platform: 256 GB with 1 GB blocks (§6.3).
-    pub fn vm_256gb() -> Self {
-        MmConfig {
-            capacity_bytes: 256 << 30,
-            block_bytes: 1 << 30,
-            movablecore_bytes: None,
-            unmovable_leak_prob: 0.02,
-            transient_fail_prob: 0.25,
-            seed: 1,
-        }
-    }
-
     /// A small configuration for tests: 256 MB with 16 MB blocks.
     pub fn small_test() -> Self {
         MmConfig {
@@ -111,16 +99,6 @@ impl MemInfo {
             0.0
         } else {
             self.free_pages as f64 / self.total_pages as f64
-        }
-    }
-
-    /// Used fraction of *installed* memory (the paper's "utilization of
-    /// memory capacity").
-    pub fn utilization_of_installed(&self) -> f64 {
-        if self.installed_pages == 0 {
-            0.0
-        } else {
-            self.used_pages as f64 / self.installed_pages as f64
         }
     }
 }

@@ -35,11 +35,6 @@ impl SystemPowerModel {
     pub fn system_energy_j(&self, dram_w: f64, cpu_util: f64, seconds: f64) -> f64 {
         self.system_power_w(dram_w, cpu_util) * seconds.max(0.0)
     }
-
-    /// The share of system power attributable to DRAM.
-    pub fn dram_share(&self, dram_w: f64, cpu_util: f64) -> f64 {
-        dram_w / self.system_power_w(dram_w, cpu_util)
-    }
 }
 
 impl Default for SystemPowerModel {

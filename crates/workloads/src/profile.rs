@@ -74,11 +74,6 @@ impl AppProfile {
         self.footprint_mib << 20
     }
 
-    /// Peak footprint in 4 KB pages.
-    pub fn footprint_pages(&self) -> u64 {
-        self.footprint_bytes() / 4096
-    }
-
     /// True for high-MPKI (memory-intensive) benchmarks, the ones whose
     /// runtime interleaving improves most (Fig. 3a).
     pub fn is_memory_intensive(&self) -> bool {

@@ -49,11 +49,6 @@ impl TraceGenerator {
         }
     }
 
-    /// Mean request inter-arrival time in memory cycles.
-    pub fn mean_gap_cycles(&self) -> f64 {
-        self.gap_cycles
-    }
-
     /// The profile driving this generator.
     pub fn profile(&self) -> &AppProfile {
         &self.profile
@@ -86,6 +81,19 @@ impl TraceGenerator {
     /// Generates a trace of `n` requests.
     pub fn take(&mut self, n: usize) -> Vec<MemRequest> {
         (0..n).map(|_| self.next_request()).collect()
+    }
+
+    /// Generates a trace of `n` requests with every address wrapped into
+    /// `cap` bytes, so a footprint larger than a probe's DRAM still maps
+    /// onto it.
+    pub fn take_wrapped(&mut self, n: usize, cap: u64) -> Vec<MemRequest> {
+        (0..n)
+            .map(|_| {
+                let mut r = self.next_request();
+                r.addr %= cap;
+                r
+            })
+            .collect()
     }
 }
 

@@ -6,7 +6,7 @@
 //! cargo run --release --example block_size_tuning
 //! ```
 
-use greendimm_suite::bench::block_size_experiment;
+use greendimm_suite::bench::{block_size_experiment, managed_region};
 use greendimm_suite::core::GreenDimmConfig;
 use greendimm_suite::workloads::by_name;
 
@@ -18,8 +18,15 @@ fn main() {
     );
     println!("block   offlined   overhead   on/off events");
     for block_mib in [128u64, 256, 512] {
-        let r = block_size_experiment(&app, block_mib, GreenDimmConfig::paper_default(), |c| c, 1)
-            .expect("co-simulation");
+        let (r, _) = block_size_experiment(
+            &app,
+            managed_region(block_mib, 1),
+            GreenDimmConfig::paper_default(),
+            None,
+            None,
+            None,
+        )
+        .expect("co-simulation");
         println!(
             "{:>4}MB  {:6.2}GiB  {:7.2}%   {:>6}",
             block_mib,

@@ -7,7 +7,7 @@
 //! cargo run --release --example interleaving_study
 //! ```
 
-use greendimm_suite::bench::measure_app;
+use greendimm_suite::bench::energy::{measure_app, MeasureOpts};
 use greendimm_suite::types::config::{DramConfig, InterleaveMode};
 use greendimm_suite::workloads::by_name;
 
@@ -24,7 +24,8 @@ fn main() {
         ("with interleaving   ", InterleaveMode::Interleaved),
         ("without interleaving", InterleaveMode::Linear),
     ] {
-        let m = measure_app(&profile, cfg, mode, 20_000, 1).expect("cycle sim");
+        let m = measure_app(&profile, cfg, mode, 20_000, 1, MeasureOpts::default(), None)
+            .expect("cycle sim");
         println!("{label}:");
         println!(
             "  runtime {:.0} s (bus utilization {:.0}%)",

@@ -6,23 +6,25 @@
 //! cargo run --release --example vm_consolidation
 //! ```
 
-use greendimm_suite::bench::{run_vm_trace, VmTraceConfig};
+use greendimm_suite::bench::run_vm_trace;
 use greendimm_suite::dram::EngineMode;
+use greendimm_suite::fleet::HostSimConfig;
 use greendimm_suite::power::{ActivityProfile, DramPowerModel, PowerGating};
 use greendimm_suite::types::config::DramConfig;
 
 fn main() {
-    let cfg = VmTraceConfig {
+    let cfg = HostSimConfig {
         capacity_gb: 256,
         block_gb: 1,
         ksm: true,
         greendimm: true,
         duration_s: 8 * 3600, // an 8-hour shift for a quick demo
+        schedule_period_s: 300,
         seed: 7,
         engine: EngineMode::EventDriven,
     };
     println!("simulating an 8 h VM consolidation trace on a 256 GB host (KSM on)...\n");
-    let out = run_vm_trace(&cfg).expect("co-simulation");
+    let (out, _) = run_vm_trace(&cfg, false).expect("co-simulation");
 
     println!("hour  used%  offline-blocks  deep-PD%");
     for h in 0..8u64 {

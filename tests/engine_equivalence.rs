@@ -401,9 +401,12 @@ fn pasr_mask_lifecycle_equivalent() {
 #[test]
 fn faulted_runs_equivalent_across_engines() {
     use greendimm_suite::bench::robustness::robustness_experiment;
+    use greendimm_suite::faults::FaultPlan;
     let profile = by_name("mcf").unwrap();
-    let run =
-        |engine: EngineMode| robustness_experiment(&profile, 0.25, engine, 17, None, true).unwrap();
+    let plan = FaultPlan::uniform(0.25);
+    let run = |engine: EngineMode| {
+        robustness_experiment(&profile, Some(&plan), engine, 17, None, true).unwrap()
+    };
     let (a_row, a_tele) = run(EngineMode::Stepped);
     let (b_row, b_tele) = run(EngineMode::EventDriven);
     assert!(a_row.faults_injected > 0, "the fault plan must bite");
@@ -419,30 +422,13 @@ fn faulted_runs_equivalent_across_engines() {
 /// the fault machinery must be free when every trigger is disarmed.
 #[test]
 fn rate_zero_equals_no_injector_run() {
-    use greendimm_suite::bench::robustness::robustness_experiment_with_plan;
+    use greendimm_suite::bench::robustness::robustness_experiment;
     use greendimm_suite::faults::FaultPlan;
     let profile = by_name("mcf").unwrap();
     let inactive = FaultPlan::uniform(0.0);
-    let (a_row, a_tele) = robustness_experiment_with_plan(
-        &profile,
-        Some(&inactive),
-        0.0,
-        EngineMode::EventDriven,
-        5,
-        None,
-        true,
-    )
-    .unwrap();
-    let (b_row, b_tele) = robustness_experiment_with_plan(
-        &profile,
-        None,
-        0.0,
-        EngineMode::EventDriven,
-        5,
-        None,
-        true,
-    )
-    .unwrap();
+    let run = |plan| robustness_experiment(&profile, plan, EngineMode::EventDriven, 5, None, true);
+    let (a_row, a_tele) = run(Some(&inactive)).unwrap();
+    let (b_row, b_tele) = run(None).unwrap();
     assert_eq!(a_row, b_row, "inactive injectors changed the row");
     assert_eq!(
         a_tele.unwrap().render_jsonl("p"),
@@ -503,14 +489,14 @@ fn deep_pd_transitions_mid_traffic_equivalent() {
 /// different fault streams.
 #[test]
 fn armed_fault_plan_equivalent_across_engines() {
-    use greendimm_suite::bench::robustness::robustness_experiment_with_plan;
+    use greendimm_suite::bench::robustness::robustness_experiment;
     use greendimm_suite::faults::{FaultPlan, FaultSite, FaultTrigger};
     let profile = by_name("mcf").unwrap();
     let plan = FaultPlan::none()
         .with(FaultSite::WakeStretch, FaultTrigger::EveryNth(1))
         .with(FaultSite::MrsAckDelay, FaultTrigger::EveryNth(3));
     let run = |engine: EngineMode| {
-        robustness_experiment_with_plan(&profile, Some(&plan), 0.0, engine, 31, None, true).unwrap()
+        robustness_experiment(&profile, Some(&plan), engine, 31, None, true).unwrap()
     };
     let (a_row, a_tele) = run(EngineMode::Stepped);
     let (b_row, b_tele) = run(EngineMode::EventDriven);

@@ -4,9 +4,11 @@
 use greendimm_suite::baselines::{
     GovernorContext, GreenDimmGovernor, Pasr, PowerGovernor, RamZzz, SrfOnly,
 };
-use greendimm_suite::bench::{evaluate_app, find_row, run_vm_trace, VmTraceConfig};
+use greendimm_suite::bench::energy::{evaluate_app_opts, MeasureOpts};
+use greendimm_suite::bench::{find_row, run_vm_trace};
 use greendimm_suite::core::{GreenDimmSystem, SystemConfig};
 use greendimm_suite::dram::{LowPowerPolicy, MemorySystem};
+use greendimm_suite::fleet::HostSimConfig;
 use greendimm_suite::power::{ActivityProfile, DramPowerModel, PowerGating};
 use greendimm_suite::types::config::{DramConfig, InterleaveMode};
 use greendimm_suite::workloads::{by_name, AppProfile, TraceGenerator};
@@ -40,7 +42,14 @@ fn interleaving_defeats_rank_granularity_power_management() {
 /// rank/bank-granularity baselines are stuck at (or above) srf_only.
 #[test]
 fn only_greendimm_saves_energy_under_interleaving() {
-    let rows = evaluate_app(&small_profile(), DramConfig::small_test(), 6_000, 1).expect("energy");
+    let rows = evaluate_app_opts(
+        &small_profile(),
+        DramConfig::small_test(),
+        6_000,
+        1,
+        MeasureOpts::default(),
+    )
+    .expect("energy");
     let srf = find_row(&rows, "srf_only", true).expect("cell").dram_norm;
     let rz = find_row(&rows, "RAMZzz", true).expect("cell").dram_norm;
     let pasr = find_row(&rows, "PASR", true).expect("cell").dram_norm;
@@ -115,12 +124,12 @@ fn overhead_stays_within_a_few_percent() {
 /// breaks the co-simulation's accounting.
 #[test]
 fn ksm_increases_offlined_blocks_in_vm_trace() {
-    let cfg = VmTraceConfig {
+    let cfg = HostSimConfig {
         duration_s: 2 * 3600,
-        ..VmTraceConfig::paper_256gb()
+        ..HostSimConfig::paper_256gb()
     };
-    let base = run_vm_trace(&cfg).expect("co-sim");
-    let ksm = run_vm_trace(&VmTraceConfig { ksm: true, ..cfg }).expect("co-sim");
+    let (base, _) = run_vm_trace(&cfg, false).expect("co-sim");
+    let (ksm, _) = run_vm_trace(&HostSimConfig { ksm: true, ..cfg }, false).expect("co-sim");
     assert!(ksm.mean_offline_blocks() >= base.mean_offline_blocks());
     assert!(ksm.ksm_released_pages > 0);
 }

@@ -140,13 +140,28 @@ for args in "fig09_dram_energy --engine epoch-replay" "fig09_dram_energy --engin
             "fig05_addrmap --bogus" "fig05_addrmap --jobs 0" "fig05_addrmap --jobs x" \
             "fig01_vm_utilization --memspec ddr5" "fig12_vm_offlined_blocks --engine stepped" \
             "fig03_interleaving --telemetry" "fig09_dram_energy --jobs 2 --jobs 3" \
-            "fig_faults --fault-rate 2" "fig_faults --fault-rate abc"; do
+            "fig_faults --fault-rate 2" "fig_faults --fault-rate abc" \
+            "ablation_adaptive_thr --engine stepped" "ablation_ksm_scan --engine stepped" \
+            "ablation_offthr --engine stepped"; do
   set -- $args
   bin=$1
   shift
   status=0
   cargo run --quiet --release -p gd-bench --bin "$bin" -- "$@" --requests 8 \
     > /dev/null 2>&1 || status=$?
+  [ "$status" -eq 2 ] || {
+    echo "ERROR: $args exited $status, expected 2" >&2
+    exit 1
+  }
+done
+# Seed counts above a figure's cap; no `--requests 8` is appended here, as
+# it would trip the repeated-flag check instead.
+for args in "fig08_offlining_failures --requests 65" "fig_faults --requests 17"; do
+  set -- $args
+  bin=$1
+  shift
+  status=0
+  cargo run --quiet --release -p gd-bench --bin "$bin" -- "$@" > /dev/null 2>&1 || status=$?
   [ "$status" -eq 2 ] || {
     echo "ERROR: $args exited $status, expected 2" >&2
     exit 1
