@@ -76,14 +76,13 @@ fn main() {
     );
     let results: Vec<_> = results.into_iter().map(|(w, wo, _, _)| (w, wo)).collect();
     for (p, (with, without)) in profiles.iter().zip(results) {
-        // Deep-PD proxy: off-lined capacity is the same; what changes is
-        // how much of it may be power-gated. Use the daemon's register
-        // state captured in offline capacity terms.
+        // The constraint leaves off-lining alone; it decides which
+        // off-lined groups may enter deep power-down.
         row(
             &[
                 p.name.to_string(),
-                format!("{:.2} GiB", with.offlined_gib_avg),
-                format!("{:.2} GiB", without.offlined_gib_avg),
+                pct(with.down_fraction_avg),
+                pct(without.down_fraction_avg),
             ],
             &widths,
         );

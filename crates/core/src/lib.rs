@@ -15,19 +15,12 @@
 //! * [`cosim`] — the epoch-level co-simulation engine for system-scale
 //!   experiments;
 //! * [`verify`] — the runtime invariant harness binding the [`gd_verify`]
-//!   checkers to the co-simulation;
-//! * [`system`] — the one-call convenience API.
+//!   checkers to the co-simulation.
 //!
-//! # Quickstart
-//!
-//! ```
-//! use greendimm::{GreenDimmSystem, SystemConfig};
-//!
-//! let mut sys = GreenDimmSystem::new(SystemConfig::small_test());
-//! let report = sys.run_app("libquantum", 42);
-//! assert!(report.dram_energy_joules > 0.0);
-//! assert!(report.overhead_fraction < 0.05); // ~1% in the paper
-//! ```
+//! The experiments that compose these pieces (the managed-region run
+//! behind Figs. 6–8, the energy cells of Figs. 9–10) live in `gd-bench`;
+//! the umbrella crate `greendimm-suite` re-exports it and carries the
+//! quickstart example and doc test.
 
 pub mod config;
 pub mod cosim;
@@ -35,7 +28,6 @@ pub mod daemon;
 pub mod groupmap;
 pub mod registers;
 pub mod selector;
-pub mod system;
 pub mod verify;
 
 pub use config::{GreenDimmConfig, SelectorPolicy};
@@ -43,5 +35,4 @@ pub use cosim::{EpochSim, FootprintDriver};
 pub use daemon::{Daemon, DaemonStats, GroupRecovery, TickReport};
 pub use groupmap::GroupMap;
 pub use registers::{GroupRegisterFile, DEEP_PD_EXIT};
-pub use system::{AppRunReport, GreenDimmSystem, SystemConfig};
 pub use verify::{quarantine_observations, VerifyHarness};

@@ -39,18 +39,6 @@ pub struct MmConfig {
 }
 
 impl MmConfig {
-    /// The paper's SPEC platform: 64 GB with 128 MB blocks, no movablecore.
-    pub fn spec_64gb() -> Self {
-        MmConfig {
-            capacity_bytes: 64 << 30,
-            block_bytes: 128 << 20,
-            movablecore_bytes: None,
-            unmovable_leak_prob: 0.02,
-            transient_fail_prob: 0.25,
-            seed: 1,
-        }
-    }
-
     /// A small configuration for tests: 256 MB with 16 MB blocks.
     pub fn small_test() -> Self {
         MmConfig {
@@ -61,12 +49,6 @@ impl MmConfig {
             transient_fail_prob: 0.0,
             seed: 1,
         }
-    }
-
-    /// Returns a copy with a different block size.
-    pub fn with_block_bytes(mut self, bytes: u64) -> Self {
-        self.block_bytes = bytes;
-        self
     }
 
     /// Returns a copy with a different seed.

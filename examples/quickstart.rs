@@ -1,56 +1,75 @@
-//! Quickstart: run one benchmark under GreenDIMM and print its report.
+//! Quickstart: run libquantum under GreenDIMM through the same two
+//! experiments the figures publish, and print what each measured.
+//!
+//! * The managed-region run (Figs. 6–7, Table 2): the daemon off-lines
+//!   128 MB blocks of an 8 GiB region while the app's footprint and a page
+//!   cache move through it.
+//! * The energy cells (Fig. 9): a cycle-level run on the paper's 64 GB
+//!   DDR4 platform, priced under each power-management policy and
+//!   normalized to self-refresh only without interleaving.
 //!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 
-use greendimm_suite::core::{GreenDimmSystem, SystemConfig};
-use greendimm_suite::power::{ActivityProfile, DramPowerModel, PowerGating};
+use greendimm_suite::bench::energy::{evaluate_app_opts, MeasureOpts};
+use greendimm_suite::bench::{block_size_experiment, find_row, managed_region, MANAGED_BYTES};
+use greendimm_suite::core::GreenDimmConfig;
+use greendimm_suite::types::config::{DramConfig, MemSpecKind};
+use greendimm_suite::workloads::by_name;
 
 fn main() {
-    // The paper's 64 GB SPEC platform, managed in 1 GB blocks (one
-    // sub-array group each).
-    let cfg = SystemConfig::spec_64gb();
-    let mut sys = GreenDimmSystem::new(cfg);
-
-    println!("running libquantum (64 MB footprint, high MPKI) under GreenDIMM...\n");
-    let report = sys.run_app("libquantum", 42);
-
-    println!("benchmark            : {}", report.name);
-    println!("baseline runtime     : {:.1} s", report.baseline_runtime_s);
+    let app = by_name("libquantum").expect("built-in profile");
     println!(
-        "runtime w/ GreenDIMM : {:.1} s  (+{:.2}%)",
-        report.runtime_s,
-        report.overhead_fraction * 100.0
-    );
-    println!(
-        "avg read latency     : {:.0} memory cycles",
-        report.avg_read_latency_cycles
-    );
-    println!(
-        "off-lined capacity   : {:.0}% of managed memory (time-averaged)",
-        report.avg_offline_fraction * 100.0
-    );
-    println!("DRAM power           : {:.1} W", report.dram_power_w);
-    println!("DRAM energy          : {:.0} J", report.dram_energy_joules);
-    println!(
-        "system energy        : {:.0} J",
-        report.system_energy_joules
-    );
-    println!(
-        "hotplug events       : {} off-line, {} on-line, {} failures",
-        report.daemon.offline_events,
-        report.daemon.online_events,
-        report.daemon.failures()
+        "running {} ({} MB footprint, {} MPKI) under GreenDIMM...\n",
+        app.name, app.footprint_mib, app.mpki
     );
 
-    // What the same platform would burn without GreenDIMM: a tiny footprint
-    // still keeps every sub-array powered and refreshing.
-    let model = DramPowerModel::new(sys.config().dram).expect("valid DRAM config");
-    let conventional = model.analytic_power_w(&ActivityProfile::busy(0.2), &PowerGating::none());
+    let (r, _) = block_size_experiment(
+        &app,
+        managed_region(128, 42),
+        GreenDimmConfig::paper_default(),
+        None,
+        None,
+        None,
+    )
+    .expect("co-simulation");
+    println!("managed region, 128 MB blocks (Figs. 6-7, Table 2)");
     println!(
-        "\nconventional DRAM power for the same run: {:.1} W -> GreenDIMM saves {:.0}%",
-        conventional,
-        (1.0 - report.dram_power_w / conventional) * 100.0
+        "  off-lined capacity : {:.2} of {} GiB (time-averaged)",
+        r.offlined_gib_avg,
+        MANAGED_BYTES >> 30
+    );
+    println!(
+        "  overhead           : {:.1}% execution time",
+        r.overhead_fraction * 100.0
+    );
+    println!(
+        "  hotplug events     : {} ({} off-lining failures)",
+        r.hotplug_events, r.failures
+    );
+
+    let rows = evaluate_app_opts(
+        &app,
+        DramConfig::preset_64gb(MemSpecKind::Ddr4),
+        20_000,
+        1,
+        MeasureOpts::default(),
+    )
+    .expect("cycle-level run");
+    let norm = |policy: &str| {
+        find_row(&rows, policy, true)
+            .expect("energy cell")
+            .dram_norm
+    };
+    let (srf, gd) = (norm("srf_only"), norm("GreenDIMM"));
+    println!(
+        "\nDRAM energy, 64 GB DDR4 with interleaving (Fig. 9; 1.00 = srf_only w/o interleaving)"
+    );
+    println!("  srf_only           : {srf:.2}");
+    println!("  GreenDIMM          : {gd:.2}");
+    println!(
+        "  GreenDIMM saves {:.0}% of the DRAM energy self-refresh alone leaves",
+        (1.0 - gd / srf) * 100.0
     );
 }

@@ -23,12 +23,27 @@
 //!
 //! # Quickstart
 //!
-//! ```
-//! use greendimm_suite::core::{GreenDimmSystem, SystemConfig};
+//! The managed-region run behind Figs. 6–7: the GreenDIMM daemon off-lines
+//! 128 MB blocks of an 8 GiB region while libquantum's footprint moves
+//! through it.
 //!
-//! let mut sys = GreenDimmSystem::new(SystemConfig::small_test());
-//! let report = sys.run_app("libquantum", 42);
-//! assert!(report.dram_energy_joules > 0.0);
+//! ```
+//! use greendimm_suite::bench::{block_size_experiment, managed_region};
+//! use greendimm_suite::core::GreenDimmConfig;
+//! use greendimm_suite::workloads::by_name;
+//!
+//! let app = by_name("libquantum").unwrap();
+//! let (row, _) = block_size_experiment(
+//!     &app,
+//!     managed_region(128, 42),
+//!     GreenDimmConfig::paper_default(),
+//!     None,
+//!     None,
+//!     None,
+//! )
+//! .unwrap();
+//! assert!(row.overhead_fraction < 0.05); // ~1% in the paper
+//! assert!(row.offlined_gib_avg > 0.0);
 //! ```
 
 pub use gd_baselines as baselines;

@@ -5,8 +5,8 @@ use greendimm_suite::baselines::{
     GovernorContext, GreenDimmGovernor, Pasr, PowerGovernor, RamZzz, SrfOnly,
 };
 use greendimm_suite::bench::energy::{evaluate_app_opts, MeasureOpts};
-use greendimm_suite::bench::{find_row, run_vm_trace};
-use greendimm_suite::core::{GreenDimmSystem, SystemConfig};
+use greendimm_suite::bench::{block_size_experiment, find_row, managed_region, run_vm_trace};
+use greendimm_suite::core::GreenDimmConfig;
 use greendimm_suite::dram::{LowPowerPolicy, MemorySystem};
 use greendimm_suite::fleet::HostSimConfig;
 use greendimm_suite::power::{ActivityProfile, DramPowerModel, PowerGating};
@@ -106,12 +106,21 @@ fn governor_ordering_without_interleaving() {
     assert!(gd < srf, "GreenDIMM gates background power");
 }
 
-/// §6.2: GreenDIMM's performance overhead stays small (paper: ~1-3 %).
+/// §6.2: GreenDIMM's performance overhead stays small (paper: ~1-3 %,
+/// Fig. 7), mcf included: it is Fig. 7's worst case.
 #[test]
 fn overhead_stays_within_a_few_percent() {
-    let mut sys = GreenDimmSystem::new(SystemConfig::small_test());
-    for (name, seed) in [("libquantum", 1u64), ("povray", 2)] {
-        let r = sys.run_app(name, seed);
+    for (name, seed) in [("libquantum", 1u64), ("povray", 2), ("mcf", 1)] {
+        let profile = by_name(name).expect("profile");
+        let (r, _) = block_size_experiment(
+            &profile,
+            managed_region(128, seed),
+            GreenDimmConfig::paper_default(),
+            None,
+            None,
+            None,
+        )
+        .expect("co-sim");
         assert!(
             r.overhead_fraction < 0.05,
             "{name} overhead {}",

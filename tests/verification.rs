@@ -3,9 +3,9 @@
 //! on-lining stall path) must run under the Strict invariant harness with
 //! zero violations, and the harness must actually be exercising checks.
 
+use greendimm_suite::bench::{block_size_experiment, managed_region};
 use greendimm_suite::core::{
-    Daemon, EpochSim, FootprintDriver, GreenDimmConfig, GreenDimmSystem, GroupMap, SelectorPolicy,
-    SystemConfig,
+    Daemon, EpochSim, FootprintDriver, GreenDimmConfig, GroupMap, SelectorPolicy,
 };
 use greendimm_suite::faults::FaultPlan;
 use greendimm_suite::ksm::{Ksm, KsmConfig, RegionId};
@@ -13,6 +13,7 @@ use greendimm_suite::mmsim::{MemoryManager, MmConfig, PageKind};
 use greendimm_suite::types::rng::{component_rng, derive_seed, StdRng};
 use greendimm_suite::types::{GdError, SimTime};
 use greendimm_suite::verify::Mode;
+use greendimm_suite::workloads::by_name;
 
 fn strict_sim(ksm: bool) -> EpochSim {
     let mut mm = MemoryManager::new(MmConfig::small_test()).unwrap();
@@ -92,15 +93,29 @@ fn cosim_without_ksm_is_invariant_clean() {
     assert_eq!(sim.verify.as_ref().unwrap().violations(), 0);
 }
 
-/// The one-call API accepts the verify mode and completes a benchmark run
-/// with the Strict harness active.
+/// The managed-region run behind Figs. 6–8 accepts the verify mode and
+/// completes whole benchmark runs with the Strict harness active: any
+/// violation would surface as an error.
 #[test]
 fn system_api_runs_strict_verified() {
-    let cfg = SystemConfig::small_test().with_verify(Mode::Strict);
-    let mut sys = GreenDimmSystem::new(cfg);
-    let report = sys.run_app("soplex", 9);
-    assert!(report.dram_energy_joules > 0.0);
-    assert!(report.overhead_fraction < 0.05);
+    for (name, seed) in [("soplex", 9u64), ("mcf", 7)] {
+        let profile = by_name(name).expect("profile");
+        let (r, _) = block_size_experiment(
+            &profile,
+            managed_region(128, seed),
+            GreenDimmConfig::paper_default(),
+            None,
+            Some(Mode::Strict),
+            None,
+        )
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(
+            r.overhead_fraction < 0.05,
+            "{name} overhead {}",
+            r.overhead_fraction
+        );
+        assert!(r.hotplug_events > 0, "{name} ran no hotplug events");
+    }
 }
 
 /// One VM of the stress run: its footprint and, while KSM scans it, its

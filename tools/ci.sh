@@ -16,6 +16,15 @@ cargo build --release --quiet
 echo "==> cargo test --workspace"
 cargo test --quiet --workspace
 
+echo "==> examples smoke (every example runs to completion; cargo test only compiles them)"
+for example in examples/*.rs; do
+  name=$(basename "$example" .rs)
+  cargo run --quiet --release --example "$name" > /dev/null || {
+    echo "ERROR: example $name exited nonzero" >&2
+    exit 1
+  }
+done
+
 echo "==> gd-lint (AST-level workspace analysis: unit-safety, panic-path, float-order, sim-purity, silent-clamp, map-order)"
 cargo run --quiet -p gd-lint
 
