@@ -1,14 +1,16 @@
 //! The one command line of the figure/table binaries.
 //!
-//! Every binary builds a [`BenchArgs`] from its arguments, takes the flags
-//! it reads, and calls [`BenchArgs::finish`] before it prints anything:
+//! Every binary builds a [`BenchArgs`] from its name and arguments, takes
+//! the flags it reads, and calls [`BenchArgs::finish`] before it prints
+//! anything:
 //!
 //! ```no_run
-//! let mut args = gd_bench::BenchArgs::from_env(); // --jobs, --requests, --telemetry
+//! let mut args = gd_bench::BenchArgs::from_env("fig99_example"); // --jobs, --telemetry
 //! let mopts = args.measure(); // --strict-validate, --engine, --memspec
+//! let requests = args.requests();
 //! let hosts = args.count("hosts", 1_000, 10_000);
 //! args.finish(); // exit 2 on a bad value or on a flag nothing took
-//! # let _ = (mopts, hosts);
+//! # let _ = (mopts, requests, hosts);
 //! ```
 //!
 //! Taking a flag removes it from the pending set. A value that does not
@@ -19,9 +21,11 @@
 //! [`BenchArgs::parse`] takes an explicit argv, so unit tests need no
 //! process.
 //!
-//! [`BenchArgs::provenance`] prints the `# provenance:` first line of
-//! every `results/*.txt` snapshot, so a stale snapshot is mechanically
-//! detectable. The line must be deterministic across machines: the config
+//! The name given to [`BenchArgs::from_env`] is the only place a binary
+//! names itself: [`BenchArgs::sweep`] writes the `results/BENCH_<fig>.json`
+//! sidecar under it, and [`BenchArgs::provenance`] prints it in the
+//! `# provenance:` first line of every `results/*.txt` snapshot, so a
+//! stale snapshot is mechanically detectable. The line must be deterministic across machines: the config
 //! is identified by an FNV-1a hash of its canonical description, the
 //! engine is named explicitly, and `jobs` renders as `auto` unless the user
 //! pinned it (sweep output is jobs-invariant, so the machine's core count
@@ -29,7 +33,6 @@
 
 use crate::energy::MeasureOpts;
 use crate::sweep::default_jobs;
-use crate::telemetry::TelemetryOpts;
 use gd_dram::EngineMode;
 use gd_types::config::MemSpecKind;
 use std::collections::BTreeMap;
@@ -51,17 +54,21 @@ const FLAGS: [(&str, bool); 9] = [
 /// The parsed command line of a figure binary.
 #[derive(Debug)]
 pub struct BenchArgs {
+    /// The binary's name: the provenance header's `fig=` and the timing
+    /// sidecar's file name.
+    pub(crate) fig: &'static str,
     /// Worker threads (`--jobs N`); defaults to the machine's available
     /// parallelism. `1` runs the plain serial path.
     pub jobs: usize,
     /// True when the user pinned `jobs` with `--jobs`. Provenance headers
     /// render `jobs=auto` otherwise.
     pub jobs_explicit: bool,
-    /// Request-count override (`--requests N`) for smoke runs; `None`
-    /// keeps each figure's paper-scale default.
-    pub requests: Option<usize>,
-    /// Where `--telemetry PATH` writes the merged JSONL trace.
-    pub telemetry: TelemetryOpts,
+    /// `--requests N` once the binary took it; the provenance header
+    /// renders `requests=default` otherwise.
+    requests: Option<usize>,
+    /// Where `--telemetry PATH` writes the merged JSONL trace; `None`
+    /// disables telemetry.
+    pub(crate) telemetry: Option<PathBuf>,
     /// The engine the provenance header names: `--engine` when the binary
     /// took it, else the default event-driven engine.
     engine: EngineMode,
@@ -74,20 +81,22 @@ pub struct BenchArgs {
 }
 
 impl BenchArgs {
-    /// Parses the process arguments; see [`BenchArgs::parse`].
+    /// Parses the process arguments of the binary `fig` (pass
+    /// `env!("CARGO_BIN_NAME")`); see [`BenchArgs::parse`].
     #[must_use]
-    pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
+    pub fn from_env(fig: &'static str) -> Self {
+        Self::parse(fig, std::env::args().skip(1))
     }
 
     /// Parses `argv` (without the program name) and takes the flags every
-    /// binary reads: `--jobs`, `--requests` and `--telemetry`.
-    pub fn parse(argv: impl IntoIterator<Item = String>) -> Self {
+    /// binary reads: `--jobs` and `--telemetry`.
+    pub fn parse(fig: &'static str, argv: impl IntoIterator<Item = String>) -> Self {
         let mut args = BenchArgs {
+            fig,
             jobs: default_jobs(),
             jobs_explicit: false,
             requests: None,
-            telemetry: TelemetryOpts::default(),
+            telemetry: None,
             engine: EngineMode::default(),
             memspec: MemSpecKind::default(),
             pending: BTreeMap::new(),
@@ -123,8 +132,7 @@ impl BenchArgs {
             args.jobs = jobs;
             args.jobs_explicit = true;
         }
-        args.requests = args.whole("requests", usize::MAX);
-        args.telemetry.path = args
+        args.telemetry = args
             .pending
             .remove("telemetry")
             .flatten()
@@ -132,11 +140,16 @@ impl BenchArgs {
         args
     }
 
+    /// `--strict-validate`: whether to run the figure's invariant checks.
+    pub fn strict_validate(&mut self) -> bool {
+        self.pending.remove("strict-validate").is_some()
+    }
+
     /// `--strict-validate`, `--engine` and `--memspec`, for the figures
     /// that run the measurement pipeline on a chosen memory generation.
     pub fn measure(&mut self) -> MeasureOpts {
         MeasureOpts {
-            strict_validate: self.pending.remove("strict-validate").is_some(),
+            strict_validate: self.strict_validate(),
             engine: self.engine(),
             memspec: self.memspec(),
         }
@@ -186,20 +199,20 @@ impl BenchArgs {
         self.whole(name, max).unwrap_or(default)
     }
 
+    /// `--requests N`: the figure's request, sample or iteration count for
+    /// smoke runs, or `None` for its paper-scale default. The provenance
+    /// header records it.
+    pub fn requests(&mut self) -> Option<usize> {
+        self.requests = self.whole("requests", usize::MAX);
+        self.requests
+    }
+
     /// `--requests N` read as a count in `1..=max` (fig08 and `fig_faults`
     /// read it as a seed count), or `default` when absent. A larger value
     /// is an error, not a clamp.
     pub fn requests_count(&mut self, default: usize, max: usize) -> usize {
-        match self.requests {
-            Some(n) if n > max => {
-                self.fail(format!(
-                    "--requests {:?} must be a whole number in 1..={max}",
-                    n.to_string()
-                ));
-                default
-            }
-            n => n.unwrap_or(default),
-        }
+        self.requests = self.whole("requests", max);
+        self.requests.unwrap_or(default)
     }
 
     /// `--fault-rate R`: a probability in `[0, 1]`, or `None` when absent.
@@ -223,11 +236,12 @@ impl BenchArgs {
     /// `config_desc` is a canonical description of everything that
     /// determines the figure's numbers (platform, seeds, durations); only
     /// its hash lands in the header.
-    pub fn provenance(&self, fig: &str, config_desc: &str) {
-        println!("{}", self.provenance_header(fig, config_desc));
+    pub fn provenance(&self, config_desc: &str) {
+        println!("{}", self.provenance_header(config_desc));
     }
 
-    fn provenance_header(&self, fig: &str, config_desc: &str) -> String {
+    fn provenance_header(&self, config_desc: &str) -> String {
+        let fig = self.fig;
         let jobs = if self.jobs_explicit {
             self.jobs.to_string()
         } else {
@@ -315,7 +329,7 @@ mod tests {
     use super::*;
 
     fn parse(argv: &[&str]) -> BenchArgs {
-        BenchArgs::parse(argv.iter().map(|a| (*a).to_string()))
+        BenchArgs::parse("fig_test", argv.iter().map(|a| (*a).to_string()))
     }
 
     /// The error `finish` would exit 2 with, after `take` takes flags.
@@ -330,8 +344,8 @@ mod tests {
         let mut args = parse(&[]);
         assert_eq!(args.jobs, default_jobs());
         assert!(!args.jobs_explicit);
-        assert_eq!(args.requests, None);
-        assert!(!args.telemetry.enabled());
+        assert_eq!(args.requests(), None);
+        assert_eq!(args.telemetry, None);
         let m = args.measure();
         assert!(!m.strict_validate);
         assert_eq!(m.engine, EngineMode::EventDriven);
@@ -363,8 +377,8 @@ mod tests {
             "0.25",
         ]);
         assert_eq!((args.jobs, args.jobs_explicit), (3, true));
-        assert_eq!(args.requests, Some(8));
-        assert_eq!(args.telemetry.path, Some(PathBuf::from("t.jsonl")));
+        assert_eq!(args.requests(), Some(8));
+        assert_eq!(args.telemetry, Some(PathBuf::from("t.jsonl")));
         let m = args.measure();
         assert!(m.strict_validate);
         assert_eq!(m.engine, EngineMode::Stepped);
@@ -410,6 +424,8 @@ mod tests {
     fn a_flag_the_binary_did_not_take_fails() {
         let e = error_of(&["--engine", "stepped"], |_| {});
         assert_eq!(e, "--engine is not read by this binary");
+        let e = error_of(&["--requests", "8"], |_| {});
+        assert_eq!(e, "--requests is not read by this binary");
         let e = error_of(&["--strict-validate"], |a| {
             a.engine();
         });
@@ -441,7 +457,9 @@ mod tests {
             &["--jobs", "-1"],
             &["--requests", "0"],
         ] {
-            let e = error_of(argv, |_| {});
+            let e = error_of(argv, |a| {
+                a.requests();
+            });
             assert!(e.ends_with("must be a whole number >= 1"), "{argv:?}: {e}");
         }
         for rate in ["2", "-0.5", "abc", "NaN"] {
@@ -503,7 +521,7 @@ mod tests {
         let args = parse(&["--jobs", &default_jobs().to_string()]);
         assert!(args.jobs_explicit);
         assert!(args
-            .provenance_header("f", "c")
+            .provenance_header("c")
             .contains(&format!("jobs={}", default_jobs())));
     }
 
@@ -520,7 +538,8 @@ mod tests {
         // The exact committed header of results/fig05_addrmap.txt: no
         // machine detail (core count, paths) may appear, CI diffs it.
         assert_eq!(
-            parse(&[]).provenance_header("fig05_addrmap", "ddr4-2133 64GB 4ch x 4rank x8"),
+            BenchArgs::parse("fig05_addrmap", [])
+                .provenance_header("ddr4-2133 64GB 4ch x 4rank x8"),
             format!(
                 "# provenance: fig=fig05_addrmap config={:016x} engine=event-driven jobs=auto \
                  requests=default version={}",
@@ -534,13 +553,14 @@ mod tests {
     fn explicit_settings_are_recorded() {
         let mut args = parse(&["--jobs", "4", "--requests", "1000"]);
         args.engine();
-        assert!(args.provenance_header("fig03", "cfg").ends_with(&format!(
+        args.requests();
+        assert!(args.provenance_header("cfg").ends_with(&format!(
             "engine=event-driven jobs=4 requests=1000 version={}",
             env!("CARGO_PKG_VERSION")
         )));
         let mut args = parse(&["--engine", "stepped", "--memspec", "ddr5"]);
         args.measure();
-        let line = args.provenance_header("fig09", "cfg");
+        let line = args.provenance_header("cfg");
         assert!(line.contains(" engine=stepped jobs=auto "), "{line}");
         assert!(line.ends_with(" memspec=ddr5"), "{line}");
     }
@@ -549,8 +569,8 @@ mod tests {
     fn config_changes_change_the_hash() {
         let args = parse(&[]);
         assert_ne!(
-            args.provenance_header("f", "seed=1"),
-            args.provenance_header("f", "seed=2")
+            args.provenance_header("seed=1"),
+            args.provenance_header("seed=2")
         );
     }
 }

@@ -2,55 +2,43 @@
 //! because lower values cause swapping; sweep it and watch the
 //! offline-capacity / on-lining-stall trade-off.
 //!
-//! Threshold points fan across the sweep pool (`--jobs N`); timing lands
-//! in `results/BENCH_ablation_offthr.json`.
+//! Threshold points fan across the sweep pool (`--jobs N`);
+//! `--telemetry PATH` dumps every run's daemon/mm books as JSONL.
 
 use gd_bench::blocks::{block_size_experiment, managed_region};
 use gd_bench::report::{f2, header, pct, row};
-use gd_bench::{timed_sweep, BenchArgs};
+use gd_bench::BenchArgs;
 use gd_workloads::by_name;
 use greendimm::GreenDimmConfig;
 
 fn main() {
-    let args = BenchArgs::from_env();
+    let args = BenchArgs::from_env(env!("CARGO_BIN_NAME"));
     args.finish();
-    args.provenance(
-        "ablation_offthr",
-        "managed=8GiB gcc blocks=128 seed=1 thresholds=0.05..0.30",
-    );
+    args.provenance("managed=8GiB gcc blocks=128 seed=1 thresholds=0.05..0.30");
     let thresholds = [0.05, 0.10, 0.15, 0.20, 0.30];
-    let labels: Vec<String> = thresholds.iter().map(|t| format!("off_thr={t}")).collect();
     let gcc = by_name("gcc").expect("profile");
-    let mut results = timed_sweep(
-        "ablation_offthr",
+    let results = args.sweep(
         &thresholds,
-        &labels,
-        args.jobs,
-        |_ctx, &off_thr| {
+        |t| format!("off_thr={t}"),
+        |&off_thr, sink| {
             let cfg = GreenDimmConfig {
                 off_thr,
                 on_thr: off_thr / 2.0,
                 ..GreenDimmConfig::paper_default()
             };
-            block_size_experiment(
+            let (row, tele) = block_size_experiment(
                 &gcc,
                 managed_region(128, 1),
                 cfg,
                 None,
                 None,
-                args.telemetry.enabled().then_some("blocks"),
+                sink.enabled().then_some("blocks"),
             )
-            .expect("co-sim")
+            .expect("co-sim");
+            sink.give("", tele);
+            row
         },
     );
-    args.telemetry.write(
-        &labels
-            .iter()
-            .zip(&mut results)
-            .map(|(l, (_, tele))| (l.clone(), tele.take()))
-            .collect::<Vec<_>>(),
-    );
-    let results: Vec<_> = results.into_iter().map(|(r, _)| r).collect();
 
     let widths = [8, 14, 12, 10];
     header(

@@ -3,14 +3,12 @@
 //!
 //! Two sweep points — the synthesized trace and the KSM co-simulation —
 //! fan across the pool (`--jobs N`); `--requests N` trims the trace to N
-//! scheduler samples for smoke runs; timing lands in
-//! `results/BENCH_fig01_vm_utilization.json` and `--telemetry PATH` dumps
-//! the co-simulation's daemon/mm/ksm books as JSONL.
+//! scheduler samples for smoke runs; `--telemetry PATH` dumps the
+//! co-simulation's daemon/mm/ksm books as JSONL.
 
 use gd_bench::report::{header, pct, row};
-use gd_bench::{run_vm_trace, timed_sweep, BenchArgs};
+use gd_bench::{run_vm_trace, BenchArgs};
 use gd_fleet::HostSimConfig;
-use gd_obs::Telemetry;
 use gd_workloads::azure::{synthesize, AzureConfig};
 
 struct Point {
@@ -18,31 +16,26 @@ struct Point {
     hourly: Vec<f64>,
     mean: f64,
     range: (f64, f64),
-    tele: Option<Telemetry>,
 }
 
 fn main() {
-    let args = BenchArgs::from_env();
+    let mut args = BenchArgs::from_env(env!("CARGO_BIN_NAME"));
+    let requests = args.requests();
     args.finish();
     let azure = AzureConfig::paper_24h();
-    let duration_s = args
-        .requests
+    let duration_s = requests
         .map(|n| (n as u64 * azure.schedule_period_s).clamp(3_600, 86_400))
         .unwrap_or(86_400);
-    args.provenance(
-        "fig01_vm_utilization",
-        &format!("azure-24h capacity=256GB block=1GB seed=42 duration_s={duration_s} ksm"),
-    );
+    args.provenance(&format!(
+        "azure-24h capacity=256GB block=1GB seed=42 duration_s={duration_s} ksm"
+    ));
 
     let kinds = ["trace", "ksm"];
-    let labels: Vec<String> = kinds.iter().map(|k| (*k).to_string()).collect();
     let hours = (duration_s / 3_600).max(1);
-    let results = timed_sweep(
-        "fig01_vm_utilization",
+    let results = args.sweep(
         &kinds,
-        &labels,
-        args.jobs,
-        |_ctx, kind| match *kind {
+        |k| (*k).to_string(),
+        |kind, sink| match *kind {
             "trace" => {
                 let trace = synthesize(&AzureConfig {
                     duration_s,
@@ -60,16 +53,16 @@ fn main() {
                             / 12.0
                     })
                     .collect();
-                let mut tele = args.telemetry.shard();
-                if let Some(t) = &mut tele {
-                    t.registry
-                        .gauge_set("trace.mean_utilization", trace.mean_utilization());
-                }
+                sink.fill(|tele| {
+                    if let Some(t) = tele {
+                        t.registry
+                            .gauge_set("trace.mean_utilization", trace.mean_utilization());
+                    }
+                });
                 Point {
                     hourly,
                     mean: trace.mean_utilization(),
                     range: trace.utilization_range(),
-                    tele,
                 }
             }
             _ => {
@@ -80,9 +73,10 @@ fn main() {
                         duration_s,
                         ..HostSimConfig::paper_256gb()
                     },
-                    args.telemetry.enabled(),
+                    sink.enabled(),
                 )
                 .expect("vm trace");
+                sink.give("", tele);
                 let hourly = (0..hours)
                     .map(|h| {
                         let t = h * 3600;
@@ -98,7 +92,6 @@ fn main() {
                     hourly,
                     mean: out.mean_used_fraction(),
                     range: (0.0, 0.0),
-                    tele,
                 }
             }
         },
@@ -127,12 +120,5 @@ fn main() {
     println!(
         "mean w/ KSM {} (paper: KSM saves 24% of used capacity on average)",
         pct(ksm.mean)
-    );
-    args.telemetry.write(
-        &labels
-            .iter()
-            .zip(&results)
-            .map(|(l, r)| (l.clone(), r.tele.clone()))
-            .collect::<Vec<_>>(),
     );
 }

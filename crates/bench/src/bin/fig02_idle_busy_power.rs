@@ -2,36 +2,28 @@
 //! 26 W busy at 256 GB; 9 W → 91 W from 64 GB to 1 TB with the background
 //! share rising 44 % → 78 %).
 //!
-//! Each capacity is one sweep point (`--jobs N`); timing lands in
-//! `results/BENCH_fig02_idle_busy_power.json` and `--telemetry PATH` dumps
+//! Each capacity is one sweep point (`--jobs N`); `--telemetry PATH` dumps
 //! the per-capacity power gauges as JSONL.
 
 use gd_bench::energy::platform_desc;
 use gd_bench::report::{f2, header, pct, row};
-use gd_bench::{timed_sweep, BenchArgs};
-use gd_obs::Telemetry;
+use gd_bench::BenchArgs;
 use gd_power::{ActivityProfile, DramPowerModel, PowerGating};
 use gd_types::config::DramConfig;
 
 fn main() {
-    let mut args = BenchArgs::from_env();
+    let mut args = BenchArgs::from_env(env!("CARGO_BIN_NAME"));
     let memspec = args.memspec();
     args.finish();
-    args.provenance(
-        "fig02_idle_busy_power",
-        &format!(
-            "analytic {} base=256GB busy_util=0.45 caps=64..1024",
-            platform_desc(memspec)
-        ),
-    );
+    args.provenance(&format!(
+        "analytic {} base=256GB busy_util=0.45 caps=64..1024",
+        platform_desc(memspec)
+    ));
     let caps = [64u64, 128, 256, 512, 768, 1024];
-    let labels: Vec<String> = caps.iter().map(|c| format!("{c}GB")).collect();
-    let results: Vec<(f64, f64, Option<Telemetry>)> = timed_sweep(
-        "fig02_idle_busy_power",
+    let results = args.sweep(
         &caps,
-        &labels,
-        args.jobs,
-        |_ctx, &cap_gb| {
+        |c| format!("{c}GB"),
+        |&cap_gb, sink| {
             let base =
                 DramPowerModel::new(DramConfig::preset_256gb(memspec)).expect("paper preset");
             let idle_256 =
@@ -52,12 +44,13 @@ fn main() {
                 idle_256 * cap_gb as f64 / 256.0
             };
             let busy = idle + activity_w;
-            let mut tele = args.telemetry.shard();
-            if let Some(t) = &mut tele {
-                t.registry.gauge_set("power.idle_w", idle);
-                t.registry.gauge_set("power.busy_w", busy);
-            }
-            (idle, busy, tele)
+            sink.fill(|tele| {
+                if let Some(t) = tele {
+                    t.registry.gauge_set("power.idle_w", idle);
+                    t.registry.gauge_set("power.busy_w", busy);
+                }
+            });
+            (idle, busy)
         },
     );
 
@@ -67,7 +60,7 @@ fn main() {
         &["capacity", "idle (W)", "busy (W)", "bg fraction"],
         &widths,
     );
-    for (&cap_gb, (idle, busy, _)) in caps.iter().zip(&results) {
+    for (&cap_gb, (idle, busy)) in caps.iter().zip(&results) {
         row(
             &[
                 format!("{cap_gb} GB"),
@@ -79,11 +72,4 @@ fn main() {
         );
     }
     println!("\npaper: 18/26 W at 256 GB; 9→91 W busy from 64 GB→1 TB; bg 44%→78%");
-    args.telemetry.write(
-        &labels
-            .iter()
-            .zip(results)
-            .map(|(l, (_, _, tele))| (l.clone(), tele))
-            .collect::<Vec<_>>(),
-    );
 }

@@ -4,69 +4,48 @@
 //! interleaving).
 //!
 //! Each app is one sweep point (`--jobs N`, `--requests N` for smoke runs);
-//! timing lands in `results/BENCH_fig03_interleaving.json` and
 //! `--telemetry PATH` dumps each run's DRAM books as JSONL.
 
-use gd_bench::energy::{evaluate_app_tele, find_row, measure_app};
+use gd_bench::energy::{evaluate_measurements, find_row, measure_app};
 use gd_bench::report::{f2, header, pct, row};
-use gd_bench::{timed_sweep, BenchArgs};
-use gd_obs::Telemetry;
+use gd_bench::BenchArgs;
 use gd_types::config::{DramConfig, InterleaveMode};
 use gd_workloads::by_name;
 
-struct Point {
-    app: String,
-    speedup: f64,
-    sr_with: f64,
-    sr_without: f64,
-    energy_ratio: f64,
-    tele: Option<Telemetry>,
-}
-
 fn main() {
-    let mut args = BenchArgs::from_env();
+    let mut args = BenchArgs::from_env(env!("CARGO_BIN_NAME"));
     let mopts = args.measure_ddr4();
+    let requests = args.requests().unwrap_or(25_000);
     args.finish();
     let cfg = DramConfig::ddr4_2133_64gb();
-    let apps = ["mcf", "soplex", "lbm", "libquantum"];
-    let requests = args.requests.unwrap_or(25_000);
-    args.provenance(
-        "fig03_interleaving",
-        &format!("ddr4-2133 64GB apps=mcf/soplex/lbm/libquantum requests={requests} seed=1"),
-    );
-    let labels: Vec<String> = apps.iter().map(|a| (*a).to_string()).collect();
-    let points = timed_sweep(
-        "fig03_interleaving",
-        &apps,
-        &labels,
-        args.jobs,
-        |_ctx, name| {
-            let p = by_name(name).expect("profile");
-            let with = measure_app(
-                &p,
-                cfg,
-                InterleaveMode::Interleaved,
-                requests,
-                1,
-                mopts,
-                None,
-            )
-            .expect("cycle sim");
-            let without = measure_app(&p, cfg, InterleaveMode::Linear, requests, 1, mopts, None)
-                .expect("cycle sim");
-            let mut tele = args.telemetry.shard();
-            let rows =
-                evaluate_app_tele(&p, cfg, requests, 1, mopts, tele.as_mut()).expect("energy");
+    let profiles = ["mcf", "soplex", "lbm", "libquantum"].map(|a| by_name(a).expect("profile"));
+    args.provenance(&format!(
+        "ddr4-2133 64GB apps=mcf/soplex/lbm/libquantum requests={requests} seed=1"
+    ));
+    let rows = args.sweep(
+        &profiles,
+        |p| p.name.to_string(),
+        |p, sink| {
+            let (with, without) = sink.fill(|mut tele| {
+                let mut measure = |mode| {
+                    measure_app(p, cfg, mode, requests, 1, mopts, tele.as_deref_mut())
+                        .expect("cycle sim")
+                };
+                (
+                    measure(InterleaveMode::Interleaved),
+                    measure(InterleaveMode::Linear),
+                )
+            });
+            let rows = evaluate_measurements(p, cfg, &with, &without, mopts).expect("energy");
             let e_with = find_row(&rows, "srf_only", true).expect("cell").system_j;
             let e_without = find_row(&rows, "srf_only", false).expect("cell").system_j;
-            Point {
-                app: p.name.to_string(),
-                speedup: without.runtime_s / with.runtime_s,
-                sr_with: with.sr_fraction,
-                sr_without: without.sr_fraction,
-                energy_ratio: e_without / e_with,
-                tele,
-            }
+            [
+                p.name.to_string(),
+                format!("{:.2}x", without.runtime_s / with.runtime_s),
+                pct(with.sr_fraction),
+                pct(without.sr_fraction),
+                f2(e_without / e_with),
+            ]
         },
     );
 
@@ -76,21 +55,9 @@ fn main() {
         &["app", "speedup", "SR w/intlv", "SR w/o", "E w/o / E w/"],
         &widths,
     );
-    let mut shards = Vec::new();
-    for mut p in points {
-        shards.push((p.app.clone(), p.tele.take()));
-        row(
-            &[
-                p.app,
-                format!("{:.2}x", p.speedup),
-                pct(p.sr_with),
-                pct(p.sr_without),
-                f2(p.energy_ratio),
-            ],
-            &widths,
-        );
+    for cells in rows {
+        row(&cells, &widths);
     }
     println!("\npaper: speedup up to 3.8x (lbm); SR 0% w/ intlv vs ~54% w/o;");
     println!("w/o interleaving saves ~26% energy for these apps when SR is usable");
-    args.telemetry.write(&shards);
 }

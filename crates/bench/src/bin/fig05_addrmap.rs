@@ -1,15 +1,13 @@
 //! Fig. 5: the address mapping for the 64 GB platform and the sub-array
 //! group as the minimum power-management unit (1.5625 % of capacity).
 //!
-//! One sweep point (`--jobs N` accepted for interface uniformity); timing
-//! lands in `results/BENCH_fig05_addrmap.json` and `--telemetry PATH`
-//! dumps the layout gauges as JSONL. This figure is CI's snapshot
+//! One sweep point (`--jobs N` accepted for interface uniformity);
+//! `--telemetry PATH` dumps the layout gauges as JSONL. This figure is CI's snapshot
 //! staleness probe: it is cheap, fully deterministic, and regenerating it
 //! at HEAD must reproduce `results/fig05_addrmap.txt` byte for byte.
 
-use gd_bench::{timed_sweep, BenchArgs};
+use gd_bench::BenchArgs;
 use gd_dram::AddressMapper;
-use gd_obs::Telemetry;
 use gd_types::config::DramConfig;
 use gd_types::ids::SubArrayGroup;
 
@@ -73,30 +71,29 @@ fn render() -> String {
 }
 
 fn main() {
-    let args = BenchArgs::from_env();
+    let args = BenchArgs::from_env(env!("CARGO_BIN_NAME"));
     args.finish();
-    args.provenance("fig05_addrmap", "ddr4-2133 64GB 4ch x 4rank x8");
-    let points = ["64gb"];
-    let labels = vec!["64gb".to_string()];
-    let mut results: Vec<(String, Option<Telemetry>)> =
-        timed_sweep("fig05_addrmap", &points, &labels, args.jobs, |_ctx, _| {
-            let body = render();
-            let mut tele = args.telemetry.shard();
-            if let Some(t) = &mut tele {
-                let cfg = DramConfig::ddr4_2133_64gb();
-                let mapper = AddressMapper::new(&cfg).expect("valid config");
-                t.registry.gauge_set(
-                    "addrmap.subarray_groups",
-                    f64::from(mapper.subarray_groups()),
-                );
-                t.registry.gauge_set(
-                    "addrmap.group_mib",
-                    (cfg.subarray_group_bytes() >> 20) as f64,
-                );
-            }
-            (body, tele)
-        });
-    print!("{}", results[0].0);
-    args.telemetry
-        .write(&[("64gb".to_string(), results[0].1.take())]);
+    args.provenance("ddr4-2133 64GB 4ch x 4rank x8");
+    let results = args.sweep(
+        &["64gb"],
+        |p| (*p).to_string(),
+        |_, sink| {
+            sink.fill(|tele| {
+                if let Some(t) = tele {
+                    let cfg = DramConfig::ddr4_2133_64gb();
+                    let mapper = AddressMapper::new(&cfg).expect("valid config");
+                    t.registry.gauge_set(
+                        "addrmap.subarray_groups",
+                        f64::from(mapper.subarray_groups()),
+                    );
+                    t.registry.gauge_set(
+                        "addrmap.group_mib",
+                        (cfg.subarray_group_bytes() >> 20) as f64,
+                    );
+                }
+            });
+            render()
+        },
+    );
+    print!("{}", results[0]);
 }

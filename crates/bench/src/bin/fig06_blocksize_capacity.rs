@@ -1,71 +1,18 @@
 //! Fig. 6: off-lined capacity as the memory block size changes
 //! (paper: gcc off-lines 3.125 GB with 128 MB blocks vs 2 GB with 512 MB).
-//!
-//! Each {app × block size} co-simulation is one sweep point (`--jobs N`);
-//! timing lands in `results/BENCH_fig06_blocksize_capacity.json` and
-//! `--telemetry PATH` dumps every run's daemon/mm books as JSONL.
+//! The table is [`gd_bench::blocks::block_size_table`], shared with Fig. 7
+//! and Table 2.
 
-use gd_bench::blocks::{block_size_experiment, managed_region};
-use gd_bench::report::{f2, header, row};
-use gd_bench::{timed_sweep, BenchArgs};
-use gd_workloads::{spec2006_offlining_set, AppProfile};
-use greendimm::GreenDimmConfig;
-
-const BLOCKS: [u64; 3] = [128, 256, 512];
+use gd_bench::blocks::block_size_table;
+use gd_bench::report::f2;
+use gd_bench::BenchArgs;
 
 fn main() {
-    let args = BenchArgs::from_env();
-    args.finish();
-    args.provenance(
-        "fig06_blocksize_capacity",
-        "managed=8GiB spec2006-offlining blocks=128/256/512 seed=1",
-    );
-    let profiles = spec2006_offlining_set();
-    let points: Vec<(AppProfile, u64)> = profiles
-        .iter()
-        .flat_map(|p| BLOCKS.iter().map(|&b| (p.clone(), b)))
-        .collect();
-    let labels: Vec<String> = points
-        .iter()
-        .map(|(p, b)| format!("{}/{b}MB", p.name))
-        .collect();
-    let results = timed_sweep(
-        "fig06_blocksize_capacity",
-        &points,
-        &labels,
-        args.jobs,
-        |_ctx, (p, block_mib)| {
-            block_size_experiment(
-                p,
-                managed_region(*block_mib, 1),
-                GreenDimmConfig::paper_default(),
-                None,
-                None,
-                args.telemetry.enabled().then_some("blocks"),
-            )
-            .expect("co-sim")
-        },
-    );
-
-    let widths = [16, 12, 12, 12];
-    header(
+    block_size_table(
+        BenchArgs::from_env(env!("CARGO_BIN_NAME")),
         "Fig. 6: average off-lined capacity (GiB) in an 8 GiB managed region",
-        &["app", "128MB", "256MB", "512MB"],
-        &widths,
-    );
-    for (i, p) in profiles.iter().enumerate() {
-        let mut cells = vec![p.name.to_string()];
-        for j in 0..BLOCKS.len() {
-            cells.push(f2(results[i * BLOCKS.len() + j].0.offlined_gib_avg));
-        }
-        row(&cells, &widths);
-    }
-    println!("\npaper: smaller blocks off-line more (gcc: 3.125 GB @128MB vs 2 GB @512MB)");
-    args.telemetry.write(
-        &labels
-            .iter()
-            .zip(results)
-            .map(|(l, (_, tele))| (l.clone(), tele))
-            .collect::<Vec<_>>(),
+        [16, 12, 12, 12],
+        |r| f2(r.offlined_gib_avg),
+        "paper: smaller blocks off-line more (gcc: 3.125 GB @128MB vs 2 GB @512MB)",
     );
 }

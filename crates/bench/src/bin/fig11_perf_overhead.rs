@@ -2,56 +2,43 @@
 //! (paper: gcc variants worst at <3 %, everything else <2 %, and no
 //! visible p95/p99 degradation for the latency-critical services).
 //!
-//! Co-simulation points fan across the sweep pool (`--jobs N`); timing
-//! lands in `results/BENCH_fig11_perf_overhead.json` and
+//! Co-simulation points fan across the sweep pool (`--jobs N`);
+//! `--strict-validate` enforces the co-simulation invariants and
 //! `--telemetry PATH` dumps each run's daemon/mm books as JSONL.
 
 use gd_bench::blocks::{block_size_experiment, managed_region, nominal_runtime_s};
 use gd_bench::report::{header, pct, row};
-use gd_bench::{timed_sweep, BenchArgs};
+use gd_bench::BenchArgs;
 use gd_types::stats::percentile;
 use gd_workloads::energy_figure_set;
 use greendimm::GreenDimmConfig;
 
 fn main() {
-    let mut args = BenchArgs::from_env();
-    let opts = args.measure_ddr4();
+    let mut args = BenchArgs::from_env(env!("CARGO_BIN_NAME"));
+    let verify = args.strict_validate().then_some(gd_verify::Mode::Strict);
     args.finish();
-    let verify = opts.strict_validate.then_some(gd_verify::Mode::Strict);
-    args.provenance(
-        "fig11_perf_overhead",
-        "managed=8GiB energy-figure-set blocks=128 seed=1",
-    );
+    args.provenance("managed=8GiB energy-figure-set blocks=128 seed=1");
     if verify.is_some() {
         println!("[strict-validate: co-simulation invariants enforced]");
     }
     let profiles = energy_figure_set();
-    let labels: Vec<String> = profiles.iter().map(|p| p.name.to_string()).collect();
-    let mut results = timed_sweep(
-        "fig11_perf_overhead",
+    let results = args.sweep(
         &profiles,
-        &labels,
-        args.jobs,
-        |_ctx, p| {
-            block_size_experiment(
+        |p| p.name.to_string(),
+        |p, sink| {
+            let (row, tele) = block_size_experiment(
                 p,
                 managed_region(128, 1),
                 GreenDimmConfig::paper_default(),
                 None,
                 verify,
-                args.telemetry.enabled().then_some("blocks"),
+                sink.enabled().then_some("blocks"),
             )
-            .expect("co-sim")
+            .expect("co-sim");
+            sink.give("", tele);
+            row
         },
     );
-    args.telemetry.write(
-        &labels
-            .iter()
-            .zip(&mut results)
-            .map(|(l, (_, tele))| (l.clone(), tele.take()))
-            .collect::<Vec<_>>(),
-    );
-    let results: Vec<_> = results.into_iter().map(|(r, _)| r).collect();
 
     let widths = [16, 10, 12];
     header(

@@ -3,53 +3,44 @@
 //! 4 at peak; KSM off-lines 61 more and cuts background power 70 %).
 //!
 //! The base and KSM co-simulations are two sweep points (`--jobs N`);
-//! `--requests N` trims the trace to N scheduler samples; timing lands in
-//! `results/BENCH_fig12_vm_offlined_blocks.json` and `--telemetry PATH`
-//! dumps both runs' daemon/mm books as JSONL.
+//! `--requests N` trims the trace to N scheduler samples;
+//! `--telemetry PATH` dumps both runs' daemon/mm books as JSONL.
 
 use gd_bench::report::{header, pct, row};
-use gd_bench::{run_vm_trace, timed_sweep, BenchArgs};
+use gd_bench::{run_vm_trace, BenchArgs};
 use gd_fleet::{HostRun, HostSimConfig};
 use gd_power::{ActivityProfile, DramPowerModel, PowerGating};
 use gd_types::config::DramConfig;
 
 fn main() {
-    let args = BenchArgs::from_env();
+    let mut args = BenchArgs::from_env(env!("CARGO_BIN_NAME"));
+    let requests = args.requests();
     args.finish();
-    let duration_s = args
-        .requests
+    let duration_s = requests
         .map(|n| (n as u64 * 300).clamp(3_600, 86_400))
         .unwrap_or(86_400);
-    args.provenance(
-        "fig12_vm_offlined_blocks",
-        &format!("azure-24h capacity=256GB block=1GB seed=42 duration_s={duration_s} greendimm"),
-    );
+    args.provenance(&format!(
+        "azure-24h capacity=256GB block=1GB seed=42 duration_s={duration_s} greendimm"
+    ));
 
-    let kinds = [false, true];
-    let labels: Vec<String> = vec!["base".into(), "ksm".into()];
-    let mut runs = timed_sweep(
-        "fig12_vm_offlined_blocks",
-        &kinds,
-        &labels,
-        args.jobs,
-        |_ctx, &ksm| {
-            run_vm_trace(
+    let runs = args.sweep(
+        &[false, true],
+        |&ksm| (if ksm { "ksm" } else { "base" }).to_string(),
+        |&ksm, sink| {
+            let (run, tele) = run_vm_trace(
                 &HostSimConfig {
                     ksm,
                     duration_s,
                     ..HostSimConfig::paper_256gb()
                 },
-                args.telemetry.enabled(),
+                sink.enabled(),
             )
-            .expect("vm trace")
+            .expect("vm trace");
+            sink.give("", tele);
+            run
         },
     );
-    let shards: Vec<_> = labels
-        .iter()
-        .zip(&mut runs)
-        .map(|(l, (_, tele))| (l.clone(), tele.take()))
-        .collect();
-    let (base, ksm) = (&runs[0].0, &runs[1].0);
+    let (base, ksm) = (&runs[0], &runs[1]);
 
     let widths = [8, 14, 14];
     header(
@@ -99,5 +90,4 @@ fn main() {
         pct(1.0 - with / full),
         pct(1.0 - with_ksm / full)
     );
-    args.telemetry.write(&shards);
 }

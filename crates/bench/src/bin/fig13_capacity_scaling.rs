@@ -3,24 +3,23 @@
 //! −36 %/−20 % at 1 TB; with KSM −55 %/−30 % at 1 TB).
 //!
 //! Each {capacity × KSM} VM-trace run is one sweep point (`--jobs N`);
-//! `--requests N` trims the trace to N scheduler samples; timing lands in
-//! `results/BENCH_fig13_capacity_scaling.json` and `--telemetry PATH`
+//! `--requests N` trims the trace to N scheduler samples; `--memspec`
+//! picks the power model the dwell fractions feed; `--telemetry PATH`
 //! dumps every run's daemon/mm/ksm books as JSONL.
 
 use gd_bench::energy::platform_desc;
 use gd_bench::report::{f2, header, pct, row};
-use gd_bench::{run_vm_trace, timed_sweep, BenchArgs};
+use gd_bench::{run_vm_trace, BenchArgs};
 use gd_fleet::HostSimConfig;
 use gd_power::{ActivityProfile, DramPowerModel, PowerGating, SystemPowerModel};
 use gd_types::config::{DramConfig, MemSpecKind};
 
 fn main() {
-    let mut args = BenchArgs::from_env();
-    let engine = args.engine();
+    let mut args = BenchArgs::from_env(env!("CARGO_BIN_NAME"));
     let memspec = args.memspec();
+    let requests = args.requests();
     args.finish();
-    let duration_s = args
-        .requests
+    let duration_s = requests
         .map(|n| (n as u64 * 300).clamp(3_600, 86_400))
         .unwrap_or(86_400);
     // The VM-trace co-simulation is mm/daemon-level (block off-lining and
@@ -31,46 +30,30 @@ fn main() {
         MemSpecKind::Ddr4 => String::new(),
         kind => format!("{} ", platform_desc(kind)),
     };
-    args.provenance(
-        "fig13_capacity_scaling",
-        &format!(
-            "{platform}azure-24h block=1GB seed=42 duration_s={duration_s} caps=256..1024 x ksm"
-        ),
-    );
+    args.provenance(&format!(
+        "{platform}azure-24h block=1GB seed=42 duration_s={duration_s} caps=256..1024 x ksm"
+    ));
     let caps = [256u64, 512, 768, 1024];
     // One point per {capacity, ksm} pair; results stitched back per capacity.
     let points: Vec<(u64, bool)> = caps
         .iter()
         .flat_map(|&cap| [(cap, false), (cap, true)])
         .collect();
-    let labels: Vec<String> = points
-        .iter()
-        .map(|(cap, ksm)| format!("{cap}G{}", if *ksm { "+ksm" } else { "" }))
-        .collect();
-    let mut runs = timed_sweep(
-        "fig13_capacity_scaling",
+    let runs = args.sweep(
         &points,
-        &labels,
-        args.jobs,
-        |_ctx, &(cap_gb, ksm)| {
+        |(cap, ksm)| format!("{cap}G{}", if *ksm { "+ksm" } else { "" }),
+        |&(cap_gb, ksm), sink| {
             let cfg = HostSimConfig {
                 capacity_gb: cap_gb,
                 ksm,
                 duration_s,
-                engine,
                 ..HostSimConfig::paper_256gb()
             };
-            run_vm_trace(&cfg, args.telemetry.enabled()).expect("vm trace")
+            let (run, tele) = run_vm_trace(&cfg, sink.enabled()).expect("vm trace");
+            sink.give("", tele);
+            run
         },
     );
-    args.telemetry.write(
-        &labels
-            .iter()
-            .zip(&mut runs)
-            .map(|(l, (_, tele))| (l.clone(), tele.take()))
-            .collect::<Vec<_>>(),
-    );
-    let runs: Vec<_> = runs.into_iter().map(|(r, _)| r).collect();
 
     let widths = [9, 9, 9, 9, 9, 10, 10, 10, 10];
     header(

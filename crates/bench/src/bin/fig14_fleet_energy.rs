@@ -12,17 +12,17 @@
 //! Hosts shard across the deterministic worker pool (`--jobs N` fans hosts
 //! out *inside* each point; the outer sweep over points runs serially, so
 //! the pool is never oversubscribed). `--stride N` (default 16) samples the
-//! fleet: every N-th host is co-simulated exactly on the `--engine`
-//! (`stepped|event`, default event) and the rest use a surrogate
-//! calibrated against those anchors; `--stride 1` co-simulates every host.
-//! Output is byte-identical for any `--jobs`. `--hosts N` sets the fleet size
-//! (1 to 10 000, default 1000), `--requests N` trims the simulated day to N
-//! scheduler periods, `--telemetry PATH` dumps the exact hosts'
-//! daemon/mm/ksm books as JSONL, and timing lands in
-//! `results/BENCH_fig14_fleet_energy.json`.
+//! fleet: every N-th host is co-simulated exactly and the rest use a
+//! surrogate calibrated against those anchors; `--stride 1` co-simulates
+//! every host. Output is byte-identical for any `--jobs`. `--hosts N` sets
+//! the fleet size (1 to 10 000, default 1000), `--requests N` trims the
+//! simulated day to N scheduler periods, `--strict-validate` enforces the
+//! fleet and co-simulation invariants, and `--telemetry PATH` dumps the
+//! exact hosts' daemon/mm/ksm books as JSONL.
 
 use gd_bench::report::{f2, header, pct, row};
-use gd_bench::{timed_sweep_jobs, BenchArgs};
+use gd_bench::BenchArgs;
+use gd_dram::EngineMode;
 use gd_fleet::{run_fleet, FleetOutcome};
 use gd_power::{ActivityProfile, DramPowerModel, PowerGating, SystemPowerModel};
 use gd_types::config::DramConfig;
@@ -51,23 +51,19 @@ const VARIANTS: [Variant; 2] = [
 ];
 
 fn main() {
-    let mut args = BenchArgs::from_env();
-    let mopts = args.measure_ddr4();
+    let mut args = BenchArgs::from_env(env!("CARGO_BIN_NAME"));
+    let verify = args.strict_validate().then_some(gd_verify::Mode::Strict);
     let hosts = args.count("hosts", 1_000, 10_000);
     let stride = args.count("stride", 16, usize::MAX);
+    let requests = args.requests();
     args.finish();
-    let duration_s = args
-        .requests
+    let duration_s = requests
         .map(|n| (n as u64 * 300).clamp(3_600, 86_400))
         .unwrap_or(86_400);
-    let verify = mopts.strict_validate.then_some(gd_verify::Mode::Strict);
-    args.provenance(
-        "fig14_fleet_energy",
-        &format!(
-            "azure-cluster hosts={hosts} 256GB/host block=1GB seed=42 \
-                 duration_s={duration_s} stride={stride} utils=0.50..0.95 x base/gd/gd+ksm"
-        ),
-    );
+    args.provenance(&format!(
+        "azure-cluster hosts={hosts} 256GB/host block=1GB seed=42 \
+             duration_s={duration_s} stride={stride} utils=0.50..0.95 x base/gd/gd+ksm"
+    ));
     if verify.is_some() {
         println!("[strict-validate: fleet + co-simulation invariants enforced]");
     }
@@ -76,19 +72,11 @@ fn main() {
         .iter()
         .flat_map(|&u| VARIANTS.iter().map(move |v| (u, v)))
         .collect();
-    let labels: Vec<String> = points
-        .iter()
-        .map(|(u, v)| format!("u{u:.2}/{}", v.tag))
-        .collect();
-    // Outer sweep serial (pool_jobs = 1): each point parallelizes over its
-    // hosts with `args.jobs` workers, which the timing sidecar records.
-    let mut runs: Vec<FleetOutcome> = timed_sweep_jobs(
-        "fig14_fleet_energy",
+    // Each point parallelizes over its hosts with `args.jobs` workers.
+    let runs = args.sweep_serially(
         &points,
-        &labels,
-        1,
-        args.jobs,
-        |_ctx, (max_util, v)| {
+        |(u, v)| format!("u{u:.2}/{}", v.tag),
+        |(max_util, v), sink| {
             let cfg = FleetConfig {
                 hosts,
                 duration_s,
@@ -99,31 +87,20 @@ fn main() {
                 sample_stride: stride,
                 ..FleetConfig::paper_1k()
             };
-            run_fleet(
+            let mut run = run_fleet(
                 &cfg,
-                mopts.engine,
+                EngineMode::default(),
                 args.jobs,
                 verify,
-                args.telemetry.enabled(),
+                sink.enabled(),
             )
-            .expect("fleet run")
+            .expect("fleet run");
+            for (host, tele) in run.telemetry.take().unwrap_or_default() {
+                sink.give(&format!("/{host}"), Some(tele));
+            }
+            run
         },
     );
-    if args.telemetry.enabled() {
-        let shards: Vec<(String, Option<gd_obs::Telemetry>)> = labels
-            .iter()
-            .zip(&mut runs)
-            .flat_map(|(label, run)| {
-                run.telemetry
-                    .take()
-                    .unwrap_or_default()
-                    .into_iter()
-                    .map(|(host, tele)| (format!("{label}/{host}"), Some(tele)))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        args.telemetry.write(&shards);
-    }
 
     // Per-host DRAM power from the same model Fig. 13 fits to the paper's
     // 256 GB measurement; deep power-down gates each host individually.

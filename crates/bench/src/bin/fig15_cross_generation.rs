@@ -3,29 +3,25 @@
 //! DDR4, DDR5 (same-bank refresh), and LPDDR4-PASR, each with its own
 //! timing and [`gd_power::DramPowerModel`] terms.
 //!
-//! Each {backend × app} pair is one sweep point (`--jobs N`); the
-//! wall-clock profile lands in `results/BENCH_fig15_cross_generation.json`
-//! and `--telemetry PATH` dumps each run's DRAM books as JSONL.
+//! Each {backend × app} pair is one sweep point (`--jobs N`);
+//! `--telemetry PATH` dumps each run's DRAM books as JSONL.
 
-use gd_bench::energy::{evaluate_app_tele, platform_desc, EnergyRow};
+use gd_bench::energy::{evaluate_app_tele, platform_desc};
 use gd_bench::report::{f2, header, pct, row};
-use gd_bench::{timed_sweep, BenchArgs};
+use gd_bench::BenchArgs;
 use gd_types::config::{DramConfig, MemSpecKind};
 use gd_types::stats::geomean;
 use gd_workloads::energy_figure_set;
 
 fn main() {
-    let mut args = BenchArgs::from_env();
+    let mut args = BenchArgs::from_env(env!("CARGO_BIN_NAME"));
     let opts = args.measure_ddr4();
+    let requests = args.requests().unwrap_or(20_000);
     args.finish();
-    let requests = args.requests.unwrap_or(20_000);
-    args.provenance(
-        "fig15_cross_generation",
-        &format!(
-            "cross-generation ddr4-2133/ddr5-4800/lpddr4-3200 64GB \
-                 energy-figure-set requests={requests} seed=1"
-        ),
-    );
+    args.provenance(&format!(
+        "cross-generation ddr4-2133/ddr5-4800/lpddr4-3200 64GB \
+             energy-figure-set requests={requests} seed=1"
+    ));
     if opts.strict_validate {
         println!("[strict-validate: protocol + governor invariants enforced]");
     }
@@ -36,33 +32,15 @@ fn main() {
         .into_iter()
         .flat_map(|kind| profiles.iter().map(move |p| (kind, p)))
         .collect();
-    let labels: Vec<String> = points
-        .iter()
-        .map(|(kind, p)| format!("{}/{}", kind.name(), p.name))
-        .collect();
-    let mut results = timed_sweep(
-        "fig15_cross_generation",
+    let results = args.sweep(
         &points,
-        &labels,
-        args.jobs,
-        |_ctx, &(kind, p)| {
+        |(kind, p)| format!("{}/{}", kind.name(), p.name),
+        |&(kind, p), sink| {
             let cfg = DramConfig::preset_64gb(kind);
-            let mut tele = args.telemetry.shard();
-            let rows = evaluate_app_tele(p, cfg, requests, 1, opts, tele.as_mut());
-            (rows, tele)
+            sink.fill(|tele| evaluate_app_tele(p, cfg, requests, 1, opts, tele))
+                .expect("energy")
         },
     );
-    args.telemetry.write(
-        &labels
-            .iter()
-            .zip(&mut results)
-            .map(|(l, (_, tele))| (l.clone(), tele.take()))
-            .collect::<Vec<_>>(),
-    );
-    let results: Vec<Vec<EnergyRow>> = results
-        .into_iter()
-        .map(|(rows, _)| rows.expect("energy"))
-        .collect();
 
     let widths = [14, 9, 9, 9, 9, 12];
     header(

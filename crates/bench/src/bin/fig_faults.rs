@@ -1,4 +1,4 @@
-//! `fig_faults`: robustness curve — GreenDIMM's energy savings and stall
+//! Robustness curve: GreenDIMM's energy savings and stall
 //! overhead as the injected fault rate rises (see `gd-faults` and
 //! DESIGN.md §11).
 //!
@@ -12,18 +12,12 @@
 
 use gd_bench::report::{header, row};
 use gd_bench::robustness::{robustness_experiment, RobustnessRow, FAULT_RATES};
-use gd_bench::{timed_sweep, BenchArgs};
+use gd_bench::BenchArgs;
 use gd_faults::FaultPlan;
-use gd_obs::Telemetry;
 use gd_workloads::by_name;
 
-struct Point {
-    rows: Vec<RobustnessRow>,
-    shards: Vec<(String, Option<Telemetry>)>,
-}
-
 fn main() {
-    let mut args = BenchArgs::from_env();
+    let mut args = BenchArgs::from_env(env!("CARGO_BIN_NAME"));
     let mopts = args.measure_ddr4();
     let single_rate = args.fault_rate();
     let seed_count = args.requests_count(3, 16) as u64;
@@ -38,31 +32,33 @@ fn main() {
         }
         None => FAULT_RATES.to_vec(),
     };
-    args.provenance("fig_faults", &desc);
+    args.provenance(&desc);
     if verify.is_some() {
         println!("[strict-validate: co-simulation invariants enforced]");
     }
     let profile = by_name("gcc").expect("profile");
-    let labels: Vec<String> = rates.iter().map(|r| format!("rate={r}")).collect();
-    let results = timed_sweep("fig_faults", &rates, &labels, args.jobs, |_ctx, rate| {
-        let mut rows = Vec::new();
-        let mut shards = Vec::new();
-        let plan = (*rate > 0.0).then(|| FaultPlan::uniform(*rate));
-        for seed in 1..=seed_count {
-            let (r, tele) = robustness_experiment(
-                &profile,
-                plan.as_ref(),
-                engine,
-                seed,
-                verify,
-                args.telemetry.enabled(),
-            )
-            .expect("co-sim");
-            shards.push((format!("rate{rate}/s{seed}", rate = *rate), tele));
-            rows.push(r);
-        }
-        Point { rows, shards }
-    });
+    let results = args.sweep(
+        &rates,
+        |r| format!("rate{r}"),
+        |rate, sink| {
+            let plan = (*rate > 0.0).then(|| FaultPlan::uniform(*rate));
+            (1..=seed_count)
+                .map(|seed| {
+                    let (r, tele) = robustness_experiment(
+                        &profile,
+                        plan.as_ref(),
+                        engine,
+                        seed,
+                        verify,
+                        sink.enabled(),
+                    )
+                    .expect("co-sim");
+                    sink.give(&format!("/s{seed}"), tele);
+                    r
+                })
+                .collect::<Vec<_>>()
+        },
+    );
 
     let widths = [8, 10, 10, 10, 9, 8, 9, 9, 12];
     header(
@@ -80,10 +76,10 @@ fn main() {
         ],
         &widths,
     );
-    for (rate, p) in rates.iter().zip(&results) {
-        let n = p.rows.len() as f64;
-        let mean = |f: &dyn Fn(&RobustnessRow) -> f64| p.rows.iter().map(f).sum::<f64>() / n;
-        let sum = |f: &dyn Fn(&RobustnessRow) -> u64| p.rows.iter().map(f).sum::<u64>();
+    for (rate, rows) in rates.iter().zip(&results) {
+        let n = rows.len() as f64;
+        let mean = |f: &dyn Fn(&RobustnessRow) -> f64| rows.iter().map(f).sum::<f64>() / n;
+        let sum = |f: &dyn Fn(&RobustnessRow) -> u64| rows.iter().map(f).sum::<u64>();
         row(
             &[
                 format!("{rate}"),
@@ -102,10 +98,4 @@ fn main() {
     println!("\n(averaged/summed over {seed_count} seeds per rate)");
     println!("expectation: savings degrade gracefully while overhead stays bounded;");
     println!("rollbacks stay 0 under removable-first (free blocks need no migration)");
-    args.telemetry.write(
-        &results
-            .into_iter()
-            .flat_map(|p| p.shards)
-            .collect::<Vec<_>>(),
-    );
 }

@@ -3,16 +3,15 @@
 //! measured by forcing each path through the hotplug machinery.
 //!
 //! One sweep point (`--jobs N` accepted for interface uniformity);
-//! `--requests N` sets the iterations per path; timing lands in
-//! `results/BENCH_tab03_hotplug_latency.json` and `--telemetry PATH`
-//! dumps the mm books as JSONL.
+//! `--requests N` sets the iterations per path; `--telemetry PATH` dumps
+//! the mm books as JSONL.
 
 use gd_bench::report::{header, row};
-use gd_bench::{timed_sweep, BenchArgs};
+use gd_bench::BenchArgs;
 use gd_mmsim::{HotplugStats, MemoryManager, MmConfig, PageKind};
 use gd_obs::Telemetry;
 
-fn measure(iters: usize, tele: &mut Option<Telemetry>) -> HotplugStats {
+fn measure(iters: usize, tele: Option<&mut Telemetry>) -> HotplugStats {
     let mut mm = MemoryManager::new(MmConfig {
         transient_fail_prob: 1.0, // force EAGAIN on migration paths
         ..MmConfig::small_test()
@@ -43,27 +42,16 @@ fn measure(iters: usize, tele: &mut Option<Telemetry>) -> HotplugStats {
 }
 
 fn main() {
-    let args = BenchArgs::from_env();
+    let mut args = BenchArgs::from_env(env!("CARGO_BIN_NAME"));
+    let iters = args.requests().unwrap_or(50);
     args.finish();
-    let iters = args.requests.unwrap_or(50);
-    args.provenance(
-        "tab03_hotplug_latency",
-        &format!("mm-small-test transient_fail=1.0 iters={iters}"),
+    args.provenance(&format!("mm-small-test transient_fail=1.0 iters={iters}"));
+    let results = args.sweep(
+        &["latency"],
+        |p| (*p).to_string(),
+        |_, sink| sink.fill(|tele| measure(iters, tele)),
     );
-    let points = ["latency"];
-    let labels = vec!["latency".to_string()];
-    let mut results = timed_sweep(
-        "tab03_hotplug_latency",
-        &points,
-        &labels,
-        args.jobs,
-        |_ctx, _| {
-            let mut tele = args.telemetry.shard();
-            let stats = measure(iters, &mut tele);
-            (stats, tele)
-        },
-    );
-    let s = &results[0].0;
+    let s = &results[0];
 
     let widths = [22, 18, 14];
     header(
@@ -112,6 +100,4 @@ fn main() {
         "\ncounts: {} offline, {} online, {} EAGAIN, {} EBUSY",
         s.offline_success, s.online_count, s.offline_eagain, s.offline_ebusy
     );
-    args.telemetry
-        .write(&[("latency".to_string(), results[0].1.take())]);
 }

@@ -1,5 +1,6 @@
 //! The managed-region run behind Figs. 6–8 and 11, Table 2, the
-//! ablations and the `fig_faults` robustness curve.
+//! ablations and the `fig_faults` robustness curve, and the one table
+//! Figs. 6, 7 and Table 2 print.
 //!
 //! The paper runs these on a managed (movablecore-style) region of the
 //! machine: with 128 MB blocks, one block maps to exactly one sub-array
@@ -7,13 +8,15 @@
 //! daemon off-lines blocks while the app's footprint and a page cache move
 //! through the region at 1 s epochs.
 
+use crate::report::{header, row};
+use crate::BenchArgs;
 use gd_baselines::OfflineFailureBreakdown;
 use gd_faults::{FaultInjector, FaultPlan};
 use gd_mmsim::{MemoryManager, MmConfig, PageKind, PAGE_BYTES};
 use gd_obs::Telemetry;
 use gd_types::rng::derive_seed;
 use gd_types::{Result, SimTime};
-use gd_workloads::AppProfile;
+use gd_workloads::{spec2006_offlining_set, AppProfile};
 use greendimm::{Daemon, DaemonStats, EpochSim, FootprintDriver, GreenDimmConfig, GroupMap};
 
 /// Managed capacity for the block-size studies (the paper's
@@ -197,6 +200,50 @@ pub fn block_size_experiment(
         sim.export_telemetry(scope);
     }
     Ok((row, sim.telemetry.take()))
+}
+
+/// Figs. 6, 7 and Table 2: every app of the off-lining set on 128, 256 and
+/// 512 MB blocks (seed 1), printed under `title` as one row of `cell` per
+/// app, then the `paper` line.
+pub fn block_size_table(
+    args: BenchArgs,
+    title: &str,
+    widths: [usize; 4],
+    cell: fn(&BlockSizeRow) -> String,
+    paper: &str,
+) {
+    const BLOCKS: [u64; 3] = [128, 256, 512];
+    args.finish();
+    args.provenance("managed=8GiB spec2006-offlining blocks=128/256/512 seed=1");
+    let profiles = spec2006_offlining_set();
+    let points: Vec<(&AppProfile, u64)> = profiles
+        .iter()
+        .flat_map(|p| BLOCKS.map(|b| (p, b)))
+        .collect();
+    let rows = args.sweep(
+        &points,
+        |(p, b)| format!("{}/{b}MB", p.name),
+        |(p, block_mib), sink| {
+            let (row, tele) = block_size_experiment(
+                p,
+                managed_region(*block_mib, 1),
+                GreenDimmConfig::paper_default(),
+                None,
+                None,
+                sink.enabled().then_some("blocks"),
+            )
+            .expect("co-sim");
+            sink.give("", tele);
+            row
+        },
+    );
+    header(title, &["app", "128MB", "256MB", "512MB"], &widths);
+    for (p, rows) in profiles.iter().zip(rows.chunks(BLOCKS.len())) {
+        let mut cells = vec![p.name.to_string()];
+        cells.extend(rows.iter().map(cell));
+        row(&cells, &widths);
+    }
+    println!("\n{paper}");
 }
 
 /// The memory manager's off-lining failures so far, by cause.

@@ -1,13 +1,17 @@
-//! Cycle-level measurement + governor evaluation behind Figs. 3, 9, 10.
+//! Cycle-level measurement + governor evaluation behind Figs. 3, 9, 10,
+//! and the one table Figs. 9 and 10 print.
 
+use crate::report::{f2, header, row};
+use crate::BenchArgs;
 use gd_baselines::{
     GovernorContext, GovernorOutcome, GreenDimmGovernor, Pasr, PowerGovernor, RamZzz, SrfOnly,
 };
 use gd_dram::{EngineMode, LowPowerPolicy, MemorySystem, TimingChecker};
 use gd_power::{ActivityProfile, DramPowerModel, SystemPowerModel};
 use gd_types::config::{DramConfig, InterleaveMode, MemSpecKind};
+use gd_types::stats::geomean;
 use gd_types::{Cycles, GdError, Result};
-use gd_workloads::{estimate_runtime, AppProfile, TraceGenerator};
+use gd_workloads::{energy_figure_set, estimate_runtime, AppProfile, TraceGenerator};
 
 /// Options for the measurement/evaluation pipeline behind Figs. 3/9/10.
 #[derive(Debug, Clone, Copy, Default)]
@@ -219,24 +223,37 @@ pub fn evaluate_app_tele(
     opts: MeasureOpts,
     mut tele: Option<&mut gd_obs::Telemetry>,
 ) -> Result<Vec<EnergyRow>> {
-    let with = measure_app(
-        profile,
-        cfg,
-        InterleaveMode::Interleaved,
-        requests,
-        seed,
-        opts,
-        tele.as_deref_mut(),
-    )?;
-    let without = measure_app(
-        profile,
-        cfg,
-        InterleaveMode::Linear,
-        requests,
-        seed,
-        opts,
-        tele,
-    )?;
+    let mut measure = |mode| {
+        measure_app(
+            profile,
+            cfg,
+            mode,
+            requests,
+            seed,
+            opts,
+            tele.as_deref_mut(),
+        )
+    };
+    let with = measure(InterleaveMode::Interleaved)?;
+    let without = measure(InterleaveMode::Linear)?;
+    evaluate_measurements(profile, cfg, &with, &without, opts)
+}
+
+/// The governor evaluation of [`evaluate_app_opts`] on the two
+/// [`measure_app`] runs of `profile` it would make, `with` and `without`
+/// interleaving.
+///
+/// # Errors
+///
+/// Propagates power-model errors; with [`MeasureOpts::strict_validate`],
+/// also governor sanity violations.
+pub fn evaluate_measurements(
+    profile: &AppProfile,
+    cfg: DramConfig,
+    with: &AppMeasurement,
+    without: &AppMeasurement,
+    opts: MeasureOpts,
+) -> Result<Vec<EnergyRow>> {
     let model = DramPowerModel::new(cfg)?;
     let system = SystemPowerModel::default();
     let cpu_util = 0.6;
@@ -269,7 +286,7 @@ pub fn evaluate_app_tele(
     let mut rows = Vec::new();
     let mut baseline: Option<(f64, f64)> = None;
     // Baseline first: (w/o interleave, srf_only).
-    for meas in [&without, &with] {
+    for meas in [without, with] {
         let ctx = make_ctx(meas);
         for g in &governors {
             let out = match &mut sanity {
@@ -301,6 +318,55 @@ pub fn evaluate_app_tele(
         r.system_norm = r.system_j / b_sys;
     }
     Ok(rows)
+}
+
+/// Figs. 9 and 10: every app of the energy-figure set under the four
+/// policies and both interleave modes, printed as `metric` (normalized to
+/// w/o interleave, srf_only) under `title`, then the GreenDIMM
+/// w/ interleaving geomean and the `paper` line.
+pub fn energy_table(mut args: BenchArgs, title: &str, metric: fn(&EnergyRow) -> f64, paper: &str) {
+    let opts = args.measure();
+    let requests = args.requests().unwrap_or(20_000);
+    args.finish();
+    let cfg = DramConfig::preset_64gb(opts.memspec);
+    args.provenance(&format!(
+        "{} 64GB energy-figure-set requests={requests} seed=1",
+        platform_desc(opts.memspec)
+    ));
+    if opts.strict_validate {
+        println!("[strict-validate: protocol + governor invariants enforced]");
+    }
+    let profiles = energy_figure_set();
+    let results = args.sweep(
+        &profiles,
+        |p| p.name.to_string(),
+        |p, sink| sink.fill(|tele| evaluate_app_tele(p, cfg, requests, 1, opts, tele)),
+    );
+    let widths = [16, 9, 9, 9, 9, 9, 9, 9, 9];
+    let cols = [
+        "app", "srf-", "srf+", "RZ-", "RZ+", "PASR-", "PASR+", "GD-", "GD+",
+    ];
+    header(title, &cols, &widths);
+    println!("('-' = w/o interleaving, '+' = w/ interleaving)");
+    let mut gd_norms = Vec::new();
+    for (p, rows) in profiles.iter().zip(results) {
+        let rows = rows.expect("energy");
+        let cell = |policy, intlv| find_row(&rows, policy, intlv).map_or(f64::NAN, metric);
+        gd_norms.push(cell("GreenDIMM", true));
+        let mut cells = vec![p.name.to_string()];
+        for policy in ["srf_only", "RAMZzz", "PASR", "GreenDIMM"] {
+            cells.extend([false, true].map(|intlv| f2(cell(policy, intlv))));
+        }
+        row(&cells, &widths);
+    }
+    if let Some(g) = geomean(&gd_norms) {
+        println!(
+            "\nGreenDIMM w/ interleaving geomean: {:.2} of baseline ({}% reduction)",
+            g,
+            ((1.0 - g) * 100.0).round()
+        );
+    }
+    println!("{paper}");
 }
 
 /// Picks a row out of [`evaluate_app_opts`] output.

@@ -23,6 +23,6 @@ pub use args::BenchArgs;
 pub use blocks::{block_size_experiment, managed_region, BlockSizeRow, MANAGED_BYTES};
 pub use energy::{evaluate_app_tele, find_row, measure_app, AppMeasurement, EnergyRow};
 pub use robustness::{robustness_experiment, RobustnessRow, FAULT_RATES};
-pub use sweep::{default_jobs, sweep, timed_sweep, timed_sweep_jobs, PointCtx, SweepTiming};
-pub use telemetry::{render_shards, TelemetryOpts};
+pub use sweep::{default_jobs, sweep, PointCtx, SweepTiming};
+pub use telemetry::render_shards;
 pub use vmtrace::run_vm_trace;

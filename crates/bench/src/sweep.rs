@@ -21,7 +21,15 @@
 //! pre-sweep execution path exactly. A panicking point no longer poisons
 //! the merge mutex into an opaque `PoisonError`: the pool re-panics with
 //! the failing point index and the original payload text.
+//!
+//! [`BenchArgs::sweep`] is the harness the figure binaries run on top of
+//! the pool: it times every point into the `results/BENCH_<fig>.json`
+//! sidecar and merges, in point order, the telemetry shards each point
+//! hands its [`ShardSink`].
 
+use crate::telemetry::write_shards;
+use crate::BenchArgs;
+use gd_obs::Telemetry;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -68,7 +76,7 @@ where
     gd_fleet::pool::shard_map(points, jobs, |index, point| f(PointCtx { index }, point))
 }
 
-/// One timed point of a [`timed_sweep`] run.
+/// One timed point of a [`BenchArgs::sweep`] run.
 #[derive(Debug, Clone)]
 pub struct PointTiming {
     /// Human-readable point label (row key of the figure).
@@ -156,74 +164,127 @@ fn results_dir() -> PathBuf {
         .join("results")
 }
 
-/// [`sweep`] plus wall-clock accounting: times every point and the whole
-/// run, writes `results/BENCH_<fig>.json`, and returns the results in point
-/// order. The labels slice must parallel `points`.
-///
-/// This is the one sweep entry point allowed to read the wall clock — the
-/// timing sidecar is *about* wall time and never feeds back into any
-/// simulated result.
-#[allow(clippy::disallowed_methods)] // wall-time measurement is the point
-pub fn timed_sweep<T, R, F>(fig: &str, points: &[T], labels: &[String], jobs: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(PointCtx, &T) -> R + Sync,
-{
-    timed_sweep_jobs(
-        fig,
-        points,
-        labels,
-        jobs,
-        jobs.clamp(1, points.len().max(1)),
-        f,
-    )
+/// The telemetry shards one sweep point hands to the harness. The harness
+/// labels each shard with the point's label plus the shard's suffix and
+/// merges every point's shards in point order after the sweep joins.
+#[derive(Debug)]
+pub struct ShardSink {
+    enabled: bool,
+    shards: Vec<(String, Telemetry)>,
 }
 
-/// [`timed_sweep`] with separate pool width and recorded width: the sweep
-/// fans out across `pool_jobs` workers while the timing sidecar records
-/// `recorded_jobs`. Figures that parallelize *inside* each point (the
-/// fleet binary shards hosts, not sweep points) run their outer sweep
-/// serially (`pool_jobs = 1`) but still report the worker width the inner
-/// pool used.
-#[allow(clippy::disallowed_methods)] // wall-time measurement is the point
-pub fn timed_sweep_jobs<T, R, F>(
-    fig: &str,
-    points: &[T],
-    labels: &[String],
-    pool_jobs: usize,
-    recorded_jobs: usize,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(PointCtx, &T) -> R + Sync,
-{
-    assert_eq!(points.len(), labels.len(), "one label per sweep point");
-    let t0 = Instant::now(); // gd-lint: allow(sim-purity)
-    let timed: Vec<(R, f64)> = sweep(points, pool_jobs, |ctx, p| {
-        let p0 = Instant::now(); // gd-lint: allow(sim-purity)
-        let r = f(ctx, p);
-        (r, p0.elapsed().as_secs_f64())
-    });
-    let total_s = t0.elapsed().as_secs_f64();
-    let (results, seconds): (Vec<R>, Vec<f64>) = timed.into_iter().unzip();
-    SweepTiming {
-        fig: fig.to_string(),
-        jobs: recorded_jobs.max(1),
-        total_s,
-        points: labels
-            .iter()
-            .zip(seconds)
-            .map(|(label, seconds)| PointTiming {
-                label: label.clone(),
-                seconds,
-            })
-            .collect(),
+impl ShardSink {
+    /// True when the run writes telemetry (`--telemetry PATH`).
+    #[must_use]
+    pub fn enabled(&self) -> bool {
+        self.enabled
     }
-    .write();
-    results
+
+    /// Hands over `tele` under the point's label followed by `suffix`
+    /// (`""` for the point's label itself); `None` is skipped.
+    pub fn give(&mut self, suffix: &str, tele: Option<Telemetry>) {
+        if let Some(tele) = tele {
+            self.shards.push((suffix.to_string(), tele));
+        }
+    }
+
+    /// Runs `f` with a fresh shard (`None` when telemetry is off) and hands
+    /// the shard over under the point's label.
+    pub fn fill<R>(&mut self, f: impl FnOnce(Option<&mut Telemetry>) -> R) -> R {
+        let mut tele = self.enabled.then(Telemetry::new);
+        let r = f(tele.as_mut());
+        self.give("", tele);
+        r
+    }
+}
+
+impl BenchArgs {
+    /// Runs `run` over every point across `--jobs` workers and returns the
+    /// results in point order. Each point is timed under `label(point)`;
+    /// the timings land in `results/BENCH_<fig>.json`, and the shards the
+    /// points hand their [`ShardSink`] go to `--telemetry PATH`, merged in
+    /// point order.
+    pub fn sweep<T, R>(
+        &self,
+        points: &[T],
+        label: impl Fn(&T) -> String,
+        run: impl Fn(&T, &mut ShardSink) -> R + Sync,
+    ) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+    {
+        let jobs = self.jobs.clamp(1, points.len().max(1));
+        self.timed_sweep(points, label, jobs, jobs, run)
+    }
+
+    /// [`BenchArgs::sweep`] for a figure whose points parallelize inside
+    /// (the fleet figure shards hosts across `--jobs` workers): the points
+    /// run one after another, so the pool is never oversubscribed, and the
+    /// sidecar records the inner pool's width.
+    pub fn sweep_serially<T, R>(
+        &self,
+        points: &[T],
+        label: impl Fn(&T) -> String,
+        run: impl Fn(&T, &mut ShardSink) -> R + Sync,
+    ) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+    {
+        self.timed_sweep(points, label, 1, self.jobs.max(1), run)
+    }
+
+    /// The one sweep entry point allowed to read the wall clock: the
+    /// timing sidecar is *about* wall time and never feeds back into any
+    /// simulated result.
+    #[allow(clippy::disallowed_methods)] // wall-time measurement is the point
+    fn timed_sweep<T, R>(
+        &self,
+        points: &[T],
+        label: impl Fn(&T) -> String,
+        pool_jobs: usize,
+        recorded_jobs: usize,
+        run: impl Fn(&T, &mut ShardSink) -> R + Sync,
+    ) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+    {
+        let enabled = self.telemetry.is_some();
+        let t0 = Instant::now(); // gd-lint: allow(sim-purity)
+        let timed = sweep(points, pool_jobs, |_, p| {
+            let p0 = Instant::now(); // gd-lint: allow(sim-purity)
+            let mut sink = ShardSink {
+                enabled,
+                shards: Vec::new(),
+            };
+            let r = run(p, &mut sink);
+            (r, sink, p0.elapsed().as_secs_f64())
+        });
+        let total_s = t0.elapsed().as_secs_f64();
+        let mut timing = SweepTiming {
+            fig: self.fig.to_string(),
+            jobs: recorded_jobs,
+            total_s,
+            points: Vec::new(),
+        };
+        let mut shards = Vec::new();
+        let mut results = Vec::new();
+        for (p, (r, sink, seconds)) in points.iter().zip(timed) {
+            let label = label(p);
+            for (suffix, tele) in sink.shards {
+                shards.push((format!("{label}{suffix}"), Some(tele)));
+            }
+            timing.points.push(PointTiming { label, seconds });
+            results.push(r);
+        }
+        timing.write();
+        if let Some(path) = &self.telemetry {
+            write_shards(path, &shards);
+        }
+        results
+    }
 }
 
 #[cfg(test)]
@@ -275,6 +336,27 @@ mod tests {
         let text = caught.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(text.contains("item 5"), "{text}");
         assert!(text.contains("point 5 hit a wall"), "{text}");
+    }
+
+    #[test]
+    fn sink_keeps_given_shards_in_order_and_skips_none() {
+        let mut off = ShardSink {
+            enabled: false,
+            shards: Vec::new(),
+        };
+        assert!(off.fill(|t| t.is_none()));
+        off.give("/x", None);
+        assert!(!off.enabled() && off.shards.is_empty());
+        let mut on = ShardSink {
+            enabled: true,
+            shards: Vec::new(),
+        };
+        on.fill(|t| t.expect("telemetry is on").registry.counter_add("c", 1));
+        on.give("/b", Some(Telemetry::new()));
+        on.give("/c", None);
+        let suffixes: Vec<&str> = on.shards.iter().map(|(s, _)| s.as_str()).collect();
+        assert_eq!(suffixes, ["", "/b"]);
+        assert_eq!(on.shards[0].1.registry.counter("c"), 1);
     }
 
     #[test]

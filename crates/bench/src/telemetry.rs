@@ -1,8 +1,9 @@
 //! `--telemetry <path>` wiring for the figure/table binaries.
 //!
-//! Each sweep point runs with its own [`Telemetry`] shard (points share no
-//! mutable state, so shards need no locking); the harness merges the
-//! shards **in point order** after the sweep joins, wrapping each one in a
+//! Each sweep point hands its own [`Telemetry`] shards to a
+//! [`crate::sweep::ShardSink`] (points share no mutable state, so shards
+//! need no locking); the harness merges the shards **in point order**
+//! after the sweep joins, wrapping each one in a
 //! synthetic `sweep.point` span so the merged JSONL reads as one document.
 //! Because the merge order is the point order — never the completion
 //! order — the rendered bytes are identical for any `--jobs N` and for
@@ -11,43 +12,17 @@
 use gd_obs::{Telemetry, Trace, Value};
 use gd_types::SimTime;
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::Path;
 
-/// The `--telemetry PATH` option of a figure binary.
-#[derive(Debug, Clone, Default)]
-pub struct TelemetryOpts {
-    /// Where to write the merged JSONL trace; `None` disables telemetry
-    /// entirely (simulation code then skips all instrumentation).
-    pub path: Option<PathBuf>,
-}
-
-impl TelemetryOpts {
-    /// True when a telemetry sink was requested.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.path.is_some()
-    }
-
-    /// A fresh per-point shard, or `None` when telemetry is off.
-    #[must_use]
-    pub fn shard(&self) -> Option<Telemetry> {
-        self.enabled().then(Telemetry::new)
-    }
-
-    /// Merges labelled shards in the given (point) order and writes the
-    /// JSONL file. Shards that are `None` (telemetry off, or a point that
-    /// produced nothing) are skipped. Prints a warning (but does not fail
-    /// the figure) if the write is impossible; no-op when disabled.
-    pub fn write(&self, shards: &[(String, Option<Telemetry>)]) {
-        let Some(path) = &self.path else {
-            return;
-        };
-        let payload = render_shards(shards);
-        let write = std::fs::File::create(path).and_then(|mut f| f.write_all(payload.as_bytes()));
-        match write {
-            Ok(()) => println!("[telemetry -> {}]", path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-        }
+/// Writes `shards`, rendered by [`render_shards`], to `path` as one JSONL
+/// file. Prints a warning (but does not fail the figure) if the write is
+/// impossible.
+pub(crate) fn write_shards(path: &Path, shards: &[(String, Option<Telemetry>)]) {
+    let payload = render_shards(shards);
+    let write = std::fs::File::create(path).and_then(|mut f| f.write_all(payload.as_bytes()));
+    match write {
+        Ok(()) => println!("[telemetry -> {}]", path.display()),
+        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
 }
 
@@ -80,14 +55,6 @@ pub fn render_shards(shards: &[(String, Option<Telemetry>)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn disabled_opts_produce_no_shards() {
-        let opts = TelemetryOpts::default();
-        assert!(!opts.enabled());
-        assert!(opts.shard().is_none());
-        opts.write(&[]); // must be a silent no-op
-    }
 
     #[test]
     fn shards_merge_in_slice_order_with_wrappers() {

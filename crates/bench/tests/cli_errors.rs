@@ -1,7 +1,9 @@
 //! Bad command lines fail loudly on the real executables: an unknown flag,
 //! a flag the figure does not read, or a value above the figure's cap
 //! exits 2 before the figure prints anything, with one `error:` line on
-//! stderr.
+//! stderr. Every flag a figure accepts changes its output, so a figure
+//! that has no request count or runs no DRAM engine rejects `--requests`
+//! or `--engine`.
 
 use std::process::Command;
 
@@ -43,4 +45,35 @@ fn seed_count_above_the_cap_exits_2() {
         env!("CARGO_BIN_EXE_fig08_offlining_failures"),
         &["--requests", "65"],
     );
+}
+
+#[test]
+fn requests_on_a_figure_without_a_request_count_exits_2() {
+    for bin in [
+        env!("CARGO_BIN_EXE_ablation_adaptive_thr"),
+        env!("CARGO_BIN_EXE_ablation_ksm_scan"),
+        env!("CARGO_BIN_EXE_ablation_neighbor"),
+        env!("CARGO_BIN_EXE_ablation_offthr"),
+        env!("CARGO_BIN_EXE_fig02_idle_busy_power"),
+        env!("CARGO_BIN_EXE_fig05_addrmap"),
+        env!("CARGO_BIN_EXE_fig06_blocksize_capacity"),
+        env!("CARGO_BIN_EXE_fig07_blocksize_overhead"),
+        env!("CARGO_BIN_EXE_fig11_perf_overhead"),
+        env!("CARGO_BIN_EXE_tab01_power_vs_util"),
+        env!("CARGO_BIN_EXE_tab02_online_offline_counts"),
+    ] {
+        assert_exit_2(bin, &["--requests", "8"]);
+    }
+}
+
+#[test]
+fn engine_on_a_figure_without_a_dram_engine_exits_2() {
+    for bin in [
+        env!("CARGO_BIN_EXE_fig11_perf_overhead"),
+        env!("CARGO_BIN_EXE_fig13_capacity_scaling"),
+        env!("CARGO_BIN_EXE_fig14_fleet_energy"),
+        env!("CARGO_BIN_EXE_ablation_neighbor"),
+    ] {
+        assert_exit_2(bin, &["--engine", "stepped"]);
+    }
 }

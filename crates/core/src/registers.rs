@@ -3,9 +3,9 @@
 //!
 //! One bit per sub-array group — 64 bits regardless of channel/rank count
 //! (§4.3) versus 128 bits for per-bank PASR masks on the same platform.
-//! Exit is asynchronous: after clearing a bit the daemon polls a ready bit
-//! before calling `online_pages()`; the deep power-down exit takes no
-//! longer than the 18 ns power-down exit because the DLL stays on.
+//! The daemon clears a group's bit before calling `online_pages()` and
+//! charges the exit latency to its hotplug time; the deep power-down exit
+//! takes no longer than the 18 ns power-down exit because the DLL stays on.
 
 use gd_types::ids::SubArrayGroup;
 use gd_types::{GdError, Result, SimTime};
@@ -20,8 +20,6 @@ pub struct GroupRegisterFile {
     bits: Vec<bool>,
     since: Vec<SimTime>,
     accum: Vec<SimTime>,
-    /// Pending exit completion times (the "ready" bit source).
-    ready_at: Vec<SimTime>,
 }
 
 impl GroupRegisterFile {
@@ -31,7 +29,6 @@ impl GroupRegisterFile {
             bits: vec![false; groups as usize],
             since: vec![SimTime::ZERO; groups as usize],
             accum: vec![SimTime::ZERO; groups as usize],
-            ready_at: vec![SimTime::ZERO; groups as usize],
         }
     }
 
@@ -55,8 +52,8 @@ impl GroupRegisterFile {
         self.down_count() as f64 / self.bits.len().max(1) as f64
     }
 
-    /// Sets a group's bit at time `now`. Entering is immediate; clearing
-    /// starts the exit and arms the ready bit [`DEEP_PD_EXIT`] later.
+    /// Sets a group's bit at time `now`, closing the group's residency
+    /// interval when the bit clears.
     ///
     /// # Errors
     ///
@@ -73,7 +70,6 @@ impl GroupRegisterFile {
             self.since[i] = now;
         } else {
             self.accum[i] += now.saturating_sub(self.since[i]);
-            self.ready_at[i] = now + DEEP_PD_EXIT;
         }
         self.bits[i] = down;
         Ok(())
@@ -84,12 +80,6 @@ impl GroupRegisterFile {
     pub fn down_since(&self, g: SubArrayGroup) -> Option<SimTime> {
         let i = g.index();
         (self.bits.get(i) == Some(&true)).then(|| self.since[i])
-    }
-
-    /// Polls the ready bit: true when the group has completed its exit and
-    /// can serve requests (the daemon polls this before `online_pages()`).
-    pub fn is_ready(&self, g: SubArrayGroup, now: SimTime) -> bool {
-        !self.is_down(g) && now >= self.ready_at[g.index()]
     }
 
     /// Total time group `g` has spent in deep power-down up to `now`.
@@ -142,18 +132,6 @@ mod tests {
             r.residency(g, SimTime::from_secs(100)),
             SimTime::from_secs(20)
         );
-    }
-
-    #[test]
-    fn exit_arms_ready_bit() {
-        let mut r = GroupRegisterFile::new(4);
-        let g = SubArrayGroup::new(0);
-        let t0 = SimTime::from_secs(1);
-        r.set(g, true, t0).unwrap();
-        r.set(g, false, t0 + SimTime::from_secs(1)).unwrap();
-        let exit_start = t0 + SimTime::from_secs(1);
-        assert!(!r.is_ready(g, exit_start));
-        assert!(r.is_ready(g, exit_start + DEEP_PD_EXIT));
     }
 
     #[test]

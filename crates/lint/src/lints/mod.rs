@@ -45,22 +45,6 @@ pub fn in_scope(file: &SourceFile, prefixes: &[&str]) -> bool {
     prefixes.iter().any(|p| file.rel_path.starts_with(p))
 }
 
-/// Index of the previous token, skipping nothing (the lexer already
-/// dropped trivia); `None` at the start.
-pub fn prev(i: usize) -> Option<usize> {
-    i.checked_sub(1)
-}
-
-/// True when `tokens[i]` starts a method call `.name(`: the token is an
-/// identifier preceded by `.` and followed by `(`.
-pub fn is_method_call(tokens: &[Token], i: usize) -> bool {
-    let before_dot = prev(i).map(|j| &tokens[j]);
-    before_dot.is_some_and(|t| t.is_punct('.'))
-        && tokens
-            .get(i + 1)
-            .is_some_and(|t| t.kind == TokKind::Open('('))
-}
-
 /// True when `tokens[i]` and `tokens[i + 1]` form a `::` path separator.
 pub fn is_path_sep(tokens: &[Token], i: usize) -> bool {
     tokens.get(i).is_some_and(|t| t.is_punct(':'))

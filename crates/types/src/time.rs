@@ -137,11 +137,6 @@ impl SimTime {
         SimTime((s * 1e12) as u64)
     }
 
-    /// Picoseconds.
-    pub const fn as_picos(self) -> u64 {
-        self.0
-    }
-
     /// Nanoseconds (truncating).
     pub const fn as_nanos(self) -> u64 {
         self.0 / 1_000

@@ -146,12 +146,9 @@ for args in "fig09_dram_energy --engine epoch-replay" "fig09_dram_energy --engin
             "fig14_fleet_energy --hosts abc" "fig14_fleet_energy --hosts 0" \
             "fig14_fleet_energy --hosts 50000" "fig14_fleet_energy --memspec ddr5" \
             "fig03_interleaving --memspec lpddr4-pasr" \
-            "fig05_addrmap --bogus" "fig05_addrmap --jobs 0" "fig05_addrmap --jobs x" \
             "fig01_vm_utilization --memspec ddr5" "fig12_vm_offlined_blocks --engine stepped" \
             "fig03_interleaving --telemetry" "fig09_dram_energy --jobs 2 --jobs 3" \
-            "fig_faults --fault-rate 2" "fig_faults --fault-rate abc" \
-            "ablation_adaptive_thr --engine stepped" "ablation_ksm_scan --engine stepped" \
-            "ablation_offthr --engine stepped"; do
+            "fig_faults --fault-rate 2" "fig_faults --fault-rate abc"; do
   set -- $args
   bin=$1
   shift
@@ -163,9 +160,21 @@ for args in "fig09_dram_energy --engine epoch-replay" "fig09_dram_energy --engin
     exit 1
   }
 done
-# Seed counts above a figure's cap; no `--requests 8` is appended here, as
-# it would trip the repeated-flag check instead.
-for args in "fig08_offlining_failures --requests 65" "fig_faults --requests 17"; do
+# No `--requests 8` is appended here: seed counts above a figure's cap would
+# trip the repeated-flag check instead, and a figure that has no request
+# count must fail on the one bad flag given, not on an appended one.
+for args in "fig08_offlining_failures --requests 65" "fig_faults --requests 17" \
+            "fig05_addrmap --bogus" "fig05_addrmap --jobs 0" "fig05_addrmap --jobs x" \
+            "ablation_adaptive_thr --engine stepped" "ablation_ksm_scan --engine stepped" \
+            "ablation_offthr --engine stepped" \
+            "ablation_adaptive_thr --requests 8" "ablation_ksm_scan --requests 8" \
+            "ablation_neighbor --requests 8" "ablation_offthr --requests 8" \
+            "fig02_idle_busy_power --requests 8" "fig05_addrmap --requests 8" \
+            "fig06_blocksize_capacity --requests 8" "fig07_blocksize_overhead --requests 8" \
+            "fig11_perf_overhead --requests 8" "tab01_power_vs_util --requests 8" \
+            "tab02_online_offline_counts --requests 8" \
+            "fig11_perf_overhead --engine stepped" "fig13_capacity_scaling --engine stepped" \
+            "fig14_fleet_energy --engine stepped" "ablation_neighbor --engine stepped"; do
   set -- $args
   bin=$1
   shift
