@@ -41,9 +41,11 @@
 
 use gd_mmsim::{AllocationId, MemoryManager};
 use gd_types::{GdError, Result, SimTime};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
-use std::ops::Bound::{Excluded, Unbounded};
+
+#[cfg(test)]
+mod reference;
 
 /// A content-class fingerprint (stands in for a page-content hash).
 pub type ContentKey = u64;
@@ -124,23 +126,36 @@ pub struct KsmStats {
     pub cow_breaks: u64,
 }
 
+/// One content class of a region: its pages, by state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Content {
+    key: ContentKey,
+    /// Unmerged pages, still to be scanned.
+    pending: u64,
+    /// Merged duplicates (frames released).
+    merged: u64,
+    /// Stable-tree originals this region contributed: pages that back a
+    /// shared frame and remain resident.
+    originals: u64,
+}
+
 #[derive(Debug, Clone)]
 struct Region {
+    id: RegionId,
     owner: AllocationId,
     /// Pages registered at `madvise` time. Merging changes which frames
     /// back them, never this count: at all times
     /// `pending + merged + originals + unique_pages == logical_pages`.
     logical_pages: u64,
-    /// Shareable content: key -> unmerged page count.
-    pending: BTreeMap<ContentKey, u64>,
-    /// Sum of `pending`'s counts, kept in step with every change to it.
+    /// Shareable content, one record per key registered with pages,
+    /// sorted by key. Records stay when their counts reach 0, so a key's
+    /// position never changes.
+    contents: Vec<Content>,
+    /// No record before this index has a pending page: the scan walk
+    /// starts here, so a drained region costs O(1) to visit.
+    first_pending: usize,
+    /// Sum of the records' `pending`, kept in step with every change to it.
     pending_pages: u64,
-    /// Already merged content: key -> merged (duplicate, frame-released)
-    /// page count.
-    merged: BTreeMap<ContentKey, u64>,
-    /// Stable-tree originals this region contributed: pages that back a
-    /// shared frame and remain resident.
-    originals: BTreeMap<ContentKey, u64>,
     /// Pages whose contents churn too fast to merge.
     unique_pages: u64,
     /// Scan cursor in pages within this region's pending+unique pool.
@@ -151,6 +166,21 @@ impl Region {
     fn scannable_pages(&self) -> u64 {
         self.pending_pages + self.unique_pages
     }
+
+    fn content(&self, k: ContentKey) -> Option<&Content> {
+        let at = self.contents.binary_search_by_key(&k, |c| c.key).ok()?;
+        self.contents.get(at)
+    }
+
+    fn content_mut(&mut self, k: ContentKey) -> Option<&mut Content> {
+        let at = self.contents.binary_search_by_key(&k, |c| c.key).ok()?;
+        self.contents.get_mut(at)
+    }
+}
+
+/// Index of region `id` in `regions`, which is sorted by id.
+fn region_index(regions: &[Region], id: RegionId) -> Option<usize> {
+    regions.binary_search_by_key(&id, |r| r.id).ok()
 }
 
 /// A read-only view of one region's page accounting, exposed for the
@@ -162,7 +192,7 @@ pub struct RegionAccounting {
     /// Pages registered at `madvise` time.
     pub logical_pages: u64,
     /// Shareable pages not yet scanned/merged, summed over the region's
-    /// per-content map.
+    /// per-content records.
     pub pending: u64,
     /// The region's cached running total of `pending`; the two must agree.
     pub pending_pages: u64,
@@ -172,6 +202,20 @@ pub struct RegionAccounting {
     pub originals: u64,
     /// Volatile pages that never merge.
     pub unique_pages: u64,
+}
+
+/// A read-only view of one unstable-tree candidate, exposed for the
+/// cross-crate invariant checker in `gd-verify`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UnstableCandidate {
+    /// The candidate page's content.
+    pub content: ContentKey,
+    /// The region the tree says holds the candidate page.
+    pub holder: RegionId,
+    /// Pending pages of `content` the holder has; `None` when the holder
+    /// is not registered. A candidate is only sound while this is at
+    /// least 1: the page it names is still unmerged.
+    pub holder_pending: Option<u64>,
 }
 
 /// The KSM daemon state: stable and unstable trees plus registered regions.
@@ -184,9 +228,12 @@ pub struct Ksm {
     /// Unstable tree: contents seen once in the current pass, with the
     /// region that holds the candidate page.
     unstable: HashMap<ContentKey, RegionId>,
-    regions: BTreeMap<RegionId, Region>,
+    /// Registered regions in id order: ids only grow, so registration
+    /// appends.
+    regions: Vec<Region>,
     next_region: u64,
-    /// Round-robin cursor over regions.
+    /// Round-robin cursor over regions: the next visit scans
+    /// `regions[region_cursor % regions.len()]`.
     region_cursor: u64,
     /// Unspent scan budget carried between `advance` calls.
     carry_pages: f64,
@@ -210,7 +257,7 @@ impl Ksm {
             cfg,
             stable: HashMap::new(),
             unstable: HashMap::new(),
-            regions: BTreeMap::new(),
+            regions: Vec::new(),
             next_region: 1,
             region_cursor: 0,
             carry_pages: 0.0,
@@ -236,31 +283,36 @@ impl Ksm {
     pub fn register_region(
         &mut self,
         owner: AllocationId,
-        shareable: Vec<(ContentKey, u64)>,
+        mut shareable: Vec<(ContentKey, u64)>,
         unique_pages: u64,
     ) -> RegionId {
         let id = RegionId(self.next_region);
         self.next_region += 1;
-        let mut pending = BTreeMap::new();
-        for (k, n) in shareable {
-            if n > 0 {
-                *pending.entry(k).or_insert(0) += n;
+        shareable.retain(|&(_, n)| n > 0);
+        shareable.sort_unstable_by_key(|&(k, _)| k);
+        let mut contents: Vec<Content> = Vec::with_capacity(shareable.len());
+        for (key, n) in shareable {
+            match contents.last_mut() {
+                Some(c) if c.key == key => c.pending += n,
+                _ => contents.push(Content {
+                    key,
+                    pending: n,
+                    merged: 0,
+                    originals: 0,
+                }),
             }
         }
-        let pending_pages = pending.values().sum::<u64>();
-        self.regions.insert(
+        let pending_pages = contents.iter().map(|c| c.pending).sum::<u64>();
+        self.regions.push(Region {
             id,
-            Region {
-                owner,
-                logical_pages: pending_pages + unique_pages,
-                pending,
-                pending_pages,
-                merged: BTreeMap::new(),
-                originals: BTreeMap::new(),
-                unique_pages,
-                cursor: 0,
-            },
-        );
+            owner,
+            logical_pages: pending_pages + unique_pages,
+            contents,
+            first_pending: 0,
+            pending_pages,
+            unique_pages,
+            cursor: 0,
+        });
         id
     }
 
@@ -272,27 +324,27 @@ impl Ksm {
     ///
     /// Returns [`GdError::NotFound`] for an unknown region.
     pub fn unregister_region(&mut self, id: RegionId) -> Result<()> {
-        let region = self
-            .regions
-            .remove(&id)
-            .ok_or_else(|| GdError::NotFound(id.to_string()))?;
-        for (k, n) in region.merged {
-            if let Some(sharing) = self.stable.get_mut(&k) {
-                *sharing = sharing.saturating_sub(n);
-                self.stats.pages_sharing = self.stats.pages_sharing.saturating_sub(n);
-                if *sharing == 0 {
-                    // Last sharer: the stable page dissolves.
-                    self.stable.remove(&k);
-                    self.stats.pages_shared = self.stats.pages_shared.saturating_sub(1);
+        let at =
+            region_index(&self.regions, id).ok_or_else(|| GdError::NotFound(id.to_string()))?;
+        let region = self.regions.remove(at);
+        for c in &region.contents {
+            if c.merged > 0 {
+                if let Some(sharing) = self.stable.get_mut(&c.key) {
+                    *sharing = sharing.saturating_sub(c.merged);
+                    self.stats.pages_sharing = self.stats.pages_sharing.saturating_sub(c.merged);
+                    if *sharing == 0 {
+                        // Last sharer: the stable page dissolves.
+                        self.stable.remove(&c.key);
+                        self.stats.pages_shared = self.stats.pages_shared.saturating_sub(1);
+                    }
                 }
             }
-        }
-        // Approximation: when a region that contributed a stable original
-        // disappears, the kernel would keep the KSM-owned frame alive for
-        // the remaining sharers; we dissolve the entry instead, which only
-        // means later scans re-establish it from a surviving duplicate.
-        for (k, _) in region.originals {
-            if self.stable.remove(&k).is_some() {
+            // Approximation: when a region that contributed a stable
+            // original disappears, the kernel would keep the KSM-owned
+            // frame alive for the remaining sharers; we dissolve the entry
+            // instead, which only means later scans re-establish it from a
+            // surviving duplicate.
+            if c.originals > 0 && self.stable.remove(&c.key).is_some() {
                 self.stats.pages_shared = self.stats.pages_shared.saturating_sub(1);
             }
         }
@@ -309,16 +361,34 @@ impl Ksm {
     pub fn region_accounting(&self) -> Vec<RegionAccounting> {
         self.regions
             .iter()
-            .map(|(id, r)| RegionAccounting {
-                region: *id,
+            .map(|r| RegionAccounting {
+                region: r.id,
                 logical_pages: r.logical_pages,
-                pending: r.pending.values().sum(),
+                pending: r.contents.iter().map(|c| c.pending).sum(),
                 pending_pages: r.pending_pages,
-                merged: r.merged.values().sum(),
-                originals: r.originals.values().sum(),
+                merged: r.contents.iter().map(|c| c.merged).sum(),
+                originals: r.contents.iter().map(|c| c.originals).sum(),
                 unique_pages: r.unique_pages,
             })
             .collect()
+    }
+
+    /// The unstable tree's candidates in content order, each with what its
+    /// holder still has pending (for cross-crate invariant checks).
+    pub fn unstable_candidates(&self) -> Vec<UnstableCandidate> {
+        let mut out: Vec<UnstableCandidate> = self
+            .unstable
+            .iter()
+            .map(|(&content, &holder)| UnstableCandidate {
+                content,
+                holder,
+                holder_pending: region_index(&self.regions, holder)
+                    .and_then(|at| self.regions.get(at))
+                    .map(|r| r.content(content).map_or(0, |c| c.pending)),
+            })
+            .collect();
+        out.sort_unstable_by_key(|c| c.content);
+        out
     }
 
     /// Number of distinct contents in the stable tree (each backed by one
@@ -373,24 +443,21 @@ impl Ksm {
             (batches * self.cfg.pages_to_scan as f64 + self.carry_pages) - budget as f64;
         let mut released_total = 0u64;
         let mut idle_guard = 0u32;
-        while budget > 0 {
-            let Some(&rid) = self
-                .regions
-                .keys()
-                .nth(self.region_cursor as usize % self.regions.len().max(1))
-            else {
-                break;
-            };
-            let (scanned, released) = self.scan_region(rid, budget, mm)?;
+        while budget > 0 && !self.regions.is_empty() {
+            // An index, not a key: a region that leaves mid-pass shifts
+            // the later ones down, and the pass ends when the count of
+            // visits reaches a multiple of the region count.
+            let at = self.region_cursor as usize % self.regions.len();
+            let (scanned, released) = self.scan_region(at, budget, mm)?;
             released_total += released;
             budget = budget.saturating_sub(scanned.max(1));
             self.region_cursor += 1;
-            if (self.region_cursor as usize).is_multiple_of(self.regions.len().max(1)) {
+            if (self.region_cursor as usize).is_multiple_of(self.regions.len()) {
                 // Completed a full pass over all regions: reset the
                 // unstable tree, as ksmd does.
                 self.unstable.clear();
                 self.stats.full_passes += 1;
-                for r in self.regions.values_mut() {
+                for r in &mut self.regions {
                     r.cursor = 0;
                 }
             }
@@ -406,7 +473,8 @@ impl Ksm {
         Ok(released_total)
     }
 
-    /// Scans up to `budget` pages of one region. Returns (scanned, released).
+    /// Scans up to `budget` pages of the region at index `at`. Returns
+    /// (scanned, released).
     ///
     /// Stable-tree merges, self-originals and new unstable candidates are
     /// applied as the walk meets them: a region's keys are distinct, so no
@@ -415,7 +483,7 @@ impl Ksm {
     /// the walk lets go of this one.
     fn scan_region(
         &mut self,
-        rid: RegionId,
+        at: usize,
         budget: u64,
         mm: &mut MemoryManager,
     ) -> Result<(u64, u64)> {
@@ -427,9 +495,10 @@ impl Ksm {
             stats,
             ..
         } = self;
-        let Some(region) = regions.get_mut(&rid) else {
+        let Some(region) = regions.get_mut(at) else {
             return Ok((0, 0));
         };
+        let rid = region.id;
         let scannable = region.scannable_pages().saturating_sub(region.cursor);
         let to_scan = budget.min(scannable);
         if to_scan == 0 {
@@ -440,7 +509,7 @@ impl Ksm {
 
         // Unique (volatile) pages are scanned but never merge; shareable
         // pages are processed content-class by content-class. We approximate
-        // the within-region scan order by consuming pending entries in key
+        // the within-region scan order by consuming pending records in key
         // order, `to_scan` pages at a time.
         let mut remaining = to_scan;
         // Skip over the unique prefix proportionally: unique pages soak up
@@ -452,21 +521,26 @@ impl Ksm {
             remaining = remaining.saturating_sub(unique_share);
         }
         let mut to_release = 0u64;
-        // Walk the keys in order, resuming after the last one visited, so
-        // consuming an entry never invalidates the walk.
-        let mut from = Unbounded;
-        while remaining > 0 {
-            let Some((&k, &count)) = region.pending.range((from, Unbounded)).next() else {
+        // Pending pages in records the walk has not reached: at 0 no later
+        // record has any, and the walk stops.
+        let mut unreached = region.pending_pages;
+        for c in region.contents.iter_mut().skip(region.first_pending) {
+            if remaining == 0 || unreached == 0 {
                 break;
-            };
-            from = Excluded(k);
-            let here = count.min(remaining);
+            }
+            if c.pending == 0 {
+                continue;
+            }
+            unreached -= c.pending;
+            let k = c.key;
+            let here = c.pending.min(remaining);
             remaining -= here;
             // A region revisited within one pass (regions came or went since
             // the pass began) can meet its own candidate: a page never
             // merges with itself, so only another region's candidate counts
             // as a hit.
-            let holder = unstable.get(&k).copied().filter(|&h| h != rid);
+            let candidate = unstable.get(&k).copied();
+            let holder = candidate.filter(|&h| h != rid);
             let mergeable = if stable.contains_key(&k) {
                 here // all scanned duplicates merge against the stable page
             } else if let Some(holder) = holder {
@@ -478,7 +552,7 @@ impl Ksm {
             } else if here > 1 {
                 // First page becomes the stable original this region
                 // contributes; the rest merge.
-                *region.originals.entry(k).or_insert(0) += 1;
+                c.originals += 1;
                 here - 1
             } else {
                 // Single candidate: goes to the unstable tree.
@@ -490,12 +564,13 @@ impl Ksm {
             }
             // Consume the scanned pages (including a self-original, which
             // moved to `originals` above).
-            if count == here {
-                region.pending.remove(&k);
-            } else {
-                region.pending.insert(k, count - here);
-            }
+            c.pending -= here;
             region.pending_pages -= here;
+            if c.pending == 0 && candidate == Some(rid) {
+                // Our own candidate page was among them: it no longer
+                // waits for a partner, so a later hit must not convert it.
+                unstable.remove(&k);
+            }
             let sharing = stable.entry(k).or_insert_with(|| {
                 // The stable original itself stays resident: one frame
                 // keeps backing the content.
@@ -504,23 +579,30 @@ impl Ksm {
             });
             *sharing += mergeable;
             stats.pages_sharing += mergeable;
-            *region.merged.entry(k).or_insert(0) += mergeable;
+            c.merged += mergeable;
             to_release += mergeable;
+        }
+        while region
+            .contents
+            .get(region.first_pending)
+            .is_some_and(|c| c.pending == 0)
+        {
+            region.first_pending += 1;
         }
         let owner = region.owner;
         for (k, holder) in conversions.drain(..) {
-            if let Some(h) = regions.get_mut(&holder) {
-                // Move the candidate page out of the holder's scannable pool:
-                // it now backs the shared frame.
-                if let Some(p) = h.pending.get_mut(&k) {
-                    *p = p.saturating_sub(1);
-                    if *p == 0 {
-                        h.pending.remove(&k);
-                    }
-                    h.pending_pages -= 1;
-                }
-                *h.originals.entry(k).or_insert(0) += 1;
-            }
+            let Some(h) = region_index(regions, holder).and_then(|i| regions.get_mut(i)) else {
+                continue;
+            };
+            let Some(c) = h.content_mut(k) else {
+                continue;
+            };
+            // Move the candidate page out of the holder's scannable pool:
+            // it now backs the shared frame.
+            let candidate = c.pending.min(1);
+            c.pending -= candidate;
+            c.originals += 1;
+            h.pending_pages -= candidate;
         }
         // Release the duplicate frames in one call: nothing touches `mm`
         // between the merges above, so one shrink by the sum leaves the
@@ -549,23 +631,19 @@ impl Ksm {
         n: u64,
         mm: &mut MemoryManager,
     ) -> Result<u64> {
-        let r = self
-            .regions
-            .get_mut(&region)
+        let r = region_index(&self.regions, region)
+            .and_then(|at| self.regions.get_mut(at))
             .ok_or_else(|| GdError::NotFound(region.to_string()))?;
-        let merged = r.merged.get(&k).copied().unwrap_or(0);
-        let to_break = merged.min(n);
+        let owner = r.owner;
+        let Some(c) = r.content_mut(k) else {
+            return Ok(0);
+        };
+        let to_break = c.merged.min(n);
         if to_break == 0 {
             return Ok(0);
         }
-        mm.grow(r.owner, to_break)?;
-        if to_break == merged {
-            r.merged.remove(&k);
-        } else {
-            *r.merged
-                .get_mut(&k)
-                .expect("invariant: partial CoW break leaves the merged entry") -= to_break;
-        }
+        mm.grow(owner, to_break)?;
+        c.merged -= to_break;
         // The pages now hold private (volatile) content.
         r.unique_pages += to_break;
         if let Some(sharing) = self.stable.get_mut(&k) {
@@ -594,6 +672,17 @@ mod tests {
             MemoryManager::new(MmConfig::small_test()).unwrap(),
             Ksm::new(KsmConfig::default()).unwrap(),
         )
+    }
+
+    fn region(ksm: &Ksm, id: RegionId) -> &Region {
+        let at = region_index(&ksm.regions, id).unwrap();
+        &ksm.regions[at]
+    }
+
+    /// One visit of region `id`, outside any pass bookkeeping.
+    fn scan(ksm: &mut Ksm, id: RegionId, budget: u64, mm: &mut MemoryManager) -> (u64, u64) {
+        let at = region_index(&ksm.regions, id).unwrap();
+        ksm.scan_region(at, budget, mm).unwrap()
     }
 
     #[test]
@@ -671,7 +760,7 @@ mod tests {
         let b = mm.allocate(1, PageKind::UserMovable).unwrap();
         let ra = ksm.register_region(a, vec![(APP_DATA, 1), (OS_IMAGE, 30)], 0);
         let rb = ksm.register_region(b, vec![(APP_DATA, 1)], 0);
-        let pending_pages = |ksm: &Ksm, id: RegionId| ksm.regions[&id].pending_pages;
+        let pending_pages = |ksm: &Ksm, id: RegionId| region(ksm, id).pending_pages;
         assert_eq!(pending_pages(&ksm, ra), 31);
         // 1 ms is a 20-page budget, spent on region a alone: its APP_DATA
         // page goes to the unstable tree and 19 OS_IMAGE pages merge.
@@ -681,7 +770,7 @@ mod tests {
         // Region b's scan hits that candidate, which becomes the stable
         // original inside region a without a's own scan consuming it.
         ksm.advance(SimTime::from_millis(1), &mut mm).unwrap();
-        assert_eq!(ksm.regions[&ra].originals.get(&APP_DATA), Some(&1));
+        assert_eq!(region(&ksm, ra).content(APP_DATA).unwrap().originals, 1);
         for acc in ksm.region_accounting() {
             assert_eq!(acc.pending_pages, acc.pending, "{}", acc.region);
             assert_eq!(acc.pending_pages, 0, "{}", acc.region);
@@ -697,10 +786,42 @@ mod tests {
         // As left by an earlier visit in the same pass that ran out of
         // budget on this key's first page.
         ksm.unstable.insert(APP_DATA, ra);
-        ksm.scan_region(ra, 100, &mut mm).unwrap();
+        scan(&mut ksm, ra, 100, &mut mm);
         let acc = ksm.region_accounting()[0];
         assert_eq!((acc.pending, acc.merged, acc.originals), (0, 4, 1));
         assert_eq!(mm.pages_of(a), 1);
+    }
+
+    #[test]
+    fn drained_own_candidate_leaves_the_unstable_tree() {
+        let (mut mm, mut ksm) = setup();
+        let a = mm.allocate(5, PageKind::UserMovable).unwrap();
+        let ra = ksm.register_region(a, vec![(APP_DATA, 5)], 0);
+        // The same-pass revisit above drains the content its own candidate
+        // names: the candidate page is now a stable original, not a
+        // candidate.
+        ksm.unstable.insert(APP_DATA, ra);
+        scan(&mut ksm, ra, 100, &mut mm);
+        assert!(ksm.unstable_candidates().is_empty());
+        // Dissolve the stable page, then let another region scan the same
+        // content: with a stale candidate left behind, its hit would make
+        // region a gain an original without losing a pending page.
+        assert_eq!(ksm.cow_break(ra, APP_DATA, 4, &mut mm).unwrap(), 4);
+        assert_eq!(ksm.stable_contents(), 0);
+        let b = mm.allocate(2, PageKind::UserMovable).unwrap();
+        let rb = ksm.register_region(b, vec![(APP_DATA, 2)], 0);
+        scan(&mut ksm, rb, 100, &mut mm);
+        for acc in ksm.region_accounting() {
+            let sum = acc.pending + acc.merged + acc.originals + acc.unique_pages;
+            assert_eq!(sum, acc.logical_pages, "{acc:?}");
+        }
+        let acc = ksm.region_accounting();
+        assert_eq!((acc[0].originals, acc[0].unique_pages), (1, 4));
+        assert_eq!((acc[1].merged, acc[1].originals), (1, 1));
+        assert!(ksm
+            .unstable_candidates()
+            .iter()
+            .all(|c| c.holder_pending.is_some_and(|p| p > 0)));
     }
 
     #[test]
@@ -711,7 +832,7 @@ mod tests {
         // content, the third shrink would find the allocation already gone.
         let a = mm.allocate(2, PageKind::UserMovable).unwrap();
         let ra = ksm.register_region(a, vec![(1, 2), (2, 2), (3, 2)], 0);
-        assert_eq!(ksm.scan_region(ra, 100, &mut mm).unwrap(), (6, 2));
+        assert_eq!(scan(&mut ksm, ra, 100, &mut mm), (6, 2));
         assert_eq!(ksm.stats().pages_sharing, 3);
         assert_eq!(mm.pages_of(a), 0);
     }

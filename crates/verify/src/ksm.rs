@@ -4,7 +4,11 @@
 //! pages the region logically holds: every registered page is at all times
 //! pending (unscanned), merged (duplicate, frame released), a stable-tree
 //! original (resident, backing a shared frame), or unique (volatile).
-//! Each region's cached pending total must also match its per-content map.
+//! Each region's cached pending total must also match its per-content
+//! records, and every unstable-tree candidate must name a registered region
+//! that still holds a pending page of that content: a hit on a candidate
+//! turns one of the holder's pending pages into a stable original, so a
+//! candidate without one would mint a page.
 
 use crate::{Invariant, Violation};
 use gd_ksm::Ksm;
@@ -41,12 +45,26 @@ impl Invariant<Ksm> for KsmConservation {
                 out.push(Violation {
                     invariant: self.name(),
                     detail: format!(
-                        "{}: cached pending total {} != {} pending pages in the content map",
+                        "{}: cached pending total {} != {} pending pages in the content records",
                         acc.region, acc.pending_pages, acc.pending
                     ),
                 });
             }
             merged_total += acc.merged;
+        }
+        for cand in subject.unstable_candidates() {
+            let holds = match cand.holder_pending {
+                None => "is not registered",
+                Some(0) => "holds no pending page of it",
+                Some(_) => continue,
+            };
+            out.push(Violation {
+                invariant: self.name(),
+                detail: format!(
+                    "unstable-tree candidate {:#x} names {}, which {holds}",
+                    cand.content, cand.holder
+                ),
+            });
         }
         let stats = subject.stats();
         if stats.pages_shared != subject.stable_contents() as u64 {
