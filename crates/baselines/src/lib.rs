@@ -12,8 +12,6 @@ use gd_power::PowerGating;
 
 pub mod sanity;
 
-pub use sanity::{checked_evaluate, sanity_checker, GovernorSanity};
-
 /// Off-lining failures the co-simulation observed, split by cause (the
 /// structured [`gd_mmsim::OfflineError`] counts). Governors that actively
 /// off-line memory charge the retry time these imply; the default (all

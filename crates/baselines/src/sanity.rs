@@ -1,112 +1,79 @@
 //! Sanity invariants on governor outcomes.
 //!
-//! Every [`PowerGovernor`] produces residency fractions and gating
-//! multipliers that feed straight into the energy integration; a value
-//! outside `[0, 1]` silently corrupts every downstream figure. The
-//! [`GovernorSanity`] invariant checks each `(context, outcome)` pair, and
-//! [`checked_evaluate`] wraps [`PowerGovernor::evaluate`] with a checker so
-//! the figure harness can run baselines under [`gd_verify::Mode::Strict`].
+//! Every [`PowerGovernor`](crate::PowerGovernor) produces residency
+//! fractions and gating fractions that feed straight into the energy
+//! integration; a value outside `[0, 1]` silently corrupts every
+//! downstream figure. [`check`] states `governor.sanity` over one
+//! `(context, outcome)` pair; the figure harness runs it on every
+//! evaluation under `--strict-validate` and turns a violation into an
+//! error with [`gd_verify::strict`].
 
-use crate::{GovernorContext, GovernorOutcome, PowerGovernor};
-use gd_types::Result;
-use gd_verify::{Checker, Invariant, Mode, Violation};
+use crate::{GovernorContext, GovernorOutcome};
+use gd_verify::Violation;
 
-/// One governor evaluation: the inputs and what the policy decided.
-pub type Evaluation = (GovernorContext, GovernorOutcome);
-
-/// Physical sanity of a governor outcome: residency fractions and gating
-/// multipliers are probabilities, overhead is non-negative and finite.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GovernorSanity;
-
-impl Invariant<Evaluation> for GovernorSanity {
-    fn name(&self) -> &'static str {
-        "governor.sanity"
-    }
-
-    fn check(&self, subject: &Evaluation, out: &mut Vec<Violation>) {
-        let (ctx, o) = subject;
-        let mut bad = |detail: String| {
-            out.push(Violation {
-                invariant: self.name(),
-                detail,
-            });
-        };
-        for (label, v) in [
-            ("sr_fraction", o.sr_fraction),
-            ("pd_fraction", o.pd_fraction),
-            ("refresh_multiplier", o.gating.refresh_multiplier()),
-            ("background_multiplier", o.gating.background_multiplier()),
-        ] {
-            if !(0.0..=1.0).contains(&v) {
-                bad(format!("{label} = {v} outside [0, 1]"));
-            }
-        }
-        if o.sr_fraction + o.pd_fraction > 1.0 + 1e-9 {
-            bad(format!(
-                "sr + pd residency = {} exceeds 1",
-                o.sr_fraction + o.pd_fraction
-            ));
-        }
-        if !o.overhead_s.is_finite() || o.overhead_s < 0.0 {
-            bad(format!(
-                "overhead_s = {} not a non-negative time",
-                o.overhead_s
-            ));
-        }
-        if ctx.runtime_s > 0.0 && o.overhead_s > 10.0 * ctx.runtime_s {
-            bad(format!(
-                "overhead_s = {} implausible against runtime_s = {}",
-                o.overhead_s, ctx.runtime_s
-            ));
-        }
-        if !(0.0..=1.0).contains(&ctx.offline_fraction) {
-            bad(format!(
-                "offline_fraction = {} outside [0, 1]",
-                ctx.offline_fraction
-            ));
-        }
-        // An off-lining governor must charge at least the detection time
-        // the observed failures imply (Table 3 lower bound).
-        if ctx.offline_fraction > 0.0
-            && o.overhead_s + 1e-12 < ctx.offline_failures.time_lower_bound_s()
-        {
-            bad(format!(
-                "overhead_s = {} below failure time lower bound {} ({} failed offlines)",
-                o.overhead_s,
-                ctx.offline_failures.time_lower_bound_s(),
-                ctx.offline_failures.total()
-            ));
+/// `governor.sanity`, the physical sanity of one governor outcome:
+/// residency and gating fractions are probabilities, overhead is
+/// non-negative and finite, and an off-lining governor charges at least
+/// the failure time it observed. The gating fractions are checked as the
+/// governor set them, before the multipliers clamp them.
+pub fn check(ctx: &GovernorContext, o: &GovernorOutcome) -> Vec<Violation> {
+    let mut out = Vec::new();
+    let mut bad = |detail: String| out.push(Violation::new("governor.sanity", detail));
+    for (label, v) in [
+        ("sr_fraction", o.sr_fraction),
+        ("pd_fraction", o.pd_fraction),
+        ("refresh_off", o.gating.refresh_off),
+        ("background_off", o.gating.background_off),
+    ] {
+        if !(0.0..=1.0).contains(&v) {
+            bad(format!("{label} = {v} outside [0, 1]"));
         }
     }
-}
-
-/// A checker pre-loaded with [`GovernorSanity`].
-pub fn sanity_checker(mode: Mode) -> Checker<Evaluation> {
-    Checker::new(mode).with(Box::new(GovernorSanity))
-}
-
-/// Evaluates `governor` and runs the outcome through `checker`.
-///
-/// # Errors
-///
-/// In [`Mode::Strict`], an insane outcome as
-/// [`gd_types::GdError::InvalidState`].
-pub fn checked_evaluate<G: PowerGovernor + ?Sized>(
-    governor: &G,
-    ctx: &GovernorContext,
-    checker: &mut Checker<Evaluation>,
-) -> Result<GovernorOutcome> {
-    let outcome = governor.evaluate(ctx);
-    checker.run(&(*ctx, outcome))?;
-    Ok(outcome)
+    if o.sr_fraction + o.pd_fraction > 1.0 + 1e-9 {
+        bad(format!(
+            "sr + pd residency = {} exceeds 1",
+            o.sr_fraction + o.pd_fraction
+        ));
+    }
+    if !o.overhead_s.is_finite() || o.overhead_s < 0.0 {
+        bad(format!(
+            "overhead_s = {} not a non-negative time",
+            o.overhead_s
+        ));
+    }
+    if ctx.runtime_s > 0.0 && o.overhead_s > 10.0 * ctx.runtime_s {
+        bad(format!(
+            "overhead_s = {} implausible against runtime_s = {}",
+            o.overhead_s, ctx.runtime_s
+        ));
+    }
+    if !(0.0..=1.0).contains(&ctx.offline_fraction) {
+        bad(format!(
+            "offline_fraction = {} outside [0, 1]",
+            ctx.offline_fraction
+        ));
+    }
+    // An off-lining governor must charge at least the detection time
+    // the observed failures imply (Table 3 lower bound).
+    if ctx.offline_fraction > 0.0
+        && o.overhead_s + 1e-12 < ctx.offline_failures.time_lower_bound_s()
+    {
+        bad(format!(
+            "overhead_s = {} below failure time lower bound {} ({} failed offlines)",
+            o.overhead_s,
+            ctx.offline_failures.time_lower_bound_s(),
+            ctx.offline_failures.total()
+        ));
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GreenDimmGovernor, OfflineFailureBreakdown, Pasr, RamZzz, SrfOnly};
+    use crate::{GreenDimmGovernor, OfflineFailureBreakdown, Pasr, PowerGovernor, RamZzz, SrfOnly};
     use gd_power::PowerGating;
+    use gd_verify::strict;
 
     fn ctx(interleaved: bool) -> GovernorContext {
         GovernorContext {
@@ -122,46 +89,88 @@ mod tests {
         }
     }
 
+    /// A governor that returns a fixed outcome, whatever the context.
+    struct Fixed(GovernorOutcome);
+    impl PowerGovernor for Fixed {
+        fn name(&self) -> &'static str {
+            "fixed"
+        }
+        fn evaluate(&self, _ctx: &GovernorContext) -> GovernorOutcome {
+            self.0
+        }
+    }
+
     #[test]
     fn all_stock_governors_pass_strict() {
-        let mut checker = sanity_checker(Mode::Strict);
         let governors: [&dyn PowerGovernor; 4] = [
             &SrfOnly,
             &RamZzz::default(),
             &Pasr,
             &GreenDimmGovernor::default(),
         ];
+        let mut checked = 0;
         for g in governors {
             for interleaved in [true, false] {
-                checked_evaluate(g, &ctx(interleaved), &mut checker).unwrap();
+                let c = ctx(interleaved);
+                strict(check(&c, &g.evaluate(&c))).unwrap();
+                checked += 1;
             }
         }
-        assert_eq!(checker.stats.checks_run, 8);
-        assert_eq!(checker.stats.violations, 0);
+        assert_eq!(checked, 8);
     }
 
     /// A governor that claims more than 100% residency is rejected.
     #[test]
     fn insane_outcome_is_caught() {
-        struct Broken;
-        impl PowerGovernor for Broken {
-            fn name(&self) -> &'static str {
-                "broken"
-            }
-            fn evaluate(&self, _ctx: &GovernorContext) -> GovernorOutcome {
-                GovernorOutcome {
-                    gating: PowerGating::none(),
-                    sr_fraction: 0.8,
-                    pd_fraction: 0.7, // sums to 1.5
-                    overhead_s: -1.0,
-                }
-            }
-        }
-        let mut record = sanity_checker(Mode::Record);
-        checked_evaluate(&Broken, &ctx(true), &mut record).unwrap();
-        assert!(record.stats.violations >= 2, "{:?}", record.stats.recorded);
-        let mut strict = sanity_checker(Mode::Strict);
-        assert!(checked_evaluate(&Broken, &ctx(true), &mut strict).is_err());
+        let broken = Fixed(GovernorOutcome {
+            gating: PowerGating::none(),
+            sr_fraction: 0.8,
+            pd_fraction: 0.7, // sums to 1.5
+            overhead_s: -1.0,
+        });
+        let c = ctx(true);
+        let v = check(&c, &broken.evaluate(&c));
+        // The residency sum, the negative overhead, and the overhead below
+        // the (zero) failure time lower bound.
+        assert_eq!(v.len(), 3, "{v:?}");
+        assert!(v.iter().all(|v| v.invariant == "governor.sanity"));
+        assert!(v[0].detail.contains("exceeds 1"), "{v:?}");
+        assert!(v[1].detail.contains("not a non-negative time"), "{v:?}");
+        assert!(v[2].detail.contains("lower bound"), "{v:?}");
+        assert!(strict(v).is_err());
+    }
+
+    /// Gating fractions are checked as the governor returned them: the
+    /// refresh and background multipliers clamp to `[0, 1]`, so checking
+    /// those would let a fraction above 1 through.
+    #[test]
+    fn gating_fraction_outside_unit_interval_is_caught() {
+        let c = ctx(true);
+        let overcharged = Fixed(GovernorOutcome {
+            gating: PowerGating {
+                refresh_off: 1.5,
+                background_off: 0.5,
+            },
+            sr_fraction: 0.0,
+            pd_fraction: 0.0,
+            overhead_s: 1.0,
+        });
+        let err = strict(check(&c, &overcharged.evaluate(&c))).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("[governor.sanity] refresh_off = 1.5 outside [0, 1]"),
+            "{err}"
+        );
+        let negative = Fixed(GovernorOutcome {
+            gating: PowerGating {
+                refresh_off: 0.5,
+                background_off: -0.25,
+            },
+            ..overcharged.0
+        });
+        let v = check(&c, &negative.evaluate(&c));
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].detail, "background_off = -0.25 outside [0, 1]");
     }
 
     /// An off-lining governor that ignores the failure time it observed is
@@ -188,11 +197,10 @@ mod tests {
             kernel_block: 0,
             migration_aborted: 100,
         };
-        let mut strict = sanity_checker(Mode::Strict);
-        let err = checked_evaluate(&FreeLunch, &c, &mut strict).unwrap_err();
+        let err = strict(check(&c, &FreeLunch.evaluate(&c))).unwrap_err();
         assert!(err.to_string().contains("lower bound"), "{err}");
         // With no observed failures the same governor is fine.
-        let mut clean = sanity_checker(Mode::Strict);
-        checked_evaluate(&FreeLunch, &ctx(true), &mut clean).unwrap();
+        let clean = ctx(true);
+        strict(check(&clean, &FreeLunch.evaluate(&clean))).unwrap();
     }
 }

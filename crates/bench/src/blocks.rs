@@ -122,8 +122,8 @@ pub fn block_size_experiment(
         daemon.set_fault_injector(plan.build(derive_seed(seed, "faults.daemon")));
     }
     let mut sim = EpochSim::new(mm, daemon, None);
-    if let Some(mode) = verify {
-        sim.enable_verification(mode);
+    if verify.is_some() {
+        sim.enable_verification();
     }
     if telemetry.is_some() {
         sim.enable_telemetry();

@@ -6,7 +6,7 @@ use crate::BenchArgs;
 use gd_baselines::{
     GovernorContext, GovernorOutcome, GreenDimmGovernor, Pasr, PowerGovernor, RamZzz, SrfOnly,
 };
-use gd_dram::{EngineMode, LowPowerPolicy, MemorySystem, TimingChecker};
+use gd_dram::{EngineMode, LowPowerPolicy, MemorySystem};
 use gd_power::{ActivityProfile, DramPowerModel, SystemPowerModel};
 use gd_types::config::{DramConfig, InterleaveMode, MemSpecKind};
 use gd_types::stats::geomean;
@@ -90,8 +90,7 @@ pub fn measure_app(
         .take_wrapped(requests, cfg.total_capacity_bytes());
     let stats = sys.run_trace(trace)?;
     if opts.strict_validate {
-        let log = sys.take_command_log();
-        let violations = TimingChecker::for_config(&cfg).check(&log);
+        let violations = sys.validate_command_log(false);
         if let Some(first) = violations.first() {
             return Err(GdError::InvalidState(format!(
                 "{} protocol violation(s) in {} under {mode:?}; first: {first}",
@@ -280,19 +279,16 @@ pub fn evaluate_measurements(
         Box::new(GreenDimmGovernor::default()),
     ];
 
-    let mut sanity = opts
-        .strict_validate
-        .then(|| gd_baselines::sanity_checker(gd_verify::Mode::Strict));
     let mut rows = Vec::new();
     let mut baseline: Option<(f64, f64)> = None;
     // Baseline first: (w/o interleave, srf_only).
     for meas in [without, with] {
         let ctx = make_ctx(meas);
         for g in &governors {
-            let out = match &mut sanity {
-                Some(checker) => gd_baselines::checked_evaluate(g.as_ref(), &ctx, checker)?,
-                None => g.evaluate(&ctx),
-            };
+            let out = g.evaluate(&ctx);
+            if opts.strict_validate {
+                gd_verify::strict(gd_baselines::sanity::check(&ctx, &out))?;
+            }
             let (runtime, dram_w) =
                 energy_cell(&model, profile, meas.runtime_s, meas.bandwidth_util, &out);
             let dram_j = dram_w * runtime;
@@ -484,10 +480,8 @@ mod tests {
                 &tele.registry,
                 &format!("{scope}.dram."),
                 elapsed,
-                gd_verify::Mode::Strict,
-            )
-            .unwrap();
-            assert_eq!(v, 0);
+            );
+            assert_eq!(v, vec![]);
         }
         // Bit-identical across repeat runs.
         assert_eq!(tele.render_jsonl("p"), run().render_jsonl("p"));

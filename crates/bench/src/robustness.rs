@@ -18,8 +18,7 @@
 //! run with no injectors installed at all.
 
 use gd_baselines::{
-    checked_evaluate, sanity_checker, GovernorContext, GreenDimmGovernor, OfflineFailureBreakdown,
-    SrfOnly,
+    sanity, GovernorContext, GreenDimmGovernor, OfflineFailureBreakdown, PowerGovernor, SrfOnly,
 };
 use gd_dram::{EngineMode, LowPowerPolicy, MemorySystem};
 use gd_faults::{FaultPlan, FaultSite, WAKE_STRETCH};
@@ -134,8 +133,7 @@ pub fn robustness_experiment(
     let gd = GreenDimmGovernor {
         overhead_fraction: run.overhead_fraction.max(0.0),
     };
-    let mut sanity = sanity_checker(verify.unwrap_or(Mode::Record));
-    let gd_out = checked_evaluate(&gd, &ctx, &mut sanity)?;
+    let gd_out = gd.evaluate(&ctx);
     // The baseline never off-lines memory, so its context carries neither
     // an offline fraction nor the failures off-lining caused.
     let srf_ctx = GovernorContext {
@@ -143,7 +141,11 @@ pub fn robustness_experiment(
         offline_failures: OfflineFailureBreakdown::default(),
         ..ctx
     };
-    let srf_out = checked_evaluate(&SrfOnly, &srf_ctx, &mut sanity)?;
+    let srf_out = SrfOnly.evaluate(&srf_ctx);
+    if verify.is_some() {
+        gd_verify::strict(sanity::check(&ctx, &gd_out))?;
+        gd_verify::strict(sanity::check(&srf_ctx, &srf_out))?;
+    }
     let model = DramPowerModel::new(dram_cfg)?;
     let energy_j = |out| {
         let (runtime, dram_w) = energy_cell(&model, profile, runtime_s, 0.2, out);

@@ -8,7 +8,6 @@
 //! from state-residency fractions.
 
 use crate::daemon::{Daemon, TickReport};
-use crate::verify::VerifyHarness;
 use gd_ksm::Ksm;
 use gd_mmsim::{AllocationId, MemoryManager, PageKind};
 use gd_obs::{Telemetry, Value};
@@ -105,8 +104,10 @@ pub struct EpochSim {
     pub daemon: Daemon,
     /// Optional KSM daemon.
     pub ksm: Option<Ksm>,
-    /// Optional runtime invariant checking (see [`crate::verify`]).
-    pub verify: Option<VerifyHarness>,
+    /// Runtime invariant checking is on (see [`crate::verify`]).
+    verify: bool,
+    /// Invariant evaluations run so far.
+    checks_run: u64,
     /// Optional deterministic telemetry (see [`gd_obs`]). `None` keeps the
     /// hot path to a single branch per tick.
     pub telemetry: Option<Telemetry>,
@@ -122,7 +123,8 @@ impl EpochSim {
             mm,
             daemon,
             ksm,
-            verify: None,
+            verify: false,
+            checks_run: 0,
             telemetry: None,
             now: SimTime::ZERO,
             next_monitor,
@@ -137,13 +139,26 @@ impl EpochSim {
         self
     }
 
-    /// Enables runtime invariant checking with the standard invariant sets.
-    /// In [`gd_verify::Mode::Strict`] the first violation aborts the
-    /// simulation; in [`gd_verify::Mode::Record`] violations accumulate in
-    /// [`verify`](Self::verify) for post-run inspection.
-    pub fn enable_verification(&mut self, mode: gd_verify::Mode) -> &mut Self {
-        self.verify = Some(VerifyHarness::new(mode));
+    /// Enables runtime invariant checking: every [`crate::verify::check`]
+    /// invariant runs after each daemon tick and each allocation stall, and
+    /// the first violation aborts the simulation with
+    /// [`gd_types::GdError::InvalidState`].
+    pub fn enable_verification(&mut self) -> &mut Self {
+        self.verify = true;
         self
+    }
+
+    /// Invariant evaluations run so far (0 while verification is off).
+    pub fn checks_run(&self) -> u64 {
+        self.checks_run
+    }
+
+    /// Runs every invariant, `tick` included when given. The caller
+    /// settles the memory manager first: the checks read the block layout.
+    fn verify_state(&mut self, tick: Option<&DaemonTickObs>) -> Result<()> {
+        let ksm = self.ksm.as_ref();
+        self.checks_run += crate::verify::invariants_evaluated(ksm.is_some(), tick.is_some());
+        gd_verify::strict(crate::verify::check(&self.daemon, &self.mm, ksm, tick))
     }
 
     /// Current simulated time.
@@ -211,8 +226,7 @@ impl EpochSim {
                     t.registry
                         .counter_add("daemon.tick_latency_us_total", latency.as_micros());
                 }
-                if let Some(v) = &mut self.verify {
-                    // The checks read the block layout.
+                if self.verify {
                     self.mm.settle();
                     let info = self.mm.meminfo();
                     let block_pages = self.mm.block_pages();
@@ -225,7 +239,7 @@ impl EpochSim {
                         off_thr: self.daemon.effective_off_thr(),
                         on_thr: self.daemon.config().on_thr,
                     };
-                    v.after_tick(&self.daemon, &self.mm, self.ksm.as_ref(), obs)?;
+                    self.verify_state(Some(&obs))?;
                 }
                 aggregate.offlined += r.offlined;
                 aggregate.onlined += r.onlined;
@@ -268,11 +282,11 @@ impl EpochSim {
                         &[("requested_pages", Value::U64(requested_pages))],
                     );
                 }
-                if let Some(v) = &mut self.verify {
+                if self.verify {
                     // The stall path changed hotplug + register state outside
                     // a monitor tick; re-check the state invariants.
                     self.mm.settle();
-                    v.check_state(&self.daemon, &self.mm, self.ksm.as_ref())?;
+                    self.verify_state(None)?;
                 }
                 fp.set_target(&mut self.mm, target)
             }

@@ -14,8 +14,8 @@
 //!   optimization (Fig. 8);
 //! * [`cosim`] — the epoch-level co-simulation engine for system-scale
 //!   experiments;
-//! * [`verify`] — the runtime invariant harness binding the [`gd_verify`]
-//!   checkers to the co-simulation.
+//! * [`verify`] — runs the [`gd_verify`] invariants against the
+//!   co-simulation's live state.
 //!
 //! The experiments that compose these pieces (the managed-region run
 //! behind Figs. 6–8, the energy cells of Figs. 9–10) live in `gd-bench`;
@@ -35,4 +35,4 @@ pub use cosim::{EpochSim, FootprintDriver};
 pub use daemon::{Daemon, DaemonStats, GroupRecovery, TickReport};
 pub use groupmap::GroupMap;
 pub use registers::{GroupRegisterFile, DEEP_PD_EXIT};
-pub use verify::{quarantine_observations, VerifyHarness};
+pub use verify::quarantine_observations;

@@ -1,19 +1,16 @@
-//! Runtime verification harness for the co-simulation.
+//! Runtime verification of the co-simulation.
 //!
-//! [`VerifyHarness`] bundles the workspace's standard invariant sets
-//! ([`gd_verify`]) and knows how to derive the daemon-level observation
-//! records from live simulator state. [`EpochSim`] drives it after every
-//! daemon tick when verification is enabled:
+//! [`check`] runs the workspace's invariants ([`gd_verify`]) against live
+//! simulator state, deriving the daemon-level observation records with
+//! [`group_observations`] and [`quarantine_observations`].
+//! [`EpochSim`] runs it after every daemon tick when verification is
+//! enabled, and the first violation aborts the simulation:
 //!
 //! * memory-manager page accounting and buddy/block consistency,
 //! * KSM logical-content conservation (when KSM runs),
 //! * the §4.2 hysteresis contract on each monitor tick,
 //! * the §4.3/§6.1 deep power-down safety properties of the register file
-//!   against the hotplug state.
-//!
-//! In [`Mode::Record`] the harness only counts and stores violations (see
-//! [`VerifyHarness::stats`]); in [`Mode::Strict`] the first violation
-//! aborts the simulation with [`gd_types::GdError::InvalidState`].
+//!   against the hotplug state, and the fault-recovery quarantine rules.
 //!
 //! [`EpochSim`]: crate::cosim::EpochSim
 
@@ -21,107 +18,39 @@ use crate::daemon::Daemon;
 use gd_ksm::Ksm;
 use gd_mmsim::MemoryManager;
 use gd_types::ids::SubArrayGroup;
-use gd_types::Result;
 use gd_verify::faults::QuarantineObs;
 use gd_verify::obs::{DaemonTickObs, GroupStateObs};
-use gd_verify::{Checker, CheckerStats, Mode, Violation};
+use gd_verify::Violation;
 
-/// The standard invariant sets, bound to the co-simulation's subjects.
-#[derive(Debug)]
-pub struct VerifyHarness {
-    mode: Mode,
-    mm: Checker<MemoryManager>,
-    ksm: Checker<Ksm>,
-    tick: Checker<DaemonTickObs>,
-    group: Checker<[GroupStateObs]>,
-    quarantine: Checker<[QuarantineObs]>,
+/// Invariants one [`check`] call evaluates: the memory manager's three
+/// (meminfo, block and buddy consistency), two over the group registers
+/// (deep power-down requires off-line, neighbour pair) and two over the
+/// quarantine state, plus KSM conservation when KSM runs and hysteresis
+/// when a tick is observed.
+pub(crate) fn invariants_evaluated(ksm: bool, tick: bool) -> u64 {
+    7 + u64::from(ksm) + u64::from(tick)
 }
 
-impl VerifyHarness {
-    /// Creates a harness running every standard invariant in `mode`.
-    pub fn new(mode: Mode) -> Self {
-        VerifyHarness {
-            mode,
-            mm: gd_verify::mm::standard_checker(mode),
-            ksm: gd_verify::ksm::standard_checker(mode),
-            tick: gd_verify::obs::tick_checker(mode),
-            group: gd_verify::obs::group_checker(mode),
-            quarantine: gd_verify::faults::quarantine_checker(mode),
-        }
+/// Runs every co-simulation invariant: the tick's hysteresis when `tick`
+/// is given (after a monitor tick; `None` after out-of-band state changes
+/// such as demand-driven on-lining), then the memory manager, KSM, the
+/// group registers and the quarantine state.
+pub fn check(
+    daemon: &Daemon,
+    mm: &MemoryManager,
+    ksm: Option<&Ksm>,
+    tick: Option<&DaemonTickObs>,
+) -> Vec<Violation> {
+    let mut out = tick.map(gd_verify::obs::check_tick).unwrap_or_default();
+    out.extend(gd_verify::mm::check(mm));
+    if let Some(k) = ksm {
+        out.extend(gd_verify::ksm::check(k));
     }
-
-    /// The failure mode.
-    pub fn mode(&self) -> Mode {
-        self.mode
-    }
-
-    /// Runs the state invariants (memory manager, KSM, group registers)
-    /// without a tick observation — used after out-of-band state changes
-    /// such as demand-driven on-lining.
-    ///
-    /// # Errors
-    ///
-    /// In [`Mode::Strict`], the first violation as
-    /// [`gd_types::GdError::InvalidState`].
-    pub fn check_state(
-        &mut self,
-        daemon: &Daemon,
-        mm: &MemoryManager,
-        ksm: Option<&Ksm>,
-    ) -> Result<()> {
-        self.mm.run(mm)?;
-        if let Some(k) = ksm {
-            self.ksm.run(k)?;
-        }
-        let groups = group_observations(daemon, mm);
-        self.group.run(&groups[..])?;
-        let quarantine = quarantine_observations(daemon);
-        self.quarantine.run(&quarantine[..])?;
-        Ok(())
-    }
-
-    /// Runs every invariant after one daemon monitor tick.
-    ///
-    /// # Errors
-    ///
-    /// In [`Mode::Strict`], the first violation as
-    /// [`gd_types::GdError::InvalidState`].
-    pub fn after_tick(
-        &mut self,
-        daemon: &Daemon,
-        mm: &MemoryManager,
-        ksm: Option<&Ksm>,
-        obs: DaemonTickObs,
-    ) -> Result<()> {
-        self.tick.run(&obs)?;
-        self.check_state(daemon, mm, ksm)
-    }
-
-    /// Total invariant evaluations across all checkers.
-    pub fn checks_run(&self) -> u64 {
-        self.stats().map(|s| s.checks_run).sum()
-    }
-
-    /// Total violations found across all checkers.
-    pub fn violations(&self) -> u64 {
-        self.stats().map(|s| s.violations).sum()
-    }
-
-    /// Every recorded violation, over all checkers in registration order.
-    pub fn recorded(&self) -> Vec<&Violation> {
-        self.stats().flat_map(|s| s.recorded.iter()).collect()
-    }
-
-    fn stats(&self) -> impl Iterator<Item = &CheckerStats> {
-        [
-            &self.mm.stats,
-            &self.ksm.stats,
-            &self.tick.stats,
-            &self.group.stats,
-            &self.quarantine.stats,
-        ]
-        .into_iter()
-    }
+    let groups = group_observations(daemon, mm);
+    out.extend(gd_verify::obs::check_groups(&groups));
+    let quarantine = quarantine_observations(daemon);
+    out.extend(gd_verify::faults::check_quarantine(&quarantine));
+    out
 }
 
 /// Derives the per-group safety observations from live daemon + manager
@@ -188,7 +117,6 @@ mod tests {
     #[test]
     fn settled_daemon_passes_strict_harness() {
         let (mut d, mut mm) = setup();
-        let mut h = VerifyHarness::new(Mode::Strict);
         for s in 0..25 {
             let before = mm.meminfo().free_pages;
             let r = d.tick(SimTime::from_secs(s), &mut mm).unwrap();
@@ -202,11 +130,9 @@ mod tests {
                 off_thr: d.effective_off_thr(),
                 on_thr: d.config().on_thr,
             };
-            h.after_tick(&d, &mm, None, obs).unwrap();
+            assert_eq!(check(&d, &mm, None, Some(&obs)), vec![], "tick {s}");
         }
-        assert!(h.checks_run() > 0);
-        assert_eq!(h.violations(), 0);
-        assert!(h.recorded().is_empty());
+        assert!(d.registers().down_count() > 0, "settling must power down");
     }
 
     #[test]
@@ -219,13 +145,11 @@ mod tests {
                 .with(FaultSite::BuddyWakeFail, FaultTrigger::Prob(0.5))
                 .build(11),
         );
-        let mut h = VerifyHarness::new(Mode::Strict);
         for s in 0..60 {
             d.tick(SimTime::from_secs(s), &mut mm).unwrap();
-            h.check_state(&d, &mm, None).unwrap();
+            assert_eq!(check(&d, &mm, None, None), vec![], "tick {s}");
         }
         assert!(d.stats.deep_pd_nacks > 0, "the fault plan must bite");
-        assert_eq!(h.violations(), 0);
     }
 
     #[test]
@@ -239,15 +163,12 @@ mod tests {
         // back* — its group register bit is now stale (§4.3 violation).
         let stale = mm.offline_flags().position(|off| off).unwrap();
         mm.online_block(stale).unwrap();
-        let mut h = VerifyHarness::new(Mode::Record);
-        h.check_state(&d, &mm, None).unwrap();
-        assert!(h.violations() > 0);
-        assert!(h
-            .recorded()
+        let violations = check(&d, &mm, None, None);
+        assert!(violations
             .iter()
             .any(|v| v.invariant == "group.deep-pd-requires-offline"));
-        // Strict mode turns the same corruption into an error.
-        let mut strict = VerifyHarness::new(Mode::Strict);
-        assert!(strict.check_state(&d, &mm, None).is_err());
+        // Strict checking turns the same corruption into an error.
+        let err = gd_verify::strict(violations).unwrap_err();
+        assert!(err.to_string().contains("invariant violated: ["), "{err}");
     }
 }

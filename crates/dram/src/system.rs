@@ -247,9 +247,12 @@ impl MemorySystem {
         if self.group_pd[g] == on {
             return Ok(()); // idempotent
         }
-        // Log the MRS write (channel 0 carries the broadcast register
-        // traffic) so the protocol validator can replay the bit vector.
-        self.channels[0].record_mrs(self.clock, g as u32, on);
+        // Log the broadcast MRS write into every channel's log, so the
+        // protocol validator replays the bit vector against each channel's
+        // traffic in issue order.
+        for ch in &mut self.channels {
+            ch.record_mrs(self.clock, g as u32, on);
+        }
         if on {
             self.group_pd_since[g] = self.clock;
         } else {
@@ -292,9 +295,12 @@ impl MemorySystem {
         if self.pasr_mask[s] == masked {
             return Ok(()); // idempotent
         }
-        // Log the MR17 write (channel 0 carries the broadcast register
-        // traffic) so the protocol validator can replay the mask.
-        self.channels[0].record_pasr(self.clock, segment, masked);
+        // Log the broadcast MR17 write into every channel's log, so the
+        // protocol validator replays the mask against each channel's
+        // traffic in issue order.
+        for ch in &mut self.channels {
+            ch.record_pasr(self.clock, segment, masked);
+        }
         if masked {
             self.pasr_mask_since[s] = self.clock;
         } else {

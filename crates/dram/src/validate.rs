@@ -187,8 +187,10 @@ impl TimingChecker {
         self
     }
 
-    /// Checks a log (commands of one channel must appear in cycle order).
-    /// Returns all violations found.
+    /// Checks a log (commands of one channel must appear in cycle order;
+    /// the channels' slices may follow one another). Register writes
+    /// (MRS, MR17) apply to the traffic of the channel whose slice carries
+    /// them. Returns all violations found.
     pub fn check(&self, log: &[CommandRecord]) -> Vec<TimingViolation> {
         let t = &self.timing;
         let mut violations = Vec::new();
@@ -197,13 +199,19 @@ impl TimingChecker {
         let mut ranks: std::collections::HashMap<(u32, u32), RankTrack> =
             std::collections::HashMap::new();
         let mut last_cycle: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
-        // Deep power-down bit per sub-array group, reconstructed from the
-        // MRS records (group index is global: sub-array `g` of every bank).
-        let mut deep_pd: Vec<bool> = Vec::new();
-        // PASR segment mask, reconstructed from the MR17 records.
-        let mut pasr_mask: Vec<bool> = Vec::new();
+        // Deep power-down bit per sub-array group (the index is global:
+        // sub-array `g` of every bank) and PASR segment mask, per channel,
+        // reconstructed from that channel's MRS and MR17 records. Register
+        // writes are broadcast into every channel's log, so each channel's
+        // slice orders them against its own traffic.
+        let mut deep_pd_by_channel: std::collections::HashMap<u32, Vec<bool>> =
+            std::collections::HashMap::new();
+        let mut pasr_by_channel: std::collections::HashMap<u32, Vec<bool>> =
+            std::collections::HashMap::new();
 
         for rec in log {
+            let deep_pd = deep_pd_by_channel.entry(rec.channel).or_default();
+            let pasr_mask = pasr_by_channel.entry(rec.channel).or_default();
             if let Some(prev) = last_cycle.get(&rec.channel) {
                 if rec.cycle < *prev {
                     violations.push(TimingViolation {
@@ -816,7 +824,7 @@ mod tests {
 
     // --- GreenDIMM sub-array-group safety ---
 
-    fn gd_checker() -> TimingChecker {
+    fn gd_validator() -> TimingChecker {
         TimingChecker::for_config(&DramConfig::small_test())
     }
 
@@ -824,7 +832,7 @@ mod tests {
     fn traffic_to_deep_pd_group_detected() {
         let rps = DramConfig::small_test().org.rows_per_subarray;
         let log = vec![mrs(0, 1, true), act_row(100, rps + 3)];
-        let v = gd_checker().check(&log);
+        let v = gd_validator().check(&log);
         assert!(
             v.iter()
                 .any(|x| x.constraint == "deep power-down group traffic"),
@@ -836,14 +844,14 @@ mod tests {
     fn traffic_after_deep_pd_exit_is_legal() {
         let rps = DramConfig::small_test().org.rows_per_subarray;
         let log = vec![mrs(0, 1, true), mrs(50, 1, false), act_row(100, rps + 3)];
-        assert!(gd_checker().check(&log).is_empty());
+        assert!(gd_validator().check(&log).is_empty());
     }
 
     #[test]
     fn neighbor_pair_traffic_detected_only_when_enabled() {
         // Group 1 is down; traffic to its sense-amp buddy group 0.
         let log = vec![mrs(0, 1, true), act_row(100, 2)];
-        let strictv = gd_checker().with_neighbor_pairs(true).check(&log);
+        let strictv = gd_validator().with_neighbor_pairs(true).check(&log);
         assert!(
             strictv
                 .iter()
@@ -851,7 +859,7 @@ mod tests {
             "{strictv:?}"
         );
         // Without the constraint, buddy traffic is allowed.
-        assert!(gd_checker().check(&log).is_empty());
+        assert!(gd_validator().check(&log).is_empty());
     }
 
     #[test]
@@ -864,7 +872,7 @@ mod tests {
 
     // --- Per-backend legality: DDR5 same-bank refresh ---
 
-    fn ddr5_checker() -> TimingChecker {
+    fn ddr5_validator() -> TimingChecker {
         TimingChecker::for_config(&DramConfig::small_test_ddr5())
     }
 
@@ -875,14 +883,14 @@ mod tests {
 
     #[test]
     fn refsb_on_all_bank_device_detected() {
-        let v = gd_checker().check(&[refsb(0, 0)]);
+        let v = gd_validator().check(&[refsb(0, 0)]);
         assert!(
             v.iter()
                 .any(|x| x.constraint == "REFsb on all-bank refresh device"),
             "{v:?}"
         );
         // On a DDR5 configuration the same record is legal.
-        assert!(ddr5_checker().check(&[refsb(0, 0)]).is_empty());
+        assert!(ddr5_validator().check(&[refsb(0, 0)]).is_empty());
     }
 
     #[test]
@@ -893,7 +901,7 @@ mod tests {
             rec(0, 2, 1, DramCommand::Activate), // flat bank 2 = bg1 bank0
             refsb(t.t_ras, 0),
         ];
-        let v = ddr5_checker().check(&log);
+        let v = ddr5_validator().check(&log);
         assert!(
             v.iter()
                 .any(|x| x.constraint == "REFsb with open bank in set"),
@@ -901,19 +909,19 @@ mod tests {
         );
         // A REFsb on the other set leaves the open bank alone.
         let log = vec![rec(0, 2, 1, DramCommand::Activate), refsb(t.t_ras, 1)];
-        assert!(ddr5_checker().check(&log).is_empty());
+        assert!(ddr5_validator().check(&log).is_empty());
     }
 
     #[test]
     fn back_to_back_refsb_violates_trfcsb() {
         let t = DramConfig::small_test_ddr5().timing;
-        let v = ddr5_checker().check(&[refsb(0, 0), refsb(t.t_rfc_sb - 1, 1)]);
+        let v = ddr5_validator().check(&[refsb(0, 0), refsb(t.t_rfc_sb - 1, 1)]);
         assert!(
             v.iter()
                 .any(|x| x.constraint == "tRFCsb (back-to-back REFsb)"),
             "{v:?}"
         );
-        assert!(ddr5_checker()
+        assert!(ddr5_validator()
             .check(&[refsb(0, 0), refsb(t.t_rfc_sb, 1)])
             .is_empty());
     }
@@ -922,20 +930,20 @@ mod tests {
     fn act_to_refreshed_set_waits_trfcsb_others_proceed() {
         let t = DramConfig::small_test_ddr5().timing;
         // ACT to a set-0 bank inside the tRFCsb window is a violation...
-        let v = ddr5_checker().check(&[
+        let v = ddr5_validator().check(&[
             refsb(0, 0),
             rec(t.t_rfc_sb - 1, 0, 0, DramCommand::Activate),
         ]);
         assert!(v.iter().any(|x| x.constraint == "tRFCsb"), "{v:?}");
         // ...but an ACT to a set-1 bank during the same window is legal —
         // the whole point of same-bank refresh.
-        let ok = ddr5_checker().check(&[refsb(0, 0), rec(10, 1, 0, DramCommand::Activate)]);
+        let ok = ddr5_validator().check(&[refsb(0, 0), rec(10, 1, 0, DramCommand::Activate)]);
         assert!(ok.is_empty(), "{ok:?}");
     }
 
     // --- Per-backend legality: LPDDR4 PASR ---
 
-    fn lpddr_checker() -> TimingChecker {
+    fn lpddr_validator() -> TimingChecker {
         TimingChecker::for_config(&DramConfig::small_test_lpddr4())
     }
 
@@ -954,7 +962,7 @@ mod tests {
 
     #[test]
     fn pasr_mask_on_non_lpddr_device_detected() {
-        for c in [gd_checker(), ddr5_checker()] {
+        for c in [gd_validator(), ddr5_validator()] {
             let v = c.check(&[pasr(0, 0, true)]);
             assert!(
                 v.iter()
@@ -962,7 +970,7 @@ mod tests {
                 "{v:?}"
             );
         }
-        assert!(lpddr_checker().check(&[pasr(0, 0, true)]).is_empty());
+        assert!(lpddr_validator().check(&[pasr(0, 0, true)]).is_empty());
     }
 
     #[test]
@@ -971,7 +979,7 @@ mod tests {
         let seg_rows = cfg.rows_per_pasr_segment();
         // Mask segment 1, then touch a row inside it.
         let log = vec![pasr(0, 1, true), act_row(100, seg_rows + 2)];
-        let v = lpddr_checker().check(&log);
+        let v = lpddr_validator().check(&log);
         assert!(
             v.iter().any(|x| x.constraint == "masked segment traffic"),
             "{v:?}"
@@ -983,6 +991,6 @@ mod tests {
             pasr(90, 1, false),
             act_row(100 + cfg.timing.t_rc, seg_rows + 2),
         ];
-        assert!(lpddr_checker().check(&ok).is_empty());
+        assert!(lpddr_validator().check(&ok).is_empty());
     }
 }

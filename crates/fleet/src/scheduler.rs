@@ -136,7 +136,6 @@ fn schedule(
     });
     let vcpu_cap = cfg.host_cores * 2;
     let mem_cap_gb = (cfg.host_capacity_gb as f64 * cfg.max_util).floor() as u64;
-    let mut checker = verify.map(gd_verify::fleet::fleet_checker);
 
     let mut hosts: Vec<HostState> = vec![HostState::default(); cfg.hosts];
     let mut host_events: Vec<Vec<VmEvent>> = vec![Vec::new(); cfg.hosts];
@@ -229,7 +228,7 @@ fn schedule(
         for h in &mut hosts {
             h.used_gb_ticks += h.used_mem_gb;
         }
-        if let Some(checker) = &mut checker {
+        if verify.is_some() {
             let obs = FleetObs {
                 arrivals: stats.arrivals,
                 placed: stats.placed,
@@ -249,7 +248,7 @@ fn schedule(
                     })
                     .collect(),
             };
-            checker.run(&obs)?;
+            gd_verify::strict(gd_verify::fleet::check(&obs))?;
         }
     }
     stats.running_at_end = hosts.iter().map(|h| h.running.len() as u64).sum();

@@ -4,12 +4,14 @@
 //! the co-simulation harness derives from live daemon state after every
 //! tick, so this crate needs no dependency on the daemon itself:
 //!
-//! * [`QuarantineRespected`] — a group NACKed out of deep power-down must
-//!   not re-enter within its backoff window;
-//! * [`DegradedStaysShallow`] — a group degraded to shallow power-down
-//!   never shows up in deep power-down again.
+//! * `faults.quarantine-respected` — a group NACKed out of deep power-down
+//!   must not re-enter within its backoff window;
+//! * `faults.degraded-stays-shallow` — a group degraded to shallow
+//!   power-down never shows up in deep power-down again.
+//!
+//! [`check_quarantine`] states both.
 
-use crate::{Invariant, Violation};
+use crate::Violation;
 
 /// One group's recovery state against its register bit, in nanoseconds
 /// of sim time (observations are plain data; the harness converts).
@@ -28,70 +30,42 @@ pub struct QuarantineObs {
     pub degraded: bool,
 }
 
-/// A quarantined group must not re-enter deep power-down before its
-/// backoff window expires: the whole point of the exponential backoff is
-/// to stop hammering a flaky MRS path.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct QuarantineRespected;
-
-impl Invariant<[QuarantineObs]> for QuarantineRespected {
-    fn name(&self) -> &'static str {
-        "faults.quarantine-respected"
+/// The fault-recovery invariants, per group: a quarantined group must not
+/// re-enter deep power-down before its backoff window expires (the whole
+/// point of the exponential backoff is to stop hammering a flaky MRS
+/// path), and a degraded group has given up on deep power-down for the
+/// run, so seeing its bit set again means the degradation latch is broken.
+pub fn check_quarantine(groups: &[QuarantineObs]) -> Vec<Violation> {
+    let mut out = Vec::new();
+    for g in groups
+        .iter()
+        .filter(|g| g.down && g.down_since_ns < g.quarantined_until_ns)
+    {
+        out.push(Violation::new(
+            "faults.quarantine-respected",
+            format!(
+                "group {} entered deep power-down at {} ns, inside its \
+                 quarantine window ending at {} ns",
+                g.group, g.down_since_ns, g.quarantined_until_ns
+            ),
+        ));
     }
-
-    fn check(&self, groups: &[QuarantineObs], out: &mut Vec<Violation>) {
-        for g in groups {
-            if g.down && g.down_since_ns < g.quarantined_until_ns {
-                out.push(Violation {
-                    invariant: self.name(),
-                    detail: format!(
-                        "group {} entered deep power-down at {} ns, inside its \
-                         quarantine window ending at {} ns",
-                        g.group, g.down_since_ns, g.quarantined_until_ns
-                    ),
-                });
-            }
-        }
+    for g in groups.iter().filter(|g| g.degraded && g.down) {
+        out.push(Violation::new(
+            "faults.degraded-stays-shallow",
+            format!(
+                "group {} is degraded to shallow power-down but its deep \
+                 power-down bit is set",
+                g.group
+            ),
+        ));
     }
-}
-
-/// A degraded group has given up on deep power-down for the run; seeing
-/// its bit set again means the degradation latch is broken.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DegradedStaysShallow;
-
-impl Invariant<[QuarantineObs]> for DegradedStaysShallow {
-    fn name(&self) -> &'static str {
-        "faults.degraded-stays-shallow"
-    }
-
-    fn check(&self, groups: &[QuarantineObs], out: &mut Vec<Violation>) {
-        for g in groups {
-            if g.degraded && g.down {
-                out.push(Violation {
-                    invariant: self.name(),
-                    detail: format!(
-                        "group {} is degraded to shallow power-down but its deep \
-                         power-down bit is set",
-                        g.group
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// The standard invariant set over fault-recovery observations.
-pub fn quarantine_checker(mode: crate::Mode) -> crate::Checker<[QuarantineObs]> {
-    crate::Checker::new(mode)
-        .with(Box::new(QuarantineRespected))
-        .with(Box::new(DegradedStaysShallow))
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Mode;
 
     fn clean() -> QuarantineObs {
         QuarantineObs {
@@ -105,38 +79,34 @@ mod tests {
 
     #[test]
     fn entry_after_backoff_passes() {
-        let mut c = quarantine_checker(Mode::Strict);
-        c.run(&[clean()][..]).unwrap();
+        assert_eq!(check_quarantine(&[clean()]), vec![]);
         // An up group is never a violation, whatever its window.
-        c.run(
-            &[QuarantineObs {
-                down: false,
-                quarantined_until_ns: u64::MAX,
-                ..clean()
-            }][..],
-        )
-        .unwrap();
+        let up = QuarantineObs {
+            down: false,
+            quarantined_until_ns: u64::MAX,
+            ..clean()
+        };
+        assert_eq!(check_quarantine(&[up]), vec![]);
     }
 
     #[test]
     fn reentry_inside_window_fires() {
-        let mut c = quarantine_checker(Mode::Record);
         let bad = QuarantineObs {
             down_since_ns: 5_000,
             ..clean()
         };
-        assert_eq!(c.run(&[bad][..]).unwrap(), 1);
-        assert_eq!(c.stats.recorded[0].invariant, "faults.quarantine-respected");
+        let v = check_quarantine(&[bad]);
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].invariant, "faults.quarantine-respected");
     }
 
     #[test]
     fn degraded_group_in_deep_pd_fires() {
-        let mut c = quarantine_checker(Mode::Strict);
         let bad = QuarantineObs {
             degraded: true,
             ..clean()
         };
-        let err = c.run(&[bad][..]).unwrap_err();
+        let err = crate::strict(check_quarantine(&[bad])).unwrap_err();
         assert!(err.to_string().contains("degraded"));
     }
 }

@@ -5,14 +5,14 @@
 //! properties are stated over plain observation records the scheduler
 //! fills in after every scheduling tick:
 //!
-//! * [`FleetObs`] — cluster-wide VM accounting, checked by
-//!   [`VmConservation`] (every arrival is running, queued, retired, or
-//!   abandoned — never lost or double-counted);
-//! * [`HostObs`] — one host's scheduled load, checked by [`HostCapacity`]
-//!   (no host is ever scheduled past its installed memory or its vCPU
-//!   oversubscription cap).
+//! * [`FleetObs`] — cluster-wide VM accounting: every arrival is
+//!   running, queued, retired, or abandoned — never lost or double-counted;
+//! * [`HostObs`] — one host's scheduled load: no host is ever scheduled
+//!   past its installed memory or its vCPU oversubscription cap.
+//!
+//! [`check`] states both.
 
-use crate::{Invariant, Violation};
+use crate::Violation;
 
 /// One host's scheduled load, as observed after a scheduler tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,88 +48,65 @@ pub struct FleetObs {
     pub hosts: Vec<HostObs>,
 }
 
-/// VM conservation: arrivals split exactly into running + queued +
-/// retired + abandoned, and placements into running + retired.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct VmConservation;
-
-impl Invariant<FleetObs> for VmConservation {
-    fn name(&self) -> &'static str {
-        "fleet.vm-conservation"
+/// The scheduler invariants after one tick:
+///
+/// * `fleet.vm-conservation`: arrivals split exactly into running +
+///   queued + retired + abandoned, and placements into running + retired;
+/// * `fleet.host-capacity`: scheduled memory never exceeds installed
+///   capacity and scheduled vCPUs never exceed the oversubscription cap.
+pub fn check(o: &FleetObs) -> Vec<Violation> {
+    const CONSERVATION: &str = "fleet.vm-conservation";
+    const CAPACITY: &str = "fleet.host-capacity";
+    let mut out = Vec::new();
+    let accounted = o.running + o.queued + o.retired + o.abandoned;
+    if o.arrivals != accounted {
+        out.push(Violation::new(
+            CONSERVATION,
+            format!(
+                "{} arrivals but {accounted} accounted for \
+                 (running {} + queued {} + retired {} + abandoned {})",
+                o.arrivals, o.running, o.queued, o.retired, o.abandoned
+            ),
+        ));
     }
-
-    fn check(&self, o: &FleetObs, out: &mut Vec<Violation>) {
-        let accounted = o.running + o.queued + o.retired + o.abandoned;
-        if o.arrivals != accounted {
-            out.push(Violation {
-                invariant: self.name(),
-                detail: format!(
-                    "{} arrivals but {accounted} accounted for \
-                     (running {} + queued {} + retired {} + abandoned {})",
-                    o.arrivals, o.running, o.queued, o.retired, o.abandoned
+    if o.placed != o.running + o.retired {
+        out.push(Violation::new(
+            CONSERVATION,
+            format!(
+                "{} placements but running {} + retired {} = {}",
+                o.placed,
+                o.running,
+                o.retired,
+                o.running + o.retired
+            ),
+        ));
+    }
+    for h in &o.hosts {
+        if h.used_gb > h.capacity_gb {
+            out.push(Violation::new(
+                CAPACITY,
+                format!(
+                    "host {} scheduled {} GiB over its {} GiB capacity",
+                    h.host, h.used_gb, h.capacity_gb
                 ),
-            });
+            ));
         }
-        if o.placed != o.running + o.retired {
-            out.push(Violation {
-                invariant: self.name(),
-                detail: format!(
-                    "{} placements but running {} + retired {} = {}",
-                    o.placed,
-                    o.running,
-                    o.retired,
-                    o.running + o.retired
+        if h.used_vcpus > h.vcpu_cap {
+            out.push(Violation::new(
+                CAPACITY,
+                format!(
+                    "host {} scheduled {} vCPUs over its cap of {}",
+                    h.host, h.used_vcpus, h.vcpu_cap
                 ),
-            });
+            ));
         }
     }
-}
-
-/// Hard host caps: scheduled memory never exceeds installed capacity and
-/// scheduled vCPUs never exceed the oversubscription cap.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HostCapacity;
-
-impl Invariant<FleetObs> for HostCapacity {
-    fn name(&self) -> &'static str {
-        "fleet.host-capacity"
-    }
-
-    fn check(&self, o: &FleetObs, out: &mut Vec<Violation>) {
-        for h in &o.hosts {
-            if h.used_gb > h.capacity_gb {
-                out.push(Violation {
-                    invariant: self.name(),
-                    detail: format!(
-                        "host {} scheduled {} GiB over its {} GiB capacity",
-                        h.host, h.used_gb, h.capacity_gb
-                    ),
-                });
-            }
-            if h.used_vcpus > h.vcpu_cap {
-                out.push(Violation {
-                    invariant: self.name(),
-                    detail: format!(
-                        "host {} scheduled {} vCPUs over its cap of {}",
-                        h.host, h.used_vcpus, h.vcpu_cap
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// The standard invariant set over fleet scheduler observations.
-pub fn fleet_checker(mode: crate::Mode) -> crate::Checker<FleetObs> {
-    crate::Checker::new(mode)
-        .with(Box::new(VmConservation))
-        .with(Box::new(HostCapacity))
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Mode;
 
     fn clean() -> FleetObs {
         FleetObs {
@@ -151,36 +128,35 @@ mod tests {
 
     #[test]
     fn clean_observation_passes_strict() {
-        fleet_checker(Mode::Strict).run(&clean()).unwrap();
+        crate::strict(check(&clean())).unwrap();
     }
 
     #[test]
     fn lost_vm_fires_conservation() {
-        let mut c = fleet_checker(Mode::Record);
         let o = FleetObs {
             running: 49,
             ..clean()
         };
         // Both conservation equations break (arrivals and placements).
-        assert_eq!(c.run(&o).unwrap(), 2);
-        assert_eq!(c.stats.recorded[0].invariant, "fleet.vm-conservation");
+        let v = check(&o);
+        assert_eq!(v.len(), 2);
+        assert_eq!(v[0].invariant, "fleet.vm-conservation");
     }
 
     #[test]
     fn overcommitted_host_fires_capacity() {
-        let mut c = fleet_checker(Mode::Record);
         let mut o = clean();
         o.hosts[0].used_gb = 300;
-        assert_eq!(c.run(&o).unwrap(), 1);
-        assert!(c.stats.recorded[0].detail.contains("over its 256 GiB"));
+        let v = check(&o);
+        assert_eq!(v.len(), 1);
+        assert!(v[0].detail.contains("over its 256 GiB"));
     }
 
     #[test]
     fn vcpu_overcommit_fires_capacity() {
-        let mut c = fleet_checker(Mode::Strict);
         let mut o = clean();
         o.hosts[0].used_vcpus = 40;
-        let err = c.run(&o).unwrap_err();
+        let err = crate::strict(check(&o)).unwrap_err();
         assert!(err.to_string().contains("fleet.host-capacity"), "{err}");
     }
 }

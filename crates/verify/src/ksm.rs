@@ -10,99 +10,89 @@
 //! turns one of the holder's pending pages into a stable original, so a
 //! candidate without one would mint a page.
 
-use crate::{Invariant, Violation};
+use crate::Violation;
 use gd_ksm::Ksm;
 
-/// Logical-content conservation and sharing-count consistency.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct KsmConservation;
+const NAME: &str = "ksm.logical-conservation";
 
-impl Invariant<Ksm> for KsmConservation {
-    fn name(&self) -> &'static str {
-        "ksm.logical-conservation"
+/// `ksm.logical-conservation`: logical-content conservation and
+/// sharing-count consistency.
+pub fn check(subject: &Ksm) -> Vec<Violation> {
+    let mut out = Vec::new();
+    let mut merged_total = 0u64;
+    for acc in subject.region_accounting() {
+        let sum = acc.pending + acc.merged + acc.originals + acc.unique_pages;
+        if sum != acc.logical_pages {
+            out.push(Violation::new(
+                NAME,
+                format!(
+                    "{}: pending {} + merged {} + originals {} + unique {} = {sum} \
+                     != registered {} pages",
+                    acc.region,
+                    acc.pending,
+                    acc.merged,
+                    acc.originals,
+                    acc.unique_pages,
+                    acc.logical_pages
+                ),
+            ));
+        }
+        if acc.pending_pages != acc.pending {
+            out.push(Violation::new(
+                NAME,
+                format!(
+                    "{}: cached pending total {} != {} pending pages in the content records",
+                    acc.region, acc.pending_pages, acc.pending
+                ),
+            ));
+        }
+        merged_total += acc.merged;
     }
-
-    fn check(&self, subject: &Ksm, out: &mut Vec<Violation>) {
-        let mut merged_total = 0u64;
-        for acc in subject.region_accounting() {
-            let sum = acc.pending + acc.merged + acc.originals + acc.unique_pages;
-            if sum != acc.logical_pages {
-                out.push(Violation {
-                    invariant: self.name(),
-                    detail: format!(
-                        "{}: pending {} + merged {} + originals {} + unique {} = {sum} \
-                         != registered {} pages",
-                        acc.region,
-                        acc.pending,
-                        acc.merged,
-                        acc.originals,
-                        acc.unique_pages,
-                        acc.logical_pages
-                    ),
-                });
-            }
-            if acc.pending_pages != acc.pending {
-                out.push(Violation {
-                    invariant: self.name(),
-                    detail: format!(
-                        "{}: cached pending total {} != {} pending pages in the content records",
-                        acc.region, acc.pending_pages, acc.pending
-                    ),
-                });
-            }
-            merged_total += acc.merged;
-        }
-        for cand in subject.unstable_candidates() {
-            let holds = match cand.holder_pending {
-                None => "is not registered",
-                Some(0) => "holds no pending page of it",
-                Some(_) => continue,
-            };
-            out.push(Violation {
-                invariant: self.name(),
-                detail: format!(
-                    "unstable-tree candidate {:#x} names {}, which {holds}",
-                    cand.content, cand.holder
-                ),
-            });
-        }
-        let stats = subject.stats();
-        if stats.pages_shared != subject.stable_contents() as u64 {
-            out.push(Violation {
-                invariant: self.name(),
-                detail: format!(
-                    "pages_shared {} != stable-tree size {}",
-                    stats.pages_shared,
-                    subject.stable_contents()
-                ),
-            });
-        }
-        // One-sided: `unregister_region` documents an approximation that
-        // dissolves stable originals, after which another region's merged
-        // pages can outlive their pages_sharing contribution being
-        // released. Live regions can therefore account for *at most*
-        // pages_sharing merged pages.
-        if merged_total > stats.pages_sharing {
-            out.push(Violation {
-                invariant: self.name(),
-                detail: format!(
-                    "regions hold {merged_total} merged pages but pages_sharing is {}",
-                    stats.pages_sharing
-                ),
-            });
-        }
+    for cand in subject.unstable_candidates() {
+        let holds = match cand.holder_pending {
+            None => "is not registered",
+            Some(0) => "holds no pending page of it",
+            Some(_) => continue,
+        };
+        out.push(Violation::new(
+            NAME,
+            format!(
+                "unstable-tree candidate {:#x} names {}, which {holds}",
+                cand.content, cand.holder
+            ),
+        ));
     }
-}
-
-/// The standard invariant set over a live [`Ksm`].
-pub fn standard_checker(mode: crate::Mode) -> crate::Checker<Ksm> {
-    crate::Checker::new(mode).with(Box::new(KsmConservation))
+    let stats = subject.stats();
+    if stats.pages_shared != subject.stable_contents() as u64 {
+        out.push(Violation::new(
+            NAME,
+            format!(
+                "pages_shared {} != stable-tree size {}",
+                stats.pages_shared,
+                subject.stable_contents()
+            ),
+        ));
+    }
+    // One-sided: `unregister_region` documents an approximation that
+    // dissolves stable originals, after which another region's merged
+    // pages can outlive their pages_sharing contribution being
+    // released. Live regions can therefore account for *at most*
+    // pages_sharing merged pages.
+    if merged_total > stats.pages_sharing {
+        out.push(Violation::new(
+            NAME,
+            format!(
+                "regions hold {merged_total} merged pages but pages_sharing is {}",
+                stats.pages_sharing
+            ),
+        ));
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Mode;
     use gd_ksm::KsmConfig;
     use gd_mmsim::{MemoryManager, MmConfig, PageKind};
     use gd_types::rng::component_rng;
@@ -112,21 +102,19 @@ mod tests {
     fn conservation_holds_through_merge_cow_unregister() {
         let mut mm = MemoryManager::new(MmConfig::small_test()).unwrap();
         let mut ksm = Ksm::new(KsmConfig::default()).unwrap();
-        let mut checker = standard_checker(Mode::Strict);
         let a = mm.allocate(1000, PageKind::UserMovable).unwrap();
         let b = mm.allocate(1000, PageKind::UserMovable).unwrap();
         let ra = ksm.register_region(a, vec![(0xAB, 600), (0xCD, 300)], 100);
         let rb = ksm.register_region(b, vec![(0xAB, 900)], 100);
-        checker.run(&ksm).unwrap();
+        assert_eq!(check(&ksm), vec![]);
         for _ in 0..10 {
             ksm.advance(SimTime::from_millis(200), &mut mm).unwrap();
-            checker.run(&ksm).unwrap();
+            assert_eq!(check(&ksm), vec![]);
         }
         ksm.cow_break(rb, 0xAB, 50, &mut mm).unwrap();
-        checker.run(&ksm).unwrap();
+        assert_eq!(check(&ksm), vec![]);
         ksm.unregister_region(ra).unwrap();
-        checker.run(&ksm).unwrap();
-        assert_eq!(checker.stats.violations, 0);
+        assert_eq!(check(&ksm), vec![]);
     }
 
     /// Seeded random interleavings of register / advance / CoW break /
@@ -141,7 +129,6 @@ mod tests {
             let mut rng = component_rng(seed, "ksm-stress");
             let mut mm = MemoryManager::new(MmConfig::small_test()).unwrap();
             let mut ksm = Ksm::new(KsmConfig::default()).unwrap();
-            let mut checker = standard_checker(Mode::Strict);
             let mut live = Vec::new();
             let mut min_live = usize::MAX;
             for step in 0..250 {
@@ -182,7 +169,7 @@ mod tests {
                 if step >= 20 {
                     min_live = min_live.min(live.len());
                 }
-                if let Err(e) = checker.run(&ksm) {
+                if let Err(e) = crate::strict(check(&ksm)) {
                     panic!("seed {seed} step {step}: {e:?}");
                 }
             }

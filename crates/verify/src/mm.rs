@@ -1,98 +1,59 @@
 //! Invariants over the physical-memory simulator: page-accounting
 //! conservation and buddy-allocator structural consistency.
 //!
-//! The conservation properties are stated over an [`MmSnapshot`] (a pure
-//! data view) so tests can corrupt a snapshot to prove the checker fires;
-//! the same invariants also run directly against a live
-//! [`MemoryManager`]. [`BuddyConsistency`] needs allocator internals and
-//! therefore only runs against the live manager (via
-//! [`MemoryManager::audit`]).
+//! The conservation checks read the plain [`MemInfo`] and [`BlockInfo`]
+//! records, so tests can corrupt a copy to prove they fire; [`check`] runs
+//! them, and the buddy audit that needs allocator internals, against a
+//! live [`MemoryManager`].
 
-use crate::{Invariant, Violation};
+use crate::Violation;
 use gd_mmsim::{BlockInfo, MemInfo, MemoryManager};
 
-/// A pure-data view of the memory manager's books.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MmSnapshot {
-    /// The `/proc/meminfo` totals.
-    pub meminfo: MemInfo,
-    /// Every block's sysfs snapshot.
-    pub blocks: Vec<BlockInfo>,
-}
-
-impl MmSnapshot {
-    /// Captures the current state of `mm`.
-    pub fn capture(mm: &MemoryManager) -> Self {
-        MmSnapshot {
-            meminfo: mm.meminfo(),
-            blocks: mm.blocks(),
-        }
-    }
-}
+const MEMINFO: &str = "mm.meminfo-conservation";
+const BLOCKS: &str = "mm.block-conservation";
 
 /// `/proc/meminfo` self-consistency: used + free == total (on-line), and
 /// total + offline == installed. Pages may move between blocks and between
 /// the on-line and off-line pools, but never appear or disappear.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MeminfoConservation;
-
-fn check_meminfo(info: &MemInfo, out: &mut Vec<Violation>) {
+pub fn check_meminfo(info: &MemInfo) -> Vec<Violation> {
+    let mut out = Vec::new();
     if info.used_pages + info.free_pages != info.total_pages {
-        out.push(Violation {
-            invariant: "mm.meminfo-conservation",
-            detail: format!(
+        out.push(Violation::new(
+            MEMINFO,
+            format!(
                 "used {} + free {} != online total {}",
                 info.used_pages, info.free_pages, info.total_pages
             ),
-        });
+        ));
     }
     if info.total_pages + info.offline_pages != info.installed_pages {
-        out.push(Violation {
-            invariant: "mm.meminfo-conservation",
-            detail: format!(
+        out.push(Violation::new(
+            MEMINFO,
+            format!(
                 "online {} + offline {} != installed {}",
                 info.total_pages, info.offline_pages, info.installed_pages
             ),
-        });
+        ));
     }
-}
-
-impl Invariant<MmSnapshot> for MeminfoConservation {
-    fn name(&self) -> &'static str {
-        "mm.meminfo-conservation"
-    }
-    fn check(&self, subject: &MmSnapshot, out: &mut Vec<Violation>) {
-        check_meminfo(&subject.meminfo, out);
-    }
-}
-
-impl Invariant<MemoryManager> for MeminfoConservation {
-    fn name(&self) -> &'static str {
-        "mm.meminfo-conservation"
-    }
-    fn check(&self, subject: &MemoryManager, out: &mut Vec<Violation>) {
-        check_meminfo(&subject.meminfo(), out);
-    }
+    out
 }
 
 /// Per-block conservation, and agreement between the block population and
 /// the meminfo totals: the block state machine (on-line ⇄ off-line, with
 /// migration moving pages between blocks) never loses or invents a page.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BlockConservation;
-
-fn check_blocks(info: &MemInfo, blocks: &[BlockInfo], out: &mut Vec<Violation>) {
+pub fn check_blocks(info: &MemInfo, blocks: &[BlockInfo]) -> Vec<Violation> {
+    let mut out = Vec::new();
     let mut online = (0u64, 0u64, 0u64); // (total, used, free)
     let mut offline_total = 0u64;
     for b in blocks {
         if b.used_pages + b.free_pages != b.total_pages {
-            out.push(Violation {
-                invariant: "mm.block-conservation",
-                detail: format!(
+            out.push(Violation::new(
+                BLOCKS,
+                format!(
                     "block {}: used {} + free {} != total {}",
                     b.index, b.used_pages, b.free_pages, b.total_pages
                 ),
-            });
+            ));
         }
         if b.online {
             online.0 += b.total_pages;
@@ -103,86 +64,50 @@ fn check_blocks(info: &MemInfo, blocks: &[BlockInfo], out: &mut Vec<Violation>) 
         }
     }
     if online != (info.total_pages, info.used_pages, info.free_pages) {
-        out.push(Violation {
-            invariant: "mm.block-conservation",
-            detail: format!(
+        out.push(Violation::new(
+            BLOCKS,
+            format!(
                 "online blocks sum to (total, used, free) = {online:?} \
                  but meminfo says ({}, {}, {})",
                 info.total_pages, info.used_pages, info.free_pages
             ),
-        });
+        ));
     }
     if offline_total != info.offline_pages {
-        out.push(Violation {
-            invariant: "mm.block-conservation",
-            detail: format!(
+        out.push(Violation::new(
+            BLOCKS,
+            format!(
                 "offline blocks sum to {} pages but meminfo says {}",
                 offline_total, info.offline_pages
             ),
-        });
+        ));
     }
+    out
 }
 
-impl Invariant<MmSnapshot> for BlockConservation {
-    fn name(&self) -> &'static str {
-        "mm.block-conservation"
+/// Every memory-manager invariant over a live manager: [`check_meminfo`],
+/// [`check_blocks`], and `mm.buddy-consistency`, the structural soundness
+/// of every block's buddy allocator and of the allocation table (free
+/// chunks aligned, in range, non-overlapping; free lists agree with the
+/// free-page counter; every recorded allocation chunk exists with the
+/// right owner), which [`MemoryManager::audit`] reports.
+pub fn check(mm: &MemoryManager) -> Vec<Violation> {
+    let info = mm.meminfo();
+    let mut out = check_meminfo(&info);
+    out.extend(check_blocks(&info, &mm.blocks()));
+    if let Err(problems) = mm.audit() {
+        out.extend(
+            problems
+                .into_iter()
+                .map(|detail| Violation::new("mm.buddy-consistency", detail)),
+        );
     }
-    fn check(&self, subject: &MmSnapshot, out: &mut Vec<Violation>) {
-        check_blocks(&subject.meminfo, &subject.blocks, out);
-    }
-}
-
-impl Invariant<MemoryManager> for BlockConservation {
-    fn name(&self) -> &'static str {
-        "mm.block-conservation"
-    }
-    fn check(&self, subject: &MemoryManager, out: &mut Vec<Violation>) {
-        check_blocks(&subject.meminfo(), &subject.blocks(), out);
-    }
-}
-
-/// Structural soundness of every block's buddy allocator and of the
-/// allocation table (free chunks aligned, in range, non-overlapping; free
-/// lists agree with the free-page counter; every recorded allocation chunk
-/// exists with the right owner). Delegates to [`MemoryManager::audit`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BuddyConsistency;
-
-impl Invariant<MemoryManager> for BuddyConsistency {
-    fn name(&self) -> &'static str {
-        "mm.buddy-consistency"
-    }
-    fn check(&self, subject: &MemoryManager, out: &mut Vec<Violation>) {
-        if let Err(problems) = subject.audit() {
-            for detail in problems {
-                out.push(Violation {
-                    invariant: "mm.buddy-consistency",
-                    detail,
-                });
-            }
-        }
-    }
-}
-
-/// The standard invariant set over a live [`MemoryManager`].
-pub fn standard_checker(mode: crate::Mode) -> crate::Checker<MemoryManager> {
-    crate::Checker::new(mode)
-        .with(Box::new(MeminfoConservation))
-        .with(Box::new(BlockConservation))
-        .with(Box::new(BuddyConsistency))
-}
-
-/// The conservation invariants over a captured [`MmSnapshot`].
-pub fn snapshot_checker(mode: crate::Mode) -> crate::Checker<MmSnapshot> {
-    crate::Checker::new(mode)
-        .with(Box::new(MeminfoConservation))
-        .with(Box::new(BlockConservation))
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Mode;
     use gd_mmsim::{MmConfig, PageKind};
 
     fn mm() -> MemoryManager {
@@ -192,54 +117,49 @@ mod tests {
     #[test]
     fn live_manager_is_clean_through_hotplug_churn() {
         let mut m = mm();
-        let mut checker = standard_checker(Mode::Strict);
         let a = m.allocate(3000, PageKind::UserMovable).unwrap();
-        checker.run(&m).unwrap();
+        assert_eq!(check(&m), vec![]);
         m.offline_block(0).unwrap().unwrap();
-        checker.run(&m).unwrap();
+        assert_eq!(check(&m), vec![]);
         m.online_block(0).unwrap();
         m.free(a).unwrap();
-        checker.run(&m).unwrap();
-        assert_eq!(checker.stats.violations, 0);
+        assert_eq!(check(&m), vec![]);
     }
 
     #[test]
     fn page_loss_fires_meminfo_conservation() {
-        // Negative injection: a snapshot that "loses" pages (the class of
-        // bug where a block drops frames during migration).
-        let m = mm();
-        let mut snap = MmSnapshot::capture(&m);
-        snap.meminfo.free_pages -= 128;
-        let mut checker = snapshot_checker(Mode::Record);
-        let n = checker.run(&snap).unwrap();
-        assert!(n >= 1, "page loss must be flagged");
-        assert!(checker
-            .stats
-            .recorded
-            .iter()
-            .any(|v| v.invariant == "mm.meminfo-conservation"));
+        // Negative injection: books that "lose" pages (the class of bug
+        // where a block drops frames during migration).
+        let mut info = mm().meminfo();
+        info.free_pages -= 128;
+        let v = check_meminfo(&info);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].invariant, "mm.meminfo-conservation");
+        assert!(v[0].detail.starts_with("used "), "{}", v[0].detail);
     }
 
     #[test]
     fn block_level_page_loss_fires_block_conservation() {
         let m = mm();
-        let mut snap = MmSnapshot::capture(&m);
-        snap.blocks[2].free_pages -= 1; // block books no longer balance
-        let mut checker = snapshot_checker(Mode::Record);
-        checker.run(&snap).unwrap();
-        assert!(checker
-            .stats
-            .recorded
+        let mut blocks = m.blocks();
+        blocks[2].free_pages -= 1; // block books no longer balance
+        let v = check_blocks(&m.meminfo(), &blocks);
+        assert!(v
             .iter()
             .any(|v| v.invariant == "mm.block-conservation" && v.detail.contains("block 2")));
+        // The block's own books and the online sum both break.
+        assert_eq!(v.len(), 2, "{v:?}");
     }
 
     #[test]
     fn strict_mode_surfaces_injected_violation_as_error() {
-        let m = mm();
-        let mut snap = MmSnapshot::capture(&m);
-        snap.meminfo.offline_pages += 4096; // pages appear from nowhere
-        let mut checker = snapshot_checker(Mode::Strict);
-        assert!(checker.run(&snap).is_err());
+        let mut info = mm().meminfo();
+        info.offline_pages += 4096; // pages appear from nowhere
+        let err = crate::strict(check_meminfo(&info)).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("invariant violated: [mm.meminfo-conservation] online "),
+            "{err}"
+        );
     }
 }

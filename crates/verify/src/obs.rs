@@ -5,14 +5,14 @@
 //! that the co-simulation harness fills in after every monitoring tick:
 //!
 //! * [`DaemonTickObs`] — what one `memory_usage_monitor()` tick did to the
-//!   free-page pool, checked by [`HysteresisInvariant`];
+//!   free-page pool, checked by [`check_tick`];
 //! * [`GroupStateObs`] — one sub-array group's deep power-down bit against
-//!   its hotplug state, checked by [`DeepPdRequiresOffline`] and
-//!   [`NeighborPair`] (the paper's §4.3/§6.1 safety properties: traffic
-//!   never reaches a deep-PD group, and a group only powers down when its
-//!   sense-amplifier buddy holds no on-line data).
+//!   its hotplug state, checked by [`check_groups`] (the paper's §4.3/§6.1
+//!   safety properties: traffic never reaches a deep-PD group, and a group
+//!   only powers down when its sense-amplifier buddy holds no on-line
+//!   data).
 
-use crate::{Invariant, Violation};
+use crate::Violation;
 
 /// What one daemon tick did, as observed by the harness.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -33,51 +33,46 @@ pub struct DaemonTickObs {
     pub on_thr: f64,
 }
 
-/// The §4.2 hysteresis contract: thresholds are ordered, off-lining never
-/// pushes free memory below the on-lining floor (which would trigger an
-/// immediate re-online next tick), and one tick never moves in both
-/// directions.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HysteresisInvariant;
+const HYSTERESIS: &str = "daemon.hysteresis";
 
-impl Invariant<DaemonTickObs> for HysteresisInvariant {
-    fn name(&self) -> &'static str {
-        "daemon.hysteresis"
+/// `daemon.hysteresis`, the §4.2 contract: thresholds are ordered,
+/// off-lining never pushes free memory below the on-lining floor (which
+/// would trigger an immediate re-online next tick), and one tick never
+/// moves in both directions.
+pub fn check_tick(t: &DaemonTickObs) -> Vec<Violation> {
+    let mut out = Vec::new();
+    if t.off_thr < t.on_thr {
+        out.push(Violation::new(
+            HYSTERESIS,
+            format!(
+                "off_thr {} below on_thr {}: hysteresis band inverted",
+                t.off_thr, t.on_thr
+            ),
+        ));
     }
-
-    fn check(&self, t: &DaemonTickObs, out: &mut Vec<Violation>) {
-        if t.off_thr < t.on_thr {
-            out.push(Violation {
-                invariant: self.name(),
-                detail: format!(
-                    "off_thr {} below on_thr {}: hysteresis band inverted",
-                    t.off_thr, t.on_thr
+    if t.offlined_pages > 0 {
+        let on_floor = (t.total_after as f64 * t.on_thr).ceil() as u64;
+        if t.free_after < on_floor {
+            out.push(Violation::new(
+                HYSTERESIS,
+                format!(
+                    "off-lined {} pages leaving only {} free pages, below the \
+                     on-lining floor of {on_floor}",
+                    t.offlined_pages, t.free_after
                 ),
-            });
-        }
-        if t.offlined_pages > 0 {
-            let on_floor = (t.total_after as f64 * t.on_thr).ceil() as u64;
-            if t.free_after < on_floor {
-                out.push(Violation {
-                    invariant: self.name(),
-                    detail: format!(
-                        "off-lined {} pages leaving only {} free pages, below the \
-                         on-lining floor of {on_floor}",
-                        t.offlined_pages, t.free_after
-                    ),
-                });
-            }
-        }
-        if t.offlined_pages > 0 && t.onlined_pages > 0 {
-            out.push(Violation {
-                invariant: self.name(),
-                detail: format!(
-                    "tick both off-lined {} and on-lined {} pages",
-                    t.offlined_pages, t.onlined_pages
-                ),
-            });
+            ));
         }
     }
+    if t.offlined_pages > 0 && t.onlined_pages > 0 {
+        out.push(Violation::new(
+            HYSTERESIS,
+            format!(
+                "tick both off-lined {} and on-lined {} pages",
+                t.offlined_pages, t.onlined_pages
+            ),
+        ));
+    }
+    out
 }
 
 /// One sub-array group's register bit against its hotplug state.
@@ -97,76 +92,46 @@ pub struct GroupStateObs {
     pub neighbor_constraint: bool,
 }
 
-/// §4.3 safety: the OS may only set a group's deep power-down bit while
-/// every overlapping memory block is off-line (otherwise live data loses
-/// refresh), and on-lined memory implies the bit was cleared first.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DeepPdRequiresOffline;
-
-impl Invariant<[GroupStateObs]> for DeepPdRequiresOffline {
-    fn name(&self) -> &'static str {
-        "group.deep-pd-requires-offline"
+/// The two group-register safety properties, per group:
+///
+/// * `group.deep-pd-requires-offline` (§4.3): the OS may only set a
+///   group's deep power-down bit while every overlapping memory block is
+///   off-line (otherwise live data loses refresh), and on-lined memory
+///   implies the bit was cleared first;
+/// * `group.neighbor-pair` (§6.1 open-bitline safety): with the neighbor
+///   constraint on, a group may only stay in deep power-down while its
+///   sense-amplifier buddy group is fully off-line (the buddy's accesses
+///   would otherwise need the powered down group's sense amplifiers).
+pub fn check_groups(groups: &[GroupStateObs]) -> Vec<Violation> {
+    let mut out = Vec::new();
+    for g in groups.iter().filter(|g| g.down && !g.fully_offline) {
+        out.push(Violation::new(
+            "group.deep-pd-requires-offline",
+            format!(
+                "group {} is in deep power-down while holding on-line memory",
+                g.group
+            ),
+        ));
     }
-
-    fn check(&self, groups: &[GroupStateObs], out: &mut Vec<Violation>) {
-        for g in groups {
-            if g.down && !g.fully_offline {
-                out.push(Violation {
-                    invariant: self.name(),
-                    detail: format!(
-                        "group {} is in deep power-down while holding on-line memory",
-                        g.group
-                    ),
-                });
-            }
-        }
+    for g in groups
+        .iter()
+        .filter(|g| g.neighbor_constraint && g.down && !g.buddy_fully_offline)
+    {
+        out.push(Violation::new(
+            "group.neighbor-pair",
+            format!(
+                "group {} is in deep power-down but its sense-amp buddy \
+                 still holds on-line memory",
+                g.group
+            ),
+        ));
     }
-}
-
-/// §6.1 open-bitline safety: with the neighbor constraint on, a group may
-/// only stay in deep power-down while its sense-amplifier buddy group is
-/// fully off-line (the buddy's accesses would otherwise need the powered
-/// down group's sense amplifiers).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NeighborPair;
-
-impl Invariant<[GroupStateObs]> for NeighborPair {
-    fn name(&self) -> &'static str {
-        "group.neighbor-pair"
-    }
-
-    fn check(&self, groups: &[GroupStateObs], out: &mut Vec<Violation>) {
-        for g in groups {
-            if g.neighbor_constraint && g.down && !g.buddy_fully_offline {
-                out.push(Violation {
-                    invariant: self.name(),
-                    detail: format!(
-                        "group {} is in deep power-down but its sense-amp buddy \
-                         still holds on-line memory",
-                        g.group
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// The standard invariant set over per-tick observations.
-pub fn tick_checker(mode: crate::Mode) -> crate::Checker<DaemonTickObs> {
-    crate::Checker::new(mode).with(Box::new(HysteresisInvariant))
-}
-
-/// The standard invariant set over group-state observations.
-pub fn group_checker(mode: crate::Mode) -> crate::Checker<[GroupStateObs]> {
-    crate::Checker::new(mode)
-        .with(Box::new(DeepPdRequiresOffline))
-        .with(Box::new(NeighborPair))
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Mode;
 
     fn clean_tick() -> DaemonTickObs {
         DaemonTickObs {
@@ -182,39 +147,40 @@ mod tests {
 
     #[test]
     fn clean_tick_passes() {
-        let mut c = tick_checker(Mode::Strict);
-        c.run(&clean_tick()).unwrap();
+        assert_eq!(check_tick(&clean_tick()), vec![]);
     }
 
     #[test]
     fn offlining_below_on_floor_fires() {
-        let mut c = tick_checker(Mode::Record);
         let t = DaemonTickObs {
             free_after: 2_000, // floor is 2_500
             ..clean_tick()
         };
-        assert_eq!(c.run(&t).unwrap(), 1);
-        assert!(c.stats.recorded[0].detail.contains("on-lining floor"));
+        let v = check_tick(&t);
+        assert_eq!(v.len(), 1);
+        assert!(v[0].detail.contains("on-lining floor"));
     }
 
     #[test]
     fn inverted_thresholds_fire() {
-        let mut c = tick_checker(Mode::Record);
         let t = DaemonTickObs {
             off_thr: 0.04,
             ..clean_tick()
         };
-        assert!(c.run(&t).unwrap() >= 1);
+        let v = check_tick(&t);
+        assert!(!v.is_empty());
+        assert!(v[0].detail.contains("hysteresis band inverted"), "{v:?}");
     }
 
     #[test]
     fn bidirectional_tick_fires() {
-        let mut c = tick_checker(Mode::Record);
         let t = DaemonTickObs {
             onlined_pages: 100,
             ..clean_tick()
         };
-        assert_eq!(c.run(&t).unwrap(), 1);
+        let v = check_tick(&t);
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].invariant, "daemon.hysteresis");
     }
 
     fn group(idx: usize) -> GroupStateObs {
@@ -230,18 +196,15 @@ mod tests {
 
     #[test]
     fn deep_pd_with_online_memory_fires() {
-        let mut c = group_checker(Mode::Record);
         let gs = vec![GroupStateObs {
             down: true,
             fully_offline: false,
             buddy_fully_offline: true,
             ..group(3)
         }];
-        assert_eq!(c.run(&gs).unwrap(), 1);
-        assert_eq!(
-            c.stats.recorded[0].invariant,
-            "group.deep-pd-requires-offline"
-        );
+        let v = check_groups(&gs);
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].invariant, "group.deep-pd-requires-offline");
     }
 
     #[test]
@@ -252,20 +215,18 @@ mod tests {
             buddy_fully_offline: false,
             ..group(4)
         };
-        let mut c = group_checker(Mode::Record);
-        assert_eq!(c.run(&[bad][..]).unwrap(), 1);
-        assert_eq!(c.stats.recorded[0].invariant, "group.neighbor-pair");
+        let v = check_groups(&[bad]);
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].invariant, "group.neighbor-pair");
         let unconstrained = GroupStateObs {
             neighbor_constraint: false,
             ..bad
         };
-        let mut c2 = group_checker(Mode::Strict);
-        c2.run(&[unconstrained][..]).unwrap();
+        assert_eq!(check_groups(&[unconstrained]), vec![]);
     }
 
     #[test]
     fn buddy_pair_both_down_is_legal() {
-        let mut c = group_checker(Mode::Strict);
         let gs = vec![
             GroupStateObs {
                 down: true,
@@ -282,6 +243,6 @@ mod tests {
                 ..group(1)
             },
         ];
-        c.run(&gs).unwrap();
+        assert_eq!(check_groups(&gs), vec![]);
     }
 }

@@ -5,77 +5,27 @@
 //! cycle count means a state transition was missed (or double-counted),
 //! which would silently skew every power number derived from it.
 
-use crate::{Checker, Invariant, Mode, Violation};
+use crate::Violation;
 use gd_obs::Registry;
 
-/// One residency histogram paired with the elapsed time it must cover.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResidencyObs {
-    /// Histogram key (e.g. `"app.dram.ch0.rank1"`).
-    pub key: String,
-    /// Sum of the histogram's bins.
-    pub total: u64,
-    /// Elapsed sim time in the histogram's unit.
-    pub elapsed: u64,
-}
-
-/// Residency bins must sum exactly to elapsed sim time.
-pub struct ResidencySumsToElapsed;
-
-impl Invariant<ResidencyObs> for ResidencySumsToElapsed {
-    fn name(&self) -> &'static str {
-        "telemetry.residency_sums_to_elapsed"
-    }
-
-    fn check(&self, subject: &ResidencyObs, out: &mut Vec<Violation>) {
-        if subject.total != subject.elapsed {
-            out.push(Violation {
-                invariant: self.name(),
-                detail: format!(
-                    "{}: bins sum to {} but {} elapsed ({} unaccounted)",
-                    subject.key,
-                    subject.total,
-                    subject.elapsed,
-                    subject.elapsed.abs_diff(subject.total)
+/// `telemetry.residency_sums_to_elapsed` over every histogram in
+/// `registry` whose key contains `key_filter` (empty matches all): its
+/// bins must sum exactly to `elapsed` (in the histograms' unit).
+pub fn check_residencies(registry: &Registry, key_filter: &str, elapsed: u64) -> Vec<Violation> {
+    registry
+        .residencies()
+        .filter(|(key, hist)| key.contains(key_filter) && hist.total() != elapsed)
+        .map(|(key, hist)| {
+            let total = hist.total();
+            Violation::new(
+                "telemetry.residency_sums_to_elapsed",
+                format!(
+                    "{key}: bins sum to {total} but {elapsed} elapsed ({} unaccounted)",
+                    elapsed.abs_diff(total)
                 ),
-            });
-        }
-    }
-}
-
-/// The standard telemetry checker.
-#[must_use]
-pub fn standard_checker(mode: Mode) -> Checker<ResidencyObs> {
-    Checker::new(mode).with(Box::new(ResidencySumsToElapsed))
-}
-
-/// Runs the residency invariant over every histogram in `registry` whose
-/// key contains `key_filter` (empty matches all), against `elapsed` (in
-/// the histograms' unit). Returns the number of violations found.
-///
-/// # Errors
-///
-/// In [`Mode::Strict`], the first violated histogram aborts with
-/// [`gd_types::GdError::InvalidState`].
-pub fn check_residencies(
-    registry: &Registry,
-    key_filter: &str,
-    elapsed: u64,
-    mode: Mode,
-) -> gd_types::Result<usize> {
-    let mut checker = standard_checker(mode);
-    let mut total = 0;
-    for (key, hist) in registry.residencies() {
-        if !key_filter.is_empty() && !key.contains(key_filter) {
-            continue;
-        }
-        total += checker.run(&ResidencyObs {
-            key: key.to_string(),
-            total: hist.total(),
-            elapsed,
-        })?;
-    }
-    Ok(total)
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -87,16 +37,16 @@ mod tests {
         let mut reg = Registry::default();
         reg.residency_add("r0", "A", 60);
         reg.residency_add("r0", "B", 40);
-        assert_eq!(check_residencies(&reg, "", 100, Mode::Strict).unwrap(), 0);
+        assert_eq!(check_residencies(&reg, "", 100), vec![]);
     }
 
     #[test]
     fn shortfall_fires() {
         let mut reg = Registry::default();
         reg.residency_add("r0", "A", 99);
-        let err = check_residencies(&reg, "", 100, Mode::Strict).unwrap_err();
+        let err = crate::strict(check_residencies(&reg, "", 100)).unwrap_err();
         assert!(err.to_string().contains("1 unaccounted"), "{err}");
-        assert_eq!(check_residencies(&reg, "", 100, Mode::Record).unwrap(), 1);
+        assert_eq!(check_residencies(&reg, "", 100).len(), 1);
     }
 
     #[test]
@@ -105,9 +55,6 @@ mod tests {
         reg.residency_add("app.dram.rank0", "A", 100);
         reg.residency_add("other.thing", "A", 7);
         // Only the dram key is checked; the mismatched other key is skipped.
-        assert_eq!(
-            check_residencies(&reg, ".dram.", 100, Mode::Strict).unwrap(),
-            0
-        );
+        assert_eq!(check_residencies(&reg, ".dram.", 100), vec![]);
     }
 }

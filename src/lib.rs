@@ -16,7 +16,7 @@
 //! * [`faults`] — deterministic fault injection plans and the shared
 //!   retry/backoff policy.
 //! * [`baselines`] — self-refresh-only, RAMZzz, and PASR governors.
-//! * [`verify`] — the cross-crate invariant checker and determinism gate.
+//! * [`verify`] — the cross-crate invariants.
 //! * [`core`] — the GreenDIMM daemon and full-system co-simulation.
 //! * [`fleet`] — the datacenter-scale fleet simulation: placement
 //!   scheduler, sharded per-host co-simulation, host sampling.

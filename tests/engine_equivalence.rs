@@ -231,14 +231,9 @@ fn telemetry_identical_across_engines() {
         let stats = sys.run_trace(trace.clone()).unwrap();
         let mut tele = Telemetry::new();
         sys.export_telemetry(&mut tele, "eq");
-        let violations = verify::telemetry::check_residencies(
-            &tele.registry,
-            "eq.dram.",
-            stats.cycles,
-            verify::Mode::Strict,
-        )
-        .unwrap();
-        assert_eq!(violations, 0);
+        let violations =
+            verify::telemetry::check_residencies(&tele.registry, "eq.dram.", stats.cycles);
+        assert_eq!(violations, vec![]);
     }
 }
 

@@ -120,7 +120,7 @@ fn fleet_outcome_is_identical_across_job_counts() {
 fn schedule_is_deterministic() {
     let cfg = small(FleetPlacement::KsmAware, true);
     let a = schedule_fleet(&cfg, None).unwrap();
-    let b = schedule_fleet(&cfg, Some(Mode::Record)).unwrap();
+    let b = schedule_fleet(&cfg, Some(Mode::Strict)).unwrap();
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.host_events, b.host_events);
     assert_eq!(a.utilization, b.utilization);

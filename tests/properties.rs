@@ -207,10 +207,10 @@ fn fault_interleavings_conserve_frame_accounting() {
 }
 
 /// Negative test: a deliberately broken rollback (one destination frame
-/// half-committed) is caught by the Strict mm invariant checker.
+/// half-committed) is caught by the Strict mm invariants.
 #[test]
 fn strict_verification_catches_broken_rollback() {
-    use greendimm_suite::verify::{mm::standard_checker, Mode};
+    use greendimm_suite::verify::{mm, strict};
     let mut mm = MemoryManager::new(MmConfig::small_test()).unwrap();
     mm.set_fault_injector(
         FaultPlan::none()
@@ -231,8 +231,7 @@ fn strict_verification_catches_broken_rollback() {
         }
     }
     assert!(broke, "the broken rollback must corrupt the books");
-    let mut checker = standard_checker(Mode::Strict);
-    let err = checker.run(&mm).unwrap_err();
+    let err = strict(mm::check(&mm)).unwrap_err();
     assert!(
         err.to_string().contains("invariant violated"),
         "unexpected error: {err}"
@@ -250,8 +249,7 @@ fn strict_verification_catches_broken_rollback() {
         let _ = healthy.offline_block(b);
     }
     healthy.audit().unwrap();
-    let mut strict = standard_checker(Mode::Strict);
-    strict.run(&healthy).unwrap();
+    strict(mm::check(&healthy)).unwrap();
 }
 
 /// The Azure synthesizer across many seeds: every utilization sample stays

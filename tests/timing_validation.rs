@@ -4,8 +4,9 @@
 //! replay checker in `gd_dram::validate`.
 
 use greendimm_suite::dram::{DramCommand, LowPowerPolicy, MemRequest, MemorySystem, TimingChecker};
-use greendimm_suite::types::config::{DramConfig, InterleaveMode};
+use greendimm_suite::types::config::{DramConfig, InterleaveMode, MemSpecKind, PASR_SEGMENTS};
 use greendimm_suite::types::ids::SubArrayGroup;
+use greendimm_suite::types::rng::{component_rng, StdRng};
 use greendimm_suite::workloads::{by_name, AppProfile, TraceGenerator};
 
 const MODES: [InterleaveMode; 3] = [
@@ -162,9 +163,182 @@ fn deep_pd_register_traffic_validates_clean() {
         .iter()
         .filter(|r| r.command == DramCommand::ModeRegisterSet)
         .count();
-    assert_eq!(mrs, 4, "each register write must be logged");
+    assert_eq!(
+        mrs,
+        4 * cfg.org.channels as usize,
+        "each register write must be logged on every channel"
+    );
     let violations = TimingChecker::for_config(&cfg)
         .with_neighbor_pairs(true)
         .check(&log);
     assert!(violations.is_empty(), "first: {}", violations[0]);
+}
+
+/// A register write is ordered against the traffic of every channel, not
+/// only channel 0's: traffic on channel 1 to a group that powers down only
+/// afterwards is legal, and so is traffic to it once it is back up.
+#[test]
+fn deep_pd_toggle_orders_against_every_channel() {
+    let cfg = DramConfig::small_test();
+    let mut sys = MemorySystem::new(cfg, LowPowerPolicy::srf_default()).expect("config");
+    sys.enable_command_log();
+    let mapper = sys.mapper().clone();
+    let addr = (0..mapper.capacity_bytes() / 64)
+        .map(|line| line * 64)
+        .find(|&a| mapper.decode(a).unwrap().channel.index() == 1)
+        .expect("an address on channel 1");
+    let group = mapper.subarray_group_of(addr).unwrap();
+    let buddy = SubArrayGroup::new(group.index() as u32 ^ 1);
+    // Traffic, power-down, wake-up, traffic, power-down.
+    for on in [true, false, true] {
+        if on {
+            let now = sys.clock();
+            sys.run_trace([MemRequest::read(addr, now)]).unwrap();
+        }
+        sys.set_group_deep_pd(group, on).unwrap();
+        sys.set_group_deep_pd(buddy, on).unwrap();
+    }
+    let violations = sys.validate_command_log(true);
+    assert!(violations.is_empty(), "first: {}", violations[0]);
+}
+
+/// What a protocol stress run exercised, summed over seeds.
+#[derive(Debug, Default)]
+struct ProtocolCoverage {
+    requests: u64,
+    pd_entries: u64,
+    sr_entries: u64,
+    mrs: u64,
+    pasr: u64,
+}
+
+/// A random idle timeout, or none at all.
+fn timeout(rng: &mut StdRng, max: u64) -> Option<u64> {
+    rng.gen_bool(0.8).then(|| rng.gen_range(1..max))
+}
+
+/// Seeded random command, power-state and PASR sequences through
+/// `MemorySystem` on `kind`'s small test config, replayed through the full
+/// protocol validator with the neighbour-pair rule on. Each seed draws an
+/// interleave mode and a `LowPowerPolicy`, then mixes bursts of reads and
+/// writes with random gaps, idle stretches, deep power-down toggles of a
+/// sense-amp buddy pair and (on LPDDR4-PASR) PASR segment toggles. Traffic
+/// only targets groups whose pair is up and unmasked segments: the
+/// validator flags anything else by design.
+fn protocol_stress(kind: MemSpecKind, seed: u64, cov: &mut ProtocolCoverage) {
+    let mut rng = component_rng(seed, "dram-protocol-stress");
+    let mode = MODES[rng.gen_range(0..MODES.len())];
+    let cfg = DramConfig::small_test_for(kind).with_interleave(mode);
+    let policy = LowPowerPolicy {
+        pd_timeout: timeout(&mut rng, 256),
+        sr_timeout: timeout(&mut rng, 20_000),
+    };
+    let mut sys = MemorySystem::new(cfg, policy).expect("config");
+    sys.enable_command_log();
+    let mapper = sys.mapper().clone();
+    let cap = mapper.capacity_bytes();
+    let groups = mapper.subarray_groups();
+    let pasr = kind == MemSpecKind::Lpddr4Pasr;
+    let mut masked = [false; PASR_SEGMENTS as usize];
+    for _ in 0..40 {
+        match rng.gen_range(0u32..10) {
+            0 => {
+                sys.run_idle(rng.gen_range(1u64..30_000));
+            }
+            1 | 2 => {
+                // A buddy pair goes down or comes back up together; at
+                // least one pair stays up.
+                let pair = rng.gen_range(0..groups / 2);
+                let (g, buddy) = (
+                    SubArrayGroup::new(2 * pair),
+                    SubArrayGroup::new(2 * pair + 1),
+                );
+                let on = !sys.group_deep_pd(g);
+                if !on || sys.groups_in_deep_pd() + 2 < groups as usize {
+                    sys.set_group_deep_pd(g, on).unwrap();
+                    sys.set_group_deep_pd(buddy, on).unwrap();
+                    cov.mrs += 2;
+                }
+            }
+            3 if pasr => {
+                let segment = rng.gen_range(0..PASR_SEGMENTS);
+                let s = segment as usize;
+                masked[s] = !masked[s];
+                sys.set_pasr_segment(segment, masked[s]).unwrap();
+                cov.pasr += 1;
+            }
+            _ => {
+                let mut arrival = sys.clock();
+                let mut burst = Vec::new();
+                for _ in 0..rng.gen_range(1u32..48) {
+                    arrival += if rng.gen_bool(0.1) {
+                        rng.gen_range(100u64..20_000)
+                    } else {
+                        rng.gen_range(0u64..16)
+                    };
+                    // Rejection-sample an address the OS could still use.
+                    let addr = (0..64).map(|_| rng.gen_range(0..cap / 64) * 64).find(|&a| {
+                        let c = mapper.decode(a).unwrap();
+                        let g = c.subarray_group();
+                        let buddy = SubArrayGroup::new(g.index() as u32 ^ 1);
+                        let seg =
+                            c.full_row(cfg.org.rows_per_subarray) / cfg.rows_per_pasr_segment();
+                        let masked = pasr && masked[seg as usize];
+                        !(sys.group_deep_pd(g) || sys.group_deep_pd(buddy) || masked)
+                    });
+                    let Some(addr) = addr else { continue };
+                    burst.push(if rng.gen_bool(0.6) {
+                        MemRequest::read(addr, arrival)
+                    } else {
+                        MemRequest::write(addr, arrival)
+                    });
+                }
+                cov.requests += burst.len() as u64;
+                sys.run_trace(burst)
+                    .unwrap_or_else(|e| panic!("{kind} seed {seed}: {e}"));
+            }
+        }
+    }
+    let stats = sys.snapshot_stats();
+    cov.pd_entries += stats.pd_entries;
+    cov.sr_entries += stats.sr_entries;
+    let violations = sys.validate_command_log(true);
+    assert!(
+        violations.is_empty(),
+        "{kind} seed {seed} ({mode:?}, {policy:?}): {} violations, first: {}",
+        violations.len(),
+        violations[0]
+    );
+}
+
+fn protocol_stress_corpus(seeds: std::ops::Range<u64>) {
+    for kind in [
+        MemSpecKind::Ddr4,
+        MemSpecKind::Ddr5,
+        MemSpecKind::Lpddr4Pasr,
+    ] {
+        let mut cov = ProtocolCoverage::default();
+        for seed in seeds.clone() {
+            protocol_stress(kind, seed, &mut cov);
+        }
+        assert!(cov.requests > 0, "{kind}: {cov:?}");
+        assert!(cov.pd_entries > 0 && cov.sr_entries > 0, "{kind}: {cov:?}");
+        assert!(cov.mrs > 0, "{kind}: {cov:?}");
+        if kind == MemSpecKind::Lpddr4Pasr {
+            assert!(cov.pasr > 0, "{kind}: {cov:?}");
+        }
+    }
+}
+
+/// The tier-1 seed corpus of the DRAM protocol stress.
+#[test]
+fn seeded_dram_protocol_stress_validates_clean() {
+    protocol_stress_corpus(0..16);
+}
+
+/// The long seed sweep of the same stress (`cargo test -- --ignored`).
+#[test]
+#[ignore = "long seed sweep"]
+fn seeded_dram_protocol_stress_sweep() {
+    protocol_stress_corpus(0..200);
 }

@@ -23,7 +23,7 @@ fn strict_sim(ksm: bool) -> EpochSim {
     let daemon = Daemon::new(GreenDimmConfig::paper_default(), map);
     let ksm = ksm.then(|| Ksm::new(KsmConfig::default()).unwrap());
     let mut sim = EpochSim::new(mm, daemon, ksm);
-    sim.enable_verification(Mode::Strict);
+    sim.enable_verification();
     sim
 }
 
@@ -64,17 +64,15 @@ fn full_cosim_is_invariant_clean_under_strict_mode() {
             .expect("tick must stay invariant-clean");
     }
 
-    let harness = sim.verify.as_ref().expect("verification enabled");
     assert!(
-        harness.checks_run() > 500,
+        sim.checks_run() > 500,
         "harness must actually run checks, ran {}",
-        harness.checks_run()
+        sim.checks_run()
     );
-    assert_eq!(harness.violations(), 0);
 }
 
-/// Without KSM the same churn must also pass (the KSM conservation checker
-/// simply never runs).
+/// Without KSM the same churn must also pass (the KSM conservation
+/// invariant simply never runs).
 #[test]
 fn cosim_without_ksm_is_invariant_clean() {
     let mut sim = strict_sim(false);
@@ -90,7 +88,7 @@ fn cosim_without_ksm_is_invariant_clean() {
         sim.set_footprint(&mut fp, target).unwrap();
         sim.step(SimTime::from_secs(1)).unwrap();
     }
-    assert_eq!(sim.verify.as_ref().unwrap().violations(), 0);
+    assert!(sim.checks_run() > 0);
 }
 
 /// The managed-region run behind Figs. 6–8 accepts the verify mode and
@@ -207,7 +205,7 @@ fn stress_epoch_sim(seed: u64, steps: u32, cov: &mut StressCoverage) {
     let mut daemon = Daemon::new(gd_cfg, map);
     daemon.set_fault_injector(plan.build(derive_seed(seed, "faults.daemon")));
     let mut sim = EpochSim::new(mm, daemon, Some(Ksm::new(KsmConfig::default()).unwrap()));
-    sim.enable_verification(Mode::Strict);
+    sim.enable_verification();
 
     let mut vms: Vec<StressVm> = Vec::new();
     for step in 0..steps {
@@ -274,11 +272,9 @@ fn stress_epoch_sim(seed: u64, steps: u32, cov: &mut StressCoverage) {
             }
         }
     }
-    let harness = sim.verify.as_ref().unwrap();
-    assert_eq!(harness.violations(), 0, "seed {seed}");
     let (d, m) = (&sim.daemon.stats, &sim.mm.stats);
     let ksm = sim.ksm.as_ref().unwrap().stats();
-    cov.checks += harness.checks_run();
+    cov.checks += sim.checks_run();
     cov.offlined += d.offline_events;
     cov.onlined += d.online_events;
     cov.stalls += d.allocation_stalls;

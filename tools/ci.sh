@@ -58,6 +58,25 @@ tools/regen_all.sh
 export GD_BENCH_DIR=/tmp/gd_bench.ci
 rm -rf "$GD_BENCH_DIR"
 
+echo "==> strict-validate snapshot gate (fig09, fig10, fig11, fig_faults under --strict-validate)"
+# Every protocol, governor-sanity and co-simulation invariant must hold on
+# the full committed runs, and checking them must not move a number: only
+# the [strict-validate: ...] banner and the timing line may differ from
+# the committed snapshot.
+for fig in fig09_dram_energy fig10_system_energy fig11_perf_overhead fig_faults; do
+  cargo run --quiet --release -p gd-bench --bin "$fig" -- --strict-validate \
+    > "/tmp/$fig.strict.ci.txt" || {
+    echo "ERROR: $fig --strict-validate exited nonzero" >&2
+    exit 1
+  }
+  diff -u <(grep -v '^\[timing ->' "results/$fig.txt") \
+          <(grep -v -e '^\[timing ->' -e '^\[strict-validate: ' "/tmp/$fig.strict.ci.txt") || {
+    echo "ERROR: $fig --strict-validate output differs from results/$fig.txt" >&2
+    exit 1
+  }
+  rm -f "/tmp/$fig.strict.ci.txt"
+done
+
 echo "==> sweep smoke (fig03, --jobs 2, trimmed request count)"
 cargo run --quiet --release -p gd-bench --bin fig03_interleaving -- --jobs 2 --requests 6000 \
   > /dev/null
