@@ -11,10 +11,14 @@
 //! issuable request is always one of the per-bank class heads. The
 //! candidates are cached and invalidated only when the bank's row state or
 //! FIFO contents change, which turns the per-poll cost from O(queue depth)
-//! into O(banks). `next_event` uses the same candidates to compute an exact
-//! earliest-action cycle, so the driving loop can jump the clock in
-//! issue-sized steps instead of `now + 1` polls (see DESIGN.md §6.2 for the
-//! decision-stability argument).
+//! into O(banks with a request queued). A per-channel occupancy bitset (bit
+//! `b` set iff bank `b`'s FIFO is non-empty) is the only way the arbiter
+//! and `next_event` reach the banks, so an idle bank costs nothing. One scan
+//! over the occupied banks finds both the oldest ready row hit and the
+//! oldest request that can move; the hit wins. `next_event` uses the same
+//! candidates to compute an exact earliest-action cycle, so the driving
+//! loop can jump the clock in issue-sized steps instead of `now + 1` polls
+//! (see DESIGN.md §6.2 for the decision-stability argument).
 
 use crate::bank::{BankArray, ROW_NONE};
 use crate::command::{AccessKind, DramCommand, PendingRequest, RequestPhase};
@@ -62,11 +66,38 @@ struct BankCands {
     act: Option<usize>,
 }
 
-/// The second-pass action selected for the globally oldest movable request.
+/// The action that moves the globally oldest movable request, issued when
+/// no row hit is ready.
 enum OldestAction {
     Wake { rank: usize },
     Precharge { bank: usize },
     Activate { bank: usize, pos: usize },
+}
+
+/// What the arbitration scan may do for the requests of one rank.
+#[derive(Clone, Copy)]
+enum RankGate {
+    /// A wake-up is pending, or CKE has not been low for tCKE yet.
+    Blocked,
+    /// Low-power rank: its oldest request justifies a PDX / SRX.
+    Wake,
+    /// Awake rank: row hits may issue; PRE/ACT only when `moves` (no
+    /// refresh is due on the rank, since refresh has priority).
+    Awake { moves: bool },
+}
+
+/// The occupancy word holding bank `b`'s bit, and that bit.
+fn occupancy_bit(b: usize) -> (usize, u64) {
+    (b / 64, 1 << (b % 64))
+}
+
+/// Pops the lowest set bit of occupancy word `w` as a bank index.
+fn pop_bank(w: usize, bits: &mut u64) -> Option<usize> {
+    (*bits != 0).then(|| {
+        let b = w * 64 + bits.trailing_zeros() as usize;
+        *bits &= *bits - 1;
+        b
+    })
 }
 
 /// One channel's controller state.
@@ -85,6 +116,13 @@ pub(crate) struct ChannelCtrl {
     banks: BankArray,
     /// Per-bank request FIFOs (same indexing as `banks`).
     queues: Vec<VecDeque<QueuedReq>>,
+    /// Occupancy bitset, 64 banks per word: bit `b` is set iff `queues[b]`
+    /// is non-empty. The arbitration scan and `next_event` visit only these
+    /// banks.
+    occupied: Vec<u64>,
+    /// Banks visited by the arbitration scan and `next_event` (a
+    /// deterministic work counter, see [`crate::PollCounts`]).
+    bank_visits: u64,
     /// Cached per-bank scheduling candidates (same indexing as `banks`).
     cands: Vec<BankCands>,
     /// Per-bank `(reads, writes)` membership count per device row. Lets the
@@ -151,6 +189,8 @@ impl ChannelCtrl {
             ranks,
             banks: BankArray::new(total_banks),
             queues: vec![VecDeque::new(); total_banks],
+            occupied: vec![0; total_banks.div_ceil(64)],
+            bank_visits: 0,
             row_members: vec![BTreeMap::new(); total_banks],
             cands: vec![
                 BankCands {
@@ -277,6 +317,8 @@ impl ChannelCtrl {
         self.next_seq += 1;
         let pos = self.queues[b].len();
         self.queues[b].push_back(q);
+        let (w, bit) = occupancy_bit(b);
+        self.occupied[w] |= bit;
         let counts = self.row_members[b].entry(q.row).or_insert((0, 0));
         match q.req.kind {
             AccessKind::Read => counts.0 += 1,
@@ -309,6 +351,29 @@ impl ChannelCtrl {
     /// Current queue depth (exported as a telemetry gauge).
     pub fn queue_len(&self) -> usize {
         self.total_queued
+    }
+
+    /// Banks visited so far by the arbitration scan and `next_event`.
+    pub fn bank_visits(&self) -> u64 {
+        self.bank_visits
+    }
+
+    /// Whether the occupancy bitset marks exactly the non-empty FIFOs:
+    /// every marked FIFO holds a request, and the marked FIFOs hold all
+    /// `total_queued` requests, so no unmarked FIFO holds one. Costs
+    /// O(occupied banks), like the scans it guards.
+    fn occupancy_matches_queues(&self) -> bool {
+        let mut marked = 0;
+        for w in 0..self.occupied.len() {
+            let mut bits = self.occupied[w];
+            while let Some(b) = pop_bank(w, &mut bits) {
+                match self.queues.get(b) {
+                    Some(q) if !q.is_empty() => marked += q.len(),
+                    _ => return false,
+                }
+            }
+        }
+        marked == self.total_queued
     }
 
     fn queue_has_rank(&self, rank: usize) -> bool {
@@ -369,16 +434,12 @@ impl ChannelCtrl {
     pub fn try_issue(&mut self, now: u64) -> bool {
         self.complete_wakeups(now);
         self.advance_self_refresh_counters(now);
-        if self.service_refresh(now) {
-            return true;
-        }
-        if self.issue_row_hit(now) {
-            return true;
-        }
-        if self.issue_oldest(now) {
-            return true;
-        }
-        self.run_governor(now)
+        let issued = self.service_refresh(now) || self.arbitrate(now) || self.run_governor(now);
+        debug_assert!(
+            self.occupancy_matches_queues(),
+            "occupancy bitset out of step with the bank FIFOs"
+        );
+        issued
     }
 
     fn complete_wakeups(&mut self, now: u64) {
@@ -511,11 +572,6 @@ impl ChannelCtrl {
         true
     }
 
-    fn rank_ready(&self, rank: usize) -> bool {
-        let r = &self.ranks[rank];
-        !r.power.is_low_power() && r.wake_at.is_none()
-    }
-
     /// Earliest cycle a column command of `kind` can issue to bank `b`
     /// (tCCD, bank tRCD, rank bus turnaround, data-bus occupancy).
     fn column_time(&self, ri: usize, bg: usize, b: usize, kind: AccessKind) -> u64 {
@@ -540,6 +596,10 @@ impl ChannelCtrl {
         let q = self.queues[b]
             .remove(pos)
             .expect("candidate position is in range");
+        if self.queues[b].is_empty() {
+            let (w, bit) = occupancy_bit(b);
+            self.occupied[w] &= !bit;
+        }
         let ri = b / self.banks_per_rank;
         let flat = b % self.banks_per_rank;
         let bg = flat / self.banks_per_group;
@@ -635,101 +695,104 @@ impl ChannelCtrl {
         self.ranks[ri].idle_since = now;
     }
 
-    /// FR-FCFS first pass: oldest ready row-hit column command.
-    fn issue_row_hit(&mut self, now: u64) -> bool {
-        let mut best: Option<(u64, usize, usize)> = None;
-        for b in 0..self.queues.len() {
-            if self.queues[b].is_empty() || !self.banks.is_open(b) {
-                continue;
+    /// What the arbitration scan may do for rank `ri`'s requests at `now`.
+    fn rank_gate(&self, ri: usize, now: u64) -> RankGate {
+        let r = &self.ranks[ri];
+        if r.wake_at.is_some() {
+            RankGate::Blocked
+        } else if r.power.is_low_power() {
+            // PDX / SRX — CKE must have been low for tCKE first.
+            if now < r.state_since + self.timing.t_cke {
+                RankGate::Blocked
+            } else {
+                RankGate::Wake
             }
-            let ri = b / self.banks_per_rank;
-            if !self.rank_ready(ri) {
-                continue;
+        } else {
+            RankGate::Awake {
+                moves: !self.refresh_due(ri, now),
             }
-            self.ensure_cands(b);
-            let c = self.cands[b];
-            let bg = self.bg_of(b);
-            for (slot, kind) in [
-                (c.col_read, AccessKind::Read),
-                (c.col_write, AccessKind::Write),
-            ] {
-                let Some(pos) = slot else { continue };
-                if now < self.column_time(ri, bg, b, kind) {
-                    continue;
-                }
-                let seq = self.queues[b][pos].seq;
-                if best.is_none_or(|(s, _, _)| seq < s) {
-                    best = Some((seq, b, pos));
-                }
-            }
-        }
-        match best {
-            Some((_, b, pos)) => {
-                self.issue_column_at(b, pos, now);
-                true
-            }
-            None => false,
         }
     }
 
-    /// FR-FCFS second pass: make progress for the oldest request that can
-    /// move (wake its rank, precharge a conflicting row, or activate).
-    fn issue_oldest(&mut self, now: u64) -> bool {
+    /// FR-FCFS in one scan over the occupied banks, rank by rank. It finds
+    /// the oldest ready row-hit column command and the oldest request that
+    /// can move (wake its rank, precharge a conflicting row, or activate)
+    /// together, and issues the row hit if there is one, else the move.
+    /// Once a row hit is found, PRE/ACT candidates need no evaluation: the
+    /// hit wins whatever they are. Sequence numbers are unique, so the
+    /// oldest of each kind does not depend on the order banks are visited.
+    fn arbitrate(&mut self, now: u64) -> bool {
+        let mut hit: Option<(u64, usize, usize)> = None;
         let mut best: Option<(u64, OldestAction)> = None;
-        for ri in 0..self.ranks.len() {
-            if self.queued_per_rank[ri] == 0 || self.ranks[ri].wake_at.is_some() {
-                continue;
-            }
-            let base = ri * self.banks_per_rank;
-            if self.ranks[ri].power.is_low_power() {
-                // Issue PDX / SRX — CKE must have been low for tCKE first.
-                // The wake is justified by the rank's oldest request, of any
-                // phase.
-                if now < self.ranks[ri].state_since + self.timing.t_cke {
-                    continue;
+        let (mut rank, mut gate) = (usize::MAX, RankGate::Blocked);
+        for w in 0..self.occupied.len() {
+            let mut bits = self.occupied[w];
+            self.bank_visits += u64::from(bits.count_ones());
+            while let Some(b) = pop_bank(w, &mut bits) {
+                let ri = b / self.banks_per_rank;
+                if ri != rank {
+                    (rank, gate) = (ri, self.rank_gate(ri, now));
                 }
-                let mut seq = u64::MAX;
-                for b in base..base + self.banks_per_rank {
-                    if let Some(front) = self.queues[b].front() {
-                        seq = seq.min(front.seq);
+                let moves = match gate {
+                    RankGate::Blocked => continue,
+                    RankGate::Wake => {
+                        // The wake is justified by the rank's oldest
+                        // request, of any phase: the oldest FIFO front.
+                        let seq = self.queues[b].front().map_or(u64::MAX, |q| q.seq);
+                        if hit.is_none() && best.as_ref().is_none_or(|(s, _)| seq < *s) {
+                            best = Some((seq, OldestAction::Wake { rank: ri }));
+                        }
+                        continue;
                     }
-                }
-                if seq != u64::MAX && best.as_ref().is_none_or(|(s, _)| seq < *s) {
-                    best = Some((seq, OldestAction::Wake { rank: ri }));
-                }
-                continue;
-            }
-            if self.refresh_due(ri, now) {
-                continue; // refresh has priority on this rank
-            }
-            for b in base..base + self.banks_per_rank {
-                if self.queues[b].is_empty() {
+                    RankGate::Awake { moves } => moves,
+                };
+                let open = self.banks.is_open(b);
+                if !open && (!moves || hit.is_some()) {
                     continue;
                 }
                 self.ensure_cands(b);
-                let Some(pos) = self.cands[b].act else {
+                let c = self.cands[b];
+                let bg = self.bg_of(b);
+                if open {
+                    for (slot, kind) in [
+                        (c.col_read, AccessKind::Read),
+                        (c.col_write, AccessKind::Write),
+                    ] {
+                        let Some(pos) = slot else { continue };
+                        let seq = self.queues[b][pos].seq;
+                        if hit.is_none_or(|(s, _, _)| seq < s)
+                            && now >= self.column_time(ri, bg, b, kind)
+                        {
+                            hit = Some((seq, b, pos));
+                        }
+                    }
+                }
+                if !moves || hit.is_some() {
                     continue;
-                };
-                if self.banks.is_open(b) {
+                }
+                let Some(pos) = c.act else { continue };
+                let seq = self.queues[b][pos].seq;
+                if best.as_ref().is_some_and(|(s, _)| *s < seq) {
+                    continue;
+                }
+                let action = if open {
                     // Row conflict: precharge when allowed.
                     if now < self.banks.next_pre[b] {
                         continue;
                     }
-                    let seq = self.queues[b][pos].seq;
-                    if best.as_ref().is_none_or(|(s, _)| seq < *s) {
-                        best = Some((seq, OldestAction::Precharge { bank: b }));
-                    }
+                    OldestAction::Precharge { bank: b }
                 } else {
-                    let bg = self.bg_of(b);
                     if now < self.banks.next_act[b] || now < self.ranks[ri].act_allowed_at(bg) {
                         continue;
                     }
-                    let seq = self.queues[b][pos].seq;
-                    if best.as_ref().is_none_or(|(s, _)| seq < *s) {
-                        best = Some((seq, OldestAction::Activate { bank: b, pos }));
-                    }
-                }
+                    OldestAction::Activate { bank: b, pos }
+                };
+                best = Some((seq, action));
             }
+        }
+        if let Some((_, b, pos)) = hit {
+            self.issue_column_at(b, pos, now);
+            return true;
         }
         let Some((_, action)) = best else {
             return false;
@@ -898,7 +961,7 @@ impl ChannelCtrl {
     /// down. Each term is the cycle the function that acts on it would
     /// act, floored by the same blockers that function checks: the per-bank
     /// candidate gates reuse the `column_time`/tRP/tRRD/tFAW arithmetic of
-    /// the issue passes, the refresh term waits where `service_refresh`
+    /// the arbitration scan and visit the same occupied banks, the refresh term waits where `service_refresh`
     /// waits, and the governor deadlines wait out the refresh window
     /// `run_governor` waits out. So after any poll the driving loop jumps
     /// straight to the next cycle something can happen.
@@ -913,54 +976,57 @@ impl ChannelCtrl {
                 .min(self.governor_horizon(ri, now));
             t = t.min(rank_t.max(now + 1));
         }
-        for b in 0..self.queues.len() {
-            if self.queues[b].is_empty() {
-                continue;
-            }
-            let ri = b / self.banks_per_rank;
-            if let Some(w) = self.ranks[ri].wake_at {
-                t = t.min(w.max(now + 1));
-                continue;
-            }
-            if self.ranks[ri].power.is_low_power() {
-                // A demand wake-up can be issued once CKE has been low tCKE.
-                t = t.min((self.ranks[ri].state_since + self.timing.t_cke).max(now + 1));
-                continue;
-            }
-            if matches!(self.scheme, RefreshScheme::AllBank) && self.ranks[ri].refresh_until > now {
-                // All-bank refresh stalls every bank in the rank, so the
-                // refresh end is the bank's next actionable cycle. Under
-                // same-bank REFsb only the target set is stalled (via its
-                // bank gates), so fall through to the candidate gates —
-                // skipping here would sleep past issue opportunities on the
-                // non-target banks and diverge from the stepped engine.
-                t = t.min(self.ranks[ri].refresh_until);
-                continue;
-            }
-            self.ensure_cands(b);
-            let mut c = self.cands[b];
-            if self.refresh_due(ri, now) {
-                // `issue_oldest` neither precharges nor activates on a rank
-                // whose refresh is due; the refresh term covers the REF that
-                // lifts the block.
-                c.act = None;
-            }
-            let bg = self.bg_of(b);
-            if self.banks.is_open(b) {
-                for (slot, kind) in [
-                    (c.col_read, AccessKind::Read),
-                    (c.col_write, AccessKind::Write),
-                ] {
-                    if slot.is_some() {
-                        t = t.min(self.column_time(ri, bg, b, kind).max(now + 1));
+        for w in 0..self.occupied.len() {
+            let mut bits = self.occupied[w];
+            self.bank_visits += u64::from(bits.count_ones());
+            while let Some(b) = pop_bank(w, &mut bits) {
+                let ri = b / self.banks_per_rank;
+                if let Some(wake) = self.ranks[ri].wake_at {
+                    t = t.min(wake.max(now + 1));
+                    continue;
+                }
+                if self.ranks[ri].power.is_low_power() {
+                    // A demand wake-up can be issued once CKE has been low tCKE.
+                    t = t.min((self.ranks[ri].state_since + self.timing.t_cke).max(now + 1));
+                    continue;
+                }
+                if matches!(self.scheme, RefreshScheme::AllBank)
+                    && self.ranks[ri].refresh_until > now
+                {
+                    // All-bank refresh stalls every bank in the rank, so the
+                    // refresh end is the bank's next actionable cycle. Under
+                    // same-bank REFsb only the target set is stalled (via its
+                    // bank gates), so fall through to the candidate gates —
+                    // skipping here would sleep past issue opportunities on the
+                    // non-target banks and diverge from the stepped engine.
+                    t = t.min(self.ranks[ri].refresh_until);
+                    continue;
+                }
+                self.ensure_cands(b);
+                let mut c = self.cands[b];
+                if self.refresh_due(ri, now) {
+                    // The arbiter neither precharges nor activates on a rank
+                    // whose refresh is due; the refresh term covers the REF
+                    // that lifts the block.
+                    c.act = None;
+                }
+                let bg = self.bg_of(b);
+                if self.banks.is_open(b) {
+                    for (slot, kind) in [
+                        (c.col_read, AccessKind::Read),
+                        (c.col_write, AccessKind::Write),
+                    ] {
+                        if slot.is_some() {
+                            t = t.min(self.column_time(ri, bg, b, kind).max(now + 1));
+                        }
                     }
+                    if c.act.is_some() {
+                        t = t.min(self.banks.next_pre[b].max(now + 1));
+                    }
+                } else if c.act.is_some() {
+                    let gate = self.banks.next_act[b].max(self.ranks[ri].act_allowed_at(bg));
+                    t = t.min(gate.max(now + 1));
                 }
-                if c.act.is_some() {
-                    t = t.min(self.banks.next_pre[b].max(now + 1));
-                }
-            } else if c.act.is_some() {
-                let gate = self.banks.next_act[b].max(self.ranks[ri].act_allowed_at(bg));
-                t = t.min(gate.max(now + 1));
             }
         }
         t

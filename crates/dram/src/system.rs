@@ -51,6 +51,10 @@ pub struct PollCounts {
     /// Polls on which the channel issued a command, power-down and
     /// self-refresh entries and exits included.
     pub issuing: u64,
+    /// Banks the channels' arbitration scans and `next_event` examined.
+    /// Both visit only banks with a request queued, so this grows with the
+    /// queued work, not with the number of banks a channel has.
+    pub bank_visits: u64,
 }
 
 impl PollCounts {
@@ -77,8 +81,8 @@ pub struct MemorySystem {
     channels: Vec<ChannelCtrl>,
     clock: u64,
     mode: EngineMode,
-    /// Earliest cycle each channel could act (EventDriven mode only); a
-    /// value `<= clock` means the channel must be polled.
+    /// Earliest cycle each channel could act (the next cycle in Stepped
+    /// mode); a value `<= clock` means the channel must be polled.
     attention: Vec<u64>,
     group_pd: Vec<bool>,
     group_pd_since: Vec<u64>,
@@ -186,10 +190,13 @@ impl MemorySystem {
         self.clock
     }
 
-    /// Channel polls made so far, and how many of them issued something
-    /// (see [`PollCounts`]).
+    /// Channel polls made so far, how many of them issued something, and
+    /// how many banks they examined (see [`PollCounts`]).
     pub fn poll_counts(&self) -> PollCounts {
-        self.polls
+        PollCounts {
+            bank_visits: self.channels.iter().map(ChannelCtrl::bank_visits).sum(),
+            ..self.polls
+        }
     }
 
     /// Enables command logging on every channel (see
@@ -399,30 +406,27 @@ impl MemorySystem {
         self.snapshot_stats()
     }
 
-    /// Polls channels at the current cycle. In the event-driven mode only
-    /// channels whose attention time has arrived are visited, and every
-    /// visit — successful issue or not — refreshes that channel's attention
-    /// time from [`ChannelCtrl::next_poll`]. A channel issues at most one
-    /// action per cycle, so the post-issue attention time is simply "when
-    /// could it act next", which is exactly what the batched-arbitration
-    /// jump in the run loops consumes.
+    /// Polls the channels whose attention time has arrived at the current
+    /// cycle, and re-arms each one it visits: the event-driven mode to
+    /// [`ChannelCtrl::next_poll`], "when could it act next", which is
+    /// exactly what the batched-arbitration jump in the run loops consumes;
+    /// the stepped mode to the next cycle. A channel therefore issues at
+    /// most one action per cycle in either mode, unless a request arrives
+    /// on a cycle it was already polled in (`enqueue` re-arms it). The
+    /// stepped mode must re-arm too: polling every channel again on the
+    /// cycle a `run_trace` call ended would issue commands the event-driven
+    /// mode issues a cycle later.
     fn poll_channels(&mut self) {
         let now = self.clock;
-        match self.mode {
-            EngineMode::Stepped => {
-                for ch in &mut self.channels {
-                    self.polls.record(ch.try_issue(now));
-                }
+        for (ch, attn) in self.channels.iter_mut().zip(self.attention.iter_mut()) {
+            if *attn > now {
+                continue;
             }
-            EngineMode::EventDriven => {
-                for (ch, attn) in self.channels.iter_mut().zip(self.attention.iter_mut()) {
-                    if *attn > now {
-                        continue;
-                    }
-                    self.polls.record(ch.try_issue(now));
-                    *attn = ch.next_poll(now, u64::MAX);
-                }
-            }
+            self.polls.record(ch.try_issue(now));
+            *attn = match self.mode {
+                EngineMode::Stepped => now + 1,
+                EngineMode::EventDriven => ch.next_poll(now, u64::MAX),
+            };
         }
     }
 

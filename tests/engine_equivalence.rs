@@ -296,7 +296,10 @@ fn sparse_profiles_equivalent_on_every_backend() {
 /// or a power-state transition. Stepping one cycle at a time through
 /// refresh windows (tRFCsb) or power-down exits (tXP) multiplies the idle
 /// polls many times over; poll counts are deterministic, so that shows up
-/// here rather than as wall-time noise.
+/// here rather than as wall-time noise. A poll examines only the banks with
+/// a request queued: walking all 128 banks of a DDR5 channel in the
+/// arbitration scan and again in `next_event` would cost at least 256 bank
+/// visits per poll.
 #[test]
 fn event_engine_polls_only_when_a_channel_can_act() {
     let cfg = DramConfig::preset_64gb(MemSpecKind::Ddr5);
@@ -323,6 +326,12 @@ fn event_engine_polls_only_when_a_channel_can_act() {
                 "{name} {mode:?}: {} polls for {} issuing polls",
                 work.polls,
                 work.issuing
+            );
+            assert!(
+                work.bank_visits <= 4 * work.polls,
+                "{name} {mode:?}: {} bank visits for {} polls",
+                work.bank_visits,
+                work.polls
             );
         }
     }

@@ -3,7 +3,9 @@
 //! GreenDIMM's sub-array-group safety rules, as judged by the *independent*
 //! replay checker in `gd_dram::validate`.
 
-use greendimm_suite::dram::{DramCommand, LowPowerPolicy, MemRequest, MemorySystem, TimingChecker};
+use greendimm_suite::dram::{
+    CommandRecord, DramCommand, EngineMode, LowPowerPolicy, MemRequest, MemorySystem, TimingChecker,
+};
 use greendimm_suite::types::config::{DramConfig, InterleaveMode, MemSpecKind, PASR_SEGMENTS};
 use greendimm_suite::types::ids::SubArrayGroup;
 use greendimm_suite::types::rng::{component_rng, StdRng};
@@ -210,6 +212,7 @@ struct ProtocolCoverage {
     sr_entries: u64,
     mrs: u64,
     pasr: u64,
+    refills: u64,
 }
 
 /// A random idle timeout, or none at all.
@@ -217,14 +220,147 @@ fn timeout(rng: &mut StdRng, max: u64) -> Option<u64> {
     rng.gen_bool(0.8).then(|| rng.gen_range(1..max))
 }
 
+/// Whether the OS could still send traffic to `addr`: its sub-array group
+/// and that group's sense-amp buddy are up, and on LPDDR4-PASR its segment
+/// is unmasked. The validator flags traffic anywhere else by design.
+fn usable(sys: &MemorySystem, masked: &[bool], addr: u64) -> bool {
+    let cfg = sys.config();
+    let c = sys.mapper().decode(addr).unwrap();
+    let g = c.subarray_group();
+    let buddy = SubArrayGroup::new(g.index() as u32 ^ 1);
+    let seg = c.full_row(cfg.org.rows_per_subarray) / cfg.rows_per_pasr_segment();
+    let masked = cfg.kind == MemSpecKind::Lpddr4Pasr && masked[seg as usize];
+    !(sys.group_deep_pd(g) || sys.group_deep_pd(buddy) || masked)
+}
+
+/// A random usable address that `keep` accepts, if 64 draws find one.
+fn draw_addr(
+    rng: &mut StdRng,
+    sys: &MemorySystem,
+    masked: &[bool],
+    keep: impl Fn(u64) -> bool,
+) -> Option<u64> {
+    let lines = sys.mapper().capacity_bytes() / 64;
+    (0..64)
+        .map(|_| rng.gen_range(0..lines) * 64)
+        .find(|&a| keep(a) && usable(sys, masked, a))
+}
+
+/// The same system driven through the stepped and the event-driven engine,
+/// with one command log of everything they issued.
+struct Twins {
+    engines: [MemorySystem; 2],
+    log: Vec<CommandRecord>,
+    what: String,
+}
+
+impl Twins {
+    fn new(cfg: DramConfig, policy: LowPowerPolicy, what: String) -> Self {
+        let engines = [EngineMode::Stepped, EngineMode::EventDriven].map(|engine| {
+            let mut sys = MemorySystem::new(cfg, policy)
+                .expect("config")
+                .with_engine_mode(engine);
+            sys.enable_command_log();
+            sys
+        });
+        Twins {
+            engines,
+            log: Vec::new(),
+            what,
+        }
+    }
+
+    /// The event-driven system, for the state the next operation reads.
+    fn sys(&self) -> &MemorySystem {
+        &self.engines[1]
+    }
+
+    fn each(&mut self, mut op: impl FnMut(&mut MemorySystem)) {
+        self.engines.iter_mut().for_each(&mut op);
+    }
+
+    fn run_trace(&mut self, trace: &[MemRequest]) {
+        let what = &self.what;
+        for sys in &mut self.engines {
+            sys.run_trace(trace.to_vec())
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+        }
+    }
+
+    /// The commands issued since the last call, which both engines must
+    /// have logged alike.
+    fn take_log(&mut self) -> Vec<CommandRecord> {
+        let [stepped, event] = &mut self.engines;
+        let (a, b) = (stepped.take_command_log(), event.take_command_log());
+        // Taking a log ends it; keep logging what follows.
+        stepped.enable_command_log();
+        event.enable_command_log();
+        assert!(
+            a == b,
+            "{}: the engines logged different commands",
+            self.what
+        );
+        self.log.extend_from_slice(&b);
+        b
+    }
+}
+
+/// One trace in which a bank's FIFO empties and then refills: a request to
+/// bank X, traffic to other banks, and `gap` cycles later a second request
+/// to bank X, long after the first was served. Both must be served, one on
+/// each side of the refill. Returns `false` when no usable address was
+/// drawn.
+fn refill_probe(rng: &mut StdRng, twins: &mut Twins, masked: &[bool]) -> bool {
+    twins.take_log();
+    let sys = twins.sys();
+    let bank_of = |addr: u64| {
+        let c = sys.mapper().decode(addr).unwrap();
+        let flat =
+            c.bank_group.index() * sys.config().org.banks_per_group as usize + c.bank.index();
+        (c.channel.index() as u32, c.rank.index() as u32, flat as u32)
+    };
+    let Some(first) = draw_addr(rng, sys, masked, |_| true) else {
+        return false;
+    };
+    let bank = bank_of(first);
+    let second = draw_addr(rng, sys, masked, |a| bank_of(a) == bank).unwrap_or(first);
+    let start = sys.clock();
+    let gap = rng.gen_range(4_000u64..12_000);
+    let mut trace = vec![MemRequest::read(first, start)];
+    for i in 0..rng.gen_range(0u64..8) {
+        if let Some(a) = draw_addr(rng, sys, masked, |a| bank_of(a) != bank) {
+            trace.push(MemRequest::write(a, start + i * gap / 8));
+        }
+    }
+    trace.push(MemRequest::write(second, start + gap));
+    twins.run_trace(&trace);
+    let served: Vec<u64> = twins
+        .take_log()
+        .iter()
+        .filter(|r| {
+            matches!(r.command, DramCommand::Read | DramCommand::Write)
+                && (r.channel, r.rank, r.bank) == bank
+        })
+        .map(|r| r.cycle)
+        .collect();
+    assert!(
+        matches!(served[..], [a, b] if a < start + gap && b >= start + gap),
+        "{}: bank {bank:?} served at {served:?}, refilled at {}",
+        twins.what,
+        start + gap
+    );
+    true
+}
+
 /// Seeded random command, power-state and PASR sequences through
-/// `MemorySystem` on `kind`'s small test config, replayed through the full
-/// protocol validator with the neighbour-pair rule on. Each seed draws an
-/// interleave mode and a `LowPowerPolicy`, then mixes bursts of reads and
-/// writes with random gaps, idle stretches, deep power-down toggles of a
-/// sense-amp buddy pair and (on LPDDR4-PASR) PASR segment toggles. Traffic
-/// only targets groups whose pair is up and unmasked segments: the
-/// validator flags anything else by design.
+/// `MemorySystem` on `kind`'s small test config, driven through both
+/// engines. Each seed draws an interleave mode and a `LowPowerPolicy`, then
+/// mixes bursts of reads and writes with random gaps, idle stretches, deep
+/// power-down toggles of a sense-amp buddy pair and (on LPDDR4-PASR) PASR
+/// segment toggles, and ends with a [`refill_probe`]. Traffic only targets
+/// usable addresses. Both engines must log identical commands and end with
+/// identical `RunStats`, and the log must replay clean through the full
+/// protocol validator with the neighbour-pair rule on.
 fn protocol_stress(kind: MemSpecKind, seed: u64, cov: &mut ProtocolCoverage) {
     let mut rng = component_rng(seed, "dram-protocol-stress");
     let mode = MODES[rng.gen_range(0..MODES.len())];
@@ -233,17 +369,21 @@ fn protocol_stress(kind: MemSpecKind, seed: u64, cov: &mut ProtocolCoverage) {
         pd_timeout: timeout(&mut rng, 256),
         sr_timeout: timeout(&mut rng, 20_000),
     };
-    let mut sys = MemorySystem::new(cfg, policy).expect("config");
-    sys.enable_command_log();
-    let mapper = sys.mapper().clone();
-    let cap = mapper.capacity_bytes();
-    let groups = mapper.subarray_groups();
+    let mut twins = Twins::new(
+        cfg,
+        policy,
+        format!("{kind} seed {seed} ({mode:?}, {policy:?})"),
+    );
+    let groups = cfg.org.subarray_groups();
     let pasr = kind == MemSpecKind::Lpddr4Pasr;
     let mut masked = [false; PASR_SEGMENTS as usize];
     for _ in 0..40 {
         match rng.gen_range(0u32..10) {
             0 => {
-                sys.run_idle(rng.gen_range(1u64..30_000));
+                let cycles = rng.gen_range(1u64..30_000);
+                twins.each(|sys| {
+                    sys.run_idle(cycles);
+                });
             }
             1 | 2 => {
                 // A buddy pair goes down or comes back up together; at
@@ -253,10 +393,12 @@ fn protocol_stress(kind: MemSpecKind, seed: u64, cov: &mut ProtocolCoverage) {
                     SubArrayGroup::new(2 * pair),
                     SubArrayGroup::new(2 * pair + 1),
                 );
-                let on = !sys.group_deep_pd(g);
-                if !on || sys.groups_in_deep_pd() + 2 < groups as usize {
-                    sys.set_group_deep_pd(g, on).unwrap();
-                    sys.set_group_deep_pd(buddy, on).unwrap();
+                let on = !twins.sys().group_deep_pd(g);
+                if !on || twins.sys().groups_in_deep_pd() + 2 < groups as usize {
+                    twins.each(|sys| {
+                        sys.set_group_deep_pd(g, on).unwrap();
+                        sys.set_group_deep_pd(buddy, on).unwrap();
+                    });
                     cov.mrs += 2;
                 }
             }
@@ -264,11 +406,11 @@ fn protocol_stress(kind: MemSpecKind, seed: u64, cov: &mut ProtocolCoverage) {
                 let segment = rng.gen_range(0..PASR_SEGMENTS);
                 let s = segment as usize;
                 masked[s] = !masked[s];
-                sys.set_pasr_segment(segment, masked[s]).unwrap();
+                twins.each(|sys| sys.set_pasr_segment(segment, masked[s]).unwrap());
                 cov.pasr += 1;
             }
             _ => {
-                let mut arrival = sys.clock();
+                let mut arrival = twins.sys().clock();
                 let mut burst = Vec::new();
                 for _ in 0..rng.gen_range(1u32..48) {
                     arrival += if rng.gen_bool(0.1) {
@@ -276,17 +418,9 @@ fn protocol_stress(kind: MemSpecKind, seed: u64, cov: &mut ProtocolCoverage) {
                     } else {
                         rng.gen_range(0u64..16)
                     };
-                    // Rejection-sample an address the OS could still use.
-                    let addr = (0..64).map(|_| rng.gen_range(0..cap / 64) * 64).find(|&a| {
-                        let c = mapper.decode(a).unwrap();
-                        let g = c.subarray_group();
-                        let buddy = SubArrayGroup::new(g.index() as u32 ^ 1);
-                        let seg =
-                            c.full_row(cfg.org.rows_per_subarray) / cfg.rows_per_pasr_segment();
-                        let masked = pasr && masked[seg as usize];
-                        !(sys.group_deep_pd(g) || sys.group_deep_pd(buddy) || masked)
-                    });
-                    let Some(addr) = addr else { continue };
+                    let Some(addr) = draw_addr(&mut rng, twins.sys(), &masked, |_| true) else {
+                        continue;
+                    };
                     burst.push(if rng.gen_bool(0.6) {
                         MemRequest::read(addr, arrival)
                     } else {
@@ -294,40 +428,59 @@ fn protocol_stress(kind: MemSpecKind, seed: u64, cov: &mut ProtocolCoverage) {
                     });
                 }
                 cov.requests += burst.len() as u64;
-                sys.run_trace(burst)
-                    .unwrap_or_else(|e| panic!("{kind} seed {seed}: {e}"));
+                twins.run_trace(&burst);
             }
         }
     }
-    let stats = sys.snapshot_stats();
+    cov.refills += u64::from(refill_probe(&mut rng, &mut twins, &masked));
+    twins.take_log();
+    let [stepped, event] = &mut twins.engines;
+    let stats = event.snapshot_stats();
+    assert_eq!(
+        stepped.snapshot_stats(),
+        stats,
+        "{}: the engines diverged",
+        twins.what
+    );
     cov.pd_entries += stats.pd_entries;
     cov.sr_entries += stats.sr_entries;
-    let violations = sys.validate_command_log(true);
+    let violations = TimingChecker::for_config(&cfg)
+        .with_neighbor_pairs(true)
+        .check(&twins.log);
     assert!(
         violations.is_empty(),
-        "{kind} seed {seed} ({mode:?}, {policy:?}): {} violations, first: {}",
+        "{}: {} violations, first: {}",
+        twins.what,
         violations.len(),
         violations[0]
     );
 }
 
+/// Runs the stress over `seeds` on every memory generation, one thread per
+/// generation: the stepped twin walks every cycle of every idle stretch.
 fn protocol_stress_corpus(seeds: std::ops::Range<u64>) {
-    for kind in [
-        MemSpecKind::Ddr4,
-        MemSpecKind::Ddr5,
-        MemSpecKind::Lpddr4Pasr,
-    ] {
-        let mut cov = ProtocolCoverage::default();
-        for seed in seeds.clone() {
-            protocol_stress(kind, seed, &mut cov);
+    std::thread::scope(|scope| {
+        for kind in [
+            MemSpecKind::Ddr4,
+            MemSpecKind::Ddr5,
+            MemSpecKind::Lpddr4Pasr,
+        ] {
+            let seeds = seeds.clone();
+            scope.spawn(move || {
+                let mut cov = ProtocolCoverage::default();
+                for seed in seeds {
+                    protocol_stress(kind, seed, &mut cov);
+                }
+                assert!(cov.requests > 0, "{kind}: {cov:?}");
+                assert!(cov.pd_entries > 0 && cov.sr_entries > 0, "{kind}: {cov:?}");
+                assert!(cov.mrs > 0, "{kind}: {cov:?}");
+                assert!(cov.refills > 0, "{kind}: {cov:?}");
+                if kind == MemSpecKind::Lpddr4Pasr {
+                    assert!(cov.pasr > 0, "{kind}: {cov:?}");
+                }
+            });
         }
-        assert!(cov.requests > 0, "{kind}: {cov:?}");
-        assert!(cov.pd_entries > 0 && cov.sr_entries > 0, "{kind}: {cov:?}");
-        assert!(cov.mrs > 0, "{kind}: {cov:?}");
-        if kind == MemSpecKind::Lpddr4Pasr {
-            assert!(cov.pasr > 0, "{kind}: {cov:?}");
-        }
-    }
+    });
 }
 
 /// The tier-1 seed corpus of the DRAM protocol stress.

@@ -6,10 +6,14 @@
 # are. Each figure runs with the arguments its provenance line records
 # (`jobs`, `requests`, `engine`), so the regenerated header must match too.
 #
-# Prints each figure's wall time and the serial total; exits 1 if any
-# snapshot differs or any figure fails. The last line of standard output is
-# the same timing as one JSON record, {"figures": {fig: seconds, ...},
-# "total_s": seconds}; results/BENCH_suite.json holds one such record.
+# Then times the tier-1 tests, `cargo test -q`, on a warm build (the test
+# binaries are built first and the build is not timed).
+#
+# Prints each figure's wall time, the serial total and the tier-1 time;
+# exits 1 if any snapshot differs, any figure fails or a tier-1 test fails.
+# The last line of standard output is the same timing as one JSON record,
+# {"figures": {fig: seconds, ...}, "total_s": seconds, "tier1_s": seconds};
+# results/BENCH_suite.json holds one such record.
 #
 # Usage: tools/regen_all.sh
 #        tools/regen_all.sh | tail -1 > results/BENCH_suite.json
@@ -58,10 +62,22 @@ for snap in results/*.txt; do
   record+="${record:+, }\"$fig\": $secs"
 done
 printf '%-30s %8.2f s\n' "total (serial)" "$total"
-printf '{"figures": {%s}, "total_s": %s}\n' "$record" "$total"
+
+cargo test -q --no-run
+start=$(now)
+tier1_failed=0
+cargo test -q > "$out/tier1.txt" 2>&1 || tier1_failed=1
+tier1=$(awk -v a="$start" -v b="$(now)" 'BEGIN { printf "%.2f", b - a }')
+printf '%-30s %8.2f s  %s\n' "tier-1 (cargo test -q)" "$tier1" \
+  "$([ "$tier1_failed" -eq 0 ] && echo ok || echo "FAILED (see $out/tier1.txt)")"
+printf '{"figures": {%s}, "total_s": %s, "tier1_s": %s}\n' "$record" "$total" "$tier1"
 
 if [ "$failed" -ne 0 ]; then
   echo "ERROR: regenerated snapshots differ from results/ — outputs kept in $out" >&2
+  exit 1
+fi
+if [ "$tier1_failed" -ne 0 ]; then
+  echo "ERROR: tier-1 tests failed — output kept in $out/tier1.txt" >&2
   exit 1
 fi
 rm -rf "$out"
