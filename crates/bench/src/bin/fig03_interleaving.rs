@@ -22,6 +22,9 @@ fn main() {
     args.provenance(&format!(
         "ddr4-2133 64GB apps=mcf/soplex/lbm/libquantum requests={requests} seed=1"
     ));
+    if mopts.strict_validate {
+        println!("[strict-validate: protocol + governor invariants enforced]");
+    }
     let rows = args.sweep(
         &profiles,
         |p| p.name.to_string(),

@@ -1,6 +1,6 @@
 //! The experiment harness: shared logic behind the figure/table
 //! regeneration binaries (`src/bin/fig*.rs`, `src/bin/tab*.rs`) and the
-//! criterion micro-benchmarks.
+//! self-contained micro-benchmarks (`benches/micro.rs`).
 //!
 //! Every table and figure of the paper's evaluation has a binary that
 //! regenerates it; see `DESIGN.md` §5 for the index and `EXPERIMENTS.md`

@@ -108,8 +108,8 @@ pub fn robustness_experiment(
         MemorySystem::with_wake_stretch(dram_cfg, LowPowerPolicy::srf_default(), WAKE_STRETCH)?
     } else {
         MemorySystem::new(dram_cfg, LowPowerPolicy::srf_default())?
-    };
-    probe.set_engine_mode(engine);
+    }
+    .with_engine_mode(engine);
     let trace = TraceGenerator::new(profile.clone(), seed)
         .take_wrapped(PROBE_REQUESTS, dram_cfg.total_capacity_bytes());
     let probe_stats = probe.run_trace(trace)?;

@@ -6,9 +6,10 @@
 //! Requests live in per-bank FIFOs ordered by a global arrival sequence
 //! number. FR-FCFS only ever needs three *candidates* per bank — the oldest
 //! row-matching read, the oldest row-matching write, and the oldest request
-//! that needs an ACT (or a conflicting PRE) — because within each class all
-//! members share the same issuability conditions, so the globally oldest
-//! issuable request is always one of the per-bank class heads. The
+//! whose row is not the open row, which needs an ACT (after a PRE, on a
+//! conflict) — because within each class all members share the same
+//! issuability conditions, so the globally oldest issuable request is
+//! always one of the per-bank class heads. The
 //! candidates are cached and invalidated only when the bank's row state or
 //! FIFO contents change, which turns the per-poll cost from O(queue depth)
 //! into O(banks with a request queued). A per-channel occupancy bitset (bit
@@ -21,7 +22,7 @@
 //! (see DESIGN.md §6.2 for the decision-stability argument).
 
 use crate::bank::{BankArray, ROW_NONE};
-use crate::command::{AccessKind, DramCommand, PendingRequest, RequestPhase};
+use crate::command::{AccessKind, DramCommand, PendingRequest};
 use crate::policy::LowPowerPolicy;
 use crate::rank::{RankCtl, RankPowerState, RankResidency};
 use crate::validate::CommandRecord;
@@ -51,13 +52,17 @@ struct QueuedReq {
     req: crate::command::MemRequest,
     /// Device-level full row (sub-array bits above local-row bits).
     row: u32,
-    phase: RequestPhase,
+    /// Set when this request's own ACT opened its row; a column command
+    /// served without one is a row hit. Whether the request *needs* an ACT
+    /// is not stored: it does iff its row is not the bank's open row.
+    activated: bool,
 }
 
 /// Cached FR-FCFS candidates for one bank: FIFO positions of the oldest
 /// row-matching read, the oldest row-matching write, and the oldest request
-/// that needs bank progress (ACT, or PRE on a conflict). Invalidated when
-/// the bank's row state or FIFO membership changes.
+/// whose row is not the open row (it needs an ACT, or a PRE first on a
+/// conflict). Invalidated when the bank's row state or FIFO membership
+/// changes.
 #[derive(Debug, Clone, Copy, Default)]
 struct BankCands {
     valid: bool,
@@ -312,7 +317,7 @@ impl ChannelCtrl {
             seq: self.next_seq,
             req: pending.req,
             row: pending.coord.full_row(self.rows_per_subarray),
-            phase: RequestPhase::NeedsActivate,
+            activated: false,
         };
         self.next_seq += 1;
         let pos = self.queues[b].len();
@@ -416,7 +421,7 @@ impl ChannelCtrl {
                 if slot.is_none() {
                     *slot = Some(i);
                 }
-            } else if q.phase == RequestPhase::NeedsActivate && c.act.is_none() {
+            } else if c.act.is_none() {
                 c.act = Some(i);
             }
             let done = c.act.is_some()
@@ -527,22 +532,7 @@ impl ChannelCtrl {
             }
             target_open = true;
             if now >= self.banks.next_pre[idx] {
-                self.banks.on_precharge(idx, now, &self.timing);
-                self.ranks[ri].on_precharge_bank();
-                self.counters.precharges += 1;
-                self.record(
-                    now,
-                    ri as u32,
-                    (idx % self.banks_per_rank) as u32,
-                    self.bg_of(idx) as u32,
-                    0,
-                    DramCommand::Precharge,
-                );
-                // Any queued request that had this row open must re-activate.
-                for q in self.queues[idx].iter_mut() {
-                    q.phase = RequestPhase::NeedsActivate;
-                }
-                self.cands[idx].valid = false;
+                self.close_bank(idx, now);
                 return true;
             }
         }
@@ -688,11 +678,31 @@ impl ChannelCtrl {
                 self.counters.writes += 1;
             }
         }
-        if matches!(q.phase, RequestPhase::NeedsActivate) {
+        if !q.activated {
             // Column issued without this request paying for an ACT: row hit.
             self.counters.row_hits += 1;
         }
         self.ranks[ri].idle_since = now;
+    }
+
+    /// Precharges bank `b` at `now`: the one way a row closes, for a refresh
+    /// and for a row conflict alike. Every request queued on the bank then
+    /// needs an ACT, which the candidate rescan derives from the closed row;
+    /// no queued request is touched.
+    fn close_bank(&mut self, b: usize, now: u64) {
+        let ri = b / self.banks_per_rank;
+        self.banks.on_precharge(b, now, &self.timing);
+        self.ranks[ri].on_precharge_bank();
+        self.counters.precharges += 1;
+        self.record(
+            now,
+            ri as u32,
+            (b % self.banks_per_rank) as u32,
+            self.bg_of(b) as u32,
+            0,
+            DramCommand::Precharge,
+        );
+        self.cands[b].valid = false;
     }
 
     /// What the arbitration scan may do for rank `ri`'s requests at `now`.
@@ -737,7 +747,7 @@ impl ChannelCtrl {
                     RankGate::Blocked => continue,
                     RankGate::Wake => {
                         // The wake is justified by the rank's oldest
-                        // request, of any phase: the oldest FIFO front.
+                        // request: the oldest FIFO front.
                         let seq = self.queues[b].front().map_or(u64::MAX, |q| q.seq);
                         if hit.is_none() && best.as_ref().is_none_or(|(s, _)| seq < *s) {
                             best = Some((seq, OldestAction::Wake { rank: ri }));
@@ -809,20 +819,9 @@ impl ChannelCtrl {
             }
             OldestAction::Precharge { bank } => {
                 let ri = bank / self.banks_per_rank;
-                self.banks.on_precharge(bank, now, &self.timing);
-                self.ranks[ri].on_precharge_bank();
-                self.counters.precharges += 1;
+                self.close_bank(bank, now);
                 self.counters.row_conflicts += 1;
-                self.record(
-                    now,
-                    ri as u32,
-                    (bank % self.banks_per_rank) as u32,
-                    self.bg_of(bank) as u32,
-                    0,
-                    DramCommand::Precharge,
-                );
                 self.ranks[ri].idle_since = now;
-                self.cands[bank].valid = false;
             }
             OldestAction::Activate { bank, pos } => {
                 let ri = bank / self.banks_per_rank;
@@ -845,7 +844,7 @@ impl ChannelCtrl {
                     row,
                     DramCommand::Activate,
                 );
-                self.queues[bank][pos].phase = RequestPhase::NeedsColumn;
+                self.queues[bank][pos].activated = true;
                 self.ranks[ri].idle_since = now;
                 self.cands[bank].valid = false;
             }
@@ -1068,6 +1067,7 @@ mod tests {
     use crate::addrmap::AddressMapper;
     use crate::command::MemRequest;
     use gd_types::config::DramConfig;
+    use gd_types::ids::DramCoord;
 
     fn make(policy: LowPowerPolicy) -> (ChannelCtrl, AddressMapper) {
         let cfg = DramConfig::small_test();
@@ -1162,6 +1162,82 @@ mod tests {
         drain(&mut ch, 0);
         assert_eq!(ch.counters.activates, 2);
         assert_eq!(ch.counters.row_conflicts, 1);
+    }
+
+    /// A request whose own ACT opened its row, but whose read a write
+    /// stream holds back (write-to-read turnaround), loses that row to a
+    /// younger request's conflict PRE. It needs an ACT again, because its
+    /// row is no longer open, and must get one at once rather than wait
+    /// for a refresh to reopen the bank.
+    #[test]
+    fn activated_request_reactivates_after_a_conflict_precharge() {
+        let (mut ch, mapper) = make(LowPowerPolicy::disabled());
+        let rps = DramConfig::small_test().org.rows_per_subarray;
+        let find = |keep: &dyn Fn(&DramCoord) -> bool| {
+            (0..mapper.capacity_bytes() / 64)
+                .map(|line| line * 64)
+                .find(|&a| keep(&mapper.decode(a).unwrap()))
+                .expect("an address with these coordinates")
+        };
+        let at = |a: u64| mapper.decode(a).unwrap();
+        let bank = |c: &DramCoord| (c.channel, c.rank, c.bank_group, c.bank);
+        let a = find(&|c| c.channel.index() == 0 && c.rank.index() == 0);
+        let (ca, row_a) = (at(a), at(a).full_row(rps));
+        let b = find(&|c| bank(c) == bank(&ca) && c.full_row(rps) != row_a);
+        let y = find(&|c| {
+            (c.channel, c.rank) == (ca.channel, ca.rank) && c.bank_group != ca.bank_group
+        });
+        let y_row = at(y).full_row(rps);
+        let ys: Vec<u64> = (0..mapper.capacity_bytes() / 64)
+            .map(|line| line * 64)
+            .filter(|&w| bank(&at(w)) == bank(&at(y)) && at(w).full_row(rps) == y_row)
+            .take(20)
+            .collect();
+        // The writes to bank Y come first, then A's read, then B's
+        // conflicting read to A's bank.
+        ch.enable_log();
+        for &w in &ys {
+            ch.enqueue(pend(&mapper, MemRequest::write(w, 0)), 0);
+        }
+        ch.enqueue(pend(&mapper, MemRequest::read(a, 0)), 0);
+        ch.enqueue(pend(&mapper, MemRequest::read(b, 0)), 0);
+        drain(&mut ch, 0);
+        let log = ch.take_log();
+        let on_a = |r: &&CommandRecord| {
+            (r.rank, r.bank_group) == (0, ca.bank_group.index() as u32)
+                && r.bank == (ca.bank_group.index() * ch.banks_per_group + ca.bank.index()) as u32
+        };
+        let seq: Vec<(DramCommand, u32)> = log
+            .iter()
+            .filter(on_a)
+            .map(|r| (r.command, r.row))
+            .collect();
+        // A's ACT, B's conflict PRE, and A's row opened again before A's
+        // read: it was not left waiting for another request to reopen it.
+        let read_a = (DramCommand::Read, row_a);
+        let reread = seq.iter().position(|&c| c == read_a).expect("A is served");
+        assert_eq!(
+            seq[..2],
+            [(DramCommand::Activate, row_a), (DramCommand::Precharge, 0)],
+            "{seq:?}"
+        );
+        assert_eq!(seq[reread - 1], (DramCommand::Activate, row_a), "{seq:?}");
+        let served = log
+            .iter()
+            .find(|r| r.command == DramCommand::Read && r.row == row_a && on_a(r))
+            .expect("A is served")
+            .cycle;
+        let first_ref = log
+            .iter()
+            .find(|r| r.command == DramCommand::Refresh)
+            .map_or(u64::MAX, |r| r.cycle);
+        assert!(
+            served < first_ref,
+            "A served at {served}, first REF at {first_ref}"
+        );
+        // A and B paid for their ACTs, so only the writes after Y's first
+        // are row hits.
+        assert_eq!(ch.counters.row_hits, ys.len() as u64 - 1);
     }
 
     #[test]

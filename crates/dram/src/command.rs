@@ -117,21 +117,13 @@ impl MemRequest {
 }
 
 /// A request presented to a channel controller, with its decoded
-/// coordinates. The controller re-derives everything else (FIFO position,
-/// progress phase) internally.
+/// coordinates. The controller derives everything else internally: its FIFO
+/// position, and whether it needs an ACT, which holds iff its row is not
+/// its bank's open row.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PendingRequest {
     pub req: MemRequest,
     pub coord: DramCoord,
-}
-
-/// Progress of a queued request through the ACT → column-command sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RequestPhase {
-    /// Needs its row activated (row miss, or bank closed).
-    NeedsActivate,
-    /// Row is open; needs its READ/WRITE issued.
-    NeedsColumn,
 }
 
 #[cfg(test)]

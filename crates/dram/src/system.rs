@@ -84,6 +84,10 @@ pub struct MemorySystem {
     /// Earliest cycle each channel could act (the next cycle in Stepped
     /// mode); a value `<= clock` means the channel must be polled.
     attention: Vec<u64>,
+    /// The first cycle the channels have not been polled on. It outlives
+    /// each run call, so a request arriving on the cycle a call ended does
+    /// not get its channel polled on that cycle a second time.
+    first_unpolled: u64,
     group_pd: Vec<bool>,
     group_pd_since: Vec<u64>,
     group_pd_cycles: Vec<u64>,
@@ -121,6 +125,7 @@ impl MemorySystem {
             clock: 0,
             mode: EngineMode::default(),
             attention: vec![0; n_channels],
+            first_unpolled: 0,
             group_pd: vec![false; groups],
             group_pd_since: vec![0; groups],
             group_pd_cycles: vec![0; groups],
@@ -157,22 +162,12 @@ impl MemorySystem {
     }
 
     /// Selects the time-advance engine (see [`EngineMode`]).
-    pub fn set_engine_mode(&mut self, mode: EngineMode) {
-        self.mode = mode;
-        // Force a poll of every channel on the next iteration.
-        self.attention.fill(0);
-    }
-
-    /// Builder form of [`set_engine_mode`](Self::set_engine_mode).
     #[must_use]
     pub fn with_engine_mode(mut self, mode: EngineMode) -> Self {
-        self.set_engine_mode(mode);
+        self.mode = mode;
+        // Poll every channel on the first cycle not yet polled.
+        self.attention.fill(self.clock.max(self.first_unpolled));
         self
-    }
-
-    /// The active time-advance engine.
-    pub fn engine_mode(&self) -> EngineMode {
-        self.mode
     }
 
     /// The configuration this system was built with.
@@ -337,7 +332,8 @@ impl MemorySystem {
     }
 
     /// Runs a request trace (sorted by arrival cycle) to completion and
-    /// returns cumulative statistics.
+    /// returns cumulative statistics. The clock stops on the cycle the last
+    /// request is served.
     ///
     /// # Errors
     ///
@@ -349,37 +345,7 @@ impl MemorySystem {
     where
         I: IntoIterator<Item = MemRequest>,
     {
-        let mut iter = requests.into_iter().peekable();
-        loop {
-            // Feed due arrivals.
-            while let Some(r) = iter.peek() {
-                if r.arrival <= self.clock {
-                    let req = *r;
-                    iter.next();
-                    self.enqueue(req)?;
-                } else {
-                    break;
-                }
-            }
-            self.poll_channels();
-            let busy = self.channels.iter().any(|c| c.busy());
-            if !busy && iter.peek().is_none() {
-                break;
-            }
-            if self.mode == EngineMode::Stepped {
-                self.clock += 1;
-            } else {
-                // Jump to the next attention time or arrival. The attention
-                // times are refreshed after *every* poll (successful or
-                // not), so issue-dense phases advance in issue-sized steps
-                // rather than `now + 1` crawls.
-                let mut next = self.next_horizon();
-                if let Some(r) = iter.peek() {
-                    next = next.min(r.arrival);
-                }
-                self.clock = next.max(self.clock + 1);
-            }
-        }
+        self.advance(requests.into_iter(), None)?;
         Ok(self.snapshot_stats())
     }
 
@@ -394,28 +360,57 @@ impl MemorySystem {
     /// between; once every rank sits in self-refresh the remaining horizon
     /// is covered in a single jump.
     pub fn run_idle(&mut self, cycles: u64) -> RunStats {
-        let target = self.clock + cycles;
-        while self.clock < target {
-            self.poll_channels();
-            if self.mode == EngineMode::Stepped {
-                self.clock += 1;
-            } else {
-                self.clock = self.next_horizon().max(self.clock + 1).min(target);
-            }
-        }
+        let until = self.clock + cycles;
+        self.advance(std::iter::empty(), Some(until))
+            .expect("invariant: an idle run enqueues nothing, so nothing is rejected");
         self.snapshot_stats()
+    }
+
+    /// The advance loop of both run calls and both engines: enqueue the
+    /// arrivals due by the clock, poll the channels whose attention time has
+    /// come, and move the clock to the earliest attention time or arrival,
+    /// never past `until`. It stops on reaching `until`, a cycle it does not
+    /// poll; without one, on the cycle a poll leaves no request queued and
+    /// none to arrive. The engines differ only in how `poll_channels`
+    /// re-arms a channel; under the stepped rule the earliest attention
+    /// time is always the next cycle.
+    fn advance<I>(&mut self, arrivals: I, until: Option<u64>) -> Result<()>
+    where
+        I: Iterator<Item = MemRequest>,
+    {
+        let mut arrivals = arrivals.peekable();
+        let end = until.unwrap_or(u64::MAX);
+        while self.clock < end {
+            while let Some(req) = arrivals.next_if(|r| r.arrival <= self.clock) {
+                self.enqueue(req)?;
+            }
+            self.poll_channels();
+            let next_arrival = arrivals.peek().map(|r| r.arrival);
+            if until.is_none()
+                && next_arrival.is_none()
+                && !self.channels.iter().any(ChannelCtrl::busy)
+            {
+                break;
+            }
+            let next_attention = self.attention.iter().copied().min();
+            self.clock = next_attention
+                .unwrap_or(u64::MAX)
+                .min(next_arrival.unwrap_or(u64::MAX))
+                .max(self.clock + 1)
+                .min(end);
+        }
+        Ok(())
     }
 
     /// Polls the channels whose attention time has arrived at the current
     /// cycle, and re-arms each one it visits: the event-driven mode to
     /// [`ChannelCtrl::next_poll`], "when could it act next", which is
-    /// exactly what the batched-arbitration jump in the run loops consumes;
-    /// the stepped mode to the next cycle. A channel therefore issues at
-    /// most one action per cycle in either mode, unless a request arrives
-    /// on a cycle it was already polled in (`enqueue` re-arms it). The
-    /// stepped mode must re-arm too: polling every channel again on the
-    /// cycle a `run_trace` call ended would issue commands the event-driven
-    /// mode issues a cycle later.
+    /// exactly what the batched-arbitration jump in the advance loop
+    /// consumes; the stepped mode to the next cycle. The cycle then counts
+    /// as polled for every channel, skipped ones included: an arrival later
+    /// in it arms its channel for the next cycle (see `enqueue`). So a
+    /// channel is polled, and issues a command, at most once per cycle, and
+    /// both modes first see an arrival on the same cycle.
     fn poll_channels(&mut self) {
         let now = self.clock;
         for (ch, attn) in self.channels.iter_mut().zip(self.attention.iter_mut()) {
@@ -428,11 +423,7 @@ impl MemorySystem {
                 EngineMode::EventDriven => ch.next_poll(now, u64::MAX),
             };
         }
-    }
-
-    /// Earliest cycle any channel needs attention (event-driven mode).
-    fn next_horizon(&self) -> u64 {
-        self.attention.iter().copied().min().unwrap_or(u64::MAX)
+        self.first_unpolled = now + 1;
     }
 
     fn enqueue(&mut self, req: MemRequest) -> Result<()> {
@@ -457,8 +448,9 @@ impl MemorySystem {
             }
         }
         let ch = coord.channel.index();
-        // A new arrival can unblock the channel immediately.
-        self.attention[ch] = self.clock;
+        // A new arrival can unblock the channel on the first cycle it has
+        // not been polled on yet.
+        self.attention[ch] = self.clock.max(self.first_unpolled);
         self.channels[ch].enqueue(PendingRequest { req, coord }, self.clock);
         Ok(())
     }

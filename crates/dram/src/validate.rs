@@ -16,6 +16,9 @@
 //! * REF issued while the rank is refreshing itself,
 //! * entries with open banks, exits without a matching entry.
 //!
+//! The command bus carries one command per cycle: a channel whose log shows
+//! two scheduler-issued commands in the same cycle is flagged.
+//!
 //! It also validates GreenDIMM's safety properties against the MRS records
 //! that program the sub-array-group deep power-down bit vector: traffic
 //! (ACT/RD/WR) must never touch a group whose deep-PD bit is set, and —
@@ -199,6 +202,9 @@ impl TimingChecker {
         let mut ranks: std::collections::HashMap<(u32, u32), RankTrack> =
             std::collections::HashMap::new();
         let mut last_cycle: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
+        // Cycle of each channel's latest command-bus record.
+        let mut last_bus_cycle: std::collections::HashMap<u32, u64> =
+            std::collections::HashMap::new();
         // Deep power-down bit per sub-array group (the index is global:
         // sub-array `g` of every bank) and PASR segment mask, per channel,
         // reconstructed from that channel's MRS and MR17 records. Register
@@ -252,6 +258,23 @@ impl TimingChecker {
                 gap_violation(rec, cond, constraint, min_gap)
             };
             let mut pending: Vec<TimingViolation> = Vec::new();
+
+            // --- Command bus: at most one scheduler-issued command per
+            // channel per cycle. MRS and MR17 records are exempt: the OS
+            // writes those registers through the sideband SPD bus (§4.3),
+            // not the command bus, and stamps them with the system clock,
+            // which may equal the cycle of a scheduler command. ---
+            if !matches!(
+                rec.command,
+                DramCommand::ModeRegisterSet | DramCommand::PasrMask
+            ) && last_bus_cycle.insert(rec.channel, rec.cycle) == Some(rec.cycle)
+            {
+                pending.push(TimingViolation {
+                    record: *rec,
+                    constraint: "one command per channel per cycle",
+                    earliest_legal: rec.cycle + 1,
+                });
+            }
 
             // --- Rank power-state machine (MRS and the PASR MR17 write are
             // sideband register writes through the SPD bus and exempt,
@@ -673,6 +696,30 @@ mod tests {
         ];
         let v = checker().check(&log);
         assert!(v.iter().any(|x| x.constraint.starts_with("log order")));
+    }
+
+    #[test]
+    fn two_commands_on_one_channel_in_one_cycle_detected() {
+        let t = DramTiming::ddr4_2133_4gb();
+        // A READ to an open bank and an ACT to another bank group share
+        // cycle `t.t_rcd`; each is legal on its own.
+        let read = rec(t.t_rcd, 0, 0, DramCommand::Read);
+        let act = rec(t.t_rcd, 4, 1, DramCommand::Activate);
+        let v = checker().check(&[rec(0, 0, 0, DramCommand::Activate), read, act]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].constraint, "one command per channel per cycle");
+        assert_eq!((v[0].record, v[0].earliest_legal), (act, t.t_rcd + 1));
+        // The same two commands on different channels pass.
+        let other = CommandRecord { channel: 1, ..act };
+        let v = checker().check(&[rec(0, 0, 0, DramCommand::Activate), read, other]);
+        assert!(v.is_empty(), "{v:?}");
+        // A register write shares the cycle of a command without a flag.
+        let v = checker().check(&[
+            rec(0, 0, 0, DramCommand::Activate),
+            read,
+            mrs(t.t_rcd, 1, true),
+        ]);
+        assert!(v.is_empty(), "{v:?}");
     }
 
     // --- Power-state machine ---

@@ -431,6 +431,28 @@ impl MemoryManager {
         }
         self.settle();
         let id = AllocationId(self.next_id);
+        let chunks = self.place(pages, id, kind)?;
+        self.next_id += 1;
+        self.allocs.insert(
+            id,
+            AllocInfo {
+                kind,
+                chunks,
+                pages,
+                deferred: 0,
+            },
+        );
+        Ok(id)
+    }
+
+    /// Places `pages` pages of `kind` for allocation `id` over the eligible
+    /// on-line blocks, first-fit ascending, and returns the chunks placed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GdError::OutOfMemory`], placing nothing, if the eligible
+    /// blocks do not hold enough free pages.
+    fn place(&mut self, pages: u64, id: AllocationId, kind: PageKind) -> Result<Vec<(usize, u32)>> {
         let eligible = self.eligible_blocks(kind);
         let free_total: u64 = eligible.iter().map(|i| self.blocks[*i].free_pages()).sum();
         if free_total < pages {
@@ -440,7 +462,7 @@ impl MemoryManager {
             });
         }
         let mut remaining = pages;
-        let mut placed: Vec<(usize, u32)> = Vec::new();
+        let mut placed = Vec::new();
         for bi in eligible {
             if remaining == 0 {
                 break;
@@ -451,17 +473,7 @@ impl MemoryManager {
             }
         }
         debug_assert_eq!(remaining, 0, "free accounting said space existed");
-        self.next_id += 1;
-        self.allocs.insert(
-            id,
-            AllocInfo {
-                kind,
-                chunks: placed,
-                pages,
-                deferred: 0,
-            },
-        );
-        Ok(id)
+        Ok(placed)
     }
 
     /// Frees an entire allocation.
@@ -563,25 +575,7 @@ impl MemoryManager {
             .get(&id)
             .ok_or_else(|| GdError::NotFound(id.to_string()))?
             .kind;
-        let eligible = self.eligible_blocks(kind);
-        let free_total: u64 = eligible.iter().map(|i| self.blocks[*i].free_pages()).sum();
-        if free_total < pages {
-            return Err(GdError::OutOfMemory {
-                requested_pages: pages,
-                free_pages: free_total,
-            });
-        }
-        let mut remaining = pages;
-        let mut placed = Vec::new();
-        for bi in eligible {
-            if remaining == 0 {
-                break;
-            }
-            for (off, order) in self.alloc_in_block(bi, remaining, id, kind) {
-                placed.push((bi, off));
-                remaining = remaining.saturating_sub(1 << order);
-            }
-        }
+        let placed = self.place(pages, id, kind)?;
         let info = self.allocs.get_mut(&id).expect("checked above");
         info.chunks.extend(placed);
         info.pages += pages;

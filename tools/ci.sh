@@ -58,12 +58,14 @@ tools/regen_all.sh
 export GD_BENCH_DIR=/tmp/gd_bench.ci
 rm -rf "$GD_BENCH_DIR"
 
-echo "==> strict-validate snapshot gate (fig09, fig10, fig11, fig_faults under --strict-validate)"
+echo "==> strict-validate snapshot gate (fig03, fig09, fig10, fig11, fig15, fig_faults under --strict-validate)"
 # Every protocol, governor-sanity and co-simulation invariant must hold on
 # the full committed runs, and checking them must not move a number: only
 # the [strict-validate: ...] banner and the timing line may differ from
-# the committed snapshot.
-for fig in fig09_dram_energy fig10_system_energy fig11_perf_overhead fig_faults; do
+# the committed snapshot. fig03 and fig15 replay the controller's command
+# logs on the committed DDR4, DDR5 and LPDDR4-PASR runs.
+for fig in fig03_interleaving fig09_dram_energy fig10_system_energy fig11_perf_overhead \
+           fig15_cross_generation fig_faults; do
   cargo run --quiet --release -p gd-bench --bin "$fig" -- --strict-validate \
     > "/tmp/$fig.strict.ci.txt" || {
     echo "ERROR: $fig --strict-validate exited nonzero" >&2
