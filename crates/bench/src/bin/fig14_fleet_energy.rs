@@ -18,7 +18,8 @@
 //! the fleet size (1 to 10 000, default 1000), `--requests N` trims the
 //! simulated day to N scheduler periods, `--strict-validate` enforces the
 //! fleet and co-simulation invariants, and `--telemetry PATH` dumps the
-//! exact hosts' daemon/mm/ksm books as JSONL.
+//! exact hosts' daemon/mm/ksm books as JSONL. Each point's sidecar entry
+//! carries the exact hosts' work counters (`gd_fleet::HostWork`).
 
 use gd_bench::report::{f2, header, pct, row};
 use gd_bench::BenchArgs;
@@ -98,6 +99,7 @@ fn main() {
             for (host, tele) in run.telemetry.take().unwrap_or_default() {
                 sink.give(&format!("/{host}"), Some(tele));
             }
+            sink.record_work(&run.work.fields());
             run
         },
     );

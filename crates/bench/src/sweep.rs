@@ -24,8 +24,9 @@
 //!
 //! [`BenchArgs::sweep`] is the harness the figure binaries run on top of
 //! the pool: it times every point into the `results/BENCH_<fig>.json`
-//! sidecar and merges, in point order, the telemetry shards each point
-//! hands its [`ShardSink`].
+//! sidecar, next to the deterministic work counters the point records,
+//! and merges, in point order, the telemetry shards each point hands its
+//! [`ShardSink`].
 
 use crate::telemetry::write_shards;
 use crate::BenchArgs;
@@ -83,6 +84,9 @@ pub struct PointTiming {
     pub label: String,
     /// Wall-clock seconds this point took on its worker.
     pub seconds: f64,
+    /// Deterministic work counters the point recorded (see
+    /// [`ShardSink::record_work`]), in the order it gave them.
+    pub work: Vec<(&'static str, u64)>,
 }
 
 /// Machine-readable timing record of one figure regeneration, written to
@@ -110,8 +114,18 @@ impl SweepTiming {
         out.push_str("  \"points\": [\n");
         for (i, p) in self.points.iter().enumerate() {
             let comma = if i + 1 == self.points.len() { "" } else { "," };
+            let work = if p.work.is_empty() {
+                String::new()
+            } else {
+                let fields: Vec<String> = p
+                    .work
+                    .iter()
+                    .map(|(name, n)| format!("\"{}\": {n}", escape(name)))
+                    .collect();
+                format!(", \"work\": {{{}}}", fields.join(", "))
+            };
             out.push_str(&format!(
-                "    {{\"label\": \"{}\", \"seconds\": {:.6}}}{comma}\n",
+                "    {{\"label\": \"{}\", \"seconds\": {:.6}{work}}}{comma}\n",
                 escape(&p.label),
                 p.seconds
             ));
@@ -167,10 +181,12 @@ fn results_dir() -> PathBuf {
 /// The telemetry shards one sweep point hands to the harness. The harness
 /// labels each shard with the point's label plus the shard's suffix and
 /// merges every point's shards in point order after the sweep joins.
+/// The sink also carries the point's work counters to the sidecar.
 #[derive(Debug)]
 pub struct ShardSink {
     enabled: bool,
     shards: Vec<(String, Telemetry)>,
+    work: Vec<(&'static str, u64)>,
 }
 
 impl ShardSink {
@@ -186,6 +202,14 @@ impl ShardSink {
         if let Some(tele) = tele {
             self.shards.push((suffix.to_string(), tele));
         }
+    }
+
+    /// Records deterministic work counters for the point's sidecar entry.
+    /// They depend only on the simulated inputs, never on the machine or
+    /// `--jobs`, so `tools/regen_all.sh` compares them with the committed
+    /// sidecar exactly.
+    pub fn record_work(&mut self, counters: &[(&'static str, u64)]) {
+        self.work.extend_from_slice(counters);
     }
 
     /// Runs `f` with a fresh shard (`None` when telemetry is off) and hands
@@ -258,6 +282,7 @@ impl BenchArgs {
             let mut sink = ShardSink {
                 enabled,
                 shards: Vec::new(),
+                work: Vec::new(),
             };
             let r = run(p, &mut sink);
             (r, sink, p0.elapsed().as_secs_f64())
@@ -276,7 +301,11 @@ impl BenchArgs {
             for (suffix, tele) in sink.shards {
                 shards.push((format!("{label}{suffix}"), Some(tele)));
             }
-            timing.points.push(PointTiming { label, seconds });
+            timing.points.push(PointTiming {
+                label,
+                seconds,
+                work: sink.work,
+            });
             results.push(r);
         }
         timing.write();
@@ -343,6 +372,7 @@ mod tests {
         let mut off = ShardSink {
             enabled: false,
             shards: Vec::new(),
+            work: Vec::new(),
         };
         assert!(off.fill(|t| t.is_none()));
         off.give("/x", None);
@@ -350,6 +380,7 @@ mod tests {
         let mut on = ShardSink {
             enabled: true,
             shards: Vec::new(),
+            work: Vec::new(),
         };
         on.fill(|t| t.expect("telemetry is on").registry.counter_add("c", 1));
         on.give("/b", Some(Telemetry::new()));
@@ -365,15 +396,26 @@ mod tests {
             fig: "fig99_test".into(),
             jobs: 2,
             total_s: 1.5,
-            points: vec![PointTiming {
-                label: "a\"b".into(),
-                seconds: 0.25,
-            }],
+            points: vec![
+                PointTiming {
+                    label: "a\"b".into(),
+                    seconds: 0.25,
+                    work: Vec::new(),
+                },
+                PointTiming {
+                    label: "c".into(),
+                    seconds: 0.5,
+                    work: vec![("ticks", 7), ("runs", 0)],
+                },
+            ],
         };
         let j = t.to_json();
         assert!(j.contains("\"fig\": \"fig99_test\""));
         assert!(j.contains("\"jobs\": 2"));
-        assert!(j.contains("a\\\"b"));
+        assert!(j.contains("a\\\"b\", \"seconds\": 0.250000},\n"));
+        assert!(j.contains(
+            "{\"label\": \"c\", \"seconds\": 0.500000, \"work\": {\"ticks\": 7, \"runs\": 0}}\n"
+        ));
         assert!(j.ends_with("}\n"));
     }
 }

@@ -6,8 +6,14 @@
 //! workload adjusts its footprint, KSM merges what its scan budget allows,
 //! and the daemon on/off-lines blocks. DRAM power is integrated per epoch
 //! from state-residency fractions.
+//!
+//! Most monitor ticks find free memory between the on- and off-lining
+//! edges and do nothing. The event-driven engine accounts such a stretch
+//! of ticks at once (see [`EpochSim::set_engine`]); the stepped engine runs
+//! every tick and is the reference the two are checked against.
 
 use crate::daemon::{Daemon, TickReport};
+use gd_dram::EngineMode;
 use gd_ksm::Ksm;
 use gd_mmsim::{AllocationId, MemoryManager, PageKind};
 use gd_obs::{Telemetry, Value};
@@ -111,6 +117,8 @@ pub struct EpochSim {
     /// Optional deterministic telemetry (see [`gd_obs`]). `None` keeps the
     /// hot path to a single branch per tick.
     pub telemetry: Option<Telemetry>,
+    /// How [`step`](Self::step) advances through idle monitor ticks.
+    engine: EngineMode,
     now: SimTime,
     next_monitor: SimTime,
 }
@@ -126,9 +134,29 @@ impl EpochSim {
             verify: false,
             checks_run: 0,
             telemetry: None,
+            engine: EngineMode::default(),
             now: SimTime::ZERO,
             next_monitor,
         }
+    }
+
+    /// Selects how [`step`](Self::step) advances time. Both engines are
+    /// exact: they leave the same state and the same [`DaemonStats`]
+    /// behind.
+    ///
+    /// * [`EngineMode::Stepped`] runs the daemon's body at every monitor
+    ///   tick: the reference.
+    /// * [`EngineMode::EventDriven`] (the default) runs the same ticks, but
+    ///   with KSM, telemetry and verification off it jumps to the end of
+    ///   the step once [`Daemon::is_idle`] holds. An idle tick changes
+    ///   nothing but the tick counters, and without KSM nothing else moves
+    ///   the memory manager within a step, so every tick left in the step
+    ///   is idle too and [`Daemon::skip_idle_ticks`] accounts for them.
+    ///
+    /// [`DaemonStats`]: crate::daemon::DaemonStats
+    pub fn set_engine(&mut self, engine: EngineMode) -> &mut Self {
+        self.engine = engine;
+        self
     }
 
     /// Enables deterministic telemetry: span events around every daemon
@@ -192,6 +220,9 @@ impl EpochSim {
         let target = self.now + dt;
         let mut aggregate = TickReport::default();
         while self.now < target {
+            if self.skip_idle_ticks(target) {
+                break;
+            }
             let next = self.next_monitor.min(target);
             let slice = next - self.now;
             let mut merged = 0;
@@ -250,6 +281,27 @@ impl EpochSim {
             }
         }
         Ok(aggregate)
+    }
+
+    /// On the event-driven engine, with KSM, telemetry and verification
+    /// off and the daemon idle, accounts every monitor tick up to `target`
+    /// and moves there; returns whether it did.
+    fn skip_idle_ticks(&mut self, target: SimTime) -> bool {
+        let skip = self.engine == EngineMode::EventDriven
+            && self.ksm.is_none()
+            && self.telemetry.is_none()
+            && !self.verify
+            && self.daemon.is_idle(&self.mm);
+        if skip {
+            if self.next_monitor <= target {
+                let period = self.daemon.config().monitor_period;
+                let ticks = (target - self.next_monitor).0 / period.0 + 1;
+                self.daemon.skip_idle_ticks(ticks);
+                self.next_monitor += period * ticks;
+            }
+            self.now = target;
+        }
+        skip
     }
 
     /// Resizes a footprint, modelling the kernel's demand-driven on-lining

@@ -9,7 +9,6 @@ use gd_mmsim::{MemoryManager, OfflineErrno};
 use gd_types::ids::SubArrayGroup;
 use gd_types::rng::{component_rng, StdRng};
 use gd_types::{Result, SimTime};
-use std::collections::HashSet;
 
 /// Counters the daemon accumulates over a run (Tables 2–3, Fig. 8, and the
 /// overhead model behind Figs. 7 and 11).
@@ -60,6 +59,31 @@ impl DaemonStats {
     }
 }
 
+/// How much of its work the daemon actually ran. Kept out of
+/// [`DaemonStats`] on purpose: an idle tick skipped by
+/// [`Daemon::skip_idle_ticks`] counts in `DaemonStats::ticks` like a run
+/// one, so the engines agree on `DaemonStats` and differ only here.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DaemonWork {
+    /// Monitor ticks whose body ran.
+    pub bodies: u64,
+    /// Ticks that entered the off-lining pass.
+    pub offline_passes: u64,
+}
+
+/// The free-page edges one monitor tick compares `meminfo` against.
+#[derive(Debug, Clone, Copy)]
+struct Floors {
+    /// On-line free pages.
+    free: u64,
+    /// Above `off_floor + block_pages` free pages the tick off-lines.
+    off_floor: u64,
+    /// Below `on_floor` free pages the tick on-lines.
+    on_floor: u64,
+    /// Pages per memory block.
+    block_pages: u64,
+}
+
 /// What one monitor tick did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TickReport {
@@ -103,6 +127,8 @@ pub struct Daemon {
     recovery: Vec<GroupRecovery>,
     /// Run statistics.
     pub stats: DaemonStats,
+    /// Work counters.
+    work: DaemonWork,
 }
 
 impl Daemon {
@@ -119,7 +145,13 @@ impl Daemon {
             cfg,
             map,
             stats: DaemonStats::default(),
+            work: DaemonWork::default(),
         }
+    }
+
+    /// How much of its work the daemon actually ran.
+    pub fn work(&self) -> DaemonWork {
+        self.work
     }
 
     /// Installs a fault injector. An inactive plan (or none at all)
@@ -194,6 +226,51 @@ impl Daemon {
         self.registers.down_fraction()
     }
 
+    /// The free pages and the thresholds' page counts at the effective
+    /// off threshold.
+    fn floors(&self, mm: &MemoryManager) -> Floors {
+        let info = mm.meminfo();
+        let installed = info.installed_pages as f64;
+        Floors {
+            free: info.free_pages,
+            off_floor: (self.current_off_thr * installed) as u64,
+            on_floor: (self.cfg.on_thr * installed) as u64,
+            block_pages: mm.block_pages(),
+        }
+    }
+
+    /// True when some group waits to retry deep power-down entry.
+    fn retry_pending(&self) -> bool {
+        self.recovery
+            .iter()
+            .any(|r| r.consecutive_nacks > 0 && !r.degraded)
+    }
+
+    /// Whether a [`tick`](Self::tick) now would change nothing but the
+    /// tick counters (`DaemonStats::ticks` and the adaptive quiet count):
+    /// free memory lies between the on-lining and off-lining edges, no
+    /// group waits to retry deep power-down, and the adaptive threshold,
+    /// if on, sits at its configured value, where decay leaves it. Such a
+    /// tick also leaves every input of this test as it was, so it holds
+    /// for every later tick until something outside the daemon changes
+    /// the memory manager.
+    pub fn is_idle(&self, mm: &MemoryManager) -> bool {
+        let f = self.floors(mm);
+        (f.on_floor..=f.off_floor + f.block_pages).contains(&f.free)
+            && !self.retry_pending()
+            && (!self.cfg.adaptive_off_thr || self.current_off_thr == self.cfg.off_thr)
+    }
+
+    /// Accounts `n` monitor ticks without running them, each as a
+    /// [`tick`](Self::tick) for which [`is_idle`](Self::is_idle) held.
+    pub fn skip_idle_ticks(&mut self, n: u64) {
+        self.stats.ticks += n;
+        if self.cfg.adaptive_off_thr {
+            let n = u32::try_from(n).unwrap_or(u32::MAX);
+            self.quiet_ticks = self.quiet_ticks.saturating_add(n);
+        }
+    }
+
     /// One `memory_usage_monitor()` pass at simulated time `now`.
     ///
     /// # Errors
@@ -202,50 +279,39 @@ impl Daemon {
     /// kernel's EBUSY/EAGAIN results are *handled*, not propagated).
     pub fn tick(&mut self, now: SimTime, mm: &mut MemoryManager) -> Result<TickReport> {
         self.stats.ticks += 1;
+        self.work.bodies += 1;
         let mut report = TickReport::default();
-        let info = mm.meminfo();
-        let installed = info.installed_pages;
-        let off_floor = (self.current_off_thr * installed as f64) as u64;
-        let on_floor = (self.cfg.on_thr * installed as f64) as u64;
-        let block_pages = mm.block_pages();
-
-        if info.free_pages > off_floor + block_pages {
-            self.offline_pass(now, mm, off_floor, block_pages, &mut report)?;
-        } else if info.free_pages < on_floor {
+        let f = self.floors(mm);
+        if f.free > f.off_floor + f.block_pages {
+            self.work.offline_passes += 1;
+            self.offline_pass(now, mm, f.off_floor + f.block_pages, &mut report)?;
+        } else if f.free < f.on_floor {
             // On-line blocks until the free reserve is restored to the off
             // threshold (the hysteresis upper edge).
-            report.onlined += self.online_until(now, mm, off_floor)?;
+            report.onlined += self.online_until(now, mm, f.off_floor)?;
         }
         // Re-attempt deep-PD entry for groups whose quarantine may have
         // expired. Without prior NACKs this pass does not run at all, so
         // faultless ticks are byte-identical to pre-recovery behaviour.
-        if self
-            .recovery
-            .iter()
-            .any(|r| r.consecutive_nacks > 0 && !r.degraded)
-        {
+        if self.retry_pending() {
             self.update_registers_after_offline(now, mm)?;
         }
         self.adapt(report.failures > 0);
         Ok(report)
     }
 
+    /// Off-lines blocks while more than `keep` pages are free, up to the
+    /// per-tick attempt budget.
     fn offline_pass(
         &mut self,
         now: SimTime,
         mm: &mut MemoryManager,
-        off_floor: u64,
-        block_pages: u64,
+        keep: u64,
         report: &mut TickReport,
     ) -> Result<()> {
-        // The selector reads the block layout: place KSM's deferred
-        // releases first.
-        mm.settle();
-        let mut excluded: HashSet<usize> = HashSet::new();
+        let mut excluded: Vec<usize> = Vec::new();
         let mut attempts = 0;
-        while attempts < self.cfg.max_attempts_per_tick
-            && mm.meminfo().free_pages > off_floor + block_pages
-        {
+        while attempts < self.cfg.max_attempts_per_tick && mm.meminfo().free_pages > keep {
             let Some(block) =
                 crate::selector::pick_candidate(mm, self.cfg.selector, &excluded, &mut self.rng)
             else {
@@ -266,7 +332,7 @@ impl Daemon {
                     }
                     self.stats.hotplug_time += fail.latency;
                     report.failures += 1;
-                    excluded.insert(block);
+                    excluded.push(block);
                 }
             }
         }
@@ -314,11 +380,7 @@ impl Daemon {
         // policy must answer for.
         self.stats.allocation_stalls += 1;
         self.adapt(true); // an allocation stall is trouble for the policy
-        let target = {
-            let info = mm.meminfo();
-            let floor = (self.current_off_thr * info.installed_pages as f64) as u64;
-            needed_pages + floor
-        };
+        let target = needed_pages + self.floors(mm).off_floor;
         let onlined = self.online_until(now, mm, target)?;
         if onlined == 0 {
             self.stats.stalls_unserved += 1;
@@ -334,12 +396,10 @@ impl Daemon {
     /// groups receive traffic, and a powered-down buddy would be missing
     /// the sense amplifiers that traffic needs (§6.1).
     fn wake_groups_for_block(&mut self, now: SimTime, block: usize) -> Result<()> {
-        for g in self.map.groups_of_block(block)? {
-            let mut wake = vec![g];
-            if self.cfg.neighbor_constraint {
-                wake.push(self.map.sense_amp_buddy(g));
-            }
-            for g in wake {
+        let map = self.map;
+        for g in map.groups_of_block(block)? {
+            let buddy = self.cfg.neighbor_constraint.then(|| map.sense_amp_buddy(g));
+            for g in std::iter::once(g).chain(buddy) {
                 if self.registers.is_down(g) {
                     // An injected wake failure costs a full exit latency
                     // and forces a retry, bounded by the retry budget: the
@@ -369,38 +429,30 @@ impl Daemon {
     }
 
     /// After off-lining, move every fully-off-lined group into deep
-    /// power-down (honouring the shared-sense-amp neighbour constraint).
+    /// power-down (honouring the shared-sense-amp neighbour constraint),
+    /// in ascending group order.
     fn update_registers_after_offline(&mut self, now: SimTime, mm: &MemoryManager) -> Result<()> {
-        let offline_flags: Vec<bool> = mm.offline_flags().collect();
         // The managed geometry may be smaller than the whole machine (the
         // paper manages a movablecore region); map only the managed prefix.
-        let managed = self.map.blocks().min(offline_flags.len());
-        let flags = &offline_flags[..managed];
-        if flags.len() != self.map.blocks() {
+        let map = self.map;
+        if mm.block_count() < map.blocks() {
             return Ok(()); // geometry mismatch: register programming skipped
         }
-        let fully = self.map.fully_offline_groups(flags);
-        for g in 0..self.map.groups() {
+        let fully = |g: SubArrayGroup| map.group_fully_offline(g, |b| mm.block_offline(b));
+        for g in 0..map.groups() {
             let group = SubArrayGroup::new(g);
-            if !fully[g as usize] || self.registers.is_down(group) {
+            if self.registers.is_down(group) || !fully(group) {
                 continue;
             }
-            let ok = if self.cfg.neighbor_constraint {
-                let buddy = self.map.sense_amp_buddy(group);
-                fully.get(buddy.index()).copied().unwrap_or(false)
-            } else {
-                true
-            };
-            if ok {
-                let entered = self.try_enter_deep_pd(group, now)?;
-                // A fully-off-lined buddy that was previously blocked by this
-                // group can now power down too.
-                if entered && self.cfg.neighbor_constraint {
-                    let buddy = self.map.sense_amp_buddy(group);
-                    if fully.get(buddy.index()).copied().unwrap_or(false) {
-                        self.try_enter_deep_pd(buddy, now)?;
-                    }
-                }
+            let buddy = map.sense_amp_buddy(group);
+            if self.cfg.neighbor_constraint && !fully(buddy) {
+                continue;
+            }
+            let entered = self.try_enter_deep_pd(group, now)?;
+            // A fully-off-lined buddy that was previously blocked by this
+            // group can now power down too.
+            if entered && self.cfg.neighbor_constraint {
+                self.try_enter_deep_pd(buddy, now)?;
             }
         }
         Ok(())

@@ -10,6 +10,7 @@
 
 use gd_types::ids::SubArrayGroup;
 use gd_types::{GdError, Result};
+use std::ops::Range;
 
 /// Block ↔ sub-array-group geometry for a managed capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,8 +84,11 @@ impl GroupMap {
         (self.group_bytes / self.block_bytes).max(1) as u32
     }
 
-    /// The groups whose address range intersects block `b`.
-    pub fn groups_of_block(&self, block: usize) -> Result<Vec<SubArrayGroup>> {
+    /// The groups whose address range intersects block `b`, ascending.
+    pub fn groups_of_block(
+        &self,
+        block: usize,
+    ) -> Result<impl Iterator<Item = SubArrayGroup> + Clone> {
         if block >= self.n_blocks {
             return Err(GdError::NotFound(format!("block {block}")));
         }
@@ -92,11 +96,11 @@ impl GroupMap {
         let end = start + self.block_bytes;
         let g0 = (start / self.group_bytes) as u32;
         let g1 = ((end - 1) / self.group_bytes) as u32;
-        Ok((g0..=g1).map(SubArrayGroup::new).collect())
+        Ok((g0..=g1).map(SubArrayGroup::new))
     }
 
     /// The blocks inside group `g`.
-    pub fn blocks_of_group(&self, group: SubArrayGroup) -> Result<Vec<usize>> {
+    pub fn blocks_of_group(&self, group: SubArrayGroup) -> Result<Range<usize>> {
         if group.0 >= self.groups {
             return Err(GdError::NotFound(group.to_string()));
         }
@@ -104,7 +108,19 @@ impl GroupMap {
         let end = start + self.group_bytes;
         let b0 = (start / self.block_bytes) as usize;
         let b1 = ((end - 1) / self.block_bytes) as usize;
-        Ok((b0..=b1).collect())
+        Ok(b0..b1 + 1)
+    }
+
+    /// Whether every block of `group` is off-line by `block_offline`, so
+    /// the group may enter deep power-down (false for an out-of-range
+    /// group).
+    pub fn group_fully_offline(
+        &self,
+        group: SubArrayGroup,
+        block_offline: impl Fn(usize) -> bool,
+    ) -> bool {
+        self.blocks_of_group(group)
+            .is_ok_and(|mut blocks| blocks.all(block_offline))
     }
 
     /// Given per-block off-line flags, which groups are *fully* off-line
@@ -117,12 +133,7 @@ impl GroupMap {
     pub fn fully_offline_groups(&self, block_offline: &[bool]) -> Vec<bool> {
         assert_eq!(block_offline.len(), self.n_blocks, "flag vector size");
         (0..self.groups)
-            .map(|g| {
-                self.blocks_of_group(SubArrayGroup::new(g))
-                    .expect("in range")
-                    .iter()
-                    .all(|b| block_offline[*b])
-            })
+            .map(|g| self.group_fully_offline(SubArrayGroup::new(g), |b| block_offline[b]))
             .collect()
     }
 
@@ -145,7 +156,7 @@ mod tests {
         assert_eq!(m.blocks(), 64);
         assert_eq!(m.groups_per_block(), 1);
         assert_eq!(m.blocks_per_group(), 1);
-        assert_eq!(m.groups_of_block(5).unwrap(), vec![SubArrayGroup::new(5)]);
+        assert!(m.groups_of_block(5).unwrap().eq([SubArrayGroup::new(5)]));
     }
 
     #[test]
@@ -155,7 +166,7 @@ mod tests {
         assert_eq!(m.blocks(), 16);
         assert_eq!(m.groups_per_block(), 4);
         let gs = m.groups_of_block(1).unwrap();
-        assert_eq!(gs, (4..8).map(SubArrayGroup::new).collect::<Vec<_>>());
+        assert!(gs.eq((4..8).map(SubArrayGroup::new)));
     }
 
     #[test]
@@ -164,10 +175,7 @@ mod tests {
         let m = GroupMap::new(256 << 30, 64, 1 << 30).unwrap();
         assert_eq!(m.blocks(), 256);
         assert_eq!(m.blocks_per_group(), 4);
-        assert_eq!(
-            m.blocks_of_group(SubArrayGroup::new(1)).unwrap(),
-            vec![4, 5, 6, 7]
-        );
+        assert_eq!(m.blocks_of_group(SubArrayGroup::new(1)).unwrap(), 4..8);
     }
 
     #[test]

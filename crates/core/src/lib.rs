@@ -32,7 +32,7 @@ pub mod verify;
 
 pub use config::{GreenDimmConfig, SelectorPolicy};
 pub use cosim::{EpochSim, FootprintDriver};
-pub use daemon::{Daemon, DaemonStats, GroupRecovery, TickReport};
+pub use daemon::{Daemon, DaemonStats, DaemonWork, GroupRecovery, TickReport};
 pub use groupmap::GroupMap;
 pub use registers::{GroupRegisterFile, DEEP_PD_EXIT};
 pub use verify::quarantine_observations;

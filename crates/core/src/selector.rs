@@ -3,35 +3,31 @@
 use crate::config::SelectorPolicy;
 use gd_mmsim::MemoryManager;
 use gd_types::rng::StdRng;
-use std::collections::HashSet;
 
 /// Picks an off-lining candidate under `policy`, skipping `excluded`
 /// blocks (failed earlier this tick). Returns `None` when no candidate
-/// remains.
+/// remains. Reads the settled blocks in place.
 pub fn pick_candidate(
-    mm: &MemoryManager,
+    mm: &mut MemoryManager,
     policy: SelectorPolicy,
-    excluded: &HashSet<usize>,
+    excluded: &[usize],
     rng: &mut StdRng,
 ) -> Option<usize> {
-    let blocks = mm.blocks();
-    let online: Vec<_> = blocks
-        .iter()
-        .filter(|b| b.online && !excluded.contains(&b.index))
-        .collect();
-    if online.is_empty() {
-        return None;
-    }
+    let blocks = mm.settled_blocks();
+    let online = || {
+        blocks
+            .iter()
+            .filter(|b| b.online() && !excluded.contains(&b.index()))
+    };
     match policy {
         SelectorPolicy::FreeRemovableFirst => {
             // Only movable blocks with no used pages: off-lining never
             // migrates and never fails. Take the highest-index one so the
             // allocator's first-fit packing is undisturbed.
-            online
-                .iter()
+            online()
                 .rev()
-                .find(|b| b.removable && b.used_pages == 0)
-                .map(|b| b.index)
+                .find(|b| b.removable() && b.is_free())
+                .map(|b| b.index())
         }
         SelectorPolicy::RemovableFirst => {
             // Prefer removable blocks (their isolation cannot hit EBUSY),
@@ -39,17 +35,16 @@ pub fn pick_candidate(
             // pages, so migration and EAGAIN remain possible, which is why
             // the paper reports ~50 % fewer failures rather than zero.
             // Blocks with unmovable pages are a last resort.
-            let removable: Vec<_> = online.iter().filter(|b| b.removable).collect();
-            if removable.is_empty() {
-                online.iter().min_by_key(|b| b.used_pages).map(|b| b.index)
-            } else {
-                Some(removable[rng.gen_range(0..removable.len())].index)
+            let removable = || online().filter(|b| b.removable());
+            match removable().count() {
+                0 => online().min_by_key(|b| b.used_pages()).map(|b| b.index()),
+                n => removable().nth(rng.gen_range(0..n)).map(|b| b.index()),
             }
         }
-        SelectorPolicy::Random => {
-            let i = rng.gen_range(0..online.len());
-            Some(online[i].index)
-        }
+        SelectorPolicy::Random => match online().count() {
+            0 => None,
+            n => online().nth(rng.gen_range(0..n)).map(|b| b.index()),
+        },
     }
 }
 
@@ -70,12 +65,7 @@ mod tests {
     fn free_policy_picks_highest_free_block() {
         let (mut mm, mut rng) = setup();
         mm.allocate(5000, PageKind::UserMovable).unwrap(); // fills low blocks
-        let pick = pick_candidate(
-            &mm,
-            SelectorPolicy::FreeRemovableFirst,
-            &HashSet::new(),
-            &mut rng,
-        );
+        let pick = pick_candidate(&mut mm, SelectorPolicy::FreeRemovableFirst, &[], &mut rng);
         assert_eq!(pick, Some(mm.block_count() - 1));
     }
 
@@ -86,12 +76,7 @@ mod tests {
         // almost everything.
         let total = mm.meminfo().total_pages;
         mm.allocate(total - 10, PageKind::UserMovable).unwrap();
-        let pick = pick_candidate(
-            &mm,
-            SelectorPolicy::FreeRemovableFirst,
-            &HashSet::new(),
-            &mut rng,
-        );
+        let pick = pick_candidate(&mut mm, SelectorPolicy::FreeRemovableFirst, &[], &mut rng);
         assert_eq!(pick, None);
     }
 
@@ -99,13 +84,7 @@ mod tests {
     fn removable_first_avoids_kernel_blocks() {
         let (mut mm, mut rng) = setup();
         mm.allocate(100, PageKind::KernelUnmovable).unwrap(); // block 0
-        let pick = pick_candidate(
-            &mm,
-            SelectorPolicy::RemovableFirst,
-            &HashSet::new(),
-            &mut rng,
-        )
-        .unwrap();
+        let pick = pick_candidate(&mut mm, SelectorPolicy::RemovableFirst, &[], &mut rng).unwrap();
         assert_ne!(pick, 0, "must prefer a removable block");
     }
 
@@ -117,19 +96,18 @@ mod tests {
             mm.offline_block(i).unwrap().unwrap();
         }
         let n = mm.block_count();
-        let excluded: HashSet<usize> = [n - 2].into_iter().collect();
         for _ in 0..20 {
-            let pick = pick_candidate(&mm, SelectorPolicy::Random, &excluded, &mut rng).unwrap();
+            let pick = pick_candidate(&mut mm, SelectorPolicy::Random, &[n - 2], &mut rng).unwrap();
             assert_eq!(pick, n - 1);
         }
     }
 
     #[test]
     fn no_candidates_when_everything_excluded() {
-        let (mm, mut rng) = setup();
-        let excluded: HashSet<usize> = (0..mm.block_count()).collect();
+        let (mut mm, mut rng) = setup();
+        let excluded: Vec<usize> = (0..mm.block_count()).collect();
         assert_eq!(
-            pick_candidate(&mm, SelectorPolicy::Random, &excluded, &mut rng),
+            pick_candidate(&mut mm, SelectorPolicy::Random, &excluded, &mut rng),
             None
         );
     }

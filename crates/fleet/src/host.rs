@@ -4,20 +4,25 @@
 //! This is the one copy of the single-host loop. The fleet drives it once
 //! per host with scheduler-produced event streams; `gd_bench::vmtrace`
 //! drives it once with a synthesized Azure trace for Figs. 1, 12 and 13,
-//! and the figures read its [`HostRun`] directly. The two
-//! [`EngineMode`]s:
+//! and the figures read its [`HostRun`] directly. The host advances one
+//! [`EpochSim::step`] per scheduler period on one of two [`EngineMode`]s
+//! (see [`EpochSim::set_engine`]):
 //!
-//! * [`EngineMode::Stepped`] — one [`EpochSim::step`] per second;
-//! * [`EngineMode::EventDriven`] — one step per scheduler period.
-//!   `EpochSim::step` slices internally at monitor boundaries, so the two
-//!   engines agree bit for bit by construction.
+//! * [`EngineMode::Stepped`] — the daemon's body runs every second;
+//! * [`EngineMode::EventDriven`] — once the daemon is idle, the rest of
+//!   the period's ticks are accounted without running. An idle tick
+//!   changes nothing but the tick counters, and nothing else moves the
+//!   memory manager until the next VM event, so the two engines agree bit
+//!   for bit and differ only in [`HostWork::daemon`].
 
 use gd_dram::EngineMode;
 use gd_ksm::{Ksm, KsmConfig, RegionId};
-use gd_mmsim::{AllocationId, MemoryManager, MmConfig, PageKind};
+use gd_mmsim::{MemoryManager, MmConfig, PageKind};
 use gd_types::{Result, SimTime};
 use gd_workloads::{VmEvent, VmEventKind};
-use greendimm::{Daemon, DaemonStats, EpochSim, FootprintDriver, GreenDimmConfig, GroupMap};
+use greendimm::{
+    Daemon, DaemonStats, DaemonWork, EpochSim, FootprintDriver, GreenDimmConfig, GroupMap,
+};
 use std::collections::HashMap;
 
 /// Configuration of one host co-simulation.
@@ -70,6 +75,46 @@ pub struct HostSample {
     pub deep_pd_fraction: f64,
 }
 
+/// Deterministic work counters of host co-simulations: they depend on the
+/// inputs and the engine, never on the machine.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HostWork {
+    /// Monitor ticks, run or skipped (`DaemonStats::ticks`).
+    pub ticks: u64,
+    /// What of the daemon's work actually ran.
+    pub daemon: DaemonWork,
+    /// VMs started.
+    pub vm_starts: u64,
+    /// Runs of max-order (4 MiB) chunks placed.
+    pub max_order_runs: u64,
+    /// Max-order chunks placed.
+    pub max_order_chunks: u64,
+}
+
+impl HostWork {
+    /// Adds `other`'s counts to these.
+    pub fn add(&mut self, other: &HostWork) {
+        self.ticks += other.ticks;
+        self.daemon.bodies += other.daemon.bodies;
+        self.daemon.offline_passes += other.daemon.offline_passes;
+        self.vm_starts += other.vm_starts;
+        self.max_order_runs += other.max_order_runs;
+        self.max_order_chunks += other.max_order_chunks;
+    }
+
+    /// The counters as `(name, value)` pairs, in a fixed order.
+    pub fn fields(&self) -> [(&'static str, u64); 6] {
+        [
+            ("daemon_ticks", self.ticks),
+            ("monitor_bodies", self.daemon.bodies),
+            ("offline_passes", self.daemon.offline_passes),
+            ("vm_starts", self.vm_starts),
+            ("max_order_runs", self.max_order_runs),
+            ("max_order_chunks", self.max_order_chunks),
+        ]
+    }
+}
+
 /// Full outcome of one host co-simulation.
 #[derive(Debug, Clone)]
 pub struct HostRun {
@@ -79,6 +124,8 @@ pub struct HostRun {
     pub daemon: DaemonStats,
     /// Pages KSM released over the run.
     pub ksm_released_pages: u64,
+    /// Work counters.
+    pub work: HostWork,
 }
 
 impl HostRun {
@@ -159,14 +206,15 @@ pub fn run_host(
         .then(|| Ksm::new(KsmConfig::default()))
         .transpose()?;
     let mut sim = EpochSim::new(mm, daemon, ksm);
+    sim.set_engine(cfg.engine);
     if with_telemetry {
         sim.enable_telemetry();
     }
 
     // Keyed lookups only (insert/remove by VM id) — never iterated, so the
     // hash order cannot reach any output.
-    let mut footprints: HashMap<u32, (FootprintDriver, Option<RegionId>, AllocationId)> =
-        HashMap::new();
+    let mut footprints: HashMap<u32, (FootprintDriver, Option<RegionId>)> = HashMap::new();
+    let mut vm_starts = 0;
     let mut samples = Vec::new();
     let mut event_idx = 0;
     let tick = cfg.schedule_period_s;
@@ -179,6 +227,7 @@ pub fn run_host(
             event_idx += 1;
             match ev.kind {
                 VmEventKind::Start => {
+                    vm_starts += 1;
                     let mut fp = FootprintDriver::new();
                     sim.set_footprint(&mut fp, ev.vm.mem_pages())?;
                     let region = match (&mut sim.ksm, cfg.ksm) {
@@ -194,11 +243,10 @@ pub fn run_host(
                         }
                         _ => None,
                     };
-                    let owner = fp.allocation_id().expect("just allocated");
-                    footprints.insert(ev.vm.id, (fp, region, owner));
+                    footprints.insert(ev.vm.id, (fp, region));
                 }
                 VmEventKind::Stop => {
-                    if let Some((mut fp, region, _owner)) = footprints.remove(&ev.vm.id) {
+                    if let Some((mut fp, region)) = footprints.remove(&ev.vm.id) {
                         if let (Some(r), Some(ksm)) = (region, &mut sim.ksm) {
                             ksm.unregister_region(r)?;
                         }
@@ -207,16 +255,7 @@ pub fn run_host(
                 }
             }
         }
-        match cfg.engine {
-            EngineMode::Stepped => {
-                for _ in 0..tick {
-                    sim.step(SimTime::from_secs(1))?;
-                }
-            }
-            EngineMode::EventDriven => {
-                sim.step(SimTime::from_secs(tick))?;
-            }
-        }
+        sim.step(SimTime::from_secs(tick))?;
         let info = sim.mm.meminfo();
         samples.push(HostSample {
             time_s: now_s,
@@ -228,11 +267,20 @@ pub fn run_host(
     let released = sim.ksm.as_ref().map(|k| k.frames_released()).unwrap_or(0);
     sim.export_telemetry("vm");
     let tele = sim.telemetry.take();
+    let placement = sim.mm.placement_work();
+    let work = HostWork {
+        ticks: sim.daemon.stats.ticks,
+        daemon: sim.daemon.work(),
+        vm_starts,
+        max_order_runs: placement.max_order_runs,
+        max_order_chunks: placement.max_order_chunks,
+    };
     Ok((
         HostRun {
             samples,
             daemon: sim.daemon.stats,
             ksm_released_pages: released,
+            work,
         },
         tele,
     ))

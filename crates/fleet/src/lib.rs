@@ -27,7 +27,7 @@ pub mod host;
 pub mod pool;
 pub mod scheduler;
 
-pub use host::{run_host, HostRun, HostSample, HostSimConfig};
+pub use host::{run_host, HostRun, HostSample, HostSimConfig, HostWork};
 pub use pool::shard_map;
 pub use scheduler::{schedule_fleet, FleetSchedule};
 
@@ -69,6 +69,8 @@ pub struct FleetOutcome {
     pub hosts: Vec<HostSummary>,
     /// Hosts that were co-simulated exactly.
     pub exact_hosts: usize,
+    /// Work counters summed over the exactly co-simulated hosts.
+    pub work: HostWork,
     /// Telemetry shards from the exactly-simulated hosts, labeled
     /// `host<index>`, when telemetry was requested.
     pub telemetry: Option<Vec<(String, gd_obs::Telemetry)>>,
@@ -103,7 +105,8 @@ impl FleetOutcome {
 /// Every `cfg.sample_stride`-th host is co-simulated exactly on `engine`;
 /// the remaining hosts get surrogate numbers calibrated against the exact
 /// hosts in a serial post-pass, so the outcome is byte-identical for any
-/// `jobs`. Both engines give bit-identical outcomes.
+/// `jobs`. Both engines give bit-identical outcomes; only
+/// [`FleetOutcome::work`] counts the daemon bodies each one ran.
 ///
 /// # Errors
 ///
@@ -176,9 +179,11 @@ pub fn run_fleet(
 
     let mut hosts = Vec::with_capacity(runs.len());
     let mut telemetry = with_telemetry.then(Vec::new);
+    let mut work = HostWork::default();
     for (host, run) in runs.into_iter().enumerate() {
         match run {
             Some((run, tele)) => {
+                work.add(&run.work);
                 hosts.push(HostSummary {
                     host,
                     exact: true,
@@ -213,6 +218,7 @@ pub fn run_fleet(
         utilization: schedule.utilization,
         hosts,
         exact_hosts,
+        work,
         telemetry,
     })
 }

@@ -1,6 +1,6 @@
 //! A hot-pluggable memory block: the kernel's unit of on/off-lining.
 
-use crate::buddy::{BuddyAllocator, MAX_ORDER};
+use crate::buddy::{BuddyAllocator, ChunkRun, MAX_ORDER};
 use crate::frame::{AllocationId, PageKind};
 use std::collections::BTreeMap;
 
@@ -159,35 +159,44 @@ impl MemoryBlock {
         }
     }
 
-    /// Allocates up to `pages` pages for `owner`; returns `(offset, order)`
+    /// Allocates up to `pages` pages for `owner`; returns the runs of
     /// chunks actually placed (possibly fewer pages than requested).
     pub fn alloc_chunks(
         &mut self,
         pages: u64,
         owner: AllocationId,
         kind: PageKind,
-    ) -> Vec<(u32, u8)> {
+    ) -> Vec<ChunkRun> {
         debug_assert!(self.online);
-        let chunks = self.buddy.alloc_pages(pages);
-        for &(off, order) in &chunks {
-            self.put_chunk(off, Chunk { owner, kind, order });
-            *self.kind_pages_mut(kind) += 1u64 << order;
+        let runs = self.buddy.alloc_pages(pages);
+        for &run in &runs {
+            self.put_run(
+                run,
+                Chunk {
+                    owner,
+                    kind,
+                    order: run.order,
+                },
+            );
+            *self.kind_pages_mut(kind) += run.pages();
         }
-        chunks
+        runs
     }
 
-    /// Records `chunk` as allocated at `offset`: in the slot table when it
-    /// is max-order and the table has its slot, in the ordered map
+    /// Records every chunk of `run` as `chunk`: in the slot table when they
+    /// are max-order and the table has their slots, in the ordered map
     /// otherwise.
-    fn put_chunk(&mut self, offset: u32, chunk: Chunk) {
-        let slot = self
-            .top_slot(offset)
-            .filter(|_| chunk.order == MAX_ORDER)
-            .and_then(|slot| self.top_chunks.get_mut(slot));
-        match slot {
-            Some(slot) => *slot = Some(chunk),
+    fn put_run(&mut self, run: ChunkRun, chunk: Chunk) {
+        let first = (run.offset >> MAX_ORDER) as usize;
+        let slots = (run.order == MAX_ORDER)
+            .then(|| self.top_chunks.get_mut(first..first + run.count as usize))
+            .flatten();
+        match slots {
+            Some(slots) => slots.fill(Some(chunk)),
             None => {
-                self.chunks.insert(offset, chunk);
+                for off in run.offsets() {
+                    self.chunks.insert(off, chunk);
+                }
             }
         }
     }
@@ -252,8 +261,8 @@ impl MemoryBlock {
     /// `[offset, offset + keep)` becomes its aligned binary decomposition,
     /// largest piece first; the freed upper part goes back to the buddy
     /// allocator smallest piece first, starting at `offset + keep`. Returns
-    /// the offsets of the kept pieces in ascending order. Kept pieces are
-    /// all below the chunk's order, so they go to the ordered map.
+    /// the kept pieces in ascending order. Kept pieces are all below the
+    /// chunk's order, so they go to the ordered map.
     ///
     /// The result is the state that repeatedly splitting the chunk into
     /// buddy halves and freeing the upper halves would leave behind.
@@ -262,7 +271,7 @@ impl MemoryBlock {
     ///
     /// Panics if no chunk starts at `offset` or `need` is not in
     /// `1..2^order`.
-    pub fn trim_chunk(&mut self, offset: u32, need: u32) -> impl Iterator<Item = u32> {
+    pub fn trim_chunk(&mut self, offset: u32, need: u32) -> impl Iterator<Item = ChunkRun> {
         let chunk = self.take_chunk(offset).expect("trim of unknown chunk");
         let size = 1u32 << chunk.order;
         assert!(
@@ -278,7 +287,7 @@ impl MemoryBlock {
             self.buddy.free(off, order);
         }
         *self.kind_pages_mut(chunk.kind) -= u64::from(need);
-        kept.map(|(off, _)| off)
+        kept.map(|(off, order)| ChunkRun::single(off, order))
     }
 
     /// Verifies the block's books: the buddy structure is sound, allocated
@@ -428,8 +437,8 @@ mod tests {
     #[test]
     fn free_chunk_restores_accounting() {
         let mut b = block();
-        let chunks = b.alloc_chunks(64, AllocationId(3), PageKind::UserMovable);
-        for (off, _) in chunks {
+        let runs = b.alloc_chunks(64, AllocationId(3), PageKind::UserMovable);
+        for off in runs.into_iter().flat_map(ChunkRun::offsets) {
             let c = b.free_chunk(off);
             assert_eq!(c.owner, AllocationId(3));
         }

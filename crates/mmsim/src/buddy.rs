@@ -7,13 +7,70 @@
 //! Free chunks below [`MAX_ORDER`] sit in one ordered set per order. Free
 //! max-order chunks, the bulk of a block's free space, sit in a bitmap
 //! with one bit per chunk; its lowest set bit is the lowest free offset,
-//! the chunk an ordered set would hand out first.
+//! the chunk an ordered set would hand out first. A stretch of set bits is
+//! a run of free max-order chunks, handed out in one step.
 
 use std::collections::BTreeSet;
 
 /// Maximum buddy order (2^10 pages = 4 MB with 4 KB pages), matching Linux's
 /// `MAX_ORDER - 1`.
 pub const MAX_ORDER: u8 = 10;
+
+/// `count` chunks of `2^order` pages each, back to back from `offset`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChunkRun {
+    /// Offset of the first chunk.
+    pub offset: u32,
+    /// Buddy order of every chunk.
+    pub order: u8,
+    /// Number of chunks (at least 1).
+    pub count: u32,
+}
+
+impl ChunkRun {
+    /// One chunk of `order` at `offset`.
+    pub fn single(offset: u32, order: u8) -> Self {
+        ChunkRun {
+            offset,
+            order,
+            count: 1,
+        }
+    }
+
+    /// Pages the run covers.
+    pub fn pages(&self) -> u64 {
+        u64::from(self.count) << self.order
+    }
+
+    /// Offset of the `i`-th chunk.
+    pub fn chunk(&self, i: u32) -> u32 {
+        self.offset + (i << self.order)
+    }
+
+    /// The chunk offsets, ascending.
+    pub fn offsets(self) -> impl Iterator<Item = u32> {
+        (0..self.count).map(move |i| self.chunk(i))
+    }
+
+    /// The run without its first chunk; `None` when that was the only one.
+    pub fn rest(self) -> Option<ChunkRun> {
+        (self.count > 1).then(|| ChunkRun {
+            offset: self.chunk(1),
+            count: self.count - 1,
+            ..self
+        })
+    }
+
+    /// Appends `next` when it continues this run (same order, first chunk
+    /// right after this run's last); returns whether it did.
+    pub fn absorb(&mut self, next: ChunkRun) -> bool {
+        let continues = next.order == self.order && next.offset == self.chunk(self.count);
+        if continues {
+            self.count += next.count;
+        }
+        continues
+    }
+}
 
 /// A buddy allocator managing `total_pages` pages (offsets are block-local).
 #[derive(Debug, Clone)]
@@ -112,6 +169,37 @@ impl BuddyAllocator {
         *word &= *word - 1;
         self.top_count -= 1;
         Some((w as u32 * 64 + bit) << MAX_ORDER)
+    }
+
+    /// Takes the lowest free max-order chunk together with the free
+    /// max-order chunks directly above it in the same bitmap word, at most
+    /// `max` in all. Taking them one at a time with
+    /// [`alloc`](Self::alloc)`(MAX_ORDER)` hands out the same offsets in
+    /// the same order.
+    fn alloc_top_run(&mut self, max: u32) -> Option<ChunkRun> {
+        debug_assert!(max > 0, "empty run requested");
+        if let Some(list) = self.free_lists.get_mut(MAX_ORDER as usize) {
+            let offset = list.pop_first()?;
+            self.free_pages -= 1 << MAX_ORDER;
+            return Some(ChunkRun::single(offset, MAX_ORDER));
+        }
+        let (w, word) = self
+            .top_free
+            .iter_mut()
+            .enumerate()
+            .find(|(_, word)| **word != 0)?;
+        let bit = word.trailing_zeros();
+        // Set bits from `bit` up: the zeros of the inverted, shifted word.
+        let count = (!(*word >> bit)).trailing_zeros().min(max);
+        let mask = (u64::MAX >> (64 - count)) << bit;
+        *word &= !mask;
+        self.top_count -= count;
+        self.free_pages -= count << MAX_ORDER;
+        Some(ChunkRun {
+            offset: (w as u32 * 64 + bit) << MAX_ORDER,
+            order: MAX_ORDER,
+            count,
+        })
     }
 
     /// The bitmap word and mask of the max-order chunk at `offset`.
@@ -257,13 +345,32 @@ impl BuddyAllocator {
         Ok(())
     }
 
-    /// Allocates up to `pages` pages as a list of `(offset, order)` chunks,
-    /// preferring large chunks. Returns the chunks actually obtained (which
-    /// cover exactly `pages` pages on success, fewer if space ran out — the
-    /// caller must free partial results if it needs all-or-nothing).
-    pub fn alloc_pages(&mut self, pages: u64) -> Vec<(u32, u8)> {
+    /// Allocates up to `pages` pages as runs of chunks, preferring large
+    /// chunks. Returns the runs actually obtained (which cover exactly
+    /// `pages` pages on success, fewer if space ran out — the caller must
+    /// free partial results if it needs all-or-nothing).
+    ///
+    /// Whole max-order chunks come first, lowest offsets first, a bitmap
+    /// word at a time; the rest is split off the smaller orders one chunk
+    /// at a time. The chunks, in run order, are the ones repeated
+    /// [`alloc`](Self::alloc) calls of the largest order that fits and
+    /// succeeds would return.
+    pub fn alloc_pages(&mut self, pages: u64) -> Vec<ChunkRun> {
         let mut remaining = pages.min(self.free_pages as u64);
-        let mut out = Vec::new();
+        let mut out: Vec<ChunkRun> = Vec::new();
+        let mut push = |run: ChunkRun| {
+            if !out.last_mut().is_some_and(|last| last.absorb(run)) {
+                out.push(run);
+            }
+        };
+        while remaining >> MAX_ORDER > 0 {
+            let max = u32::try_from(remaining >> MAX_ORDER).unwrap_or(u32::MAX);
+            let Some(run) = self.alloc_top_run(max) else {
+                break;
+            };
+            remaining -= run.pages();
+            push(run);
+        }
         while remaining > 0 {
             let want = remaining.min(1 << MAX_ORDER);
             // Largest power of two not exceeding `want`.
@@ -272,7 +379,7 @@ impl BuddyAllocator {
             // Degrade to whatever is available.
             let got = loop {
                 if let Some(off) = self.alloc(order) {
-                    break Some((off, order));
+                    break Some(ChunkRun::single(off, order));
                 }
                 if order == 0 {
                     break None;
@@ -280,9 +387,9 @@ impl BuddyAllocator {
                 order -= 1;
             };
             match got {
-                Some((off, order)) => {
-                    out.push((off, order));
-                    remaining = remaining.saturating_sub(1 << order);
+                Some(run) => {
+                    remaining = remaining.saturating_sub(run.pages());
+                    push(run);
                 }
                 None => break,
             }
@@ -332,7 +439,7 @@ mod tests {
     fn alloc_pages_covers_request() {
         let mut b = BuddyAllocator::new(4096);
         let chunks = b.alloc_pages(1000);
-        let total: u64 = chunks.iter().map(|(_, o)| 1u64 << o).sum();
+        let total: u64 = chunks.iter().map(ChunkRun::pages).sum();
         // Greedy binary decomposition: 1000 = 512+256+128+64+32+8.
         assert_eq!(total, 1000);
         assert_eq!(chunks.len(), 6);
@@ -342,7 +449,7 @@ mod tests {
     fn alloc_pages_exact_power_of_two() {
         let mut b = BuddyAllocator::new(4096);
         let chunks = b.alloc_pages(1024);
-        let total: u64 = chunks.iter().map(|(_, o)| 1u64 << o).sum();
+        let total: u64 = chunks.iter().map(ChunkRun::pages).sum();
         assert_eq!(total, 1024);
         assert_eq!(chunks.len(), 1);
     }
@@ -351,10 +458,48 @@ mod tests {
     fn exhaustion_returns_partial() {
         let mut b = BuddyAllocator::new(1024);
         let chunks = b.alloc_pages(5000);
-        let total: u64 = chunks.iter().map(|(_, o)| 1u64 << o).sum();
+        let total: u64 = chunks.iter().map(ChunkRun::pages).sum();
         assert_eq!(total, 1024);
         assert_eq!(b.free_pages(), 0);
         assert!(b.alloc(0).is_none());
+    }
+
+    /// Runs taken a bitmap word at a time hand out the chunks one
+    /// `alloc(MAX_ORDER)` call at a time would, across word edges and
+    /// around holes.
+    #[test]
+    fn max_order_runs_match_single_chunk_allocation() {
+        let chunks = 130u32;
+        let mut b = BuddyAllocator::new(chunks << MAX_ORDER);
+        // Holes: every third chunk and a stretch across the first word edge.
+        let taken: Vec<u32> = (0..chunks)
+            .filter(|i| i % 3 == 0 || (60..70).contains(i))
+            .map(|i| i << MAX_ORDER)
+            .collect();
+        let mut all = b.alloc_pages(u64::from(chunks) << MAX_ORDER);
+        assert_eq!(all.len(), 1, "a free allocator is one run");
+        for run in all.drain(..) {
+            for off in run.offsets().filter(|off| !taken.contains(off)) {
+                b.free(off, MAX_ORDER);
+            }
+        }
+        let mut reference = b.clone();
+        let runs = b.alloc_pages(40 << MAX_ORDER | 7);
+        let mut singles = Vec::new();
+        for _ in 0..40 {
+            singles.push((reference.alloc(MAX_ORDER).unwrap(), MAX_ORDER));
+        }
+        singles.push((reference.alloc(2).unwrap(), 2));
+        singles.push((reference.alloc(1).unwrap(), 1));
+        singles.push((reference.alloc(0).unwrap(), 0));
+        let expanded: Vec<(u32, u8)> = runs
+            .iter()
+            .flat_map(|r| r.offsets().map(|off| (off, r.order)))
+            .collect();
+        assert_eq!(expanded, singles);
+        assert!(runs.iter().any(|r| r.count > 1), "{runs:?}");
+        assert_eq!(b, reference);
+        b.audit().unwrap();
     }
 
     #[test]

@@ -35,9 +35,9 @@ pub mod latency;
 pub mod manager;
 
 pub use block::{BlockInfo, MemoryBlock};
-pub use buddy::{BuddyAllocator, MAX_ORDER};
+pub use buddy::{BuddyAllocator, ChunkRun, MAX_ORDER};
 pub use frame::{
     AllocationId, OfflineErrno, OfflineError, OfflineFailure, OfflineReport, PageKind, PAGE_BYTES,
 };
 pub use latency::HotplugLatencies;
-pub use manager::{HotplugStats, MemInfo, MemoryManager, MmConfig};
+pub use manager::{HotplugStats, MemInfo, MemoryManager, MmConfig, PlacementWork};

@@ -2,7 +2,7 @@
 //! and the memory on/off-lining operations GreenDIMM drives.
 
 use crate::block::{BlockInfo, Chunk, MemoryBlock};
-use crate::buddy::MAX_ORDER;
+use crate::buddy::{ChunkRun, MAX_ORDER};
 use crate::frame::{
     AllocationId, OfflineErrno, OfflineError, OfflineFailure, OfflineReport, PageKind, PAGE_BYTES,
 };
@@ -125,22 +125,84 @@ impl HotplugStats {
     }
 }
 
+/// Max-order chunks placed so far: deterministic work counters, kept out
+/// of [`HotplugStats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlacementWork {
+    /// Runs of max-order chunks placed (each taken in one step).
+    pub max_order_runs: u64,
+    /// Max-order chunks placed.
+    pub max_order_chunks: u64,
+}
+
 #[derive(Debug, Clone)]
-#[cfg_attr(test, derive(PartialEq, Eq))]
 struct AllocInfo {
     kind: PageKind,
-    /// (block index, chunk offset) pairs, in allocation order. They hold
+    /// The chunks in allocation order, as `(block index, run)` pairs: a
+    /// run stands for its chunks in ascending offset order. They hold
     /// `pages + deferred` pages.
-    chunks: Vec<(usize, u32)>,
+    runs: Vec<(usize, ChunkRun)>,
     pages: u64,
     /// Pages already released by [`MemoryManager::shrink`] but still in
-    /// `chunks`, waiting for [`MemoryManager::settle`].
+    /// `runs`, waiting for [`MemoryManager::settle`].
     deferred: u64,
 }
 
+impl AllocInfo {
+    /// Appends the chunks of `run` in block `bi`, extending the last run
+    /// when they continue it.
+    fn push_run(&mut self, bi: usize, run: ChunkRun) {
+        let extended = self
+            .runs
+            .last_mut()
+            .is_some_and(|(b, last)| *b == bi && last.absorb(run));
+        if !extended {
+            self.runs.push((bi, run));
+        }
+    }
+
+    /// Every chunk as `(block index, offset)`, in allocation order.
+    #[cfg(test)]
+    fn chunks(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
+        self.runs
+            .iter()
+            .flat_map(|&(bi, run)| run.offsets().map(move |off| (bi, off)))
+    }
+
+    /// Drops the chunk at `off` in block `bi`, which starts its run:
+    /// migration takes a block's chunks in ascending offset order and a
+    /// run never crosses a block, so every run it reaches loses its first
+    /// chunk and none splits.
+    fn remove_first_chunk(&mut self, bi: usize, off: u32) {
+        let at = self
+            .runs
+            .iter()
+            .position(|&(b, run)| b == bi && run.offset == off);
+        debug_assert!(at.is_some(), "no run starts at ({bi}, {off})");
+        if let Some(at) = at {
+            match self.runs[at].1.rest() {
+                Some(rest) => self.runs[at].1 = rest,
+                None => {
+                    self.runs.remove(at);
+                }
+            }
+        }
+    }
+}
+
+/// Two allocations are equal when they list the same chunks in the same
+/// order, however the chunks are grouped into runs.
+#[cfg(test)]
+impl PartialEq for AllocInfo {
+    fn eq(&self, other: &Self) -> bool {
+        (self.kind, self.pages, self.deferred) == (other.kind, other.pages, other.deferred)
+            && self.chunks().eq(other.chunks())
+    }
+}
+
 /// One journalled migration step: the source chunk's offset and
-/// metadata plus the `(block, offset)` destinations reserved for it.
-type MigrationJournalEntry = (u32, Chunk, Vec<(usize, u32)>);
+/// metadata plus the `(block, run)` destinations reserved for it.
+type MigrationJournalEntry = (u32, Chunk, Vec<(usize, ChunkRun)>);
 
 /// The simulated physical-memory manager.
 #[derive(Debug, Clone)]
@@ -171,6 +233,8 @@ pub struct MemoryManager {
     /// reserved destination chunk so Strict verification can prove it
     /// catches broken rollbacks.
     break_rollback: bool,
+    /// Max-order placement counters.
+    placement: PlacementWork,
     /// Hotplug statistics.
     pub stats: HotplugStats,
 }
@@ -237,6 +301,7 @@ impl MemoryManager {
             latencies: HotplugLatencies::default(),
             faults: None,
             break_rollback: false,
+            placement: PlacementWork::default(),
             stats: HotplugStats::default(),
             cfg,
         })
@@ -261,6 +326,11 @@ impl MemoryManager {
     #[doc(hidden)]
     pub fn debug_break_rollback(&mut self) {
         self.break_rollback = true;
+    }
+
+    /// Max-order chunks placed so far, allocations and migrations alike.
+    pub fn placement_work(&self) -> PlacementWork {
+        self.placement
     }
 
     /// The configuration.
@@ -304,6 +374,19 @@ impl MemoryManager {
     /// never deferred, so this reads the live blocks without a settle.
     pub fn offline_flags(&self) -> impl Iterator<Item = bool> + '_ {
         self.blocks.iter().map(|b| !b.online())
+    }
+
+    /// Whether block `index` is off-line (false when out of range). Like
+    /// [`offline_flags`](Self::offline_flags), it needs no settle.
+    pub fn block_offline(&self, index: usize) -> bool {
+        self.blocks.get(index).is_some_and(|b| !b.online())
+    }
+
+    /// Every block, read in place after placing the deferred releases: the
+    /// layout [`blocks`](Self::blocks) snapshots, without the copy.
+    pub fn settled_blocks(&mut self) -> &[MemoryBlock] {
+        self.settle();
+        &self.blocks
     }
 
     /// The layout with every deferred release placed: `self` when none is
@@ -370,24 +453,30 @@ impl MemoryManager {
     }
 
     /// Allocates up to `pages` pages in block `bi`, taking them off the
-    /// free total; returns the placed `(offset, order)` chunks.
+    /// free total; returns the placed runs of chunks.
     fn alloc_in_block(
         &mut self,
         bi: usize,
         pages: u64,
         owner: AllocationId,
         kind: PageKind,
-    ) -> Vec<(u32, u8)> {
-        let chunks = self.blocks[bi].alloc_chunks(pages, owner, kind);
-        self.online_free -= chunks.iter().map(|&(_, o)| 1u64 << o).sum::<u64>();
-        chunks
+    ) -> Vec<ChunkRun> {
+        let runs = self.blocks[bi].alloc_chunks(pages, owner, kind);
+        for run in runs.iter().filter(|r| r.order == MAX_ORDER) {
+            self.placement.max_order_runs += 1;
+            self.placement.max_order_chunks += u64::from(run.count);
+        }
+        self.online_free -= runs.iter().map(ChunkRun::pages).sum::<u64>();
+        runs
     }
 
-    /// Frees the chunk at `off` in block `bi`, returning it to the free
+    /// Frees the chunks of `run` in block `bi`, returning them to the free
     /// total.
-    fn free_in_block(&mut self, bi: usize, off: u32) {
-        let chunk = self.blocks[bi].free_chunk(off);
-        self.online_free += 1u64 << chunk.order;
+    fn free_in_block(&mut self, bi: usize, run: ChunkRun) {
+        for off in run.offsets() {
+            self.blocks[bi].free_chunk(off);
+        }
+        self.online_free += run.pages();
     }
 
     /// On- or off-lines block `index`, moving its pages between the
@@ -431,28 +520,33 @@ impl MemoryManager {
         }
         self.settle();
         let id = AllocationId(self.next_id);
-        let chunks = self.place(pages, id, kind)?;
+        let mut info = AllocInfo {
+            kind,
+            runs: Vec::new(),
+            pages,
+            deferred: 0,
+        };
+        for (bi, run) in self.place(pages, id, kind)? {
+            info.push_run(bi, run);
+        }
         self.next_id += 1;
-        self.allocs.insert(
-            id,
-            AllocInfo {
-                kind,
-                chunks,
-                pages,
-                deferred: 0,
-            },
-        );
+        self.allocs.insert(id, info);
         Ok(id)
     }
 
     /// Places `pages` pages of `kind` for allocation `id` over the eligible
-    /// on-line blocks, first-fit ascending, and returns the chunks placed.
+    /// on-line blocks, first-fit ascending, and returns the runs placed.
     ///
     /// # Errors
     ///
     /// Returns [`GdError::OutOfMemory`], placing nothing, if the eligible
     /// blocks do not hold enough free pages.
-    fn place(&mut self, pages: u64, id: AllocationId, kind: PageKind) -> Result<Vec<(usize, u32)>> {
+    fn place(
+        &mut self,
+        pages: u64,
+        id: AllocationId,
+        kind: PageKind,
+    ) -> Result<Vec<(usize, ChunkRun)>> {
         let eligible = self.eligible_blocks(kind);
         let free_total: u64 = eligible.iter().map(|i| self.blocks[*i].free_pages()).sum();
         if free_total < pages {
@@ -467,9 +561,9 @@ impl MemoryManager {
             if remaining == 0 {
                 break;
             }
-            for (off, order) in self.alloc_in_block(bi, remaining, id, kind) {
-                placed.push((bi, off));
-                remaining = remaining.saturating_sub(1 << order);
+            for run in self.alloc_in_block(bi, remaining, id, kind) {
+                placed.push((bi, run));
+                remaining = remaining.saturating_sub(run.pages());
             }
         }
         debug_assert_eq!(remaining, 0, "free accounting said space existed");
@@ -487,8 +581,8 @@ impl MemoryManager {
             .allocs
             .remove(&id)
             .ok_or_else(|| GdError::NotFound(id.to_string()))?;
-        for (bi, off) in info.chunks {
-            self.free_in_block(bi, off);
+        for (bi, run) in info.runs {
+            self.free_in_block(bi, run);
         }
         Ok(())
     }
@@ -524,10 +618,11 @@ impl MemoryManager {
     /// Places every deferred release: each shrunk allocation frees its
     /// deferred pages, in the order the allocations first deferred.
     ///
-    /// Whole chunks are freed last-allocated first. When the next chunk
-    /// holds more pages than are still wanted, only its top pages are
-    /// freed ([`MemoryBlock::trim_chunk`]); its kept lower pages stay owned
-    /// as aligned pieces, appended to the chunk list in ascending offset
+    /// Whole chunks are freed last-allocated first, as many of a run's
+    /// top chunks at once as are wanted. When the next chunk holds more
+    /// pages than are still wanted, only its top pages are freed
+    /// ([`MemoryBlock::trim_chunk`]); its kept lower pages stay owned as
+    /// aligned pieces, appended to the chunk list in ascending offset
     /// order. An allocation left without chunks is dropped. The result is
     /// the layout eager shrinks would have left (DESIGN.md §6.3).
     pub fn settle(&mut self) {
@@ -538,25 +633,35 @@ impl MemoryManager {
                 .expect("deferred_ids lists live allocations");
             let mut left = std::mem::take(&mut info.deferred);
             while left > 0 {
-                let Some((bi, off)) = info.chunks.pop() else {
+                let Some(&(bi, run)) = info.runs.last() else {
                     break;
                 };
-                let order = self.blocks[bi]
-                    .chunk_at(off)
-                    .expect("alloc bookkeeping out of sync")
-                    .order;
-                if left < 1u64 << order {
-                    // Freeing the whole chunk would overshoot: free its top
-                    // `left` pages and keep the rest.
-                    let kept = self.blocks[bi].trim_chunk(off, left as u32);
-                    info.chunks.extend(kept.map(|o| (bi, o)));
+                let block = &mut self.blocks[bi];
+                // The run's top chunks that `left` covers are freed whole.
+                let whole = (left >> run.order).min(u64::from(run.count)) as u32;
+                let mut kept = run.count - whole;
+                for off in run.offsets().skip(kept as usize) {
+                    block.free_chunk(off);
+                }
+                left -= u64::from(whole) << run.order;
+                // Freeing the next chunk whole would overshoot: free its
+                // top `left` pages and keep the rest.
+                let trim = (left > 0 && kept > 0).then(|| {
+                    kept -= 1;
+                    run.chunk(kept)
+                });
+                info.runs.pop();
+                if kept > 0 {
+                    info.runs.push((bi, ChunkRun { count: kept, ..run }));
+                }
+                if let Some(off) = trim {
+                    for piece in block.trim_chunk(off, left as u32) {
+                        info.push_run(bi, piece);
+                    }
                     left = 0;
-                } else {
-                    self.blocks[bi].free_chunk(off);
-                    left -= 1u64 << order;
                 }
             }
-            if info.chunks.is_empty() {
+            if info.runs.is_empty() {
                 self.allocs.remove(&id);
             }
         }
@@ -577,7 +682,9 @@ impl MemoryManager {
             .kind;
         let placed = self.place(pages, id, kind)?;
         let info = self.allocs.get_mut(&id).expect("checked above");
-        info.chunks.extend(placed);
+        for (bi, run) in placed {
+            info.push_run(bi, run);
+        }
         info.pages += pages;
         Ok(())
     }
@@ -742,15 +849,15 @@ impl MemoryManager {
                 .chunk_at(off)
                 .expect("invariant: chunk_offsets lists live chunks");
             debug_assert!(chunk.kind.is_movable());
-            let mut placed: Vec<(usize, u32)> = Vec::new();
+            let mut placed = Vec::new();
             let mut remaining = 1u64 << chunk.order;
             for bi in 0..self.blocks.len() {
                 if bi == index || !self.blocks[bi].online() || remaining == 0 {
                     continue;
                 }
-                for (noff, norder) in self.alloc_in_block(bi, remaining, chunk.owner, chunk.kind) {
-                    placed.push((bi, noff));
-                    remaining = remaining.saturating_sub(1 << norder);
+                for run in self.alloc_in_block(bi, remaining, chunk.owner, chunk.kind) {
+                    placed.push((bi, run));
+                    remaining = remaining.saturating_sub(run.pages());
                 }
             }
             debug_assert_eq!(remaining, 0, "free space was pre-checked");
@@ -758,10 +865,12 @@ impl MemoryManager {
         }
         // Phase 2: commit — free sources, patch the owners' chunk lists.
         for (off, chunk, placed) in journal {
-            self.free_in_block(index, off);
+            self.free_in_block(index, ChunkRun::single(off, chunk.order));
             if let Some(info) = self.allocs.get_mut(&chunk.owner) {
-                info.chunks.retain(|(bi, o)| !(*bi == index && *o == off));
-                info.chunks.extend(placed);
+                info.remove_first_chunk(index, off);
+                for (bi, run) in placed {
+                    info.push_run(bi, run);
+                }
             }
         }
         MigrateOutcome::Done
@@ -775,15 +884,18 @@ impl MemoryManager {
     fn rollback_migration(&mut self, journal: Vec<MigrationJournalEntry>) {
         let mut leak_one = self.break_rollback;
         for (_, chunk, placed) in journal {
-            for (bi, noff) in placed {
+            for (bi, run) in placed {
+                let mut undo = Some(run);
                 if leak_one {
                     leak_one = false;
                     if let Some(info) = self.allocs.get_mut(&chunk.owner) {
-                        info.chunks.push((bi, noff));
+                        info.push_run(bi, ChunkRun { count: 1, ..run });
                     }
-                    continue;
+                    undo = run.rest();
                 }
-                self.free_in_block(bi, noff);
+                if let Some(run) = undo {
+                    self.free_in_block(bi, run);
+                }
             }
         }
     }
@@ -846,16 +958,22 @@ impl MemoryManager {
         }
         for (id, info) in &self.allocs {
             let mut pages = 0u64;
-            for (bi, off) in &info.chunks {
-                match self.blocks.get(*bi).and_then(|b| b.chunk_at(*off)) {
-                    Some(c) if c.owner == *id => pages += 1u64 << c.order,
-                    Some(c) => problems.push(format!(
-                        "{id}: chunk at ({bi}, {off}) is owned by {}",
-                        c.owner
-                    )),
-                    None => problems.push(format!(
-                        "{id}: recorded chunk at ({bi}, {off}) does not exist"
-                    )),
+            for &(bi, run) in &info.runs {
+                for off in run.offsets() {
+                    match self.blocks.get(bi).and_then(|b| b.chunk_at(off)) {
+                        Some(c) if c.owner != *id => problems.push(format!(
+                            "{id}: chunk at ({bi}, {off}) is owned by {}",
+                            c.owner
+                        )),
+                        Some(c) if c.order != run.order => problems.push(format!(
+                            "{id}: chunk at ({bi}, {off}) has order {} but its run order {}",
+                            c.order, run.order
+                        )),
+                        Some(c) => pages += 1u64 << c.order,
+                        None => problems.push(format!(
+                            "{id}: recorded chunk at ({bi}, {off}) does not exist"
+                        )),
+                    }
                 }
             }
             if pages != info.pages + info.deferred {
@@ -1108,27 +1226,38 @@ mod tests {
     /// push both back and retry; otherwise free it.
     fn reference_shrink(m: &mut MemoryManager, id: AllocationId, pages: u64) -> u64 {
         let info = m.allocs.get_mut(&id).expect("live allocation");
+        let mut chunks: Vec<(usize, u32)> = info.chunks().collect();
         let mut freed = 0u64;
         while freed < pages {
-            let Some((bi, off)) = info.chunks.pop() else {
+            let Some((bi, off)) = chunks.pop() else {
                 break;
             };
             let order = m.blocks[bi].chunk_at(off).expect("recorded chunk").order;
             if freed + (1u64 << order) > pages && order > 0 {
                 let (lo, hi) = m.blocks[bi].split_chunk(off);
-                info.chunks.push((bi, lo));
-                info.chunks.push((bi, hi));
+                chunks.push((bi, lo));
+                chunks.push((bi, hi));
                 continue;
             }
             let chunk = m.blocks[bi].free_chunk(off);
             freed += 1u64 << chunk.order;
             info.pages = info.pages.saturating_sub(1u64 << chunk.order);
         }
-        if info.chunks.is_empty() {
+        info.runs.clear();
+        for (bi, off) in chunks {
+            let order = m.blocks[bi].chunk_at(off).expect("kept chunk").order;
+            info.push_run(bi, ChunkRun::single(off, order));
+        }
+        if info.runs.is_empty() {
             m.allocs.remove(&id);
         }
         m.online_free += freed;
         freed
+    }
+
+    /// The chunk list of allocation `id`, one `(block, offset)` per chunk.
+    fn chunk_seq(m: &MemoryManager, id: AllocationId) -> Vec<(usize, u32)> {
+        m.allocs[&id].chunks().collect()
     }
 
     #[test]
@@ -1177,13 +1306,13 @@ mod tests {
                         // Mostly partial shrinks; now and then one that
                         // asks for more than the allocation holds.
                         let pages = rng.gen_range(1u64..held + held / 8 + 2);
-                        let before = fast.allocs[&id].chunks.clone();
+                        let before = chunk_seq(&fast, id);
                         let a = fast.shrink(id, pages).unwrap();
                         fast.settle();
                         let b = reference_shrink(&mut reference, id, pages);
                         assert_eq!(a, b, "{ctx}: freed count");
                         match fast.allocs.get(&id) {
-                            Some(info) if !before.starts_with(&info.chunks) => trims += 1,
+                            Some(_) if !before.starts_with(&chunk_seq(&fast, id)) => trims += 1,
                             Some(_) => {}
                             None => {
                                 live.swap_remove(at);
@@ -1375,10 +1504,26 @@ mod tests {
             .collect()
     }
 
-    /// The flat max-order stores must make every placement, split,
-    /// coalesce, migration and rollback the B-tree layout makes. Blocks of
-    /// 1, 64 and 65 max-order chunks put the bitmap's word edge inside,
-    /// at and past a block's end.
+    /// Whether some allocation lists a run of several chunks in block
+    /// `index` with other runs before and after it.
+    fn holds_inner_run(m: &MemoryManager, index: usize) -> bool {
+        m.allocs.values().any(|info| {
+            let n = info.runs.len();
+            info.runs
+                .iter()
+                .enumerate()
+                .any(|(at, &(bi, run))| bi == index && run.count > 1 && at > 0 && at + 1 < n)
+        })
+    }
+
+    /// The flat max-order stores and the run-length chunk lists must make
+    /// every placement, split, coalesce, migration and rollback the B-tree
+    /// layout with one list entry per chunk makes. Blocks of 1, 64 and 65
+    /// max-order chunks put the bitmap's word edge inside, at and past a
+    /// block's end. Coverage: grows that span blocks, settles that trim a
+    /// max-order chunk above another of its run, frees of multi-chunk runs,
+    /// and migrations out of a block holding a multi-chunk run in the
+    /// middle of its owner's list.
     #[test]
     fn flat_max_order_stores_match_the_btree_reference() {
         use gd_faults::{FaultPlan, FaultTrigger};
@@ -1390,6 +1535,8 @@ mod tests {
         ];
         let (mut trims, mut migrations, mut rollbacks, mut onlines) = (0u32, 0u64, 0u64, 0u32);
         let mut word_edge_hits = 0u32;
+        let (mut spanning_grows, mut run_trims, mut run_frees, mut inner_migrations) =
+            (0u32, 0u32, 0u32, 0u32);
         for (chunks_per_block, blocks) in [(1u64, 16u64), (64, 4), (65, 4)] {
             let block_bytes = chunks_per_block << (MAX_ORDER as u64 + 12);
             let cfg = MmConfig {
@@ -1428,29 +1575,52 @@ mod tests {
                         }
                         3 if !live.is_empty() => {
                             let id = live.swap_remove(rng.gen_range(0..live.len()));
+                            run_frees +=
+                                u32::from(fast.allocs[&id].runs.iter().any(|r| r.1.count > 1));
                             fast.free(id).unwrap();
                             reference.free(id).unwrap();
                         }
                         4 if !live.is_empty() => {
                             let id = live[rng.gen_range(0..live.len())];
                             let pages = rng.gen_range(1..block_pages / 2 + 2);
+                            let held = chunk_seq(&fast, id).len();
                             let a = fast.grow(id, pages);
                             let b = reference.grow(id, pages);
                             assert_eq!(a.is_ok(), b.is_ok(), "{ctx}: grow");
+                            let grown = chunk_seq(&fast, id);
+                            if let Some(&(first, _)) = grown.get(held) {
+                                spanning_grows +=
+                                    u32::from(grown[held..].iter().any(|&(bi, _)| bi != first));
+                            }
                         }
                         5 | 6 if !live.is_empty() => {
                             let at = rng.gen_range(0..live.len());
                             let id = live[at];
                             let held = fast.pages_of(id);
                             let pages = rng.gen_range(1..held + held / 8 + 2);
-                            let before = fast.allocs[&id].chunks.clone();
+                            let before = chunk_seq(&fast, id);
+                            let runs_before = fast.allocs[&id].runs.clone();
                             let a = fast.shrink(id, pages).unwrap();
                             let b = reference.shrink(id, pages).unwrap();
                             fast.settle();
                             reference.settle();
                             assert_eq!(a, b, "{ctx}: freed count");
                             match fast.allocs.get(&id) {
-                                Some(info) if !before.starts_with(&info.chunks) => trims += 1,
+                                Some(_) if !before.starts_with(&chunk_seq(&fast, id)) => {
+                                    trims += 1;
+                                    // The kept pieces start where the
+                                    // trimmed chunk did.
+                                    let after = chunk_seq(&fast, id);
+                                    let kept =
+                                        before.iter().zip(&after).take_while(|(x, y)| x == y);
+                                    let (bi, off) = after[kept.count()];
+                                    run_trims += u32::from(runs_before.iter().any(|&(b, r)| {
+                                        b == bi
+                                            && r.order == MAX_ORDER
+                                            && r.offset < off
+                                            && off < r.chunk(r.count)
+                                    }));
+                                }
                                 Some(_) => {}
                                 None => {
                                     live.swap_remove(at);
@@ -1460,10 +1630,13 @@ mod tests {
                         7..=9 => {
                             let index = rng.gen_range(0..fast.block_count());
                             if fast.blocks[index].online() {
+                                let inner = holds_inner_run(&fast, index);
                                 let a = fast.offline_block(index).unwrap();
                                 let b = reference.offline_block(index).unwrap();
                                 assert_eq!(a, b, "{ctx}: offline outcome");
-                                migrations += u64::from(a.is_ok_and(|r| r.migrated_pages > 0));
+                                let migrated = a.is_ok_and(|r| r.migrated_pages > 0);
+                                migrations += u64::from(migrated);
+                                inner_migrations += u32::from(migrated && inner);
                             }
                         }
                         10 | 11 => {
@@ -1516,6 +1689,13 @@ mod tests {
         assert!(
             word_edge_hits > 0,
             "no max-order chunk past the first bitmap word"
+        );
+        assert!(spanning_grows > 0, "no grow placed chunks in two blocks");
+        assert!(run_trims > 0, "no settle trimmed a chunk inside a run");
+        assert!(run_frees > 0, "no free released a multi-chunk run");
+        assert!(
+            inner_migrations > 0,
+            "no migration emptied a block holding a run inside its owner's list"
         );
     }
 
@@ -1609,12 +1789,14 @@ mod tests {
                             let id = live[at];
                             let held = eager.pages_of(id);
                             let pages = rng.gen_range(1..held / 2 + 2);
-                            let before = eager.allocs[&id].chunks.clone();
+                            let before = chunk_seq(&eager, id);
                             let a = eager.shrink(id, pages);
                             eager.settle();
                             assert_eq!(a, lazy.shrink(id, pages), "{ctx}: shrink");
                             match eager.allocs.get(&id) {
-                                Some(info) if !before.starts_with(&info.chunks) => trims += 1,
+                                Some(_) if !before.starts_with(&chunk_seq(&eager, id)) => {
+                                    trims += 1
+                                }
                                 Some(_) => {}
                                 None => gone.push(live.swap_remove(at)),
                             }

@@ -7,9 +7,11 @@ use greendimm_suite::bench::{block_size_experiment, managed_region};
 use greendimm_suite::core::{
     Daemon, EpochSim, FootprintDriver, GreenDimmConfig, GroupMap, SelectorPolicy,
 };
-use greendimm_suite::faults::FaultPlan;
+use greendimm_suite::dram::EngineMode;
+use greendimm_suite::faults::{FaultPlan, FaultSite, FaultTrigger};
 use greendimm_suite::ksm::{Ksm, KsmConfig, RegionId};
 use greendimm_suite::mmsim::{MemoryManager, MmConfig, PageKind};
+use greendimm_suite::types::ids::SubArrayGroup;
 use greendimm_suite::types::rng::{component_rng, derive_seed, StdRng};
 use greendimm_suite::types::{GdError, SimTime};
 use greendimm_suite::verify::Mode;
@@ -311,4 +313,181 @@ fn seeded_epoch_sim_stress_sweep() {
         stress_epoch_sim(seed, 400, &mut cov);
     }
     assert!(cov.frames_released > 0, "{cov:?}");
+}
+
+/// What the skip twin stress exercised, summed over seeds.
+#[derive(Debug, Default)]
+struct SkipCoverage {
+    /// Long steps in which the event-driven twin skipped ticks.
+    skips: u64,
+    /// Long steps that skipped ticks with the adaptive threshold on.
+    adaptive_skips: u64,
+    /// Long steps that started with free memory between the edges but a
+    /// deep power-down retry pending, so the twin ran its ticks.
+    refused_for_nack: u64,
+    /// Off- and on-linings.
+    hotplug: u64,
+}
+
+/// Asserts that the two sims hold the same daemon and memory state.
+fn assert_twins_agree(reference: &EpochSim, twin: &EpochSim, ctx: &str) {
+    let (a, b) = (&reference.daemon, &twin.daemon);
+    assert_eq!(reference.now(), twin.now(), "{ctx}: time");
+    assert_eq!(a.stats, b.stats, "{ctx}: daemon stats");
+    assert_eq!(reference.mm.meminfo(), twin.mm.meminfo(), "{ctx}: meminfo");
+    assert!(
+        reference.mm.offline_flags().eq(twin.mm.offline_flags()),
+        "{ctx}: offline flags"
+    );
+    assert_eq!(
+        a.effective_off_thr(),
+        b.effective_off_thr(),
+        "{ctx}: off threshold"
+    );
+    let now = reference.now();
+    for g in 0..a.group_map().groups() {
+        let g = SubArrayGroup::new(g);
+        let (ra, rb) = (a.registers(), b.registers());
+        assert_eq!(ra.is_down(g), rb.is_down(g), "{ctx}: {g} down");
+        assert_eq!(ra.down_since(g), rb.down_since(g), "{ctx}: {g} down since");
+        assert_eq!(
+            ra.residency(g, now),
+            rb.residency(g, now),
+            "{ctx}: {g} residency"
+        );
+        assert_eq!(a.recovery(g), b.recovery(g), "{ctx}: {g} recovery");
+    }
+}
+
+/// True when free memory lies between the on- and off-lining edges, where
+/// a daemon tick neither on- nor off-lines, and the off threshold sits at
+/// its configured value.
+fn quiet_but_for_retries(sim: &EpochSim) -> bool {
+    let info = sim.mm.meminfo();
+    let installed = info.installed_pages as f64;
+    let cfg = sim.daemon.config();
+    let off_floor = (sim.daemon.effective_off_thr() * installed) as u64;
+    let on_floor = (cfg.on_thr * installed) as u64;
+    (on_floor..=off_floor + sim.mm.block_pages()).contains(&info.free_pages)
+        && sim.daemon.effective_off_thr() == cfg.off_thr
+}
+
+/// Seeded twins of `EpochSim` without KSM, telemetry or verification, with
+/// faults armed: the stepped reference runs every monitor tick in 1 s
+/// steps, the event-driven twin takes the same time in one long step and
+/// skips the ticks its daemon finds idle. VM footprints start, grow,
+/// shrink and stop on both between steps. After every step the two must
+/// hold the same daemon counters, memory, register file and recovery
+/// state.
+fn skip_twin_stress(seed: u64, steps: u32, cov: &mut SkipCoverage) {
+    const SELECTORS: [SelectorPolicy; 3] = [
+        SelectorPolicy::FreeRemovableFirst,
+        SelectorPolicy::RemovableFirst,
+        SelectorPolicy::Random,
+    ];
+    let mut rng = component_rng(seed, "epoch-sim-skip-twins");
+    let adaptive = rng.gen_bool(0.5);
+    let selector = SELECTORS[rng.gen_range(0..SELECTORS.len())];
+    // Frequent entry NACKs leave retries pending at step boundaries.
+    let plan = FaultPlan::uniform(0.05).with(FaultSite::DeepPdEntryNack, FaultTrigger::Prob(0.3));
+    let build = |engine: EngineMode| {
+        let mm_cfg = MmConfig {
+            unmovable_leak_prob: 0.02,
+            transient_fail_prob: 0.1,
+            ..MmConfig::small_test().with_seed(seed)
+        };
+        let mut mm = MemoryManager::new(mm_cfg).unwrap();
+        let installed = mm.meminfo().installed_pages;
+        mm.allocate(installed / 50, PageKind::KernelUnmovable)
+            .unwrap();
+        mm.set_fault_injector(plan.build(derive_seed(seed, "faults.mm")));
+        let gd_cfg = GreenDimmConfig {
+            adaptive_off_thr: adaptive,
+            ..GreenDimmConfig::paper_default()
+                .with_seed(seed)
+                .with_selector(selector)
+        };
+        let map = GroupMap::new(256 << 20, 16, 16 << 20).unwrap();
+        let mut daemon = Daemon::new(gd_cfg, map);
+        daemon.set_fault_injector(plan.build(derive_seed(seed, "faults.daemon")));
+        let mut sim = EpochSim::new(mm, daemon, None);
+        sim.set_engine(engine);
+        sim
+    };
+    let mut reference = build(EngineMode::Stepped);
+    let mut twin = build(EngineMode::EventDriven);
+    let installed = reference.mm.meminfo().installed_pages;
+    let mut vms: Vec<(FootprintDriver, FootprintDriver)> = Vec::new();
+    for step in 0..steps {
+        let ctx = format!("seed {seed} step {step}");
+        match rng.gen_range(0u32..8) {
+            0 if vms.len() < 5 => {
+                let pages = rng.gen_range(64..installed / 6);
+                let (mut a, mut b) = (FootprintDriver::new(), FootprintDriver::new());
+                let ra = reference.set_footprint(&mut a, pages);
+                let rb = twin.set_footprint(&mut b, pages);
+                assert_eq!(ra, rb, "{ctx}: start");
+                vms.push((a, b));
+            }
+            1 if !vms.is_empty() => {
+                let at = rng.gen_range(0..vms.len());
+                let (a, b) = &mut vms[at];
+                let target = rng.gen_range(0..a.pages() * 2 + 64);
+                let ra = reference.set_footprint(a, target);
+                let rb = twin.set_footprint(b, target);
+                assert_eq!(ra, rb, "{ctx}: resize");
+            }
+            2 if !vms.is_empty() => {
+                let (mut a, mut b) = vms.swap_remove(rng.gen_range(0..vms.len()));
+                a.clear(&mut reference.mm).unwrap();
+                b.clear(&mut twin.mm).unwrap();
+            }
+            _ => {
+                let secs = if rng.gen_bool(0.5) {
+                    rng.gen_range(1u64..8)
+                } else {
+                    rng.gen_range(8u64..400)
+                };
+                let pending_retry = (0..twin.daemon.group_map().groups()).any(|g| {
+                    twin.daemon
+                        .recovery(SubArrayGroup::new(g))
+                        .is_some_and(|r| r.consecutive_nacks > 0 && !r.degraded)
+                });
+                let waits_on_retry = pending_retry && quiet_but_for_retries(&twin);
+                let bodies = twin.daemon.work().bodies;
+                let ticks = twin.daemon.stats.ticks;
+                for _ in 0..secs {
+                    reference.step(SimTime::from_secs(1)).unwrap();
+                }
+                twin.step(SimTime::from_secs(secs)).unwrap();
+                let ran = twin.daemon.work().bodies - bodies;
+                let skipped = twin.daemon.stats.ticks - ticks - ran;
+                cov.skips += u64::from(skipped > 0);
+                cov.adaptive_skips += u64::from(skipped > 0 && adaptive);
+                cov.refused_for_nack += u64::from(waits_on_retry && ran > 0);
+            }
+        }
+        assert_twins_agree(&reference, &twin, &ctx);
+    }
+    assert_eq!(
+        reference.daemon.work().bodies,
+        reference.daemon.stats.ticks,
+        "seed {seed}: the stepped engine runs every tick"
+    );
+    cov.hotplug += reference.daemon.stats.hotplug_events();
+}
+
+/// The idle-tick skip is exact: the stepped and event-driven engines agree
+/// after every step of seeded random churn, across all three selectors,
+/// adaptive and fixed thresholds, and armed faults.
+#[test]
+fn idle_tick_skip_matches_the_stepped_engine() {
+    let mut cov = SkipCoverage::default();
+    for seed in 0..24 {
+        skip_twin_stress(seed, 150, &mut cov);
+    }
+    assert!(cov.skips > 100, "{cov:?}");
+    assert!(cov.adaptive_skips > 0, "{cov:?}");
+    assert!(cov.refused_for_nack > 0, "{cov:?}");
+    assert!(cov.hotplug > 500, "{cov:?}");
 }

@@ -6,11 +6,17 @@
 # are. Each figure runs with the arguments its provenance line records
 # (`jobs`, `requests`, `engine`), so the regenerated header must match too.
 #
+# A committed sidecar whose points carry a "work" object of deterministic
+# counters (fig14's daemon ticks, monitor bodies run, VM starts, ...) is
+# compared too: the regenerated sidecar's label and work of every point
+# must equal the committed ones; "seconds" is ignored.
+#
 # Then times the tier-1 tests, `cargo test -q`, on a warm build (the test
 # binaries are built first and the build is not timed).
 #
 # Prints each figure's wall time, the serial total and the tier-1 time;
-# exits 1 if any snapshot differs, any figure fails or a tier-1 test fails.
+# exits 1 if any snapshot or work counter differs, any figure fails or a
+# tier-1 test fails.
 # The last line of standard output is the same timing as one JSON record,
 # {"figures": {fig: seconds, ...}, "total_s": seconds, "tier1_s": seconds};
 # results/BENCH_suite.json holds one such record.
@@ -63,6 +69,20 @@ for snap in results/*.txt; do
 done
 printf '%-30s %8.2f s\n' "total (serial)" "$total"
 
+# Every point's label and work counters, without its wall time.
+work_points() { grep '"work"' "$1" | sed 's/"seconds": [0-9.]*, //'; }
+for sidecar in results/BENCH_*.json; do
+  grep -q '"work"' "$sidecar" || continue
+  name=$(basename "$sidecar")
+  verdict=ok
+  if ! diff -u <(work_points "$sidecar") <(work_points "$GD_BENCH_DIR/$name") \
+         > "$out/$name.work.diff" 2>&1; then
+    verdict="DIFFERS (see $out/$name.work.diff)"
+    failed=1
+  fi
+  printf '%-30s %10s  %s\n' "${name%.json} work" "" "$verdict"
+done
+
 cargo test -q --no-run
 start=$(now)
 tier1_failed=0
@@ -73,7 +93,7 @@ printf '%-30s %8.2f s  %s\n' "tier-1 (cargo test -q)" "$tier1" \
 printf '{"figures": {%s}, "total_s": %s, "tier1_s": %s}\n' "$record" "$total" "$tier1"
 
 if [ "$failed" -ne 0 ]; then
-  echo "ERROR: regenerated snapshots differ from results/ — outputs kept in $out" >&2
+  echo "ERROR: regenerated snapshots or work counters differ from results/ — outputs kept in $out" >&2
   exit 1
 fi
 if [ "$tier1_failed" -ne 0 ]; then
