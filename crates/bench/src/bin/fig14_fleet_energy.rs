@@ -17,13 +17,15 @@
 //! every host. Output is byte-identical for any `--jobs`. `--hosts N` sets
 //! the fleet size (1 to 10 000, default 1000), `--requests N` trims the
 //! simulated day to N scheduler periods, `--strict-validate` enforces the
-//! fleet and co-simulation invariants, and `--telemetry PATH` dumps the
-//! exact hosts' daemon/mm/ksm books as JSONL. Each point's sidecar entry
-//! carries the exact hosts' work counters (`gd_fleet::HostWork`).
+//! fleet and co-simulation invariants, `--engine stepped|event` selects
+//! how the exact hosts advance through idle monitor ticks (rows are
+//! byte-identical; the stepped engine runs every tick), and
+//! `--telemetry PATH` dumps the exact hosts' daemon/mm/ksm books as JSONL.
+//! Each point's sidecar entry carries the exact hosts' work counters
+//! (`gd_fleet::HostWork`).
 
 use gd_bench::report::{f2, header, pct, row};
 use gd_bench::BenchArgs;
-use gd_dram::EngineMode;
 use gd_fleet::{run_fleet, FleetOutcome};
 use gd_power::{ActivityProfile, DramPowerModel, PowerGating, SystemPowerModel};
 use gd_types::config::DramConfig;
@@ -57,6 +59,7 @@ fn main() {
     let hosts = args.count("hosts", 1_000, 10_000);
     let stride = args.count("stride", 16, usize::MAX);
     let requests = args.requests();
+    let engine = args.engine();
     args.finish();
     let duration_s = requests
         .map(|n| (n as u64 * 300).clamp(3_600, 86_400))
@@ -88,14 +91,8 @@ fn main() {
                 sample_stride: stride,
                 ..FleetConfig::paper_1k()
             };
-            let mut run = run_fleet(
-                &cfg,
-                EngineMode::default(),
-                args.jobs,
-                verify,
-                sink.enabled(),
-            )
-            .expect("fleet run");
+            let mut run =
+                run_fleet(&cfg, engine, args.jobs, verify, sink.enabled()).expect("fleet run");
             for (host, tele) in run.telemetry.take().unwrap_or_default() {
                 sink.give(&format!("/{host}"), Some(tele));
             }

@@ -2,7 +2,7 @@
 //! a flag the figure does not read, or a value above the figure's cap
 //! exits 2 before the figure prints anything, with one `error:` line on
 //! stderr. Every flag a figure accepts changes its output, so a figure
-//! that has no request count or runs no DRAM engine rejects `--requests`
+//! that has no request count or no engine to select rejects `--requests`
 //! or `--engine`.
 
 use std::process::Command;
@@ -71,7 +71,6 @@ fn engine_on_a_figure_without_a_dram_engine_exits_2() {
     for bin in [
         env!("CARGO_BIN_EXE_fig11_perf_overhead"),
         env!("CARGO_BIN_EXE_fig13_capacity_scaling"),
-        env!("CARGO_BIN_EXE_fig14_fleet_energy"),
         env!("CARGO_BIN_EXE_ablation_neighbor"),
     ] {
         assert_exit_2(bin, &["--engine", "stepped"]);

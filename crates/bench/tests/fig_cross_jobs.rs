@@ -1,8 +1,9 @@
 //! Cross-`--jobs` byte-identity of the figure binaries, checked on the
 //! real executables: the sweep pool merges points in index order, so the
 //! rendered table below the provenance line must be byte-identical for
-//! any worker count. The provenance line itself records the requested
-//! `jobs=` and is stripped before comparison, as `tools/ci.sh` does.
+//! any worker count, and fig14's for either engine. The provenance line
+//! itself records the requested `jobs=` and `engine=` and is stripped
+//! before comparison, as `tools/ci.sh` does.
 
 use std::process::Command;
 
@@ -50,4 +51,17 @@ fn fig14_output_is_byte_identical_across_jobs() {
         "unexpected fig14 output:\n{serial}"
     );
     assert_eq!(serial, parallel, "fig14 diverged between --jobs 1 and 4");
+}
+
+#[test]
+fn fig14_rows_are_byte_identical_across_engines() {
+    let bin = env!("CARGO_BIN_EXE_fig14_fleet_energy");
+    let args = ["--hosts", "8", "--requests", "8"];
+    let stepped = figure_output(bin, &[&args[..], &["--engine", "stepped"]].concat());
+    let event = figure_output(bin, &[&args[..], &["--engine", "event"]].concat());
+    assert!(
+        stepped.contains("Fig. 14"),
+        "unexpected fig14 output:\n{stepped}"
+    );
+    assert_eq!(stepped, event, "fig14 diverged between the two engines");
 }

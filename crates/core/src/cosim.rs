@@ -8,9 +8,9 @@
 //! from state-residency fractions.
 //!
 //! Most monitor ticks find free memory between the on- and off-lining
-//! edges and do nothing. The event-driven engine accounts such a stretch
-//! of ticks at once (see [`EpochSim::set_engine`]); the stepped engine runs
-//! every tick and is the reference the two are checked against.
+//! edges and do nothing. The event-driven engine accounts such ticks
+//! without running them (see [`EpochSim::set_engine`]); the stepped engine
+//! runs every tick and is the reference the two are checked against.
 
 use crate::daemon::{Daemon, TickReport};
 use gd_dram::EngineMode;
@@ -147,11 +147,16 @@ impl EpochSim {
     /// * [`EngineMode::Stepped`] runs the daemon's body at every monitor
     ///   tick: the reference.
     /// * [`EngineMode::EventDriven`] (the default) runs the same ticks, but
-    ///   with KSM, telemetry and verification off it jumps to the end of
-    ///   the step once [`Daemon::is_idle`] holds. An idle tick changes
-    ///   nothing but the tick counters, and without KSM nothing else moves
-    ///   the memory manager within a step, so every tick left in the step
-    ///   is idle too and [`Daemon::skip_idle_ticks`] accounts for them.
+    ///   with telemetry and verification off it accounts the ticks
+    ///   [`Daemon::idle_edge`] finds idle with [`Daemon::skip_idle_ticks`]
+    ///   instead of running them. An idle tick changes nothing but the tick
+    ///   counters, and within a step only KSM moves the memory manager, by
+    ///   releasing frames: free memory only rises, so the on-lining edge,
+    ///   the retry state and the threshold stay where the test found them.
+    ///   Without KSM nothing moves at all: every tick left in the step is
+    ///   idle and the step jumps to its end. With KSM, each tick is idle
+    ///   while free pages stay at or below the cached off-lining edge; the
+    ///   first tick past it runs, and the edge is read again after it.
     ///
     /// [`DaemonStats`]: crate::daemon::DaemonStats
     pub fn set_engine(&mut self, engine: EngineMode) -> &mut Self {
@@ -219,8 +224,10 @@ impl EpochSim {
     pub fn step(&mut self, dt: SimTime) -> Result<TickReport> {
         let target = self.now + dt;
         let mut aggregate = TickReport::default();
+        let mut idle_edge = self.idle_edge();
         while self.now < target {
-            if self.skip_idle_ticks(target) {
+            if idle_edge.is_some() && self.ksm.is_none() {
+                self.skip_idle_ticks(target);
                 break;
             }
             let next = self.next_monitor.min(target);
@@ -232,49 +239,15 @@ impl EpochSim {
             self.now = next;
             let fast_path = merged > 0 && self.daemon.config().ksm_fast_path;
             if self.now >= self.next_monitor || fast_path {
-                let free_before = self.mm.meminfo().free_pages;
-                let hotplug_before = self.daemon.stats.hotplug_time;
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.trace.span_open(self.now, "daemon.tick");
+                if idle_edge.is_some_and(|edge| self.mm.meminfo().free_pages <= edge) {
+                    self.daemon.skip_idle_ticks(1);
+                } else {
+                    let r = self.tick()?;
+                    aggregate.offlined += r.offlined;
+                    aggregate.onlined += r.onlined;
+                    aggregate.failures += r.failures;
+                    idle_edge = self.idle_edge();
                 }
-                let r = self.daemon.tick(self.now, &mut self.mm)?;
-                if let Some(t) = self.telemetry.as_mut() {
-                    let info = self.mm.meminfo();
-                    let latency = self.daemon.stats.hotplug_time - hotplug_before;
-                    t.trace.span_close(
-                        self.now,
-                        "daemon.tick",
-                        &[
-                            ("free_before", Value::U64(free_before)),
-                            ("free_after", Value::U64(info.free_pages)),
-                            ("offlined", Value::U64(u64::from(r.offlined))),
-                            ("onlined", Value::U64(u64::from(r.onlined))),
-                            ("failures", Value::U64(u64::from(r.failures))),
-                            ("off_thr", Value::F64(self.daemon.effective_off_thr())),
-                            ("latency_us", Value::U64(latency.as_micros())),
-                        ],
-                    );
-                    t.registry
-                        .counter_add("daemon.tick_latency_us_total", latency.as_micros());
-                }
-                if self.verify {
-                    self.mm.settle();
-                    let info = self.mm.meminfo();
-                    let block_pages = self.mm.block_pages();
-                    let obs = DaemonTickObs {
-                        free_before,
-                        free_after: info.free_pages,
-                        total_after: info.total_pages,
-                        offlined_pages: u64::from(r.offlined) * block_pages,
-                        onlined_pages: u64::from(r.onlined) * block_pages,
-                        off_thr: self.daemon.effective_off_thr(),
-                        on_thr: self.daemon.config().on_thr,
-                    };
-                    self.verify_state(Some(&obs))?;
-                }
-                aggregate.offlined += r.offlined;
-                aggregate.onlined += r.onlined;
-                aggregate.failures += r.failures;
                 if self.now >= self.next_monitor {
                     self.next_monitor += self.daemon.config().monitor_period;
                 }
@@ -283,25 +256,73 @@ impl EpochSim {
         Ok(aggregate)
     }
 
-    /// On the event-driven engine, with KSM, telemetry and verification
-    /// off and the daemon idle, accounts every monitor tick up to `target`
-    /// and moves there; returns whether it did.
-    fn skip_idle_ticks(&mut self, target: SimTime) -> bool {
-        let skip = self.engine == EngineMode::EventDriven
-            && self.ksm.is_none()
-            && self.telemetry.is_none()
-            && !self.verify
-            && self.daemon.is_idle(&self.mm);
-        if skip {
-            if self.next_monitor <= target {
-                let period = self.daemon.config().monitor_period;
-                let ticks = (target - self.next_monitor).0 / period.0 + 1;
-                self.daemon.skip_idle_ticks(ticks);
-                self.next_monitor += period * ticks;
-            }
-            self.now = target;
+    /// The daemon's off-lining edge while it is idle
+    /// ([`Daemon::idle_edge`]), on the event-driven engine with telemetry
+    /// and verification off; `None` runs every tick.
+    fn idle_edge(&self) -> Option<u64> {
+        let exact_skip =
+            self.engine == EngineMode::EventDriven && self.telemetry.is_none() && !self.verify;
+        exact_skip
+            .then(|| self.daemon.idle_edge(&self.mm))
+            .flatten()
+    }
+
+    /// One daemon tick at `now`, with its telemetry span and invariant
+    /// checks.
+    fn tick(&mut self) -> Result<TickReport> {
+        let free_before = self.mm.meminfo().free_pages;
+        let hotplug_before = self.daemon.stats.hotplug_time;
+        if let Some(t) = self.telemetry.as_mut() {
+            t.trace.span_open(self.now, "daemon.tick");
         }
-        skip
+        let r = self.daemon.tick(self.now, &mut self.mm)?;
+        if let Some(t) = self.telemetry.as_mut() {
+            let info = self.mm.meminfo();
+            let latency = self.daemon.stats.hotplug_time - hotplug_before;
+            t.trace.span_close(
+                self.now,
+                "daemon.tick",
+                &[
+                    ("free_before", Value::U64(free_before)),
+                    ("free_after", Value::U64(info.free_pages)),
+                    ("offlined", Value::U64(u64::from(r.offlined))),
+                    ("onlined", Value::U64(u64::from(r.onlined))),
+                    ("failures", Value::U64(u64::from(r.failures))),
+                    ("off_thr", Value::F64(self.daemon.effective_off_thr())),
+                    ("latency_us", Value::U64(latency.as_micros())),
+                ],
+            );
+            t.registry
+                .counter_add("daemon.tick_latency_us_total", latency.as_micros());
+        }
+        if self.verify {
+            self.mm.settle();
+            let info = self.mm.meminfo();
+            let block_pages = self.mm.block_pages();
+            let obs = DaemonTickObs {
+                free_before,
+                free_after: info.free_pages,
+                total_after: info.total_pages,
+                offlined_pages: u64::from(r.offlined) * block_pages,
+                onlined_pages: u64::from(r.onlined) * block_pages,
+                off_thr: self.daemon.effective_off_thr(),
+                on_thr: self.daemon.config().on_thr,
+            };
+            self.verify_state(Some(&obs))?;
+        }
+        Ok(r)
+    }
+
+    /// Without KSM, accounts every monitor tick up to `target`, all idle,
+    /// and moves there.
+    fn skip_idle_ticks(&mut self, target: SimTime) {
+        if self.next_monitor <= target {
+            let period = self.daemon.config().monitor_period;
+            let ticks = (target - self.next_monitor).0 / period.0 + 1;
+            self.daemon.skip_idle_ticks(ticks);
+            self.next_monitor += period * ticks;
+        }
+        self.now = target;
     }
 
     /// Resizes a footprint, modelling the kernel's demand-driven on-lining

@@ -246,23 +246,28 @@ impl Daemon {
             .any(|r| r.consecutive_nacks > 0 && !r.degraded)
     }
 
-    /// Whether a [`tick`](Self::tick) now would change nothing but the
-    /// tick counters (`DaemonStats::ticks` and the adaptive quiet count):
-    /// free memory lies between the on-lining and off-lining edges, no
-    /// group waits to retry deep power-down, and the adaptive threshold,
-    /// if on, sits at its configured value, where decay leaves it. Such a
-    /// tick also leaves every input of this test as it was, so it holds
-    /// for every later tick until something outside the daemon changes
-    /// the memory manager.
-    pub fn is_idle(&self, mm: &MemoryManager) -> bool {
+    /// The off-lining edge, when a [`tick`](Self::tick) now would change
+    /// nothing but the tick counters (`DaemonStats::ticks` and the
+    /// adaptive quiet count): free memory lies between the on-lining and
+    /// off-lining edges, no group waits to retry deep power-down, and the
+    /// adaptive threshold, if on, sits at its configured value, where
+    /// decay leaves it. Such a tick also leaves every input of this test
+    /// as it was, so while nothing outside the daemon changes the memory
+    /// manager the test holds for every later tick. If only frees change
+    /// it, the test holds until free pages pass the returned edge: free
+    /// memory only rises, so it stays above the on-lining edge, and the
+    /// edges and the retry state do not move.
+    pub fn idle_edge(&self, mm: &MemoryManager) -> Option<u64> {
         let f = self.floors(mm);
-        (f.on_floor..=f.off_floor + f.block_pages).contains(&f.free)
+        let edge = f.off_floor + f.block_pages;
+        let idle = (f.on_floor..=edge).contains(&f.free)
             && !self.retry_pending()
-            && (!self.cfg.adaptive_off_thr || self.current_off_thr == self.cfg.off_thr)
+            && (!self.cfg.adaptive_off_thr || self.current_off_thr == self.cfg.off_thr);
+        idle.then_some(edge)
     }
 
     /// Accounts `n` monitor ticks without running them, each as a
-    /// [`tick`](Self::tick) for which [`is_idle`](Self::is_idle) held.
+    /// [`tick`](Self::tick) for which [`idle_edge`](Self::idle_edge) held.
     pub fn skip_idle_ticks(&mut self, n: u64) {
         self.stats.ticks += n;
         if self.cfg.adaptive_off_thr {

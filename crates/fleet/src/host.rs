@@ -9,10 +9,12 @@
 //! (see [`EpochSim::set_engine`]):
 //!
 //! * [`EngineMode::Stepped`] — the daemon's body runs every second;
-//! * [`EngineMode::EventDriven`] — once the daemon is idle, the rest of
-//!   the period's ticks are accounted without running. An idle tick
-//!   changes nothing but the tick counters, and nothing else moves the
-//!   memory manager until the next VM event, so the two engines agree bit
+//! * [`EngineMode::EventDriven`] — ticks the daemon finds idle are
+//!   accounted without running. An idle tick changes nothing but the tick
+//!   counters, and until the next VM event only KSM moves the memory
+//!   manager, by releasing frames: free memory only rises, so the daemon
+//!   stays idle until it passes the off-lining edge. Without KSM the rest
+//!   of the period's ticks are skipped at once. The two engines agree bit
 //!   for bit and differ only in [`HostWork::daemon`].
 
 use gd_dram::EngineMode;
@@ -89,6 +91,10 @@ pub struct HostWork {
     pub max_order_runs: u64,
     /// Max-order chunks placed.
     pub max_order_chunks: u64,
+    /// Pages KSM scanned ([`gd_ksm::KsmStats::pages_scanned`]).
+    pub ksm_pages_scanned: u64,
+    /// Full KSM scan passes ([`gd_ksm::KsmStats::full_passes`]).
+    pub ksm_full_passes: u64,
 }
 
 impl HostWork {
@@ -100,10 +106,12 @@ impl HostWork {
         self.vm_starts += other.vm_starts;
         self.max_order_runs += other.max_order_runs;
         self.max_order_chunks += other.max_order_chunks;
+        self.ksm_pages_scanned += other.ksm_pages_scanned;
+        self.ksm_full_passes += other.ksm_full_passes;
     }
 
     /// The counters as `(name, value)` pairs, in a fixed order.
-    pub fn fields(&self) -> [(&'static str, u64); 6] {
+    pub fn fields(&self) -> [(&'static str, u64); 8] {
         [
             ("daemon_ticks", self.ticks),
             ("monitor_bodies", self.daemon.bodies),
@@ -111,6 +119,8 @@ impl HostWork {
             ("vm_starts", self.vm_starts),
             ("max_order_runs", self.max_order_runs),
             ("max_order_chunks", self.max_order_chunks),
+            ("ksm_pages_scanned", self.ksm_pages_scanned),
+            ("ksm_full_passes", self.ksm_full_passes),
         ]
     }
 }
@@ -264,7 +274,7 @@ pub fn run_host(
             deep_pd_fraction: sim.deep_pd_fraction(),
         });
     }
-    let released = sim.ksm.as_ref().map(|k| k.frames_released()).unwrap_or(0);
+    let ksm = sim.ksm.as_ref().map(Ksm::stats).unwrap_or_default();
     sim.export_telemetry("vm");
     let tele = sim.telemetry.take();
     let placement = sim.mm.placement_work();
@@ -274,12 +284,14 @@ pub fn run_host(
         vm_starts,
         max_order_runs: placement.max_order_runs,
         max_order_chunks: placement.max_order_chunks,
+        ksm_pages_scanned: ksm.pages_scanned,
+        ksm_full_passes: ksm.full_passes,
     };
     Ok((
         HostRun {
             samples,
             daemon: sim.daemon.stats,
-            ksm_released_pages: released,
+            ksm_released_pages: ksm.pages_sharing,
             work,
         },
         tele,
@@ -299,10 +311,11 @@ mod tests {
         .events
     }
 
-    fn short_cfg(engine: EngineMode) -> HostSimConfig {
+    fn short_cfg(engine: EngineMode, ksm: bool) -> HostSimConfig {
         HostSimConfig {
             duration_s: 2 * 3_600,
             engine,
+            ksm,
             ..HostSimConfig::paper_256gb()
         }
     }
@@ -310,10 +323,24 @@ mod tests {
     #[test]
     fn stepped_and_event_driven_agree_bit_for_bit() {
         let events = short_events();
-        let (stepped, _) = run_host(&short_cfg(EngineMode::Stepped), &events, false).unwrap();
-        let (event, _) = run_host(&short_cfg(EngineMode::EventDriven), &events, false).unwrap();
-        assert_eq!(stepped.samples, event.samples);
-        assert_eq!(stepped.ksm_released_pages, event.ksm_released_pages);
-        assert_eq!(stepped.daemon, event.daemon);
+        for ksm in [false, true] {
+            let run = |engine| run_host(&short_cfg(engine, ksm), &events, false).unwrap().0;
+            let (stepped, event) = (run(EngineMode::Stepped), run(EngineMode::EventDriven));
+            assert_eq!(stepped.samples, event.samples, "ksm {ksm}");
+            assert_eq!(stepped.ksm_released_pages, event.ksm_released_pages);
+            assert_eq!(stepped.daemon, event.daemon, "ksm {ksm}");
+            let (a, b) = (stepped.work, event.work);
+            assert_eq!(
+                (a.ksm_pages_scanned, a.ksm_full_passes),
+                (b.ksm_pages_scanned, b.ksm_full_passes),
+                "ksm {ksm}"
+            );
+            assert_eq!(
+                a.daemon.bodies, a.ticks,
+                "ksm {ksm}: stepped runs every body"
+            );
+            assert!(b.daemon.bodies < b.ticks / 10, "ksm {ksm}: {b:?}");
+            assert_eq!(ksm, a.ksm_pages_scanned > 0);
+        }
     }
 }

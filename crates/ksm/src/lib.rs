@@ -397,11 +397,6 @@ impl Ksm {
         self.stable.len()
     }
 
-    /// Pages released so far (frames saved by merging).
-    pub fn frames_released(&self) -> u64 {
-        self.stats.pages_sharing
-    }
-
     /// Exports cumulative KSM telemetry into `tele` under `scope`:
     /// scan/merge counters plus per-second rate gauges over `elapsed`
     /// simulated time (rates are omitted when `elapsed` is zero).

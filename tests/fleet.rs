@@ -1,7 +1,8 @@
 //! End-to-end gates for the fleet simulation: VM/capacity conservation
 //! under `Strict` verification, bit-for-bit agreement of the two engines
-//! on a small fleet (exact and sampled), byte-identity across shard-pool
-//! worker counts, and the `sample_stride` host-sampling contract.
+//! on a small fleet (exact and sampled, with KSM off and on),
+//! byte-identity across shard-pool worker counts, and the `sample_stride`
+//! host-sampling contract.
 
 use greendimm_suite::bench::telemetry::render_shards;
 use greendimm_suite::dram::EngineMode;
@@ -75,17 +76,32 @@ fn assert_outcomes_equal(a: &FleetOutcome, b: &FleetOutcome, what: &str) {
 /// co-simulated or only every `sample_stride`-th one anchors the surrogate.
 #[test]
 fn exact_engines_agree_on_a_small_fleet() {
-    for stride in [1, 4] {
-        let cfg = FleetConfig {
-            sample_stride: stride,
-            ..small(FleetPlacement::BestFit, false)
-        };
-        let stepped = run_fleet(&cfg, EngineMode::Stepped, 2, None, false).unwrap();
-        let event = run_fleet(&cfg, EngineMode::EventDriven, 2, None, false).unwrap();
-        let what = format!("stepped vs event-driven, stride {stride}");
-        assert_outcomes_equal(&stepped, &event, &what);
-        assert_eq!(event.exact_hosts, cfg.hosts.div_ceil(stride), "{what}");
-        assert!(event.mean_deep_pd_fraction() > 0.0, "{what}");
+    for (placement, ksm) in [
+        (FleetPlacement::BestFit, false),
+        (FleetPlacement::KsmAware, true),
+    ] {
+        for stride in [1, 4] {
+            let cfg = FleetConfig {
+                sample_stride: stride,
+                ..small(placement, ksm)
+            };
+            let stepped = run_fleet(&cfg, EngineMode::Stepped, 2, None, false).unwrap();
+            let event = run_fleet(&cfg, EngineMode::EventDriven, 2, None, false).unwrap();
+            let what = format!("stepped vs event-driven, ksm {ksm}, stride {stride}");
+            assert_outcomes_equal(&stepped, &event, &what);
+            assert_eq!(event.exact_hosts, cfg.hosts.div_ceil(stride), "{what}");
+            assert!(event.mean_deep_pd_fraction() > 0.0, "{what}");
+            let (a, b) = (stepped.work, event.work);
+            assert_eq!(a.daemon.bodies, a.ticks, "{what}: stepped runs every body");
+            assert!(b.daemon.bodies < a.daemon.bodies, "{what}: {b:?}");
+            assert_eq!(
+                (a.ksm_pages_scanned, a.ksm_full_passes),
+                (b.ksm_pages_scanned, b.ksm_full_passes),
+                "{what}"
+            );
+            let released = event.hosts.iter().any(|h| h.ksm_released_pages > 0);
+            assert_eq!(ksm, released, "{what}");
+        }
     }
 }
 

@@ -372,23 +372,22 @@ fn quiet_but_for_retries(sim: &EpochSim) -> bool {
         && sim.daemon.effective_off_thr() == cfg.off_thr
 }
 
-/// Seeded twins of `EpochSim` without KSM, telemetry or verification, with
-/// faults armed: the stepped reference runs every monitor tick in 1 s
-/// steps, the event-driven twin takes the same time in one long step and
-/// skips the ticks its daemon finds idle. VM footprints start, grow,
-/// shrink and stop on both between steps. After every step the two must
-/// hold the same daemon counters, memory, register file and recovery
-/// state.
-fn skip_twin_stress(seed: u64, steps: u32, cov: &mut SkipCoverage) {
+/// Stepped and event-driven twins for the skip stresses: a faulty memory
+/// manager with a kernel reservation and a daemon with the selector and
+/// adaptive threshold drawn from `rng`, both with faults armed. Frequent
+/// entry NACKs leave retries pending at step boundaries.
+fn skip_twins(seed: u64, rng: &mut StdRng, ksm: Option<KsmConfig>) -> (EpochSim, EpochSim) {
     const SELECTORS: [SelectorPolicy; 3] = [
         SelectorPolicy::FreeRemovableFirst,
         SelectorPolicy::RemovableFirst,
         SelectorPolicy::Random,
     ];
-    let mut rng = component_rng(seed, "epoch-sim-skip-twins");
-    let adaptive = rng.gen_bool(0.5);
-    let selector = SELECTORS[rng.gen_range(0..SELECTORS.len())];
-    // Frequent entry NACKs leave retries pending at step boundaries.
+    let gd_cfg = GreenDimmConfig {
+        adaptive_off_thr: rng.gen_bool(0.5),
+        ..GreenDimmConfig::paper_default()
+            .with_seed(seed)
+            .with_selector(SELECTORS[rng.gen_range(0..SELECTORS.len())])
+    };
     let plan = FaultPlan::uniform(0.05).with(FaultSite::DeepPdEntryNack, FaultTrigger::Prob(0.3));
     let build = |engine: EngineMode| {
         let mm_cfg = MmConfig {
@@ -401,21 +400,28 @@ fn skip_twin_stress(seed: u64, steps: u32, cov: &mut SkipCoverage) {
         mm.allocate(installed / 50, PageKind::KernelUnmovable)
             .unwrap();
         mm.set_fault_injector(plan.build(derive_seed(seed, "faults.mm")));
-        let gd_cfg = GreenDimmConfig {
-            adaptive_off_thr: adaptive,
-            ..GreenDimmConfig::paper_default()
-                .with_seed(seed)
-                .with_selector(selector)
-        };
         let map = GroupMap::new(256 << 20, 16, 16 << 20).unwrap();
         let mut daemon = Daemon::new(gd_cfg, map);
         daemon.set_fault_injector(plan.build(derive_seed(seed, "faults.daemon")));
-        let mut sim = EpochSim::new(mm, daemon, None);
+        let ksm = ksm.map(|cfg| Ksm::new(cfg).unwrap());
+        let mut sim = EpochSim::new(mm, daemon, ksm);
         sim.set_engine(engine);
         sim
     };
-    let mut reference = build(EngineMode::Stepped);
-    let mut twin = build(EngineMode::EventDriven);
+    (build(EngineMode::Stepped), build(EngineMode::EventDriven))
+}
+
+/// Seeded twins of `EpochSim` without KSM, telemetry or verification, with
+/// faults armed: the stepped reference runs every monitor tick in 1 s
+/// steps, the event-driven twin takes the same time in one long step and
+/// skips the ticks its daemon finds idle. VM footprints start, grow,
+/// shrink and stop on both between steps. After every step the two must
+/// hold the same daemon counters, memory, register file and recovery
+/// state.
+fn skip_twin_stress(seed: u64, steps: u32, cov: &mut SkipCoverage) {
+    let mut rng = component_rng(seed, "epoch-sim-skip-twins");
+    let (mut reference, mut twin) = skip_twins(seed, &mut rng, None);
+    let adaptive = twin.daemon.config().adaptive_off_thr;
     let installed = reference.mm.meminfo().installed_pages;
     let mut vms: Vec<(FootprintDriver, FootprintDriver)> = Vec::new();
     for step in 0..steps {
@@ -490,4 +496,205 @@ fn idle_tick_skip_matches_the_stepped_engine() {
     assert!(cov.adaptive_skips > 0, "{cov:?}");
     assert!(cov.refused_for_nack > 0, "{cov:?}");
     assert!(cov.hotplug > 500, "{cov:?}");
+}
+
+/// What the KSM skip twin stress exercised, summed over seeds.
+#[derive(Debug, Default)]
+struct KsmSkipCoverage {
+    /// Steps with no region registered in which the twin skipped ticks.
+    empty: u64,
+    /// Steps with regions registered in which the twin skipped ticks.
+    skips: u64,
+    /// Steps with regions registered that began idle, too far below the
+    /// off-lining edge for the first second's merges to cross it, and
+    /// still ran a body: KSM's frees crossed the edge after skipped ticks.
+    crossings: u64,
+    /// Frames KSM held released at the end of each run.
+    frames_released: u64,
+    /// Copy-on-write breaks.
+    cow_breaks: u64,
+}
+
+/// Asserts that the two sims' KSM daemons hold the same books.
+fn assert_ksm_twins_agree(reference: &EpochSim, twin: &EpochSim, ctx: &str) {
+    let (a, b) = (reference.ksm.as_ref().unwrap(), twin.ksm.as_ref().unwrap());
+    assert_eq!(a.stats(), b.stats(), "{ctx}: ksm stats");
+    assert_eq!(
+        a.region_accounting(),
+        b.region_accounting(),
+        "{ctx}: regions"
+    );
+    assert_eq!(
+        a.unstable_candidates(),
+        b.unstable_candidates(),
+        "{ctx}: unstable tree"
+    );
+}
+
+/// One VM of the KSM twin stress, held by both twins.
+struct TwinVm {
+    fps: (FootprintDriver, FootprintDriver),
+    region: Option<RegionId>,
+    /// Registered with KSM once: merges shrink the allocation behind the
+    /// drivers' backs, so such a footprint only grows.
+    scanned: bool,
+}
+
+/// Stops `vm` on both twins.
+fn stop_twin_vm(reference: &mut EpochSim, twin: &mut EpochSim, vm: TwinVm) {
+    let (mut a, mut b) = vm.fps;
+    if let Some(r) = vm.region {
+        reference
+            .ksm
+            .as_mut()
+            .unwrap()
+            .unregister_region(r)
+            .unwrap();
+        twin.ksm.as_mut().unwrap().unregister_region(r).unwrap();
+    }
+    a.clear(&mut reference.mm).unwrap();
+    b.clear(&mut twin.mm).unwrap();
+}
+
+/// Seeded twins of `EpochSim` with KSM on and telemetry and verification
+/// off, faults armed and the scan rate drawn from below one page to
+/// thousands of pages a second. VMs start (most registering a region),
+/// grow, shrink, break copy-on-write and stop, all of them at times, so
+/// stretches with no region registered come and go. Both twins take the
+/// same steps, whole seconds or fractional ones: the stepped reference
+/// runs every body, the event-driven twin skips the ticks its daemon finds
+/// idle. After every step the two must hold the same daemon counters,
+/// memory, register file, recovery state and KSM books.
+fn ksm_skip_twin_stress(seed: u64, steps: u32, cov: &mut KsmSkipCoverage) {
+    let mut rng = component_rng(seed, "epoch-sim-ksm-skip-twins");
+    // At one page a scan or a few, merges cross the off-lining edge by a
+    // page or two; at a period that does not divide a second, the scan
+    // budget carries a fraction between slices.
+    let ksm_cfg = KsmConfig {
+        pages_to_scan: 1 << rng.gen_range(0u32..9),
+        scan_period: SimTime::from_millis(rng.gen_range(20u64..1_500)),
+        ..KsmConfig::default()
+    };
+    // Pages one second of scanning can release, rounded up.
+    let per_second = ksm_cfg.pages_to_scan * 1_000 / ksm_cfg.scan_period.as_millis().max(1) + 2;
+    let (mut reference, mut twin) = skip_twins(seed, &mut rng, Some(ksm_cfg));
+    let installed = reference.mm.meminfo().installed_pages;
+    let mut vms: Vec<TwinVm> = Vec::new();
+    for step in 0..steps {
+        let ctx = format!("seed {seed} step {step}");
+        match rng.gen_range(0u32..12) {
+            0 | 1 if vms.len() < 5 => {
+                let mut vm = TwinVm {
+                    fps: (FootprintDriver::new(), FootprintDriver::new()),
+                    region: None,
+                    scanned: rng.gen_bool(0.7),
+                };
+                let pages = rng.gen_range(64..installed / 8);
+                let ra = reference.set_footprint(&mut vm.fps.0, pages);
+                let rb = twin.set_footprint(&mut vm.fps.1, pages);
+                assert_eq!(ra, rb, "{ctx}: start");
+                let (Some(a), Some(b)) = (vm.fps.0.allocation_id(), vm.fps.1.allocation_id())
+                else {
+                    continue;
+                };
+                if vm.scanned {
+                    // At least one unique page, so merges never empty the
+                    // allocation, and half the rest one bulk content, so
+                    // merges run long enough to cross the edge.
+                    let mut shareable = stress_shareable(&mut rng, pages - 1);
+                    let left = pages - 1 - shareable.iter().map(|(_, n)| n).sum::<u64>();
+                    shareable.push((rng.gen_range(0u64..10), left / 2));
+                    let unique = pages - shareable.iter().map(|(_, n)| n).sum::<u64>();
+                    let ksm = reference.ksm.as_mut().unwrap();
+                    let r = ksm.register_region(a, shareable.clone(), unique);
+                    let ksm = twin.ksm.as_mut().unwrap();
+                    assert_eq!(ksm.register_region(b, shareable, unique), r, "{ctx}");
+                    vm.region = Some(r);
+                }
+                vms.push(vm);
+            }
+            2 if !vms.is_empty() => {
+                let at = rng.gen_range(0..vms.len());
+                let vm = &mut vms[at];
+                let target = if vm.scanned || rng.gen_bool(0.5) {
+                    vm.fps.0.pages() + rng.gen_range(1..installed / 16)
+                } else {
+                    rng.gen_range(0..vm.fps.0.pages() + 1)
+                };
+                let ra = reference.set_footprint(&mut vm.fps.0, target);
+                let rb = twin.set_footprint(&mut vm.fps.1, target);
+                assert_eq!(ra, rb, "{ctx}: resize");
+            }
+            3 if !vms.is_empty() => {
+                let vm = vms.swap_remove(rng.gen_range(0..vms.len()));
+                stop_twin_vm(&mut reference, &mut twin, vm);
+            }
+            4 if !vms.is_empty() => {
+                let at = rng.gen_range(0..vms.len());
+                if let Some(r) = vms[at].region {
+                    let (k, n) = (rng.gen_range(0u64..10), rng.gen_range(1u64..64));
+                    let ra = reference
+                        .ksm
+                        .as_mut()
+                        .unwrap()
+                        .cow_break(r, k, n, &mut reference.mm);
+                    let rb = twin.ksm.as_mut().unwrap().cow_break(r, k, n, &mut twin.mm);
+                    assert_eq!(ra, rb, "{ctx}: cow break");
+                }
+            }
+            5 if rng.gen_bool(0.3) => {
+                for vm in vms.drain(..) {
+                    stop_twin_vm(&mut reference, &mut twin, vm);
+                }
+            }
+            _ => {
+                let dt = match rng.gen_range(0u32..3) {
+                    0 => SimTime::from_millis(rng.gen_range(50u64..4_000)),
+                    1 => SimTime::from_secs(rng.gen_range(1u64..8)),
+                    _ => SimTime::from_secs(rng.gen_range(8u64..400)),
+                };
+                let regions = twin.ksm.as_ref().unwrap().region_count();
+                let free = twin.mm.meminfo().free_pages;
+                let far_below_edge = twin
+                    .daemon
+                    .idle_edge(&twin.mm)
+                    .is_some_and(|edge| free + per_second <= edge);
+                let bodies = twin.daemon.work().bodies;
+                let ticks = twin.daemon.stats.ticks;
+                reference.step(dt).unwrap();
+                twin.step(dt).unwrap();
+                let ran = twin.daemon.work().bodies - bodies;
+                let skipped = twin.daemon.stats.ticks - ticks - ran;
+                cov.empty += u64::from(regions == 0 && skipped > 0);
+                cov.skips += u64::from(regions > 0 && skipped > 0);
+                cov.crossings += u64::from(regions > 0 && far_below_edge && ran > 0);
+            }
+        }
+        assert_twins_agree(&reference, &twin, &ctx);
+        assert_ksm_twins_agree(&reference, &twin, &ctx);
+    }
+    assert_eq!(
+        reference.daemon.work().bodies,
+        reference.daemon.stats.ticks,
+        "seed {seed}: the stepped engine runs every tick"
+    );
+    let ksm = reference.ksm.as_ref().unwrap().stats();
+    cov.frames_released += ksm.pages_sharing;
+    cov.cow_breaks += ksm.cow_breaks;
+}
+
+/// The idle-tick skip stays exact with KSM on: the event-driven twin skips
+/// ticks, with or without a region registered, until KSM's frees cross the
+/// off-lining edge, and the twins agree with the stepped reference after
+/// every step.
+#[test]
+fn idle_tick_skip_with_ksm_matches_the_stepped_engine() {
+    let mut cov = KsmSkipCoverage::default();
+    for seed in 0..32 {
+        ksm_skip_twin_stress(seed, 200, &mut cov);
+    }
+    assert!(cov.empty > 50, "{cov:?}");
+    assert!(cov.skips > 100, "{cov:?}");
+    assert!(cov.crossings > 20, "{cov:?}");
+    assert!(cov.frames_released > 0 && cov.cow_breaks > 0, "{cov:?}");
 }

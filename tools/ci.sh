@@ -195,7 +195,7 @@ for args in "fig08_offlining_failures --requests 65" "fig_faults --requests 17" 
             "fig11_perf_overhead --requests 8" "tab01_power_vs_util --requests 8" \
             "tab02_online_offline_counts --requests 8" \
             "fig11_perf_overhead --engine stepped" "fig13_capacity_scaling --engine stepped" \
-            "fig14_fleet_energy --engine stepped" "ablation_neighbor --engine stepped"; do
+            "ablation_neighbor --engine stepped"; do
   set -- $args
   bin=$1
   shift
