@@ -128,7 +128,7 @@ impl BenchArgs {
                 break;
             }
         }
-        if let Some(jobs) = args.whole("jobs", usize::MAX) {
+        if let Some(jobs) = args.whole("jobs", 1, usize::MAX) {
             args.jobs = jobs;
             args.jobs_explicit = true;
         }
@@ -196,14 +196,14 @@ impl BenchArgs {
 
     /// `--<name> N`: a whole number in `1..=max`, or `default` when absent.
     pub fn count(&mut self, name: &str, default: usize, max: usize) -> usize {
-        self.whole(name, max).unwrap_or(default)
+        self.whole(name, 1, max).unwrap_or(default)
     }
 
-    /// `--requests N`: the figure's request, sample or iteration count for
-    /// smoke runs, or `None` for its paper-scale default. The provenance
+    /// `--requests N`: the figure's request or iteration count for smoke
+    /// runs, or `None` for its paper-scale default. The provenance
     /// header records it.
     pub fn requests(&mut self) -> Option<usize> {
-        self.requests = self.whole("requests", usize::MAX);
+        self.requests = self.whole("requests", 1, usize::MAX);
         self.requests
     }
 
@@ -211,8 +211,20 @@ impl BenchArgs {
     /// read it as a seed count), or `default` when absent. A larger value
     /// is an error, not a clamp.
     pub fn requests_count(&mut self, default: usize, max: usize) -> usize {
-        self.requests = self.whole("requests", max);
+        self.requests = self.whole("requests", 1, max);
         self.requests.unwrap_or(default)
+    }
+
+    /// `--requests N` read as the length of a VM-trace figure's day in
+    /// 5-minute scheduler samples (fig01, fig12, fig13, fig14): `N` in
+    /// `12..=288`, one hour to 24 hours. Returns the simulated seconds,
+    /// 86 400 when absent. A value outside the range is an error, not a
+    /// clamp.
+    pub fn trace_duration_s(&mut self) -> u64 {
+        const SAMPLE_S: u64 = 300;
+        const DAY_SAMPLES: usize = 288;
+        self.requests = self.whole("requests", 12, DAY_SAMPLES);
+        self.requests.unwrap_or(DAY_SAMPLES) as u64 * SAMPLE_S
     }
 
     /// `--fault-rate R`: a probability in `[0, 1]`, or `None` when absent.
@@ -298,15 +310,15 @@ impl BenchArgs {
         parsed
     }
 
-    /// Takes `--<name>` as a whole number in `1..=max`.
-    fn whole(&mut self, name: &str, max: usize) -> Option<usize> {
+    /// Takes `--<name>` as a whole number in `min..=max`.
+    fn whole(&mut self, name: &str, min: usize, max: usize) -> Option<usize> {
         let expected = if max == usize::MAX {
-            "a whole number >= 1".to_string()
+            format!("a whole number >= {min}")
         } else {
-            format!("a whole number in 1..={max}")
+            format!("a whole number in {min}..={max}")
         };
         self.value(name, &expected, |v| {
-            v.parse().ok().filter(|n| (1..=max).contains(n))
+            v.parse().ok().filter(|n| (min..=max).contains(n))
         })
     }
 }
@@ -493,6 +505,25 @@ mod tests {
         let mut args = parse(&["--requests", "64"]);
         assert_eq!(args.requests_count(5, 64), 64);
         assert_eq!(args.check(), Ok(()));
+    }
+
+    #[test]
+    fn trace_duration_takes_one_hour_to_a_day_of_samples() {
+        assert_eq!(parse(&[]).trace_duration_s(), 86_400);
+        for (n, secs) in [("12", 3_600), ("288", 86_400)] {
+            let mut args = parse(&["--requests", n]);
+            assert_eq!(args.trace_duration_s(), secs);
+            assert_eq!(args.check(), Ok(()));
+        }
+        for n in ["11", "289", "0"] {
+            let e = error_of(&["--requests", n], |a| {
+                a.trace_duration_s();
+            });
+            assert_eq!(
+                e,
+                format!("--requests {n:?} must be a whole number in 12..=288")
+            );
+        }
     }
 
     #[test]

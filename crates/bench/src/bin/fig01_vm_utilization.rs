@@ -3,7 +3,7 @@
 //!
 //! Two sweep points — the synthesized trace and the KSM co-simulation —
 //! fan across the pool (`--jobs N`); `--requests N` trims the trace to N
-//! scheduler samples for smoke runs; `--telemetry PATH` dumps the
+//! 5-minute scheduler samples (12 to 288) for smoke runs; `--telemetry PATH` dumps the
 //! co-simulation's daemon/mm/ksm books as JSONL.
 
 use gd_bench::report::{header, pct, row};
@@ -20,12 +20,9 @@ struct Point {
 
 fn main() {
     let mut args = BenchArgs::from_env(env!("CARGO_BIN_NAME"));
-    let requests = args.requests();
+    let duration_s = args.trace_duration_s();
     args.finish();
     let azure = AzureConfig::paper_24h();
-    let duration_s = requests
-        .map(|n| (n as u64 * azure.schedule_period_s).clamp(3_600, 86_400))
-        .unwrap_or(86_400);
     args.provenance(&format!(
         "azure-24h capacity=256GB block=1GB seed=42 duration_s={duration_s} ksm"
     ));

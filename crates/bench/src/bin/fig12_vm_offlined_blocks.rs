@@ -3,7 +3,8 @@
 //! 4 at peak; KSM off-lines 61 more and cuts background power 70 %).
 //!
 //! The base and KSM co-simulations are two sweep points (`--jobs N`);
-//! `--requests N` trims the trace to N scheduler samples;
+//! `--requests N` trims the trace to N 5-minute scheduler samples (12 to
+//! 288);
 //! `--telemetry PATH` dumps both runs' daemon/mm books as JSONL.
 
 use gd_bench::report::{header, pct, row};
@@ -14,11 +15,8 @@ use gd_types::config::DramConfig;
 
 fn main() {
     let mut args = BenchArgs::from_env(env!("CARGO_BIN_NAME"));
-    let requests = args.requests();
+    let duration_s = args.trace_duration_s();
     args.finish();
-    let duration_s = requests
-        .map(|n| (n as u64 * 300).clamp(3_600, 86_400))
-        .unwrap_or(86_400);
     args.provenance(&format!(
         "azure-24h capacity=256GB block=1GB seed=42 duration_s={duration_s} greendimm"
     ));

@@ -3,9 +3,9 @@
 //! −36 %/−20 % at 1 TB; with KSM −55 %/−30 % at 1 TB).
 //!
 //! Each {capacity × KSM} VM-trace run is one sweep point (`--jobs N`);
-//! `--requests N` trims the trace to N scheduler samples; `--memspec`
-//! picks the power model the dwell fractions feed; `--telemetry PATH`
-//! dumps every run's daemon/mm/ksm books as JSONL.
+//! `--requests N` trims the trace to N 5-minute scheduler samples (12 to
+//! 288); `--memspec` picks the power model the dwell fractions feed;
+//! `--telemetry PATH` dumps every run's daemon/mm/ksm books as JSONL.
 
 use gd_bench::energy::platform_desc;
 use gd_bench::report::{f2, header, pct, row};
@@ -17,11 +17,8 @@ use gd_types::config::{DramConfig, MemSpecKind};
 fn main() {
     let mut args = BenchArgs::from_env(env!("CARGO_BIN_NAME"));
     let memspec = args.memspec();
-    let requests = args.requests();
+    let duration_s = args.trace_duration_s();
     args.finish();
-    let duration_s = requests
-        .map(|n| (n as u64 * 300).clamp(3_600, 86_400))
-        .unwrap_or(86_400);
     // The VM-trace co-simulation is mm/daemon-level (block off-lining and
     // deep power-down dwell) and memory-generation-independent; the backend
     // only changes the analytic power model the dwell fractions feed. Keep

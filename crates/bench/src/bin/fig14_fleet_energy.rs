@@ -16,7 +16,7 @@
 //! surrogate calibrated against those anchors; `--stride 1` co-simulates
 //! every host. Output is byte-identical for any `--jobs`. `--hosts N` sets
 //! the fleet size (1 to 10 000, default 1000), `--requests N` trims the
-//! simulated day to N scheduler periods, `--strict-validate` enforces the
+//! simulated day to N 5-minute scheduler periods (12 to 288), `--strict-validate` enforces the
 //! fleet and co-simulation invariants, `--engine stepped|event` selects
 //! how the exact hosts advance through idle monitor ticks (rows are
 //! byte-identical; the stepped engine runs every tick), and
@@ -58,12 +58,9 @@ fn main() {
     let verify = args.strict_validate().then_some(gd_verify::Mode::Strict);
     let hosts = args.count("hosts", 1_000, 10_000);
     let stride = args.count("stride", 16, usize::MAX);
-    let requests = args.requests();
+    let duration_s = args.trace_duration_s();
     let engine = args.engine();
     args.finish();
-    let duration_s = requests
-        .map(|n| (n as u64 * 300).clamp(3_600, 86_400))
-        .unwrap_or(86_400);
     args.provenance(&format!(
         "azure-cluster hosts={hosts} 256GB/host block=1GB seed=42 \
              duration_s={duration_s} stride={stride} utils=0.50..0.95 x base/gd/gd+ksm"

@@ -1,5 +1,5 @@
 //! Bad command lines fail loudly on the real executables: an unknown flag,
-//! a flag the figure does not read, or a value above the figure's cap
+//! a flag the figure does not read, or a value outside the figure's range
 //! exits 2 before the figure prints anything, with one `error:` line on
 //! stderr. Every flag a figure accepts changes its output, so a figure
 //! that has no request count or no engine to select rejects `--requests`
@@ -45,6 +45,19 @@ fn seed_count_above_the_cap_exits_2() {
         env!("CARGO_BIN_EXE_fig08_offlining_failures"),
         &["--requests", "65"],
     );
+}
+
+#[test]
+fn trace_samples_outside_one_hour_to_a_day_exit_2() {
+    for bin in [
+        env!("CARGO_BIN_EXE_fig01_vm_utilization"),
+        env!("CARGO_BIN_EXE_fig12_vm_offlined_blocks"),
+        env!("CARGO_BIN_EXE_fig13_capacity_scaling"),
+        env!("CARGO_BIN_EXE_fig14_fleet_energy"),
+    ] {
+        assert_exit_2(bin, &["--requests", "11"]);
+        assert_exit_2(bin, &["--requests", "289"]);
+    }
 }
 
 #[test]

@@ -43,7 +43,7 @@ fn fig01_output_is_byte_identical_across_jobs() {
 #[test]
 fn fig14_output_is_byte_identical_across_jobs() {
     let bin = env!("CARGO_BIN_EXE_fig14_fleet_energy");
-    let args = ["--hosts", "8", "--requests", "8"];
+    let args = ["--hosts", "8", "--requests", "12"];
     let serial = figure_output(bin, &[&args[..], &["--jobs", "1"]].concat());
     let parallel = figure_output(bin, &[&args[..], &["--jobs", "4"]].concat());
     assert!(
@@ -56,7 +56,7 @@ fn fig14_output_is_byte_identical_across_jobs() {
 #[test]
 fn fig14_rows_are_byte_identical_across_engines() {
     let bin = env!("CARGO_BIN_EXE_fig14_fleet_energy");
-    let args = ["--hosts", "8", "--requests", "8"];
+    let args = ["--hosts", "8", "--requests", "12"];
     let stepped = figure_output(bin, &[&args[..], &["--engine", "stepped"]].concat());
     let event = figure_output(bin, &[&args[..], &["--engine", "event"]].concat());
     assert!(

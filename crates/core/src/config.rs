@@ -37,9 +37,6 @@ pub struct GreenDimmConfig {
     pub neighbor_constraint: bool,
     /// Maximum off-lining attempts per monitor tick.
     pub max_attempts_per_tick: u32,
-    /// React immediately when the KSM daemon completes a merge pass instead
-    /// of waiting for the next monitor period (§5.3).
-    pub ksm_fast_path: bool,
     /// Extension beyond the paper: adapt `off_thr` at run time — raise the
     /// reserve when off-lining failures or allocation stalls occur (backing
     /// off an over-aggressive setting), decay back toward the configured
@@ -59,7 +56,6 @@ impl GreenDimmConfig {
             selector: SelectorPolicy::FreeRemovableFirst,
             neighbor_constraint: true,
             max_attempts_per_tick: 16,
-            ksm_fast_path: true,
             adaptive_off_thr: false,
             seed: 1,
         }

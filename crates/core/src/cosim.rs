@@ -237,8 +237,9 @@ impl EpochSim {
                 merged = ksm.advance(slice, &mut self.mm)?;
             }
             self.now = next;
-            let fast_path = merged > 0 && self.daemon.config().ksm_fast_path;
-            if self.now >= self.next_monitor || fast_path {
+            // The KSM fast path (§5.3): a merge wakes the daemon at once
+            // instead of waiting for the next monitor period.
+            if self.now >= self.next_monitor || merged > 0 {
                 if idle_edge.is_some_and(|edge| self.mm.meminfo().free_pages <= edge) {
                     self.daemon.skip_idle_ticks(1);
                 } else {

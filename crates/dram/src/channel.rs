@@ -265,22 +265,6 @@ impl ChannelCtrl {
         }
     }
 
-    /// Logs the MR17 write that masks or unmasks an LPDDR4 PASR segment
-    /// (row = segment index, bank = the mask-bit value).
-    pub fn record_pasr(&mut self, cycle: u64, segment: u32, masked: bool) {
-        if let Some(log) = &mut self.log {
-            log.push(CommandRecord {
-                cycle,
-                channel: self.channel_index,
-                rank: 0,
-                bank: u32::from(masked),
-                bank_group: 0,
-                row: segment,
-                command: DramCommand::PasrMask,
-            });
-        }
-    }
-
     /// Cycles between consecutive refresh commands under the active scheme.
     fn refresh_interval(&self) -> u64 {
         match self.scheme {

@@ -34,25 +34,6 @@ pub enum DramCommand {
     /// Mode-register set — used to program GreenDIMM's sub-array-group
     /// deep power-down bit vector.
     ModeRegisterSet,
-    /// Mode-register write of an LPDDR4 PASR segment mask bit (MR17):
-    /// masked segments are excluded from self-refresh.
-    PasrMask,
-}
-
-impl DramCommand {
-    /// True for the column commands that move data on the bus.
-    pub fn is_column(self) -> bool {
-        matches!(self, DramCommand::Read | DramCommand::Write)
-    }
-
-    /// True for commands that require the target rank to be awake
-    /// (CKE high and not in self-refresh).
-    pub fn requires_awake(self) -> bool {
-        !matches!(
-            self,
-            DramCommand::PowerDownExit | DramCommand::SelfRefreshExit
-        )
-    }
 }
 
 impl fmt::Display for DramCommand {
@@ -70,7 +51,6 @@ impl fmt::Display for DramCommand {
             DramCommand::SelfRefreshEnter => "SRE",
             DramCommand::SelfRefreshExit => "SRX",
             DramCommand::ModeRegisterSet => "MRS",
-            DramCommand::PasrMask => "PASR",
         };
         f.write_str(s)
     }
@@ -134,20 +114,6 @@ mod tests {
     fn display_mnemonics() {
         assert_eq!(DramCommand::Activate.to_string(), "ACT");
         assert_eq!(DramCommand::SelfRefreshExit.to_string(), "SRX");
-    }
-
-    #[test]
-    fn column_classification() {
-        assert!(DramCommand::Read.is_column());
-        assert!(DramCommand::Write.is_column());
-        assert!(!DramCommand::Activate.is_column());
-    }
-
-    #[test]
-    fn awake_requirement() {
-        assert!(DramCommand::Activate.requires_awake());
-        assert!(!DramCommand::PowerDownExit.requires_awake());
-        assert!(!DramCommand::SelfRefreshExit.requires_awake());
     }
 
     #[test]

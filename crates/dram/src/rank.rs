@@ -21,19 +21,6 @@ pub enum RankPowerState {
 }
 
 impl RankPowerState {
-    /// Number of states (for residency arrays).
-    pub const COUNT: usize = 4;
-
-    /// Dense index for residency arrays.
-    pub fn index(self) -> usize {
-        match self {
-            RankPowerState::ActiveStandby => 0,
-            RankPowerState::PrechargeStandby => 1,
-            RankPowerState::PowerDown => 2,
-            RankPowerState::SelfRefresh => 3,
-        }
-    }
-
     /// True if the rank must be woken before serving a command.
     pub fn is_low_power(self) -> bool {
         matches!(
@@ -68,15 +55,6 @@ impl RankResidency {
             0.0
         } else {
             self.self_refresh as f64 / self.total() as f64
-        }
-    }
-
-    /// Fraction of cycles in any low-power state.
-    pub fn low_power_fraction(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            (self.power_down + self.self_refresh) as f64 / self.total() as f64
         }
     }
 
@@ -289,7 +267,6 @@ mod tests {
             self_refresh: 50,
         };
         assert_eq!(res.self_refresh_fraction(), 0.5);
-        assert_eq!(res.low_power_fraction(), 0.5);
         assert_eq!(RankResidency::default().self_refresh_fraction(), 0.0);
     }
 }

@@ -85,15 +85,6 @@ impl RunStats {
         let denom = Cycles::new(self.cycles).as_f64() * self.group_deep_pd_cycles.len() as f64;
         sum as f64 / denom
     }
-
-    /// Requests served per kilocycle (a throughput measure).
-    pub fn requests_per_kilocycle(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            (self.reads + self.writes) as f64 * 1000.0 / Cycles::new(self.cycles).as_f64()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -106,22 +97,17 @@ mod tests {
         assert_eq!(s.mean_self_refresh_fraction(), 0.0);
         assert_eq!(s.row_hit_rate(), 0.0);
         assert_eq!(s.mean_deep_pd_fraction(), 0.0);
-        assert_eq!(s.requests_per_kilocycle(), 0.0);
     }
 
     #[test]
-    fn hit_rate_and_throughput() {
+    fn hit_rate() {
         let s = RunStats {
-            cycles: 1000,
-            reads: 10,
-            writes: 10,
             row_hits: 15,
             row_misses: 4,
             row_conflicts: 1,
             ..Default::default()
         };
         assert_eq!(s.row_hit_rate(), 0.75);
-        assert_eq!(s.requests_per_kilocycle(), 20.0);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::channel::ChannelCtrl;
 use crate::command::{MemRequest, PendingRequest};
 use crate::policy::LowPowerPolicy;
 use crate::stats::RunStats;
-use gd_types::config::{DramConfig, MemSpecKind, PASR_SEGMENTS};
+use gd_types::config::DramConfig;
 use gd_types::ids::SubArrayGroup;
 use gd_types::{GdError, Result};
 
@@ -91,11 +91,6 @@ pub struct MemorySystem {
     group_pd: Vec<bool>,
     group_pd_since: Vec<u64>,
     group_pd_cycles: Vec<u64>,
-    /// LPDDR4 PASR segment mask (MR17): masked segments are excluded from
-    /// self-refresh and must receive no traffic. Empty on other backends.
-    pasr_mask: Vec<bool>,
-    pasr_mask_since: Vec<u64>,
-    pasr_mask_cycles: Vec<u64>,
     polls: PollCounts,
 }
 
@@ -113,11 +108,6 @@ impl MemorySystem {
             .collect();
         let groups = cfg.org.subarray_groups() as usize;
         let n_channels = cfg.org.channels as usize;
-        let segments = if cfg.kind == MemSpecKind::Lpddr4Pasr {
-            PASR_SEGMENTS as usize
-        } else {
-            0
-        };
         Ok(MemorySystem {
             cfg,
             mapper,
@@ -129,9 +119,6 @@ impl MemorySystem {
             group_pd: vec![false; groups],
             group_pd_since: vec![0; groups],
             group_pd_cycles: vec![0; groups],
-            pasr_mask: vec![false; segments],
-            pasr_mask_since: vec![0; segments],
-            pasr_mask_cycles: vec![0; segments],
             polls: PollCounts::default(),
         })
     }
@@ -271,56 +258,6 @@ impl MemorySystem {
         Ok(())
     }
 
-    /// Programs one bit of the LPDDR4 PASR segment mask (MR17). While a
-    /// segment's bit is set it is excluded from self-refresh — its contents
-    /// are lost — so the simulator enforces the same OS contract as deep
-    /// power-down: no request may target a masked segment.
-    ///
-    /// # Errors
-    ///
-    /// * [`GdError::InvalidState`] when the configuration's backend is not
-    ///   [`MemSpecKind::Lpddr4Pasr`] — PASR is an LPDDR feature.
-    /// * [`GdError::NotFound`] for a segment index beyond
-    ///   [`PASR_SEGMENTS`].
-    pub fn set_pasr_segment(&mut self, segment: u32, masked: bool) -> Result<()> {
-        if self.cfg.kind != MemSpecKind::Lpddr4Pasr {
-            return Err(GdError::InvalidState(format!(
-                "PASR segment mask requires the lpddr4-pasr backend, \
-                 configuration is {}",
-                self.cfg.kind
-            )));
-        }
-        let s = segment as usize;
-        if s >= self.pasr_mask.len() {
-            return Err(GdError::NotFound(format!("PASR segment {segment}")));
-        }
-        if self.pasr_mask[s] == masked {
-            return Ok(()); // idempotent
-        }
-        // Log the broadcast MR17 write into every channel's log, so the
-        // protocol validator replays the mask against each channel's
-        // traffic in issue order.
-        for ch in &mut self.channels {
-            ch.record_pasr(self.clock, segment, masked);
-        }
-        if masked {
-            self.pasr_mask_since[s] = self.clock;
-        } else {
-            self.pasr_mask_cycles[s] += self.clock - self.pasr_mask_since[s];
-        }
-        self.pasr_mask[s] = masked;
-        Ok(())
-    }
-
-    /// Fraction of PASR segments currently masked (0 on non-PASR backends).
-    pub fn pasr_masked_fraction(&self) -> f64 {
-        if self.pasr_mask.is_empty() {
-            0.0
-        } else {
-            self.pasr_mask.iter().filter(|b| **b).count() as f64 / self.pasr_mask.len() as f64
-        }
-    }
-
     /// Whether a group is currently in deep power-down.
     pub fn group_deep_pd(&self, group: SubArrayGroup) -> bool {
         self.group_pd.get(group.index()).copied().unwrap_or(false)
@@ -436,17 +373,6 @@ impl MemorySystem {
                 group.index()
             )));
         }
-        if !self.pasr_mask.is_empty() {
-            let seg =
-                coord.full_row(self.cfg.org.rows_per_subarray) / self.cfg.rows_per_pasr_segment();
-            if self.pasr_mask.get(seg as usize).copied().unwrap_or(false) {
-                return Err(GdError::InvalidState(format!(
-                    "request {:#x} targets PASR segment {seg} which is masked \
-                     out of self-refresh",
-                    req.addr
-                )));
-            }
-        }
         let ch = coord.channel.index();
         // A new arrival can unblock the channel on the first cycle it has
         // not been polled on yet.
@@ -540,19 +466,6 @@ impl MemorySystem {
             let dwell = acc + live;
             if dwell > 0 {
                 reg.counter_add(&format!("{scope}.dram.group{g:02}.deep_pd_cycles"), dwell);
-            }
-        }
-        // Emitted only when a segment was actually masked, so non-PASR
-        // telemetry stays byte-identical to the pre-PASR format.
-        for (s, acc) in self.pasr_mask_cycles.iter().enumerate() {
-            let live = if self.pasr_mask[s] {
-                self.clock - self.pasr_mask_since[s]
-            } else {
-                0
-            };
-            let dwell = acc + live;
-            if dwell > 0 {
-                reg.counter_add(&format!("{scope}.dram.pasr.seg{s}.masked_cycles"), dwell);
             }
         }
     }
@@ -661,51 +574,6 @@ mod tests {
         assert!(s.clock() > before, "exit latency must advance the clock");
         s.set_group_deep_pd(g, false).unwrap(); // no-op
         assert!(!s.group_deep_pd(g));
-    }
-
-    #[test]
-    fn pasr_mask_requires_lpddr4_backend() {
-        let mut s = sys(InterleaveMode::Interleaved, LowPowerPolicy::disabled());
-        let err = s.set_pasr_segment(0, true).unwrap_err();
-        assert!(matches!(err, GdError::InvalidState(_)), "{err}");
-    }
-
-    #[test]
-    fn pasr_masked_segment_rejects_traffic() {
-        let cfg = DramConfig::small_test_lpddr4();
-        let mut s = MemorySystem::new(cfg, LowPowerPolicy::disabled()).unwrap();
-        // The top of the address space lives in the last segment; address 0
-        // in segment 0.
-        let cap = s.mapper().capacity_bytes();
-        let top = cap - 64;
-        let seg = gd_types::config::PASR_SEGMENTS - 1;
-        s.set_pasr_segment(seg, true).unwrap();
-        s.set_pasr_segment(seg, true).unwrap(); // idempotent
-        let err = s.run_trace([MemRequest::read(top, 0)]).unwrap_err();
-        assert!(matches!(err, GdError::InvalidState(_)), "{err}");
-        assert!(s.run_trace([MemRequest::read(0, 0)]).is_ok());
-        assert_eq!(s.pasr_masked_fraction(), 1.0 / f64::from(seg + 1));
-        // Unmasking restores service and stops the dwell clock.
-        s.set_pasr_segment(seg, false).unwrap();
-        assert!(s.run_trace([MemRequest::read(top, 1)]).is_ok());
-        assert_eq!(s.pasr_masked_fraction(), 0.0);
-        let mut tele = gd_obs::Telemetry::new();
-        s.export_telemetry(&mut tele, "t");
-        assert!(
-            tele.registry
-                .counter(&format!("t.dram.pasr.seg{seg}.masked_cycles"))
-                > 0
-        );
-    }
-
-    #[test]
-    fn out_of_range_pasr_segment_is_not_found() {
-        let cfg = DramConfig::small_test_lpddr4();
-        let mut s = MemorySystem::new(cfg, LowPowerPolicy::disabled()).unwrap();
-        let err = s
-            .set_pasr_segment(gd_types::config::PASR_SEGMENTS, true)
-            .unwrap_err();
-        assert!(matches!(err, GdError::NotFound(_)), "{err}");
     }
 
     #[test]

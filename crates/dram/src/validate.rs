@@ -28,7 +28,7 @@
 //! neighbor).
 
 use crate::command::DramCommand;
-use gd_types::config::{DramConfig, DramTiming, MemSpecKind, RefreshScheme};
+use gd_types::config::{DramConfig, DramTiming, RefreshScheme};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -136,11 +136,6 @@ pub struct TimingChecker {
     /// The configuration's refresh scheme: REFsb records are only legal
     /// under [`RefreshScheme::SameBank`].
     scheme: RefreshScheme,
-    /// The memory-generation backend; PASR mask records are only legal on
-    /// [`MemSpecKind::Lpddr4Pasr`].
-    kind: MemSpecKind,
-    /// Rows per PASR segment; 0 disables the masked-segment traffic checks.
-    rows_per_pasr_segment: u32,
     /// When set, traffic to the sense-amp buddy (`group ^ 1`) of a
     /// deep-powered-down group is also a violation.
     neighbor_pairs: bool,
@@ -157,15 +152,13 @@ impl TimingChecker {
             banks_per_group,
             rows_per_subarray: 0,
             scheme: RefreshScheme::AllBank,
-            kind: MemSpecKind::Ddr4,
-            rows_per_pasr_segment: 0,
             neighbor_pairs: false,
         }
     }
 
     /// Creates a checker for a full configuration, enabling the GreenDIMM
-    /// sub-array-group safety checks and the generation-specific legality
-    /// table (DDR5 same-bank refresh, LPDDR4 PASR masking).
+    /// sub-array-group safety checks and the generation-specific refresh
+    /// legality table (DDR5 same-bank refresh).
     pub fn for_config(cfg: &DramConfig) -> Self {
         TimingChecker {
             timing: cfg.timing,
@@ -173,12 +166,6 @@ impl TimingChecker {
             banks_per_group: cfg.org.banks_per_group,
             rows_per_subarray: cfg.org.rows_per_subarray,
             scheme: cfg.refresh_scheme(),
-            kind: cfg.kind,
-            rows_per_pasr_segment: if cfg.kind == MemSpecKind::Lpddr4Pasr {
-                cfg.rows_per_pasr_segment()
-            } else {
-                0
-            },
             neighbor_pairs: false,
         }
     }
@@ -191,9 +178,9 @@ impl TimingChecker {
     }
 
     /// Checks a log (commands of one channel must appear in cycle order;
-    /// the channels' slices may follow one another). Register writes
-    /// (MRS, MR17) apply to the traffic of the channel whose slice carries
-    /// them. Returns all violations found.
+    /// the channels' slices may follow one another). MRS register writes
+    /// apply to the traffic of the channel whose slice carries them.
+    /// Returns all violations found.
     pub fn check(&self, log: &[CommandRecord]) -> Vec<TimingViolation> {
         let t = &self.timing;
         let mut violations = Vec::new();
@@ -206,18 +193,15 @@ impl TimingChecker {
         let mut last_bus_cycle: std::collections::HashMap<u32, u64> =
             std::collections::HashMap::new();
         // Deep power-down bit per sub-array group (the index is global:
-        // sub-array `g` of every bank) and PASR segment mask, per channel,
-        // reconstructed from that channel's MRS and MR17 records. Register
-        // writes are broadcast into every channel's log, so each channel's
-        // slice orders them against its own traffic.
+        // sub-array `g` of every bank), per channel, reconstructed from that
+        // channel's MRS records. Register writes are broadcast into every
+        // channel's log, so each channel's slice orders them against its
+        // own traffic.
         let mut deep_pd_by_channel: std::collections::HashMap<u32, Vec<bool>> =
-            std::collections::HashMap::new();
-        let mut pasr_by_channel: std::collections::HashMap<u32, Vec<bool>> =
             std::collections::HashMap::new();
 
         for rec in log {
             let deep_pd = deep_pd_by_channel.entry(rec.channel).or_default();
-            let pasr_mask = pasr_by_channel.entry(rec.channel).or_default();
             if let Some(prev) = last_cycle.get(&rec.channel) {
                 if rec.cycle < *prev {
                     violations.push(TimingViolation {
@@ -260,14 +244,12 @@ impl TimingChecker {
             let mut pending: Vec<TimingViolation> = Vec::new();
 
             // --- Command bus: at most one scheduler-issued command per
-            // channel per cycle. MRS and MR17 records are exempt: the OS
-            // writes those registers through the sideband SPD bus (§4.3),
-            // not the command bus, and stamps them with the system clock,
-            // which may equal the cycle of a scheduler command. ---
-            if !matches!(
-                rec.command,
-                DramCommand::ModeRegisterSet | DramCommand::PasrMask
-            ) && last_bus_cycle.insert(rec.channel, rec.cycle) == Some(rec.cycle)
+            // channel per cycle. MRS records are exempt: the OS writes the
+            // register through the sideband SPD bus (§4.3), not the command
+            // bus, and stamps them with the system clock, which may equal
+            // the cycle of a scheduler command. ---
+            if rec.command != DramCommand::ModeRegisterSet
+                && last_bus_cycle.insert(rec.channel, rec.cycle) == Some(rec.cycle)
             {
                 pending.push(TimingViolation {
                     record: *rec,
@@ -276,11 +258,10 @@ impl TimingChecker {
                 });
             }
 
-            // --- Rank power-state machine (MRS and the PASR MR17 write are
-            // sideband register writes through the SPD bus and exempt,
-            // §4.3). ---
+            // --- Rank power-state machine (MRS is a sideband register write
+            // through the SPD bus and exempt, §4.3). ---
             match rec.command {
-                DramCommand::ModeRegisterSet | DramCommand::PasrMask => {}
+                DramCommand::ModeRegisterSet => {}
                 DramCommand::PowerDownExit => {
                     if rank.power == PowerState::PowerDown {
                         pending.extend(check(rank.pde_cycle, "tCKE", t.t_cke));
@@ -373,17 +354,6 @@ impl TimingChecker {
                     }
                     deep_pd[g] = rec.bank != 0;
                 }
-                DramCommand::PasrMask => {
-                    if self.kind == MemSpecKind::Lpddr4Pasr {
-                        let s = rec.row as usize;
-                        if pasr_mask.len() <= s {
-                            pasr_mask.resize(s + 1, false);
-                        }
-                        pasr_mask[s] = rec.bank != 0;
-                    } else {
-                        pending.push(state_violation(rec, "PASR mask on non-LPDDR device"));
-                    }
-                }
                 DramCommand::Activate | DramCommand::Read | DramCommand::Write => {
                     if let Some(g) = rec.row.checked_div(self.rows_per_subarray) {
                         let g = g as usize;
@@ -392,13 +362,6 @@ impl TimingChecker {
                         }
                         if self.neighbor_pairs && deep_pd.get(g ^ 1).copied().unwrap_or(false) {
                             pending.push(state_violation(rec, "neighbor sense-amp pair"));
-                        }
-                    }
-                    // A masked PASR segment is not refreshed — its data is
-                    // gone, so any traffic to it is a contract violation.
-                    if let Some(seg) = rec.row.checked_div(self.rows_per_pasr_segment) {
-                        if pasr_mask.get(seg as usize).copied().unwrap_or(false) {
-                            pending.push(state_violation(rec, "masked segment traffic"));
                         }
                     }
                 }
@@ -986,58 +949,5 @@ mod tests {
         // the whole point of same-bank refresh.
         let ok = ddr5_validator().check(&[refsb(0, 0), rec(10, 1, 0, DramCommand::Activate)]);
         assert!(ok.is_empty(), "{ok:?}");
-    }
-
-    // --- Per-backend legality: LPDDR4 PASR ---
-
-    fn lpddr_validator() -> TimingChecker {
-        TimingChecker::for_config(&DramConfig::small_test_lpddr4())
-    }
-
-    /// A PASR MR17 record masking segment `seg`.
-    fn pasr(cycle: u64, seg: u32, masked: bool) -> CommandRecord {
-        CommandRecord {
-            cycle,
-            channel: 0,
-            rank: 0,
-            bank: u32::from(masked),
-            bank_group: 0,
-            row: seg,
-            command: DramCommand::PasrMask,
-        }
-    }
-
-    #[test]
-    fn pasr_mask_on_non_lpddr_device_detected() {
-        for c in [gd_validator(), ddr5_validator()] {
-            let v = c.check(&[pasr(0, 0, true)]);
-            assert!(
-                v.iter()
-                    .any(|x| x.constraint == "PASR mask on non-LPDDR device"),
-                "{v:?}"
-            );
-        }
-        assert!(lpddr_validator().check(&[pasr(0, 0, true)]).is_empty());
-    }
-
-    #[test]
-    fn masked_segment_traffic_detected() {
-        let cfg = DramConfig::small_test_lpddr4();
-        let seg_rows = cfg.rows_per_pasr_segment();
-        // Mask segment 1, then touch a row inside it.
-        let log = vec![pasr(0, 1, true), act_row(100, seg_rows + 2)];
-        let v = lpddr_validator().check(&log);
-        assert!(
-            v.iter().any(|x| x.constraint == "masked segment traffic"),
-            "{v:?}"
-        );
-        // Unmasking restores legality; segment-0 traffic was always fine.
-        let ok = vec![
-            pasr(0, 1, true),
-            act_row(50, 0),
-            pasr(90, 1, false),
-            act_row(100 + cfg.timing.t_rc, seg_rows + 2),
-        ];
-        assert!(lpddr_validator().check(&ok).is_empty());
     }
 }

@@ -284,8 +284,7 @@ impl DramTiming {
     /// LPDDR4-3200 (28-29-34) timing for an 8Gb die, in 1600 MHz memory
     /// clocks (tCK = 0.625 ns). Sources: JEDEC JESD209-4 core timings
     /// (tRCD 18 ns, tRPpb 21 ns, tRAS 42 ns, tRFCab 380 ns,
-    /// tREFI 3.9 us). No bank groups, no same-bank refresh; PASR masks
-    /// self-refresh per segment instead.
+    /// tREFI 3.9 us). No bank groups, no same-bank refresh.
     pub fn lpddr4_3200() -> Self {
         DramTiming {
             clock_mhz: 1_600.0,
@@ -398,9 +397,10 @@ pub enum MemSpecKind {
     /// DDR5: 32 banks in 8 bank groups, same-bank refresh (REFsb) rotating
     /// one bank per group at a time, split VDD/VDDQ core + interface power.
     Ddr5,
-    /// LPDDR4-style device with partial-array self-refresh: masked
-    /// self-refresh at segment granularity, IDD6 scaling with the unmasked
-    /// footprint.
+    /// LPDDR4-style device with partial-array self-refresh, modelled in the
+    /// power model as the paper models it: the array share of IDD6 scales
+    /// with the fraction of the array whose refresh the governor turns off.
+    /// The cycle-level model programs no PASR register.
     Lpddr4Pasr,
 }
 
@@ -455,10 +455,6 @@ pub enum RefreshScheme {
         sets: u32,
     },
 }
-
-/// Number of PASR segments per rank on the LPDDR4 backend (JESD209-4
-/// MR17 masks eight equal row segments).
-pub const PASR_SEGMENTS: u32 = 8;
 
 /// Complete DRAM system configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -560,7 +556,7 @@ impl DramConfig {
     }
 
     /// LPDDR4-3200 analog of the 64 GB platform: 8 ungrouped banks of
-    /// ×16 dies, four dies per 64-bit rank, PASR masking in 8 segments.
+    /// ×16 dies, four dies per 64-bit rank.
     pub fn lpddr4_3200_64gb() -> Self {
         DramConfig {
             org: DramOrg {
@@ -690,50 +686,30 @@ impl DramConfig {
         }
     }
 
-    /// Rows per PASR segment (only meaningful on the LPDDR4-PASR backend;
-    /// the mask covers [`PASR_SEGMENTS`] equal row slices of every bank).
-    pub fn rows_per_pasr_segment(&self) -> u32 {
-        self.org.rows_per_bank() / PASR_SEGMENTS
-    }
-
     /// Validates organization, timing, and generation-specific constraints
     /// together.
     ///
     /// # Errors
     ///
     /// Propagates [`GdError::InvalidConfig`] from either part, and rejects
-    /// generation/organization mismatches (a DDR5 config whose tRFCsb
-    /// exceeds tRFC, an LPDDR4-PASR config whose banks do not split into
-    /// [`PASR_SEGMENTS`] segments).
+    /// generation/timing mismatches (a DDR5 config whose tRFCsb exceeds
+    /// tRFC or whose tREFI is too short for its same-bank refresh sets).
     pub fn validate(&self) -> Result<()> {
         self.org.validate()?;
         self.timing.validate()?;
-        match self.kind {
-            MemSpecKind::Ddr4 => {}
-            MemSpecKind::Ddr5 => {
-                if self.timing.t_rfc_sb == 0 || self.timing.t_rfc_sb > self.timing.t_rfc {
-                    return Err(GdError::InvalidConfig(format!(
-                        "DDR5 t_rfc_sb ({}) must be in 1..=t_rfc ({})",
-                        self.timing.t_rfc_sb, self.timing.t_rfc
-                    )));
-                }
-                let RefreshScheme::SameBank { sets } = self.refresh_scheme() else {
-                    unreachable!("DDR5 kind always yields the same-bank scheme");
-                };
-                if self.timing.t_refi / sets as u64 == 0 {
-                    return Err(GdError::InvalidConfig(format!(
-                        "t_refi ({}) too short for {sets} same-bank refresh sets",
-                        self.timing.t_refi
-                    )));
-                }
+        // Only DDR5 refreshes per bank set.
+        if let RefreshScheme::SameBank { sets } = self.refresh_scheme() {
+            if self.timing.t_rfc_sb == 0 || self.timing.t_rfc_sb > self.timing.t_rfc {
+                return Err(GdError::InvalidConfig(format!(
+                    "DDR5 t_rfc_sb ({}) must be in 1..=t_rfc ({})",
+                    self.timing.t_rfc_sb, self.timing.t_rfc
+                )));
             }
-            MemSpecKind::Lpddr4Pasr => {
-                if !self.org.rows_per_bank().is_multiple_of(PASR_SEGMENTS) {
-                    return Err(GdError::InvalidConfig(format!(
-                        "rows_per_bank ({}) must split into {PASR_SEGMENTS} PASR segments",
-                        self.org.rows_per_bank()
-                    )));
-                }
+            if self.timing.t_refi / sets as u64 == 0 {
+                return Err(GdError::InvalidConfig(format!(
+                    "t_refi ({}) too short for {sets} same-bank refresh sets",
+                    self.timing.t_refi
+                )));
             }
         }
         Ok(())
@@ -850,7 +826,7 @@ mod tests {
     }
 
     #[test]
-    fn lpddr4_presets_match_capacity_and_segments() {
+    fn lpddr4_presets_match_capacity() {
         for (cfg, bytes) in [
             (DramConfig::lpddr4_3200_64gb(), 64u64 << 30),
             (DramConfig::lpddr4_3200_256gb(), 256 << 30),
@@ -859,10 +835,6 @@ mod tests {
             assert_eq!(cfg.total_capacity_bytes(), bytes);
             assert_eq!(cfg.org.banks_per_rank(), 8);
             assert_eq!(cfg.refresh_scheme(), RefreshScheme::AllBank);
-            assert_eq!(
-                cfg.rows_per_pasr_segment() * PASR_SEGMENTS,
-                cfg.org.rows_per_bank()
-            );
         }
     }
 

@@ -32,7 +32,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use config::{DramConfig, DramOrg, DramTiming, MemSpecKind, RefreshScheme, PASR_SEGMENTS};
+pub use config::{DramConfig, DramOrg, DramTiming, MemSpecKind, RefreshScheme};
 pub use error::{GdError, Result};
 pub use fleet::{FleetConfig, FleetPlacement, FleetStats};
 pub use ids::{Bank, BankGroup, Channel, Rank, Row, SubArray, SubArrayGroup};

@@ -239,7 +239,7 @@ fn telemetry_identical_across_engines() {
 
 /// The per-backend engine matrix: every memory-generation backend — DDR4
 /// (all-bank refresh), DDR5 (rotating same-bank REFsb sets), LPDDR4-PASR
-/// (PASR-capable organization) — must agree bit for bit between the
+/// (ungrouped ×16 banks, all-bank refresh) — must agree bit for bit between the
 /// stepped reference and the event-driven engine, on both RunStats and the
 /// rendered telemetry bytes, under both interleave modes. This is the gate
 /// that keeps the scheme-aware refresh paths inside the event engine's
@@ -365,37 +365,6 @@ fn backend_idle_refresh_equivalent() {
             );
         }
     }
-}
-
-/// PASR masked-segment lifecycle across engines: mask two segments, idle
-/// long enough for self-refresh entries, unmask, then serve traffic. The
-/// MR17 mask writes and the masked-segment dwell accounting must leave the
-/// engines bit-identical.
-#[test]
-fn pasr_mask_lifecycle_equivalent() {
-    let cfg = DramConfig::small_test_for(MemSpecKind::Lpddr4Pasr);
-    let run = |engine: EngineMode| {
-        let mut sys = MemorySystem::new(cfg, LowPowerPolicy::srf_default())
-            .unwrap()
-            .with_engine_mode(engine);
-        for seg in [6u32, 7] {
-            sys.set_pasr_segment(seg, true).unwrap();
-        }
-        sys.run_idle(60_000);
-        for seg in [6u32, 7] {
-            sys.set_pasr_segment(seg, false).unwrap();
-        }
-        let base = sys.clock();
-        let trace: Vec<_> = (0..400u64)
-            .map(|i| MemRequest::read(i * 64, base + i * 5))
-            .collect();
-        sys.run_trace(trace).unwrap()
-    };
-    assert_eq!(
-        run(EngineMode::Stepped),
-        run(EngineMode::EventDriven),
-        "PASR mask lifecycle diverged between engines"
-    );
 }
 
 /// A faulted co-simulation (mm + daemon + dram injectors at a biting rate)

@@ -6,7 +6,7 @@
 use greendimm_suite::dram::{
     CommandRecord, DramCommand, EngineMode, LowPowerPolicy, MemRequest, MemorySystem, TimingChecker,
 };
-use greendimm_suite::types::config::{DramConfig, InterleaveMode, MemSpecKind, PASR_SEGMENTS};
+use greendimm_suite::types::config::{DramConfig, InterleaveMode, MemSpecKind};
 use greendimm_suite::types::ids::SubArrayGroup;
 use greendimm_suite::types::rng::{component_rng, StdRng};
 use greendimm_suite::workloads::{by_name, AppProfile, TraceGenerator};
@@ -211,7 +211,6 @@ struct ProtocolCoverage {
     pd_entries: u64,
     sr_entries: u64,
     mrs: u64,
-    pasr: u64,
     refills: u64,
 }
 
@@ -221,29 +220,20 @@ fn timeout(rng: &mut StdRng, max: u64) -> Option<u64> {
 }
 
 /// Whether the OS could still send traffic to `addr`: its sub-array group
-/// and that group's sense-amp buddy are up, and on LPDDR4-PASR its segment
-/// is unmasked. The validator flags traffic anywhere else by design.
-fn usable(sys: &MemorySystem, masked: &[bool], addr: u64) -> bool {
-    let cfg = sys.config();
-    let c = sys.mapper().decode(addr).unwrap();
-    let g = c.subarray_group();
+/// and that group's sense-amp buddy are up. The validator flags traffic
+/// anywhere else by design.
+fn usable(sys: &MemorySystem, addr: u64) -> bool {
+    let g = sys.mapper().decode(addr).unwrap().subarray_group();
     let buddy = SubArrayGroup::new(g.index() as u32 ^ 1);
-    let seg = c.full_row(cfg.org.rows_per_subarray) / cfg.rows_per_pasr_segment();
-    let masked = cfg.kind == MemSpecKind::Lpddr4Pasr && masked[seg as usize];
-    !(sys.group_deep_pd(g) || sys.group_deep_pd(buddy) || masked)
+    !(sys.group_deep_pd(g) || sys.group_deep_pd(buddy))
 }
 
 /// A random usable address that `keep` accepts, if 64 draws find one.
-fn draw_addr(
-    rng: &mut StdRng,
-    sys: &MemorySystem,
-    masked: &[bool],
-    keep: impl Fn(u64) -> bool,
-) -> Option<u64> {
+fn draw_addr(rng: &mut StdRng, sys: &MemorySystem, keep: impl Fn(u64) -> bool) -> Option<u64> {
     let lines = sys.mapper().capacity_bytes() / 64;
     (0..64)
         .map(|_| rng.gen_range(0..lines) * 64)
-        .find(|&a| keep(a) && usable(sys, masked, a))
+        .find(|&a| keep(a) && usable(sys, a))
 }
 
 /// The same system driven through the stepped and the event-driven engine,
@@ -310,7 +300,7 @@ impl Twins {
 /// to bank X, long after the first was served. Both must be served, one on
 /// each side of the refill. Returns `false` when no usable address was
 /// drawn.
-fn refill_probe(rng: &mut StdRng, twins: &mut Twins, masked: &[bool]) -> bool {
+fn refill_probe(rng: &mut StdRng, twins: &mut Twins) -> bool {
     twins.take_log();
     let sys = twins.sys();
     let bank_of = |addr: u64| {
@@ -319,16 +309,16 @@ fn refill_probe(rng: &mut StdRng, twins: &mut Twins, masked: &[bool]) -> bool {
             c.bank_group.index() * sys.config().org.banks_per_group as usize + c.bank.index();
         (c.channel.index() as u32, c.rank.index() as u32, flat as u32)
     };
-    let Some(first) = draw_addr(rng, sys, masked, |_| true) else {
+    let Some(first) = draw_addr(rng, sys, |_| true) else {
         return false;
     };
     let bank = bank_of(first);
-    let second = draw_addr(rng, sys, masked, |a| bank_of(a) == bank).unwrap_or(first);
+    let second = draw_addr(rng, sys, |a| bank_of(a) == bank).unwrap_or(first);
     let start = sys.clock();
     let gap = rng.gen_range(4_000u64..12_000);
     let mut trace = vec![MemRequest::read(first, start)];
     for i in 0..rng.gen_range(0u64..8) {
-        if let Some(a) = draw_addr(rng, sys, masked, |a| bank_of(a) != bank) {
+        if let Some(a) = draw_addr(rng, sys, |a| bank_of(a) != bank) {
             trace.push(MemRequest::write(a, start + i * gap / 8));
         }
     }
@@ -352,12 +342,11 @@ fn refill_probe(rng: &mut StdRng, twins: &mut Twins, masked: &[bool]) -> bool {
     true
 }
 
-/// Seeded random command, power-state and PASR sequences through
-/// `MemorySystem` on `kind`'s small test config, driven through both
-/// engines. Each seed draws an interleave mode and a `LowPowerPolicy`, then
-/// mixes bursts of reads and writes with random gaps, idle stretches, deep
-/// power-down toggles of a sense-amp buddy pair and (on LPDDR4-PASR) PASR
-/// segment toggles, and ends with a [`refill_probe`]. Traffic only targets
+/// Seeded random command and power-state sequences through `MemorySystem`
+/// on `kind`'s small test config, driven through both engines. Each seed
+/// draws an interleave mode and a `LowPowerPolicy`, then mixes bursts of
+/// reads and writes with random gaps, idle stretches and deep power-down
+/// toggles of a sense-amp buddy pair, and ends with a [`refill_probe`]. Traffic only targets
 /// usable addresses. Both engines must log identical commands and end with
 /// identical `RunStats`, and the log must replay clean through the full
 /// protocol validator with the neighbour-pair rule on.
@@ -375,8 +364,6 @@ fn protocol_stress(kind: MemSpecKind, seed: u64, cov: &mut ProtocolCoverage) {
         format!("{kind} seed {seed} ({mode:?}, {policy:?})"),
     );
     let groups = cfg.org.subarray_groups();
-    let pasr = kind == MemSpecKind::Lpddr4Pasr;
-    let mut masked = [false; PASR_SEGMENTS as usize];
     for _ in 0..40 {
         match rng.gen_range(0u32..10) {
             0 => {
@@ -402,13 +389,6 @@ fn protocol_stress(kind: MemSpecKind, seed: u64, cov: &mut ProtocolCoverage) {
                     cov.mrs += 2;
                 }
             }
-            3 if pasr => {
-                let segment = rng.gen_range(0..PASR_SEGMENTS);
-                let s = segment as usize;
-                masked[s] = !masked[s];
-                twins.each(|sys| sys.set_pasr_segment(segment, masked[s]).unwrap());
-                cov.pasr += 1;
-            }
             _ => {
                 let mut arrival = twins.sys().clock();
                 let mut burst = Vec::new();
@@ -418,7 +398,7 @@ fn protocol_stress(kind: MemSpecKind, seed: u64, cov: &mut ProtocolCoverage) {
                     } else {
                         rng.gen_range(0u64..16)
                     };
-                    let Some(addr) = draw_addr(&mut rng, twins.sys(), &masked, |_| true) else {
+                    let Some(addr) = draw_addr(&mut rng, twins.sys(), |_| true) else {
                         continue;
                     };
                     burst.push(if rng.gen_bool(0.6) {
@@ -432,7 +412,7 @@ fn protocol_stress(kind: MemSpecKind, seed: u64, cov: &mut ProtocolCoverage) {
             }
         }
     }
-    cov.refills += u64::from(refill_probe(&mut rng, &mut twins, &masked));
+    cov.refills += u64::from(refill_probe(&mut rng, &mut twins));
     twins.take_log();
     let [stepped, event] = &mut twins.engines;
     let stats = event.snapshot_stats();
@@ -475,9 +455,6 @@ fn protocol_stress_corpus(seeds: std::ops::Range<u64>) {
                 assert!(cov.pd_entries > 0 && cov.sr_entries > 0, "{kind}: {cov:?}");
                 assert!(cov.mrs > 0, "{kind}: {cov:?}");
                 assert!(cov.refills > 0, "{kind}: {cov:?}");
-                if kind == MemSpecKind::Lpddr4Pasr {
-                    assert!(cov.pasr > 0, "{kind}: {cov:?}");
-                }
             });
         }
     });

@@ -124,10 +124,10 @@ rm -f /tmp/fig_faults.{j1,j4,st,ev}.ci.txt
 
 echo "==> fleet smoke (fig14, 12 hosts, --jobs 2 vs --jobs 1, telemetry byte-identity)"
 cargo run --quiet --release -p gd-bench --bin fig14_fleet_energy -- \
-  --hosts 12 --requests 8 --jobs 1 --strict-validate \
+  --hosts 12 --requests 12 --jobs 1 --strict-validate \
   --telemetry /tmp/fig14.j1.ci.jsonl > /tmp/fig14.j1.ci.txt
 cargo run --quiet --release -p gd-bench --bin fig14_fleet_energy -- \
-  --hosts 12 --requests 8 --jobs 2 --strict-validate \
+  --hosts 12 --requests 12 --jobs 2 --strict-validate \
   --telemetry /tmp/fig14.j2.ci.jsonl > /tmp/fig14.j2.ci.txt
 # The provenance header records the pinned jobs value and the telemetry
 # announcement echoes the per-run dump path; everything else must be
@@ -160,8 +160,9 @@ cargo run --quiet --release -p gd-bench --bin fig09_dram_energy -- \
   --memspec ddr5 --jobs 2 --requests 6000 > /dev/null
 
 echo "==> bad flags and values exit 2 (no silent fallback to a default, no ignored flag)"
-# `--requests 8` is appended to every case, so `fig03_interleaving --telemetry`
-# is a flag whose value is missing.
+# `--requests 12` is appended to every case, so `fig03_interleaving --telemetry`
+# is a flag whose value is missing; 12 is in range for every figure here, so
+# each case fails on its own flag.
 for args in "fig09_dram_energy --engine epoch-replay" "fig09_dram_energy --engine bogus" \
             "fig14_fleet_energy --stride 0" "fig14_fleet_energy --stride x" \
             "fig14_fleet_energy --hosts abc" "fig14_fleet_energy --hosts 0" \
@@ -174,17 +175,21 @@ for args in "fig09_dram_energy --engine epoch-replay" "fig09_dram_energy --engin
   bin=$1
   shift
   status=0
-  cargo run --quiet --release -p gd-bench --bin "$bin" -- "$@" --requests 8 \
+  cargo run --quiet --release -p gd-bench --bin "$bin" -- "$@" --requests 12 \
     > /dev/null 2>&1 || status=$?
   [ "$status" -eq 2 ] || {
     echo "ERROR: $args exited $status, expected 2" >&2
     exit 1
   }
 done
-# No `--requests 8` is appended here: seed counts above a figure's cap would
+# No `--requests 12` is appended here: seed counts above a figure's cap would
 # trip the repeated-flag check instead, and a figure that has no request
 # count must fail on the one bad flag given, not on an appended one.
 for args in "fig08_offlining_failures --requests 65" "fig_faults --requests 17" \
+            "fig01_vm_utilization --requests 11" "fig01_vm_utilization --requests 289" \
+            "fig12_vm_offlined_blocks --requests 11" "fig12_vm_offlined_blocks --requests 289" \
+            "fig13_capacity_scaling --requests 11" "fig13_capacity_scaling --requests 289" \
+            "fig14_fleet_energy --requests 11" "fig14_fleet_energy --requests 289" \
             "fig05_addrmap --bogus" "fig05_addrmap --jobs 0" "fig05_addrmap --jobs x" \
             "ablation_adaptive_thr --engine stepped" "ablation_ksm_scan --engine stepped" \
             "ablation_offthr --engine stepped" \
