@@ -6,10 +6,10 @@
 //! Each app is one sweep point (`--jobs N`, `--requests N` for smoke runs);
 //! `--telemetry PATH` dumps each run's DRAM books as JSONL.
 
-use gd_bench::energy::{evaluate_measurements, find_row, measure_app};
+use gd_bench::energy::{evaluate_measurements, find_row, measure_point};
 use gd_bench::report::{f2, header, pct, row};
 use gd_bench::BenchArgs;
-use gd_types::config::{DramConfig, InterleaveMode};
+use gd_types::config::DramConfig;
 use gd_workloads::by_name;
 
 fn main() {
@@ -29,16 +29,7 @@ fn main() {
         &profiles,
         |p| p.name.to_string(),
         |p, sink| {
-            let (with, without) = sink.fill(|mut tele| {
-                let mut measure = |mode| {
-                    measure_app(p, cfg, mode, requests, 1, mopts, tele.as_deref_mut())
-                        .expect("cycle sim")
-                };
-                (
-                    measure(InterleaveMode::Interleaved),
-                    measure(InterleaveMode::Linear),
-                )
-            });
+            let [with, without] = measure_point(p, cfg, requests, mopts, sink).expect("cycle sim");
             let rows = evaluate_measurements(p, cfg, &with, &without, mopts).expect("energy");
             let e_with = find_row(&rows, "srf_only", true).expect("cell").system_j;
             let e_without = find_row(&rows, "srf_only", false).expect("cell").system_j;

@@ -6,7 +6,7 @@
 //! Each {backend × app} pair is one sweep point (`--jobs N`);
 //! `--telemetry PATH` dumps each run's DRAM books as JSONL.
 
-use gd_bench::energy::{evaluate_app_tele, platform_desc};
+use gd_bench::energy::{evaluate_measurements, measure_point, platform_desc};
 use gd_bench::report::{f2, header, pct, row};
 use gd_bench::BenchArgs;
 use gd_types::config::{DramConfig, MemSpecKind};
@@ -37,8 +37,8 @@ fn main() {
         |(kind, p)| format!("{}/{}", kind.name(), p.name),
         |&(kind, p), sink| {
             let cfg = DramConfig::preset_64gb(kind);
-            sink.fill(|tele| evaluate_app_tele(p, cfg, requests, 1, opts, tele))
-                .expect("energy")
+            let [with, without] = measure_point(p, cfg, requests, opts, sink).expect("cycle sim");
+            evaluate_measurements(p, cfg, &with, &without, opts).expect("energy")
         },
     );
 

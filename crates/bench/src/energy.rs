@@ -2,11 +2,12 @@
 //! and the one table Figs. 9 and 10 print.
 
 use crate::report::{f2, header, row};
+use crate::sweep::ShardSink;
 use crate::BenchArgs;
 use gd_baselines::{
     GovernorContext, GovernorOutcome, GreenDimmGovernor, Pasr, PowerGovernor, RamZzz, SrfOnly,
 };
-use gd_dram::{EngineMode, LowPowerPolicy, MemorySystem};
+use gd_dram::{EngineMode, LowPowerPolicy, MemorySystem, PollCounts};
 use gd_power::{ActivityProfile, DramPowerModel, SystemPowerModel};
 use gd_types::config::{DramConfig, InterleaveMode, MemSpecKind};
 use gd_types::stats::geomean;
@@ -58,6 +59,24 @@ pub struct AppMeasurement {
     pub runtime_s: f64,
     /// Sustained fraction of peak bus bandwidth.
     pub bandwidth_util: f64,
+    /// The run's channel polls ([`MemorySystem::poll_counts`]).
+    pub polls: PollCounts,
+    /// Memory cycles the run simulated.
+    pub cycles: u64,
+}
+
+/// The sidecar `work` counters of a figure point's cycle-level runs,
+/// summed over them: channel polls, the polls that issued a command, the
+/// banks they examined and the cycles simulated. They depend only on the
+/// inputs and the engine.
+fn dram_work(runs: &[AppMeasurement]) -> [(&'static str, u64); 4] {
+    let sum = |count: fn(&AppMeasurement) -> u64| runs.iter().map(count).sum();
+    [
+        ("polls", sum(|m| m.polls.polls)),
+        ("issuing", sum(|m| m.polls.issuing)),
+        ("bank_visits", sum(|m| m.polls.bank_visits)),
+        ("cycles", sum(|m| m.cycles)),
+    ]
 }
 
 /// Runs the cycle simulator for `profile` under the given interleave mode
@@ -138,7 +157,61 @@ pub fn measure_app(
         sr_fraction: stats.mean_self_refresh_fraction(),
         runtime_s,
         bandwidth_util: (est.bandwidth_util * est.seconds / runtime_s).clamp(0.0, 1.0),
+        polls: sys.poll_counts(),
+        cycles: stats.cycles,
     })
+}
+
+/// Both [`measure_app`] runs of `profile`, `[with, without]`
+/// interleaving; each exports its DRAM books into `tele` under its mode's
+/// scope.
+///
+/// # Errors
+///
+/// Same as [`measure_app`].
+fn measure_modes(
+    profile: &AppProfile,
+    cfg: DramConfig,
+    requests: usize,
+    seed: u64,
+    opts: MeasureOpts,
+    mut tele: Option<&mut gd_obs::Telemetry>,
+) -> Result<[AppMeasurement; 2]> {
+    let mut measure = |mode| {
+        measure_app(
+            profile,
+            cfg,
+            mode,
+            requests,
+            seed,
+            opts,
+            tele.as_deref_mut(),
+        )
+    };
+    Ok([
+        measure(InterleaveMode::Interleaved)?,
+        measure(InterleaveMode::Linear)?,
+    ])
+}
+
+/// Both [`measure_app`] runs of `profile` at seed 1, `[with, without]`
+/// interleaving, as one figure point: the runs' DRAM books go to the
+/// point's telemetry shard and their summed polls, issuing polls, bank
+/// visits and cycles to its sidecar `work` entry.
+///
+/// # Errors
+///
+/// Same as [`measure_app`].
+pub fn measure_point(
+    profile: &AppProfile,
+    cfg: DramConfig,
+    requests: usize,
+    opts: MeasureOpts,
+    sink: &mut ShardSink,
+) -> Result<[AppMeasurement; 2]> {
+    let runs = sink.fill(|tele| measure_modes(profile, cfg, requests, 1, opts, tele))?;
+    sink.record_work(&dram_work(&runs));
+    Ok(runs)
 }
 
 /// One cell of Figs. 9/10: a (policy, interleave) combination for one app.
@@ -220,21 +293,9 @@ pub fn evaluate_app_tele(
     requests: usize,
     seed: u64,
     opts: MeasureOpts,
-    mut tele: Option<&mut gd_obs::Telemetry>,
+    tele: Option<&mut gd_obs::Telemetry>,
 ) -> Result<Vec<EnergyRow>> {
-    let mut measure = |mode| {
-        measure_app(
-            profile,
-            cfg,
-            mode,
-            requests,
-            seed,
-            opts,
-            tele.as_deref_mut(),
-        )
-    };
-    let with = measure(InterleaveMode::Interleaved)?;
-    let without = measure(InterleaveMode::Linear)?;
+    let [with, without] = measure_modes(profile, cfg, requests, seed, opts, tele)?;
     evaluate_measurements(profile, cfg, &with, &without, opts)
 }
 
@@ -336,7 +397,10 @@ pub fn energy_table(mut args: BenchArgs, title: &str, metric: fn(&EnergyRow) -> 
     let results = args.sweep(
         &profiles,
         |p| p.name.to_string(),
-        |p, sink| sink.fill(|tele| evaluate_app_tele(p, cfg, requests, 1, opts, tele)),
+        |p, sink| {
+            let [with, without] = measure_point(p, cfg, requests, opts, sink)?;
+            evaluate_measurements(p, cfg, &with, &without, opts)
+        },
     );
     let widths = [16, 9, 9, 9, 9, 9, 9, 9, 9];
     let cols = [

@@ -95,6 +95,8 @@ pub struct HostWork {
     pub ksm_pages_scanned: u64,
     /// Full KSM scan passes ([`gd_ksm::KsmStats::full_passes`]).
     pub ksm_full_passes: u64,
+    /// KSM region visits ([`gd_ksm::KsmStats::region_visits`]).
+    pub ksm_region_visits: u64,
 }
 
 impl HostWork {
@@ -108,10 +110,11 @@ impl HostWork {
         self.max_order_chunks += other.max_order_chunks;
         self.ksm_pages_scanned += other.ksm_pages_scanned;
         self.ksm_full_passes += other.ksm_full_passes;
+        self.ksm_region_visits += other.ksm_region_visits;
     }
 
     /// The counters as `(name, value)` pairs, in a fixed order.
-    pub fn fields(&self) -> [(&'static str, u64); 8] {
+    pub fn fields(&self) -> [(&'static str, u64); 9] {
         [
             ("daemon_ticks", self.ticks),
             ("monitor_bodies", self.daemon.bodies),
@@ -121,6 +124,7 @@ impl HostWork {
             ("max_order_chunks", self.max_order_chunks),
             ("ksm_pages_scanned", self.ksm_pages_scanned),
             ("ksm_full_passes", self.ksm_full_passes),
+            ("ksm_region_visits", self.ksm_region_visits),
         ]
     }
 }
@@ -286,6 +290,7 @@ pub fn run_host(
         max_order_chunks: placement.max_order_chunks,
         ksm_pages_scanned: ksm.pages_scanned,
         ksm_full_passes: ksm.full_passes,
+        ksm_region_visits: ksm.region_visits,
     };
     Ok((
         HostRun {
@@ -331,8 +336,8 @@ mod tests {
             assert_eq!(stepped.daemon, event.daemon, "ksm {ksm}");
             let (a, b) = (stepped.work, event.work);
             assert_eq!(
-                (a.ksm_pages_scanned, a.ksm_full_passes),
-                (b.ksm_pages_scanned, b.ksm_full_passes),
+                (a.ksm_pages_scanned, a.ksm_full_passes, a.ksm_region_visits),
+                (b.ksm_pages_scanned, b.ksm_full_passes, b.ksm_region_visits),
                 "ksm {ksm}"
             );
             assert_eq!(

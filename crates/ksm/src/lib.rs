@@ -41,7 +41,6 @@
 
 use gd_mmsim::{AllocationId, MemoryManager};
 use gd_types::{GdError, Result, SimTime};
-use std::collections::HashMap;
 use std::fmt;
 
 #[cfg(test)]
@@ -124,12 +123,18 @@ pub struct KsmStats {
     pub full_passes: u64,
     /// Copy-on-write breaks.
     pub cow_breaks: u64,
+    /// Region visits `advance` made, drained regions included: the scan's
+    /// cost grows with these and the records each visit walks, not with
+    /// the pages scanned.
+    pub region_visits: u64,
 }
 
 /// One content class of a region: its pages, by state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Content {
     key: ContentKey,
+    /// The key's slot in the daemon's stable and unstable trees.
+    slot: u32,
     /// Unmerged pages, still to be scanned.
     pending: u64,
     /// Merged duplicates (frames released).
@@ -178,6 +183,43 @@ impl Region {
     }
 }
 
+/// The unstable tree: the region holding each slot's candidate page,
+/// plus the slots a candidate was placed in since the last clear, so a
+/// pass end resets only those.
+#[derive(Debug, Default)]
+struct UnstableTree {
+    holders: Vec<Option<RegionId>>,
+    touched: Vec<u32>,
+}
+
+impl UnstableTree {
+    fn get(&self, slot: u32) -> Option<RegionId> {
+        self.holders.get(slot as usize).copied().flatten()
+    }
+
+    fn insert(&mut self, slot: u32, holder: RegionId) {
+        if let Some(h) = self.holders.get_mut(slot as usize) {
+            if h.replace(holder).is_none() {
+                self.touched.push(slot);
+            }
+        }
+    }
+
+    fn remove(&mut self, slot: u32) {
+        if let Some(h) = self.holders.get_mut(slot as usize) {
+            *h = None;
+        }
+    }
+
+    fn clear(&mut self) {
+        for slot in self.touched.drain(..) {
+            if let Some(h) = self.holders.get_mut(slot as usize) {
+                *h = None;
+            }
+        }
+    }
+}
+
 /// Index of region `id` in `regions`, which is sorted by id.
 fn region_index(regions: &[Region], id: RegionId) -> Option<usize> {
     regions.binary_search_by_key(&id, |r| r.id).ok()
@@ -222,12 +264,14 @@ pub struct UnstableCandidate {
 #[derive(Debug)]
 pub struct Ksm {
     cfg: KsmConfig,
-    /// Stable tree: content -> total pages sharing it (>= 1 means a shared
-    /// frame exists).
-    stable: HashMap<ContentKey, u64>,
-    /// Unstable tree: contents seen once in the current pass, with the
-    /// region that holds the candidate page.
-    unstable: HashMap<ContentKey, RegionId>,
+    /// Every content key ever registered with its slot, sorted by key.
+    /// Slots are dense and never freed (DESIGN.md §6.3).
+    slot_index: Vec<(ContentKey, u32)>,
+    /// Stable tree by slot: total pages sharing the content, 0 when no
+    /// shared frame exists.
+    stable: Vec<u64>,
+    /// Unstable tree by slot: contents seen once in the current pass.
+    unstable: UnstableTree,
     /// Registered regions in id order: ids only grow, so registration
     /// appends.
     regions: Vec<Region>,
@@ -255,8 +299,9 @@ impl Ksm {
         cfg.validate()?;
         Ok(Ksm {
             cfg,
-            stable: HashMap::new(),
-            unstable: HashMap::new(),
+            slot_index: Vec::new(),
+            stable: Vec::new(),
+            unstable: UnstableTree::default(),
             regions: Vec::new(),
             next_region: 1,
             region_cursor: 0,
@@ -296,12 +341,14 @@ impl Ksm {
                 Some(c) if c.key == key => c.pending += n,
                 _ => contents.push(Content {
                     key,
+                    slot: 0,
                     pending: n,
                     merged: 0,
                     originals: 0,
                 }),
             }
         }
+        self.intern(&mut contents);
         let pending_pages = contents.iter().map(|c| c.pending).sum::<u64>();
         self.regions.push(Region {
             id,
@@ -316,6 +363,51 @@ impl Ksm {
         id
     }
 
+    /// Gives every record of `contents` (sorted by key, keys distinct) its
+    /// key's slot: a merge-join against `slot_index`, with keys never seen
+    /// before taking the next free slots and then merged into the index.
+    fn intern(&mut self, contents: &mut [Content]) {
+        let mut fresh: Vec<(ContentKey, u32)> = Vec::new();
+        let mut at = 0;
+        for c in contents.iter_mut() {
+            while self.slot_index.get(at).is_some_and(|&(k, _)| k < c.key) {
+                at += 1;
+            }
+            c.slot = match self.slot_index.get(at) {
+                Some(&(k, slot)) if k == c.key => slot,
+                _ => {
+                    let slot = u32::try_from(self.stable.len()).expect("fewer than 2^32 keys");
+                    self.stable.push(0);
+                    self.unstable.holders.push(None);
+                    fresh.push((c.key, slot));
+                    slot
+                }
+            };
+        }
+        if fresh.is_empty() {
+            return;
+        }
+        // Merge the fresh keys (sorted, absent from the index) in from
+        // the back, each entry moving once.
+        let index = &mut self.slot_index;
+        let mut old = index.len();
+        index.resize(old + fresh.len(), (0, 0));
+        let mut write = index.len();
+        while let Some(&(key, slot)) = fresh.last() {
+            write -= 1;
+            match old.checked_sub(1).map(|i| (i, index[i])) {
+                Some((i, entry)) if entry.0 > key => {
+                    index[write] = entry;
+                    old = i;
+                }
+                _ => {
+                    index[write] = (key, slot);
+                    fresh.pop();
+                }
+            }
+        }
+    }
+
     /// Unregisters a region (e.g. the VM terminated). Its merged pages
     /// disappear with it; sharing counts are released. The owner's frames
     /// are expected to be freed by the caller through the memory manager.
@@ -328,15 +420,16 @@ impl Ksm {
             region_index(&self.regions, id).ok_or_else(|| GdError::NotFound(id.to_string()))?;
         let region = self.regions.remove(at);
         for c in &region.contents {
-            if c.merged > 0 {
-                if let Some(sharing) = self.stable.get_mut(&c.key) {
-                    *sharing = sharing.saturating_sub(c.merged);
-                    self.stats.pages_sharing = self.stats.pages_sharing.saturating_sub(c.merged);
-                    if *sharing == 0 {
-                        // Last sharer: the stable page dissolves.
-                        self.stable.remove(&c.key);
-                        self.stats.pages_shared = self.stats.pages_shared.saturating_sub(1);
-                    }
+            let sharing = self
+                .stable
+                .get_mut(c.slot as usize)
+                .expect("invariant: every record's slot is interned");
+            if c.merged > 0 && *sharing > 0 {
+                *sharing = sharing.saturating_sub(c.merged);
+                self.stats.pages_sharing = self.stats.pages_sharing.saturating_sub(c.merged);
+                if *sharing == 0 {
+                    // Last sharer: the stable page dissolves.
+                    self.stats.pages_shared = self.stats.pages_shared.saturating_sub(1);
                 }
             }
             // Approximation: when a region that contributed a stable
@@ -344,11 +437,15 @@ impl Ksm {
             // frame alive for the remaining sharers; we dissolve the entry
             // instead, which only means later scans re-establish it from a
             // surviving duplicate.
-            if c.originals > 0 && self.stable.remove(&c.key).is_some() {
+            if c.originals > 0 && *sharing > 0 {
+                *sharing = 0;
                 self.stats.pages_shared = self.stats.pages_shared.saturating_sub(1);
             }
+            // A region only ever holds candidates of its own keys.
+            if self.unstable.get(c.slot) == Some(id) {
+                self.unstable.remove(c.slot);
+            }
         }
-        self.unstable.retain(|_, holder| *holder != id);
         Ok(())
     }
 
@@ -376,25 +473,25 @@ impl Ksm {
     /// The unstable tree's candidates in content order, each with what its
     /// holder still has pending (for cross-crate invariant checks).
     pub fn unstable_candidates(&self) -> Vec<UnstableCandidate> {
-        let mut out: Vec<UnstableCandidate> = self
-            .unstable
+        self.slot_index
             .iter()
-            .map(|(&content, &holder)| UnstableCandidate {
-                content,
-                holder,
-                holder_pending: region_index(&self.regions, holder)
-                    .and_then(|at| self.regions.get(at))
-                    .map(|r| r.content(content).map_or(0, |c| c.pending)),
+            .filter_map(|&(content, slot)| {
+                let holder = self.unstable.get(slot)?;
+                Some(UnstableCandidate {
+                    content,
+                    holder,
+                    holder_pending: region_index(&self.regions, holder)
+                        .and_then(|at| self.regions.get(at))
+                        .map(|r| r.content(content).map_or(0, |c| c.pending)),
+                })
             })
-            .collect();
-        out.sort_unstable_by_key(|c| c.content);
-        out
+            .collect()
     }
 
     /// Number of distinct contents in the stable tree (each backed by one
     /// resident shared frame).
     pub fn stable_contents(&self) -> usize {
-        self.stable.len()
+        self.stable.iter().filter(|&&sharing| sharing > 0).count()
     }
 
     /// Exports cumulative KSM telemetry into `tele` under `scope`:
@@ -444,6 +541,7 @@ impl Ksm {
             // visits reaches a multiple of the region count.
             let at = self.region_cursor as usize % self.regions.len();
             let (scanned, released) = self.scan_region(at, budget, mm)?;
+            self.stats.region_visits += 1;
             released_total += released;
             budget = budget.saturating_sub(scanned.max(1));
             self.region_cursor += 1;
@@ -527,22 +625,25 @@ impl Ksm {
                 continue;
             }
             unreached -= c.pending;
-            let k = c.key;
+            let slot = c.slot;
             let here = c.pending.min(remaining);
             remaining -= here;
             // A region revisited within one pass (regions came or went since
             // the pass began) can meet its own candidate: a page never
             // merges with itself, so only another region's candidate counts
             // as a hit.
-            let candidate = unstable.get(&k).copied();
+            let candidate = unstable.get(slot);
             let holder = candidate.filter(|&h| h != rid);
-            let mergeable = if stable.contains_key(&k) {
+            let sharing = stable
+                .get_mut(slot as usize)
+                .expect("invariant: every record's slot is interned");
+            let mergeable = if *sharing > 0 {
                 here // all scanned duplicates merge against the stable page
             } else if let Some(holder) = holder {
                 // The earlier candidate becomes the stable original; all of
                 // our scanned pages merge against it.
-                unstable.remove(&k);
-                conversions.push((k, holder));
+                unstable.remove(slot);
+                conversions.push((c.key, holder));
                 here
             } else if here > 1 {
                 // First page becomes the stable original this region
@@ -551,7 +652,7 @@ impl Ksm {
                 here - 1
             } else {
                 // Single candidate: goes to the unstable tree.
-                unstable.insert(k, rid);
+                unstable.insert(slot, rid);
                 0
             };
             if mergeable == 0 {
@@ -564,14 +665,14 @@ impl Ksm {
             if c.pending == 0 && candidate == Some(rid) {
                 // Our own candidate page was among them: it no longer
                 // waits for a partner, so a later hit must not convert it.
-                unstable.remove(&k);
+                unstable.remove(slot);
             }
-            let sharing = stable.entry(k).or_insert_with(|| {
+            if *sharing == 0 {
                 // The stable original itself stays resident: one frame
                 // keeps backing the content.
                 stats.pages_shared += 1;
-                1
-            });
+                *sharing = 1;
+            }
             *sharing += mergeable;
             stats.pages_sharing += mergeable;
             c.merged += mergeable;
@@ -639,12 +740,13 @@ impl Ksm {
         }
         mm.grow(owner, to_break)?;
         c.merged -= to_break;
+        let slot = c.slot as usize;
         // The pages now hold private (volatile) content.
         r.unique_pages += to_break;
-        if let Some(sharing) = self.stable.get_mut(&k) {
+        if let Some(sharing) = self.stable.get_mut(slot).filter(|s| **s > 0) {
             *sharing = sharing.saturating_sub(to_break);
             if *sharing <= 1 {
-                self.stable.remove(&k);
+                *sharing = 0;
                 self.stats.pages_shared = self.stats.pages_shared.saturating_sub(1);
             }
         }
@@ -760,7 +862,7 @@ mod tests {
         // 1 ms is a 20-page budget, spent on region a alone: its APP_DATA
         // page goes to the unstable tree and 19 OS_IMAGE pages merge.
         ksm.advance(SimTime::from_millis(1), &mut mm).unwrap();
-        assert_eq!(ksm.unstable.get(&APP_DATA), Some(&ra));
+        assert_eq!(ksm.unstable.get(ksm.slot_of(APP_DATA).unwrap()), Some(ra));
         assert_eq!(pending_pages(&ksm, ra), 12);
         // Region b's scan hits that candidate, which becomes the stable
         // original inside region a without a's own scan consuming it.
@@ -780,7 +882,7 @@ mod tests {
         let ra = ksm.register_region(a, vec![(APP_DATA, 5)], 0);
         // As left by an earlier visit in the same pass that ran out of
         // budget on this key's first page.
-        ksm.unstable.insert(APP_DATA, ra);
+        ksm.unstable.insert(ksm.slot_of(APP_DATA).unwrap(), ra);
         scan(&mut ksm, ra, 100, &mut mm);
         let acc = ksm.region_accounting()[0];
         assert_eq!((acc.pending, acc.merged, acc.originals), (0, 4, 1));
@@ -795,7 +897,7 @@ mod tests {
         // The same-pass revisit above drains the content its own candidate
         // names: the candidate page is now a stable original, not a
         // candidate.
-        ksm.unstable.insert(APP_DATA, ra);
+        ksm.unstable.insert(ksm.slot_of(APP_DATA).unwrap(), ra);
         scan(&mut ksm, ra, 100, &mut mm);
         assert!(ksm.unstable_candidates().is_empty());
         // Dissolve the stable page, then let another region scan the same

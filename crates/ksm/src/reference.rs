@@ -1,12 +1,42 @@
 //! The region books `Ksm` kept before its flat per-content records: one
 //! `BTreeMap` per page state, a `range` walk over the pending map, and
-//! regions found by `keys().nth`. Kept as a reference model; the
+//! regions found by `keys().nth`; and the trees it kept before its slot
+//! arrays: `HashMap`s keyed by content. Kept as a reference model; the
 //! differential test below drives it and [`Ksm`] through the same seeded
-//! sequences and compares everything either exposes after every step.
+//! sequences and compares everything either exposes after every step,
+//! the slot arrays read back as content-keyed maps.
 
 use super::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound::{Excluded, Unbounded};
+
+impl Ksm {
+    /// The slot content `k` was interned into, if it ever was.
+    pub(crate) fn slot_of(&self, k: ContentKey) -> Option<u32> {
+        let at = self
+            .slot_index
+            .binary_search_by_key(&k, |&(key, _)| key)
+            .ok()?;
+        self.slot_index.get(at).map(|&(_, slot)| slot)
+    }
+
+    /// The stable tree as a map from content to sharing count.
+    fn stable_map(&self) -> HashMap<ContentKey, u64> {
+        self.slot_index
+            .iter()
+            .filter_map(|&(k, slot)| Some((k, *self.stable.get(slot as usize)?)))
+            .filter(|&(_, sharing)| sharing > 0)
+            .collect()
+    }
+
+    /// The unstable tree as a map from content to holder.
+    fn unstable_map(&self) -> HashMap<ContentKey, RegionId> {
+        self.slot_index
+            .iter()
+            .filter_map(|&(k, slot)| Some((k, self.unstable.get(slot)?)))
+            .collect()
+    }
+}
 
 struct RefRegion {
     owner: AllocationId,
@@ -126,6 +156,23 @@ impl ReferenceKsm {
             .collect()
     }
 
+    fn unstable_candidates(&self) -> Vec<UnstableCandidate> {
+        let mut out: Vec<UnstableCandidate> = self
+            .unstable
+            .iter()
+            .map(|(&content, &holder)| UnstableCandidate {
+                content,
+                holder,
+                holder_pending: self
+                    .regions
+                    .get(&holder)
+                    .map(|r| r.pending.get(&content).copied().unwrap_or(0)),
+            })
+            .collect();
+        out.sort_unstable_by_key(|c| c.content);
+        out
+    }
+
     fn advance(&mut self, elapsed: SimTime, mm: &mut MemoryManager) -> Result<u64> {
         let batches = elapsed.as_secs_f64() / self.cfg.scan_period.as_secs_f64();
         let mut budget =
@@ -143,6 +190,7 @@ impl ReferenceKsm {
                 break;
             };
             let (scanned, released) = self.scan_region(rid, budget, mm)?;
+            self.stats.region_visits += 1;
             released_total += released;
             budget = budget.saturating_sub(scanned.max(1));
             self.region_cursor += 1;
@@ -312,11 +360,13 @@ mod tests {
     /// Random registrations (duplicate keys, zero counts, one-page
     /// contents), CoW breaks, unregisters wherever the pass is, and
     /// advances from one page of budget up to a few hundred, through both
-    /// books with a memory manager each.
+    /// books with a memory manager each. The key range widens as the run
+    /// goes on, so registrations keep interning new slots in the middle
+    /// of passes.
     #[test]
     fn flat_books_match_btree_reference_model() {
-        const KEYS: u64 = 24;
         let mut mid_pass_unregisters = 0u32;
+        let (mut late_fresh_keys, mut holder_unregisters) = (0u32, 0u32);
         let (mut hits, mut remainder_candidates) = (0u32, 0u32);
         for seed in 0..32u64 {
             let mut rng = component_rng(seed, "ksm-reference");
@@ -325,13 +375,14 @@ mod tests {
             let mut fast = Ksm::new(KsmConfig::default()).unwrap();
             let mut reference = ReferenceKsm::new(KsmConfig::default());
             let mut live: Vec<(RegionId, AllocationId)> = Vec::new();
-            for step in 0..400 {
+            for step in 0..400u64 {
                 let ctx = format!("seed {seed} step {step}");
+                let keys = 8 + step / 10;
                 match rng.gen_range(0u32..12) {
                     0..=2 if live.len() < 10 => {
                         let mut shareable = Vec::new();
                         for _ in 0..rng.gen_range(1usize..8) {
-                            let k = rng.gen_range(0..KEYS);
+                            let k = rng.gen_range(0..keys);
                             let n = match rng.gen_range(0u32..10) {
                                 0 => 0,
                                 1..=4 => 1,
@@ -349,13 +400,20 @@ mod tests {
                         let b = mm_ref.allocate(pages.max(1), PageKind::UserMovable);
                         let (a, b) = (a.unwrap(), b.unwrap());
                         assert_eq!(a, b, "{ctx}: allocation ids");
+                        let slots = fast.stable.len();
                         let id = fast.register_region(a, shareable.clone(), unique);
+                        if fast.stable.len() > slots
+                            && fast.stats.full_passes > 0
+                            && !fast.unstable_candidates().is_empty()
+                        {
+                            late_fresh_keys += 1;
+                        }
                         assert_eq!(id, reference.register_region(b, shareable, unique), "{ctx}");
                         live.push((id, a));
                     }
                     3 if !live.is_empty() => {
                         let (id, _) = live[rng.gen_range(0..live.len())];
-                        let k = rng.gen_range(0..KEYS);
+                        let k = rng.gen_range(0..keys);
                         let n = rng.gen_range(1u64..30);
                         let a = fast.cow_break(id, k, n, &mut mm_fast);
                         let b = reference.cow_break(id, k, n, &mut mm_ref);
@@ -365,6 +423,9 @@ mod tests {
                         let (id, owner) = live.swap_remove(rng.gen_range(0..live.len()));
                         if !(fast.region_cursor as usize).is_multiple_of(fast.regions.len()) {
                             mid_pass_unregisters += 1;
+                        }
+                        if fast.unstable_candidates().iter().any(|c| c.holder == id) {
+                            holder_unregisters += 1;
                         }
                         assert_eq!(fast.unregister_region(id), Ok(()), "{ctx}");
                         assert_eq!(reference.unregister_region(id), Ok(()), "{ctx}");
@@ -391,8 +452,22 @@ mod tests {
                     reference.region_accounting(),
                     "{ctx}: region accounting"
                 );
-                assert_eq!(fast.stable, reference.stable, "{ctx}: stable tree");
-                assert_eq!(fast.unstable, reference.unstable, "{ctx}: unstable tree");
+                assert_eq!(fast.stable_map(), reference.stable, "{ctx}: stable tree");
+                assert_eq!(
+                    fast.unstable_map(),
+                    reference.unstable,
+                    "{ctx}: unstable tree"
+                );
+                assert_eq!(
+                    fast.stable_contents(),
+                    reference.stable.len(),
+                    "{ctx}: stable contents"
+                );
+                assert_eq!(
+                    fast.unstable_candidates(),
+                    reference.unstable_candidates(),
+                    "{ctx}: unstable candidates"
+                );
                 assert_eq!(fast.region_cursor, reference.region_cursor, "{ctx}: cursor");
                 assert_eq!(mm_fast.meminfo(), mm_ref.meminfo(), "{ctx}: meminfo");
                 for c in fast.unstable_candidates() {
@@ -411,5 +486,13 @@ mod tests {
             "{remainder_candidates} one-page remainders"
         );
         assert!(hits > 200, "{hits} unstable-tree hits");
+        assert!(
+            late_fresh_keys > 100,
+            "{late_fresh_keys} registrations interned keys mid-pass"
+        );
+        assert!(
+            holder_unregisters > 40,
+            "{holder_unregisters} unregisters of a candidate holder"
+        );
     }
 }

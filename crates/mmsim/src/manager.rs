@@ -12,7 +12,7 @@ use gd_types::rng::{component_rng, StdRng};
 use gd_types::stats::Summary;
 use gd_types::{GdError, Result, SimTime};
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Configuration of the simulated physical memory.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -212,7 +212,9 @@ pub struct MemoryManager {
     block_pages: u32,
     /// First block of ZONE_MOVABLE (== blocks.len() when not configured).
     movable_zone_start: usize,
-    allocs: HashMap<AllocationId, AllocInfo>,
+    /// Live allocations in id order, the order [`MemoryManager::audit`]
+    /// reports their problems in.
+    allocs: BTreeMap<AllocationId, AllocInfo>,
     /// The allocations with `deferred > 0`, each once, in the order they
     /// first deferred: the order [`MemoryManager::settle`] places them.
     deferred_ids: Vec<AllocationId>,
@@ -294,7 +296,7 @@ impl MemoryManager {
                 .collect(),
             block_pages: block_pages as u32,
             movable_zone_start,
-            allocs: HashMap::new(),
+            allocs: BTreeMap::new(),
             deferred_ids: Vec::new(),
             next_id: 1,
             rng: component_rng(cfg.seed, "mmsim"),
@@ -1219,6 +1221,30 @@ mod tests {
         assert!(freed >= 1000);
         assert_eq!(m.pages_of(id), 4096 - freed);
         assert_eq!(m.meminfo().used_pages, 4096 - freed);
+    }
+
+    #[test]
+    fn audit_reports_broken_allocations_in_id_order() {
+        let mut m = mm();
+        let ids: Vec<AllocationId> = (0..12)
+            .map(|_| m.allocate(64, PageKind::UserMovable).unwrap())
+            .collect();
+        // Corrupt every other allocation's page count, last id first.
+        for id in ids.iter().rev().step_by(2) {
+            m.allocs.get_mut(id).expect("live allocation").pages += 1;
+        }
+        let problems = m.audit().unwrap_err();
+        let named: Vec<String> = problems
+            .iter()
+            .map(|p| p.split(':').next().unwrap_or_default().to_string())
+            .collect();
+        let expected: Vec<String> = ids
+            .iter()
+            .skip(1)
+            .step_by(2)
+            .map(|id| id.to_string())
+            .collect();
+        assert_eq!(named, expected, "{problems:?}");
     }
 
     /// The split-push-pop loop that `settle` replaced: pop the last chunk;

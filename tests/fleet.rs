@@ -95,8 +95,8 @@ fn exact_engines_agree_on_a_small_fleet() {
             assert_eq!(a.daemon.bodies, a.ticks, "{what}: stepped runs every body");
             assert!(b.daemon.bodies < a.daemon.bodies, "{what}: {b:?}");
             assert_eq!(
-                (a.ksm_pages_scanned, a.ksm_full_passes),
-                (b.ksm_pages_scanned, b.ksm_full_passes),
+                (a.ksm_pages_scanned, a.ksm_full_passes, a.ksm_region_visits),
+                (b.ksm_pages_scanned, b.ksm_full_passes, b.ksm_region_visits),
                 "{what}"
             );
             let released = event.hosts.iter().any(|h| h.ksm_released_pages > 0);
