@@ -17,8 +17,12 @@ use std::ops::Range;
 pub struct GroupMap {
     groups: u32,
     group_bytes: u64,
-    block_bytes: u64,
     n_blocks: usize,
+    /// Blocks inside one group (1 when a block spans groups).
+    blocks_per_group: u32,
+    /// Groups inside one block (1 when a group spans blocks). One of the
+    /// two is 1, so a range start is a multiply or a small divide.
+    groups_per_block: u32,
 }
 
 impl GroupMap {
@@ -49,11 +53,18 @@ impl GroupMap {
                 "block size {block_bytes} incommensurate with group size {group_bytes}"
             )));
         }
+        let n_blocks = managed_bytes / block_bytes;
+        if n_blocks > u64::from(u32::MAX) {
+            return Err(GdError::InvalidConfig(format!(
+                "{n_blocks} blocks exceed the 32-bit block index"
+            )));
+        }
         Ok(GroupMap {
             groups,
             group_bytes,
-            block_bytes,
-            n_blocks: (managed_bytes / block_bytes) as usize,
+            n_blocks: n_blocks as usize,
+            blocks_per_group: (group_bytes / block_bytes).max(1) as u32,
+            groups_per_block: (block_bytes / group_bytes).max(1) as u32,
         })
     }
 
@@ -75,13 +86,13 @@ impl GroupMap {
     /// Sub-array groups covered by one memory block (≥ 1 when blocks are at
     /// least group-sized, e.g. the paper's 256/512 MB settings).
     pub fn groups_per_block(&self) -> u32 {
-        (self.block_bytes / self.group_bytes).max(1) as u32
+        self.groups_per_block
     }
 
     /// Memory blocks inside one group (≥ 1 when groups are at least
     /// block-sized).
     pub fn blocks_per_group(&self) -> u32 {
-        (self.group_bytes / self.block_bytes).max(1) as u32
+        self.blocks_per_group
     }
 
     /// The groups whose address range intersects block `b`, ascending.
@@ -92,11 +103,8 @@ impl GroupMap {
         if block >= self.n_blocks {
             return Err(GdError::NotFound(format!("block {block}")));
         }
-        let start = block as u64 * self.block_bytes;
-        let end = start + self.block_bytes;
-        let g0 = (start / self.group_bytes) as u32;
-        let g1 = ((end - 1) / self.group_bytes) as u32;
-        Ok((g0..=g1).map(SubArrayGroup::new))
+        let g0 = block as u32 * self.groups_per_block / self.blocks_per_group;
+        Ok((g0..g0 + self.groups_per_block).map(SubArrayGroup::new))
     }
 
     /// The blocks inside group `g`.
@@ -104,11 +112,8 @@ impl GroupMap {
         if group.0 >= self.groups {
             return Err(GdError::NotFound(group.to_string()));
         }
-        let start = group.0 as u64 * self.group_bytes;
-        let end = start + self.group_bytes;
-        let b0 = (start / self.block_bytes) as usize;
-        let b1 = ((end - 1) / self.block_bytes) as usize;
-        Ok(b0..b1 + 1)
+        let b0 = (group.0 * self.blocks_per_group / self.groups_per_block) as usize;
+        Ok(b0..b0 + self.blocks_per_group as usize)
     }
 
     /// Whether every block of `group` is off-line by `block_offline`, so
@@ -191,6 +196,41 @@ mod tests {
         assert!(!m.fully_offline_groups(&flags)[0]);
     }
 
+    /// The precomputed ranges are the ones the byte-address division
+    /// formula gives, with blocks smaller than, equal to and larger than
+    /// groups.
+    #[test]
+    fn ranges_match_the_division_formula() {
+        for (managed, groups, block) in [
+            (256u64 << 30, 64u32, 1u64 << 30),
+            (8 << 30, 64, 32 << 20),
+            (8 << 30, 64, 128 << 20),
+            (8 << 30, 64, 512 << 20),
+            (8 << 30, 8, 8 << 30),
+            (6 << 30, 48, 1 << 30),
+        ] {
+            let m = GroupMap::new(managed, groups, block).unwrap();
+            let group = managed / u64::from(groups);
+            let span = |start: u64, len: u64, unit: u64| start / unit..=(start + len - 1) / unit;
+            for b in 0..m.blocks() {
+                let want = span(b as u64 * block, block, group);
+                let got: Vec<u64> = m.groups_of_block(b).unwrap().map(|g| g.0.into()).collect();
+                assert_eq!(got, want.collect::<Vec<_>>(), "{block}-byte block {b}");
+            }
+            for g in 0..groups {
+                let want = span(u64::from(g) * group, group, block);
+                let got = m.blocks_of_group(SubArrayGroup::new(g)).unwrap();
+                assert_eq!(
+                    (*want.start() as usize, *want.end() as usize + 1),
+                    (got.start, got.end),
+                    "{block}-byte blocks, group {g}"
+                );
+            }
+            assert!(m.groups_of_block(m.blocks()).is_err());
+            assert!(m.blocks_of_group(SubArrayGroup::new(groups)).is_err());
+        }
+    }
+
     #[test]
     fn buddy_pairs() {
         let m = GroupMap::new(8 << 30, 64, 128 << 20).unwrap();
@@ -203,5 +243,7 @@ mod tests {
     fn incommensurate_sizes_rejected() {
         assert!(GroupMap::new(8 << 30, 64, 192 << 20).is_err());
         assert!(GroupMap::new(8 << 30, 0, 128 << 20).is_err());
+        // 2^33 blocks of 4 KiB overflow the 32-bit block index.
+        assert!(GroupMap::new(1 << 45, 64, 4 << 10).is_err());
     }
 }

@@ -6,19 +6,15 @@ use gd_types::rng::StdRng;
 
 /// Picks an off-lining candidate under `policy`, skipping `excluded`
 /// blocks (failed earlier this tick). Returns `None` when no candidate
-/// remains. Reads the settled blocks in place.
+/// remains. Reads the settled on-line blocks in place.
 pub fn pick_candidate(
     mm: &mut MemoryManager,
     policy: SelectorPolicy,
     excluded: &[usize],
     rng: &mut StdRng,
 ) -> Option<usize> {
-    let blocks = mm.settled_blocks();
-    let online = || {
-        blocks
-            .iter()
-            .filter(|b| b.online() && !excluded.contains(&b.index()))
-    };
+    let blocks = mm.settled_online_blocks();
+    let online = || blocks.clone().filter(|b| !excluded.contains(&b.index()));
     match policy {
         SelectorPolicy::FreeRemovableFirst => {
             // Only movable blocks with no used pages: off-lining never

@@ -91,6 +91,10 @@ pub struct HostWork {
     pub max_order_runs: u64,
     /// Max-order chunks placed.
     pub max_order_chunks: u64,
+    /// Runs of max-order chunks freed in one step.
+    pub freed_runs: u64,
+    /// Max-order chunks those runs held.
+    pub freed_max_order_chunks: u64,
     /// Pages KSM scanned ([`gd_ksm::KsmStats::pages_scanned`]).
     pub ksm_pages_scanned: u64,
     /// Full KSM scan passes ([`gd_ksm::KsmStats::full_passes`]).
@@ -108,13 +112,15 @@ impl HostWork {
         self.vm_starts += other.vm_starts;
         self.max_order_runs += other.max_order_runs;
         self.max_order_chunks += other.max_order_chunks;
+        self.freed_runs += other.freed_runs;
+        self.freed_max_order_chunks += other.freed_max_order_chunks;
         self.ksm_pages_scanned += other.ksm_pages_scanned;
         self.ksm_full_passes += other.ksm_full_passes;
         self.ksm_region_visits += other.ksm_region_visits;
     }
 
     /// The counters as `(name, value)` pairs, in a fixed order.
-    pub fn fields(&self) -> [(&'static str, u64); 9] {
+    pub fn fields(&self) -> [(&'static str, u64); 11] {
         [
             ("daemon_ticks", self.ticks),
             ("monitor_bodies", self.daemon.bodies),
@@ -122,6 +128,8 @@ impl HostWork {
             ("vm_starts", self.vm_starts),
             ("max_order_runs", self.max_order_runs),
             ("max_order_chunks", self.max_order_chunks),
+            ("freed_runs", self.freed_runs),
+            ("freed_max_order_chunks", self.freed_max_order_chunks),
             ("ksm_pages_scanned", self.ksm_pages_scanned),
             ("ksm_full_passes", self.ksm_full_passes),
             ("ksm_region_visits", self.ksm_region_visits),
@@ -288,6 +296,8 @@ pub fn run_host(
         vm_starts,
         max_order_runs: placement.max_order_runs,
         max_order_chunks: placement.max_order_chunks,
+        freed_runs: placement.freed_runs,
+        freed_max_order_chunks: placement.freed_max_order_chunks,
         ksm_pages_scanned: ksm.pages_scanned,
         ksm_full_passes: ksm.full_passes,
         ksm_region_visits: ksm.region_visits,
@@ -339,6 +349,15 @@ mod tests {
                 (a.ksm_pages_scanned, a.ksm_full_passes, a.ksm_region_visits),
                 (b.ksm_pages_scanned, b.ksm_full_passes, b.ksm_region_visits),
                 "ksm {ksm}"
+            );
+            assert_eq!(
+                (a.freed_runs, a.freed_max_order_chunks),
+                (b.freed_runs, b.freed_max_order_chunks),
+                "ksm {ksm}"
+            );
+            assert!(
+                a.freed_runs > 0,
+                "ksm {ksm}: no VM memory went back a run at a time"
             );
             assert_eq!(
                 a.daemon.bodies, a.ticks,

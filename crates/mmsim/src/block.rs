@@ -17,13 +17,13 @@ pub struct Chunk {
 
 /// A contiguous, block-aligned range of physical memory that the kernel can
 /// on/off-line as a unit (default 128 MB in Linux; GreenDIMM sizes it to one
-/// or more sub-array groups).
+/// or more sub-array groups). Whether it is on-line is the manager's book,
+/// not the block's.
 #[derive(Debug, Clone)]
 #[cfg_attr(test, derive(PartialEq, Eq))]
 pub struct MemoryBlock {
     index: usize,
     pages: u32,
-    online: bool,
     buddy: BuddyAllocator,
     /// Allocated chunks below `MAX_ORDER`, by offset.
     chunks: BTreeMap<u32, Chunk>,
@@ -54,12 +54,11 @@ pub struct BlockInfo {
 }
 
 impl MemoryBlock {
-    /// Creates an online block of `pages` pages.
+    /// Creates an empty block of `pages` pages.
     pub fn new(index: usize, pages: u32) -> Self {
         MemoryBlock {
             index,
             pages,
-            online: true,
             buddy: BuddyAllocator::new(pages),
             chunks: BTreeMap::new(),
             top_chunks: vec![None; (pages >> MAX_ORDER) as usize],
@@ -90,16 +89,6 @@ impl MemoryBlock {
     /// Block index.
     pub fn index(&self) -> usize {
         self.index
-    }
-
-    /// Whether the block is online.
-    pub fn online(&self) -> bool {
-        self.online
-    }
-
-    /// Sets the online state (the manager enforces the transition rules).
-    pub(crate) fn set_online(&mut self, online: bool) {
-        self.online = online;
     }
 
     /// Total pages.
@@ -147,11 +136,12 @@ impl MemoryBlock {
         self.buddy.max_free_order()
     }
 
-    /// Snapshot for the sysfs-style API.
-    pub fn info(&self) -> BlockInfo {
+    /// Snapshot for the sysfs-style API, with the on-line state the
+    /// manager keeps for the block.
+    pub fn info(&self, online: bool) -> BlockInfo {
         BlockInfo {
             index: self.index,
-            online: self.online,
+            online,
             removable: self.removable(),
             used_pages: self.used_pages(),
             free_pages: self.free_pages(),
@@ -167,7 +157,6 @@ impl MemoryBlock {
         owner: AllocationId,
         kind: PageKind,
     ) -> Vec<ChunkRun> {
-        debug_assert!(self.online);
         let runs = self.buddy.alloc_pages(pages);
         for &run in &runs {
             self.put_run(
@@ -254,6 +243,45 @@ impl MemoryBlock {
         self.buddy.free(offset, chunk.order);
         *self.kind_pages_mut(chunk.kind) -= 1u64 << chunk.order;
         chunk
+    }
+
+    /// Frees every chunk of `run`, all of one allocation. A max-order run
+    /// whose chunks sit in the slot table goes back in one step: its slots
+    /// are emptied, its kind's page count drops once and the buddy
+    /// allocator marks it free a bitmap word at a time. Any other run is
+    /// freed chunk by chunk through [`free_chunk`](Self::free_chunk), the
+    /// path the one step must match. Returns whether the run took the one
+    /// step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no chunk starts at the run's first offset.
+    pub fn free_run(&mut self, run: ChunkRun) -> bool {
+        let first = (run.offset >> MAX_ORDER) as usize;
+        let slots = (run.order == MAX_ORDER)
+            .then(|| self.top_chunks.get_mut(first..first + run.count as usize))
+            .flatten();
+        let Some(slots) = slots else {
+            for off in run.offsets() {
+                self.free_chunk(off);
+            }
+            return false;
+        };
+        let kind = slots
+            .first()
+            .copied()
+            .flatten()
+            .expect("free of unknown chunk offset")
+            .kind;
+        debug_assert!(
+            slots.iter().all(|s| s.is_some_and(|c| c.kind == kind)),
+            "the run at {} holds unallocated chunks or mixed kinds",
+            run.offset
+        );
+        slots.fill(None);
+        self.buddy.free_top_run(run);
+        *self.kind_pages_mut(kind) -= run.pages();
+        true
     }
 
     /// Frees the top `need` pages of the chunk at `offset` in one step; the
@@ -410,7 +438,6 @@ mod tests {
         let b = block();
         assert!(b.is_free());
         assert!(b.removable());
-        assert!(b.online());
         assert_eq!(b.free_pages(), 4096);
     }
 
@@ -420,7 +447,8 @@ mod tests {
         b.alloc_chunks(16, AllocationId(1), PageKind::KernelUnmovable);
         assert!(!b.removable());
         assert_eq!(b.unmovable_pages(), 16);
-        let info = b.info();
+        let info = b.info(true);
+        assert!(info.online);
         assert!(!info.removable);
         assert_eq!(info.used_pages, 16);
     }
@@ -444,6 +472,26 @@ mod tests {
         }
         assert!(b.is_free());
         assert_eq!(b.free_pages(), 4096);
+    }
+
+    /// A max-order run freed in one step leaves the block that freeing its
+    /// chunks one at a time leaves; a smaller run takes the per-chunk path.
+    #[test]
+    fn free_run_matches_per_chunk_frees() {
+        let mut b = MemoryBlock::new(0, 130 << MAX_ORDER);
+        b.alloc_chunks(1 << MAX_ORDER, AllocationId(1), PageKind::UserMovable);
+        let runs = b.alloc_chunks(128 << MAX_ORDER | 6, AllocationId(2), PageKind::Pinned);
+        assert_eq!(runs[0].count, 128, "{runs:?}");
+        let mut per_chunk = b.clone();
+        for run in runs {
+            assert_eq!(b.free_run(run), run.order == MAX_ORDER, "{run:?}");
+            for off in run.offsets() {
+                per_chunk.free_chunk(off);
+            }
+            assert_eq!(b, per_chunk, "{run:?}");
+        }
+        assert_eq!(b.pinned_pages(), 0);
+        b.audit().unwrap();
     }
 
     #[test]

@@ -288,6 +288,37 @@ impl BuddyAllocator {
         self.free_pages += 1u32 << order;
     }
 
+    /// Frees the max-order run `run` a bitmap word at a time, one mask per
+    /// word. A max-order chunk has no buddy to coalesce with, so this is
+    /// what one [`free`](Self::free) per chunk does. Only for the bitmap
+    /// layout; the all-sets reference frees chunk by chunk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run reaches past the block.
+    pub(crate) fn free_top_run(&mut self, run: ChunkRun) {
+        debug_assert!(
+            run.order == MAX_ORDER && self.free_lists.len() == MAX_ORDER as usize,
+            "a max-order run in the bitmap layout"
+        );
+        let mut slot = run.offset >> MAX_ORDER;
+        let end = slot + run.count;
+        while slot < end {
+            let bit = slot % 64;
+            let n = (end - slot).min(64 - bit);
+            let mask = (u64::MAX >> (64 - n)) << bit;
+            let word = self
+                .top_free
+                .get_mut((slot / 64) as usize)
+                .expect("invariant: a max-order run lies inside its block");
+            debug_assert_eq!(*word & mask, 0, "double free in the run at {}", run.offset);
+            *word |= mask;
+            slot += n;
+        }
+        self.top_count += run.count;
+        self.free_pages += run.count << MAX_ORDER;
+    }
+
     /// The largest order that can currently be allocated.
     pub fn max_free_order(&self) -> Option<u8> {
         (0..=MAX_ORDER).rev().find(|&o| !self.list_empty(o))
@@ -500,6 +531,47 @@ mod tests {
         assert!(runs.iter().any(|r| r.count > 1), "{runs:?}");
         assert_eq!(b, reference);
         b.audit().unwrap();
+    }
+
+    /// A max-order run freed a bitmap word at a time leaves the allocator
+    /// that freeing its chunks one at a time leaves, for runs that start
+    /// and end inside, at and across word edges.
+    #[test]
+    fn max_order_run_free_matches_single_chunk_frees() {
+        let chunks = 200u32;
+        for (first, count) in [
+            (0, 1),
+            (63, 2),
+            (0, 64),
+            (64, 64),
+            (1, 128),
+            (62, 3),
+            (5, 190),
+            (0, 200),
+            (127, 73),
+            (199, 1),
+        ] {
+            let mut run_freed = BuddyAllocator::new(chunks << MAX_ORDER);
+            let all = run_freed.alloc_pages(u64::from(chunks) << MAX_ORDER);
+            assert_eq!(all.len(), 1, "a free allocator is one run");
+            let mut singles = run_freed.clone();
+            let run = ChunkRun {
+                offset: first << MAX_ORDER,
+                order: MAX_ORDER,
+                count,
+            };
+            run_freed.free_top_run(run);
+            for off in run.offsets() {
+                singles.free(off, MAX_ORDER);
+            }
+            assert_eq!(run_freed, singles, "{count} chunks from chunk {first}");
+            assert_eq!(
+                run_freed.free_pages(),
+                count << MAX_ORDER,
+                "{count} chunks from chunk {first}"
+            );
+            run_freed.audit().unwrap();
+        }
     }
 
     #[test]

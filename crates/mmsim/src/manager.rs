@@ -125,14 +125,29 @@ impl HotplugStats {
     }
 }
 
-/// Max-order chunks placed so far: deterministic work counters, kept out
-/// of [`HotplugStats`].
+/// Max-order chunks placed and freed so far: deterministic work counters,
+/// kept out of [`HotplugStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlacementWork {
     /// Runs of max-order chunks placed (each taken in one step).
     pub max_order_runs: u64,
     /// Max-order chunks placed.
     pub max_order_chunks: u64,
+    /// Runs of max-order chunks freed in one step
+    /// ([`MemoryBlock::free_run`]).
+    pub freed_runs: u64,
+    /// Max-order chunks those runs held.
+    pub freed_max_order_chunks: u64,
+}
+
+impl PlacementWork {
+    /// Frees `run` in `block`, counting it when it went back in one step.
+    fn free_run(&mut self, block: &mut MemoryBlock, run: ChunkRun) {
+        if block.free_run(run) {
+            self.freed_runs += 1;
+            self.freed_max_order_chunks += u64::from(run.count);
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -209,6 +224,9 @@ type MigrationJournalEntry = (u32, Chunk, Vec<(usize, ChunkRun)>);
 pub struct MemoryManager {
     cfg: MmConfig,
     blocks: Vec<MemoryBlock>,
+    /// Whether each block is on-line, in block order: the one home of the
+    /// on/off-line state.
+    online: Vec<bool>,
     block_pages: u32,
     /// First block of ZONE_MOVABLE (== blocks.len() when not configured).
     movable_zone_start: usize,
@@ -294,6 +312,7 @@ impl MemoryManager {
             blocks: (0..n_blocks)
                 .map(|i| MemoryBlock::new(i, block_pages as u32))
                 .collect(),
+            online: vec![true; n_blocks],
             block_pages: block_pages as u32,
             movable_zone_start,
             allocs: BTreeMap::new(),
@@ -330,7 +349,8 @@ impl MemoryManager {
         self.break_rollback = true;
     }
 
-    /// Max-order chunks placed so far, allocations and migrations alike.
+    /// Max-order chunks placed and freed so far, allocations, migrations
+    /// and releases alike.
     pub fn placement_work(&self) -> PlacementWork {
         self.placement
     }
@@ -356,11 +376,11 @@ impl MemoryManager {
     ///
     /// Returns [`GdError::NotFound`] for an out-of-range index.
     pub fn block_info(&self, index: usize) -> Result<BlockInfo> {
-        self.settled_view()
-            .blocks
-            .get(index)
-            .map(|b| b.info())
-            .ok_or_else(|| GdError::NotFound(format!("memory block {index}")))
+        let view = self.settled_view();
+        match (view.blocks.get(index), self.online.get(index)) {
+            (Some(b), Some(&online)) => Ok(b.info(online)),
+            _ => Err(GdError::NotFound(format!("memory block {index}"))),
+        }
     }
 
     /// Snapshots of every block.
@@ -368,27 +388,35 @@ impl MemoryManager {
         self.settled_view()
             .blocks
             .iter()
-            .map(|b| b.info())
+            .zip(&self.online)
+            .map(|(b, &online)| b.info(online))
             .collect()
     }
 
     /// Whether each block is off-line, in block order. On/off-lining is
-    /// never deferred, so this reads the live blocks without a settle.
+    /// never deferred, so this reads the live flags without a settle.
     pub fn offline_flags(&self) -> impl Iterator<Item = bool> + '_ {
-        self.blocks.iter().map(|b| !b.online())
+        self.online.iter().map(|&online| !online)
     }
 
     /// Whether block `index` is off-line (false when out of range). Like
     /// [`offline_flags`](Self::offline_flags), it needs no settle.
     pub fn block_offline(&self, index: usize) -> bool {
-        self.blocks.get(index).is_some_and(|b| !b.online())
+        self.online.get(index).is_some_and(|&online| !online)
     }
 
-    /// Every block, read in place after placing the deferred releases: the
-    /// layout [`blocks`](Self::blocks) snapshots, without the copy.
-    pub fn settled_blocks(&mut self) -> &[MemoryBlock] {
+    /// The on-line blocks in block order, read in place after placing the
+    /// deferred releases: the layout [`blocks`](Self::blocks) snapshots,
+    /// without the copy.
+    pub fn settled_online_blocks(
+        &mut self,
+    ) -> impl DoubleEndedIterator<Item = &MemoryBlock> + Clone {
         self.settle();
-        &self.blocks
+        self.blocks
+            .iter()
+            .zip(&self.online)
+            .filter(|(_, &online)| online)
+            .map(|(b, _)| b)
     }
 
     /// The layout with every deferred release placed: `self` when none is
@@ -431,8 +459,8 @@ impl MemoryManager {
         let mut free = 0;
         let mut used = 0;
         let mut offline = 0;
-        for b in &self.blocks {
-            if b.online() {
+        for (b, &online) in self.blocks.iter().zip(&self.online) {
+            if online {
                 total += b.total_pages();
                 free += b.free_pages();
                 used += b.used_pages();
@@ -475,17 +503,15 @@ impl MemoryManager {
     /// Frees the chunks of `run` in block `bi`, returning them to the free
     /// total.
     fn free_in_block(&mut self, bi: usize, run: ChunkRun) {
-        for off in run.offsets() {
-            self.blocks[bi].free_chunk(off);
-        }
+        self.placement.free_run(&mut self.blocks[bi], run);
         self.online_free += run.pages();
     }
 
     /// On- or off-lines block `index`, moving its pages between the
     /// running totals.
     fn set_block_online(&mut self, index: usize, online: bool) {
-        let block = &mut self.blocks[index];
-        block.set_online(online);
+        self.online[index] = online;
+        let block = &self.blocks[index];
         let (free, total) = (block.free_pages(), block.total_pages());
         if online {
             self.offline_pages -= total;
@@ -505,7 +531,7 @@ impl MemoryManager {
         } else {
             self.movable_zone_start
         };
-        (0..limit).filter(|i| self.blocks[*i].online()).collect()
+        (0..limit).filter(|&i| self.online[i]).collect()
     }
 
     /// Allocates `pages` pages of the given kind, spread over on-line blocks
@@ -642,8 +668,13 @@ impl MemoryManager {
                 // The run's top chunks that `left` covers are freed whole.
                 let whole = (left >> run.order).min(u64::from(run.count)) as u32;
                 let mut kept = run.count - whole;
-                for off in run.offsets().skip(kept as usize) {
-                    block.free_chunk(off);
+                if whole > 0 {
+                    let top = ChunkRun {
+                        offset: run.chunk(kept),
+                        count: whole,
+                        ..run
+                    };
+                    self.placement.free_run(block, top);
                 }
                 left -= u64::from(whole) << run.order;
                 // Freeing the next chunk whole would overshoot: free its
@@ -716,7 +747,7 @@ impl MemoryManager {
         if index >= self.blocks.len() {
             return Err(GdError::NotFound(format!("memory block {index}")));
         }
-        if !self.blocks[index].online() {
+        if !self.online[index] {
             return Err(GdError::InvalidState(format!(
                 "block {index} is already offline"
             )));
@@ -854,7 +885,7 @@ impl MemoryManager {
             let mut placed = Vec::new();
             let mut remaining = 1u64 << chunk.order;
             for bi in 0..self.blocks.len() {
-                if bi == index || !self.blocks[bi].online() || remaining == 0 {
+                if bi == index || !self.online[bi] || remaining == 0 {
                     continue;
                 }
                 for run in self.alloc_in_block(bi, remaining, chunk.owner, chunk.kind) {
@@ -910,8 +941,8 @@ impl MemoryManager {
     pub fn fragmentation_index(&self) -> f64 {
         let mut free_total = 0u64;
         let mut largest_order: Option<u8> = None;
-        for b in &self.settled_view().blocks {
-            if !b.online() {
+        for (b, &online) in self.settled_view().blocks.iter().zip(&self.online) {
+            if !online {
                 continue;
             }
             free_total += b.free_pages();
@@ -1022,7 +1053,7 @@ impl MemoryManager {
         if index >= self.blocks.len() {
             return Err(GdError::NotFound(format!("memory block {index}")));
         }
-        if self.blocks[index].online() {
+        if self.online[index] {
             return Err(GdError::InvalidState(format!(
                 "block {index} is already online"
             )));
@@ -1484,7 +1515,7 @@ mod tests {
                     }
                     6..=8 => {
                         let index = rng.gen_range(0..m.block_count());
-                        if m.blocks[index].online() {
+                        if m.online[index] {
                             if let Ok(report) = m.offline_block(index).unwrap() {
                                 migrations += u64::from(report.migrated_pages > 0);
                             }
@@ -1492,7 +1523,7 @@ mod tests {
                     }
                     9 => {
                         let index = rng.gen_range(0..m.block_count());
-                        if !m.blocks[index].online() {
+                        if !m.online[index] {
                             m.online_block(index).unwrap();
                             onlines += 1;
                         }
@@ -1500,7 +1531,7 @@ mod tests {
                     _ => {}
                 }
                 assert_eq!(m.meminfo(), m.meminfo_from_blocks(), "{ctx}: meminfo");
-                let offline = m.blocks.iter().filter(|b| !b.online()).count();
+                let offline = m.online.iter().filter(|&&online| !online).count();
                 assert_eq!(m.offline_block_count(), offline, "{ctx}: offline blocks");
                 assert_eq!(m.audit(), Ok(()), "{ctx}: audit");
             }
@@ -1542,16 +1573,37 @@ mod tests {
         })
     }
 
+    /// Whether the max-order `run` has chunks on both sides of a free
+    /// bitmap word edge.
+    fn crosses_word_edge(run: ChunkRun) -> bool {
+        let slot = |off: u32| off >> MAX_ORDER;
+        run.order == MAX_ORDER && slot(run.offset) / 64 != slot(run.chunk(run.count - 1)) / 64
+    }
+
     /// The flat max-order stores and the run-length chunk lists must make
     /// every placement, split, coalesce, migration and rollback the B-tree
     /// layout with one list entry per chunk makes. Blocks of 1, 64 and 65
     /// max-order chunks put the bitmap's word edge inside, at and past a
     /// block's end. Coverage: grows that span blocks, settles that trim a
     /// max-order chunk above another of its run, frees of multi-chunk runs,
-    /// and migrations out of a block holding a multi-chunk run in the
-    /// middle of its owner's list.
+    /// frees of max-order runs across a bitmap word edge, settles that free
+    /// several whole max-order chunks in one step, and migrations out of a
+    /// block holding a multi-chunk run in the middle of its owner's list.
+    /// Every max-order run a free releases takes the one-step path.
     #[test]
     fn flat_max_order_stores_match_the_btree_reference() {
+        flat_store_differential(0..4);
+    }
+
+    /// [`flat_max_order_stores_match_the_btree_reference`] over 64 more
+    /// seeds; `tools/ci.sh` runs it in release mode.
+    #[test]
+    #[ignore = "wide-seed run, ~64 seeds per block size"]
+    fn flat_max_order_stores_match_the_btree_reference_wide_seeds() {
+        flat_store_differential(4..68);
+    }
+
+    fn flat_store_differential(seeds: std::ops::Range<u64>) {
         use gd_faults::{FaultPlan, FaultTrigger};
         const KINDS: [PageKind; 4] = [
             PageKind::UserMovable,
@@ -1563,6 +1615,7 @@ mod tests {
         let mut word_edge_hits = 0u32;
         let (mut spanning_grows, mut run_trims, mut run_frees, mut inner_migrations) =
             (0u32, 0u32, 0u32, 0u32);
+        let (mut edge_run_frees, mut multi_chunk_settles) = (0u32, 0u32);
         for (chunks_per_block, blocks) in [(1u64, 16u64), (64, 4), (65, 4)] {
             let block_bytes = chunks_per_block << (MAX_ORDER as u64 + 12);
             let cfg = MmConfig {
@@ -1573,7 +1626,7 @@ mod tests {
                 transient_fail_prob: 0.1,
                 seed: 3,
             };
-            for seed in 0..4u64 {
+            for seed in seeds.clone() {
                 let mut rng = component_rng(seed, "flat-store-reference");
                 let mut fast = MemoryManager::new(cfg).unwrap();
                 let mut reference = all_btree_manager(cfg);
@@ -1601,10 +1654,24 @@ mod tests {
                         }
                         3 if !live.is_empty() => {
                             let id = live.swap_remove(rng.gen_range(0..live.len()));
-                            run_frees +=
-                                u32::from(fast.allocs[&id].runs.iter().any(|r| r.1.count > 1));
+                            let runs = fast.allocs[&id].runs.clone();
+                            run_frees += u32::from(runs.iter().any(|r| r.1.count > 1));
+                            edge_run_frees +=
+                                u32::from(runs.iter().any(|&(_, r)| crosses_word_edge(r)));
+                            let top: u64 = runs
+                                .iter()
+                                .filter(|r| r.1.order == MAX_ORDER)
+                                .map(|r| u64::from(r.1.count))
+                                .sum();
+                            let before = fast.placement_work();
                             fast.free(id).unwrap();
                             reference.free(id).unwrap();
+                            let after = fast.placement_work();
+                            assert_eq!(
+                                after.freed_max_order_chunks - before.freed_max_order_chunks,
+                                top,
+                                "{ctx}: max-order chunks freed in one step"
+                            );
                         }
                         4 if !live.is_empty() => {
                             let id = live[rng.gen_range(0..live.len())];
@@ -1628,8 +1695,15 @@ mod tests {
                             let runs_before = fast.allocs[&id].runs.clone();
                             let a = fast.shrink(id, pages).unwrap();
                             let b = reference.shrink(id, pages).unwrap();
+                            let w0 = fast.placement_work();
                             fast.settle();
                             reference.settle();
+                            let w1 = fast.placement_work();
+                            // More chunks than runs: one run freed several.
+                            multi_chunk_settles += u32::from(
+                                w1.freed_max_order_chunks - w0.freed_max_order_chunks
+                                    > w1.freed_runs - w0.freed_runs,
+                            );
                             assert_eq!(a, b, "{ctx}: freed count");
                             match fast.allocs.get(&id) {
                                 Some(_) if !before.starts_with(&chunk_seq(&fast, id)) => {
@@ -1655,7 +1729,7 @@ mod tests {
                         }
                         7..=9 => {
                             let index = rng.gen_range(0..fast.block_count());
-                            if fast.blocks[index].online() {
+                            if fast.online[index] {
                                 let inner = holds_inner_run(&fast, index);
                                 let a = fast.offline_block(index).unwrap();
                                 let b = reference.offline_block(index).unwrap();
@@ -1667,7 +1741,7 @@ mod tests {
                         }
                         10 | 11 => {
                             let index = rng.gen_range(0..fast.block_count());
-                            if !fast.blocks[index].online() {
+                            if !fast.online[index] {
                                 let a = fast.online_block(index).unwrap();
                                 let b = reference.online_block(index).unwrap();
                                 assert_eq!(a, b, "{ctx}: online latency");
@@ -1690,12 +1764,13 @@ mod tests {
                             );
                         }
                         assert_eq!(chunk_list(a), chunk_list(b), "{ctx}: block {i} chunks");
-                        assert_eq!(a.info(), b.info(), "{ctx}: block {i} info");
+                        assert_eq!(a.info(true), b.info(true), "{ctx}: block {i} info");
                         word_edge_hits += u32::from(
                             a.chunk_at(64 << MAX_ORDER)
                                 .is_some_and(|c| c.order == MAX_ORDER),
                         );
                     }
+                    assert_eq!(fast.online, reference.online, "{ctx}: on-line blocks");
                     assert_eq!(fast.meminfo(), reference.meminfo(), "{ctx}: meminfo");
                     assert_eq!(fast.audit(), Ok(()), "{ctx}: audit");
                     assert_eq!(reference.audit(), Ok(()), "{ctx}: reference audit");
@@ -1719,6 +1794,14 @@ mod tests {
         assert!(spanning_grows > 0, "no grow placed chunks in two blocks");
         assert!(run_trims > 0, "no settle trimmed a chunk inside a run");
         assert!(run_frees > 0, "no free released a multi-chunk run");
+        assert!(
+            edge_run_frees > 0,
+            "no free released a max-order run across a bitmap word edge"
+        );
+        assert!(
+            multi_chunk_settles > 0,
+            "no settle freed several whole max-order chunks in one step"
+        );
         assert!(
             inner_migrations > 0,
             "no migration emptied a block holding a run inside its owner's list"
@@ -1925,7 +2008,7 @@ mod tests {
 
         let mut settled = m.clone();
         settled.settle();
-        let live: Vec<BlockInfo> = m.blocks.iter().map(|b| b.info()).collect();
+        let live: Vec<BlockInfo> = m.blocks.iter().map(|b| b.info(true)).collect();
         assert_ne!(live, settled.blocks(), "the releases must move the layout");
         assert_eq!(m.blocks(), settled.blocks());
         for i in 0..m.block_count() {

@@ -99,6 +99,15 @@ fn exact_engines_agree_on_a_small_fleet() {
                 (b.ksm_pages_scanned, b.ksm_full_passes, b.ksm_region_visits),
                 "{what}"
             );
+            assert_eq!(
+                (a.freed_runs, a.freed_max_order_chunks),
+                (b.freed_runs, b.freed_max_order_chunks),
+                "{what}"
+            );
+            assert!(
+                a.freed_runs > 0,
+                "{what}: no VM memory went back a run at a time"
+            );
             let released = event.hosts.iter().any(|h| h.ksm_released_pages > 0);
             assert_eq!(ksm, released, "{what}");
         }

@@ -44,6 +44,10 @@ rm -f /tmp/gd_lint.ci.json
 echo "==> engine equivalence (stepped vs event-driven, serial vs parallel sweep)"
 cargo test --quiet --release --test engine_equivalence
 
+echo "==> flat-store differential, wide seeds (gd-mmsim's flat max-order stores vs the B-tree layout)"
+cargo test --quiet --release -p gd-mmsim --lib -- --ignored \
+  flat_max_order_stores_match_the_btree_reference_wide_seeds
+
 echo "==> telemetry determinism (byte-identical across engines and job counts)"
 cargo test --quiet --release --test engine_equivalence telemetry
 
