@@ -252,18 +252,13 @@ pub fn run_host(
                     vm_starts += 1;
                     let mut fp = FootprintDriver::new();
                     sim.set_footprint(&mut fp, ev.vm.mem_pages())?;
-                    let region = match (&mut sim.ksm, cfg.ksm) {
-                        (Some(_), true) => {
-                            let (shareable, unique) = ev.vm.ksm_contents();
-                            let owner = fp.allocation_id().expect("just allocated");
-                            Some(
-                                sim.ksm
-                                    .as_mut()
-                                    .expect("ksm on")
-                                    .register_region(owner, shareable, unique),
-                            )
-                        }
-                        _ => None,
+                    // `sim.ksm` is `Some` exactly when `cfg.ksm` is set.
+                    let region = if let Some(ksm) = sim.ksm.as_mut() {
+                        let (shareable, unique) = ev.vm.ksm_contents();
+                        let owner = fp.allocation_id().expect("just allocated");
+                        Some(ksm.register_region(owner, shareable, unique))
+                    } else {
+                        None
                     };
                     footprints.insert(ev.vm.id, (fp, region));
                 }

@@ -7,7 +7,7 @@
 //!
 //! 1. **Schedule** ([`scheduler`]) — the synthesized Azure arrival stream
 //!    for the whole cluster is placed onto hosts by a consolidation
-//!    scheduler (first-fit, best-fit, or KSM-aware same-OS co-location),
+//!    scheduler (best-fit, or KSM-aware same-OS co-location),
 //!    producing one VM lifecycle event stream per host. Scheduling is
 //!    serial and cheap; its books are invariant-checked by
 //!    [`gd_verify::fleet`].
@@ -287,11 +287,7 @@ mod tests {
         // exact host reads 0 and the surrogate calibrated on them does too:
         // fig14 computes its baseline column from that fact instead of
         // simulating it.
-        for placement in [
-            FleetPlacement::FirstFit,
-            FleetPlacement::BestFit,
-            FleetPlacement::KsmAware,
-        ] {
+        for placement in [FleetPlacement::BestFit, FleetPlacement::KsmAware] {
             for ksm in [false, true] {
                 for seed in [42, 7, 1234] {
                     let cfg = FleetConfig {

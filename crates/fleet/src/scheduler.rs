@@ -17,15 +17,20 @@ use gd_workloads::{VmEvent, VmEventKind, VmSpec};
 /// [`gd_workloads::azure`]: `os_type` is sampled from `0..4`).
 const OS_TYPES: usize = 4;
 
-/// Scheduler-side accounting for one host.
-#[derive(Debug, Clone, Default)]
+#[cfg(test)]
+mod reference;
+
+/// Scheduler-side books for one host: sums over the VMs running on it.
+/// Which VMs those are, and when each leaves, lives in the departure
+/// calendar.
+#[derive(Debug, Clone, Copy, Default)]
 struct HostState {
     used_vcpus: u32,
     used_mem_gb: u64,
     /// Running VMs per OS family (drives KSM-aware co-location).
     os_count: [u32; OS_TYPES],
-    /// Running VMs: `(stop_deadline_s, vm)`; swept every tick.
-    running: Vec<(u64, VmSpec)>,
+    /// Running VMs.
+    vms: u32,
     /// Sum over ticks of `used_mem_gb` (for the per-host mean).
     used_gb_ticks: u64,
 }
@@ -49,56 +54,45 @@ pub struct FleetSchedule {
     pub host_mean_used: Vec<f64>,
 }
 
-impl FleetSchedule {
-    /// Mean of the cluster utilization series.
-    pub fn mean_utilization(&self) -> f64 {
-        if self.utilization.is_empty() {
-            return 0.0;
-        }
-        self.utilization.iter().map(|(_, u)| u).sum::<f64>() / self.utilization.len() as f64
-    }
-}
-
-/// Picks a host for `vm` under `cfg.placement`, or `None` when no host has
+/// Picks a host for `vm` under `placement`, or `None` when no host has
 /// room. `mem_cap_gb` is the consolidation cap (max_util × capacity).
+///
+/// Among the hosts with room, the smallest key wins: the least memory
+/// headroom after placement (best-fit), preceded for KSM-aware placement by
+/// the most running VMs of the same OS family (more OS-image pages for KSM
+/// to merge). Ties go to the lowest host index.
 fn place(
-    cfg: &FleetConfig,
+    placement: FleetPlacement,
     hosts: &[HostState],
     vm: &VmSpec,
     vcpu_cap: u32,
     mem_cap_gb: u64,
 ) -> Option<usize> {
-    let fits = |h: &HostState| {
-        h.used_vcpus + vm.vcpus <= vcpu_cap && h.used_mem_gb + vm.mem_gb as u64 <= mem_cap_gb
-    };
-    match cfg.placement {
-        FleetPlacement::FirstFit => hosts.iter().position(fits),
-        FleetPlacement::BestFit => hosts
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| fits(h))
-            // Tightest fit: least memory headroom after placement. min_by_key
-            // takes the first minimum, so ties break toward the lowest index.
-            .min_by_key(|(_, h)| mem_cap_gb - h.used_mem_gb - vm.mem_gb as u64)
-            .map(|(i, _)| i),
-        FleetPlacement::KsmAware => hosts
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| fits(h))
-            // Densest same-OS co-location first (more OS-image pages for
-            // KSM to merge), then tightest fit, then lowest index.
-            .min_by_key(|(_, h)| {
-                let same_os = h.os_count[vm.os_type as usize % OS_TYPES];
-                (
-                    u32::MAX - same_os,
-                    mem_cap_gb - h.used_mem_gb - vm.mem_gb as u64,
-                )
-            })
-            .map(|(i, _)| i),
+    let os = vm.os_type as usize % OS_TYPES;
+    let mem_gb = vm.mem_gb as u64;
+    let mut best: Option<(usize, (u32, u64))> = None;
+    for (i, h) in hosts.iter().enumerate() {
+        if h.used_vcpus + vm.vcpus > vcpu_cap || h.used_mem_gb + mem_gb > mem_cap_gb {
+            continue;
+        }
+        let os_key = match placement {
+            FleetPlacement::BestFit => 0,
+            FleetPlacement::KsmAware => u32::MAX - h.os_count[os],
+        };
+        let key = (os_key, mem_cap_gb - h.used_mem_gb - mem_gb);
+        if best.is_none_or(|(_, best_key)| key < best_key) {
+            best = Some((i, key));
+        }
     }
+    best.map(|(i, _)| i)
 }
 
 /// Runs the scheduler over the synthesized cluster arrival stream.
+///
+/// A placed VM goes into the departure calendar's bucket for the first
+/// tick at or after its deadline, or into none when that tick is past the
+/// run; each tick drains its own bucket. Buckets fill in placement order,
+/// so each host's Stop events within a tick come out in placement order.
 ///
 /// # Errors
 ///
@@ -107,16 +101,6 @@ fn place(
 /// [`gd_verify::Mode::Strict`] (the conservation and capacity invariants
 /// are checked after every scheduler tick).
 pub fn schedule_fleet(cfg: &FleetConfig, verify: Option<gd_verify::Mode>) -> Result<FleetSchedule> {
-    schedule(cfg, verify, true)
-}
-
-/// [`schedule_fleet`]; with `skip_unplaceable` off, every queued VM scans
-/// the hosts, which is the reference the skip is tested against.
-fn schedule(
-    cfg: &FleetConfig,
-    verify: Option<gd_verify::Mode>,
-    skip_unplaceable: bool,
-) -> Result<FleetSchedule> {
     if cfg.hosts == 0 || cfg.schedule_period_s == 0 || cfg.sample_stride == 0 {
         return Err(GdError::InvalidConfig(
             "fleet needs hosts >= 1, schedule_period_s >= 1, sample_stride >= 1".into(),
@@ -137,34 +121,38 @@ fn schedule(
     let vcpu_cap = cfg.host_cores * 2;
     let mem_cap_gb = (cfg.host_capacity_gb as f64 * cfg.max_util).floor() as u64;
 
-    let mut hosts: Vec<HostState> = vec![HostState::default(); cfg.hosts];
+    let mut hosts = vec![HostState::default(); cfg.hosts];
     let mut host_events: Vec<Vec<VmEvent>> = vec![Vec::new(); cfg.hosts];
+    let ticks = cfg.ticks();
+    // `calendar[k]`: the `(host, vm)`s that leave at tick `k`.
+    let mut calendar: Vec<Vec<(usize, VmSpec)>> = vec![Vec::new(); ticks as usize + 1];
     let mut queue: Vec<Queued> = Vec::new();
     let mut stats = FleetStats::default();
     let mut utilization = Vec::new();
+    let (mut running, mut hosts_used, mut used_gb) = (0u64, 0usize, 0u64);
     let mut arrival_idx = 0usize;
-    let ticks = cfg.ticks();
     for tick in 0..=ticks {
         let t = tick * cfg.schedule_period_s;
         // 1. Departures: lifetime expired at or before this tick.
-        for (hi, host) in hosts.iter_mut().enumerate() {
-            let mut still = Vec::with_capacity(host.running.len());
-            for (deadline, vm) in host.running.drain(..) {
-                if t >= deadline {
-                    host.used_vcpus -= vm.vcpus;
-                    host.used_mem_gb -= vm.mem_gb as u64;
-                    host.os_count[vm.os_type as usize % OS_TYPES] -= 1;
-                    stats.retired += 1;
-                    host_events[hi].push(VmEvent {
-                        time_s: t,
-                        kind: VmEventKind::Stop,
-                        vm,
-                    });
-                } else {
-                    still.push((deadline, vm));
-                }
-            }
-            host.running = still;
+        let departing = calendar
+            .get_mut(tick as usize)
+            .map(std::mem::take)
+            .unwrap_or_default();
+        for (hi, vm) in departing {
+            let host = &mut hosts[hi];
+            host.used_vcpus -= vm.vcpus;
+            host.used_mem_gb -= vm.mem_gb as u64;
+            host.os_count[vm.os_type as usize % OS_TYPES] -= 1;
+            host.vms -= 1;
+            hosts_used -= usize::from(host.vms == 0);
+            running -= 1;
+            used_gb -= vm.mem_gb as u64;
+            stats.retired += 1;
+            host_events[hi].push(VmEvent {
+                time_s: t,
+                kind: VmEventKind::Stop,
+                vm,
+            });
         }
         // 2. New arrivals join the queue.
         while arrival_idx < arrivals.len() && arrivals[arrival_idx].time_s <= t {
@@ -179,33 +167,39 @@ fn schedule(
         let mut waiting = Vec::with_capacity(queue.len());
         let mut unplaceable: Vec<(u32, u32)> = Vec::new();
         for (arrived, vm) in queue.drain(..) {
-            let dominated = skip_unplaceable
-                && unplaceable
-                    .iter()
-                    .any(|&(vcpus, mem_gb)| vm.vcpus >= vcpus && vm.mem_gb >= mem_gb);
-            if dominated {
+            if unplaceable
+                .iter()
+                .any(|&(vcpus, mem_gb)| vm.vcpus >= vcpus && vm.mem_gb >= mem_gb)
+            {
                 waiting.push((arrived, vm));
                 continue;
             }
-            match place(cfg, &hosts, &vm, vcpu_cap, mem_cap_gb) {
-                Some(hi) => {
-                    let host = &mut hosts[hi];
-                    host.used_vcpus += vm.vcpus;
-                    host.used_mem_gb += vm.mem_gb as u64;
-                    host.os_count[vm.os_type as usize % OS_TYPES] += 1;
-                    host.running.push((t + vm.lifetime_s, vm.clone()));
-                    stats.placed += 1;
-                    host_events[hi].push(VmEvent {
-                        time_s: t,
-                        kind: VmEventKind::Start,
-                        vm,
-                    });
-                }
-                None => {
-                    unplaceable.push((vm.vcpus, vm.mem_gb));
-                    waiting.push((arrived, vm));
-                }
+            let Some(hi) = place(cfg.placement, &hosts, &vm, vcpu_cap, mem_cap_gb) else {
+                unplaceable.push((vm.vcpus, vm.mem_gb));
+                waiting.push((arrived, vm));
+                continue;
+            };
+            let host = &mut hosts[hi];
+            host.used_vcpus += vm.vcpus;
+            host.used_mem_gb += vm.mem_gb as u64;
+            host.os_count[vm.os_type as usize % OS_TYPES] += 1;
+            hosts_used += usize::from(host.vms == 0);
+            host.vms += 1;
+            running += 1;
+            used_gb += vm.mem_gb as u64;
+            stats.placed += 1;
+            // This tick's bucket is drained already; every lifetime is at
+            // least 600 s, so a VM always leaves at a later tick.
+            let due = (t + vm.lifetime_s).div_ceil(cfg.schedule_period_s);
+            debug_assert!(due > tick, "VM {} departs at its placement tick", vm.id);
+            if let Some(bucket) = calendar.get_mut(due as usize) {
+                bucket.push((hi, vm.clone()));
             }
+            host_events[hi].push(VmEvent {
+                time_s: t,
+                kind: VmEventKind::Start,
+                vm,
+            });
         }
         // 4. Patience: stale queue entries give up (their request went to
         // another cluster).
@@ -216,11 +210,8 @@ fn schedule(
             .count() as u64;
         queue = waiting;
         // 5. Accounting + invariants.
-        let running: u64 = hosts.iter().map(|h| h.running.len() as u64).sum();
-        let hosts_used = hosts.iter().filter(|h| !h.running.is_empty()).count();
         stats.peak_running = stats.peak_running.max(running);
         stats.peak_hosts_used = stats.peak_hosts_used.max(hosts_used);
-        let used_gb: u64 = hosts.iter().map(|h| h.used_mem_gb).sum();
         utilization.push((
             t,
             used_gb as f64 / (cfg.host_capacity_gb * cfg.hosts as u64) as f64,
@@ -251,7 +242,7 @@ fn schedule(
             gd_verify::strict(gd_verify::fleet::check(&obs))?;
         }
     }
-    stats.running_at_end = hosts.iter().map(|h| h.running.len() as u64).sum();
+    stats.running_at_end = running;
     stats.queued_at_end = queue.len() as u64;
     debug_assert!(stats.conserved(), "scheduler broke VM conservation");
     let samples = (ticks + 1) as f64;
@@ -274,11 +265,7 @@ mod tests {
 
     #[test]
     fn conservation_holds_under_strict_verification() {
-        for placement in [
-            FleetPlacement::FirstFit,
-            FleetPlacement::BestFit,
-            FleetPlacement::KsmAware,
-        ] {
+        for placement in [FleetPlacement::BestFit, FleetPlacement::KsmAware] {
             let cfg = FleetConfig {
                 placement,
                 ..FleetConfig::small_test()
@@ -389,32 +376,57 @@ mod tests {
         );
     }
 
-    /// Skipping VMs that a smaller, already failed class dominates must
-    /// not change the schedule.
+    /// The flat books, the departure calendar and the dominance skip
+    /// produce the schedule of the reference, which keeps every host's
+    /// running VMs and scans every host for every queued VM.
     #[test]
-    fn skipping_unplaceable_classes_matches_the_full_scan() {
-        for placement in [
-            FleetPlacement::FirstFit,
-            FleetPlacement::BestFit,
-            FleetPlacement::KsmAware,
-        ] {
-            for seed in 0..4u64 {
-                let cfg = FleetConfig {
-                    placement,
-                    seed,
-                    hosts: 6,
-                    duration_s: 21_600,
-                    arrivals_per_tick_per_host: 8.0,
-                    ..FleetConfig::small_test()
-                };
-                let strict = Some(gd_verify::Mode::Strict);
-                let fast = schedule(&cfg, strict, true).expect("schedule");
-                let full = schedule(&cfg, strict, false).expect("reference schedule");
-                let ctx = format!("{placement:?} seed {seed}");
-                assert!(fast.stats.abandoned > 0, "{ctx}: the queue never backed up");
-                assert_eq!(fast.host_events, full.host_events, "{ctx}: host events");
-                assert_eq!(fast.stats, full.stats, "{ctx}: stats");
-                assert_eq!(fast.utilization, full.utilization, "{ctx}: utilization");
+    fn calendar_scheduler_matches_the_reference() {
+        calendar_differential(0..4);
+    }
+
+    /// [`calendar_scheduler_matches_the_reference`] over more seeds;
+    /// `tools/ci.sh` runs it in release mode.
+    #[test]
+    #[ignore = "wide-seed run, 40 seeds per configuration"]
+    fn calendar_scheduler_matches_the_reference_wide_seeds() {
+        calendar_differential(4..44);
+    }
+
+    fn calendar_differential(seeds: std::ops::Range<u64>) {
+        let strict = Some(gd_verify::Mode::Strict);
+        for placement in [FleetPlacement::BestFit, FleetPlacement::KsmAware] {
+            // `(hosts, arrivals per tick per host, max_util, period_s)`:
+            // each mix backs the queue up, so VMs abandon and the skip fires.
+            for (hosts, rate, max_util, period_s) in [
+                (6, 8.0, 0.80, 300),
+                (4, 12.0, 0.95, 300),
+                (12, 5.0, 0.50, 300),
+                (16, 10.0, 0.65, 600),
+            ] {
+                for seed in seeds.clone() {
+                    let cfg = FleetConfig {
+                        placement,
+                        seed,
+                        hosts,
+                        max_util,
+                        duration_s: 21_600,
+                        schedule_period_s: period_s,
+                        arrivals_per_tick_per_host: rate,
+                        ..FleetConfig::small_test()
+                    };
+                    let fast = schedule_fleet(&cfg, strict).expect("schedule");
+                    let full = reference::schedule(&cfg, strict).expect("reference schedule");
+                    let ctx = format!("{placement:?} {hosts} hosts x{rate} cap {max_util} {period_s} s seed {seed}");
+                    assert!(fast.stats.abandoned > 0, "{ctx}: the queue never backed up");
+                    assert!(fast.stats.retired > 0, "{ctx}: no VM departed");
+                    assert_eq!(fast.host_events, full.host_events, "{ctx}: host events");
+                    assert_eq!(fast.stats, full.stats, "{ctx}: stats");
+                    assert_eq!(fast.utilization, full.utilization, "{ctx}: utilization");
+                    assert_eq!(
+                        fast.host_mean_used, full.host_mean_used,
+                        "{ctx}: host means"
+                    );
+                }
             }
         }
     }

@@ -11,8 +11,6 @@
 /// Cluster placement policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FleetPlacement {
-    /// First host (lowest index) with room for the VM.
-    FirstFit,
     /// Host with the least memory headroom left after placing the VM
     /// (bin-packing; ties break toward the lowest index).
     #[default]
@@ -27,7 +25,6 @@ impl FleetPlacement {
     /// Short policy name used in labels and provenance descriptions.
     pub fn name(self) -> &'static str {
         match self {
-            FleetPlacement::FirstFit => "first-fit",
             FleetPlacement::BestFit => "best-fit",
             FleetPlacement::KsmAware => "ksm-aware",
         }
@@ -185,7 +182,6 @@ mod tests {
 
     #[test]
     fn placement_names() {
-        assert_eq!(FleetPlacement::FirstFit.name(), "first-fit");
         assert_eq!(FleetPlacement::BestFit.name(), "best-fit");
         assert_eq!(FleetPlacement::KsmAware.name(), "ksm-aware");
         assert_eq!(FleetPlacement::default(), FleetPlacement::BestFit);

@@ -24,7 +24,6 @@ fn small(placement: FleetPlacement, ksm: bool) -> FleetConfig {
 #[test]
 fn strict_conservation_holds_for_every_placement() {
     for (placement, ksm) in [
-        (FleetPlacement::FirstFit, false),
         (FleetPlacement::BestFit, false),
         (FleetPlacement::KsmAware, true),
     ] {
