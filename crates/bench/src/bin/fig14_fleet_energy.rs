@@ -22,7 +22,7 @@
 //! byte-identical; the stepped engine runs every tick), and
 //! `--telemetry PATH` dumps the exact hosts' daemon/mm/ksm books as JSONL.
 //! Each point's sidecar entry carries the exact hosts' work counters
-//! (`gd_fleet::HostWork`).
+//! (`gd_fleet::HostWork`) and the placement scans' (`gd_fleet::ScheduleWork`).
 
 use gd_bench::report::{f2, header, pct, row};
 use gd_bench::BenchArgs;
@@ -94,6 +94,7 @@ fn main() {
                 sink.give(&format!("/{host}"), Some(tele));
             }
             sink.record_work(&run.work.fields());
+            sink.record_work(&run.schedule_work.fields());
             run
         },
     );

@@ -67,15 +67,17 @@ pub struct AppMeasurement {
 
 /// The sidecar `work` counters of a figure point's cycle-level runs,
 /// summed over them: channel polls, the polls that issued a command, the
-/// banks they examined and the cycles simulated. They depend only on the
-/// inputs and the engine.
-fn dram_work(runs: &[AppMeasurement]) -> [(&'static str, u64); 4] {
+/// banks they examined, the cycles simulated, and the ACTs that reopened
+/// a row a conflict PRE had just closed. They depend only on the inputs
+/// and the engine.
+fn dram_work(runs: &[AppMeasurement]) -> [(&'static str, u64); 5] {
     let sum = |count: fn(&AppMeasurement) -> u64| runs.iter().map(count).sum();
     [
         ("polls", sum(|m| m.polls.polls)),
         ("issuing", sum(|m| m.polls.issuing)),
         ("bank_visits", sum(|m| m.polls.bank_visits)),
         ("cycles", sum(|m| m.cycles)),
+        ("reopened_rows", sum(|m| m.polls.reopened_rows)),
     ]
 }
 
@@ -197,7 +199,7 @@ fn measure_modes(
 /// Both [`measure_app`] runs of `profile` at seed 1, `[with, without]`
 /// interleaving, as one figure point: the runs' DRAM books go to the
 /// point's telemetry shard and their summed polls, issuing polls, bank
-/// visits and cycles to its sidecar `work` entry.
+/// visits, cycles and reopened rows to its sidecar `work` entry.
 ///
 /// # Errors
 ///

@@ -58,22 +58,48 @@ struct QueuedReq {
     activated: bool,
 }
 
-/// Cached FR-FCFS candidates for one bank: FIFO positions of the oldest
-/// row-matching read, the oldest row-matching write, and the oldest request
-/// whose row is not the open row (it needs an ACT, or a PRE first on a
-/// conflict). Invalidated when the bank's row state or FIFO membership
-/// changes.
+/// One cached candidate: its FIFO position and its arrival sequence number
+/// (its age), kept together so the scan compares ages without reading the
+/// FIFO. A removal ahead of it shifts the position; the sequence number
+/// never changes.
+#[derive(Debug, Clone, Copy)]
+struct Cand {
+    pos: usize,
+    seq: u64,
+}
+
+impl Cand {
+    fn at(pos: usize, q: &QueuedReq) -> Option<Self> {
+        Some(Cand { pos, seq: q.seq })
+    }
+}
+
+/// Cached FR-FCFS candidates for one bank: the oldest row-matching read,
+/// the oldest row-matching write, and the oldest request whose row is not
+/// the open row (it needs an ACT, or a PRE first on a conflict).
+/// Invalidated when the bank's row state or FIFO membership changes.
 #[derive(Debug, Clone, Copy, Default)]
 struct BankCands {
     valid: bool,
-    col_read: Option<usize>,
-    col_write: Option<usize>,
-    act: Option<usize>,
+    col_read: Option<Cand>,
+    col_write: Option<Cand>,
+    act: Option<Cand>,
 }
 
-/// The action that moves the globally oldest movable request, issued when
-/// no row hit is ready.
-enum OldestAction {
+/// Rank and bank group of one bank, looked up in the channel's geometry
+/// table so the per-bank paths divide nothing.
+#[derive(Debug, Clone, Copy)]
+struct BankGeom {
+    rank: usize,
+    group: usize,
+}
+
+/// The command one arbitration poll issues: a ready row-hit column
+/// command, or else the action that moves the globally oldest movable
+/// request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Choice {
+    Column { bank: usize, pos: usize },
     Wake { rank: usize },
     Precharge { bank: usize },
     Activate { bank: usize, pos: usize },
@@ -119,6 +145,8 @@ pub(crate) struct ChannelCtrl {
     /// Struct-of-arrays timing state for every bank, indexed by
     /// `rank * banks_per_rank + flat_bank`.
     banks: BankArray,
+    /// Rank and bank group of every bank (same indexing as `banks`).
+    geom: Vec<BankGeom>,
     /// Per-bank request FIFOs (same indexing as `banks`).
     queues: Vec<VecDeque<QueuedReq>>,
     /// Occupancy bitset, 64 banks per word: bit `b` is set iff `queues[b]`
@@ -149,6 +177,12 @@ pub(crate) struct ChannelCtrl {
     next_col_any: u64,
     /// Per (rank, bank group) earliest next column command (tCCD_L).
     next_col_bg: Vec<u64>,
+    /// Per bank, the row its last row-conflict PRE closed, until its next
+    /// ACT; [`ROW_NONE`] otherwise.
+    conflict_closed: Vec<u32>,
+    /// ACTs that reopened the row their bank's last conflict PRE closed
+    /// (see [`crate::PollCounts`]).
+    reopened_rows: u64,
     policy: LowPowerPolicy,
     pub counters: ChannelCounters,
     /// This channel's index (for command logging).
@@ -156,6 +190,9 @@ pub(crate) struct ChannelCtrl {
     /// Optional command log for independent timing validation.
     log: Option<Vec<CommandRecord>>,
 }
+
+#[cfg(test)]
+mod reference;
 
 impl ChannelCtrl {
     #[cfg(test)]
@@ -210,10 +247,21 @@ impl ChannelCtrl {
             bus_free_at: 0,
             next_col_any: 0,
             next_col_bg: vec![0; ranks_n * org.bank_groups as usize],
+            conflict_closed: vec![ROW_NONE; total_banks],
+            reopened_rows: 0,
             policy,
             counters: ChannelCounters::default(),
             channel_index,
             log: None,
+            // Built after the other per-bank vectors: between the bank
+            // arrays and the FIFOs it measured ~0.3 MiB more peak RSS on
+            // dense traces, from heap layout alone.
+            geom: (0..total_banks)
+                .map(|b| BankGeom {
+                    rank: b / banks_per_rank,
+                    group: (b % banks_per_rank) / org.banks_per_group as usize,
+                })
+                .collect(),
         }
     }
 
@@ -281,9 +329,9 @@ impl ChannelCtrl {
         rank * self.bank_groups + bg
     }
 
-    /// Bank group of a global bank index.
-    fn bg_of(&self, b: usize) -> usize {
-        (b % self.banks_per_rank) / self.banks_per_group
+    /// Bank index of global bank `b` within its rank.
+    fn flat_bank(&self, b: usize) -> usize {
+        b - self.geom[b].rank * self.banks_per_rank
     }
 
     /// Adds a request to the scheduling queue.
@@ -324,10 +372,10 @@ impl ChannelCtrl {
                     AccessKind::Write => &mut c.col_write,
                 };
                 if slot.is_none() {
-                    *slot = Some(pos);
+                    *slot = Cand::at(pos, &q);
                 }
             } else if c.act.is_none() {
-                c.act = Some(pos);
+                c.act = Cand::at(pos, &q);
             }
         }
     }
@@ -345,6 +393,12 @@ impl ChannelCtrl {
     /// Banks visited so far by the arbitration scan and `next_event`.
     pub fn bank_visits(&self) -> u64 {
         self.bank_visits
+    }
+
+    /// ACTs so far that reopened the row their bank's last row-conflict
+    /// PRE closed.
+    pub fn reopened_rows(&self) -> u64 {
+        self.reopened_rows
     }
 
     /// Whether the occupancy bitset marks exactly the non-empty FIFOs:
@@ -403,10 +457,10 @@ impl ChannelCtrl {
                     AccessKind::Write => &mut c.col_write,
                 };
                 if slot.is_none() {
-                    *slot = Some(i);
+                    *slot = Cand::at(i, q);
                 }
             } else if c.act.is_none() {
-                c.act = Some(i);
+                c.act = Cand::at(i, q);
             }
             let done = c.act.is_some()
                 && (!need_read || c.col_read.is_some())
@@ -546,23 +600,31 @@ impl ChannelCtrl {
         true
     }
 
-    /// Earliest cycle a column command of `kind` can issue to bank `b`
-    /// (tCCD, bank tRCD, rank bus turnaround, data-bus occupancy).
-    fn column_time(&self, ri: usize, bg: usize, b: usize, kind: AccessKind) -> u64 {
+    /// The channel-wide part of every bank's column gate for `kind`: tCCD_S
+    /// and data-bus occupancy. A column command of `kind` may issue to bank
+    /// `b` at `now` iff `now` reaches both this floor and
+    /// [`bank_column_gate`](Self::bank_column_gate).
+    fn channel_column_floor(&self, kind: AccessKind) -> u64 {
         let t = &self.timing;
-        let rank = &self.ranks[ri];
-        let col = self
-            .next_col_any
-            .max(self.next_col_bg[self.col_bg_idx(ri, bg)]);
+        let data = match kind {
+            AccessKind::Read => t.cl,
+            AccessKind::Write => t.cwl,
+        };
+        self.next_col_any.max(self.bus_free_at.saturating_sub(data))
+    }
+
+    /// The bank-local part of bank `b`'s column gate for `kind`: tCCD_L in
+    /// its bank group, the bank's tRCD, and its rank's bus turnaround.
+    fn bank_column_gate(&self, b: usize, kind: AccessKind) -> u64 {
+        let BankGeom { rank, group } = self.geom[b];
+        let col = self.next_col_bg[self.col_bg_idx(rank, group)];
         match kind {
             AccessKind::Read => col
                 .max(self.banks.next_read[b])
-                .max(rank.next_read)
-                .max(self.bus_free_at.saturating_sub(t.cl)),
+                .max(self.ranks[rank].next_read),
             AccessKind::Write => col
                 .max(self.banks.next_write[b])
-                .max(rank.next_write)
-                .max(self.bus_free_at.saturating_sub(t.cwl)),
+                .max(self.ranks[rank].next_write),
         }
     }
 
@@ -574,9 +636,11 @@ impl ChannelCtrl {
             let (w, bit) = occupancy_bit(b);
             self.occupied[w] &= !bit;
         }
-        let ri = b / self.banks_per_rank;
-        let flat = b % self.banks_per_rank;
-        let bg = flat / self.banks_per_group;
+        let BankGeom {
+            rank: ri,
+            group: bg,
+        } = self.geom[b];
+        let flat = self.flat_bank(b);
         self.queued_per_rank[ri] -= 1;
         self.total_queued -= 1;
         let remaining = {
@@ -610,8 +674,8 @@ impl ChannelCtrl {
                 .into_iter()
                 .flatten()
             {
-                if *p > pos {
-                    *p -= 1;
+                if p.pos > pos {
+                    p.pos -= 1;
                 }
             }
             let open = self.banks.open_row[b];
@@ -624,7 +688,7 @@ impl ChannelCtrl {
                 for i in pos..self.queues[b].len() {
                     let qq = self.queues[b][i];
                     if qq.row == open && qq.req.kind == q.req.kind {
-                        *slot = Some(i);
+                        *slot = Cand::at(i, &qq);
                         break;
                     }
                 }
@@ -674,15 +738,18 @@ impl ChannelCtrl {
     /// needs an ACT, which the candidate rescan derives from the closed row;
     /// no queued request is touched.
     fn close_bank(&mut self, b: usize, now: u64) {
-        let ri = b / self.banks_per_rank;
+        let BankGeom {
+            rank: ri,
+            group: bg,
+        } = self.geom[b];
         self.banks.on_precharge(b, now, &self.timing);
         self.ranks[ri].on_precharge_bank();
         self.counters.precharges += 1;
         self.record(
             now,
             ri as u32,
-            (b % self.banks_per_rank) as u32,
-            self.bg_of(b) as u32,
+            self.flat_bank(b) as u32,
+            bg as u32,
             0,
             DramCommand::Precharge,
         );
@@ -708,22 +775,41 @@ impl ChannelCtrl {
         }
     }
 
+    /// FR-FCFS: issues what [`choose`](Self::choose) picks, if anything.
+    fn arbitrate(&mut self, now: u64) -> bool {
+        let Some(choice) = self.choose(now) else {
+            return false;
+        };
+        self.apply(choice, now);
+        true
+    }
+
     /// FR-FCFS in one scan over the occupied banks, rank by rank. It finds
     /// the oldest ready row-hit column command and the oldest request that
     /// can move (wake its rank, precharge a conflicting row, or activate)
-    /// together, and issues the row hit if there is one, else the move.
+    /// together, and picks the row hit if there is one, else the move.
     /// Once a row hit is found, PRE/ACT candidates need no evaluation: the
     /// hit wins whatever they are. Sequence numbers are unique, so the
     /// oldest of each kind does not depend on the order banks are visited.
-    fn arbitrate(&mut self, now: u64) -> bool {
-        let mut hit: Option<(u64, usize, usize)> = None;
-        let mut best: Option<(u64, OldestAction)> = None;
+    ///
+    /// Each column gate is split into the channel-wide floor, computed once
+    /// per poll, and the bank-local gate: when `now` is below a kind's
+    /// floor, no bank's candidate of that kind is ready, and its check is
+    /// skipped (DESIGN.md §6.2).
+    fn choose(&mut self, now: u64) -> Option<Choice> {
+        let floor_open = [AccessKind::Read, AccessKind::Write]
+            .map(|kind| now >= self.channel_column_floor(kind));
+        let mut hit: Option<(u64, Choice)> = None;
+        let mut best: Option<(u64, Choice)> = None;
         let (mut rank, mut gate) = (usize::MAX, RankGate::Blocked);
         for w in 0..self.occupied.len() {
             let mut bits = self.occupied[w];
             self.bank_visits += u64::from(bits.count_ones());
             while let Some(b) = pop_bank(w, &mut bits) {
-                let ri = b / self.banks_per_rank;
+                let BankGeom {
+                    rank: ri,
+                    group: bg,
+                } = self.geom[b];
                 if ri != rank {
                     (rank, gate) = (ri, self.rank_gate(ri, now));
                 }
@@ -733,8 +819,8 @@ impl ChannelCtrl {
                         // The wake is justified by the rank's oldest
                         // request: the oldest FIFO front.
                         let seq = self.queues[b].front().map_or(u64::MAX, |q| q.seq);
-                        if hit.is_none() && best.as_ref().is_none_or(|(s, _)| seq < *s) {
-                            best = Some((seq, OldestAction::Wake { rank: ri }));
+                        if hit.is_none() && best.is_none_or(|(s, _)| seq < s) {
+                            best = Some((seq, Choice::Wake { rank: ri }));
                         }
                         continue;
                     }
@@ -746,27 +832,26 @@ impl ChannelCtrl {
                 }
                 self.ensure_cands(b);
                 let c = self.cands[b];
-                let bg = self.bg_of(b);
                 if open {
-                    for (slot, kind) in [
-                        (c.col_read, AccessKind::Read),
-                        (c.col_write, AccessKind::Write),
+                    for (slot, kind, floor_open) in [
+                        (c.col_read, AccessKind::Read, floor_open[0]),
+                        (c.col_write, AccessKind::Write, floor_open[1]),
                     ] {
-                        let Some(pos) = slot else { continue };
-                        let seq = self.queues[b][pos].seq;
-                        if hit.is_none_or(|(s, _, _)| seq < s)
-                            && now >= self.column_time(ri, bg, b, kind)
+                        let Some(cand) = slot else { continue };
+                        if floor_open
+                            && hit.is_none_or(|(s, _)| cand.seq < s)
+                            && now >= self.bank_column_gate(b, kind)
                         {
-                            hit = Some((seq, b, pos));
+                            let pos = cand.pos;
+                            hit = Some((cand.seq, Choice::Column { bank: b, pos }));
                         }
                     }
                 }
                 if !moves || hit.is_some() {
                     continue;
                 }
-                let Some(pos) = c.act else { continue };
-                let seq = self.queues[b][pos].seq;
-                if best.as_ref().is_some_and(|(s, _)| *s < seq) {
+                let Some(cand) = c.act else { continue };
+                if best.is_some_and(|(s, _)| s < cand.seq) {
                     continue;
                 }
                 let action = if open {
@@ -774,25 +859,27 @@ impl ChannelCtrl {
                     if now < self.banks.next_pre[b] {
                         continue;
                     }
-                    OldestAction::Precharge { bank: b }
+                    Choice::Precharge { bank: b }
                 } else {
                     if now < self.banks.next_act[b] || now < self.ranks[ri].act_allowed_at(bg) {
                         continue;
                     }
-                    OldestAction::Activate { bank: b, pos }
+                    Choice::Activate {
+                        bank: b,
+                        pos: cand.pos,
+                    }
                 };
-                best = Some((seq, action));
+                best = Some((cand.seq, action));
             }
         }
-        if let Some((_, b, pos)) = hit {
-            self.issue_column_at(b, pos, now);
-            return true;
-        }
-        let Some((_, action)) = best else {
-            return false;
-        };
-        match action {
-            OldestAction::Wake { rank } => {
+        hit.or(best).map(|(_, choice)| choice)
+    }
+
+    /// Issues the command [`choose`](Self::choose) picked at `now`.
+    fn apply(&mut self, choice: Choice, now: u64) {
+        match choice {
+            Choice::Column { bank, pos } => self.issue_column_at(bank, pos, now),
+            Choice::Wake { rank } => {
                 let (latency, exit_cmd) = match self.ranks[rank].power {
                     RankPowerState::PowerDown => (self.timing.t_xp, DramCommand::PowerDownExit),
                     RankPowerState::SelfRefresh => (self.timing.t_xs, DramCommand::SelfRefreshExit),
@@ -801,16 +888,21 @@ impl ChannelCtrl {
                 self.ranks[rank].wake_at = Some(now + latency);
                 self.record(now, rank as u32, 0, 0, 0, exit_cmd);
             }
-            OldestAction::Precharge { bank } => {
-                let ri = bank / self.banks_per_rank;
+            Choice::Precharge { bank } => {
+                let ri = self.geom[bank].rank;
+                self.conflict_closed[bank] = self.banks.open_row[bank];
                 self.close_bank(bank, now);
                 self.counters.row_conflicts += 1;
                 self.ranks[ri].idle_since = now;
             }
-            OldestAction::Activate { bank, pos } => {
-                let ri = bank / self.banks_per_rank;
-                let bg = self.bg_of(bank);
+            Choice::Activate { bank, pos } => {
+                let BankGeom {
+                    rank: ri,
+                    group: bg,
+                } = self.geom[bank];
                 let row = self.queues[bank][pos].row;
+                self.reopened_rows += u64::from(self.conflict_closed[bank] == row);
+                self.conflict_closed[bank] = ROW_NONE;
                 self.banks.on_activate(bank, now, row, &self.timing);
                 self.ranks[ri].on_activate(now, bg, &self.timing);
                 if self.ranks[ri].open_banks == 1
@@ -823,7 +915,7 @@ impl ChannelCtrl {
                 self.record(
                     now,
                     ri as u32,
-                    (bank % self.banks_per_rank) as u32,
+                    self.flat_bank(bank) as u32,
                     bg as u32,
                     row,
                     DramCommand::Activate,
@@ -833,7 +925,6 @@ impl ChannelCtrl {
                 self.cands[bank].valid = false;
             }
         }
-        true
     }
 
     /// Idle-timeout governor: demote idle, fully-precharged ranks.
@@ -943,8 +1034,9 @@ impl ChannelCtrl {
     /// would act — that is the invariant the engine-equivalence suite pins
     /// down. Each term is the cycle the function that acts on it would
     /// act, floored by the same blockers that function checks: the per-bank
-    /// candidate gates reuse the `column_time`/tRP/tRRD/tFAW arithmetic of
-    /// the arbitration scan and visit the same occupied banks, the refresh term waits where `service_refresh`
+    /// candidate gates reuse the column-gate and tRP/tRRD/tFAW arithmetic
+    /// of the arbitration scan and visit the same occupied banks, the
+    /// refresh term waits where `service_refresh`
     /// waits, and the governor deadlines wait out the refresh window
     /// `run_governor` waits out. So after any poll the driving loop jumps
     /// straight to the next cycle something can happen.
@@ -959,11 +1051,17 @@ impl ChannelCtrl {
                 .min(self.governor_horizon(ri, now));
             t = t.min(rank_t.max(now + 1));
         }
+        // The least bank-local column gate per kind, over the banks with a
+        // candidate of that kind; the channel floor is applied once below.
+        let (mut read_gate, mut write_gate) = (u64::MAX, u64::MAX);
         for w in 0..self.occupied.len() {
             let mut bits = self.occupied[w];
             self.bank_visits += u64::from(bits.count_ones());
             while let Some(b) = pop_bank(w, &mut bits) {
-                let ri = b / self.banks_per_rank;
+                let BankGeom {
+                    rank: ri,
+                    group: bg,
+                } = self.geom[b];
                 if let Some(wake) = self.ranks[ri].wake_at {
                     t = t.min(wake.max(now + 1));
                     continue;
@@ -993,15 +1091,12 @@ impl ChannelCtrl {
                     // that lifts the block.
                     c.act = None;
                 }
-                let bg = self.bg_of(b);
                 if self.banks.is_open(b) {
-                    for (slot, kind) in [
-                        (c.col_read, AccessKind::Read),
-                        (c.col_write, AccessKind::Write),
-                    ] {
-                        if slot.is_some() {
-                            t = t.min(self.column_time(ri, bg, b, kind).max(now + 1));
-                        }
+                    if c.col_read.is_some() {
+                        read_gate = read_gate.min(self.bank_column_gate(b, AccessKind::Read));
+                    }
+                    if c.col_write.is_some() {
+                        write_gate = write_gate.min(self.bank_column_gate(b, AccessKind::Write));
                     }
                     if c.act.is_some() {
                         t = t.min(self.banks.next_pre[b].max(now + 1));
@@ -1010,6 +1105,17 @@ impl ChannelCtrl {
                     let gate = self.banks.next_act[b].max(self.ranks[ri].act_allowed_at(bg));
                     t = t.min(gate.max(now + 1));
                 }
+            }
+        }
+        // min over banks of max(floor, gate_b, now + 1) is
+        // max(floor, min over banks of gate_b, now + 1). A kind with no
+        // candidate leaves `u64::MAX`, which cannot lower `t`.
+        for (kind, least) in [
+            (AccessKind::Read, read_gate),
+            (AccessKind::Write, write_gate),
+        ] {
+            if least != u64::MAX {
+                t = t.min(self.channel_column_floor(kind).max(least).max(now + 1));
             }
         }
         t

@@ -55,6 +55,10 @@ pub struct PollCounts {
     /// Both visit only banks with a request queued, so this grows with the
     /// queued work, not with the number of banks a channel has.
     pub bank_visits: u64,
+    /// ACTs that reopened the row their bank's last row-conflict PRE
+    /// closed: each is a PRE/ACT pair spent on a row the bank already had
+    /// open. It counts scheduler decisions, so both engines read the same.
+    pub reopened_rows: u64,
 }
 
 impl PollCounts {
@@ -177,6 +181,7 @@ impl MemorySystem {
     pub fn poll_counts(&self) -> PollCounts {
         PollCounts {
             bank_visits: self.channels.iter().map(ChannelCtrl::bank_visits).sum(),
+            reopened_rows: self.channels.iter().map(ChannelCtrl::reopened_rows).sum(),
             ..self.polls
         }
     }

@@ -29,7 +29,7 @@ pub mod scheduler;
 
 pub use host::{run_host, HostRun, HostSample, HostSimConfig, HostWork};
 pub use pool::shard_map;
-pub use scheduler::{schedule_fleet, FleetSchedule};
+pub use scheduler::{schedule_fleet, FleetSchedule, ScheduleWork};
 
 use gd_dram::EngineMode;
 use gd_types::fleet::{FleetConfig, FleetStats};
@@ -71,6 +71,8 @@ pub struct FleetOutcome {
     pub exact_hosts: usize,
     /// Work counters summed over the exactly co-simulated hosts.
     pub work: HostWork,
+    /// What the schedule's placement scans cost.
+    pub schedule_work: ScheduleWork,
     /// Telemetry shards from the exactly-simulated hosts, labeled
     /// `host<index>`, when telemetry was requested.
     pub telemetry: Option<Vec<(String, gd_obs::Telemetry)>>,
@@ -219,6 +221,7 @@ pub fn run_fleet(
         hosts,
         exact_hosts,
         work,
+        schedule_work: schedule.work,
         telemetry,
     })
 }

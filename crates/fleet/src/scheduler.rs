@@ -38,6 +38,32 @@ struct HostState {
 /// One queued VM: `(arrival_tick, vm)`.
 type Queued = (u64, VmSpec);
 
+/// Deterministic work counters of the placement scan: they depend only on
+/// the configuration, never on the machine.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScheduleWork {
+    /// Placement scans: queued VMs a host was looked for.
+    pub place_calls: u64,
+    /// Hosts those scans examined.
+    pub hosts_examined: u64,
+}
+
+impl ScheduleWork {
+    /// Counts one scan over `hosts` hosts.
+    fn scan(&mut self, hosts: usize) {
+        self.place_calls += 1;
+        self.hosts_examined += hosts as u64;
+    }
+
+    /// The counters as `(name, value)` pairs, in a fixed order.
+    pub fn fields(&self) -> [(&'static str, u64); 2] {
+        [
+            ("place_calls", self.place_calls),
+            ("hosts_examined", self.hosts_examined),
+        ]
+    }
+}
+
 /// The fleet schedule: per-host event streams plus cluster accounting.
 #[derive(Debug, Clone)]
 pub struct FleetSchedule {
@@ -52,6 +78,8 @@ pub struct FleetSchedule {
     /// Per-host mean scheduled-memory fraction over the run (feeds the
     /// sampled fleet's analytic host surrogate).
     pub host_mean_used: Vec<f64>,
+    /// What the placement scans cost.
+    pub work: ScheduleWork,
 }
 
 /// Picks a host for `vm` under `placement`, or `None` when no host has
@@ -60,14 +88,17 @@ pub struct FleetSchedule {
 /// Among the hosts with room, the smallest key wins: the least memory
 /// headroom after placement (best-fit), preceded for KSM-aware placement by
 /// the most running VMs of the same OS family (more OS-image pages for KSM
-/// to merge). Ties go to the lowest host index.
+/// to merge). Ties go to the lowest host index. The scan examines every
+/// host, and `work` counts it.
 fn place(
     placement: FleetPlacement,
     hosts: &[HostState],
     vm: &VmSpec,
     vcpu_cap: u32,
     mem_cap_gb: u64,
+    work: &mut ScheduleWork,
 ) -> Option<usize> {
+    work.scan(hosts.len());
     let os = vm.os_type as usize % OS_TYPES;
     let mem_gb = vm.mem_gb as u64;
     let mut best: Option<(usize, (u32, u64))> = None;
@@ -131,6 +162,7 @@ pub fn schedule_fleet(cfg: &FleetConfig, verify: Option<gd_verify::Mode>) -> Res
     let mut utilization = Vec::new();
     let (mut running, mut hosts_used, mut used_gb) = (0u64, 0usize, 0u64);
     let mut arrival_idx = 0usize;
+    let mut work = ScheduleWork::default();
     for tick in 0..=ticks {
         let t = tick * cfg.schedule_period_s;
         // 1. Departures: lifetime expired at or before this tick.
@@ -174,7 +206,8 @@ pub fn schedule_fleet(cfg: &FleetConfig, verify: Option<gd_verify::Mode>) -> Res
                 waiting.push((arrived, vm));
                 continue;
             }
-            let Some(hi) = place(cfg.placement, &hosts, &vm, vcpu_cap, mem_cap_gb) else {
+            let Some(hi) = place(cfg.placement, &hosts, &vm, vcpu_cap, mem_cap_gb, &mut work)
+            else {
                 unplaceable.push((vm.vcpus, vm.mem_gb));
                 waiting.push((arrived, vm));
                 continue;
@@ -255,6 +288,7 @@ pub fn schedule_fleet(cfg: &FleetConfig, verify: Option<gd_verify::Mode>) -> Res
         stats,
         utilization,
         host_mean_used,
+        work,
     })
 }
 
@@ -284,6 +318,7 @@ mod tests {
         assert_eq!(a.host_events, b.host_events);
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.utilization, b.utilization);
+        assert_eq!(a.work, b.work);
     }
 
     #[test]
@@ -425,6 +460,16 @@ mod tests {
                     assert_eq!(
                         fast.host_mean_used, full.host_mean_used,
                         "{ctx}: host means"
+                    );
+                    // Every scan examines every host; the dominance skip
+                    // only ever saves scans.
+                    let scanned = fast.work.place_calls * hosts as u64;
+                    assert_eq!(fast.work.hosts_examined, scanned, "{ctx}: hosts examined");
+                    assert!(
+                        fast.work.place_calls <= full.work.place_calls,
+                        "{ctx}: {:?} vs {:?}",
+                        fast.work,
+                        full.work
                     );
                 }
             }

@@ -27,7 +27,9 @@ fn place(
     vm: &VmSpec,
     vcpu_cap: u32,
     mem_cap_gb: u64,
+    work: &mut ScheduleWork,
 ) -> Option<usize> {
+    work.scan(hosts.len());
     let fits = |h: &HostState| {
         h.used_vcpus + vm.vcpus <= vcpu_cap && h.used_mem_gb + vm.mem_gb as u64 <= mem_cap_gb
     };
@@ -73,6 +75,7 @@ pub(super) fn schedule(
     let mut stats = FleetStats::default();
     let mut utilization = Vec::new();
     let mut arrival_idx = 0usize;
+    let mut work = ScheduleWork::default();
     let ticks = cfg.ticks();
     for tick in 0..=ticks {
         let t = tick * cfg.schedule_period_s;
@@ -106,7 +109,7 @@ pub(super) fn schedule(
         // scanning every host.
         let mut waiting = Vec::with_capacity(queue.len());
         for (arrived, vm) in queue.drain(..) {
-            match place(cfg, &hosts, &vm, vcpu_cap, mem_cap_gb) {
+            match place(cfg, &hosts, &vm, vcpu_cap, mem_cap_gb, &mut work) {
                 Some(hi) => {
                     let host = &mut hosts[hi];
                     host.used_vcpus += vm.vcpus;
@@ -178,5 +181,6 @@ pub(super) fn schedule(
         stats,
         utilization,
         host_mean_used,
+        work,
     })
 }

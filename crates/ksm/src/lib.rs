@@ -529,10 +529,11 @@ impl Ksm {
     /// Propagates memory-manager errors (unknown owner allocations).
     pub fn advance(&mut self, elapsed: SimTime, mm: &mut MemoryManager) -> Result<u64> {
         let batches = elapsed.as_secs_f64() / self.cfg.scan_period.as_secs_f64();
-        let mut budget =
-            (batches * self.cfg.pages_to_scan as f64 + self.carry_pages).floor() as u64;
-        self.carry_pages =
-            (batches * self.cfg.pages_to_scan as f64 + self.carry_pages) - budget as f64;
+        let pages = batches * self.cfg.pages_to_scan as f64 + self.carry_pages;
+        // The saturating cast is `pages.floor() as u64` for every input
+        // (negatives and NaN go to 0 either way) without a libm call.
+        let mut budget = pages as u64;
+        self.carry_pages = pages - budget as f64;
         let mut released_total = 0u64;
         let mut idle_guard = 0u32;
         while budget > 0 && !self.regions.is_empty() {
@@ -610,7 +611,7 @@ impl Ksm {
         let total = region.scannable_pages();
         if total > 0 && region.unique_pages > 0 {
             let unique_share =
-                (remaining as f64 * region.unique_pages as f64 / total as f64).round() as u64;
+                round_to_u64(remaining as f64 * region.unique_pages as f64 / total as f64);
             remaining = remaining.saturating_sub(unique_share);
         }
         let mut to_release = 0u64;
@@ -756,10 +757,58 @@ impl Ksm {
     }
 }
 
+/// `x.round() as u64` (halves away from zero, saturating, NaN to 0)
+/// without calling `f64::round`, which baseline x86-64 (no SSE4.1
+/// `roundsd`) runs in software. The cast truncates toward zero, and for
+/// `x >= 0` the difference `x - t` is exact, so the fraction test is the
+/// rounding rule; a negative or NaN `x` gives `t = 0` and a fraction below
+/// one half.
+fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add(u64::from(x - t as f64 >= 0.5))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use gd_mmsim::{MmConfig, PageKind};
+
+    /// The cast that replaced `floor` and `round_to_u64` agree with the
+    /// `f64` library functions on the edge values: halves, the largest
+    /// double below one half, half-integers where the spacing is 0.5 or 1,
+    /// the top of the `u64` range, negatives, infinities and NaN.
+    #[test]
+    fn rounding_without_libm_matches_the_library() {
+        let two52 = (1u64 << 52) as f64;
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            0.5,
+            0.49999999999999994,
+            1.5,
+            2.5,
+            0.5000000000000001,
+            two52 / 2.0 + 0.5,
+            two52 + 0.5,
+            two52 + 1.0,
+            two52 * 2.0 - 1.0,
+            two52 * 4096.0 - 2048.0,
+            two52 * 4096.0,
+            1e30,
+            -0.4,
+            -0.5,
+            -0.6,
+            -1e30,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        xs.extend((0..2000).map(|i| f64::from(i) * 0.25 + 1e-3 * f64::from(i % 7)));
+        for x in xs {
+            assert_eq!(x as u64, x.floor() as u64, "floor({x})");
+            assert_eq!(round_to_u64(x), x.round() as u64, "round({x})");
+        }
+    }
 
     const OS_IMAGE: ContentKey = 0xABCD;
     const APP_DATA: ContentKey = 0x1234;

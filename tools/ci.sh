@@ -52,6 +52,10 @@ echo "==> scheduler differential, wide seeds (gd-fleet's departure calendar vs t
 cargo test --quiet --release -p gd-fleet --lib -- --ignored \
   calendar_scheduler_matches_the_reference_wide_seeds
 
+echo "==> arbitration differential, wide seeds (gd-dram's split column gates vs the undivided reference scan)"
+cargo test --quiet --release -p gd-dram --lib -- --ignored \
+  fast_scan_matches_the_reference_wide_seeds
+
 echo "==> telemetry determinism (byte-identical across engines and job counts)"
 cargo test --quiet --release --test engine_equivalence telemetry
 
