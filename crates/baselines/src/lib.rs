@@ -123,22 +123,15 @@ impl PowerGovernor for SrfOnly {
 /// without interleaving; defeated by it (every rank stays hot). Charges the
 /// page-access monitoring and periodic migration overhead the paper calls
 /// "considerable".
-#[derive(Debug, Clone, Copy)]
-pub struct RamZzz {
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RamZzz;
+
+impl RamZzz {
     /// Fraction of runtime spent monitoring page accesses and migrating.
-    pub overhead_fraction: f64,
+    const OVERHEAD_FRACTION: f64 = 0.03;
     /// How close to the ideal (footprint-packed) idle-rank count the
     /// migration gets.
-    pub consolidation_efficiency: f64,
-}
-
-impl Default for RamZzz {
-    fn default() -> Self {
-        RamZzz {
-            overhead_fraction: 0.03,
-            consolidation_efficiency: 0.9,
-        }
-    }
+    const CONSOLIDATION_EFFICIENCY: f64 = 0.9;
 }
 
 impl PowerGovernor for RamZzz {
@@ -154,13 +147,13 @@ impl PowerGovernor for RamZzz {
         } else {
             // Hot/cold grouping parks cold ranks in self-refresh.
             let idle_ranks = 1.0 - ctx.ranks_touched_fraction();
-            (idle_ranks * self.consolidation_efficiency).max(ctx.measured_sr_fraction)
+            (idle_ranks * Self::CONSOLIDATION_EFFICIENCY).max(ctx.measured_sr_fraction)
         };
         GovernorOutcome {
             gating: PowerGating::none(),
             sr_fraction: sr,
             pd_fraction: 0.0,
-            overhead_s: ctx.runtime_s * self.overhead_fraction,
+            overhead_s: ctx.runtime_s * Self::OVERHEAD_FRACTION,
         }
     }
 }
@@ -258,7 +251,7 @@ mod tests {
 
     #[test]
     fn ramzzz_helps_only_without_interleaving() {
-        let g = RamZzz::default();
+        let g = RamZzz;
         let with = g.evaluate(&ctx(true));
         let without = g.evaluate(&ctx(false));
         assert_eq!(with.sr_fraction, 0.0, "interleaving defeats RAMZzz");
@@ -315,7 +308,7 @@ mod tests {
     #[test]
     fn governor_names() {
         assert_eq!(SrfOnly.name(), "srf_only");
-        assert_eq!(RamZzz::default().name(), "RAMZzz");
+        assert_eq!(RamZzz.name(), "RAMZzz");
         assert_eq!(Pasr.name(), "PASR");
         assert_eq!(GreenDimmGovernor::default().name(), "GreenDIMM");
     }

@@ -102,12 +102,8 @@ mod tests {
 
     #[test]
     fn all_stock_governors_pass_strict() {
-        let governors: [&dyn PowerGovernor; 4] = [
-            &SrfOnly,
-            &RamZzz::default(),
-            &Pasr,
-            &GreenDimmGovernor::default(),
-        ];
+        let governors: [&dyn PowerGovernor; 4] =
+            [&SrfOnly, &RamZzz, &Pasr, &GreenDimmGovernor::default()];
         let mut checked = 0;
         for g in governors {
             for interleaved in [true, false] {

@@ -5,7 +5,9 @@
 //! Each app is one sweep point (`--jobs N`) aggregating seeds × both
 //! selector policies; `--requests N` sets the seed count (at most 64);
 //! `--telemetry PATH` dumps every run's daemon/mm books as JSONL (one
-//! shard per app/seed/policy).
+//! shard per app/seed/policy). Each point's sidecar `work` holds its
+//! hotplug events, failures, EAGAIN failures, rollbacks and daemon ticks,
+//! summed over its seed × policy runs.
 
 use gd_bench::blocks::{block_size_experiment, managed_region};
 use gd_bench::report::{header, row};
@@ -19,11 +21,10 @@ fn main() {
     let seed_count = args.requests_count(5, 64) as u64;
     args.finish();
     args.provenance(&format!(
-        "managed=8GiB blocks=128 transient_fail=0.5 unmovable_leak=0.30 seeds=1..{seed_count}"
+        "managed=8GiB blocks=128 transient_fail=0.5 seeds=1..{seed_count}"
     ));
     let region = |seed| MmConfig {
         transient_fail_prob: 0.5,
-        unmovable_leak_prob: 0.30,
         ..managed_region(128, seed)
     };
     let profiles = spec2006_offlining_set();
@@ -32,6 +33,7 @@ fn main() {
         |p| p.name.to_string(),
         |p, sink| {
             let mut totals = [0u64; 4];
+            let (mut events, mut rollbacks, mut ticks) = (0u64, 0u64, 0u64);
             for seed in 1..=seed_count {
                 for (policy, slot) in [
                     (SelectorPolicy::Random, 0),
@@ -48,9 +50,19 @@ fn main() {
                     .expect("co-sim");
                     totals[slot] += r.failures;
                     totals[slot + 1] += r.failures_eagain;
+                    events += r.hotplug_events;
+                    rollbacks += r.rollbacks;
+                    ticks += r.daemon.ticks;
                     sink.give(&format!("/s{seed}/{policy:?}"), tele);
                 }
             }
+            sink.record_work(&[
+                ("hotplug_events", events),
+                ("failures", totals[0] + totals[2]),
+                ("failures_eagain", totals[1] + totals[3]),
+                ("rollbacks", rollbacks),
+                ("daemon_ticks", ticks),
+            ]);
             totals
         },
     );

@@ -2,7 +2,7 @@
 //! ablations and the `fig_faults` robustness curve, and the one table
 //! Figs. 6, 7 and Table 2 print.
 //!
-//! The paper runs these on a managed (movablecore-style) region of the
+//! The paper runs these on a managed, hot-pluggable region of the
 //! machine: with 128 MB blocks, one block maps to exactly one sub-array
 //! group of the managed region; 256/512 MB blocks map to two/four. The
 //! daemon off-lines blocks while the app's footprint and a page cache move
@@ -19,8 +19,8 @@ use gd_types::{Result, SimTime};
 use gd_workloads::{spec2006_offlining_set, AppProfile};
 use greendimm::{Daemon, DaemonStats, EpochSim, FootprintDriver, GreenDimmConfig, GroupMap};
 
-/// Managed capacity for the block-size studies (the paper's
-/// `movablecore=8G` example).
+/// Managed capacity for the block-size studies (the paper's 8 GB
+/// managed-region example).
 pub const MANAGED_BYTES: u64 = 8 << 30;
 
 /// Nominal memory latency used to estimate runtimes in the epoch-only
@@ -69,15 +69,13 @@ pub struct BlockSizeRow {
     pub daemon: DaemonStats,
 }
 
-/// The managed region with `block_mib` MiB blocks: [`MANAGED_BYTES`], no
-/// unmovable leaks and no transient migration failures.
+/// The managed region with `block_mib` MiB blocks: [`MANAGED_BYTES`] and
+/// no transient migration failures.
 #[must_use]
 pub fn managed_region(block_mib: u64, seed: u64) -> MmConfig {
     MmConfig {
         capacity_bytes: MANAGED_BYTES,
         block_bytes: block_mib << 20,
-        movablecore_bytes: None,
-        unmovable_leak_prob: 0.0,
         transient_fail_prob: 0.0,
         seed,
     }
@@ -386,7 +384,6 @@ mod tests {
                 .map(|seed| {
                     let mm = MmConfig {
                         transient_fail_prob: 0.6,
-                        unmovable_leak_prob: 0.10,
                         ..managed_region(128, seed)
                     };
                     run(

@@ -337,7 +337,7 @@ pub fn evaluate_measurements(
 
     let governors: Vec<Box<dyn PowerGovernor>> = vec![
         Box::new(SrfOnly),
-        Box::new(RamZzz::default()),
+        Box::new(RamZzz),
         Box::new(Pasr),
         Box::new(GreenDimmGovernor::default()),
     ];

@@ -35,8 +35,6 @@ pub struct GreenDimmConfig {
     /// enters deep power-down only when its neighbouring group is also
     /// off-lined (§6.1).
     pub neighbor_constraint: bool,
-    /// Maximum off-lining attempts per monitor tick.
-    pub max_attempts_per_tick: u32,
     /// Extension beyond the paper: adapt `off_thr` at run time — raise the
     /// reserve when off-lining failures or allocation stalls occur (backing
     /// off an over-aggressive setting), decay back toward the configured
@@ -55,7 +53,6 @@ impl GreenDimmConfig {
             on_thr: 0.05,
             selector: SelectorPolicy::FreeRemovableFirst,
             neighbor_constraint: true,
-            max_attempts_per_tick: 16,
             adaptive_off_thr: false,
             seed: 1,
         }

@@ -10,6 +10,12 @@ use gd_types::ids::SubArrayGroup;
 use gd_types::rng::{component_rng, StdRng};
 use gd_types::{Result, SimTime};
 
+/// Backoff/quarantine policy for deep-PD entry failures.
+const RETRY: RetryPolicy = RetryPolicy::paper_default();
+
+/// Maximum off-lining attempts per monitor tick.
+const MAX_ATTEMPTS_PER_TICK: u32 = 16;
+
 /// Counters the daemon accumulates over a run (Tables 2–3, Fig. 8, and the
 /// overhead model behind Figs. 7 and 11).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -121,8 +127,6 @@ pub struct Daemon {
     quiet_ticks: u32,
     /// Optional fault injector (see `gd-faults`).
     faults: Option<FaultInjector>,
-    /// Backoff/quarantine policy for deep-PD entry failures.
-    retry: RetryPolicy,
     /// Per-group recovery state, indexed by group.
     recovery: Vec<GroupRecovery>,
     /// Run statistics.
@@ -140,7 +144,6 @@ impl Daemon {
             current_off_thr: cfg.off_thr,
             quiet_ticks: 0,
             faults: None,
-            retry: RetryPolicy::paper_default(),
             recovery: vec![GroupRecovery::default(); map.groups() as usize],
             cfg,
             map,
@@ -163,11 +166,6 @@ impl Daemon {
     /// The installed fault injector, if any.
     pub fn fault_injector(&self) -> Option<&FaultInjector> {
         self.faults.as_ref()
-    }
-
-    /// Overrides the retry/backoff policy.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
     }
 
     /// Recovery state of one group (`None` when out of range).
@@ -316,7 +314,7 @@ impl Daemon {
     ) -> Result<()> {
         let mut excluded: Vec<usize> = Vec::new();
         let mut attempts = 0;
-        while attempts < self.cfg.max_attempts_per_tick && mm.meminfo().free_pages > keep {
+        while attempts < MAX_ATTEMPTS_PER_TICK && mm.meminfo().free_pages > keep {
             let Some(block) =
                 crate::selector::pick_candidate(mm, self.cfg.selector, &excluded, &mut self.rng)
             else {
@@ -414,7 +412,7 @@ impl Daemon {
                     let mut attempts = 0u32;
                     loop {
                         attempts += 1;
-                        let failed = attempts <= self.retry.max_retries
+                        let failed = attempts <= RETRY.max_retries
                             && self
                                 .faults
                                 .as_mut()
@@ -438,7 +436,7 @@ impl Daemon {
     /// in ascending group order.
     fn update_registers_after_offline(&mut self, now: SimTime, mm: &MemoryManager) -> Result<()> {
         // The managed geometry may be smaller than the whole machine (the
-        // paper manages a movablecore region); map only the managed prefix.
+        // paper manages a hot-pluggable region); map only the managed prefix.
         let map = self.map;
         if mm.block_count() < map.blocks() {
             return Ok(()); // geometry mismatch: register programming skipped
@@ -498,10 +496,10 @@ impl Daemon {
             self.stats.deep_pd_nacks += 1;
             let rec = &mut self.recovery[group.index()];
             rec.consecutive_nacks += 1;
-            if rec.consecutive_nacks >= self.retry.degrade_after {
+            if rec.consecutive_nacks >= RETRY.degrade_after {
                 rec.degraded = true;
             } else {
-                rec.quarantined_until = now + self.retry.backoff_after(rec.consecutive_nacks);
+                rec.quarantined_until = now + RETRY.backoff_after(rec.consecutive_nacks);
             }
             return Ok(false);
         }
@@ -523,7 +521,7 @@ impl Daemon {
 mod tests {
     use super::*;
     use crate::config::SelectorPolicy;
-    use gd_mmsim::{MmConfig, PageKind};
+    use gd_mmsim::{AllocationId, MmConfig, PageKind};
 
     /// 256 MB managed as 16 blocks of 16 MB and 16 groups of 16 MB.
     fn setup(cfg: GreenDimmConfig) -> (Daemon, MemoryManager) {
@@ -575,12 +573,26 @@ mod tests {
         assert!(info.free_pages >= (0.09 * info.installed_pages as f64) as u64);
     }
 
+    /// [`setup`] with 12 000 pages left free: the off-lining edge is the
+    /// 10 % reserve plus one block (6553 + 4096 pages), so a tick off-lines
+    /// exactly one block. Freeing the returned one-block allocation lets
+    /// the next tick off-line one more.
+    fn setup_one_block_per_tick(cfg: GreenDimmConfig) -> (Daemon, MemoryManager, AllocationId) {
+        let (d, mut mm) = setup(cfg);
+        let used = mm.meminfo().free_pages - 12_000;
+        mm.allocate(used - mm.block_pages(), PageKind::UserMovable)
+            .unwrap();
+        let spare = mm
+            .allocate(mm.block_pages(), PageKind::UserMovable)
+            .unwrap();
+        (d, mm, spare)
+    }
+
     #[test]
     fn neighbor_constraint_delays_deep_pd() {
         let mut cfg = GreenDimmConfig::paper_default();
         cfg.neighbor_constraint = true;
-        cfg.max_attempts_per_tick = 1; // offline one block per tick
-        let (mut d, mut mm) = setup(cfg);
+        let (mut d, mut mm, spare) = setup_one_block_per_tick(cfg);
         // After the first tick exactly one block (group) is off-line; its
         // buddy is not, so no group may power down yet.
         d.tick(SimTime::from_secs(0), &mut mm).unwrap();
@@ -588,6 +600,7 @@ mod tests {
         assert_eq!(d.registers().down_count(), 0);
         // The selector walks down from the top, so the second tick off-lines
         // the buddy (15 then 14 form the pair {14,15}).
+        mm.free(spare).unwrap();
         d.tick(SimTime::from_secs(1), &mut mm).unwrap();
         assert_eq!(mm.offline_block_count(), 2);
         assert_eq!(d.registers().down_count(), 2);
@@ -597,8 +610,7 @@ mod tests {
     fn without_neighbor_constraint_single_group_powers_down() {
         let mut cfg = GreenDimmConfig::paper_default();
         cfg.neighbor_constraint = false;
-        cfg.max_attempts_per_tick = 1;
-        let (mut d, mut mm) = setup(cfg);
+        let (mut d, mut mm, _) = setup_one_block_per_tick(cfg);
         d.tick(SimTime::from_secs(0), &mut mm).unwrap();
         assert_eq!(d.registers().down_count(), 1);
     }
@@ -728,17 +740,13 @@ mod tests {
 
     #[test]
     fn deep_pd_nack_quarantines_then_degrades() {
-        use gd_faults::{FaultPlan, FaultTrigger, RetryPolicy};
+        use gd_faults::{FaultPlan, FaultTrigger};
         let (mut d, mut mm) = setup(GreenDimmConfig::paper_default());
         d.set_fault_injector(
             FaultPlan::none()
                 .with(FaultSite::DeepPdEntryNack, FaultTrigger::Prob(1.0))
                 .build(1),
         );
-        d.set_retry_policy(RetryPolicy {
-            degrade_after: 3,
-            ..RetryPolicy::paper_default()
-        });
         for s in 0..40 {
             d.tick(SimTime::from_secs(s), &mut mm).unwrap();
         }

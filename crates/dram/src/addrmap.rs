@@ -1,6 +1,6 @@
 //! Physical-address ↔ DRAM-coordinate mapping.
 //!
-//! The mapper implements the three layouts evaluated in the paper:
+//! The mapper implements the two layouts evaluated in the paper:
 //!
 //! * [`InterleaveMode::Interleaved`] — commodity channel/rank/bank
 //!   interleaving. From LSB to MSB the physical address is laid out as
@@ -11,10 +11,6 @@
 //!   contiguous `1/subarray_groups` slice of the physical address space even
 //!   though consecutive cache lines are spread over every channel, rank, and
 //!   bank — the key property GreenDIMM exploits (paper §4.1, Fig. 5).
-//! * [`InterleaveMode::InterleavedXor`] — same layout with the bank and bank
-//!   group bits additionally XOR-hashed with low row bits
-//!   (permutation-based interleaving), showing the grouping survives hashing
-//!   of *bank* bits.
 //! * [`InterleaveMode::Linear`] — no interleaving: the address fills an
 //!   entire rank (column, then row, then bank) before moving to the next
 //!   rank, then the next channel. Small footprints touch a single rank,
@@ -117,7 +113,7 @@ impl AddressMapper {
             v
         };
         let coord = match self.mode {
-            InterleaveMode::Interleaved | InterleaveMode::InterleavedXor => {
+            InterleaveMode::Interleaved => {
                 let channel = take(self.ch_bits);
                 let bank_group = take(self.bg_bits);
                 let bank = take(self.bank_bits);
@@ -125,11 +121,6 @@ impl AddressMapper {
                 let rank = take(self.rank_bits);
                 let local_row = take(self.local_row_bits);
                 let subarray = take(self.sa_bits);
-                let (bank_group, bank) = if self.mode == InterleaveMode::InterleavedXor {
-                    self.xor_hash(bank_group, bank, local_row)
-                } else {
-                    (bank_group, bank)
-                };
                 DramCoord {
                     channel: Channel::new(channel),
                     rank: Rank::new(rank),
@@ -194,16 +185,10 @@ impl AddressMapper {
             *shift += bits;
         };
         match self.mode {
-            InterleaveMode::Interleaved | InterleaveMode::InterleavedXor => {
-                let (bg, b) = if self.mode == InterleaveMode::InterleavedXor {
-                    // XOR hash is an involution given the same row bits.
-                    self.xor_hash(coord.bank_group.0, coord.bank.0, coord.row.0)
-                } else {
-                    (coord.bank_group.0, coord.bank.0)
-                };
+            InterleaveMode::Interleaved => {
                 put(coord.channel.0, self.ch_bits, &mut a, &mut shift);
-                put(bg, self.bg_bits, &mut a, &mut shift);
-                put(b, self.bank_bits, &mut a, &mut shift);
+                put(coord.bank_group.0, self.bg_bits, &mut a, &mut shift);
+                put(coord.bank.0, self.bank_bits, &mut a, &mut shift);
                 put(coord.column, self.col_bits, &mut a, &mut shift);
                 put(coord.rank.0, self.rank_bits, &mut a, &mut shift);
                 put(coord.row.0, self.local_row_bits, &mut a, &mut shift);
@@ -220,16 +205,6 @@ impl AddressMapper {
             }
         }
         Ok(a << CACHE_LINE_BITS)
-    }
-
-    /// XORs bank-group/bank bits with the low bits of the local row.
-    /// Involutive: applying it twice with the same row restores the input.
-    fn xor_hash(&self, bank_group: u32, bank: u32, local_row: u32) -> (u32, u32) {
-        let bg_mask = (1u32 << self.bg_bits) - 1;
-        let bank_mask = (1u32 << self.bank_bits) - 1;
-        let hashed_bg = (bank_group ^ (local_row & bg_mask)) & bg_mask;
-        let hashed_bank = (bank ^ ((local_row >> self.bg_bits) & bank_mask)) & bank_mask;
-        (hashed_bg, hashed_bank)
     }
 
     /// The sub-array group an address belongs to.
@@ -324,20 +299,16 @@ mod tests {
     use gd_types::config::DramConfig;
 
     fn mappers() -> Vec<AddressMapper> {
-        [
-            InterleaveMode::Interleaved,
-            InterleaveMode::InterleavedXor,
-            InterleaveMode::Linear,
-        ]
-        .into_iter()
-        .flat_map(|m| {
-            [
-                DramConfig::small_test().with_interleave(m),
-                DramConfig::ddr4_2133_64gb().with_interleave(m),
-            ]
-        })
-        .map(|cfg| AddressMapper::new(&cfg).unwrap())
-        .collect()
+        [InterleaveMode::Interleaved, InterleaveMode::Linear]
+            .into_iter()
+            .flat_map(|m| {
+                [
+                    DramConfig::small_test().with_interleave(m),
+                    DramConfig::ddr4_2133_64gb().with_interleave(m),
+                ]
+            })
+            .map(|cfg| AddressMapper::new(&cfg).unwrap())
+            .collect()
     }
 
     #[test]
@@ -428,17 +399,6 @@ mod tests {
         let cfg = DramConfig::small_test().with_interleave(InterleaveMode::Linear);
         let m = AddressMapper::new(&cfg).unwrap();
         assert!(m.subarray_group_range(SubArrayGroup::new(0)).is_err());
-    }
-
-    #[test]
-    fn xor_hash_preserves_group_contiguity() {
-        let cfg = DramConfig::small_test().with_interleave(InterleaveMode::InterleavedXor);
-        let m = AddressMapper::new(&cfg).unwrap();
-        let group_bytes = m.capacity_bytes() / m.subarray_groups() as u64;
-        for addr in (0..m.capacity_bytes()).step_by(4096) {
-            let expected = (addr / group_bytes) as u32;
-            assert_eq!(m.subarray_group_of(addr).unwrap().0, expected);
-        }
     }
 
     #[test]

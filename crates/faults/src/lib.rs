@@ -277,7 +277,7 @@ impl RetryPolicy {
     /// Defaults sized for the co-sim's 1 s monitoring epochs: first
     /// backoff spans two epochs, the cap stays well under the shortest
     /// benchmark runtime, and degradation needs a persistent failure.
-    pub fn paper_default() -> Self {
+    pub const fn paper_default() -> Self {
         RetryPolicy {
             max_retries: 3,
             base_backoff: SimTime::from_secs(2),

@@ -201,8 +201,6 @@ pub fn run_host(
     let mm_cfg = MmConfig {
         capacity_bytes: cfg.capacity_gb << 30,
         block_bytes: cfg.block_gb << 30,
-        movablecore_bytes: None,
-        unmovable_leak_prob: 0.0,
         transient_fail_prob: 0.0,
         seed: cfg.seed,
     };

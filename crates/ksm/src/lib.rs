@@ -66,9 +66,6 @@ pub struct KsmConfig {
     pub pages_to_scan: u64,
     /// Sleep between scan batches. Paper uses 50 ms.
     pub scan_period: SimTime,
-    /// Fraction of one core the daemon consumes while scanning (paper: the
-    /// chosen configuration costs ~10 % of a core).
-    pub cpu_utilization: f64,
 }
 
 impl KsmConfig {
@@ -78,7 +75,7 @@ impl KsmConfig {
     ///
     /// Returns [`GdError::InvalidConfig`] when `pages_to_scan` or
     /// `scan_period` is zero (the scan budget per unit of time would be
-    /// zero or undefined), or `cpu_utilization` is not in `[0, 1]`.
+    /// zero or undefined).
     pub fn validate(&self) -> Result<()> {
         if self.pages_to_scan == 0 {
             return Err(GdError::InvalidConfig(
@@ -90,12 +87,6 @@ impl KsmConfig {
                 "KSM scan_period must be positive".into(),
             ));
         }
-        if !(0.0..=1.0).contains(&self.cpu_utilization) {
-            return Err(GdError::InvalidConfig(format!(
-                "KSM cpu_utilization {} is outside [0, 1]",
-                self.cpu_utilization
-            )));
-        }
         Ok(())
     }
 }
@@ -105,7 +96,6 @@ impl Default for KsmConfig {
         KsmConfig {
             pages_to_scan: 1000,
             scan_period: SimTime::from_millis(50),
-            cpu_utilization: 0.10,
         }
     }
 }
@@ -447,11 +437,6 @@ impl Ksm {
             }
         }
         Ok(())
-    }
-
-    /// Total number of registered regions.
-    pub fn region_count(&self) -> usize {
-        self.regions.len()
     }
 
     /// Per-region page accounting (for cross-crate invariant checks).
@@ -995,18 +980,6 @@ mod tests {
                 scan_period: SimTime::ZERO,
                 ..base
             },
-            KsmConfig {
-                cpu_utilization: -0.1,
-                ..base
-            },
-            KsmConfig {
-                cpu_utilization: 1.5,
-                ..base
-            },
-            KsmConfig {
-                cpu_utilization: f64::NAN,
-                ..base
-            },
         ];
         for cfg in bad {
             assert!(
@@ -1015,13 +988,7 @@ mod tests {
             );
             assert!(Ksm::new(cfg).is_err(), "{cfg:?}");
         }
-        for cpu_utilization in [0.0, 1.0] {
-            let cfg = KsmConfig {
-                cpu_utilization,
-                ..base
-            };
-            assert_eq!(cfg.validate(), Ok(()));
-        }
+        assert_eq!(base.validate(), Ok(()));
     }
 
     #[test]
@@ -1057,7 +1024,7 @@ mod tests {
         let (mut mm, mut ksm) = setup();
         let released = ksm.advance(SimTime::from_secs(1), &mut mm).unwrap();
         assert_eq!(released, 0);
-        assert_eq!(ksm.region_count(), 0);
+        assert!(ksm.region_accounting().is_empty());
     }
 
     #[test]

@@ -131,11 +131,6 @@ impl MemoryBlock {
         self.used_pages() == 0
     }
 
-    /// Largest buddy order currently allocatable in this block.
-    pub fn max_free_order(&self) -> Option<u8> {
-        self.buddy.max_free_order()
-    }
-
     /// Snapshot for the sysfs-style API, with the on-line state the
     /// manager keeps for the block.
     pub fn info(&self, online: bool) -> BlockInfo {

@@ -22,17 +22,9 @@ pub struct MmConfig {
     /// Memory block (hotplug unit) size in bytes; Linux default 128 MB,
     /// configurable via `/sys/devices/system/memory/block_size_bytes`.
     pub block_bytes: u64,
-    /// If set, the top `movablecore_bytes` of memory form ZONE_MOVABLE:
-    /// kernel/pinned allocations avoid it (mirroring the `movablecore=`
-    /// boot parameter).
-    pub movablecore_bytes: Option<u64>,
-    /// Probability that a kernel allocation spills into the movable zone
-    /// anyway (the paper observes reserved movable regions still acquire
-    /// unmovable pages).
-    pub unmovable_leak_prob: f64,
     /// Per-attempt probability that page migration transiently fails even
     /// when space exists (locked pages, short-lived references). Three
-    /// failed attempts produce EAGAIN.
+    /// failed attempts produce EAGAIN. Must lie in `[0, 1]`.
     pub transient_fail_prob: f64,
     /// RNG seed.
     pub seed: u64,
@@ -44,8 +36,6 @@ impl MmConfig {
         MmConfig {
             capacity_bytes: 256 << 20,
             block_bytes: 16 << 20,
-            movablecore_bytes: None,
-            unmovable_leak_prob: 0.0,
             transient_fail_prob: 0.0,
             seed: 1,
         }
@@ -72,17 +62,6 @@ pub struct MemInfo {
     pub offline_pages: u64,
     /// Installed capacity in pages (online + offline).
     pub installed_pages: u64,
-}
-
-impl MemInfo {
-    /// Free fraction of on-line memory.
-    pub fn free_fraction(&self) -> f64 {
-        if self.total_pages == 0 {
-            0.0
-        } else {
-            self.free_pages as f64 / self.total_pages as f64
-        }
-    }
 }
 
 /// Aggregate hotplug statistics (drives Table 3 and Fig. 8).
@@ -228,8 +207,6 @@ pub struct MemoryManager {
     /// on/off-line state.
     online: Vec<bool>,
     block_pages: u32,
-    /// First block of ZONE_MOVABLE (== blocks.len() when not configured).
-    movable_zone_start: usize,
     /// Live allocations in id order, the order [`MemoryManager::audit`]
     /// reports their problems in.
     allocs: BTreeMap<AllocationId, AllocInfo>,
@@ -275,8 +252,9 @@ impl MemoryManager {
     ///
     /// # Errors
     ///
-    /// Returns [`GdError::InvalidConfig`] if capacity is not block-aligned
-    /// or a block is not a whole number of max-order buddy chunks.
+    /// Returns [`GdError::InvalidConfig`] if capacity is not block-aligned,
+    /// a block is not a whole number of max-order buddy chunks, or
+    /// `transient_fail_prob` is not in `[0, 1]` (NaN included).
     pub fn new(cfg: MmConfig) -> Result<Self> {
         if cfg.block_bytes == 0 || !cfg.capacity_bytes.is_multiple_of(cfg.block_bytes) {
             return Err(GdError::InvalidConfig(format!(
@@ -293,19 +271,15 @@ impl MemoryManager {
                 "block of {block_pages} pages is not buddy-alignable"
             )));
         }
+        // `gen_bool` would clamp (or panic on) a probability outside
+        // [0, 1]; NaN fails the range check too.
+        if !(0.0..=1.0).contains(&cfg.transient_fail_prob) {
+            return Err(GdError::InvalidConfig(format!(
+                "transient_fail_prob {} is outside [0, 1]",
+                cfg.transient_fail_prob
+            )));
+        }
         let n_blocks = (cfg.capacity_bytes / cfg.block_bytes) as usize;
-        let movable_zone_start = match cfg.movablecore_bytes {
-            Some(bytes) => {
-                let mv_blocks = (bytes / cfg.block_bytes) as usize;
-                if mv_blocks > n_blocks {
-                    return Err(GdError::InvalidConfig(
-                        "movablecore exceeds capacity".into(),
-                    ));
-                }
-                n_blocks - mv_blocks
-            }
-            None => n_blocks,
-        };
         Ok(MemoryManager {
             online_free: n_blocks as u64 * block_pages,
             offline_pages: 0,
@@ -314,7 +288,6 @@ impl MemoryManager {
                 .collect(),
             online: vec![true; n_blocks],
             block_pages: block_pages as u32,
-            movable_zone_start,
             allocs: BTreeMap::new(),
             deferred_ids: Vec::new(),
             next_id: 1,
@@ -522,26 +495,14 @@ impl MemoryManager {
         }
     }
 
-    fn eligible_blocks(&mut self, kind: PageKind) -> Vec<usize> {
-        let leak = kind != PageKind::UserMovable
-            && self.cfg.unmovable_leak_prob > 0.0
-            && self.rng.gen_bool(self.cfg.unmovable_leak_prob);
-        let limit = if kind.is_movable() || leak {
-            self.blocks.len()
-        } else {
-            self.movable_zone_start
-        };
-        (0..limit).filter(|&i| self.online[i]).collect()
-    }
-
     /// Allocates `pages` pages of the given kind, spread over on-line blocks
     /// first-fit ascending (densely packing low blocks, as the kernel's
     /// fallback order does).
     ///
     /// # Errors
     ///
-    /// Returns [`GdError::OutOfMemory`] if the eligible on-line blocks do not
-    /// hold enough free pages; no partial allocation is left behind.
+    /// Returns [`GdError::OutOfMemory`] if the on-line blocks do not hold
+    /// enough free pages; no partial allocation is left behind.
     pub fn allocate(&mut self, pages: u64, kind: PageKind) -> Result<AllocationId> {
         if pages == 0 {
             return Err(GdError::InvalidConfig("zero-page allocation".into()));
@@ -562,12 +523,12 @@ impl MemoryManager {
         Ok(id)
     }
 
-    /// Places `pages` pages of `kind` for allocation `id` over the eligible
-    /// on-line blocks, first-fit ascending, and returns the runs placed.
+    /// Places `pages` pages of `kind` for allocation `id` over the on-line
+    /// blocks, first-fit ascending, and returns the runs placed.
     ///
     /// # Errors
     ///
-    /// Returns [`GdError::OutOfMemory`], placing nothing, if the eligible
+    /// Returns [`GdError::OutOfMemory`], placing nothing, if the on-line
     /// blocks do not hold enough free pages.
     fn place(
         &mut self,
@@ -575,8 +536,8 @@ impl MemoryManager {
         id: AllocationId,
         kind: PageKind,
     ) -> Result<Vec<(usize, ChunkRun)>> {
-        let eligible = self.eligible_blocks(kind);
-        let free_total: u64 = eligible.iter().map(|i| self.blocks[*i].free_pages()).sum();
+        let online: Vec<usize> = (0..self.blocks.len()).filter(|&i| self.online[i]).collect();
+        let free_total: u64 = online.iter().map(|i| self.blocks[*i].free_pages()).sum();
         if free_total < pages {
             return Err(GdError::OutOfMemory {
                 requested_pages: pages,
@@ -585,7 +546,7 @@ impl MemoryManager {
         }
         let mut remaining = pages;
         let mut placed = Vec::new();
-        for bi in eligible {
+        for bi in online {
             if remaining == 0 {
                 break;
             }
@@ -933,31 +894,6 @@ impl MemoryManager {
         }
     }
 
-    /// External-fragmentation index of the on-line free memory, in `[0, 1]`:
-    /// `1 - largest_free_chunk / min(free_pages, max_chunk)`. Zero while a
-    /// max-order chunk is still available (or nothing is free); approaching
-    /// one as free pages shatter into small chunks — the condition that
-    /// makes migration-based off-lining fail with EAGAIN.
-    pub fn fragmentation_index(&self) -> f64 {
-        let mut free_total = 0u64;
-        let mut largest_order: Option<u8> = None;
-        for (b, &online) in self.settled_view().blocks.iter().zip(&self.online) {
-            if !online {
-                continue;
-            }
-            free_total += b.free_pages();
-            if let Some(o) = b.max_free_order() {
-                largest_order = Some(largest_order.map_or(o, |c| c.max(o)));
-            }
-        }
-        if free_total == 0 {
-            return 0.0;
-        }
-        let largest = largest_order.map(|o| 1u64 << o).unwrap_or(0);
-        let attainable = free_total.min(1 << MAX_ORDER);
-        1.0 - largest as f64 / attainable as f64
-    }
-
     /// Audits every block (buddy structure, chunk layout, per-kind
     /// counters) plus the allocation table: every chunk an allocation
     /// records must exist in its block with the right owner, and sum to
@@ -1121,7 +1057,28 @@ mod tests {
         assert_eq!(info.total_pages, 65_536); // 256 MB / 4 KB
         assert_eq!(info.free_pages, info.total_pages);
         assert_eq!(info.offline_pages, 0);
-        assert_eq!(info.free_fraction(), 1.0);
+    }
+
+    #[test]
+    fn transient_fail_prob_outside_unit_interval_rejected() {
+        for p in [-0.1, 1.5, f64::NAN] {
+            let cfg = MmConfig {
+                transient_fail_prob: p,
+                ..MmConfig::small_test()
+            };
+            assert!(
+                matches!(MemoryManager::new(cfg), Err(GdError::InvalidConfig(_))),
+                "transient_fail_prob {p} accepted"
+            );
+        }
+        // 1.0 is tab03's always-EAGAIN setting.
+        for p in [0.0, 1.0] {
+            let cfg = MmConfig {
+                transient_fail_prob: p,
+                ..MmConfig::small_test()
+            };
+            assert!(MemoryManager::new(cfg).is_ok(), "{p}");
+        }
     }
 
     #[test]
@@ -1224,24 +1181,6 @@ mod tests {
         // Can still allocate up to the on-line half.
         assert!(m.allocate(32_768, PageKind::UserMovable).is_ok());
         assert!(m.allocate(1, PageKind::UserMovable).is_err());
-    }
-
-    #[test]
-    fn movablecore_keeps_kernel_out_of_movable_zone() {
-        let cfg = MmConfig {
-            movablecore_bytes: Some(128 << 20), // top 8 of 16 blocks
-            unmovable_leak_prob: 0.0,
-            ..MmConfig::small_test()
-        };
-        let mut m = MemoryManager::new(cfg).unwrap();
-        // A huge kernel allocation only uses the lower half.
-        m.allocate(20_000, PageKind::KernelUnmovable).unwrap();
-        for i in 8..16 {
-            assert!(m.block_info(i).unwrap().removable, "block {i} polluted");
-        }
-        // And it cannot exceed the non-movable zone.
-        let err = m.allocate(20_000, PageKind::KernelUnmovable).unwrap_err();
-        assert!(matches!(err, GdError::OutOfMemory { .. }));
     }
 
     #[test]
@@ -1573,6 +1512,20 @@ mod tests {
         })
     }
 
+    /// Whether `pages` more pages of `kind` may be placed: movable pages
+    /// go anywhere, kernel and pinned pages only where the on-line free
+    /// pages of the low half of the blocks hold them. First-fit ascending
+    /// placement then keeps those kinds packed in the low blocks, and the
+    /// high half holds movable pages only, which off-lining can migrate.
+    fn fits_workload(m: &MemoryManager, kind: PageKind, pages: u64) -> bool {
+        let low = m.block_count() / 2;
+        let room: u64 = (0..low)
+            .filter(|&i| m.online[i])
+            .map(|i| m.blocks[i].free_pages())
+            .sum();
+        kind.is_movable() || pages <= room
+    }
+
     /// Whether the max-order `run` has chunks on both sides of a free
     /// bitmap word edge.
     fn crosses_word_edge(run: ChunkRun) -> bool {
@@ -1621,8 +1574,6 @@ mod tests {
             let cfg = MmConfig {
                 capacity_bytes: blocks * block_bytes,
                 block_bytes,
-                movablecore_bytes: Some(blocks / 2 * block_bytes),
-                unmovable_leak_prob: 0.05,
                 transient_fail_prob: 0.1,
                 seed: 3,
             };
@@ -1645,11 +1596,13 @@ mod tests {
                         0..=2 => {
                             let pages = rng.gen_range(1..block_pages * 3 / 2);
                             let kind = KINDS[rng.gen_range(0usize..KINDS.len())];
-                            let a = fast.allocate(pages, kind);
-                            let b = reference.allocate(pages, kind);
-                            assert_eq!(a.is_ok(), b.is_ok(), "{ctx}: allocate");
-                            if let (Ok(a), Ok(_)) = (a, b) {
-                                live.push(a);
+                            if fits_workload(&fast, kind, pages) {
+                                let a = fast.allocate(pages, kind);
+                                let b = reference.allocate(pages, kind);
+                                assert_eq!(a.is_ok(), b.is_ok(), "{ctx}: allocate");
+                                if let (Ok(a), Ok(_)) = (a, b) {
+                                    live.push(a);
+                                }
                             }
                         }
                         3 if !live.is_empty() => {
@@ -1676,14 +1629,16 @@ mod tests {
                         4 if !live.is_empty() => {
                             let id = live[rng.gen_range(0..live.len())];
                             let pages = rng.gen_range(1..block_pages / 2 + 2);
-                            let held = chunk_seq(&fast, id).len();
-                            let a = fast.grow(id, pages);
-                            let b = reference.grow(id, pages);
-                            assert_eq!(a.is_ok(), b.is_ok(), "{ctx}: grow");
-                            let grown = chunk_seq(&fast, id);
-                            if let Some(&(first, _)) = grown.get(held) {
-                                spanning_grows +=
-                                    u32::from(grown[held..].iter().any(|&(bi, _)| bi != first));
+                            if fits_workload(&fast, fast.allocs[&id].kind, pages) {
+                                let held = chunk_seq(&fast, id).len();
+                                let a = fast.grow(id, pages);
+                                let b = reference.grow(id, pages);
+                                assert_eq!(a.is_ok(), b.is_ok(), "{ctx}: grow");
+                                let grown = chunk_seq(&fast, id);
+                                if let Some(&(first, _)) = grown.get(held) {
+                                    spanning_grows +=
+                                        u32::from(grown[held..].iter().any(|&(bi, _)| bi != first));
+                                }
                             }
                         }
                         5 | 6 if !live.is_empty() => {
@@ -1845,8 +1800,6 @@ mod tests {
             let cfg = MmConfig {
                 capacity_bytes: blocks * block_bytes,
                 block_bytes,
-                movablecore_bytes: Some(blocks / 2 * block_bytes),
-                unmovable_leak_prob: 0.05,
                 transient_fail_prob: 0.1,
                 seed: 5,
             };
@@ -1876,11 +1829,14 @@ mod tests {
                         0 | 1 => {
                             let pages = rng.gen_range(1..block_pages / 2 + 2);
                             let kind = KINDS[rng.gen_range(0usize..KINDS.len())];
-                            let a = eager.allocate(pages, kind);
-                            let b = lazy.allocate(pages, kind);
-                            assert_eq!(a, b, "{ctx}: allocate");
-                            live.extend(a.ok());
-                            true
+                            let fits = fits_workload(&eager, kind, pages);
+                            if fits {
+                                let a = eager.allocate(pages, kind);
+                                let b = lazy.allocate(pages, kind);
+                                assert_eq!(a, b, "{ctx}: allocate");
+                                live.extend(a.ok());
+                            }
+                            fits
                         }
                         2 => {
                             let id = live.swap_remove(rng.gen_range(0..live.len()));
@@ -1890,8 +1846,15 @@ mod tests {
                         3 => {
                             let id = live[rng.gen_range(0..live.len())];
                             let pages = rng.gen_range(1..block_pages / 4 + 2);
-                            assert_eq!(eager.grow(id, pages), lazy.grow(id, pages), "{ctx}: grow");
-                            true
+                            let fits = fits_workload(&eager, eager.allocs[&id].kind, pages);
+                            if fits {
+                                assert_eq!(
+                                    eager.grow(id, pages),
+                                    lazy.grow(id, pages),
+                                    "{ctx}: grow"
+                                );
+                            }
+                            fits
                         }
                         4..=9 => {
                             let at = rng.gen_range(0..live.len());
@@ -2014,8 +1977,6 @@ mod tests {
         for i in 0..m.block_count() {
             assert_eq!(m.block_info(i).unwrap(), settled.block_info(i).unwrap());
         }
-        assert!(settled.fragmentation_index() < 0.5);
-        assert_eq!(m.fragmentation_index(), settled.fragmentation_index());
         assert_eq!(m.audit(), Ok(()));
         assert_eq!(settled.audit(), Ok(()));
         assert_eq!(m.meminfo(), settled.meminfo());
@@ -2047,29 +2008,6 @@ mod tests {
         assert_eq!(m.pages_of(id), 150);
         m.free(id).unwrap();
         assert_eq!(m.meminfo().used_pages, 0);
-    }
-
-    #[test]
-    fn fragmentation_index_reflects_shattering() {
-        let mut m = mm();
-        assert_eq!(m.fragmentation_index(), 0.0, "pristine memory");
-        // Allocate many single pages, then free every other one: free
-        // memory stays large but the largest chunk shrinks.
-        let ids: Vec<_> = (0..2000)
-            .map(|_| m.allocate(1, PageKind::UserMovable).unwrap())
-            .collect();
-        for id in ids.iter().step_by(2) {
-            m.free(*id).unwrap();
-        }
-        let frag_some = m.fragmentation_index();
-        assert!(frag_some >= 0.0);
-        // Now consume all large chunks so only fragments remain.
-        let total_free = m.meminfo().free_pages;
-        let _big = m.allocate(total_free - 900, PageKind::UserMovable).unwrap();
-        assert!(
-            m.fragmentation_index() > frag_some,
-            "shattered tail must raise the index"
-        );
     }
 
     #[test]

@@ -369,18 +369,16 @@ pub enum InterleaveMode {
     /// address bits (the commodity-server default the paper evaluates).
     #[default]
     Interleaved,
-    /// Interleaved, additionally XOR-hashing bank bits with row bits to
-    /// spread row-buffer conflicts (permutation-based interleaving).
-    InterleavedXor,
     /// No interleaving: consecutive physical addresses fill an entire rank
     /// before moving to the next (the paper's "w/o interleaving" baseline).
     Linear,
 }
 
 impl InterleaveMode {
-    /// True for either interleaved variant.
+    /// True for [`InterleaveMode::Interleaved`], the only mode whose
+    /// sub-array groups are contiguous physical-address ranges.
     pub fn is_interleaved(self) -> bool {
-        !matches!(self, InterleaveMode::Linear)
+        self == InterleaveMode::Interleaved
     }
 }
 
@@ -807,7 +805,6 @@ mod tests {
     #[test]
     fn interleave_mode_helpers() {
         assert!(InterleaveMode::Interleaved.is_interleaved());
-        assert!(InterleaveMode::InterleavedXor.is_interleaved());
         assert!(!InterleaveMode::Linear.is_interleaved());
     }
 

@@ -74,12 +74,6 @@ impl AppProfile {
         self.footprint_mib << 20
     }
 
-    /// True for high-MPKI (memory-intensive) benchmarks, the ones whose
-    /// runtime interleaving improves most (Fig. 3a).
-    pub fn is_memory_intensive(&self) -> bool {
-        self.mpki >= 10.0
-    }
-
     /// DRAM traffic amplification from hardware stream prefetchers, which
     /// demand-miss MPKI does not include. Streaming memory-intensive
     /// workloads (high locality, high MPKI) see substantial prefetch
@@ -610,7 +604,7 @@ mod tests {
     fn libquantum_matches_paper_footprint() {
         let lq = by_name("libquantum").unwrap();
         assert_eq!(lq.footprint_mib, 64);
-        assert!(lq.is_memory_intensive());
+        assert!(lq.mpki >= 10.0, "libquantum is memory-intensive");
     }
 
     #[test]

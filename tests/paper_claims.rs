@@ -98,7 +98,7 @@ fn governor_ordering_without_interleaving() {
         model.analytic_power_w(&act, &out.gating)
     };
     let srf = power(&SrfOnly);
-    let rz = power(&RamZzz::default());
+    let rz = power(&RamZzz);
     let pasr = power(&Pasr);
     let gd = power(&GreenDimmGovernor::default());
     assert!(rz < srf, "RAMZzz consolidates more ranks into SR");

@@ -12,11 +12,7 @@ use greendimm_suite::types::ids::SubArrayGroup;
 use greendimm_suite::types::rng::{component_rng, derive_seed};
 use greendimm_suite::workloads::azure::{synthesize, AzureConfig};
 
-const MODES: [InterleaveMode; 3] = [
-    InterleaveMode::Interleaved,
-    InterleaveMode::InterleavedXor,
-    InterleaveMode::Linear,
-];
+const MODES: [InterleaveMode; 2] = [InterleaveMode::Interleaved, InterleaveMode::Linear];
 
 /// Address decode/encode is a bijection for every interleave mode.
 #[test]

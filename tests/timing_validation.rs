@@ -11,11 +11,7 @@ use greendimm_suite::types::ids::SubArrayGroup;
 use greendimm_suite::types::rng::{component_rng, StdRng};
 use greendimm_suite::workloads::{by_name, AppProfile, TraceGenerator};
 
-const MODES: [InterleaveMode; 3] = [
-    InterleaveMode::Interleaved,
-    InterleaveMode::InterleavedXor,
-    InterleaveMode::Linear,
-];
+const MODES: [InterleaveMode; 2] = [InterleaveMode::Interleaved, InterleaveMode::Linear];
 
 fn run_and_validate(
     mode: InterleaveMode,
@@ -68,12 +64,6 @@ fn scheduler_respects_timing_linear() {
     // conflict-prone schedule.
     let p = by_name("mcf").expect("profile");
     validate_run(InterleaveMode::Linear, &p, 5_000, 2);
-}
-
-#[test]
-fn scheduler_respects_timing_xor_hashed() {
-    let p = by_name("soplex").expect("profile");
-    validate_run(InterleaveMode::InterleavedXor, &p, 5_000, 3);
 }
 
 #[test]

@@ -187,7 +187,6 @@ fn stress_epoch_sim(seed: u64, steps: u32, cov: &mut StressCoverage) {
     ];
     let mut rng = component_rng(seed, "epoch-sim-stress");
     let mm_cfg = MmConfig {
-        unmovable_leak_prob: 0.02,
         transient_fail_prob: 0.1,
         ..MmConfig::small_test().with_seed(seed)
     };
@@ -391,7 +390,6 @@ fn skip_twins(seed: u64, rng: &mut StdRng, ksm: Option<KsmConfig>) -> (EpochSim,
     let plan = FaultPlan::uniform(0.05).with(FaultSite::DeepPdEntryNack, FaultTrigger::Prob(0.3));
     let build = |engine: EngineMode| {
         let mm_cfg = MmConfig {
-            unmovable_leak_prob: 0.02,
             transient_fail_prob: 0.1,
             ..MmConfig::small_test().with_seed(seed)
         };
@@ -573,7 +571,6 @@ fn ksm_skip_twin_stress(seed: u64, steps: u32, cov: &mut KsmSkipCoverage) {
     let ksm_cfg = KsmConfig {
         pages_to_scan: 1 << rng.gen_range(0u32..9),
         scan_period: SimTime::from_millis(rng.gen_range(20u64..1_500)),
-        ..KsmConfig::default()
     };
     // Pages one second of scanning can release, rounded up.
     let per_second = ksm_cfg.pages_to_scan * 1_000 / ksm_cfg.scan_period.as_millis().max(1) + 2;
@@ -653,7 +650,7 @@ fn ksm_skip_twin_stress(seed: u64, steps: u32, cov: &mut KsmSkipCoverage) {
                     1 => SimTime::from_secs(rng.gen_range(1u64..8)),
                     _ => SimTime::from_secs(rng.gen_range(8u64..400)),
                 };
-                let regions = twin.ksm.as_ref().unwrap().region_count();
+                let regions = twin.ksm.as_ref().unwrap().region_accounting().len();
                 let free = twin.mm.meminfo().free_pages;
                 let far_below_edge = twin
                     .daemon

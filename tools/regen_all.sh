@@ -8,7 +8,8 @@
 #
 # A committed sidecar whose points carry a "work" object of deterministic
 # counters (fig14's daemon ticks, monitor bodies run, VM starts, ...;
-# fig03/09/10/15's DRAM channel polls and cycles) is compared too: the regenerated sidecar's label and work of every point
+# fig03/09/10/15's DRAM channel polls and cycles; fig08's hotplug events and
+# failures) is compared too: the regenerated sidecar's label and work of every point
 # must equal the committed ones; "seconds" is ignored.
 #
 # Then times the tier-1 tests, `cargo test -q`, on a warm build (the test
