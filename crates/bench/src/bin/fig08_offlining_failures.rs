@@ -6,8 +6,8 @@
 //! selector policies; `--requests N` sets the seed count (at most 64);
 //! `--telemetry PATH` dumps every run's daemon/mm books as JSONL (one
 //! shard per app/seed/policy). Each point's sidecar `work` holds its
-//! hotplug events, failures, EAGAIN failures, rollbacks and daemon ticks,
-//! summed over its seed × policy runs.
+//! hotplug events, failures, EAGAIN failures and daemon ticks, summed over
+//! its seed × policy runs.
 
 use gd_bench::blocks::{block_size_experiment, managed_region};
 use gd_bench::report::{header, row};
@@ -33,7 +33,7 @@ fn main() {
         |p| p.name.to_string(),
         |p, sink| {
             let mut totals = [0u64; 4];
-            let (mut events, mut rollbacks, mut ticks) = (0u64, 0u64, 0u64);
+            let (mut events, mut ticks) = (0u64, 0u64);
             for seed in 1..=seed_count {
                 for (policy, slot) in [
                     (SelectorPolicy::Random, 0),
@@ -51,7 +51,6 @@ fn main() {
                     totals[slot] += r.failures;
                     totals[slot + 1] += r.failures_eagain;
                     events += r.hotplug_events;
-                    rollbacks += r.rollbacks;
                     ticks += r.daemon.ticks;
                     sink.give(&format!("/s{seed}/{policy:?}"), tele);
                 }
@@ -60,7 +59,6 @@ fn main() {
                 ("hotplug_events", events),
                 ("failures", totals[0] + totals[2]),
                 ("failures_eagain", totals[1] + totals[3]),
-                ("rollbacks", rollbacks),
                 ("daemon_ticks", ticks),
             ]);
             totals

@@ -119,6 +119,8 @@ pub struct EpochSim {
     pub telemetry: Option<Telemetry>,
     /// How [`step`](Self::step) advances through idle monitor ticks.
     engine: EngineMode,
+    /// Monitor ticks during which KSM held no region.
+    ksm_regionless_ticks: u64,
     now: SimTime,
     next_monitor: SimTime,
 }
@@ -135,6 +137,7 @@ impl EpochSim {
             checks_run: 0,
             telemetry: None,
             engine: EngineMode::default(),
+            ksm_regionless_ticks: 0,
             now: SimTime::ZERO,
             next_monitor,
         }
@@ -154,9 +157,13 @@ impl EpochSim {
     ///   releasing frames: free memory only rises, so the on-lining edge,
     ///   the retry state and the threshold stay where the test found them.
     ///   Without KSM nothing moves at all: every tick left in the step is
-    ///   idle and the step jumps to its end. With KSM, each tick is idle
-    ///   while free pages stay at or below the cached off-lining edge; the
-    ///   first tick past it runs, and the edge is read again after it.
+    ///   idle and the step jumps to its end. KSM holding no region moves
+    ///   nothing either, and when a monitor period's scan budget is whole
+    ///   it leaves even its budget carry alone: the step then jumps over
+    ///   every whole period left in it, and the slice left over runs. With
+    ///   regions, each tick is idle while free pages stay at or below the
+    ///   cached off-lining edge; the first tick past it runs, and the edge
+    ///   is read again after it.
     ///
     /// [`DaemonStats`]: crate::daemon::DaemonStats
     pub fn set_engine(&mut self, engine: EngineMode) -> &mut Self {
@@ -184,6 +191,12 @@ impl EpochSim {
     /// Invariant evaluations run so far (0 while verification is off).
     pub fn checks_run(&self) -> u64 {
         self.checks_run
+    }
+
+    /// Monitor ticks, run or skipped, during which KSM held no region (0
+    /// without KSM). Both engines count the same.
+    pub fn ksm_regionless_ticks(&self) -> u64 {
+        self.ksm_regionless_ticks
     }
 
     /// Runs every invariant, `tick` included when given. The caller
@@ -225,16 +238,35 @@ impl EpochSim {
         let target = self.now + dt;
         let mut aggregate = TickReport::default();
         let mut idle_edge = self.idle_edge();
+        let period = self.daemon.config().monitor_period;
         while self.now < target {
-            if idle_edge.is_some() && self.ksm.is_none() {
-                self.skip_idle_ticks(target);
-                break;
+            if idle_edge.is_some() {
+                match &mut self.ksm {
+                    None => {
+                        self.skip_idle_ticks(target);
+                        break;
+                    }
+                    Some(ksm) if self.next_monitor - self.now == period => {
+                        let ticks = (target - self.now).0 / period.0;
+                        if ticks > 0 && ksm.advance_is_noop(period) {
+                            self.ksm_regionless_ticks += ticks;
+                            self.daemon.skip_idle_ticks(ticks);
+                            self.now += period * ticks;
+                            self.next_monitor += period * ticks;
+                            continue;
+                        }
+                    }
+                    Some(_) => {}
+                }
             }
             let next = self.next_monitor.min(target);
             let slice = next - self.now;
             let mut merged = 0;
             if let Some(ksm) = &mut self.ksm {
                 merged = ksm.advance(slice, &mut self.mm)?;
+                if next >= self.next_monitor && ksm.is_regionless() {
+                    self.ksm_regionless_ticks += 1;
+                }
             }
             self.now = next;
             // The KSM fast path (§5.3): a merge wakes the daemon at once
@@ -250,7 +282,7 @@ impl EpochSim {
                     idle_edge = self.idle_edge();
                 }
                 if self.now >= self.next_monitor {
-                    self.next_monitor += self.daemon.config().monitor_period;
+                    self.next_monitor += period;
                 }
             }
         }

@@ -101,6 +101,9 @@ pub struct HostWork {
     pub ksm_full_passes: u64,
     /// KSM region visits ([`gd_ksm::KsmStats::region_visits`]).
     pub ksm_region_visits: u64,
+    /// Monitor ticks during which KSM held no region
+    /// ([`EpochSim::ksm_regionless_ticks`]).
+    pub ksm_regionless_ticks: u64,
 }
 
 impl HostWork {
@@ -117,10 +120,11 @@ impl HostWork {
         self.ksm_pages_scanned += other.ksm_pages_scanned;
         self.ksm_full_passes += other.ksm_full_passes;
         self.ksm_region_visits += other.ksm_region_visits;
+        self.ksm_regionless_ticks += other.ksm_regionless_ticks;
     }
 
     /// The counters as `(name, value)` pairs, in a fixed order.
-    pub fn fields(&self) -> [(&'static str, u64); 11] {
+    pub fn fields(&self) -> [(&'static str, u64); 12] {
         [
             ("daemon_ticks", self.ticks),
             ("monitor_bodies", self.daemon.bodies),
@@ -133,6 +137,7 @@ impl HostWork {
             ("ksm_pages_scanned", self.ksm_pages_scanned),
             ("ksm_full_passes", self.ksm_full_passes),
             ("ksm_region_visits", self.ksm_region_visits),
+            ("ksm_regionless_ticks", self.ksm_regionless_ticks),
         ]
     }
 }
@@ -198,6 +203,16 @@ pub fn run_host(
     events: &[VmEvent],
     with_telemetry: bool,
 ) -> Result<(HostRun, Option<gd_obs::Telemetry>)> {
+    run_host_with(cfg, KsmConfig::default(), events, with_telemetry)
+}
+
+/// [`run_host`] with `ksm_cfg` for the KSM daemon when `cfg.ksm` is set.
+fn run_host_with(
+    cfg: &HostSimConfig,
+    ksm_cfg: KsmConfig,
+    events: &[VmEvent],
+    with_telemetry: bool,
+) -> Result<(HostRun, Option<gd_obs::Telemetry>)> {
     let mm_cfg = MmConfig {
         capacity_bytes: cfg.capacity_gb << 30,
         block_bytes: cfg.block_gb << 30,
@@ -221,10 +236,7 @@ pub fn run_host(
     };
     let map = GroupMap::new(mm_cfg.capacity_bytes, 64, mm_cfg.block_bytes)?;
     let daemon = Daemon::new(gd_cfg, map);
-    let ksm = cfg
-        .ksm
-        .then(|| Ksm::new(KsmConfig::default()))
-        .transpose()?;
+    let ksm = cfg.ksm.then(|| Ksm::new(ksm_cfg)).transpose()?;
     let mut sim = EpochSim::new(mm, daemon, ksm);
     sim.set_engine(cfg.engine);
     if with_telemetry {
@@ -294,6 +306,7 @@ pub fn run_host(
         ksm_pages_scanned: ksm.pages_scanned,
         ksm_full_passes: ksm.full_passes,
         ksm_region_visits: ksm.region_visits,
+        ksm_regionless_ticks: sim.ksm_regionless_ticks(),
     };
     Ok((
         HostRun {
@@ -358,6 +371,99 @@ mod tests {
             );
             assert!(b.daemon.bodies < b.ticks / 10, "ksm {ksm}: {b:?}");
             assert_eq!(ksm, a.ksm_pages_scanned > 0);
+            assert_eq!(a.ksm_regionless_ticks, b.ksm_regionless_ticks, "ksm {ksm}");
         }
+    }
+
+    /// The first hour of [`short_events`], then every VM still running
+    /// stops at 3 600 s, and two of them start again at 5 400 s.
+    fn all_stop_mid_run() -> Vec<VmEvent> {
+        let mut events: Vec<VmEvent> = short_events()
+            .into_iter()
+            .filter(|e| e.time_s < 3_600)
+            .collect();
+        let mut running: Vec<VmEvent> = Vec::new();
+        for e in &events {
+            match e.kind {
+                VmEventKind::Start => running.push(e.clone()),
+                VmEventKind::Stop => running.retain(|r| r.vm.id != e.vm.id),
+            }
+        }
+        assert!(
+            running.len() >= 2,
+            "{} VMs running at the stop",
+            running.len()
+        );
+        for r in &running {
+            events.push(VmEvent {
+                time_s: 3_600,
+                kind: VmEventKind::Stop,
+                ..r.clone()
+            });
+        }
+        for r in running.iter().take(2) {
+            events.push(VmEvent {
+                time_s: 5_400,
+                ..r.clone()
+            });
+        }
+        events
+    }
+
+    /// A KSM host whose VMs all stop mid-run gives the same run on both
+    /// engines, bit for bit, under `ksm_cfg`; returns the stepped run's
+    /// work.
+    fn regionless_stretch_agrees(ksm_cfg: KsmConfig) -> HostWork {
+        let events = all_stop_mid_run();
+        let run = |engine| {
+            run_host_with(&short_cfg(engine, true), ksm_cfg, &events, false)
+                .unwrap()
+                .0
+        };
+        let (stepped, event) = (run(EngineMode::Stepped), run(EngineMode::EventDriven));
+        let ctx = format!("{ksm_cfg:?}");
+        assert_eq!(stepped.samples, event.samples, "{ctx}");
+        assert_eq!(
+            stepped.ksm_released_pages, event.ksm_released_pages,
+            "{ctx}"
+        );
+        assert_eq!(stepped.daemon, event.daemon, "{ctx}");
+        let (a, b) = (stepped.work, event.work);
+        assert_eq!(
+            HostWork {
+                daemon: b.daemon,
+                ..a
+            },
+            b,
+            "{ctx}"
+        );
+        assert!(b.daemon.bodies < b.ticks / 10, "{ctx}: {b:?}");
+        // Regionless from 3 600 s to 5 400 s at least, scanning before
+        // and after.
+        assert!(a.ksm_regionless_ticks >= 1_800, "{ctx}: {a:?}");
+        assert!(a.ksm_pages_scanned > 0, "{ctx}");
+        a
+    }
+
+    /// With the default scan rate a monitor period's budget is whole, so
+    /// the event engine jumps over the regionless ticks.
+    #[test]
+    fn all_vms_stopping_mid_run_agrees_across_engines() {
+        regionless_stretch_agrees(KsmConfig::default());
+    }
+
+    /// A 70 ms scan period leaves a fractional carry in every 1 s slice
+    /// (a cycle of 7 s, which no 300 s stretch is a multiple of), so the
+    /// regionless ticks must run their slices; the carry they leave shows
+    /// in the scan after the restart.
+    #[test]
+    fn fractional_carry_keeps_regionless_slices_running() {
+        let cfg = KsmConfig {
+            scan_period: SimTime::from_millis(70),
+            ..KsmConfig::default()
+        };
+        let work = regionless_stretch_agrees(cfg);
+        let whole = regionless_stretch_agrees(KsmConfig::default());
+        assert_ne!(work.ksm_pages_scanned, whole.ksm_pages_scanned);
     }
 }

@@ -210,6 +210,40 @@ impl UnstableTree {
     }
 }
 
+/// The scan budget of one `advance` slice: `carry` pages carried in and
+/// `elapsed` simulated time give `pages` whole pages to scan and
+/// `carry_out` carried on.
+#[derive(Debug, Clone, Copy)]
+struct Budget {
+    elapsed: SimTime,
+    carry: f64,
+    pages: u64,
+    carry_out: f64,
+}
+
+impl Budget {
+    fn new(cfg: &KsmConfig, elapsed: SimTime, carry: f64) -> Self {
+        let batches = elapsed.as_secs_f64() / cfg.scan_period.as_secs_f64();
+        let pages = batches * cfg.pages_to_scan as f64 + carry;
+        // The saturating cast is `pages.floor() as u64` for every input
+        // (negatives and NaN go to 0 either way) without a libm call.
+        let whole = pages as u64;
+        Budget {
+            elapsed,
+            carry,
+            pages: whole,
+            carry_out: pages - whole as f64,
+        }
+    }
+
+    /// Whether this is the budget of `elapsed` with `carry` carried in.
+    /// Carries compare by bits, so a hit returns exactly what
+    /// [`Budget::new`] would.
+    fn is_for(&self, elapsed: SimTime, carry: f64) -> bool {
+        self.elapsed == elapsed && self.carry.to_bits() == carry.to_bits()
+    }
+}
+
 /// Index of region `id` in `regions`, which is sorted by id.
 fn region_index(regions: &[Region], id: RegionId) -> Option<usize> {
     regions.binary_search_by_key(&id, |r| r.id).ok()
@@ -271,6 +305,9 @@ pub struct Ksm {
     region_cursor: u64,
     /// Unspent scan budget carried between `advance` calls.
     carry_pages: f64,
+    /// The last [`Budget`] worked out, reused while `advance` is called
+    /// with the same slice and carry.
+    budget_memo: Option<Budget>,
     /// Unstable-tree hits of the region being visited, `(content, holder)`:
     /// each holder's candidate page becomes the stable original once the
     /// visit's walk ends. Empty between visits; kept to reuse its buffer.
@@ -296,6 +333,7 @@ impl Ksm {
             next_region: 1,
             region_cursor: 0,
             carry_pages: 0.0,
+            budget_memo: None,
             conversions: Vec::new(),
             stats: KsmStats::default(),
         })
@@ -513,12 +551,9 @@ impl Ksm {
     ///
     /// Propagates memory-manager errors (unknown owner allocations).
     pub fn advance(&mut self, elapsed: SimTime, mm: &mut MemoryManager) -> Result<u64> {
-        let batches = elapsed.as_secs_f64() / self.cfg.scan_period.as_secs_f64();
-        let pages = batches * self.cfg.pages_to_scan as f64 + self.carry_pages;
-        // The saturating cast is `pages.floor() as u64` for every input
-        // (negatives and NaN go to 0 either way) without a libm call.
-        let mut budget = pages as u64;
-        self.carry_pages = pages - budget as f64;
+        let slice = self.budget(elapsed);
+        let mut budget = slice.pages;
+        self.carry_pages = slice.carry_out;
         let mut released_total = 0u64;
         let mut idle_guard = 0u32;
         while budget > 0 && !self.regions.is_empty() {
@@ -550,6 +585,35 @@ impl Ksm {
             }
         }
         Ok(released_total)
+    }
+
+    /// The budget of an `elapsed` slice from the current carry, from the
+    /// memo when the last slice had the same length and carry: with the
+    /// default scan rate a 1 s slice carries nothing, so every monitor
+    /// period after the first hits it.
+    fn budget(&mut self, elapsed: SimTime) -> Budget {
+        match self.budget_memo {
+            Some(b) if b.is_for(elapsed, self.carry_pages) => b,
+            _ => {
+                let b = Budget::new(&self.cfg, elapsed, self.carry_pages);
+                self.budget_memo = Some(b);
+                b
+            }
+        }
+    }
+
+    /// True when the daemon holds no region: [`advance`](Self::advance)
+    /// then scans nothing and only moves the budget carry.
+    pub fn is_regionless(&self) -> bool {
+        self.regions.is_empty()
+    }
+
+    /// Whether [`advance`](Self::advance) by `elapsed` would change nothing
+    /// at all: no region is held and the slice's budget is whole, so the
+    /// carry stays where it is.
+    pub fn advance_is_noop(&mut self, elapsed: SimTime) -> bool {
+        self.is_regionless()
+            && self.budget(elapsed).carry_out.to_bits() == self.carry_pages.to_bits()
     }
 
     /// Scans up to `budget` pages of the region at index `at`. Returns
@@ -595,9 +659,8 @@ impl Ksm {
         // scan budget without producing merges.
         let total = region.scannable_pages();
         if total > 0 && region.unique_pages > 0 {
-            let unique_share =
-                round_to_u64(remaining as f64 * region.unique_pages as f64 / total as f64);
-            remaining = remaining.saturating_sub(unique_share);
+            remaining =
+                remaining.saturating_sub(unique_share(remaining, region.unique_pages, total));
         }
         let mut to_release = 0u64;
         // Pending pages in records the walk has not reached: at 0 no later
@@ -742,6 +805,27 @@ impl Ksm {
     }
 }
 
+/// The unique pages' share of `scanned` pages, `scanned * unique / total`
+/// rounded half up: `round_to_u64` of that quotient in `f64`, computed in
+/// integers when that is exact. `total` must be positive.
+///
+/// With `p = scanned * unique < 2^52` and `total < 2^53` every operand
+/// and the product are exact doubles, so the `f64` quotient is the true
+/// `x = p / total` rounded once, off by at most `x * 2^-53 < 1/(2 total)`.
+/// A fraction of `x` below one half is at most `1/2 - 1/(2 total)` and one
+/// above it at least `1/2 + 1/(2 total)`, so the rounding error never
+/// carries `x` across a half, and a fraction of exactly one half (or 0) is
+/// representable: the rounded quotient is `floor(x + 1/2)`, which is
+/// `(2p + total) / (2 total)` in integer division. Outside that range the
+/// `f64` quotient is kept.
+fn unique_share(scanned: u64, unique: u64, total: u64) -> u64 {
+    const EXACT: u64 = 1 << 52;
+    match scanned.checked_mul(unique) {
+        Some(p) if p < EXACT && total < 2 * EXACT => (2 * p + total) / (2 * total),
+        _ => round_to_u64(scanned as f64 * unique as f64 / total as f64),
+    }
+}
+
 /// `x.round() as u64` (halves away from zero, saturating, NaN to 0)
 /// without calling `f64::round`, which baseline x86-64 (no SSE4.1
 /// `roundsd`) runs in software. The cast truncates toward zero, and for
@@ -793,6 +877,62 @@ mod tests {
             assert_eq!(x as u64, x.floor() as u64, "floor({x})");
             assert_eq!(round_to_u64(x), x.round() as u64, "round({x})");
         }
+    }
+
+    /// The integer unique share equals `round_to_u64` of the `f64`
+    /// quotient on seeded draws: small shares, exact ties (a quotient
+    /// ending in one half, up to 2^51), quotients a hair either side of a
+    /// half with the product just below 2^52, and the `f64` fallback for
+    /// products and totals above the exact range.
+    #[test]
+    fn integer_unique_share_matches_the_float_quotient() {
+        use gd_types::rng::component_rng;
+        let float = |s: u64, u: u64, t: u64| round_to_u64(s as f64 * u as f64 / t as f64);
+        let two52 = 1u64 << 52;
+        let mut rng = component_rng(11, "unique-share");
+        let (mut ties, mut near, mut fallback) = (0u32, 0u32, 0u32);
+        for _ in 0..200_000 {
+            let (s, u, t) = match rng.gen_range(0u32..5) {
+                0 => {
+                    let t = rng.gen_range(1..2_000_000u64);
+                    (rng.gen_range(1..t + 1), rng.gen_range(1..t + 1), t)
+                }
+                1 => {
+                    // t = 2m and s * u an odd multiple of m: x ends in .5.
+                    let m = rng.gen_range(1..1u64 << 25);
+                    let odd = 2 * rng.gen_range(0..1u64 << 25) + 1;
+                    ties += 1;
+                    if rng.gen_bool(0.5) {
+                        (odd, m, 2 * m)
+                    } else {
+                        (m, odd, 2 * m)
+                    }
+                }
+                2 => {
+                    // x = k + 1/2 -+ 1/(2t) with the product just below 2^52.
+                    let t = 2 * rng.gen_range(1..1u64 << 25) + 1;
+                    let k = (two52 - t) / t - rng.gen_range(0..4u64);
+                    let p = k * t + (t - 1) / 2 + rng.gen_range(0..2u64);
+                    assert!(p < two52);
+                    near += 1;
+                    (p, 1, t)
+                }
+                3 => {
+                    let t = rng.gen_range(1..1u64 << 40);
+                    let s = rng.gen_range(1..t + 1);
+                    let u = (two52 / s).max(1) + rng.gen_range(0..4u64);
+                    fallback += u32::from(s * u >= two52);
+                    (s, u, t)
+                }
+                _ => {
+                    let t = rng.gen_range(two52 * 2..two52 * 8);
+                    fallback += 1;
+                    (rng.gen_range(1..64u64), rng.gen_range(1..64u64), t)
+                }
+            };
+            assert_eq!(unique_share(s, u, t), float(s, u, t), "{s} * {u} / {t}");
+        }
+        assert!(ties > 30_000 && near > 30_000 && fallback > 30_000);
     }
 
     const OS_IMAGE: ContentKey = 0xABCD;

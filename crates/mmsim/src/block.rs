@@ -2,6 +2,7 @@
 
 use crate::buddy::{BuddyAllocator, ChunkRun, MAX_ORDER};
 use crate::frame::{AllocationId, PageKind};
+#[cfg(test)]
 use std::collections::BTreeMap;
 
 /// One allocated buddy chunk inside a block.
@@ -15,6 +16,79 @@ pub struct Chunk {
     pub order: u8,
 }
 
+/// A block's allocated chunks below `MAX_ORDER`, by offset.
+#[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq, Eq))]
+enum ChunkBook {
+    /// Sorted by offset, ascending. The vector keeps its capacity as
+    /// chunks come and go, so a book that keeps going empty and non-empty
+    /// allocates nothing.
+    Sorted(Vec<(u32, Chunk)>),
+    /// The ordered map the sorted vector replaced: the tests' reference.
+    #[cfg(test)]
+    Tree(BTreeMap<u32, Chunk>),
+}
+
+impl ChunkBook {
+    fn insert(&mut self, offset: u32, chunk: Chunk) {
+        match self {
+            ChunkBook::Sorted(v) => match v.binary_search_by_key(&offset, |&(off, _)| off) {
+                Ok(at) => v[at].1 = chunk,
+                Err(at) => v.insert(at, (offset, chunk)),
+            },
+            #[cfg(test)]
+            ChunkBook::Tree(t) => {
+                t.insert(offset, chunk);
+            }
+        }
+    }
+
+    fn remove(&mut self, offset: u32) -> Option<Chunk> {
+        match self {
+            ChunkBook::Sorted(v) => {
+                let at = v.binary_search_by_key(&offset, |&(off, _)| off).ok()?;
+                Some(v.remove(at).1)
+            }
+            #[cfg(test)]
+            ChunkBook::Tree(t) => t.remove(&offset),
+        }
+    }
+
+    fn get(&self, offset: u32) -> Option<&Chunk> {
+        match self {
+            ChunkBook::Sorted(v) => {
+                let at = v.binary_search_by_key(&offset, |&(off, _)| off).ok()?;
+                v.get(at).map(|(_, c)| c)
+            }
+            #[cfg(test)]
+            ChunkBook::Tree(t) => t.get(&offset),
+        }
+    }
+
+    /// Every chunk with its offset, ascending.
+    // Outside test builds the match has one arm.
+    #[allow(clippy::infallible_destructuring_match)]
+    fn iter(&self) -> impl Iterator<Item = (u32, &Chunk)> {
+        let sorted: &[(u32, Chunk)] = match self {
+            ChunkBook::Sorted(v) => v,
+            #[cfg(test)]
+            ChunkBook::Tree(_) => &[],
+        };
+        let chunks = sorted.iter().map(|(off, c)| (*off, c));
+        #[cfg(test)]
+        let chunks = chunks.chain(
+            match self {
+                ChunkBook::Tree(t) => Some(t),
+                ChunkBook::Sorted(_) => None,
+            }
+            .into_iter()
+            .flatten()
+            .map(|(&off, c)| (off, c)),
+        );
+        chunks
+    }
+}
+
 /// A contiguous, block-aligned range of physical memory that the kernel can
 /// on/off-line as a unit (default 128 MB in Linux; GreenDIMM sizes it to one
 /// or more sub-array groups). Whether it is on-line is the manager's book,
@@ -26,9 +100,10 @@ pub struct MemoryBlock {
     pages: u32,
     buddy: BuddyAllocator,
     /// Allocated chunks below `MAX_ORDER`, by offset.
-    chunks: BTreeMap<u32, Chunk>,
-    /// Allocated max-order chunks, indexed by `offset >> MAX_ORDER`; empty
-    /// in the test reference built by [`Self::all_btrees`].
+    chunks: ChunkBook,
+    /// Allocated max-order chunks, indexed by `offset >> MAX_ORDER`. Empty
+    /// until the first max-order chunk is placed, and always in the test
+    /// reference built by [`Self::all_btrees`].
     top_chunks: Vec<Option<Chunk>>,
     movable_pages: u64,
     unmovable_pages: u64,
@@ -60,24 +135,35 @@ impl MemoryBlock {
             index,
             pages,
             buddy: BuddyAllocator::new(pages),
-            chunks: BTreeMap::new(),
-            top_chunks: vec![None; (pages >> MAX_ORDER) as usize],
+            chunks: ChunkBook::Sorted(Vec::new()),
+            top_chunks: Vec::new(),
             movable_pages: 0,
             unmovable_pages: 0,
             pinned_pages: 0,
         }
     }
 
-    /// A block that keeps every allocated chunk in the ordered map and
-    /// every free chunk in ordered sets: the all-B-tree layout the slot
-    /// table and the free bitmap replaced, kept as the tests' reference.
+    /// A block that keeps every allocated chunk in an ordered map and
+    /// every free chunk in ordered sets: the all-B-tree layout the sorted
+    /// vectors, the slot table and the free bitmap replaced, kept as the
+    /// tests' reference.
     #[cfg(test)]
     pub(crate) fn all_btrees(index: usize, pages: u32) -> Self {
         MemoryBlock {
             buddy: BuddyAllocator::all_sets(pages),
-            top_chunks: Vec::new(),
+            chunks: ChunkBook::Tree(BTreeMap::new()),
             ..Self::new(index, pages)
         }
+    }
+
+    /// Whether max-order chunks go to the slot table: always, but in the
+    /// all-B-tree reference.
+    fn has_slot_table(&self) -> bool {
+        #[cfg(test)]
+        if let ChunkBook::Tree(_) = self.chunks {
+            return false;
+        }
+        true
     }
 
     /// Offsets of the free chunks of exactly `order`, ascending.
@@ -168,10 +254,13 @@ impl MemoryBlock {
     }
 
     /// Records every chunk of `run` as `chunk`: in the slot table when they
-    /// are max-order and the table has their slots, in the ordered map
-    /// otherwise.
+    /// are max-order, in the small-chunk book otherwise. The first
+    /// max-order chunk placed sizes the table.
     fn put_run(&mut self, run: ChunkRun, chunk: Chunk) {
         let first = (run.offset >> MAX_ORDER) as usize;
+        if run.order == MAX_ORDER && self.top_chunks.is_empty() && self.has_slot_table() {
+            self.top_chunks = vec![None; (self.pages >> MAX_ORDER) as usize];
+        }
         let slots = (run.order == MAX_ORDER)
             .then(|| self.top_chunks.get_mut(first..first + run.count as usize))
             .flatten();
@@ -189,7 +278,7 @@ impl MemoryBlock {
     fn take_chunk(&mut self, offset: u32) -> Option<Chunk> {
         self.top_slot(offset)
             .and_then(|slot| self.top_chunks.get_mut(slot)?.take())
-            .or_else(|| self.chunks.remove(&offset))
+            .or_else(|| self.chunks.remove(offset))
     }
 
     /// The slot-table index of a max-order chunk at `offset`; `None` when
@@ -201,7 +290,7 @@ impl MemoryBlock {
     }
 
     /// Every allocated chunk with its offset, ascending: the slot table
-    /// and the ordered map merged.
+    /// and the small-chunk book merged.
     fn chunks(&self) -> impl Iterator<Item = (u32, &Chunk)> {
         let mut top = self
             .top_chunks
@@ -209,7 +298,7 @@ impl MemoryBlock {
             .enumerate()
             .filter_map(|(slot, c)| Some(((slot as u32) << MAX_ORDER, c.as_ref()?)))
             .peekable();
-        let mut small = self.chunks.iter().map(|(&off, c)| (off, c)).peekable();
+        let mut small = self.chunks.iter().peekable();
         std::iter::from_fn(move || match (top.peek(), small.peek()) {
             (Some(t), Some(s)) if s.0 < t.0 => small.next(),
             (Some(_), _) => top.next(),
@@ -285,7 +374,7 @@ impl MemoryBlock {
     /// largest piece first; the freed upper part goes back to the buddy
     /// allocator smallest piece first, starting at `offset + keep`. Returns
     /// the kept pieces in ascending order. Kept pieces are all below the
-    /// chunk's order, so they go to the ordered map.
+    /// chunk's order, so they go to the small-chunk book.
     ///
     /// The result is the state that repeatedly splitting the chunk into
     /// buddy halves and freeing the upper halves would leave behind.
@@ -381,7 +470,7 @@ impl MemoryBlock {
     pub fn chunk_at(&self, offset: u32) -> Option<&Chunk> {
         self.top_slot(offset)
             .and_then(|slot| self.top_chunks.get(slot)?.as_ref())
-            .or_else(|| self.chunks.get(&offset))
+            .or_else(|| self.chunks.get(offset))
     }
 
     /// Splits the chunk at `offset` into its two buddy halves, both still
@@ -487,6 +576,166 @@ mod tests {
         }
         assert_eq!(b.pinned_pages(), 0);
         b.audit().unwrap();
+    }
+
+    /// Every chunk of a block with its metadata, ascending.
+    fn chunk_list(b: &MemoryBlock) -> Vec<(u32, Chunk)> {
+        b.chunk_offsets()
+            .into_iter()
+            .map(|off| (off, *b.chunk_at(off).expect("listed chunk exists")))
+            .collect()
+    }
+
+    /// The sorted-vector books (free lists below `MAX_ORDER`, the
+    /// small-chunk book) and the lazily sized slot table must make every
+    /// placement, split, coalesce, free and trim the all-B-tree layout
+    /// makes. Blocks of 1, 4 and 65 max-order chunks; most requests are
+    /// small, so the small lists keep emptying and refilling. Coverage:
+    /// trims, small free lists refilled after running empty, frees that
+    /// coalesce back to a max-order chunk, and slot tables first sized
+    /// after small chunks were already placed.
+    #[test]
+    fn sorted_books_match_the_btree_reference() {
+        sorted_books_differential(0..4);
+    }
+
+    /// [`sorted_books_match_the_btree_reference`] over 64 more seeds;
+    /// `tools/ci.sh` runs it in release mode.
+    #[test]
+    #[ignore = "wide-seed run, ~64 seeds per block size"]
+    fn sorted_books_match_the_btree_reference_wide_seeds() {
+        sorted_books_differential(4..68);
+    }
+
+    fn sorted_books_differential(seeds: std::ops::Range<u64>) {
+        use gd_types::rng::component_rng;
+        const KINDS: [PageKind; 3] = [
+            PageKind::UserMovable,
+            PageKind::KernelUnmovable,
+            PageKind::Pinned,
+        ];
+        let (mut trims, mut refills, mut coalesced, mut late_tables) = (0u32, 0u32, 0u32, 0u32);
+        for chunks_per_block in [1u32, 4, 65] {
+            let pages = chunks_per_block << MAX_ORDER;
+            for seed in seeds.clone() {
+                let mut rng = component_rng(seed, "sorted-books-reference");
+                let mut fast = MemoryBlock::new(0, pages);
+                let mut reference = MemoryBlock::all_btrees(0, pages);
+                // Live allocations, each as its runs; a trimmed chunk's
+                // kept pieces join its allocation's runs.
+                let mut live: Vec<Vec<ChunkRun>> = Vec::new();
+                let mut was_listed = [false; MAX_ORDER as usize];
+                let mut next_owner = 1u64;
+                for step in 0..400 {
+                    let ctx = format!("{chunks_per_block}-chunk block, seed {seed} step {step}");
+                    let top_before = fast.free_offsets(MAX_ORDER).len();
+                    let mut small_free = false;
+                    match rng.gen_range(0u32..10) {
+                        0..=3 => {
+                            let want = if rng.gen_bool(0.8) {
+                                rng.gen_range(1..200u64)
+                            } else {
+                                rng.gen_range(1..u64::from(pages) / 2 + 2)
+                            };
+                            let kind = KINDS[rng.gen_range(0usize..KINDS.len())];
+                            let owner = AllocationId(next_owner);
+                            next_owner += 1;
+                            let small_placed = fast.chunks.iter().next().is_some();
+                            let sized = !fast.top_chunks.is_empty();
+                            let a = fast.alloc_chunks(want, owner, kind);
+                            let b = reference.alloc_chunks(want, owner, kind);
+                            assert_eq!(a, b, "{ctx}: placed runs");
+                            late_tables +=
+                                u32::from(small_placed && !sized && !fast.top_chunks.is_empty());
+                            if !a.is_empty() {
+                                live.push(a);
+                            }
+                        }
+                        4 | 5 if !live.is_empty() => {
+                            let runs = live.swap_remove(rng.gen_range(0..live.len()));
+                            small_free = runs.iter().any(|r| r.order < MAX_ORDER);
+                            for run in runs {
+                                fast.free_run(run);
+                                reference.free_run(run);
+                            }
+                        }
+                        6 if !live.is_empty() => {
+                            let at = rng.gen_range(0..live.len());
+                            let runs = &mut live[at];
+                            let run = runs[0];
+                            small_free = run.order < MAX_ORDER;
+                            assert_eq!(
+                                fast.free_chunk(run.offset),
+                                reference.free_chunk(run.offset),
+                                "{ctx}: freed chunk"
+                            );
+                            match run.rest() {
+                                Some(rest) => runs[0] = rest,
+                                None => {
+                                    runs.remove(0);
+                                }
+                            }
+                            if runs.is_empty() {
+                                live.swap_remove(at);
+                            }
+                        }
+                        7..=9 if !live.is_empty() => {
+                            let at = rng.gen_range(0..live.len());
+                            let runs = &mut live[at];
+                            let Some(&run) = runs.last().filter(|r| r.order > 0) else {
+                                continue;
+                            };
+                            runs.pop();
+                            if run.count > 1 {
+                                runs.push(ChunkRun {
+                                    count: run.count - 1,
+                                    ..run
+                                });
+                            }
+                            let last = run.chunk(run.count - 1);
+                            let need = rng.gen_range(1..1u32 << run.order);
+                            let a: Vec<ChunkRun> = fast.trim_chunk(last, need).collect();
+                            let b: Vec<ChunkRun> = reference.trim_chunk(last, need).collect();
+                            assert_eq!(a, b, "{ctx}: kept pieces");
+                            runs.extend(a);
+                            small_free = true;
+                            trims += 1;
+                        }
+                        _ => {}
+                    }
+                    for o in 0..=MAX_ORDER {
+                        let offsets = fast.free_offsets(o);
+                        assert_eq!(
+                            offsets,
+                            reference.free_offsets(o),
+                            "{ctx}: free chunks of order {o}"
+                        );
+                        if let Some(listed) = was_listed.get_mut(o as usize) {
+                            refills += u32::from(!*listed && !offsets.is_empty() && step > 0);
+                            *listed = !offsets.is_empty();
+                        }
+                    }
+                    coalesced +=
+                        u32::from(small_free && fast.free_offsets(MAX_ORDER).len() > top_before);
+                    assert_eq!(chunk_list(&fast), chunk_list(&reference), "{ctx}: chunks");
+                    assert_eq!(fast.info(true), reference.info(true), "{ctx}: info");
+                    assert_eq!(fast.audit(), Ok(()), "{ctx}: audit");
+                    assert_eq!(reference.audit(), Ok(()), "{ctx}: reference audit");
+                }
+            }
+        }
+        let runs = seeds.end - seeds.start;
+        let floor = |per_seed: u64| u32::try_from(per_seed * runs).unwrap_or(u32::MAX);
+        assert!(trims > floor(50), "only {trims} trims");
+        assert!(
+            refills > floor(50),
+            "only {refills} small free lists refilled"
+        );
+        assert!(
+            coalesced > floor(5),
+            "only {coalesced} frees coalesced to max order"
+        );
+        assert!(late_tables > 0, "no slot table sized after small chunks");
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //! granularity GreenDIMM interacts with: chunks of `2^order` pages,
 //! split/coalesce on alloc/free, first-fit by order.
 //!
-//! Free chunks below [`MAX_ORDER`] sit in one ordered set per order. Free
-//! max-order chunks, the bulk of a block's free space, sit in a bitmap
-//! with one bit per chunk; its lowest set bit is the lowest free offset,
-//! the chunk an ordered set would hand out first. A stretch of set bits is
-//! a run of free max-order chunks, handed out in one step.
+//! Free chunks below [`MAX_ORDER`] sit in one sorted vector per order,
+//! held inline. Free max-order chunks, the bulk of a block's free space,
+//! sit in a bitmap with one bit per chunk; its lowest set bit is the lowest
+//! free offset, the chunk an ordered set would hand out first. A stretch of
+//! set bits is a run of free max-order chunks, handed out in one step.
 
+#[cfg(test)]
 use std::collections::BTreeSet;
 
 /// Maximum buddy order (2^10 pages = 4 MB with 4 KB pages), matching Linux's
@@ -72,17 +73,92 @@ impl ChunkRun {
     }
 }
 
+/// The free chunk offsets of one order: an ordered set with
+/// lowest-first [`pop_first`](Self::pop_first).
+#[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq, Eq))]
+enum FreeList {
+    /// Offsets in descending order, so the lowest is popped off the end.
+    /// The vector keeps its capacity as the list empties and refills, so a
+    /// list that keeps going empty and non-empty allocates nothing.
+    Sorted(Vec<u32>),
+    /// The ordered set the sorted vector replaced: the tests' reference.
+    #[cfg(test)]
+    Tree(BTreeSet<u32>),
+}
+
+impl FreeList {
+    fn is_empty(&self) -> bool {
+        match self {
+            FreeList::Sorted(v) => v.is_empty(),
+            #[cfg(test)]
+            FreeList::Tree(t) => t.is_empty(),
+        }
+    }
+
+    /// Takes the lowest offset.
+    fn pop_first(&mut self) -> Option<u32> {
+        match self {
+            FreeList::Sorted(v) => v.pop(),
+            #[cfg(test)]
+            FreeList::Tree(t) => t.pop_first(),
+        }
+    }
+
+    /// Adds `offset`; false if it was already listed.
+    fn insert(&mut self, offset: u32) -> bool {
+        match self {
+            FreeList::Sorted(v) => match v.binary_search_by(|probe| offset.cmp(probe)) {
+                Ok(_) => false,
+                Err(at) => {
+                    v.insert(at, offset);
+                    true
+                }
+            },
+            #[cfg(test)]
+            FreeList::Tree(t) => t.insert(offset),
+        }
+    }
+
+    /// Drops `offset`; false if it was not listed.
+    fn remove(&mut self, offset: u32) -> bool {
+        match self {
+            FreeList::Sorted(v) => match v.binary_search_by(|probe| offset.cmp(probe)) {
+                Ok(at) => {
+                    v.remove(at);
+                    true
+                }
+                Err(_) => false,
+            },
+            #[cfg(test)]
+            FreeList::Tree(t) => t.remove(&offset),
+        }
+    }
+
+    /// The offsets, ascending.
+    fn to_vec(&self) -> Vec<u32> {
+        match self {
+            FreeList::Sorted(v) => v.iter().rev().copied().collect(),
+            #[cfg(test)]
+            FreeList::Tree(t) => t.iter().copied().collect(),
+        }
+    }
+}
+
 /// A buddy allocator managing `total_pages` pages (offsets are block-local).
 #[derive(Debug, Clone)]
 #[cfg_attr(test, derive(PartialEq, Eq))]
 pub struct BuddyAllocator {
     total_pages: u32,
-    /// Free chunk offsets per order below `MAX_ORDER` (and, in the test
-    /// reference built by [`Self::all_sets`], for `MAX_ORDER` too).
-    free_lists: Vec<BTreeSet<u32>>,
-    /// Free max-order chunks when `free_lists` has no set for them: bit
-    /// `i % 64` of word `i / 64` is set when the chunk at offset
-    /// `i << MAX_ORDER` is free.
+    /// Free chunk offsets per order below `MAX_ORDER`.
+    free_lists: [FreeList; MAX_ORDER as usize],
+    /// The test reference's max-order list, which stands in for the bitmap
+    /// (see [`Self::all_sets`]).
+    #[cfg(test)]
+    top_list: Option<FreeList>,
+    /// Free max-order chunks when there is no `top_list`: bit `i % 64` of
+    /// word `i / 64` is set when the chunk at offset `i << MAX_ORDER` is
+    /// free.
     top_free: Vec<u64>,
     /// Set bits in `top_free`.
     top_count: u32,
@@ -112,24 +188,50 @@ impl BuddyAllocator {
         }
         BuddyAllocator {
             total_pages,
-            free_lists: vec![BTreeSet::new(); MAX_ORDER as usize],
+            free_lists: std::array::from_fn(|_| FreeList::Sorted(Vec::new())),
+            #[cfg(test)]
+            top_list: None,
             top_free,
             top_count: chunks,
             free_pages: total_pages,
         }
     }
 
-    /// An allocator that keeps max-order chunks in an ordered set like the
-    /// smaller orders instead of the bitmap: the all-B-tree layout the
-    /// bitmap replaced, kept as the tests' reference.
+    /// An allocator that keeps the free chunks of every order, max-order
+    /// included, in ordered sets: the all-B-tree layout the sorted vectors
+    /// and the bitmap replaced, kept as the tests' reference.
     #[cfg(test)]
     pub(crate) fn all_sets(total_pages: u32) -> Self {
         let mut b = Self::new(total_pages);
         let top = b.free_offsets(MAX_ORDER).into_iter().collect();
-        b.free_lists.push(top);
+        b.top_list = Some(FreeList::Tree(top));
+        b.free_lists = std::array::from_fn(|_| FreeList::Tree(BTreeSet::new()));
         b.top_free.fill(0);
         b.top_count = 0;
         b
+    }
+
+    /// The free list of `order`; `None` for max-order chunks in the
+    /// bitmap.
+    fn list(&self, order: u8) -> Option<&FreeList> {
+        match self.free_lists.get(order as usize) {
+            Some(list) => Some(list),
+            #[cfg(test)]
+            None => self.top_list.as_ref(),
+            #[cfg(not(test))]
+            None => None,
+        }
+    }
+
+    /// [`list`](Self::list), mutably.
+    fn list_mut(&mut self, order: u8) -> Option<&mut FreeList> {
+        match self.free_lists.get_mut(order as usize) {
+            Some(list) => Some(list),
+            #[cfg(test)]
+            None => self.top_list.as_mut(),
+            #[cfg(not(test))]
+            None => None,
+        }
     }
 
     /// Pages managed.
@@ -149,7 +251,7 @@ impl BuddyAllocator {
 
     /// True when no chunk of exactly `order` is free.
     fn list_empty(&self, order: u8) -> bool {
-        match self.free_lists.get(order as usize) {
+        match self.list(order) {
             Some(list) => list.is_empty(),
             None => self.top_count == 0,
         }
@@ -157,7 +259,7 @@ impl BuddyAllocator {
 
     /// Takes the lowest free chunk of exactly `order`.
     fn pop_first(&mut self, order: u8) -> Option<u32> {
-        if let Some(list) = self.free_lists.get_mut(order as usize) {
+        if let Some(list) = self.list_mut(order) {
             return list.pop_first();
         }
         let (w, word) = self
@@ -178,7 +280,7 @@ impl BuddyAllocator {
     /// the same order.
     fn alloc_top_run(&mut self, max: u32) -> Option<ChunkRun> {
         debug_assert!(max > 0, "empty run requested");
-        if let Some(list) = self.free_lists.get_mut(MAX_ORDER as usize) {
+        if let Some(list) = self.list_mut(MAX_ORDER) {
             let offset = list.pop_first()?;
             self.free_pages -= 1 << MAX_ORDER;
             return Some(ChunkRun::single(offset, MAX_ORDER));
@@ -211,7 +313,7 @@ impl BuddyAllocator {
 
     /// Marks the chunk of `order` at `offset` free; false if it already was.
     fn insert(&mut self, order: u8, offset: u32) -> bool {
-        if let Some(list) = self.free_lists.get_mut(order as usize) {
+        if let Some(list) = self.list_mut(order) {
             return list.insert(offset);
         }
         let Some((word, mask)) = self.top_bit(offset) else {
@@ -226,8 +328,8 @@ impl BuddyAllocator {
     /// Takes the chunk of `order` at `offset` off the free lists; false if
     /// it was not free.
     fn remove(&mut self, order: u8, offset: u32) -> bool {
-        if let Some(list) = self.free_lists.get_mut(order as usize) {
-            return list.remove(&offset);
+        if let Some(list) = self.list_mut(order) {
+            return list.remove(offset);
         }
         let Some((word, mask)) = self.top_bit(offset) else {
             return false;
@@ -240,8 +342,8 @@ impl BuddyAllocator {
 
     /// Offsets of the free chunks of exactly `order`, ascending.
     pub(crate) fn free_offsets(&self, order: u8) -> Vec<u32> {
-        if let Some(list) = self.free_lists.get(order as usize) {
-            return list.iter().copied().collect();
+        if let Some(list) = self.list(order) {
+            return list.to_vec();
         }
         let mut out = Vec::with_capacity(self.top_count as usize);
         for (w, &word) in self.top_free.iter().enumerate() {
@@ -298,7 +400,7 @@ impl BuddyAllocator {
     /// Panics if the run reaches past the block.
     pub(crate) fn free_top_run(&mut self, run: ChunkRun) {
         debug_assert!(
-            run.order == MAX_ORDER && self.free_lists.len() == MAX_ORDER as usize,
+            run.order == MAX_ORDER && self.list(MAX_ORDER).is_none(),
             "a max-order run in the bitmap layout"
         );
         let mut slot = run.offset >> MAX_ORDER;
@@ -317,11 +419,6 @@ impl BuddyAllocator {
         }
         self.top_count += run.count;
         self.free_pages += run.count << MAX_ORDER;
-    }
-
-    /// The largest order that can currently be allocated.
-    pub fn max_free_order(&self) -> Option<u8> {
-        (0..=MAX_ORDER).rev().find(|&o| !self.list_empty(o))
     }
 
     /// Verifies the allocator's internal structure: every free chunk is
@@ -454,7 +551,7 @@ mod tests {
         for off in chunks {
             b.free(off, 0);
         }
-        assert_eq!(b.max_free_order(), Some(MAX_ORDER));
+        assert_eq!(b.free_offsets(MAX_ORDER), [0]);
     }
 
     #[test]

@@ -98,6 +98,7 @@ fn exact_engines_agree_on_a_small_fleet() {
                 (b.ksm_pages_scanned, b.ksm_full_passes, b.ksm_region_visits),
                 "{what}"
             );
+            assert_eq!(a.ksm_regionless_ticks, b.ksm_regionless_ticks, "{what}");
             assert_eq!(
                 (a.freed_runs, a.freed_max_order_chunks),
                 (b.freed_runs, b.freed_max_order_chunks),

@@ -48,6 +48,10 @@ echo "==> flat-store differential, wide seeds (gd-mmsim's flat max-order stores 
 cargo test --quiet --release -p gd-mmsim --lib -- --ignored \
   flat_max_order_stores_match_the_btree_reference_wide_seeds
 
+echo "==> sorted-books differential, wide seeds (gd-mmsim's sorted-vector small-chunk books vs the B-tree layout)"
+cargo test --quiet --release -p gd-mmsim --lib -- --ignored \
+  sorted_books_match_the_btree_reference_wide_seeds
+
 echo "==> scheduler differential, wide seeds (gd-fleet's departure calendar vs the per-host running lists)"
 cargo test --quiet --release -p gd-fleet --lib -- --ignored \
   calendar_scheduler_matches_the_reference_wide_seeds
