@@ -9,6 +9,7 @@
 //! by them based on the number of idle ranks/banks").
 
 use gd_power::PowerGating;
+use gd_types::Fraction;
 
 pub mod sanity;
 
@@ -55,11 +56,11 @@ pub struct GovernorContext {
     pub banks_per_rank: u32,
     /// Mean rank self-refresh residency the cycle simulation measured for
     /// this workload and interleaving mode.
-    pub measured_sr_fraction: f64,
+    pub measured_sr_fraction: Fraction,
     /// Baseline execution time in seconds.
     pub runtime_s: f64,
     /// Fraction of capacity GreenDIMM off-lined (0 for other governors).
-    pub offline_fraction: f64,
+    pub offline_fraction: Fraction,
     /// Off-lining failures observed during the run (zero for governors
     /// that never off-line memory, and for fault-free runs).
     pub offline_failures: OfflineFailureBreakdown,
@@ -68,10 +69,10 @@ pub struct GovernorContext {
 impl GovernorContext {
     /// Fraction of ranks the footprint touches when data is packed
     /// contiguously (no interleaving).
-    pub fn ranks_touched_fraction(&self) -> f64 {
+    pub fn ranks_touched_fraction(&self) -> Fraction {
         let rank_bytes = self.capacity_bytes as f64 / self.ranks as f64;
         let touched = (self.footprint_bytes as f64 / rank_bytes).ceil();
-        (touched / self.ranks as f64).min(1.0)
+        Fraction::new((touched / self.ranks as f64).min(1.0)).expect("invariant: capped at 1")
     }
 }
 
@@ -81,9 +82,9 @@ pub struct GovernorOutcome {
     /// Array gating (refresh / background power turned off).
     pub gating: PowerGating,
     /// Mean fraction of time ranks spend in self-refresh.
-    pub sr_fraction: f64,
+    pub sr_fraction: Fraction,
     /// Mean fraction of time ranks spend in power-down.
-    pub pd_fraction: f64,
+    pub pd_fraction: Fraction,
     /// Runtime overhead the policy itself causes, seconds.
     pub overhead_s: f64,
 }
@@ -112,7 +113,7 @@ impl PowerGovernor for SrfOnly {
         GovernorOutcome {
             gating: PowerGating::none(),
             sr_fraction: ctx.measured_sr_fraction,
-            pd_fraction: 0.0,
+            pd_fraction: Fraction::ZERO,
             overhead_s: 0.0,
         }
     }
@@ -131,7 +132,7 @@ impl RamZzz {
     const OVERHEAD_FRACTION: f64 = 0.03;
     /// How close to the ideal (footprint-packed) idle-rank count the
     /// migration gets.
-    const CONSOLIDATION_EFFICIENCY: f64 = 0.9;
+    const CONSOLIDATION_EFFICIENCY: Fraction = Fraction::lit(0.9);
 }
 
 impl PowerGovernor for RamZzz {
@@ -146,13 +147,13 @@ impl PowerGovernor for RamZzz {
             ctx.measured_sr_fraction
         } else {
             // Hot/cold grouping parks cold ranks in self-refresh.
-            let idle_ranks = 1.0 - ctx.ranks_touched_fraction();
+            let idle_ranks = ctx.ranks_touched_fraction().complement();
             (idle_ranks * Self::CONSOLIDATION_EFFICIENCY).max(ctx.measured_sr_fraction)
         };
         GovernorOutcome {
             gating: PowerGating::none(),
             sr_fraction: sr,
-            pd_fraction: 0.0,
+            pd_fraction: Fraction::ZERO,
             overhead_s: ctx.runtime_s * Self::OVERHEAD_FRACTION,
         }
     }
@@ -171,19 +172,20 @@ impl PowerGovernor for Pasr {
 
     fn evaluate(&self, ctx: &GovernorContext) -> GovernorOutcome {
         let refresh_off = if ctx.interleaved {
-            0.0
+            Fraction::ZERO
         } else {
             // Contiguous packing leaves trailing banks empty; refresh stops
             // at bank granularity.
             let total_banks = (ctx.ranks * ctx.banks_per_rank) as f64;
             let bank_bytes = ctx.capacity_bytes as f64 / total_banks;
             let used_banks = (ctx.footprint_bytes as f64 / bank_bytes).ceil();
-            (1.0 - used_banks / total_banks).max(0.0)
+            Fraction::new((1.0 - used_banks / total_banks).max(0.0))
+                .expect("invariant: one minus a non-negative ratio, floored at 0")
         };
         GovernorOutcome {
             gating: PowerGating::pasr(refresh_off),
             sr_fraction: ctx.measured_sr_fraction,
-            pd_fraction: 0.0,
+            pd_fraction: Fraction::ZERO,
             overhead_s: 0.0,
         }
     }
@@ -214,7 +216,7 @@ impl PowerGovernor for GreenDimmGovernor {
         GovernorOutcome {
             gating: PowerGating::deep_pd(ctx.offline_fraction),
             sr_fraction: ctx.measured_sr_fraction,
-            pd_fraction: 0.0,
+            pd_fraction: Fraction::ZERO,
             // Failed offline attempts (pinned pages, aborted migrations)
             // cost daemon time on top of the steady-state overhead.
             overhead_s: ctx.runtime_s * self.overhead_fraction
@@ -234,9 +236,9 @@ mod tests {
             capacity_bytes: 64 << 30,
             ranks: 16,
             banks_per_rank: 16,
-            measured_sr_fraction: if interleaved { 0.0 } else { 0.54 },
+            measured_sr_fraction: Fraction::lit(if interleaved { 0.0 } else { 0.54 }),
             runtime_s: 100.0,
-            offline_fraction: 0.8,
+            offline_fraction: Fraction::lit(0.8),
             offline_failures: OfflineFailureBreakdown::default(),
         }
     }
@@ -244,8 +246,8 @@ mod tests {
     #[test]
     fn srf_only_reflects_measurement() {
         let g = SrfOnly;
-        assert_eq!(g.evaluate(&ctx(true)).sr_fraction, 0.0);
-        assert_eq!(g.evaluate(&ctx(false)).sr_fraction, 0.54);
+        assert_eq!(g.evaluate(&ctx(true)).sr_fraction.get(), 0.0);
+        assert_eq!(g.evaluate(&ctx(false)).sr_fraction.get(), 0.54);
         assert_eq!(g.evaluate(&ctx(true)).overhead_s, 0.0);
     }
 
@@ -254,9 +256,9 @@ mod tests {
         let g = RamZzz;
         let with = g.evaluate(&ctx(true));
         let without = g.evaluate(&ctx(false));
-        assert_eq!(with.sr_fraction, 0.0, "interleaving defeats RAMZzz");
+        assert_eq!(with.sr_fraction.get(), 0.0, "interleaving defeats RAMZzz");
         // 1.2 GB fits in 1 of 16 ranks: ~15/16 ranks idle, 90% efficiency.
-        assert!(without.sr_fraction > 0.8);
+        assert!(without.sr_fraction.get() > 0.8);
         assert!(with.overhead_s > 0.0, "monitoring overhead always paid");
     }
 
@@ -285,7 +287,7 @@ mod tests {
     fn ranks_touched_fraction_quantizes_up() {
         let c = ctx(false);
         // 1.2 GB in 4 GB ranks: 1 rank touched.
-        assert!((c.ranks_touched_fraction() - 1.0 / 16.0).abs() < 1e-12);
+        assert!((c.ranks_touched_fraction().get() - 1.0 / 16.0).abs() < 1e-12);
     }
 
     #[test]

@@ -2,38 +2,28 @@
 //!
 //! Every [`PowerGovernor`](crate::PowerGovernor) produces residency
 //! fractions and gating fractions that feed straight into the energy
-//! integration; a value outside `[0, 1]` silently corrupts every
-//! downstream figure. [`check`] states `governor.sanity` over one
+//! integration. Each is a [`Fraction`](gd_types::Fraction), so it lies in
+//! `[0, 1]` by construction; what the types cannot say — that the
+//! residencies sum to at most 1, and that the charged overhead is a
+//! plausible time — [`check`] states as `governor.sanity` over one
 //! `(context, outcome)` pair; the figure harness runs it on every
 //! evaluation under `--strict-validate` and turns a violation into an
 //! error with [`gd_verify::strict`].
 
 use crate::{GovernorContext, GovernorOutcome};
+use gd_types::Fraction;
 use gd_verify::Violation;
 
 /// `governor.sanity`, the physical sanity of one governor outcome:
-/// residency and gating fractions are probabilities, overhead is
-/// non-negative and finite, and an off-lining governor charges at least
-/// the failure time it observed. The gating fractions are checked as the
-/// governor set them, before the multipliers clamp them.
+/// the self-refresh and power-down residencies sum to at most 1, overhead
+/// is non-negative and finite, and an off-lining governor charges at least
+/// the failure time it observed.
 pub fn check(ctx: &GovernorContext, o: &GovernorOutcome) -> Vec<Violation> {
     let mut out = Vec::new();
     let mut bad = |detail: String| out.push(Violation::new("governor.sanity", detail));
-    for (label, v) in [
-        ("sr_fraction", o.sr_fraction),
-        ("pd_fraction", o.pd_fraction),
-        ("refresh_off", o.gating.refresh_off),
-        ("background_off", o.gating.background_off),
-    ] {
-        if !(0.0..=1.0).contains(&v) {
-            bad(format!("{label} = {v} outside [0, 1]"));
-        }
-    }
-    if o.sr_fraction + o.pd_fraction > 1.0 + 1e-9 {
-        bad(format!(
-            "sr + pd residency = {} exceeds 1",
-            o.sr_fraction + o.pd_fraction
-        ));
+    let residency = o.sr_fraction.get() + o.pd_fraction.get();
+    if residency > 1.0 + 1e-9 {
+        bad(format!("sr + pd residency = {residency} exceeds 1"));
     }
     if !o.overhead_s.is_finite() || o.overhead_s < 0.0 {
         bad(format!(
@@ -47,15 +37,9 @@ pub fn check(ctx: &GovernorContext, o: &GovernorOutcome) -> Vec<Violation> {
             o.overhead_s, ctx.runtime_s
         ));
     }
-    if !(0.0..=1.0).contains(&ctx.offline_fraction) {
-        bad(format!(
-            "offline_fraction = {} outside [0, 1]",
-            ctx.offline_fraction
-        ));
-    }
     // An off-lining governor must charge at least the detection time
     // the observed failures imply (Table 3 lower bound).
-    if ctx.offline_fraction > 0.0
+    if ctx.offline_fraction > Fraction::ZERO
         && o.overhead_s + 1e-12 < ctx.offline_failures.time_lower_bound_s()
     {
         bad(format!(
@@ -82,9 +66,9 @@ mod tests {
             capacity_bytes: 64 << 30,
             ranks: 16,
             banks_per_rank: 16,
-            measured_sr_fraction: if interleaved { 0.0 } else { 0.54 },
+            measured_sr_fraction: Fraction::lit(if interleaved { 0.0 } else { 0.54 }),
             runtime_s: 100.0,
-            offline_fraction: 0.8,
+            offline_fraction: Fraction::lit(0.8),
             offline_failures: OfflineFailureBreakdown::default(),
         }
     }
@@ -120,8 +104,8 @@ mod tests {
     fn insane_outcome_is_caught() {
         let broken = Fixed(GovernorOutcome {
             gating: PowerGating::none(),
-            sr_fraction: 0.8,
-            pd_fraction: 0.7, // sums to 1.5
+            sr_fraction: Fraction::lit(0.8),
+            pd_fraction: Fraction::lit(0.7), // sums to 1.5
             overhead_s: -1.0,
         });
         let c = ctx(true);
@@ -136,37 +120,31 @@ mod tests {
         assert!(strict(v).is_err());
     }
 
-    /// Gating fractions are checked as the governor returned them: the
-    /// refresh and background multipliers clamp to `[0, 1]`, so checking
-    /// those would let a fraction above 1 through.
+    /// A gating fraction outside `[0, 1]` cannot reach the check: a
+    /// governor cannot build one.
     #[test]
-    fn gating_fraction_outside_unit_interval_is_caught() {
+    fn gating_fraction_outside_unit_interval_is_rejected() {
+        let err = Fraction::new(1.5).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid configuration: fraction 1.5 outside [0, 1]"
+        );
+        let err = Fraction::new(-0.25).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid configuration: fraction -0.25 outside [0, 1]"
+        );
         let c = ctx(true);
-        let overcharged = Fixed(GovernorOutcome {
+        let in_range = Fixed(GovernorOutcome {
             gating: PowerGating {
-                refresh_off: 1.5,
-                background_off: 0.5,
+                refresh_off: Fraction::lit(0.5),
+                background_off: Fraction::ONE,
             },
-            sr_fraction: 0.0,
-            pd_fraction: 0.0,
+            sr_fraction: Fraction::ZERO,
+            pd_fraction: Fraction::ZERO,
             overhead_s: 1.0,
         });
-        let err = strict(check(&c, &overcharged.evaluate(&c))).unwrap_err();
-        assert!(
-            err.to_string()
-                .contains("[governor.sanity] refresh_off = 1.5 outside [0, 1]"),
-            "{err}"
-        );
-        let negative = Fixed(GovernorOutcome {
-            gating: PowerGating {
-                refresh_off: 0.5,
-                background_off: -0.25,
-            },
-            ..overcharged.0
-        });
-        let v = check(&c, &negative.evaluate(&c));
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].detail, "background_off = -0.25 outside [0, 1]");
+        strict(check(&c, &in_range.evaluate(&c))).unwrap();
     }
 
     /// An off-lining governor that ignores the failure time it observed is
@@ -181,8 +159,8 @@ mod tests {
             fn evaluate(&self, ctx: &GovernorContext) -> GovernorOutcome {
                 GovernorOutcome {
                     gating: PowerGating::deep_pd(ctx.offline_fraction),
-                    sr_fraction: 0.0,
-                    pd_fraction: 0.0,
+                    sr_fraction: Fraction::ZERO,
+                    pd_fraction: Fraction::ZERO,
                     overhead_s: 0.0, // ignores ctx.offline_failures
                 }
             }

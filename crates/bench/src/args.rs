@@ -35,6 +35,7 @@ use crate::energy::MeasureOpts;
 use crate::sweep::default_jobs;
 use gd_dram::EngineMode;
 use gd_types::config::MemSpecKind;
+use gd_types::Fraction;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -228,9 +229,9 @@ impl BenchArgs {
     }
 
     /// `--fault-rate R`: a probability in `[0, 1]`, or `None` when absent.
-    pub fn fault_rate(&mut self) -> Option<f64> {
+    pub fn fault_rate(&mut self) -> Option<Fraction> {
         self.value("fault-rate", "a number in [0, 1]", |v| {
-            v.parse::<f64>().ok().filter(|r| (0.0..=1.0).contains(r))
+            v.parse().ok().and_then(|r| Fraction::new(r).ok())
         })
     }
 
@@ -397,7 +398,7 @@ mod tests {
         assert_eq!(m.memspec, MemSpecKind::Lpddr4Pasr);
         assert_eq!(args.count("hosts", 1_000, 10_000), 12);
         assert_eq!(args.count("stride", 16, usize::MAX), 1);
-        assert_eq!(args.fault_rate(), Some(0.25));
+        assert_eq!(args.fault_rate(), Some(Fraction::lit(0.25)));
         assert_eq!(args.check(), Ok(()));
     }
 

@@ -10,6 +10,7 @@ use gd_bench::report::{f2, header, pct, row};
 use gd_bench::BenchArgs;
 use gd_power::{ActivityProfile, DramPowerModel, PowerGating};
 use gd_types::config::DramConfig;
+use gd_types::Fraction;
 
 fn main() {
     let mut args = BenchArgs::from_env(env!("CARGO_BIN_NAME"));
@@ -28,8 +29,8 @@ fn main() {
                 DramPowerModel::new(DramConfig::preset_256gb(memspec)).expect("paper preset");
             let idle_256 =
                 base.analytic_power_w(&ActivityProfile::idle_standby(), &PowerGating::none());
-            let busy_256 =
-                base.analytic_power_w(&ActivityProfile::busy(0.45), &PowerGating::none());
+            let busy = ActivityProfile::busy(Fraction::lit(0.45));
+            let busy_256 = base.analytic_power_w(&busy, &PowerGating::none());
             // Activity power is set by the workload (16 copies of mcf), not
             // by the installed capacity: only the background term scales
             // with DIMM count.

@@ -36,8 +36,8 @@ fn main() {
             [
                 p.name.to_string(),
                 format!("{:.2}x", without.runtime_s / with.runtime_s),
-                pct(with.sr_fraction),
-                pct(without.sr_fraction),
+                pct(with.sr_fraction.get()),
+                pct(without.sr_fraction.get()),
                 f2(e_without / e_with),
             ]
         },

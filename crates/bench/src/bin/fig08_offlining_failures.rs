@@ -13,6 +13,7 @@ use gd_bench::blocks::{block_size_experiment, managed_region};
 use gd_bench::report::{header, row};
 use gd_bench::BenchArgs;
 use gd_mmsim::MmConfig;
+use gd_types::Fraction;
 use gd_workloads::spec2006_offlining_set;
 use greendimm::{GreenDimmConfig, SelectorPolicy};
 
@@ -24,7 +25,7 @@ fn main() {
         "managed=8GiB blocks=128 transient_fail=0.5 seeds=1..{seed_count}"
     ));
     let region = |seed| MmConfig {
-        transient_fail_prob: 0.5,
+        transient_fail_prob: Fraction::lit(0.5),
         ..managed_region(128, seed)
     };
     let profiles = spec2006_offlining_set();

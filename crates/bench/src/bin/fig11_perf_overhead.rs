@@ -65,7 +65,7 @@ fn main() {
     // measured hotplug stalls into a synthetic service-time distribution.
     println!("\nTail latency (latency-critical services):");
     for (p, r) in lc_reports {
-        let runtime = nominal_runtime_s(&p);
+        let runtime = nominal_runtime_s(&p).expect("CPU model");
         let base_ms = 2.0;
         let n = 100_000usize;
         // Fraction of requests that collide with a hotplug operation.

@@ -12,6 +12,7 @@ use gd_bench::{run_vm_trace, BenchArgs};
 use gd_fleet::{HostRun, HostSimConfig};
 use gd_power::{ActivityProfile, DramPowerModel, PowerGating};
 use gd_types::config::DramConfig;
+use gd_types::Fraction;
 
 fn main() {
     let mut args = BenchArgs::from_env(env!("CARGO_BIN_NAME"));
@@ -80,9 +81,9 @@ fn main() {
     let model = DramPowerModel::new(DramConfig::ddr4_2133_256gb()).expect("paper preset");
     let idle = ActivityProfile::idle_standby();
     let full = model.analytic_power_w(&idle, &PowerGating::none());
-    let with = model.analytic_power_w(&idle, &PowerGating::deep_pd(base.mean_deep_pd_fraction()));
-    let with_ksm =
-        model.analytic_power_w(&idle, &PowerGating::deep_pd(ksm.mean_deep_pd_fraction()));
+    let share = |run: &HostRun| Fraction::new(run.mean_deep_pd_fraction()).expect("deep-PD share");
+    let with = model.analytic_power_w(&idle, &PowerGating::deep_pd(share(base)));
+    let with_ksm = model.analytic_power_w(&idle, &PowerGating::deep_pd(share(ksm)));
     println!(
         "\nbackground power reduction: {} (paper 46%), w/ KSM {} (paper 70%)",
         pct(1.0 - with / full),

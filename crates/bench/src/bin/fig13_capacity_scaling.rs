@@ -10,9 +10,10 @@
 use gd_bench::energy::platform_desc;
 use gd_bench::report::{f2, header, pct, row};
 use gd_bench::{run_vm_trace, BenchArgs};
-use gd_fleet::HostSimConfig;
+use gd_fleet::{HostRun, HostSimConfig};
 use gd_power::{ActivityProfile, DramPowerModel, PowerGating, SystemPowerModel};
 use gd_types::config::{DramConfig, MemSpecKind};
+use gd_types::Fraction;
 
 fn main() {
     let mut args = BenchArgs::from_env(env!("CARGO_BIN_NAME"));
@@ -62,9 +63,9 @@ fn main() {
         &widths,
     );
     let sys_model = SystemPowerModel::default();
-    let cpu_util = 0.3; // consolidated VM server, modest CPU activity
+    let cpu_util = Fraction::lit(0.3); // consolidated VM server, modest CPU activity
     let base_model = DramPowerModel::new(DramConfig::preset_256gb(memspec)).expect("paper preset");
-    let activity = ActivityProfile::busy(0.15);
+    let activity = ActivityProfile::busy(Fraction::lit(0.15));
     let p256 = base_model.analytic_power_w(&activity, &PowerGating::none());
 
     for (i, &cap_gb) in caps.iter().enumerate() {
@@ -74,14 +75,12 @@ fn main() {
         // paper fits to its 256 GB measurement).
         let scale = cap_gb as f64 / 256.0;
         let dram_w = p256 * scale;
-        let gd_w = base_model.analytic_power_w(
-            &activity,
-            &PowerGating::deep_pd(run.mean_deep_pd_fraction()),
-        ) * scale;
-        let ksm_w = base_model.analytic_power_w(
-            &activity,
-            &PowerGating::deep_pd(ksm_run.mean_deep_pd_fraction()),
-        ) * scale;
+        let gated_w = |run: &HostRun| {
+            let deep_pd = Fraction::new(run.mean_deep_pd_fraction()).expect("deep-PD share");
+            base_model.analytic_power_w(&activity, &PowerGating::deep_pd(deep_pd)) * scale
+        };
+        let gd_w = gated_w(run);
+        let ksm_w = gated_w(ksm_run);
         let sys_w = sys_model.system_power_w(dram_w, cpu_util);
         let sys_gd = sys_model.system_power_w(gd_w, cpu_util);
         let sys_ksm = sys_model.system_power_w(ksm_w, cpu_util);

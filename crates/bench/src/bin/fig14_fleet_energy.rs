@@ -30,6 +30,7 @@ use gd_fleet::{run_fleet, FleetOutcome};
 use gd_power::{ActivityProfile, DramPowerModel, PowerGating, SystemPowerModel};
 use gd_types::config::DramConfig;
 use gd_types::fleet::{FleetConfig, FleetPlacement};
+use gd_types::Fraction;
 
 const UTILS: [f64; 4] = [0.50, 0.65, 0.80, 0.95];
 
@@ -102,14 +103,15 @@ fn main() {
     // Per-host DRAM power from the same model Fig. 13 fits to the paper's
     // 256 GB measurement; deep power-down gates each host individually.
     let sys_model = SystemPowerModel::default();
-    let cpu_util = 0.3; // consolidated VM server, modest CPU activity
+    let cpu_util = Fraction::lit(0.3); // consolidated VM server, modest CPU activity
     let model = DramPowerModel::new(DramConfig::ddr4_2133_256gb()).expect("paper preset");
-    let activity = ActivityProfile::busy(0.15);
+    let activity = ActivityProfile::busy(Fraction::lit(0.15));
     // (DRAM kW, system kW) of hosts at these deep power-down fractions.
     let fleet_kw = |deep_pd: &[f64]| -> (f64, f64) {
         let mut dram_w = 0.0;
         let mut sys_w = 0.0;
         for &f in deep_pd {
+            let f = Fraction::new(f).expect("deep-PD share");
             let w = model.analytic_power_w(&activity, &PowerGating::deep_pd(f));
             dram_w += w;
             sys_w += sys_model.system_power_w(w, cpu_util);

@@ -14,6 +14,7 @@ use gd_bench::report::{header, row};
 use gd_bench::robustness::{robustness_experiment, RobustnessRow, FAULT_RATES};
 use gd_bench::BenchArgs;
 use gd_faults::FaultPlan;
+use gd_types::Fraction;
 use gd_workloads::by_name;
 
 fn main() {
@@ -25,12 +26,12 @@ fn main() {
     let verify = mopts.strict_validate.then_some(gd_verify::Mode::Strict);
     let engine = mopts.engine;
     let mut desc = format!("app=gcc managed=8GiB blocks=128 uniform-plan seeds=1..{seed_count}");
-    let rates: Vec<f64> = match single_rate {
+    let rates: Vec<Fraction> = match single_rate {
         Some(r) => {
             desc.push_str(&format!(" rate={r}"));
             vec![r]
         }
-        None => FAULT_RATES.to_vec(),
+        None => FAULT_RATES.map(Fraction::lit).to_vec(),
     };
     args.provenance(&desc);
     if verify.is_some() {
@@ -41,7 +42,7 @@ fn main() {
         &rates,
         |r| format!("rate{r}"),
         |rate, sink| {
-            let plan = (*rate > 0.0).then(|| FaultPlan::uniform(*rate));
+            let plan = (*rate > Fraction::ZERO).then(|| FaultPlan::uniform(*rate));
             (1..=seed_count)
                 .map(|seed| {
                     let (r, tele) = robustness_experiment(

@@ -8,6 +8,7 @@ use gd_bench::report::{f2, header, row};
 use gd_bench::BenchArgs;
 use gd_power::{ActivityProfile, DramPowerModel, PowerGating};
 use gd_types::config::DramConfig;
+use gd_types::Fraction;
 
 fn main() {
     let args = BenchArgs::from_env(env!("CARGO_BIN_NAME"));
@@ -19,7 +20,8 @@ fn main() {
     let label = |u: &f64| format!("{:.0}%", u * 100.0);
     let results = args.sweep(&utils, label, |_util, sink| {
         let model = DramPowerModel::new(DramConfig::ddr4_2133_256gb()).expect("paper preset");
-        let p = model.analytic_power_w(&ActivityProfile::busy(0.40), &PowerGating::none());
+        let busy = ActivityProfile::busy(Fraction::lit(0.40));
+        let p = model.analytic_power_w(&busy, &PowerGating::none());
         sink.fill(|tele| {
             if let Some(t) = tele {
                 t.registry.gauge_set("power.dram_w", p);

@@ -10,10 +10,11 @@ use gd_bench::report::{header, row};
 use gd_bench::BenchArgs;
 use gd_mmsim::{HotplugStats, MemoryManager, MmConfig, PageKind};
 use gd_obs::Telemetry;
+use gd_types::Fraction;
 
 fn measure(iters: usize, tele: Option<&mut Telemetry>) -> HotplugStats {
     let mut mm = MemoryManager::new(MmConfig {
-        transient_fail_prob: 1.0, // force EAGAIN on migration paths
+        transient_fail_prob: Fraction::lit(1.0), // force EAGAIN on migration paths
         ..MmConfig::small_test()
     })
     .expect("config");

@@ -15,7 +15,7 @@ use gd_faults::{FaultInjector, FaultPlan};
 use gd_mmsim::{MemoryManager, MmConfig, PageKind, PAGE_BYTES};
 use gd_obs::Telemetry;
 use gd_types::rng::derive_seed;
-use gd_types::{Result, SimTime};
+use gd_types::{Fraction, Result, SimTime};
 use gd_workloads::{spec2006_offlining_set, AppProfile};
 use greendimm::{Daemon, DaemonStats, EpochSim, FootprintDriver, GreenDimmConfig, GroupMap};
 
@@ -76,7 +76,7 @@ pub fn managed_region(block_mib: u64, seed: u64) -> MmConfig {
     MmConfig {
         capacity_bytes: MANAGED_BYTES,
         block_bytes: block_mib << 20,
-        transient_fail_prob: 0.0,
+        transient_fail_prob: Fraction::ZERO,
         seed,
     }
 }
@@ -137,7 +137,7 @@ pub fn block_size_experiment(
     // background memory activity that keeps the daemon busy even for
     // constant-footprint benchmarks (the paper's povray still sees ~40
     // on/off-linings).
-    let runtime_s = nominal_runtime_s(profile);
+    let runtime_s = nominal_runtime_s(profile)?;
     let epochs = runtime_s.ceil().clamp(10.0, 1_800.0) as u64;
     let peak_pages = profile
         .footprint_bytes()
@@ -283,8 +283,12 @@ fn hotplug_overhead_s(
 }
 
 /// Nominal runtime from the CPU model at [`NOMINAL_LATENCY_CYCLES`].
-pub fn nominal_runtime_s(profile: &AppProfile) -> f64 {
-    gd_workloads::estimate_runtime(profile, NOMINAL_LATENCY_CYCLES, 4.5e9).seconds
+///
+/// # Errors
+///
+/// Same as [`gd_workloads::estimate_runtime`].
+pub fn nominal_runtime_s(profile: &AppProfile) -> Result<f64> {
+    Ok(gd_workloads::estimate_runtime(profile, NOMINAL_LATENCY_CYCLES, 4.5e9)?.seconds)
 }
 
 #[cfg(test)]
@@ -383,7 +387,7 @@ mod tests {
             (1..=3)
                 .map(|seed| {
                     let mm = MmConfig {
-                        transient_fail_prob: 0.6,
+                        transient_fail_prob: Fraction::lit(0.6),
                         ..managed_region(128, seed)
                     };
                     run(

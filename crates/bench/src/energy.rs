@@ -11,7 +11,7 @@ use gd_dram::{EngineMode, LowPowerPolicy, MemorySystem, PollCounts};
 use gd_power::{ActivityProfile, DramPowerModel, SystemPowerModel};
 use gd_types::config::{DramConfig, InterleaveMode, MemSpecKind};
 use gd_types::stats::geomean;
-use gd_types::{Cycles, GdError, Result};
+use gd_types::{Cycles, Fraction, GdError, Result};
 use gd_workloads::{energy_figure_set, estimate_runtime, AppProfile, TraceGenerator};
 
 /// Options for the measurement/evaluation pipeline behind Figs. 3/9/10.
@@ -54,11 +54,11 @@ pub struct AppMeasurement {
     /// Mean read latency in memory cycles.
     pub avg_latency_cycles: f64,
     /// Mean rank self-refresh residency.
-    pub sr_fraction: f64,
+    pub sr_fraction: Fraction,
     /// Predicted execution time, seconds.
     pub runtime_s: f64,
     /// Sustained fraction of peak bus bandwidth.
-    pub bandwidth_util: f64,
+    pub bandwidth_util: Fraction,
     /// The run's channel polls ([`MemorySystem::poll_counts`]).
     pub polls: PollCounts,
     /// Memory cycles the run simulated.
@@ -147,7 +147,7 @@ pub fn measure_app(
     // probe's queues grew.
     let little_cap = profile.mlp / delivered_per_cycle.max(1e-9);
     let loaded_latency = avg_latency.clamp(unloaded_latency, little_cap.max(unloaded_latency));
-    let est = estimate_runtime(profile, loaded_latency, model.peak_transfers_per_s());
+    let est = estimate_runtime(profile, loaded_latency, model.peak_transfers_per_s())?;
     let total_requests =
         profile.giga_instructions * 1e9 * profile.mpki / 1000.0 * profile.prefetch_factor();
     let mem_clock_hz = t.clock_mhz * 1e6;
@@ -156,9 +156,9 @@ pub fn measure_app(
     Ok(AppMeasurement {
         interleaved: mode.is_interleaved(),
         avg_latency_cycles: avg_latency,
-        sr_fraction: stats.mean_self_refresh_fraction(),
+        sr_fraction: Fraction::new(stats.mean_self_refresh_fraction())?,
         runtime_s,
-        bandwidth_util: (est.bandwidth_util * est.seconds / runtime_s).clamp(0.0, 1.0),
+        bandwidth_util: Fraction::new(est.bandwidth_util.get() * est.seconds / runtime_s)?,
         polls: sys.poll_counts(),
         cycles: stats.cycles,
     })
@@ -241,26 +241,30 @@ pub struct EnergyRow {
 /// outcome's low-power residencies and gating applied to a run of
 /// `runtime_s` seconds (plus the policy overhead) at `bandwidth_util` of
 /// peak bandwidth.
+///
+/// # Errors
+///
+/// Returns [`GdError::InvalidConfig`] when the outcome's self-refresh and
+/// power-down residencies sum to more than 1.
 pub(crate) fn energy_cell(
     model: &DramPowerModel,
     profile: &AppProfile,
     runtime_s: f64,
-    bandwidth_util: f64,
+    bandwidth_util: Fraction,
     out: &GovernorOutcome,
-) -> (f64, f64) {
+) -> Result<(f64, f64)> {
     let runtime = runtime_s + out.overhead_s;
-    let lp = (out.sr_fraction + out.pd_fraction).clamp(0.0, 1.0);
-    let awake = 1.0 - lp;
+    let awake = Fraction::new(out.sr_fraction.get() + out.pd_fraction.get())?.complement();
     let activity = ActivityProfile {
         bandwidth_util,
         read_fraction: profile.read_fraction,
-        act_per_access: 1.0 - profile.row_locality,
-        active_standby: awake * 0.6,
-        precharge_standby: awake * 0.4,
+        act_per_access: profile.row_locality.complement().get(),
+        active_standby: awake * Fraction::lit(0.6),
+        precharge_standby: awake * Fraction::lit(0.4),
         power_down: out.pd_fraction,
         self_refresh: out.sr_fraction,
     };
-    (runtime, model.analytic_power_w(&activity, &out.gating))
+    Ok((runtime, model.analytic_power_w(&activity, &out.gating)))
 }
 
 /// Evaluates all four policies × both interleave modes for one benchmark,
@@ -318,11 +322,10 @@ pub fn evaluate_measurements(
 ) -> Result<Vec<EnergyRow>> {
     let model = DramPowerModel::new(cfg)?;
     let system = SystemPowerModel::default();
-    let cpu_util = 0.6;
+    let cpu_util = Fraction::lit(0.6);
 
-    let offline_fraction =
-        (1.0 - profile.footprint_bytes() as f64 / cfg.total_capacity_bytes() as f64 - 0.10)
-            .max(0.0);
+    let free = 1.0 - profile.footprint_bytes() as f64 / cfg.total_capacity_bytes() as f64;
+    let offline_fraction = Fraction::new((free - 0.10).max(0.0))?;
     let make_ctx = |meas: &AppMeasurement| GovernorContext {
         interleaved: meas.interleaved,
         footprint_bytes: profile.footprint_bytes(),
@@ -353,7 +356,7 @@ pub fn evaluate_measurements(
                 gd_verify::strict(gd_baselines::sanity::check(&ctx, &out))?;
             }
             let (runtime, dram_w) =
-                energy_cell(&model, profile, meas.runtime_s, meas.bandwidth_util, &out);
+                energy_cell(&model, profile, meas.runtime_s, meas.bandwidth_util, &out)?;
             let dram_j = dram_w * runtime;
             let system_j = system.system_energy_j(dram_w, cpu_util, runtime);
             if g.name() == "srf_only" && !meas.interleaved {
@@ -475,7 +478,7 @@ mod tests {
             with.runtime_s
         );
         // Fig. 3b: self-refresh residency only without interleaving.
-        assert!(without.sr_fraction > with.sr_fraction + 0.2);
+        assert!(without.sr_fraction.get() > with.sr_fraction.get() + 0.2);
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //! run with no injectors installed at all.
 
 use gd_baselines::{
-    sanity, GovernorContext, GreenDimmGovernor, OfflineFailureBreakdown, PowerGovernor, SrfOnly,
+    sanity, GovernorContext, GovernorOutcome, GreenDimmGovernor, OfflineFailureBreakdown,
+    PowerGovernor, SrfOnly,
 };
 use gd_dram::{EngineMode, LowPowerPolicy, MemorySystem};
 use gd_faults::{FaultPlan, FaultSite, WAKE_STRETCH};
@@ -26,7 +27,7 @@ use gd_obs::Telemetry;
 use gd_power::DramPowerModel;
 use gd_types::config::{DramConfig, InterleaveMode};
 use gd_types::rng::derive_seed;
-use gd_types::Result;
+use gd_types::{Fraction, Result};
 use gd_verify::Mode;
 use gd_workloads::{AppProfile, TraceGenerator};
 use greendimm::{DaemonStats, GreenDimmConfig};
@@ -115,19 +116,19 @@ pub fn robustness_experiment(
     let probe_stats = probe.run_trace(trace)?;
 
     // --- Governor evaluation with the failure breakdown charged. ---
-    let runtime_s = nominal_runtime_s(profile);
+    let runtime_s = nominal_runtime_s(profile)?;
     let ctx = GovernorContext {
         interleaved: true,
         footprint_bytes: profile.footprint_bytes(),
         capacity_bytes: MANAGED_BYTES,
         ranks: dram_cfg.org.total_ranks(),
         banks_per_rank: dram_cfg.org.banks_per_rank(),
-        measured_sr_fraction: probe_stats.mean_self_refresh_fraction(),
+        measured_sr_fraction: Fraction::new(probe_stats.mean_self_refresh_fraction())?,
         runtime_s,
         // Energy is gated by what actually sits in deep power-down — the
         // time-averaged register down-fraction, not the off-lined capacity.
         // NACK quarantines and degraded (shallow-PD) groups show up here.
-        offline_fraction: run.down_fraction_avg.clamp(0.0, 1.0),
+        offline_fraction: Fraction::new(run.down_fraction_avg)?,
         offline_failures: run.mm_failures,
     };
     let gd = GreenDimmGovernor {
@@ -137,7 +138,7 @@ pub fn robustness_experiment(
     // The baseline never off-lines memory, so its context carries neither
     // an offline fraction nor the failures off-lining caused.
     let srf_ctx = GovernorContext {
-        offline_fraction: 0.0,
+        offline_fraction: Fraction::ZERO,
         offline_failures: OfflineFailureBreakdown::default(),
         ..ctx
     };
@@ -147,11 +148,11 @@ pub fn robustness_experiment(
         gd_verify::strict(sanity::check(&srf_ctx, &srf_out))?;
     }
     let model = DramPowerModel::new(dram_cfg)?;
-    let energy_j = |out| {
-        let (runtime, dram_w) = energy_cell(&model, profile, runtime_s, 0.2, out);
-        dram_w * runtime
+    let energy_j = |out: &GovernorOutcome| -> Result<f64> {
+        let (runtime, dram_w) = energy_cell(&model, profile, runtime_s, Fraction::lit(0.2), out)?;
+        Ok(dram_w * runtime)
     };
-    let energy_savings = 1.0 - energy_j(&gd_out) / energy_j(&srf_out);
+    let energy_savings = 1.0 - energy_j(&gd_out)? / energy_j(&srf_out)?;
 
     let bench_fired = bench_inj
         .as_ref()
@@ -185,7 +186,7 @@ mod tests {
     #[test]
     fn rate_zero_is_byte_identical_to_no_injectors() {
         let mcf = by_name("mcf").unwrap();
-        let inactive = FaultPlan::uniform(0.0);
+        let inactive = FaultPlan::uniform(Fraction::ZERO);
         let (with_plan, t1) = robustness_experiment(
             &mcf,
             Some(&inactive),
@@ -205,7 +206,7 @@ mod tests {
     fn faulted_rows_agree_across_engine_modes() {
         let mcf = by_name("mcf").unwrap();
         let run = |engine| {
-            let plan = FaultPlan::uniform(0.2);
+            let plan = FaultPlan::uniform(Fraction::lit(0.2));
             robustness_experiment(&mcf, Some(&plan), engine, 11, Some(Mode::Strict), true).unwrap()
         };
         let (stepped, ts) = run(EngineMode::Stepped);
@@ -224,7 +225,7 @@ mod tests {
                 .0
         };
         let clean = run(None);
-        let faulty = run(Some(&FaultPlan::uniform(0.4)));
+        let faulty = run(Some(&FaultPlan::uniform(Fraction::lit(0.4))));
         assert!(faulty.faults_injected > 0);
         assert!(
             faulty.overhead_fraction >= clean.overhead_fraction,

@@ -522,6 +522,7 @@ mod tests {
     use super::*;
     use crate::config::SelectorPolicy;
     use gd_mmsim::{AllocationId, MmConfig, PageKind};
+    use gd_types::Fraction;
 
     /// 256 MB managed as 16 blocks of 16 MB and 16 groups of 16 MB.
     fn setup(cfg: GreenDimmConfig) -> (Daemon, MemoryManager) {
@@ -665,7 +666,7 @@ mod tests {
     fn random_policy_fails_on_kernel_blocks() {
         let cfg = GreenDimmConfig::paper_default().with_selector(SelectorPolicy::Random);
         let mm_cfg = MmConfig {
-            transient_fail_prob: 0.3,
+            transient_fail_prob: Fraction::lit(0.3),
             ..MmConfig::small_test()
         };
         let mut mm = MemoryManager::new(mm_cfg).unwrap();
@@ -744,7 +745,10 @@ mod tests {
         let (mut d, mut mm) = setup(GreenDimmConfig::paper_default());
         d.set_fault_injector(
             FaultPlan::none()
-                .with(FaultSite::DeepPdEntryNack, FaultTrigger::Prob(1.0))
+                .with(
+                    FaultSite::DeepPdEntryNack,
+                    FaultTrigger::Prob(Fraction::ONE),
+                )
                 .build(1),
         );
         for s in 0..40 {
@@ -813,7 +817,7 @@ mod tests {
         assert!(d.registers().down_count() > 0);
         d.set_fault_injector(
             FaultPlan::none()
-                .with(FaultSite::BuddyWakeFail, FaultTrigger::Prob(1.0))
+                .with(FaultSite::BuddyWakeFail, FaultTrigger::Prob(Fraction::ONE))
                 .build(1),
         );
         let baseline = d.stats.hotplug_time;
@@ -840,7 +844,7 @@ mod tests {
         let (mut plain, mut mm2) = setup(GreenDimmConfig::paper_default());
         d.set_fault_injector(
             FaultPlan::none()
-                .with(FaultSite::MrsAckDelay, FaultTrigger::Prob(1.0))
+                .with(FaultSite::MrsAckDelay, FaultTrigger::Prob(Fraction::ONE))
                 .build(1),
         );
         for s in 0..20 {

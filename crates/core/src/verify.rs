@@ -106,7 +106,7 @@ mod tests {
     use crate::config::GreenDimmConfig;
     use crate::groupmap::GroupMap;
     use gd_mmsim::MmConfig;
-    use gd_types::SimTime;
+    use gd_types::{Fraction, SimTime};
 
     fn setup() -> (Daemon, MemoryManager) {
         let mm = MemoryManager::new(MmConfig::small_test()).unwrap();
@@ -141,8 +141,14 @@ mod tests {
         let (mut d, mut mm) = setup();
         d.set_fault_injector(
             FaultPlan::none()
-                .with(FaultSite::DeepPdEntryNack, FaultTrigger::Prob(0.5))
-                .with(FaultSite::BuddyWakeFail, FaultTrigger::Prob(0.5))
+                .with(
+                    FaultSite::DeepPdEntryNack,
+                    FaultTrigger::Prob(Fraction::lit(0.5)),
+                )
+                .with(
+                    FaultSite::BuddyWakeFail,
+                    FaultTrigger::Prob(Fraction::lit(0.5)),
+                )
                 .build(11),
         );
         for s in 0..60 {

@@ -22,6 +22,7 @@
 
 use gd_types::rng::{derive_seed, StdRng};
 use gd_types::time::SimTime;
+use gd_types::Fraction;
 
 /// Extra MRS handshake latency charged when [`FaultSite::MrsAckDelay`]
 /// fires (the DIMM acknowledges the deep-PD register write late).
@@ -104,9 +105,9 @@ impl FaultSite {
 pub enum FaultTrigger {
     /// Site is disarmed; checks draw nothing from the stream.
     Never,
-    /// Each check fires independently with this probability. A value
-    /// `<= 0.0` behaves exactly like [`FaultTrigger::Never`] (no draw).
-    Prob(f64),
+    /// Each check fires independently with this probability. Zero
+    /// behaves exactly like [`FaultTrigger::Never`] (no draw).
+    Prob(Fraction),
     /// Fires on every Nth check (1-based: `EveryNth(3)` fires on checks
     /// 3, 6, 9, …). `EveryNth(0)` never fires.
     EveryNth(u64),
@@ -120,7 +121,7 @@ impl FaultTrigger {
     fn armed(self) -> bool {
         match self {
             FaultTrigger::Never => false,
-            FaultTrigger::Prob(p) => p > 0.0,
+            FaultTrigger::Prob(p) => p > Fraction::ZERO,
             FaultTrigger::EveryNth(n) | FaultTrigger::OneShot(n) => n > 0,
         }
     }
@@ -147,8 +148,8 @@ impl FaultPlan {
     }
 
     /// A plan arming every site with the same per-check probability.
-    /// `rate <= 0.0` yields an inactive plan (zero-cost-off).
-    pub fn uniform(rate: f64) -> Self {
+    /// A zero `rate` yields an inactive plan (zero-cost-off).
+    pub fn uniform(rate: Fraction) -> Self {
         let mut plan = FaultPlan::none();
         for site in FaultSite::ALL {
             plan = plan.with(site, FaultTrigger::Prob(rate));
@@ -202,7 +203,7 @@ impl FaultInjector {
         self.checks[i] += 1;
         let fire = match trigger {
             FaultTrigger::Never => false,
-            FaultTrigger::Prob(p) => self.streams[i].gen_bool(p),
+            FaultTrigger::Prob(p) => self.streams[i].gen_bool(p.get()),
             FaultTrigger::EveryNth(n) => self.checks[i].is_multiple_of(n),
             FaultTrigger::OneShot(n) => self.checks[i] == n,
         };
@@ -327,7 +328,7 @@ mod tests {
         assert_eq!(inj.total_fired(), 0);
 
         // Probability zero behaves identically to Never.
-        let mut zero = FaultPlan::uniform(0.0).build(7);
+        let mut zero = FaultPlan::uniform(Fraction::ZERO).build(7);
         assert!(!zero.is_active());
         assert!(!zero.should_fire(FaultSite::MigrationAbort));
         assert_eq!(zero.checks(FaultSite::MigrationAbort), 0);
@@ -335,7 +336,7 @@ mod tests {
 
     #[test]
     fn same_seed_same_decisions() {
-        let plan = FaultPlan::uniform(0.3);
+        let plan = FaultPlan::uniform(Fraction::lit(0.3));
         let mut a = plan.build(42);
         let mut b = plan.build(42);
         for _ in 0..500 {
@@ -349,7 +350,7 @@ mod tests {
 
     #[test]
     fn site_streams_are_independent() {
-        let plan = FaultPlan::uniform(0.5);
+        let plan = FaultPlan::uniform(Fraction::lit(0.5));
         // Checking extra sites in one injector must not perturb another
         // site's stream.
         let mut interleaved = plan.build(9);
@@ -402,7 +403,7 @@ mod tests {
     #[test]
     fn inactive_injector_exports_nothing() {
         let mut tele = gd_obs::Telemetry::new();
-        let mut inj = FaultPlan::uniform(0.0).build(3);
+        let mut inj = FaultPlan::uniform(Fraction::ZERO).build(3);
         inj.should_fire(FaultSite::OfflinePinned);
         inj.export_telemetry(&mut tele, "mm");
         let rendered = tele.render_jsonl("p");
@@ -411,7 +412,7 @@ mod tests {
             "inactive injector must not leave telemetry keys: {rendered}"
         );
 
-        let mut active = FaultPlan::uniform(1.0).build(3);
+        let mut active = FaultPlan::uniform(Fraction::ONE).build(3);
         assert!(active.should_fire(FaultSite::OfflinePinned));
         active.export_telemetry(&mut tele, "mm");
         assert_eq!(tele.registry.counter("mm.faults.offline-pinned.fired"), 1);

@@ -20,7 +20,7 @@
 use gd_dram::EngineMode;
 use gd_ksm::{Ksm, KsmConfig, RegionId};
 use gd_mmsim::{MemoryManager, MmConfig, PageKind};
-use gd_types::{Result, SimTime};
+use gd_types::{Fraction, Result, SimTime};
 use gd_workloads::{VmEvent, VmEventKind};
 use greendimm::{
     Daemon, DaemonStats, DaemonWork, EpochSim, FootprintDriver, GreenDimmConfig, GroupMap,
@@ -216,7 +216,7 @@ fn run_host_with(
     let mm_cfg = MmConfig {
         capacity_bytes: cfg.capacity_gb << 30,
         block_bytes: cfg.block_gb << 30,
-        transient_fail_prob: 0.0,
+        transient_fail_prob: Fraction::ZERO,
         seed: cfg.seed,
     };
     let mut mm = MemoryManager::new(mm_cfg)?;

@@ -34,7 +34,7 @@ pub use scheduler::{schedule_fleet, FleetSchedule, ScheduleWork};
 use gd_dram::EngineMode;
 use gd_types::fleet::{FleetConfig, FleetStats};
 use gd_types::rng::sweep_point_seed;
-use gd_types::Result;
+use gd_types::{Fraction, Result};
 
 /// Per-host roll-up of one fleet run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -206,7 +206,7 @@ pub fn run_fleet(
                     host,
                     exact: false,
                     mean_used_fraction: sched_used,
-                    mean_deep_pd_fraction: (alpha_pd * headroom).clamp(0.0, 1.0),
+                    mean_deep_pd_fraction: Fraction::new(alpha_pd * headroom)?.get(),
                     hotplug_events: mean_hotplug,
                     ksm_released_pages: (alpha_released * sched_used).round() as u64,
                     replayed_ticks: cfg.duration_s,

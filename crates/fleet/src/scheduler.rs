@@ -8,7 +8,7 @@
 //! no hash maps — so the schedule is a pure function of the configuration.
 
 use gd_types::fleet::{FleetConfig, FleetPlacement, FleetStats};
-use gd_types::{GdError, Result};
+use gd_types::{Fraction, GdError, Result};
 use gd_verify::fleet::{FleetObs, HostObs};
 use gd_workloads::cluster::{synthesize_cluster, ClusterConfig};
 use gd_workloads::{VmEvent, VmEventKind, VmSpec};
@@ -137,12 +137,7 @@ pub fn schedule_fleet(cfg: &FleetConfig, verify: Option<gd_verify::Mode>) -> Res
             "fleet needs hosts >= 1, schedule_period_s >= 1, sample_stride >= 1".into(),
         ));
     }
-    if !(0.0..=1.0).contains(&cfg.max_util) {
-        return Err(GdError::InvalidConfig(format!(
-            "max_util must be in [0, 1], got {}",
-            cfg.max_util
-        )));
-    }
+    let max_util = Fraction::new(cfg.max_util)?;
     let arrivals = synthesize_cluster(&ClusterConfig {
         duration_s: cfg.duration_s,
         schedule_period_s: cfg.schedule_period_s,
@@ -150,7 +145,7 @@ pub fn schedule_fleet(cfg: &FleetConfig, verify: Option<gd_verify::Mode>) -> Res
         seed: cfg.seed,
     });
     let vcpu_cap = cfg.host_cores * 2;
-    let mem_cap_gb = (cfg.host_capacity_gb as f64 * cfg.max_util).floor() as u64;
+    let mem_cap_gb = (cfg.host_capacity_gb as f64 * max_util.get()).floor() as u64;
 
     let mut hosts = vec![HostState::default(); cfg.hosts];
     let mut host_events: Vec<Vec<VmEvent>> = vec![Vec::new(); cfg.hosts];

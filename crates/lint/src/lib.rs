@@ -11,7 +11,7 @@
 //! | `panic-path`  | no anonymous panics in the hot simulation crates        |
 //! | `float-order` | no float accumulation over hash-order iteration         |
 //! | `sim-purity`  | no wall-clock reads or entropy RNGs anywhere            |
-//! | `silent-clamp`| no `.max(0.0)` clamps on IDD current deltas             |
+//! | `silent-clamp`| no `.max(0.0)` on IDD deltas, no `.clamp(0.0, 1.0)`     |
 //! | `map-order`   | no `HashMap` in the sweep/figure and telemetry crates   |
 //!
 //! A finding is suppressed by `// gd-lint: allow(<rule>)` on the

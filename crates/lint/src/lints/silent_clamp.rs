@@ -1,7 +1,7 @@
-//! `silent-clamp`: IDD current deltas must not be clamped to zero at the
-//! use site.
+//! `silent-clamp`: no value is clamped into range at its use site; its
+//! range is checked where it is set.
 //!
-//! The DDR power model charges activity energy from differences of
+//! **IDD current deltas.** The DDR power model charges activity energy from differences of
 //! datasheet currents (`idd4r - idd3n`, `idd5b - idd2n`, …). A negative
 //! delta means the parameter set itself is inconsistent — a datasheet
 //! typo or a bad override — and `.max(0.0)` at the subtraction site
@@ -10,14 +10,21 @@
 //! inconsistent parameters at construction, via `IddParams::validate`,
 //! and compute plain deltas afterwards.
 //!
-//! The rule is deliberately narrow: `.max(0.0)` is flagged only when the
+//! This part is deliberately narrow: `.max(0.0)` is flagged only when the
 //! receiver expression names a rail current (`idd*` / `vdd*`). Clamps of
 //! headroom fractions, runtimes, or other quantities — which are
-//! legitimate saturation arithmetic — never trip it, and a genuinely
-//! wanted clamp can carry `// gd-lint: allow(silent-clamp)`.
+//! legitimate saturation arithmetic — never trip it.
+//!
+//! **Unit-interval clamps.** `.clamp(0.0, 1.0)` on any receiver turns a
+//! share outside `[0, 1]`, a caller bug, into a plausible number; a share
+//! is a `gd_types::Fraction`, checked once where it is set or measured.
+//! Other bounds (`clamp(0.05, 1.0)`, `clamp(0.0, 100.0)`) pass.
+//!
+//! Test code is exempt, and a genuinely wanted clamp can carry
+//! `// gd-lint: allow(silent-clamp)`.
 
-use super::{open_of, Lint};
-use crate::lexer::TokKind;
+use super::{postfix_chain_idents, Lint};
+use crate::lexer::{TokKind, Token};
 use crate::source::SourceFile;
 use crate::Finding;
 use std::collections::BTreeSet;
@@ -28,12 +35,33 @@ fn is_current_name(name: &str) -> bool {
     lower.starts_with("idd") || lower.starts_with("vdd") || lower.starts_with("ipp")
 }
 
-/// True for a float literal that is exactly zero (`0.0`, `0.`, `0.00`).
-fn is_zero_float(text: &str) -> bool {
-    text.trim_end_matches(|c: char| c.is_ascii_alphanumeric() && !c.is_ascii_digit())
-        .parse::<f64>()
-        .map(|v| v == 0.0)
-        .unwrap_or(false)
+/// True for a float literal token whose value is exactly `v` (`0.0`,
+/// `0.00`, `1.0f64`, …).
+fn is_float(tok: &Token, v: f64) -> bool {
+    let TokKind::Float(text) = &tok.kind else {
+        return false;
+    };
+    let digits = text
+        .strip_suffix("f64")
+        .or_else(|| text.strip_suffix("f32"));
+    digits.unwrap_or(text).parse::<f64>().is_ok_and(|x| x == v)
+}
+
+/// True when `tokens[i]` is the method name of a `.name(args…)` call whose
+/// arguments are exactly the float literals `args` (`.max(0.0)`,
+/// `.clamp(0.0, 1.0)`).
+fn is_literal_call(tokens: &[Token], i: usize, name: &str, args: &[f64]) -> bool {
+    let n = 2 * args.len();
+    let Some(call) = tokens.get(i.wrapping_sub(1)..i + 2 + n) else {
+        return false;
+    };
+    call[0].is_punct('.')
+        && call[1].is_ident(name)
+        && call[2].kind == TokKind::Open('(')
+        && args.iter().enumerate().all(|(k, &v)| {
+            is_float(&call[3 + 2 * k], v) && (k + 1 == args.len() || call[4 + 2 * k].is_punct(','))
+        })
+        && matches!(call[2 + n].kind, TokKind::Close(')'))
 }
 
 /// Identifiers bound from an expression that names a rail current
@@ -72,8 +100,9 @@ impl Lint for SilentClamp {
     }
 
     fn rationale(&self) -> &'static str {
-        "clamping an IDD delta to zero hides an inconsistent parameter set; \
-         reject it at construction (IddParams::validate) instead"
+        "a use-site clamp hides an out-of-range value: reject inconsistent IDD \
+         parameters at construction (IddParams::validate) and check shares once \
+         as a gd_types::Fraction"
     }
 
     fn check(&self, file: &SourceFile, out: &mut Vec<Finding>) {
@@ -84,67 +113,37 @@ impl Lint for SilentClamp {
             if file.in_test[i] {
                 continue;
             }
-            // `.max(0.0)`: identifier `max` preceded by `.`, whose single
-            // argument is a zero float literal.
-            if !t.is_ident("max") || i == 0 || !tokens[i - 1].is_punct('.') {
+            let unit_clamp = is_literal_call(tokens, i, "clamp", &[0.0, 1.0]);
+            if !unit_clamp && !is_literal_call(tokens, i, "max", &[0.0]) {
                 continue;
             }
-            let arg_zero = tokens
-                .get(i + 1)
-                .is_some_and(|o| o.kind == TokKind::Open('('))
-                && matches!(tokens.get(i + 2).map(|t| &t.kind),
-                    Some(TokKind::Float(s)) if is_zero_float(s))
-                && tokens
-                    .get(i + 3)
-                    .is_some_and(|c| matches!(c.kind, TokKind::Close(')')));
-            if !arg_zero {
+            // Receiver evidence: the last rail-current name met walking the
+            // receiver's postfix expression back from the `.`.
+            let current = postfix_chain_idents(file, i - 1)
+                .into_iter()
+                .filter_map(|k| tokens[k].ident())
+                .find(|name| carries_current(name));
+            let message = if unit_clamp {
+                "silent `.clamp(0.0, 1.0)`; carry the share as a `gd_types::Fraction`, \
+                 checked where it is set or measured"
+                    .to_string()
+            } else if let Some(name) = current {
+                format!(
+                    "silent `.max(0.0)` clamp on rail-current expression \
+                     (`{name}`); validate the parameter set at construction \
+                     and compute the plain delta"
+                )
+            } else {
                 continue;
-            }
-            // Receiver evidence: walk the postfix expression backwards from
-            // the `.` and look for a rail-current name. The walk mirrors
-            // `postfix_chain_idents` but keeps the receiver's span so `-`
-            // stays visible in diagnostics context.
-            let mut j = i - 1; // index of the `.`
-            let mut current: Option<&str> = None;
-            while let Some(k) = j.checked_sub(1) {
-                match &tokens[k].kind {
-                    TokKind::Close(_) => {
-                        let Some(open) = open_of(file, k) else { break };
-                        for t in tokens.iter().take(k).skip(open + 1) {
-                            if let Some(name) = t.ident() {
-                                if carries_current(name) {
-                                    current = Some(name);
-                                }
-                            }
-                        }
-                        j = open;
-                    }
-                    TokKind::Ident(name) => {
-                        if carries_current(name) {
-                            current = Some(name);
-                        }
-                        j = k;
-                    }
-                    TokKind::Int(_) | TokKind::Float(_) => j = k,
-                    TokKind::Punct('.') | TokKind::Punct('?') => j = k,
-                    TokKind::Punct(':') if k >= 1 && tokens[k - 1].is_punct(':') => j = k - 1,
-                    _ => break,
-                }
-            }
-            if let Some(name) = current {
-                out.push(Finding::new(
-                    self.id(),
-                    file,
-                    t.line,
-                    t.col,
-                    format!(
-                        "silent `.max(0.0)` clamp on rail-current expression \
-                         (`{name}`); validate the parameter set at construction \
-                         and compute the plain delta"
-                    ),
-                    self.rationale(),
-                ));
-            }
+            };
+            out.push(Finding::new(
+                self.id(),
+                file,
+                t.line,
+                t.col,
+                message,
+                self.rationale(),
+            ));
         }
     }
 }

@@ -10,7 +10,7 @@ use crate::latency::HotplugLatencies;
 use gd_faults::{FaultInjector, FaultSite, MIGRATION_SLOWDOWN};
 use gd_types::rng::{component_rng, StdRng};
 use gd_types::stats::Summary;
-use gd_types::{GdError, Result, SimTime};
+use gd_types::{Fraction, GdError, Result, SimTime};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
@@ -24,8 +24,8 @@ pub struct MmConfig {
     pub block_bytes: u64,
     /// Per-attempt probability that page migration transiently fails even
     /// when space exists (locked pages, short-lived references). Three
-    /// failed attempts produce EAGAIN. Must lie in `[0, 1]`.
-    pub transient_fail_prob: f64,
+    /// failed attempts produce EAGAIN.
+    pub transient_fail_prob: Fraction,
     /// RNG seed.
     pub seed: u64,
 }
@@ -36,7 +36,7 @@ impl MmConfig {
         MmConfig {
             capacity_bytes: 256 << 20,
             block_bytes: 16 << 20,
-            transient_fail_prob: 0.0,
+            transient_fail_prob: Fraction::ZERO,
             seed: 1,
         }
     }
@@ -252,9 +252,8 @@ impl MemoryManager {
     ///
     /// # Errors
     ///
-    /// Returns [`GdError::InvalidConfig`] if capacity is not block-aligned,
-    /// a block is not a whole number of max-order buddy chunks, or
-    /// `transient_fail_prob` is not in `[0, 1]` (NaN included).
+    /// Returns [`GdError::InvalidConfig`] if capacity is not block-aligned
+    /// or a block is not a whole number of max-order buddy chunks.
     pub fn new(cfg: MmConfig) -> Result<Self> {
         if cfg.block_bytes == 0 || !cfg.capacity_bytes.is_multiple_of(cfg.block_bytes) {
             return Err(GdError::InvalidConfig(format!(
@@ -269,14 +268,6 @@ impl MemoryManager {
         {
             return Err(GdError::InvalidConfig(format!(
                 "block of {block_pages} pages is not buddy-alignable"
-            )));
-        }
-        // `gen_bool` would clamp (or panic on) a probability outside
-        // [0, 1]; NaN fails the range check too.
-        if !(0.0..=1.0).contains(&cfg.transient_fail_prob) {
-            return Err(GdError::InvalidConfig(format!(
-                "transient_fail_prob {} is outside [0, 1]",
-                cfg.transient_fail_prob
             )));
         }
         let n_blocks = (cfg.capacity_bytes / cfg.block_bytes) as usize;
@@ -757,8 +748,7 @@ impl MemoryManager {
         // Migration path: three attempts, as the (older) kernel does.
         let mut migrated = false;
         for _ in 0..3 {
-            let transient = self.cfg.transient_fail_prob > 0.0
-                && self.rng.gen_bool(self.cfg.transient_fail_prob);
+            let transient = self.rng.gen_bool(self.cfg.transient_fail_prob.get());
             if transient {
                 continue;
             }
@@ -1062,19 +1052,15 @@ mod tests {
     #[test]
     fn transient_fail_prob_outside_unit_interval_rejected() {
         for p in [-0.1, 1.5, f64::NAN] {
-            let cfg = MmConfig {
-                transient_fail_prob: p,
-                ..MmConfig::small_test()
-            };
             assert!(
-                matches!(MemoryManager::new(cfg), Err(GdError::InvalidConfig(_))),
+                matches!(Fraction::new(p), Err(GdError::InvalidConfig(_))),
                 "transient_fail_prob {p} accepted"
             );
         }
         // 1.0 is tab03's always-EAGAIN setting.
         for p in [0.0, 1.0] {
             let cfg = MmConfig {
-                transient_fail_prob: p,
+                transient_fail_prob: Fraction::new(p).unwrap(),
                 ..MmConfig::small_test()
             };
             assert!(MemoryManager::new(cfg).is_ok(), "{p}");
@@ -1423,7 +1409,10 @@ mod tests {
             let mut m = mm();
             m.set_fault_injector(
                 FaultPlan::none()
-                    .with(FaultSite::MigrationAbort, FaultTrigger::Prob(0.3))
+                    .with(
+                        FaultSite::MigrationAbort,
+                        FaultTrigger::Prob(Fraction::lit(0.3)),
+                    )
                     .build(seed),
             );
             let mut live: Vec<AllocationId> = Vec::new();
@@ -1574,7 +1563,7 @@ mod tests {
             let cfg = MmConfig {
                 capacity_bytes: blocks * block_bytes,
                 block_bytes,
-                transient_fail_prob: 0.1,
+                transient_fail_prob: Fraction::lit(0.1),
                 seed: 3,
             };
             for seed in seeds.clone() {
@@ -1584,7 +1573,10 @@ mod tests {
                 for m in [&mut fast, &mut reference] {
                     m.set_fault_injector(
                         FaultPlan::none()
-                            .with(FaultSite::MigrationAbort, FaultTrigger::Prob(0.3))
+                            .with(
+                                FaultSite::MigrationAbort,
+                                FaultTrigger::Prob(Fraction::lit(0.3)),
+                            )
                             .build(seed),
                     );
                 }
@@ -1800,7 +1792,7 @@ mod tests {
             let cfg = MmConfig {
                 capacity_bytes: blocks * block_bytes,
                 block_bytes,
-                transient_fail_prob: 0.1,
+                transient_fail_prob: Fraction::lit(0.1),
                 seed: 5,
             };
             for seed in 0..4u64 {
@@ -1810,7 +1802,10 @@ mod tests {
                 for m in [&mut eager, &mut lazy] {
                     m.set_fault_injector(
                         FaultPlan::none()
-                            .with(FaultSite::MigrationAbort, FaultTrigger::Prob(0.3))
+                            .with(
+                                FaultSite::MigrationAbort,
+                                FaultTrigger::Prob(Fraction::lit(0.3)),
+                            )
                             .build(seed),
                     );
                 }
@@ -2059,7 +2054,7 @@ mod tests {
         // Abort all three migration attempts → EAGAIN, fully rolled back.
         m.set_fault_injector(
             FaultPlan::none()
-                .with(FaultSite::MigrationAbort, FaultTrigger::Prob(1.0))
+                .with(FaultSite::MigrationAbort, FaultTrigger::Prob(Fraction::ONE))
                 .build(1),
         );
         let fail = m.offline_block(0).unwrap().unwrap_err();
@@ -2103,7 +2098,7 @@ mod tests {
         plain.allocate(2000, PageKind::UserMovable).unwrap();
         m.set_fault_injector(
             FaultPlan::none()
-                .with(FaultSite::MigrationSlow, FaultTrigger::Prob(1.0))
+                .with(FaultSite::MigrationSlow, FaultTrigger::Prob(Fraction::ONE))
                 .build(1),
         );
         let slow = m.offline_block(0).unwrap().unwrap();
@@ -2125,7 +2120,7 @@ mod tests {
             m.meminfo()
         };
         let mut with_inactive = mm();
-        with_inactive.set_fault_injector(FaultPlan::uniform(0.0).build(9));
+        with_inactive.set_fault_injector(FaultPlan::uniform(Fraction::ZERO).build(9));
         let mut without = mm();
         assert_eq!(drive(&mut with_inactive), drive(&mut without));
         assert_eq!(with_inactive.stats.rollbacks, 0);

@@ -18,11 +18,12 @@
 //! ```
 //! use gd_power::{ActivityProfile, DramPowerModel, PowerGating};
 //! use gd_types::config::DramConfig;
+//! use gd_types::Fraction;
 //!
 //! let model = DramPowerModel::new(DramConfig::ddr4_2133_256gb())?;
 //! let idle = model.analytic_power_w(&ActivityProfile::idle_standby(), &PowerGating::none());
 //! // Off-lining half the sub-array groups nearly halves background power.
-//! let gated = model.analytic_power_w(&ActivityProfile::idle_standby(), &PowerGating::deep_pd(0.5));
+//! let gated = model.analytic_power_w(&ActivityProfile::idle_standby(), &PowerGating::deep_pd(Fraction::lit(0.5)));
 //! assert!(gated < idle * 0.75);
 //! # Ok::<(), gd_types::GdError>(())
 //! ```

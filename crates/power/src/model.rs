@@ -19,7 +19,7 @@ use crate::device::IddParams;
 use crate::gating::PowerGating;
 use gd_dram::RankPowerState;
 use gd_types::config::{DramConfig, MemSpecKind, RefreshScheme};
-use gd_types::{GdError, Result};
+use gd_types::{Fraction, GdError, Result};
 
 /// Share of LPDDR4 IDD6 that is array retention current and therefore
 /// scales with the unmasked PASR segment fraction; the remainder is the
@@ -55,23 +55,24 @@ impl Ddr5InterfaceParams {
 }
 
 /// Average state-residency fractions and bus utilization for the analytic
-/// power path. Fractions must sum to ≤ 1 across the four states.
+/// power path. The four state residencies sum to at most 1: the model does
+/// not check it, `gd_bench::energy::energy_cell` does for those it builds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActivityProfile {
-    /// Fraction of peak data-bus utilization in `[0, 1]`.
-    pub bandwidth_util: f64,
-    /// Fraction of reads among data transfers in `[0, 1]`.
-    pub read_fraction: f64,
+    /// Fraction of peak data-bus utilization.
+    pub bandwidth_util: Fraction,
+    /// Fraction of reads among data transfers.
+    pub read_fraction: Fraction,
     /// ACT commands per column command (1 − row-hit rate).
     pub act_per_access: f64,
     /// Fraction of time ranks sit with a row open.
-    pub active_standby: f64,
+    pub active_standby: Fraction,
     /// Fraction of time ranks sit precharged with CKE high.
-    pub precharge_standby: f64,
+    pub precharge_standby: Fraction,
     /// Fraction of time ranks spend in power-down.
-    pub power_down: f64,
+    pub power_down: Fraction,
     /// Fraction of time ranks spend in self-refresh.
-    pub self_refresh: f64,
+    pub self_refresh: Fraction,
 }
 
 impl ActivityProfile {
@@ -80,27 +81,27 @@ impl ActivityProfile {
     /// interleaved traffic, so idle ranks still burn standby power).
     pub fn idle_standby() -> Self {
         ActivityProfile {
-            bandwidth_util: 0.0,
-            read_fraction: 0.67,
+            bandwidth_util: Fraction::ZERO,
+            read_fraction: Fraction::lit(0.67),
             act_per_access: 0.5,
-            active_standby: 0.0,
-            precharge_standby: 1.0,
-            power_down: 0.0,
-            self_refresh: 0.0,
+            active_standby: Fraction::ZERO,
+            precharge_standby: Fraction::ONE,
+            power_down: Fraction::ZERO,
+            self_refresh: Fraction::ZERO,
         }
     }
 
     /// A memory-intensive operating point (16 copies of `mcf`-like load):
     /// high bus utilization, rows mostly open.
-    pub fn busy(bandwidth_util: f64) -> Self {
+    pub fn busy(bandwidth_util: Fraction) -> Self {
         ActivityProfile {
-            bandwidth_util: bandwidth_util.clamp(0.0, 1.0),
-            read_fraction: 0.67,
+            bandwidth_util,
+            read_fraction: Fraction::lit(0.67),
             act_per_access: 0.5,
-            active_standby: 0.8,
-            precharge_standby: 0.2,
-            power_down: 0.0,
-            self_refresh: 0.0,
+            active_standby: Fraction::lit(0.8),
+            precharge_standby: Fraction::lit(0.2),
+            power_down: Fraction::ZERO,
+            self_refresh: Fraction::ZERO,
         }
     }
 }
@@ -192,14 +193,14 @@ impl DramPowerModel {
     /// Core (gateable) background power of one device in `state`, W.
     /// `refresh_off` is the fraction of the array whose refresh is masked;
     /// only LPDDR4-PASR self-refresh shrinks with it.
-    fn device_core_background_w(&self, state: RankPowerState, refresh_off: f64) -> f64 {
+    fn device_core_background_w(&self, state: RankPowerState, refresh_off: Fraction) -> f64 {
         let i = &self.idd;
         let ma = match state {
             RankPowerState::ActiveStandby => i.idd3n,
             RankPowerState::PrechargeStandby => i.idd2n,
             RankPowerState::PowerDown => i.idd2p,
             RankPowerState::SelfRefresh if self.cfg.kind == MemSpecKind::Lpddr4Pasr => {
-                let array_off = PASR_IDD6_ARRAY_SHARE * refresh_off.clamp(0.0, 1.0);
+                let array_off = PASR_IDD6_ARRAY_SHARE * refresh_off.get();
                 i.idd6 * (1.0 - array_off)
             }
             RankPowerState::SelfRefresh => i.idd6,
@@ -316,15 +317,15 @@ impl DramPowerModel {
             (RankPowerState::SelfRefresh, p.self_refresh),
         ];
         for (state, frac) in states {
-            w += self.background_power_w(state, gating) * frac.clamp(0.0, 1.0);
+            w += self.background_power_w(state, gating) * frac.get();
         }
         // Refresh (not needed while in self-refresh: IDD6 covers it).
-        w += self.refresh_avg_power_w(gating) * (1.0 - p.self_refresh).clamp(0.0, 1.0);
+        w += self.refresh_avg_power_w(gating) * p.self_refresh.complement().get();
         // Activity power from bus utilization.
-        let xfers = self.peak_transfers_per_s() * p.bandwidth_util.clamp(0.0, 1.0);
-        let rf = p.read_fraction.clamp(0.0, 1.0);
-        let per_xfer = rf * self.read_energy_j()
-            + (1.0 - rf) * self.write_energy_j()
+        let xfers = self.peak_transfers_per_s() * p.bandwidth_util.get();
+        let rf = p.read_fraction;
+        let per_xfer = rf.get() * self.read_energy_j()
+            + rf.complement().get() * self.write_energy_j()
             + self.io_energy_j()
             + self.interface_transfer_energy_j()
             + p.act_per_access * self.act_pre_energy_j();
@@ -356,7 +357,10 @@ mod tests {
         // Paper §3.2: 18 W idle vs 26 W busy at 256 GB.
         let model = model(DramConfig::ddr4_2133_256gb());
         let idle = model.analytic_power_w(&ActivityProfile::idle_standby(), &PowerGating::none());
-        let busy = model.analytic_power_w(&ActivityProfile::busy(0.45), &PowerGating::none());
+        let busy = model.analytic_power_w(
+            &ActivityProfile::busy(Fraction::lit(0.45)),
+            &PowerGating::none(),
+        );
         assert!(busy > idle + 4.0, "busy {busy:.1} vs idle {idle:.1}");
         assert!(busy < idle * 2.5);
     }
@@ -380,7 +384,7 @@ mod tests {
         let model = model(DramConfig::ddr4_2133_256gb());
         let p = ActivityProfile::idle_standby();
         let full = model.analytic_power_w(&p, &PowerGating::none());
-        let half = model.analytic_power_w(&p, &PowerGating::deep_pd(0.5));
+        let half = model.analytic_power_w(&p, &PowerGating::deep_pd(Fraction::lit(0.5)));
         assert!(half < full * 0.75);
         assert!(half > full * 0.4);
     }
@@ -389,8 +393,8 @@ mod tests {
     fn pasr_saves_less_than_deep_pd() {
         let model = model(DramConfig::ddr4_2133_256gb());
         let p = ActivityProfile::idle_standby();
-        let pasr = model.analytic_power_w(&p, &PowerGating::pasr(0.5));
-        let deep = model.analytic_power_w(&p, &PowerGating::deep_pd(0.5));
+        let pasr = model.analytic_power_w(&p, &PowerGating::pasr(Fraction::lit(0.5)));
+        let deep = model.analytic_power_w(&p, &PowerGating::deep_pd(Fraction::lit(0.5)));
         assert!(
             deep < pasr,
             "deep power-down gates static power too: {deep:.2} < {pasr:.2}"
@@ -460,8 +464,8 @@ mod tests {
     fn pasr_mask_shrinks_self_refresh_power_on_lpddr4_only() {
         let lp = model(DramConfig::lpddr4_3200_64gb());
         let d4 = model(DramConfig::ddr4_2133_64gb());
-        let full = lp.device_core_background_w(RankPowerState::SelfRefresh, 0.0);
-        let half = lp.device_core_background_w(RankPowerState::SelfRefresh, 0.5);
+        let full = lp.device_core_background_w(RankPowerState::SelfRefresh, Fraction::ZERO);
+        let half = lp.device_core_background_w(RankPowerState::SelfRefresh, Fraction::lit(0.5));
         assert!(
             half < full,
             "masking half the segments must shrink LPDDR4 IDD6"
@@ -469,8 +473,8 @@ mod tests {
         assert!((full - half) / full - PASR_IDD6_ARRAY_SHARE * 0.5 < 1e-12);
         // DDR4 has no segment mask: its IDD6 stays whole.
         assert_eq!(
-            d4.device_core_background_w(RankPowerState::SelfRefresh, 0.5),
-            d4.device_core_background_w(RankPowerState::SelfRefresh, 0.0),
+            d4.device_core_background_w(RankPowerState::SelfRefresh, Fraction::lit(0.5)),
+            d4.device_core_background_w(RankPowerState::SelfRefresh, Fraction::ZERO),
         );
     }
 
@@ -485,7 +489,10 @@ mod tests {
             assert!(model.refresh_command().0 > 0.0, "{kind}");
             let idle =
                 model.analytic_power_w(&ActivityProfile::idle_standby(), &PowerGating::none());
-            let busy = model.analytic_power_w(&ActivityProfile::busy(0.45), &PowerGating::none());
+            let busy = model.analytic_power_w(
+                &ActivityProfile::busy(Fraction::lit(0.45)),
+                &PowerGating::none(),
+            );
             assert!(busy > idle, "{kind}: busy {busy:.2} <= idle {idle:.2}");
         }
     }

@@ -6,6 +6,7 @@
 
 use gd_power::{ActivityProfile, DramPowerModel, PowerGating};
 use gd_types::config::{DramConfig, MemSpecKind};
+use gd_types::Fraction;
 
 /// `(label, f64::to_bits)` in the order [`measure`] produces them.
 const GOLDEN: [(&str, u64); 78] = [
@@ -93,24 +94,24 @@ const GOLDEN: [(&str, u64); 78] = [
 fn measure() -> Vec<(String, u64)> {
     let profiles = [
         ("idle", ActivityProfile::idle_standby()),
-        ("busy0.15", ActivityProfile::busy(0.15)),
-        ("busy0.45", ActivityProfile::busy(0.45)),
+        ("busy0.15", ActivityProfile::busy(Fraction::lit(0.15))),
+        ("busy0.45", ActivityProfile::busy(Fraction::lit(0.45))),
         // Self-refresh and power-down residency: the only states whose
         // currents (IDD6, IDD2P) the three profiles above never weigh.
         (
             "parked",
             ActivityProfile {
-                precharge_standby: 0.3,
-                power_down: 0.2,
-                self_refresh: 0.5,
+                precharge_standby: Fraction::lit(0.3),
+                power_down: Fraction::lit(0.2),
+                self_refresh: Fraction::lit(0.5),
                 ..ActivityProfile::idle_standby()
             },
         ),
     ];
     let gatings = [
         ("none", PowerGating::none()),
-        ("deep_pd0.5", PowerGating::deep_pd(0.5)),
-        ("pasr0.5", PowerGating::pasr(0.5)),
+        ("deep_pd0.5", PowerGating::deep_pd(Fraction::lit(0.5))),
+        ("pasr0.5", PowerGating::pasr(Fraction::lit(0.5))),
     ];
     let mut out = Vec::new();
     for kind in MemSpecKind::all() {

@@ -6,6 +6,7 @@
 //! * simulated-time newtypes with unit conversions ([`time`]),
 //! * the DRAM organization and timing configuration ([`config`]),
 //! * shared error types ([`error`]),
+//! * the checked `[0, 1]` share [`Fraction`] ([`fraction`]),
 //! * deterministic RNG construction ([`rng`]),
 //! * small streaming-statistics helpers ([`stats`]),
 //! * fleet-scale configuration and VM accounting ([`fleet`]).
@@ -27,6 +28,7 @@
 pub mod config;
 pub mod error;
 pub mod fleet;
+pub mod fraction;
 pub mod ids;
 pub mod rng;
 pub mod stats;
@@ -35,5 +37,6 @@ pub mod time;
 pub use config::{DramConfig, DramOrg, DramTiming, MemSpecKind, RefreshScheme};
 pub use error::{GdError, Result};
 pub use fleet::{FleetConfig, FleetPlacement, FleetStats};
+pub use fraction::Fraction;
 pub use ids::{Bank, BankGroup, Channel, Rank, Row, SubArray, SubArrayGroup};
 pub use time::{Cycles, SimTime};

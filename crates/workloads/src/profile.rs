@@ -7,6 +7,8 @@
 //! intensity (MPKI) and footprint dynamics (stable vs. churning) — so the
 //! profiles pin those published characteristics per benchmark.
 
+use gd_types::Fraction;
+
 /// Benchmark suite, for grouping in figures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Suite {
@@ -53,9 +55,9 @@ pub struct AppProfile {
     /// Last-level-cache misses per kilo-instruction (memory intensity).
     pub mpki: f64,
     /// Fraction of memory traffic that is reads.
-    pub read_fraction: f64,
+    pub read_fraction: Fraction,
     /// Probability that an access falls in an open row (spatial locality).
-    pub row_locality: f64,
+    pub row_locality: Fraction,
     /// Memory-level parallelism: average outstanding misses.
     pub mlp: f64,
     /// Base (non-memory) cycles per instruction.
@@ -80,7 +82,7 @@ impl AppProfile {
     /// traffic — the reason a single un-interleaved channel saturates so
     /// badly on real hardware (Fig. 3a's 3.8× for lbm).
     pub fn prefetch_factor(&self) -> f64 {
-        if self.mpki >= 20.0 && self.row_locality >= 0.7 {
+        if self.mpki >= 20.0 && self.row_locality.get() >= 0.7 {
             2.5
         } else if self.mpki >= 20.0 {
             1.5
@@ -161,8 +163,8 @@ pub fn by_name(name: &str) -> Option<AppProfile> {
         suite,
         footprint_mib,
         mpki,
-        read_fraction,
-        row_locality,
+        read_fraction: Fraction::lit(read_fraction),
+        row_locality: Fraction::lit(row_locality),
         mlp,
         cpi_base,
         giga_instructions,
@@ -577,8 +579,6 @@ mod tests {
             let p = by_name(n).unwrap_or_else(|| panic!("{n} missing"));
             assert!(p.footprint_mib > 0);
             assert!(p.mpki > 0.0);
-            assert!((0.0..=1.0).contains(&p.read_fraction));
-            assert!((0.0..=1.0).contains(&p.row_locality));
             assert!(p.mlp >= 1.0);
             assert!(p.cpi_base > 0.0);
         }

@@ -58,7 +58,7 @@ impl TraceGenerator {
     pub fn next_request(&mut self) -> MemRequest {
         // Row locality: continue sequentially with probability
         // `row_locality`, otherwise jump to a random line of the footprint.
-        if self.rng.gen_bool(self.profile.row_locality.clamp(0.0, 1.0)) {
+        if self.rng.gen_bool(self.profile.row_locality.get()) {
             self.cursor_line = (self.cursor_line + 1) % self.footprint_lines;
         } else {
             self.cursor_line = self.rng.gen_range(0..self.footprint_lines);
@@ -68,10 +68,7 @@ impl TraceGenerator {
         let u: f64 = self.rng.gen_range(1e-9..1.0f64);
         self.next_arrival += -self.gap_cycles * u.ln();
         let arrival = self.next_arrival as u64;
-        if self
-            .rng
-            .gen_bool(self.profile.read_fraction.clamp(0.0, 1.0))
-        {
+        if self.rng.gen_bool(self.profile.read_fraction.get()) {
             MemRequest::read(addr, arrival)
         } else {
             MemRequest::write(addr, arrival)
@@ -140,7 +137,10 @@ mod tests {
         let trace = g.take(10_000);
         let reads = trace.iter().filter(|r| r.kind == AccessKind::Read).count() as f64;
         let frac = reads / trace.len() as f64;
-        assert!((frac - p.read_fraction).abs() < 0.03, "read frac {frac}");
+        assert!(
+            (frac - p.read_fraction.get()).abs() < 0.03,
+            "read frac {frac}"
+        );
     }
 
     #[test]

@@ -30,11 +30,11 @@ fn main() {
         println!(
             "  runtime {:.0} s (bus utilization {:.0}%)",
             m.runtime_s,
-            m.bandwidth_util * 100.0
+            m.bandwidth_util.get() * 100.0
         );
         println!(
             "  rank self-refresh residency {:.1}% of cycles\n",
-            m.sr_fraction * 100.0
+            m.sr_fraction.get() * 100.0
         );
         runtimes.push(m.runtime_s);
     }

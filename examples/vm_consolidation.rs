@@ -11,6 +11,7 @@ use greendimm_suite::dram::EngineMode;
 use greendimm_suite::fleet::HostSimConfig;
 use greendimm_suite::power::{ActivityProfile, DramPowerModel, PowerGating};
 use greendimm_suite::types::config::DramConfig;
+use greendimm_suite::types::Fraction;
 
 fn main() {
     let cfg = HostSimConfig {
@@ -46,9 +47,10 @@ fn main() {
     }
 
     let model = DramPowerModel::new(DramConfig::ddr4_2133_256gb()).expect("paper preset");
-    let light = ActivityProfile::busy(0.15);
+    let light = ActivityProfile::busy(Fraction::lit(0.15));
     let before = model.analytic_power_w(&light, &PowerGating::none());
-    let after = model.analytic_power_w(&light, &PowerGating::deep_pd(out.mean_deep_pd_fraction()));
+    let deep_pd = Fraction::new(out.mean_deep_pd_fraction()).expect("deep-PD share");
+    let after = model.analytic_power_w(&light, &PowerGating::deep_pd(deep_pd));
     println!(
         "\nmean off-line blocks : {:.0} / 256",
         out.mean_offline_blocks()

@@ -19,6 +19,7 @@ use greendimm_suite::dram::{
 use greendimm_suite::obs::Telemetry;
 use greendimm_suite::types::config::{DramConfig, InterleaveMode, MemSpecKind};
 use greendimm_suite::types::ids::SubArrayGroup;
+use greendimm_suite::types::Fraction;
 use greendimm_suite::verify;
 use greendimm_suite::workloads::{by_name, TraceGenerator};
 
@@ -376,7 +377,7 @@ fn faulted_runs_equivalent_across_engines() {
     use greendimm_suite::bench::robustness::robustness_experiment;
     use greendimm_suite::faults::FaultPlan;
     let profile = by_name("mcf").unwrap();
-    let plan = FaultPlan::uniform(0.25);
+    let plan = FaultPlan::uniform(Fraction::lit(0.25));
     let run = |engine: EngineMode| {
         robustness_experiment(&profile, Some(&plan), engine, 17, None, true).unwrap()
     };
@@ -398,7 +399,7 @@ fn rate_zero_equals_no_injector_run() {
     use greendimm_suite::bench::robustness::robustness_experiment;
     use greendimm_suite::faults::FaultPlan;
     let profile = by_name("mcf").unwrap();
-    let inactive = FaultPlan::uniform(0.0);
+    let inactive = FaultPlan::uniform(Fraction::ZERO);
     let run = |plan| robustness_experiment(&profile, plan, EngineMode::EventDriven, 5, None, true);
     let (a_row, a_tele) = run(Some(&inactive)).unwrap();
     let (b_row, b_tele) = run(None).unwrap();

@@ -11,6 +11,7 @@ use greendimm_suite::dram::{LowPowerPolicy, MemorySystem};
 use greendimm_suite::fleet::HostSimConfig;
 use greendimm_suite::power::{ActivityProfile, DramPowerModel, PowerGating};
 use greendimm_suite::types::config::{DramConfig, InterleaveMode};
+use greendimm_suite::types::Fraction;
 use greendimm_suite::workloads::{by_name, AppProfile, TraceGenerator};
 
 fn small_profile() -> AppProfile {
@@ -77,22 +78,22 @@ fn governor_ordering_without_interleaving() {
         capacity_bytes: 64 << 30,
         ranks: 16,
         banks_per_rank: 16,
-        measured_sr_fraction: 0.5,
+        measured_sr_fraction: Fraction::lit(0.5),
         runtime_s: 100.0,
-        offline_fraction: 0.85,
+        offline_fraction: Fraction::lit(0.85),
         offline_failures: Default::default(),
     };
     let model = DramPowerModel::new(DramConfig::ddr4_2133_64gb()).expect("paper preset");
     let power = |g: &dyn PowerGovernor| {
         let out = g.evaluate(&ctx);
-        let awake = 1.0 - out.sr_fraction;
+        let awake = out.sr_fraction.complement();
         let act = ActivityProfile {
-            bandwidth_util: 0.1,
-            read_fraction: 0.7,
+            bandwidth_util: Fraction::lit(0.1),
+            read_fraction: Fraction::lit(0.7),
             act_per_access: 0.5,
-            active_standby: awake * 0.5,
-            precharge_standby: awake * 0.5,
-            power_down: 0.0,
+            active_standby: awake * Fraction::lit(0.5),
+            precharge_standby: awake * Fraction::lit(0.5),
+            power_down: Fraction::ZERO,
             self_refresh: out.sr_fraction,
         };
         model.analytic_power_w(&act, &out.gating)
@@ -151,7 +152,7 @@ fn deep_power_down_gates_background_power_end_to_end() {
     let idle = ActivityProfile::idle_standby();
     let full = model.analytic_power_w(&idle, &PowerGating::none());
     // 45% of capacity off-lined, as the paper's Fig. 12 average.
-    let gated = model.analytic_power_w(&idle, &PowerGating::deep_pd(0.45));
+    let gated = model.analytic_power_w(&idle, &PowerGating::deep_pd(Fraction::lit(0.45)));
     let saved = 1.0 - gated / full;
     assert!(
         (0.25..0.50).contains(&saved),

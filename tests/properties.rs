@@ -10,6 +10,7 @@ use greendimm_suite::mmsim::{BuddyAllocator, MemoryManager, MmConfig, PageKind, 
 use greendimm_suite::types::config::{DramConfig, InterleaveMode};
 use greendimm_suite::types::ids::SubArrayGroup;
 use greendimm_suite::types::rng::{component_rng, derive_seed};
+use greendimm_suite::types::Fraction;
 use greendimm_suite::workloads::azure::{synthesize, AzureConfig};
 
 const MODES: [InterleaveMode; 2] = [InterleaveMode::Interleaved, InterleaveMode::Linear];
@@ -147,9 +148,18 @@ fn fault_interleavings_conserve_frame_accounting() {
         let mut mm = MemoryManager::new(MmConfig::small_test()).unwrap();
         mm.set_fault_injector(
             FaultPlan::none()
-                .with(FaultSite::OfflinePinned, FaultTrigger::Prob(0.3))
-                .with(FaultSite::MigrationAbort, FaultTrigger::Prob(0.4))
-                .with(FaultSite::MigrationSlow, FaultTrigger::Prob(0.5))
+                .with(
+                    FaultSite::OfflinePinned,
+                    FaultTrigger::Prob(Fraction::lit(0.3)),
+                )
+                .with(
+                    FaultSite::MigrationAbort,
+                    FaultTrigger::Prob(Fraction::lit(0.4)),
+                )
+                .with(
+                    FaultSite::MigrationSlow,
+                    FaultTrigger::Prob(Fraction::lit(0.5)),
+                )
                 .build(seed),
         );
         let mut allocs = Vec::new();
@@ -195,7 +205,7 @@ fn fault_interleavings_conserve_frame_accounting() {
     // The property is vacuous if the plan never bites — force a dense case
     // and check the injector actually fired.
     let mut mm = MemoryManager::new(MmConfig::small_test()).unwrap();
-    mm.set_fault_injector(FaultPlan::uniform(0.5).build(7));
+    mm.set_fault_injector(FaultPlan::uniform(Fraction::lit(0.5)).build(7));
     for b in 0..mm.block_count() {
         let _ = mm.offline_block(b);
     }
@@ -316,5 +326,65 @@ fn groupmap_offline_extremes() {
         assert!(map.fully_offline_groups(&all_off).iter().all(|x| *x));
         let all_on = vec![false; map.blocks()];
         assert!(map.fully_offline_groups(&all_on).iter().all(|x| !*x));
+    }
+}
+
+/// `Fraction::new` accepts exactly the inputs a `.clamp(0.0, 1.0)` leaves
+/// bit-for-bit unchanged, so replacing a clamp by the type changes no
+/// value that reached the clamp in range. NaN is the one input the two
+/// treat differently: the clamp passed it through, the type rejects it.
+/// The type's operations compute the same bits as the `f64` expressions
+/// they replace, and stay in range, where any clamp leaves them alone.
+#[test]
+fn fraction_accepts_what_the_unit_clamp_left_alone() {
+    let mut rng = component_rng(7, "prop-fraction");
+    let mut inputs = vec![
+        0.0,
+        -0.0,
+        1.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE,
+        1.0f64.next_up(),
+        1.0f64.next_down(),
+        0.0f64.next_up(),
+        0.0f64.next_down(),
+    ];
+    for _ in 0..2_000 {
+        inputs.push(rng.gen_range(-0.5..1.5f64));
+        inputs.push(rng.gen_range(0.0..1.0f64));
+        inputs.push(f64::from_bits(rng.next_u64()));
+    }
+    let mut accepted = Vec::new();
+    for x in inputs {
+        let ok = Fraction::new(x).is_ok();
+        if x.is_nan() {
+            assert!(!ok, "NaN accepted");
+            continue;
+        }
+        assert_eq!(
+            ok,
+            x.clamp(0.0, 1.0).to_bits() == x.to_bits(),
+            "{x:e} ({:#x})",
+            x.to_bits()
+        );
+        if ok {
+            accepted.push(Fraction::new(x).unwrap());
+        }
+    }
+    assert!(accepted.len() > 2_000, "{} accepted", accepted.len());
+    for pair in accepted.windows(2) {
+        let (a, b) = (pair[0], pair[1]);
+        let (x, y) = (a.get(), b.get());
+        let cases = [
+            ("complement", a.complement(), 1.0 - x),
+            ("product", a * b, x * y),
+            ("max", a.max(b), x.max(y)),
+        ];
+        for (op, got, want) in cases {
+            assert_eq!(got.get().to_bits(), want.to_bits(), "{op} of {x:e}, {y:e}");
+            assert_eq!(Fraction::new(got.get()), Ok(got), "{op} of {x:e}, {y:e}");
+        }
     }
 }

@@ -9,6 +9,7 @@ use greendimm_suite::dram::{
 use greendimm_suite::types::config::{DramConfig, InterleaveMode, MemSpecKind};
 use greendimm_suite::types::ids::SubArrayGroup;
 use greendimm_suite::types::rng::{component_rng, StdRng};
+use greendimm_suite::types::Fraction;
 use greendimm_suite::workloads::{by_name, AppProfile, TraceGenerator};
 
 const MODES: [InterleaveMode; 2] = [InterleaveMode::Interleaved, InterleaveMode::Linear];
@@ -76,7 +77,7 @@ fn scheduler_respects_timing_streaming_workload() {
 #[test]
 fn scheduler_respects_timing_write_heavy() {
     let mut p = by_name("lbm").expect("profile");
-    p.read_fraction = 0.3; // stress tWR / tWTR turnarounds
+    p.read_fraction = Fraction::lit(0.3); // stress tWR / tWTR turnarounds
     validate_run(InterleaveMode::Interleaved, &p, 5_000, 5);
 }
 

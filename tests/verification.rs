@@ -13,7 +13,7 @@ use greendimm_suite::ksm::{Ksm, KsmConfig, RegionId};
 use greendimm_suite::mmsim::{MemoryManager, MmConfig, PageKind};
 use greendimm_suite::types::ids::SubArrayGroup;
 use greendimm_suite::types::rng::{component_rng, derive_seed, StdRng};
-use greendimm_suite::types::{GdError, SimTime};
+use greendimm_suite::types::{Fraction, GdError, SimTime};
 use greendimm_suite::verify::Mode;
 use greendimm_suite::workloads::by_name;
 
@@ -187,14 +187,14 @@ fn stress_epoch_sim(seed: u64, steps: u32, cov: &mut StressCoverage) {
     ];
     let mut rng = component_rng(seed, "epoch-sim-stress");
     let mm_cfg = MmConfig {
-        transient_fail_prob: 0.1,
+        transient_fail_prob: Fraction::lit(0.1),
         ..MmConfig::small_test().with_seed(seed)
     };
     let mut mm = MemoryManager::new(mm_cfg).unwrap();
     let installed = mm.meminfo().installed_pages;
     mm.allocate(installed / 50, PageKind::KernelUnmovable)
         .unwrap();
-    let plan = FaultPlan::uniform(0.05);
+    let plan = FaultPlan::uniform(Fraction::lit(0.05));
     mm.set_fault_injector(plan.build(derive_seed(seed, "faults.mm")));
     let gd_cfg = GreenDimmConfig {
         adaptive_off_thr: rng.gen_bool(0.5),
@@ -387,10 +387,13 @@ fn skip_twins(seed: u64, rng: &mut StdRng, ksm: Option<KsmConfig>) -> (EpochSim,
             .with_seed(seed)
             .with_selector(SELECTORS[rng.gen_range(0..SELECTORS.len())])
     };
-    let plan = FaultPlan::uniform(0.05).with(FaultSite::DeepPdEntryNack, FaultTrigger::Prob(0.3));
+    let plan = FaultPlan::uniform(Fraction::lit(0.05)).with(
+        FaultSite::DeepPdEntryNack,
+        FaultTrigger::Prob(Fraction::lit(0.3)),
+    );
     let build = |engine: EngineMode| {
         let mm_cfg = MmConfig {
-            transient_fail_prob: 0.1,
+            transient_fail_prob: Fraction::lit(0.1),
             ..MmConfig::small_test().with_seed(seed)
         };
         let mut mm = MemoryManager::new(mm_cfg).unwrap();

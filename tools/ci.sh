@@ -28,17 +28,21 @@ done
 echo "==> gd-lint (AST-level workspace analysis: unit-safety, panic-path, float-order, sim-purity, silent-clamp, map-order)"
 cargo run --quiet -p gd-lint
 
-echo "==> gd-lint JSON smoke (bad fixture must fail with the expected rule id)"
-if cargo run --quiet -p gd-lint -- --json \
-    crates/lint/tests/fixtures/sim_purity/bad_wallclock.rs > /tmp/gd_lint.ci.json 2>&1; then
-  echo "ERROR: gd-lint exited 0 on a known-bad fixture" >&2
-  exit 1
-fi
-grep -q '"rule":"sim-purity"' /tmp/gd_lint.ci.json || {
-  echo "ERROR: gd-lint --json did not report the expected sim-purity finding" >&2
-  cat /tmp/gd_lint.ci.json >&2
-  exit 1
-}
+echo "==> gd-lint JSON smoke (bad fixtures must fail with the expected rule ids)"
+for case in sim_purity/bad_wallclock.rs:sim-purity silent_clamp/bad_unit_clamp.rs:silent-clamp; do
+  fixture=${case%%:*}
+  rule=${case##*:}
+  if cargo run --quiet -p gd-lint -- --json \
+      "crates/lint/tests/fixtures/$fixture" > /tmp/gd_lint.ci.json 2>&1; then
+    echo "ERROR: gd-lint exited 0 on the known-bad fixture $fixture" >&2
+    exit 1
+  fi
+  grep -q "\"rule\":\"$rule\"" /tmp/gd_lint.ci.json || {
+    echo "ERROR: gd-lint --json did not report the expected $rule finding on $fixture" >&2
+    cat /tmp/gd_lint.ci.json >&2
+    exit 1
+  }
+done
 rm -f /tmp/gd_lint.ci.json
 
 echo "==> engine equivalence (stepped vs event-driven, serial vs parallel sweep)"
