@@ -9,7 +9,7 @@
 //! by them based on the number of idle ranks/banks").
 
 use gd_power::PowerGating;
-use gd_types::Fraction;
+use gd_types::{Fraction, Result};
 
 pub mod sanity;
 
@@ -87,6 +87,23 @@ pub struct GovernorOutcome {
     pub pd_fraction: Fraction,
     /// Runtime overhead the policy itself causes, seconds.
     pub overhead_s: f64,
+}
+
+impl GovernorOutcome {
+    /// The share of the run spent neither in self-refresh nor in
+    /// power-down, `1 − (sr + pd)`: the one home of the rule that the two
+    /// residencies sum to at most 1, which the energy evaluation and
+    /// `governor.sanity` both apply.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`gd_types::GdError::InvalidConfig`], naming the
+    /// residencies, when they sum to more than 1.
+    pub fn awake_fraction(&self) -> Result<Fraction> {
+        Fraction::new(self.sr_fraction.get() + self.pd_fraction.get())
+            .map(Fraction::complement)
+            .map_err(|e| e.labelled("self-refresh + power-down residency"))
+    }
 }
 
 /// A DRAM power-management policy under evaluation.

@@ -15,14 +15,16 @@ use gd_types::Fraction;
 use gd_verify::Violation;
 
 /// `governor.sanity`, the physical sanity of one governor outcome:
-/// the self-refresh and power-down residencies sum to at most 1, overhead
+/// the self-refresh and power-down residencies sum to at most 1, checked
+/// by [`GovernorOutcome::awake_fraction`] as the energy evaluation checks
+/// it, so an outcome passes exactly when it can be evaluated; overhead
 /// is non-negative and finite, and an off-lining governor charges at least
 /// the failure time it observed.
 pub fn check(ctx: &GovernorContext, o: &GovernorOutcome) -> Vec<Violation> {
     let mut out = Vec::new();
     let mut bad = |detail: String| out.push(Violation::new("governor.sanity", detail));
-    let residency = o.sr_fraction.get() + o.pd_fraction.get();
-    if residency > 1.0 + 1e-9 {
+    if o.awake_fraction().is_err() {
+        let residency = o.sr_fraction.get() + o.pd_fraction.get();
         bad(format!("sr + pd residency = {residency} exceeds 1"));
     }
     if !o.overhead_s.is_finite() || o.overhead_s < 0.0 {
@@ -145,6 +147,37 @@ mod tests {
             overhead_s: 1.0,
         });
         strict(check(&c, &in_range.evaluate(&c))).unwrap();
+    }
+
+    /// `governor.sanity` rejects exactly the residency sums the energy
+    /// evaluation rejects: a sum a hair above 1 fails both, and a sum of
+    /// exactly 1 passes both.
+    #[test]
+    fn residency_sum_follows_the_energy_evaluation() {
+        let outcome = |pd: f64| GovernorOutcome {
+            gating: PowerGating::none(),
+            sr_fraction: Fraction::lit(0.6),
+            pd_fraction: Fraction::new(pd).unwrap(),
+            overhead_s: 1.0,
+        };
+        let c = ctx(true);
+        let above = outcome(0.4 + 1e-10);
+        let sum = above.sr_fraction.get() + above.pd_fraction.get();
+        assert!(sum > 1.0 && sum <= 1.0 + 1e-9, "{sum}");
+        let v = check(&c, &above);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].detail.contains("exceeds 1"), "{v:?}");
+        assert_eq!(
+            above.awake_fraction().unwrap_err().to_string(),
+            format!(
+                "invalid configuration: self-refresh + power-down residency: \
+                 fraction {sum} outside [0, 1]"
+            )
+        );
+        let whole = outcome(0.4);
+        assert_eq!(whole.sr_fraction.get() + whole.pd_fraction.get(), 1.0);
+        assert!(check(&c, &whole).is_empty());
+        assert_eq!(whole.awake_fraction(), Ok(Fraction::ZERO));
     }
 
     /// An off-lining governor that ignores the failure time it observed is

@@ -156,9 +156,11 @@ pub fn measure_app(
     Ok(AppMeasurement {
         interleaved: mode.is_interleaved(),
         avg_latency_cycles: avg_latency,
-        sr_fraction: Fraction::new(stats.mean_self_refresh_fraction())?,
+        sr_fraction: Fraction::new(stats.mean_self_refresh_fraction())
+            .map_err(|e| e.labelled("measured self-refresh residency"))?,
         runtime_s,
-        bandwidth_util: Fraction::new(est.bandwidth_util.get() * est.seconds / runtime_s)?,
+        bandwidth_util: Fraction::new(est.bandwidth_util.get() * est.seconds / runtime_s)
+            .map_err(|e| e.labelled("closed-loop bandwidth share"))?,
         polls: sys.poll_counts(),
         cycles: stats.cycles,
     })
@@ -254,7 +256,7 @@ pub(crate) fn energy_cell(
     out: &GovernorOutcome,
 ) -> Result<(f64, f64)> {
     let runtime = runtime_s + out.overhead_s;
-    let awake = Fraction::new(out.sr_fraction.get() + out.pd_fraction.get())?.complement();
+    let awake = out.awake_fraction()?;
     let activity = ActivityProfile {
         bandwidth_util,
         read_fraction: profile.read_fraction,

@@ -87,6 +87,10 @@ pub struct HostWork {
     pub daemon: DaemonWork,
     /// VMs started.
     pub vm_starts: u64,
+    /// Memory blocks asked for pages by the host's allocations and grows:
+    /// the kernel's pages, VM starts and resizes, KSM's COW breaks
+    /// ([`gd_mmsim::PlacementWork::place_blocks`]).
+    pub place_blocks: u64,
     /// Runs of max-order (4 MiB) chunks placed.
     pub max_order_runs: u64,
     /// Max-order chunks placed.
@@ -113,6 +117,7 @@ impl HostWork {
         self.daemon.bodies += other.daemon.bodies;
         self.daemon.offline_passes += other.daemon.offline_passes;
         self.vm_starts += other.vm_starts;
+        self.place_blocks += other.place_blocks;
         self.max_order_runs += other.max_order_runs;
         self.max_order_chunks += other.max_order_chunks;
         self.freed_runs += other.freed_runs;
@@ -124,12 +129,13 @@ impl HostWork {
     }
 
     /// The counters as `(name, value)` pairs, in a fixed order.
-    pub fn fields(&self) -> [(&'static str, u64); 12] {
+    pub fn fields(&self) -> [(&'static str, u64); 13] {
         [
             ("daemon_ticks", self.ticks),
             ("monitor_bodies", self.daemon.bodies),
             ("offline_passes", self.daemon.offline_passes),
             ("vm_starts", self.vm_starts),
+            ("place_blocks", self.place_blocks),
             ("max_order_runs", self.max_order_runs),
             ("max_order_chunks", self.max_order_chunks),
             ("freed_runs", self.freed_runs),
@@ -299,6 +305,7 @@ fn run_host_with(
         ticks: sim.daemon.stats.ticks,
         daemon: sim.daemon.work(),
         vm_starts,
+        place_blocks: placement.place_blocks,
         max_order_runs: placement.max_order_runs,
         max_order_chunks: placement.max_order_chunks,
         freed_runs: placement.freed_runs,

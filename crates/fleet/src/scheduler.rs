@@ -137,7 +137,7 @@ pub fn schedule_fleet(cfg: &FleetConfig, verify: Option<gd_verify::Mode>) -> Res
             "fleet needs hosts >= 1, schedule_period_s >= 1, sample_stride >= 1".into(),
         ));
     }
-    let max_util = Fraction::new(cfg.max_util)?;
+    let max_util = Fraction::new(cfg.max_util).map_err(|e| e.labelled("max_util"))?;
     let arrivals = synthesize_cluster(&ClusterConfig {
         duration_s: cfg.duration_s,
         schedule_period_s: cfg.schedule_period_s,
@@ -489,13 +489,17 @@ mod tests {
             None
         )
         .is_err());
-        assert!(schedule_fleet(
+        let err = schedule_fleet(
             &FleetConfig {
                 max_util: 1.5,
                 ..FleetConfig::small_test()
             },
-            None
+            None,
         )
-        .is_err());
+        .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid configuration: max_util: fraction 1.5 outside [0, 1]"
+        );
     }
 }

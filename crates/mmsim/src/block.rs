@@ -16,70 +16,146 @@ pub struct Chunk {
     pub order: u8,
 }
 
-/// A block's allocated chunks below `MAX_ORDER`, by offset.
+/// `count` allocated max-order chunks, all equal to `chunk`, in the
+/// max-order slots (`offset >> MAX_ORDER`) from `first` up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Extent {
+    first: u32,
+    count: u32,
+    chunk: Chunk,
+}
+
+impl Extent {
+    /// The slot after the last one.
+    fn end(&self) -> u32 {
+        self.first + self.count
+    }
+}
+
+/// A block's allocated chunks, by offset.
 #[derive(Debug, Clone)]
 #[cfg_attr(test, derive(PartialEq, Eq))]
 enum ChunkBook {
-    /// Sorted by offset, ascending. The vector keeps its capacity as
-    /// chunks come and go, so a book that keeps going empty and non-empty
-    /// allocates nothing.
-    Sorted(Vec<(u32, Chunk)>),
-    /// The ordered map the sorted vector replaced: the tests' reference.
+    /// Chunks below `MAX_ORDER` sorted by offset, and max-order chunks as
+    /// extents sorted by first slot. Extents never overlap, and two that
+    /// touch hold different chunks, so a set of chunks has one extent list.
+    /// The vectors keep their capacity as chunks come and go, so a book
+    /// that keeps going empty and non-empty allocates nothing.
+    Sorted {
+        small: Vec<(u32, Chunk)>,
+        top: Vec<Extent>,
+    },
+    /// The ordered map the sorted books replaced, every chunk in it: the
+    /// tests' reference.
     #[cfg(test)]
     Tree(BTreeMap<u32, Chunk>),
 }
 
 impl ChunkBook {
-    fn insert(&mut self, offset: u32, chunk: Chunk) {
+    /// Records every chunk of `run` as `chunk`. A max-order run joins the
+    /// extents, merged with a touching extent of the same chunk on either
+    /// side.
+    fn insert_run(&mut self, run: ChunkRun, chunk: Chunk) {
         match self {
-            ChunkBook::Sorted(v) => match v.binary_search_by_key(&offset, |&(off, _)| off) {
-                Ok(at) => v[at].1 = chunk,
-                Err(at) => v.insert(at, (offset, chunk)),
-            },
+            ChunkBook::Sorted { top, .. } if run.order == MAX_ORDER => insert_extent(
+                top,
+                Extent {
+                    first: run.offset >> MAX_ORDER,
+                    count: run.count,
+                    chunk,
+                },
+            ),
+            ChunkBook::Sorted { small, .. } => {
+                for off in run.offsets() {
+                    match small.binary_search_by_key(&off, |&(o, _)| o) {
+                        Ok(at) => small[at].1 = chunk,
+                        Err(at) => small.insert(at, (off, chunk)),
+                    }
+                }
+            }
             #[cfg(test)]
             ChunkBook::Tree(t) => {
-                t.insert(offset, chunk);
+                for off in run.offsets() {
+                    t.insert(off, chunk);
+                }
             }
         }
     }
 
+    /// Removes and returns the chunk starting at `offset`, if any; a chunk
+    /// inside an extent splits it.
     fn remove(&mut self, offset: u32) -> Option<Chunk> {
         match self {
-            ChunkBook::Sorted(v) => {
-                let at = v.binary_search_by_key(&offset, |&(off, _)| off).ok()?;
-                Some(v.remove(at).1)
+            ChunkBook::Sorted { small, top } => {
+                if let Some(chunk) = top_slot(offset).and_then(|slot| remove_slots(top, slot, 1)) {
+                    return Some(chunk);
+                }
+                let at = small.binary_search_by_key(&offset, |&(o, _)| o).ok()?;
+                Some(small.remove(at).1)
             }
             #[cfg(test)]
             ChunkBook::Tree(t) => t.remove(&offset),
         }
     }
 
+    /// Removes the max-order `run` from the extents in one step and returns
+    /// its chunks' kind; `None`, removing nothing, when `run` is not
+    /// max-order or the book keeps no extents.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no chunk starts at the run's first offset.
+    fn remove_top_run(&mut self, run: ChunkRun) -> Option<PageKind> {
+        match self {
+            ChunkBook::Sorted { top, .. } if run.order == MAX_ORDER => {
+                let chunk = remove_slots(top, run.offset >> MAX_ORDER, run.count)
+                    .expect("free of unknown chunk offset");
+                Some(chunk.kind)
+            }
+            _ => None,
+        }
+    }
+
     fn get(&self, offset: u32) -> Option<&Chunk> {
         match self {
-            ChunkBook::Sorted(v) => {
-                let at = v.binary_search_by_key(&offset, |&(off, _)| off).ok()?;
-                v.get(at).map(|(_, c)| c)
+            ChunkBook::Sorted { small, top } => {
+                if let Some(slot) = top_slot(offset) {
+                    let at = top.partition_point(|e| e.end() <= slot);
+                    if let Some(e) = top.get(at).filter(|e| e.first <= slot) {
+                        return Some(&e.chunk);
+                    }
+                }
+                let at = small.binary_search_by_key(&offset, |&(o, _)| o).ok()?;
+                small.get(at).map(|(_, c)| c)
             }
             #[cfg(test)]
             ChunkBook::Tree(t) => t.get(&offset),
         }
     }
 
-    /// Every chunk with its offset, ascending.
-    // Outside test builds the match has one arm.
-    #[allow(clippy::infallible_destructuring_match)]
+    /// Every chunk with its offset, ascending: the extents expanded and
+    /// merged with the small chunks.
     fn iter(&self) -> impl Iterator<Item = (u32, &Chunk)> {
-        let sorted: &[(u32, Chunk)] = match self {
-            ChunkBook::Sorted(v) => v,
+        let (small, top): (&[(u32, Chunk)], &[Extent]) = match self {
+            ChunkBook::Sorted { small, top } => (small, top),
             #[cfg(test)]
-            ChunkBook::Tree(_) => &[],
+            ChunkBook::Tree(_) => (&[], &[]),
         };
-        let chunks = sorted.iter().map(|(off, c)| (*off, c));
+        let mut top = top
+            .iter()
+            .flat_map(|e| (e.first..e.end()).map(move |slot| (slot << MAX_ORDER, &e.chunk)))
+            .peekable();
+        let mut small = small.iter().map(|(off, c)| (*off, c)).peekable();
+        let chunks = std::iter::from_fn(move || match (top.peek(), small.peek()) {
+            (Some(t), Some(s)) if s.0 < t.0 => small.next(),
+            (Some(_), _) => top.next(),
+            (None, _) => small.next(),
+        });
         #[cfg(test)]
         let chunks = chunks.chain(
             match self {
                 ChunkBook::Tree(t) => Some(t),
-                ChunkBook::Sorted(_) => None,
+                ChunkBook::Sorted { .. } => None,
             }
             .into_iter()
             .flatten()
@@ -87,6 +163,76 @@ impl ChunkBook {
         );
         chunks
     }
+}
+
+/// The max-order slot of `offset`; `None` when `offset` is not max-order
+/// aligned.
+fn top_slot(offset: u32) -> Option<u32> {
+    offset
+        .is_multiple_of(1 << MAX_ORDER)
+        .then_some(offset >> MAX_ORDER)
+}
+
+/// Adds `new` to the sorted extents `top`, merging it with a touching
+/// extent of the same chunk on either side.
+fn insert_extent(top: &mut Vec<Extent>, new: Extent) {
+    let at = top.partition_point(|e| e.first < new.first);
+    let (below, above) = top.split_at_mut(at);
+    debug_assert!(
+        below.last().is_none_or(|e| e.end() <= new.first)
+            && above.first().is_none_or(|e| new.end() <= e.first),
+        "the slots {}..{} are already allocated",
+        new.first,
+        new.end()
+    );
+    let left = below
+        .last_mut()
+        .filter(|e| e.end() == new.first && e.chunk == new.chunk);
+    let right = above
+        .first_mut()
+        .filter(|e| e.first == new.end() && e.chunk == new.chunk);
+    match (left, right) {
+        (Some(left), Some(right)) => {
+            left.count += new.count + right.count;
+            top.remove(at);
+        }
+        (Some(left), None) => left.count += new.count,
+        (None, Some(right)) => {
+            right.first = new.first;
+            right.count += new.count;
+        }
+        (None, None) => top.insert(at, new),
+    }
+}
+
+/// Removes the max-order chunks in the `count` slots from `first`,
+/// splitting the extents at the range's edges, and returns the chunk in
+/// slot `first`; `None`, removing nothing, when that slot holds none.
+fn remove_slots(top: &mut Vec<Extent>, first: u32, count: u32) -> Option<Chunk> {
+    let end = first + count;
+    let lo = top.partition_point(|e| e.end() <= first);
+    let hi = top.partition_point(|e| e.first < end);
+    let hit = top.get(lo..hi)?;
+    let head = *hit.first().filter(|e| e.first <= first)?;
+    let tail = *hit.last()?;
+    debug_assert!(
+        tail.end() >= end
+            && hit
+                .windows(2)
+                .all(|w| w[0].end() == w[1].first && w[1].chunk.kind == head.chunk.kind),
+        "the slots {first}..{end} hold unallocated chunks or mixed kinds"
+    );
+    let left = (head.first < first).then_some(Extent {
+        count: first - head.first,
+        ..head
+    });
+    let right = (tail.end() > end).then_some(Extent {
+        first: end,
+        count: tail.end() - end,
+        ..tail
+    });
+    top.splice(lo..hi, left.into_iter().chain(right));
+    Some(head.chunk)
 }
 
 /// A contiguous, block-aligned range of physical memory that the kernel can
@@ -99,12 +245,8 @@ pub struct MemoryBlock {
     index: usize,
     pages: u32,
     buddy: BuddyAllocator,
-    /// Allocated chunks below `MAX_ORDER`, by offset.
+    /// Allocated chunks, by offset.
     chunks: ChunkBook,
-    /// Allocated max-order chunks, indexed by `offset >> MAX_ORDER`. Empty
-    /// until the first max-order chunk is placed, and always in the test
-    /// reference built by [`Self::all_btrees`].
-    top_chunks: Vec<Option<Chunk>>,
     movable_pages: u64,
     unmovable_pages: u64,
     pinned_pages: u64,
@@ -135,8 +277,10 @@ impl MemoryBlock {
             index,
             pages,
             buddy: BuddyAllocator::new(pages),
-            chunks: ChunkBook::Sorted(Vec::new()),
-            top_chunks: Vec::new(),
+            chunks: ChunkBook::Sorted {
+                small: Vec::new(),
+                top: Vec::new(),
+            },
             movable_pages: 0,
             unmovable_pages: 0,
             pinned_pages: 0,
@@ -145,7 +289,7 @@ impl MemoryBlock {
 
     /// A block that keeps every allocated chunk in an ordered map and
     /// every free chunk in ordered sets: the all-B-tree layout the sorted
-    /// vectors, the slot table and the free bitmap replaced, kept as the
+    /// vectors, the extents and the free bitmap replaced, kept as the
     /// tests' reference.
     #[cfg(test)]
     pub(crate) fn all_btrees(index: usize, pages: u32) -> Self {
@@ -154,16 +298,6 @@ impl MemoryBlock {
             chunks: ChunkBook::Tree(BTreeMap::new()),
             ..Self::new(index, pages)
         }
-    }
-
-    /// Whether max-order chunks go to the slot table: always, but in the
-    /// all-B-tree reference.
-    fn has_slot_table(&self) -> bool {
-        #[cfg(test)]
-        if let ChunkBook::Tree(_) = self.chunks {
-            return false;
-        }
-        true
     }
 
     /// Offsets of the free chunks of exactly `order`, ascending.
@@ -240,7 +374,7 @@ impl MemoryBlock {
     ) -> Vec<ChunkRun> {
         let runs = self.buddy.alloc_pages(pages);
         for &run in &runs {
-            self.put_run(
+            self.chunks.insert_run(
                 run,
                 Chunk {
                     owner,
@@ -251,59 +385,6 @@ impl MemoryBlock {
             *self.kind_pages_mut(kind) += run.pages();
         }
         runs
-    }
-
-    /// Records every chunk of `run` as `chunk`: in the slot table when they
-    /// are max-order, in the small-chunk book otherwise. The first
-    /// max-order chunk placed sizes the table.
-    fn put_run(&mut self, run: ChunkRun, chunk: Chunk) {
-        let first = (run.offset >> MAX_ORDER) as usize;
-        if run.order == MAX_ORDER && self.top_chunks.is_empty() && self.has_slot_table() {
-            self.top_chunks = vec![None; (self.pages >> MAX_ORDER) as usize];
-        }
-        let slots = (run.order == MAX_ORDER)
-            .then(|| self.top_chunks.get_mut(first..first + run.count as usize))
-            .flatten();
-        match slots {
-            Some(slots) => slots.fill(Some(chunk)),
-            None => {
-                for off in run.offsets() {
-                    self.chunks.insert(off, chunk);
-                }
-            }
-        }
-    }
-
-    /// Removes and returns the chunk starting at `offset`, if any.
-    fn take_chunk(&mut self, offset: u32) -> Option<Chunk> {
-        self.top_slot(offset)
-            .and_then(|slot| self.top_chunks.get_mut(slot)?.take())
-            .or_else(|| self.chunks.remove(offset))
-    }
-
-    /// The slot-table index of a max-order chunk at `offset`; `None` when
-    /// `offset` is not max-order aligned.
-    fn top_slot(&self, offset: u32) -> Option<usize> {
-        offset
-            .is_multiple_of(1 << MAX_ORDER)
-            .then_some((offset >> MAX_ORDER) as usize)
-    }
-
-    /// Every allocated chunk with its offset, ascending: the slot table
-    /// and the small-chunk book merged.
-    fn chunks(&self) -> impl Iterator<Item = (u32, &Chunk)> {
-        let mut top = self
-            .top_chunks
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, c)| Some(((slot as u32) << MAX_ORDER, c.as_ref()?)))
-            .peekable();
-        let mut small = self.chunks.iter().peekable();
-        std::iter::from_fn(move || match (top.peek(), small.peek()) {
-            (Some(t), Some(s)) if s.0 < t.0 => small.next(),
-            (Some(_), _) => top.next(),
-            (None, _) => small.next(),
-        })
     }
 
     /// The used-page counter for `kind`.
@@ -322,7 +403,8 @@ impl MemoryBlock {
     /// Panics if no chunk starts at `offset`.
     pub fn free_chunk(&mut self, offset: u32) -> Chunk {
         let chunk = self
-            .take_chunk(offset)
+            .chunks
+            .remove(offset)
             .expect("free of unknown chunk offset");
         self.buddy.free(offset, chunk.order);
         *self.kind_pages_mut(chunk.kind) -= 1u64 << chunk.order;
@@ -330,39 +412,23 @@ impl MemoryBlock {
     }
 
     /// Frees every chunk of `run`, all of one allocation. A max-order run
-    /// whose chunks sit in the slot table goes back in one step: its slots
-    /// are emptied, its kind's page count drops once and the buddy
-    /// allocator marks it free a bitmap word at a time. Any other run is
-    /// freed chunk by chunk through [`free_chunk`](Self::free_chunk), the
-    /// path the one step must match. Returns whether the run took the one
-    /// step.
+    /// goes back in one step: it leaves the extents as one slot range, its
+    /// kind's page count drops once and the buddy allocator marks it free a
+    /// bitmap word at a time. Any other run, and every run of the
+    /// all-B-tree reference, is freed chunk by chunk through
+    /// [`free_chunk`](Self::free_chunk), the path the one step must match.
+    /// Returns whether the run took the one step.
     ///
     /// # Panics
     ///
     /// Panics if no chunk starts at the run's first offset.
     pub fn free_run(&mut self, run: ChunkRun) -> bool {
-        let first = (run.offset >> MAX_ORDER) as usize;
-        let slots = (run.order == MAX_ORDER)
-            .then(|| self.top_chunks.get_mut(first..first + run.count as usize))
-            .flatten();
-        let Some(slots) = slots else {
+        let Some(kind) = self.chunks.remove_top_run(run) else {
             for off in run.offsets() {
                 self.free_chunk(off);
             }
             return false;
         };
-        let kind = slots
-            .first()
-            .copied()
-            .flatten()
-            .expect("free of unknown chunk offset")
-            .kind;
-        debug_assert!(
-            slots.iter().all(|s| s.is_some_and(|c| c.kind == kind)),
-            "the run at {} holds unallocated chunks or mixed kinds",
-            run.offset
-        );
-        slots.fill(None);
         self.buddy.free_top_run(run);
         *self.kind_pages_mut(kind) -= run.pages();
         true
@@ -384,7 +450,7 @@ impl MemoryBlock {
     /// Panics if no chunk starts at `offset` or `need` is not in
     /// `1..2^order`.
     pub fn trim_chunk(&mut self, offset: u32, need: u32) -> impl Iterator<Item = ChunkRun> {
-        let chunk = self.take_chunk(offset).expect("trim of unknown chunk");
+        let chunk = self.chunks.remove(offset).expect("trim of unknown chunk");
         let size = 1u32 << chunk.order;
         assert!(
             need > 0 && need < size,
@@ -393,7 +459,8 @@ impl MemoryBlock {
         let keep = size - need;
         let kept = aligned_pieces(offset, keep, (0..chunk.order).rev());
         for (off, order) in kept.clone() {
-            self.chunks.insert(off, Chunk { order, ..chunk });
+            self.chunks
+                .insert_run(ChunkRun::single(off, order), Chunk { order, ..chunk });
         }
         for (off, order) in aligned_pieces(offset + keep, need, 0..chunk.order) {
             self.buddy.free(off, order);
@@ -418,7 +485,7 @@ impl MemoryBlock {
         let mut pinned = 0u64;
         let mut alloc_pages = 0u64;
         let mut prev_end = 0u32;
-        for (off, chunk) in self.chunks() {
+        for (off, chunk) in self.chunks.iter() {
             let len = 1u32 << chunk.order;
             if off % len != 0 || off + len > self.pages {
                 return Err(format!(
@@ -463,14 +530,12 @@ impl MemoryBlock {
 
     /// Offsets of all chunks currently in the block (ascending).
     pub fn chunk_offsets(&self) -> Vec<u32> {
-        self.chunks().map(|(off, _)| off).collect()
+        self.chunks.iter().map(|(off, _)| off).collect()
     }
 
     /// The chunk starting at `offset`, if any.
     pub fn chunk_at(&self, offset: u32) -> Option<&Chunk> {
-        self.top_slot(offset)
-            .and_then(|slot| self.top_chunks.get(slot)?.as_ref())
-            .or_else(|| self.chunks.get(offset))
+        self.chunks.get(offset)
     }
 
     /// Splits the chunk at `offset` into its two buddy halves, both still
@@ -478,15 +543,17 @@ impl MemoryBlock {
     /// split-by-halves shrink loop uses it.
     #[cfg(test)]
     pub(crate) fn split_chunk(&mut self, offset: u32) -> (u32, u32) {
-        let chunk = self.take_chunk(offset).expect("split of unknown chunk");
+        let chunk = self.chunks.remove(offset).expect("split of unknown chunk");
         assert!(chunk.order > 0, "cannot split an order-0 chunk");
         let half = Chunk {
             order: chunk.order - 1,
             ..chunk
         };
         let upper = offset + (1u32 << half.order);
-        self.chunks.insert(offset, half);
-        self.chunks.insert(upper, half);
+        self.chunks
+            .insert_run(ChunkRun::single(offset, half.order), half);
+        self.chunks
+            .insert_run(ChunkRun::single(upper, half.order), half);
         (offset, upper)
     }
 }
@@ -586,14 +653,33 @@ mod tests {
             .collect()
     }
 
+    /// The extents of a block's max-order chunks, after checking that they
+    /// are sorted, that none overlap and that no two touching ones hold
+    /// the same chunk.
+    fn extents(b: &MemoryBlock) -> Vec<Extent> {
+        let top = match &b.chunks {
+            ChunkBook::Sorted { top, .. } => top.clone(),
+            ChunkBook::Tree(_) => Vec::new(),
+        };
+        for w in top.windows(2) {
+            assert!(w[0].end() <= w[1].first, "unsorted extents {w:?}");
+            assert!(
+                w[0].end() < w[1].first || w[0].chunk != w[1].chunk,
+                "unmerged extents {w:?}"
+            );
+        }
+        top
+    }
+
     /// The sorted-vector books (free lists below `MAX_ORDER`, the
-    /// small-chunk book) and the lazily sized slot table must make every
+    /// small-chunk book) and the max-order extents must make every
     /// placement, split, coalesce, free and trim the all-B-tree layout
     /// makes. Blocks of 1, 4 and 65 max-order chunks; most requests are
-    /// small, so the small lists keep emptying and refilling. Coverage:
-    /// trims, small free lists refilled after running empty, frees that
-    /// coalesce back to a max-order chunk, and slot tables first sized
-    /// after small chunks were already placed.
+    /// small, so the small lists keep emptying and refilling, and some
+    /// grow a live allocation. Coverage: trims, small free lists refilled
+    /// after running empty, frees that coalesce back to a max-order chunk,
+    /// grows whose max-order run merges with an extent of the same owner,
+    /// frees that split an extent, and trims of a chunk inside an extent.
     #[test]
     fn sorted_books_match_the_btree_reference() {
         sorted_books_differential(0..4);
@@ -614,16 +700,18 @@ mod tests {
             PageKind::KernelUnmovable,
             PageKind::Pinned,
         ];
-        let (mut trims, mut refills, mut coalesced, mut late_tables) = (0u32, 0u32, 0u32, 0u32);
+        let (mut trims, mut refills, mut coalesced) = (0u32, 0u32, 0u32);
+        let (mut merges, mut split_frees, mut inner_trims) = (0u32, 0u32, 0u32);
         for chunks_per_block in [1u32, 4, 65] {
             let pages = chunks_per_block << MAX_ORDER;
             for seed in seeds.clone() {
                 let mut rng = component_rng(seed, "sorted-books-reference");
                 let mut fast = MemoryBlock::new(0, pages);
                 let mut reference = MemoryBlock::all_btrees(0, pages);
-                // Live allocations, each as its runs; a trimmed chunk's
-                // kept pieces join its allocation's runs.
-                let mut live: Vec<Vec<ChunkRun>> = Vec::new();
+                // Live allocations, each with its owner, kind and runs; a
+                // grow's runs and a trimmed chunk's kept pieces join its
+                // allocation's runs.
+                let mut live: Vec<(AllocationId, PageKind, Vec<ChunkRun>)> = Vec::new();
                 let mut was_listed = [false; MAX_ORDER as usize];
                 let mut next_owner = 1u64;
                 for step in 0..400 {
@@ -632,47 +720,63 @@ mod tests {
                     let mut small_free = false;
                     match rng.gen_range(0u32..10) {
                         0..=3 => {
-                            let want = if rng.gen_bool(0.8) {
+                            let grown = (!live.is_empty() && rng.gen_bool(0.4))
+                                .then(|| rng.gen_range(0..live.len()));
+                            // Half the grows ask for whole max-order chunks.
+                            let want = if grown.is_some() && rng.gen_bool(0.5) {
+                                rng.gen_range(1..5u64) << MAX_ORDER
+                            } else if rng.gen_bool(0.8) {
                                 rng.gen_range(1..200u64)
                             } else {
                                 rng.gen_range(1..u64::from(pages) / 2 + 2)
                             };
-                            let kind = KINDS[rng.gen_range(0usize..KINDS.len())];
-                            let owner = AllocationId(next_owner);
-                            next_owner += 1;
-                            let small_placed = fast.chunks.iter().next().is_some();
-                            let sized = !fast.top_chunks.is_empty();
+                            let (owner, kind) = match grown {
+                                Some(at) => (live[at].0, live[at].1),
+                                None => {
+                                    next_owner += 1;
+                                    let kind = KINDS[rng.gen_range(0usize..KINDS.len())];
+                                    (AllocationId(next_owner - 1), kind)
+                                }
+                            };
+                            let before = extents(&fast).len();
                             let a = fast.alloc_chunks(want, owner, kind);
                             let b = reference.alloc_chunks(want, owner, kind);
                             assert_eq!(a, b, "{ctx}: placed runs");
-                            late_tables +=
-                                u32::from(small_placed && !sized && !fast.top_chunks.is_empty());
-                            if !a.is_empty() {
-                                live.push(a);
+                            let top_runs = a.iter().filter(|r| r.order == MAX_ORDER).count();
+                            merges += u32::from(extents(&fast).len() < before + top_runs);
+                            match grown {
+                                Some(at) => live[at].2.extend(a),
+                                None if !a.is_empty() => live.push((owner, kind, a)),
+                                None => {}
                             }
                         }
                         4 | 5 if !live.is_empty() => {
-                            let runs = live.swap_remove(rng.gen_range(0..live.len()));
+                            let (_, _, runs) = live.swap_remove(rng.gen_range(0..live.len()));
                             small_free = runs.iter().any(|r| r.order < MAX_ORDER);
                             for run in runs {
+                                let before = extents(&fast).len();
                                 fast.free_run(run);
                                 reference.free_run(run);
+                                split_frees += u32::from(extents(&fast).len() > before);
                             }
                         }
                         6 if !live.is_empty() => {
                             let at = rng.gen_range(0..live.len());
-                            let runs = &mut live[at];
-                            let run = runs[0];
+                            let runs = &mut live[at].2;
+                            let i = rng.gen_range(0..runs.len());
+                            let run = runs[i];
                             small_free = run.order < MAX_ORDER;
+                            let before = extents(&fast).len();
                             assert_eq!(
                                 fast.free_chunk(run.offset),
                                 reference.free_chunk(run.offset),
                                 "{ctx}: freed chunk"
                             );
+                            split_frees += u32::from(extents(&fast).len() > before);
                             match run.rest() {
-                                Some(rest) => runs[0] = rest,
+                                Some(rest) => runs[i] = rest,
                                 None => {
-                                    runs.remove(0);
+                                    runs.remove(i);
                                 }
                             }
                             if runs.is_empty() {
@@ -681,22 +785,23 @@ mod tests {
                         }
                         7..=9 if !live.is_empty() => {
                             let at = rng.gen_range(0..live.len());
-                            let runs = &mut live[at];
-                            let Some(&run) = runs.last().filter(|r| r.order > 0) else {
+                            let runs = &mut live[at].2;
+                            let i = rng.gen_range(0..runs.len());
+                            let Some(&run) = runs.get(i).filter(|r| r.order > 0) else {
                                 continue;
                             };
-                            runs.pop();
                             if run.count > 1 {
-                                runs.push(ChunkRun {
-                                    count: run.count - 1,
-                                    ..run
-                                });
+                                runs[i].count -= 1;
+                            } else {
+                                runs.remove(i);
                             }
                             let last = run.chunk(run.count - 1);
                             let need = rng.gen_range(1..1u32 << run.order);
+                            let before = extents(&fast).len();
                             let a: Vec<ChunkRun> = fast.trim_chunk(last, need).collect();
                             let b: Vec<ChunkRun> = reference.trim_chunk(last, need).collect();
                             assert_eq!(a, b, "{ctx}: kept pieces");
+                            inner_trims += u32::from(extents(&fast).len() > before);
                             runs.extend(a);
                             small_free = true;
                             trims += 1;
@@ -735,7 +840,9 @@ mod tests {
             coalesced > floor(5),
             "only {coalesced} frees coalesced to max order"
         );
-        assert!(late_tables > 0, "no slot table sized after small chunks");
+        assert!(merges > 0, "no grow merged with an extent of its owner");
+        assert!(split_frees > 0, "no free split an extent");
+        assert!(inner_trims > 0, "no trim took a chunk inside an extent");
     }
 
     #[test]

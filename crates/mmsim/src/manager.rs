@@ -104,10 +104,13 @@ impl HotplugStats {
     }
 }
 
-/// Max-order chunks placed and freed so far: deterministic work counters,
-/// kept out of [`HotplugStats`].
+/// Placement work so far: deterministic work counters, kept out of
+/// [`HotplugStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlacementWork {
+    /// Blocks handed a placement request: every allocation and grow
+    /// counts the blocks it asks for pages, once each.
+    pub place_blocks: u64,
     /// Runs of max-order chunks placed (each taken in one step).
     pub max_order_runs: u64,
     /// Max-order chunks placed.
@@ -230,8 +233,12 @@ pub struct MemoryManager {
     /// reserved destination chunk so Strict verification can prove it
     /// catches broken rollbacks.
     break_rollback: bool,
-    /// Max-order placement counters.
+    /// Placement counters.
     placement: PlacementWork,
+    /// Test hook: place by the full scan of every on-line block that the
+    /// full-block skip replaced.
+    #[cfg(test)]
+    scan_every_block: bool,
     /// Hotplug statistics.
     pub stats: HotplugStats,
 }
@@ -287,6 +294,8 @@ impl MemoryManager {
             faults: None,
             break_rollback: false,
             placement: PlacementWork::default(),
+            #[cfg(test)]
+            scan_every_block: false,
             stats: HotplugStats::default(),
             cfg,
         })
@@ -313,8 +322,9 @@ impl MemoryManager {
         self.break_rollback = true;
     }
 
-    /// Max-order chunks placed and freed so far, allocations, migrations
-    /// and releases alike.
+    /// Placement work so far: blocks asked by allocations and grows, and
+    /// max-order chunks placed and freed by allocations, migrations and
+    /// releases alike.
     pub fn placement_work(&self) -> PlacementWork {
         self.placement
     }
@@ -515,13 +525,66 @@ impl MemoryManager {
     }
 
     /// Places `pages` pages of `kind` for allocation `id` over the on-line
-    /// blocks, first-fit ascending, and returns the runs placed.
+    /// blocks, first-fit ascending, and returns the runs placed. Callers
+    /// settle first, so the running free total is the on-line blocks' sum.
+    /// Off-line and full blocks are skipped: handed the request, they
+    /// would place nothing.
     ///
     /// # Errors
     ///
     /// Returns [`GdError::OutOfMemory`], placing nothing, if the on-line
     /// blocks do not hold enough free pages.
     fn place(
+        &mut self,
+        pages: u64,
+        id: AllocationId,
+        kind: PageKind,
+    ) -> Result<Vec<(usize, ChunkRun)>> {
+        #[cfg(test)]
+        if self.scan_every_block {
+            return self.place_by_full_scan(pages, id, kind);
+        }
+        let free_total = self.online_free;
+        debug_assert_eq!(
+            free_total,
+            self.blocks
+                .iter()
+                .zip(&self.online)
+                .filter(|(_, &online)| online)
+                .map(|(b, _)| b.free_pages())
+                .sum::<u64>(),
+            "the running free total is the on-line blocks' sum once settled"
+        );
+        if free_total < pages {
+            return Err(GdError::OutOfMemory {
+                requested_pages: pages,
+                free_pages: free_total,
+            });
+        }
+        let mut remaining = pages;
+        let mut placed = Vec::new();
+        for bi in 0..self.blocks.len() {
+            if remaining == 0 {
+                break;
+            }
+            if !self.online[bi] || self.blocks[bi].free_pages() == 0 {
+                continue;
+            }
+            self.placement.place_blocks += 1;
+            for run in self.alloc_in_block(bi, remaining, id, kind) {
+                placed.push((bi, run));
+                remaining = remaining.saturating_sub(run.pages());
+            }
+        }
+        debug_assert_eq!(remaining, 0, "free accounting said space existed");
+        Ok(placed)
+    }
+
+    /// [`place`](Self::place) as it was before the full-block skip: the
+    /// free total summed over the on-line blocks, then every on-line block
+    /// handed the request until it is placed. The tests' reference.
+    #[cfg(test)]
+    fn place_by_full_scan(
         &mut self,
         pages: u64,
         id: AllocationId,
@@ -541,6 +604,7 @@ impl MemoryManager {
             if remaining == 0 {
                 break;
             }
+            self.placement.place_blocks += 1;
             for run in self.alloc_in_block(bi, remaining, id, kind) {
                 placed.push((bi, run));
                 remaining = remaining.saturating_sub(run.pages());
@@ -1470,10 +1534,12 @@ mod tests {
         assert!(onlines > 20, "only {onlines} on-linings");
     }
 
-    /// A manager whose blocks keep every chunk in B-trees: the layout the
-    /// free bitmap and the chunk slot table replaced.
+    /// A manager whose blocks keep every chunk in B-trees and that places
+    /// by the full scan: the layout the free bitmap and the chunk extents
+    /// replaced, and the placement the full-block skip replaced.
     fn all_btree_manager(cfg: MmConfig) -> MemoryManager {
         let mut m = MemoryManager::new(cfg).unwrap();
+        m.scan_every_block = true;
         let pages = m.block_pages;
         for b in &mut m.blocks {
             *b = MemoryBlock::all_btrees(b.index(), pages);
@@ -1522,9 +1588,11 @@ mod tests {
         run.order == MAX_ORDER && slot(run.offset) / 64 != slot(run.chunk(run.count - 1)) / 64
     }
 
-    /// The flat max-order stores and the run-length chunk lists must make
-    /// every placement, split, coalesce, migration and rollback the B-tree
-    /// layout with one list entry per chunk makes. Blocks of 1, 64 and 65
+    /// The flat max-order stores, the max-order extents, the run-length
+    /// chunk lists and the full-block skip must make every placement,
+    /// split, coalesce, migration and rollback the B-tree layout with one
+    /// list entry per chunk, placing by the full scan, makes; the skip
+    /// hands no more blocks the request than the scan. Blocks of 1, 64 and 65
     /// max-order chunks put the bitmap's word edge inside, at and past a
     /// block's end. Coverage: grows that span blocks, settles that trim a
     /// max-order chunk above another of its run, frees of multi-chunk runs,
@@ -1558,6 +1626,7 @@ mod tests {
         let (mut spanning_grows, mut run_trims, mut run_frees, mut inner_migrations) =
             (0u32, 0u32, 0u32, 0u32);
         let (mut edge_run_frees, mut multi_chunk_settles) = (0u32, 0u32);
+        let mut skipped_blocks = 0u64;
         for (chunks_per_block, blocks) in [(1u64, 16u64), (64, 4), (65, 4)] {
             let block_bytes = chunks_per_block << (MAX_ORDER as u64 + 12);
             let cfg = MmConfig {
@@ -1727,12 +1796,23 @@ mod tests {
                     format!("{:?}", reference.stats),
                     "{chunks_per_block}-chunk blocks, seed {seed}: hotplug stats"
                 );
+                let (asked, scanned) = (
+                    fast.placement_work().place_blocks,
+                    reference.placement_work().place_blocks,
+                );
+                assert!(
+                    asked <= scanned,
+                    "{chunks_per_block}-chunk blocks, seed {seed}: {asked} blocks asked, \
+                     {scanned} scanned"
+                );
+                skipped_blocks += scanned - asked;
                 rollbacks += fast.stats.rollbacks;
             }
         }
         assert!(trims > 50, "only {trims} shrinks trimmed a chunk");
         assert!(migrations > 20, "only {migrations} migrating off-linings");
         assert!(rollbacks > 10, "only {rollbacks} migration rollbacks");
+        assert!(skipped_blocks > 0, "no placement skipped a full block");
         assert!(onlines > 20, "only {onlines} on-linings");
         assert!(
             word_edge_hits > 0,

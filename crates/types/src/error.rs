@@ -65,6 +65,19 @@ impl fmt::Display for GdError {
 
 impl Error for GdError {}
 
+impl GdError {
+    /// Names the quantity an [`InvalidConfig`](GdError::InvalidConfig)
+    /// message is about, `what: message`; any other error is returned as
+    /// it is. For callers whose checked value reports no name of its own,
+    /// such as [`crate::Fraction::new`].
+    pub fn labelled(self, what: &str) -> GdError {
+        match self {
+            GdError::InvalidConfig(msg) => GdError::InvalidConfig(format!("{what}: {msg}")),
+            other => other,
+        }
+    }
+}
+
 /// Workspace-wide result alias.
 pub type Result<T> = std::result::Result<T, GdError>;
 

@@ -47,7 +47,8 @@ pub fn estimate_runtime(
     Ok(RuntimeEstimate {
         cpi,
         seconds,
-        bandwidth_util: Fraction::new(transfers_per_s / peak_transfers_per_s)?,
+        bandwidth_util: Fraction::new(transfers_per_s / peak_transfers_per_s)
+            .map_err(|e| e.labelled(&format!("{} bandwidth share", profile.name)))?,
     })
 }
 

@@ -48,11 +48,11 @@ rm -f /tmp/gd_lint.ci.json
 echo "==> engine equivalence (stepped vs event-driven, serial vs parallel sweep)"
 cargo test --quiet --release --test engine_equivalence
 
-echo "==> flat-store differential, wide seeds (gd-mmsim's flat max-order stores vs the B-tree layout)"
+echo "==> flat-store differential, wide seeds (gd-mmsim's flat max-order stores, extents and full-block skip vs the B-tree layout and full scan)"
 cargo test --quiet --release -p gd-mmsim --lib -- --ignored \
   flat_max_order_stores_match_the_btree_reference_wide_seeds
 
-echo "==> sorted-books differential, wide seeds (gd-mmsim's sorted-vector small-chunk books vs the B-tree layout)"
+echo "==> sorted-books differential, wide seeds (gd-mmsim's sorted-vector small-chunk books and max-order extents vs the B-tree layout)"
 cargo test --quiet --release -p gd-mmsim --lib -- --ignored \
   sorted_books_match_the_btree_reference_wide_seeds
 
