@@ -2,10 +2,11 @@
 //! `block_selector()` + deep power-down register programming (§4.2).
 
 use crate::config::GreenDimmConfig;
-use crate::groupmap::GroupMap;
+use crate::groupmap::{swap_adjacent_pairs, GroupMap};
 use crate::registers::{GroupRegisterFile, DEEP_PD_EXIT};
 use gd_faults::{FaultInjector, FaultSite, RetryPolicy, MRS_ACK_DELAY};
 use gd_mmsim::{MemoryManager, OfflineErrno};
+use gd_types::bits;
 use gd_types::ids::SubArrayGroup;
 use gd_types::rng::{component_rng, StdRng};
 use gd_types::{Result, SimTime};
@@ -114,6 +115,13 @@ pub struct GroupRecovery {
     pub degraded: bool,
 }
 
+impl GroupRecovery {
+    /// Whether the group waits to retry deep power-down entry.
+    fn retry_pending(&self) -> bool {
+        self.consecutive_nacks > 0 && !self.degraded
+    }
+}
+
 /// The daemon.
 #[derive(Debug)]
 pub struct Daemon {
@@ -129,10 +137,25 @@ pub struct Daemon {
     faults: Option<FaultInjector>,
     /// Per-group recovery state, indexed by group.
     recovery: Vec<GroupRecovery>,
+    /// Groups whose recovery record has a retry pending
+    /// ([`GroupRecovery::retry_pending`]), kept in step by
+    /// [`try_enter_deep_pd`](Self::try_enter_deep_pd), the one writer of
+    /// the records.
+    pending_retries: u32,
     /// Run statistics.
     pub stats: DaemonStats,
     /// Work counters.
     work: DaemonWork,
+    /// Test hook: decide by the per-block and per-group scans the words
+    /// replaced.
+    #[cfg(test)]
+    by_scan: bool,
+    /// Test log: the block each off-lining attempt picked, in order.
+    #[cfg(test)]
+    picks: Vec<usize>,
+    /// Test count: deep power-down entry attempts on powered groups.
+    #[cfg(test)]
+    entry_attempts: u64,
 }
 
 impl Daemon {
@@ -145,10 +168,17 @@ impl Daemon {
             quiet_ticks: 0,
             faults: None,
             recovery: vec![GroupRecovery::default(); map.groups() as usize],
+            pending_retries: 0,
             cfg,
             map,
             stats: DaemonStats::default(),
             work: DaemonWork::default(),
+            #[cfg(test)]
+            by_scan: false,
+            #[cfg(test)]
+            picks: Vec::new(),
+            #[cfg(test)]
+            entry_attempts: 0,
         }
     }
 
@@ -239,9 +269,18 @@ impl Daemon {
 
     /// True when some group waits to retry deep power-down entry.
     fn retry_pending(&self) -> bool {
-        self.recovery
-            .iter()
-            .any(|r| r.consecutive_nacks > 0 && !r.degraded)
+        #[cfg(test)]
+        if self.by_scan {
+            return self.retry_pending_by_scan();
+        }
+        self.pending_retries > 0
+    }
+
+    /// [`retry_pending`](Self::retry_pending) as it was before the running
+    /// count: a scan of every recovery record. The tests' reference.
+    #[cfg(test)]
+    fn retry_pending_by_scan(&self) -> bool {
+        self.recovery.iter().any(GroupRecovery::retry_pending)
     }
 
     /// The off-lining edge, when a [`tick`](Self::tick) now would change
@@ -315,11 +354,18 @@ impl Daemon {
         let mut excluded: Vec<usize> = Vec::new();
         let mut attempts = 0;
         while attempts < MAX_ATTEMPTS_PER_TICK && mm.meminfo().free_pages > keep {
-            let Some(block) =
-                crate::selector::pick_candidate(mm, self.cfg.selector, &excluded, &mut self.rng)
-            else {
+            let pick = crate::selector::pick_candidate;
+            #[cfg(test)]
+            let pick = if self.by_scan {
+                crate::selector::pick_candidate_by_scan
+            } else {
+                pick
+            };
+            let Some(block) = pick(mm, self.cfg.selector, &excluded, &mut self.rng) else {
                 break;
             };
+            #[cfg(test)]
+            self.picks.push(block);
             attempts += 1;
             match mm.offline_block(block)? {
                 Ok(ok) => {
@@ -342,7 +388,7 @@ impl Daemon {
         Ok(())
     }
 
-    /// On-lines the first off-lined block, waking its groups first, until
+    /// On-lines the lowest off-line block, waking its groups first, until
     /// `target` pages are free or every block is on-line. Returns the
     /// number of blocks on-lined.
     // Inlined into both callers, as the two loops it replaces were: called
@@ -352,7 +398,14 @@ impl Daemon {
     fn online_until(&mut self, now: SimTime, mm: &mut MemoryManager, target: u64) -> Result<u32> {
         let mut onlined = 0;
         while mm.meminfo().free_pages < target {
-            let Some(block) = mm.offline_flags().position(|off| off) else {
+            let block = mm.first_offline_block();
+            #[cfg(test)]
+            let block = if self.by_scan {
+                mm.offline_flags().position(|off| off)
+            } else {
+                block
+            };
+            let Some(block) = block else {
                 break; // everything already on-line
             };
             self.wake_groups_for_block(now, block)?;
@@ -434,6 +487,16 @@ impl Daemon {
     /// After off-lining, move every fully-off-lined group into deep
     /// power-down (honouring the shared-sense-amp neighbour constraint),
     /// in ascending group order.
+    ///
+    /// Decided a word of 64 groups at a time: the fully-off-line groups
+    /// `F` ([`GroupMap::fully_offline_word`]) that are not down, and under
+    /// the constraint whose buddy is fully off-line too
+    /// (`swap_adjacent_pairs(F)`), are the groups the per-group scan
+    /// attempts. A group entered here can put only its buddy down, later
+    /// in ascending order when the group is even; that buddy is still
+    /// visited, but [`try_enter_deep_pd`](Self::try_enter_deep_pd) reads
+    /// `is_down` first and answers at once for it and for its (down)
+    /// buddy, drawing no fault, as the scan's skip.
     fn update_registers_after_offline(&mut self, now: SimTime, mm: &MemoryManager) -> Result<()> {
         // The managed geometry may be smaller than the whole machine (the
         // paper manages a hot-pluggable region); map only the managed prefix.
@@ -441,6 +504,34 @@ impl Daemon {
         if mm.block_count() < map.blocks() {
             return Ok(()); // geometry mismatch: register programming skipped
         }
+        #[cfg(test)]
+        if self.by_scan {
+            return self.update_registers_by_scan(now, mm);
+        }
+        for gw in 0..bits::words_for(map.groups() as usize) {
+            let fully = map.fully_offline_word(gw, mm.online_words());
+            let mut candidates = fully & !self.registers.down_words()[gw];
+            if self.cfg.neighbor_constraint {
+                candidates &= swap_adjacent_pairs(fully);
+            }
+            while candidates != 0 {
+                let group = SubArrayGroup::new((gw * 64) as u32 + candidates.trailing_zeros());
+                candidates &= candidates - 1;
+                let entered = self.try_enter_deep_pd(group, now)?;
+                if entered && self.cfg.neighbor_constraint {
+                    self.try_enter_deep_pd(map.sense_amp_buddy(group), now)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// [`update_registers_after_offline`](Self::update_registers_after_offline)
+    /// as it was before the words: every group's blocks, and its buddy's,
+    /// walked in turn. The tests' reference.
+    #[cfg(test)]
+    fn update_registers_by_scan(&mut self, now: SimTime, mm: &MemoryManager) -> Result<()> {
+        let map = self.map;
         let fully = |g: SubArrayGroup| map.group_fully_offline(g, |b| mm.block_offline(b));
         for g in 0..map.groups() {
             let group = SubArrayGroup::new(g);
@@ -478,6 +569,10 @@ impl Daemon {
         if self.registers.is_down(group) {
             return Ok(true);
         }
+        #[cfg(test)]
+        {
+            self.entry_attempts += 1;
+        }
         let Some(rec) = self.recovery.get(group.index()).copied() else {
             return Ok(false);
         };
@@ -492,6 +587,9 @@ impl Daemon {
             .faults
             .as_mut()
             .is_some_and(|f| f.should_fire(FaultSite::DeepPdEntryNack));
+        // Past this point the record changes: it leaves the pending count
+        // as it was, and re-enters it as it becomes.
+        self.pending_retries -= u32::from(rec.retry_pending());
         if nack {
             self.stats.deep_pd_nacks += 1;
             let rec = &mut self.recovery[group.index()];
@@ -501,6 +599,7 @@ impl Daemon {
             } else {
                 rec.quarantined_until = now + RETRY.backoff_after(rec.consecutive_nacks);
             }
+            self.pending_retries += u32::from(rec.retry_pending());
             return Ok(false);
         }
         self.recovery[group.index()].consecutive_nacks = 0;
@@ -869,5 +968,252 @@ mod tests {
         assert!(events > 0);
         // Free-block off-linings cost 1.58 ms each.
         assert!(d.stats.hotplug_time >= SimTime::from_micros(1_580) * events);
+    }
+
+    /// The word decisions (on-line words, fully-off-line group words,
+    /// register words, the running retry count) make every choice the
+    /// per-block and per-group scans they replaced make. Twin daemons, one
+    /// deciding by the scans, drive twin managers through random
+    /// allocation churn: monitor ticks, and allocation stalls whenever an
+    /// allocation does not fit. Covered: every geometry the figures use
+    /// (1, 4, 8, 12 and 16 blocks per group; 1, 2 and 4 groups per block)
+    /// and 16 groups; the neighbour constraint on and off; all three
+    /// selectors; fault plans that NACK and delay deep power-down entries,
+    /// fail buddy wakes and abort migrations. After every step the register bits and residencies,
+    /// the recovery records, `DaemonStats`, the blocks each off-lining
+    /// attempt picked, the deep power-down entry attempts and the memory
+    /// layout must agree.
+    #[test]
+    fn hotplug_words_match_the_scans() {
+        hotplug_words_differential(0..2);
+    }
+
+    /// [`hotplug_words_match_the_scans`] over 24 more seeds; `tools/ci.sh`
+    /// runs it in release mode.
+    #[test]
+    #[ignore = "wide-seed run, ~24 seeds per geometry and configuration"]
+    fn hotplug_words_match_the_scans_wide_seeds() {
+        hotplug_words_differential(2..26);
+    }
+
+    fn hotplug_words_differential(seeds: std::ops::Range<u64>) {
+        use gd_faults::{FaultPlan, FaultTrigger};
+        use gd_types::rng::{component_rng, StdRng};
+        const SELECTORS: [SelectorPolicy; 3] = [
+            SelectorPolicy::FreeRemovableFirst,
+            SelectorPolicy::RemovableFirst,
+            SelectorPolicy::Random,
+        ];
+        const UNIT: u64 = 4 << 20; // one max-order buddy chunk
+        let (mut nacks, mut delays, mut wake_fails, mut rollbacks) = (0u64, 0u64, 0u64, 0u64);
+        let (mut stalls, mut onlines, mut degraded) = (0u64, 0u64, 0u64);
+        // Ticks that left a group down beside a buddy that is fully
+        // off-line but not down: the state a candidate word that forgot
+        // the down bits would revisit.
+        let mut lone_down = 0u32;
+        for (groups, per_group, per_block) in [
+            (64u32, 1u64, 1u64),
+            (64, 4, 1),
+            (64, 8, 1),
+            (64, 12, 1),
+            (64, 16, 1),
+            (64, 1, 2),
+            (64, 1, 4),
+            (16, 1, 1),
+        ] {
+            let block_bytes = UNIT * per_block;
+            let blocks = u64::from(groups) * per_group / per_block;
+            let map = GroupMap::new(blocks * block_bytes, groups, block_bytes).unwrap();
+            let mut deep_pd_seen = false;
+            for seed in seeds.clone() {
+                for (ci, &selector) in SELECTORS.iter().enumerate() {
+                    for constraint in [true, false] {
+                        let faulty = (seed + ci as u64).is_multiple_of(2);
+                        let ctx = format!(
+                            "{groups} groups, {per_group}/{per_block}, seed {seed}, \
+                             {selector:?}, constraint {constraint}, faults {faulty}"
+                        );
+                        let mm_cfg = MmConfig {
+                            capacity_bytes: blocks * block_bytes,
+                            block_bytes,
+                            transient_fail_prob: Fraction::lit(0.1),
+                            seed,
+                        };
+                        let cfg = GreenDimmConfig {
+                            neighbor_constraint: constraint,
+                            ..GreenDimmConfig::paper_default()
+                                .with_selector(selector)
+                                .with_seed(seed)
+                        };
+                        let mut twins: Vec<(Daemon, MemoryManager)> = (0..2)
+                            .map(|_| {
+                                let mut d = Daemon::new(cfg, map);
+                                let mut mm = MemoryManager::new(mm_cfg).unwrap();
+                                if faulty {
+                                    let p = FaultTrigger::Prob(Fraction::lit(0.3));
+                                    d.set_fault_injector(
+                                        FaultPlan::none()
+                                            .with(FaultSite::DeepPdEntryNack, p)
+                                            .with(FaultSite::MrsAckDelay, p)
+                                            .with(FaultSite::BuddyWakeFail, p)
+                                            .build(seed),
+                                    );
+                                    mm.set_fault_injector(
+                                        FaultPlan::none()
+                                            .with(FaultSite::MigrationAbort, p)
+                                            .build(seed),
+                                    );
+                                }
+                                (d, mm)
+                            })
+                            .collect();
+                        twins[1].0.by_scan = true;
+                        let mut rng = component_rng(seed, "hotplug-words");
+                        let seen = churn(&mut twins, &mut rng, &ctx);
+                        deep_pd_seen |= seen.0;
+                        lone_down += seen.1;
+                        let (d, mm) = &twins[0];
+                        nacks += d.stats.deep_pd_nacks;
+                        delays += d.stats.mrs_ack_delays;
+                        wake_fails += d.stats.buddy_wake_failures;
+                        stalls += d.stats.allocation_stalls;
+                        onlines += d.stats.online_events;
+                        degraded += d.degraded_groups();
+                        rollbacks += mm.stats.rollbacks;
+                    }
+                }
+            }
+            assert!(
+                deep_pd_seen,
+                "{groups} groups, {per_group}/{per_block}: no group entered deep power-down"
+            );
+        }
+        assert!(nacks > 200, "only {nacks} deep-PD NACKs");
+        assert!(delays > 200, "only {delays} MRS ack delays");
+        assert!(wake_fails > 200, "only {wake_fails} buddy wake failures");
+        assert!(rollbacks > 200, "only {rollbacks} migration rollbacks");
+        assert!(stalls > 200, "only {stalls} allocation stalls");
+        assert!(onlines > 2000, "only {onlines} on-linings");
+        assert!(degraded > 0, "no group degraded");
+        assert!(
+            lone_down > 50,
+            "no down group beside an up, fully off-line buddy"
+        );
+
+        /// Drives both twins through the same random churn, comparing them
+        /// after every step. Returns whether any group entered deep
+        /// power-down, and the ticks that left a down group beside an up,
+        /// fully off-line buddy.
+        fn churn(
+            twins: &mut [(Daemon, MemoryManager)],
+            rng: &mut StdRng,
+            ctx: &str,
+        ) -> (bool, u32) {
+            let installed = twins[0].1.meminfo().installed_pages;
+            let block_pages = twins[0].1.block_pages();
+            let mut live: Vec<AllocationId> = Vec::new();
+            let (mut deep_pd, mut lone_down) = (false, 0);
+            for step in 0..120u64 {
+                let ctx = format!("{ctx} step {step}");
+                let now = SimTime::from_secs(step);
+                match rng.gen_range(0u32..10) {
+                    0..=3 => {
+                        let (pages, kind) = if rng.gen_bool(0.1) {
+                            (rng.gen_range(1..block_pages / 2), PageKind::KernelUnmovable)
+                        } else {
+                            (rng.gen_range(1..installed / 5), PageKind::UserMovable)
+                        };
+                        let mut ids = Vec::new();
+                        for (d, mm) in twins.iter_mut() {
+                            let mut woke = None;
+                            let mut id = mm.allocate(pages, kind).ok();
+                            if id.is_none() {
+                                woke = Some(d.handle_allocation_stall(now, mm, pages).unwrap());
+                                id = mm.allocate(pages, kind).ok();
+                            }
+                            ids.push((woke, id));
+                        }
+                        assert_eq!(ids[0], ids[1], "{ctx}: allocation");
+                        live.extend(ids[0].1);
+                    }
+                    4..=6 if !live.is_empty() => {
+                        let id = live.swap_remove(rng.gen_range(0..live.len()));
+                        for (_, mm) in twins.iter_mut() {
+                            mm.free(id).unwrap();
+                        }
+                    }
+                    7 if !live.is_empty() => {
+                        let id = live[rng.gen_range(0..live.len())];
+                        let pages = rng.gen_range(1..installed / 20);
+                        let grown: Vec<bool> = twins
+                            .iter_mut()
+                            .map(|(_, mm)| mm.grow(id, pages).is_ok())
+                            .collect();
+                        assert_eq!(grown[0], grown[1], "{ctx}: grow");
+                    }
+                    8 if !live.is_empty() => {
+                        let at = rng.gen_range(0..live.len());
+                        let pages = rng.gen_range(1..installed / 20);
+                        for (_, mm) in twins.iter_mut() {
+                            mm.shrink(live[at], pages).unwrap();
+                        }
+                        if twins[0].1.pages_of(live[at]) == 0 {
+                            live.swap_remove(at);
+                        }
+                    }
+                    _ => {}
+                }
+                let reports: Vec<TickReport> = twins
+                    .iter_mut()
+                    .map(|(d, mm)| d.tick(now, mm).unwrap())
+                    .collect();
+                assert_eq!(reports[0], reports[1], "{ctx}: tick report");
+                let [(a, ma), (b, mb)] = &*twins else {
+                    unreachable!("two twins")
+                };
+                assert_eq!(a.picks, b.picks, "{ctx}: picked blocks");
+                // Quarantine hides a second attempt on a group within one
+                // pass, so the attempts themselves are compared.
+                assert_eq!(a.entry_attempts, b.entry_attempts, "{ctx}: entry attempts");
+                assert_eq!(a.stats, b.stats, "{ctx}: daemon stats");
+                assert_eq!(a.work, b.work, "{ctx}: daemon work");
+                assert_eq!(a.recovery, b.recovery, "{ctx}: recovery records");
+                let pending = a.recovery.iter().filter(|r| r.retry_pending()).count();
+                assert_eq!(
+                    a.pending_retries as usize, pending,
+                    "{ctx}: pending retries"
+                );
+                assert_eq!(a.retry_pending(), b.retry_pending(), "{ctx}: retry pending");
+                let (ra, rb) = (a.registers(), b.registers());
+                assert_eq!(ra.down_words(), rb.down_words(), "{ctx}: register bits");
+                for g in (0..a.map.groups()).map(SubArrayGroup::new) {
+                    assert_eq!(ra.down_since(g), rb.down_since(g), "{ctx}: {g} down since");
+                    assert_eq!(
+                        ra.residency(g, now),
+                        rb.residency(g, now),
+                        "{ctx}: {g} residency"
+                    );
+                }
+                assert_eq!(ma.blocks(), mb.blocks(), "{ctx}: blocks");
+                assert_eq!(ma.meminfo(), mb.meminfo(), "{ctx}: meminfo");
+                assert_eq!(ma.online_words(), mb.online_words(), "{ctx}: on-line words");
+                assert_eq!(
+                    format!("{:?}", ma.stats),
+                    format!("{:?}", mb.stats),
+                    "{ctx}: mm stats"
+                );
+                assert_eq!(ma.audit(), Ok(()), "{ctx}: audit");
+                let obs = crate::verify::group_observations(a, ma);
+                assert!(
+                    gd_verify::obs::check_groups(&obs).is_empty(),
+                    "{ctx}: group invariants"
+                );
+                deep_pd |= ra.down_count() > 0;
+                lone_down += u32::from(obs.iter().any(|o| {
+                    o.neighbor_constraint && o.down && !o.buddy_down && o.buddy_fully_offline
+                }));
+            }
+            (deep_pd, lone_down)
+        }
     }
 }

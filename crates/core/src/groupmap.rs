@@ -8,9 +8,63 @@
 //! which case a group powers down only when every block inside it is
 //! off-line.
 
+use gd_types::bits;
 use gd_types::ids::SubArrayGroup;
 use gd_types::{GdError, Result};
 use std::ops::Range;
+
+/// The low `2^b` bits of every `2^f`-bit field of a word (`b <= f <= 6`).
+const fn lows(f: usize, b: usize) -> u64 {
+    let field = if b == 6 {
+        u64::MAX
+    } else {
+        (1 << (1 << b)) - 1
+    };
+    let mut x = 0;
+    let mut at = 0;
+    while at < 64 {
+        x |= field << at;
+        at += 1 << f;
+    }
+    x
+}
+
+/// The steps that move bit `i * 2^p` of a word to bit `i`, for each `p`:
+/// a first mask, then `6 - p` `(shift, mask)` steps (the rest of the
+/// array unused), each merging pairs of fields, narrowest first.
+const GATHER: [(u64, [(u32, u64); 6]); 7] = {
+    let mut table = [(0, [(0, 0); 6]); 7];
+    let mut p = 0;
+    while p <= 6 {
+        table[p].0 = lows(p, 0);
+        let mut j = 0;
+        while j < 6 - p {
+            // Fields of 2^(p + j) bits holding 2^j low bits merge in pairs.
+            let shift = (1 << (p + j)) - (1 << j);
+            table[p].1[j] = (shift, lows(p + j + 1, j + 1));
+            j += 1;
+        }
+        p += 1;
+    }
+    table
+};
+
+/// Moves bit `i * 2^p` of `x` to bit `i`, for every `i < 64 / 2^p`, and
+/// clears the rest.
+fn gather(x: u64, p: usize) -> u64 {
+    let (first, steps) = GATHER[p];
+    steps
+        .iter()
+        .take(6 - p)
+        .fold(x & first, |x, &(shift, mask)| (x | x >> shift) & mask)
+}
+
+/// Swaps every even bit of `x` with the odd bit above it: the word of the
+/// sense-amp buddies of the groups in `x`.
+pub fn swap_adjacent_pairs(x: u64) -> u64 {
+    const EVEN: u64 = 0x5555_5555_5555_5555;
+    (x & EVEN) << 1 | (x >> 1) & EVEN
+}
 
 /// Block ↔ sub-array-group geometry for a managed capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,6 +182,51 @@ impl GroupMap {
             .is_ok_and(|mut blocks| blocks.all(block_offline))
     }
 
+    /// Word `gw` of the fully-off-line groups: bit `g % 64` is set when
+    /// every block of group `g = 64 * gw + g % 64` is off-line in
+    /// `online`, the on-line blocks as words (bit `b % 64` of word `b / 64`
+    /// for block `b`; blocks past its end count as on-line). The bits past
+    /// the last group are clear. It equals
+    /// [`group_fully_offline`](Self::group_fully_offline) bit for bit
+    /// without walking a group's blocks:
+    ///
+    /// * `2^p` blocks per group (`p` ≤ 6): each off-line word's `2^p`-bit
+    ///   fields are AND-ed down to their lowest bit by `p` shifts, then
+    ///   [`gather`]ed into `64 / 2^p` group bits;
+    /// * any other geometry (12 blocks per group, whose groups straddle
+    ///   word edges; several groups per block): each group tests its
+    ///   block range against the on-line words a word at a time.
+    pub fn fully_offline_word(&self, gw: usize, online: &[u64]) -> u64 {
+        let g0 = gw * 64;
+        let in_word = (self.groups as usize).saturating_sub(g0).min(64);
+        if in_word == 0 {
+            return 0;
+        }
+        let valid = u64::MAX >> (64 - in_word);
+        let offline = |w: usize| online.get(w).map_or(0, |word| !word);
+        let (k, m) = (
+            self.blocks_per_group as usize,
+            self.groups_per_block as usize,
+        );
+        let word = if m == 1 && k.is_power_of_two() && k <= 64 {
+            let p = k.trailing_zeros() as usize;
+            let per_word = 64 / k;
+            (0..k).fold(0, |acc, j| {
+                let mut x = offline(gw * k + j);
+                for s in 0..p {
+                    x &= x >> (1 << s);
+                }
+                acc | gather(x, p) << (j * per_word)
+            })
+        } else {
+            (0..in_word).fold(0, |acc, i| {
+                let b0 = (g0 + i) * k / m;
+                acc | u64::from(!bits::any_in(online, b0..b0 + k)) << i
+            })
+        };
+        word & valid
+    }
+
     /// Given per-block off-line flags, which groups are *fully* off-line
     /// (every block of the group is off-line) and therefore eligible for
     /// deep power-down.
@@ -229,6 +328,77 @@ mod tests {
             assert!(m.groups_of_block(m.blocks()).is_err());
             assert!(m.blocks_of_group(SubArrayGroup::new(groups)).is_err());
         }
+    }
+
+    /// The word fold equals the per-group block walk for every geometry
+    /// the figures use (1, 4, 8, 12 and 16 blocks per group; 1, 2 and 4
+    /// groups per block) and for odd ones: a block of 64 groups, groups of
+    /// 2 and 128 blocks, 48 groups of 3 blocks or spanning 3 per block, and
+    /// a map covering only a prefix of the blocks.
+    #[test]
+    fn fully_offline_words_match_the_block_walk() {
+        use gd_types::rng::component_rng;
+        let mut rng = component_rng(9, "groupmap-fold");
+        for (groups, blocks_per_group, groups_per_block, extra_blocks) in [
+            (64u32, 1usize, 1usize, 0usize),
+            (64, 4, 1, 0),
+            (64, 8, 1, 0),
+            (64, 12, 1, 0),
+            (64, 16, 1, 0),
+            (64, 2, 1, 0),
+            (64, 128, 1, 0),
+            (64, 1, 2, 0),
+            (64, 1, 4, 0),
+            (64, 1, 64, 0),
+            (48, 3, 1, 0),
+            (48, 1, 3, 0),
+            (16, 1, 1, 48),
+            (130, 1, 1, 0),
+            (130, 12, 1, 5),
+        ] {
+            let block = (groups_per_block as u64) << 20;
+            let blocks = groups as usize * blocks_per_group / groups_per_block;
+            let managed = blocks as u64 * block;
+            let m = GroupMap::new(managed, groups, block).unwrap();
+            assert_eq!(
+                (m.blocks_per_group() as usize, m.groups_per_block() as usize),
+                (blocks_per_group, groups_per_block)
+            );
+            let n = blocks + extra_blocks;
+            for trial in 0..40 {
+                // Mostly off-line, so that whole groups are.
+                let p_online = [0.0, 0.02, 0.1, 0.5][trial % 4];
+                let offline: Vec<bool> = (0..n).map(|_| !rng.gen_bool(p_online)).collect();
+                let mut online = vec![0u64; bits::words_for(n)];
+                for (b, &off) in offline.iter().enumerate() {
+                    bits::assign(&mut online, b, !off);
+                }
+                let want = m.fully_offline_groups(&offline[..blocks]);
+                for gw in 0..bits::words_for(groups as usize) + 1 {
+                    let word = m.fully_offline_word(gw, &online);
+                    for i in 0..64 {
+                        let g = gw * 64 + i;
+                        assert_eq!(
+                            word >> i & 1 == 1,
+                            want.get(g).copied().unwrap_or(false),
+                            "{groups} groups, {blocks_per_group}/{groups_per_block}: group {g}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gather_packs_every_strided_bit() {
+        for p in 0..=6 {
+            let k = 1usize << p;
+            for x in [0x9E37_79B9_7F4A_7C15u64, u64::MAX, 1, 1 << 63] {
+                let want = (0..64 / k).fold(0, |acc, i| acc | (x >> (i * k) & 1) << i);
+                assert_eq!(gather(x, p), want, "stride {k}, {x:#x}");
+            }
+        }
+        assert_eq!(swap_adjacent_pairs(0b0110_0001), 0b1001_0010);
     }
 
     #[test]

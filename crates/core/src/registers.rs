@@ -7,6 +7,7 @@
 //! charges the exit latency to its hotplug time; the deep power-down exit
 //! takes no longer than the 18 ns power-down exit because the DLL stays on.
 
+use gd_types::bits;
 use gd_types::ids::SubArrayGroup;
 use gd_types::{GdError, Result, SimTime};
 
@@ -17,7 +18,10 @@ pub const DEEP_PD_EXIT: SimTime = SimTime::from_nanos(18);
 /// accounting for the power model.
 #[derive(Debug, Clone)]
 pub struct GroupRegisterFile {
-    bits: Vec<bool>,
+    groups: u32,
+    /// The down bits as words: bit `g % 64` of word `g / 64` for group
+    /// `g`, the bits past the last group clear. 64 groups are one word.
+    down: Vec<u64>,
     since: Vec<SimTime>,
     accum: Vec<SimTime>,
 }
@@ -26,7 +30,8 @@ impl GroupRegisterFile {
     /// Creates a register file for `groups` sub-array groups, all powered.
     pub fn new(groups: u32) -> Self {
         GroupRegisterFile {
-            bits: vec![false; groups as usize],
+            groups,
+            down: vec![0; bits::words_for(groups as usize)],
             since: vec![SimTime::ZERO; groups as usize],
             accum: vec![SimTime::ZERO; groups as usize],
         }
@@ -34,22 +39,29 @@ impl GroupRegisterFile {
 
     /// Number of groups.
     pub fn groups(&self) -> u32 {
-        self.bits.len() as u32
+        self.groups
     }
 
     /// Whether a group is in deep power-down.
     pub fn is_down(&self, g: SubArrayGroup) -> bool {
-        self.bits.get(g.index()).copied().unwrap_or(false)
+        bits::test(&self.down, g.index())
+    }
+
+    /// The down bits as words: bit `g % 64` of word `g / 64` is set when
+    /// group `g` is in deep power-down; the bits past the last group are
+    /// clear.
+    pub fn down_words(&self) -> &[u64] {
+        &self.down
     }
 
     /// Number of groups currently down.
     pub fn down_count(&self) -> usize {
-        self.bits.iter().filter(|b| **b).count()
+        self.down.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Fraction of groups currently down (feeds the power-gating model).
     pub fn down_fraction(&self) -> f64 {
-        self.down_count() as f64 / self.bits.len().max(1) as f64
+        self.down_count() as f64 / self.groups.max(1) as f64
     }
 
     /// Sets a group's bit at time `now`, closing the group's residency
@@ -60,10 +72,10 @@ impl GroupRegisterFile {
     /// Returns [`GdError::NotFound`] for an out-of-range group.
     pub fn set(&mut self, g: SubArrayGroup, down: bool, now: SimTime) -> Result<()> {
         let i = g.index();
-        if i >= self.bits.len() {
+        if i >= self.since.len() {
             return Err(GdError::NotFound(g.to_string()));
         }
-        if self.bits[i] == down {
+        if self.is_down(g) == down {
             return Ok(());
         }
         if down {
@@ -71,22 +83,21 @@ impl GroupRegisterFile {
         } else {
             self.accum[i] += now.saturating_sub(self.since[i]);
         }
-        self.bits[i] = down;
+        bits::assign(&mut self.down, i, down);
         Ok(())
     }
 
     /// When the group is down, the time it entered deep power-down
     /// (drives the quarantine invariant in `gd-verify`).
     pub fn down_since(&self, g: SubArrayGroup) -> Option<SimTime> {
-        let i = g.index();
-        (self.bits.get(i) == Some(&true)).then(|| self.since[i])
+        self.is_down(g).then(|| self.since[g.index()])
     }
 
     /// Total time group `g` has spent in deep power-down up to `now`.
     pub fn residency(&self, g: SubArrayGroup, now: SimTime) -> SimTime {
         let i = g.index();
         let mut t = self.accum[i];
-        if self.bits[i] {
+        if self.is_down(g) {
             t += now.saturating_sub(self.since[i]);
         }
         t
@@ -94,13 +105,13 @@ impl GroupRegisterFile {
 
     /// Mean down-residency fraction across all groups over `[0, now]`.
     pub fn mean_down_fraction(&self, now: SimTime) -> f64 {
-        if now == SimTime::ZERO || self.bits.is_empty() {
+        if now == SimTime::ZERO || self.groups == 0 {
             return 0.0;
         }
         let total: f64 = (0..self.groups())
             .map(|g| self.residency(SubArrayGroup::new(g), now).as_secs_f64())
             .sum();
-        total / (now.as_secs_f64() * self.bits.len() as f64)
+        total / (now.as_secs_f64() * f64::from(self.groups))
     }
 }
 

@@ -6,7 +6,9 @@ use gd_types::rng::StdRng;
 
 /// Picks an off-lining candidate under `policy`, skipping `excluded`
 /// blocks (failed earlier this tick). Returns `None` when no candidate
-/// remains. Reads the settled on-line blocks in place.
+/// remains. Reads the settled on-line blocks in place, passing over the
+/// off-line ones a word at a time: `FreeRemovableFirst` walks down from
+/// the top with `leading_zeros`.
 pub fn pick_candidate(
     mm: &mut MemoryManager,
     policy: SelectorPolicy,
@@ -40,6 +42,42 @@ pub fn pick_candidate(
         SelectorPolicy::Random => match online().count() {
             0 => None,
             n => online().nth(rng.gen_range(0..n)).map(|b| b.index()),
+        },
+    }
+}
+
+/// [`pick_candidate`] as it was before the on-line words: the same
+/// policies over every block's snapshot, off-line ones filtered out one by
+/// one. The tests' reference.
+#[cfg(test)]
+pub(crate) fn pick_candidate_by_scan(
+    mm: &mut MemoryManager,
+    policy: SelectorPolicy,
+    excluded: &[usize],
+    rng: &mut StdRng,
+) -> Option<usize> {
+    mm.settle();
+    let blocks = mm.blocks();
+    let online = || {
+        blocks
+            .iter()
+            .filter(|b| b.online && !excluded.contains(&b.index))
+    };
+    match policy {
+        SelectorPolicy::FreeRemovableFirst => online()
+            .rev()
+            .find(|b| b.removable && b.used_pages == 0)
+            .map(|b| b.index),
+        SelectorPolicy::RemovableFirst => {
+            let removable = || online().filter(|b| b.removable);
+            match removable().count() {
+                0 => online().min_by_key(|b| b.used_pages).map(|b| b.index),
+                n => removable().nth(rng.gen_range(0..n)).map(|b| b.index),
+            }
+        }
+        SelectorPolicy::Random => match online().count() {
+            0 => None,
+            n => online().nth(rng.gen_range(0..n)).map(|b| b.index),
         },
     }
 }

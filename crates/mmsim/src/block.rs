@@ -364,16 +364,19 @@ impl MemoryBlock {
         }
     }
 
-    /// Allocates up to `pages` pages for `owner`; returns the runs of
-    /// chunks actually placed (possibly fewer pages than requested).
+    /// Allocates up to `pages` pages for `owner` and appends the runs of
+    /// chunks actually placed (possibly fewer pages than requested) to
+    /// `out`, as [`BuddyAllocator::alloc_pages`] does.
     pub fn alloc_chunks(
         &mut self,
         pages: u64,
         owner: AllocationId,
         kind: PageKind,
-    ) -> Vec<ChunkRun> {
-        let runs = self.buddy.alloc_pages(pages);
-        for &run in &runs {
+        out: &mut Vec<ChunkRun>,
+    ) {
+        let first = out.len();
+        self.buddy.alloc_pages(pages, out);
+        for &run in &out[first..] {
             self.chunks.insert_run(
                 run,
                 Chunk {
@@ -384,7 +387,6 @@ impl MemoryBlock {
             );
             *self.kind_pages_mut(kind) += run.pages();
         }
-        runs
     }
 
     /// The used-page counter for `kind`.
@@ -580,6 +582,18 @@ fn aligned_pieces(
 mod tests {
     use super::*;
 
+    /// The runs [`MemoryBlock::alloc_chunks`] appends to an empty buffer.
+    fn alloc(
+        b: &mut MemoryBlock,
+        pages: u64,
+        owner: AllocationId,
+        kind: PageKind,
+    ) -> Vec<ChunkRun> {
+        let mut out = Vec::new();
+        b.alloc_chunks(pages, owner, kind, &mut out);
+        out
+    }
+
     fn block() -> MemoryBlock {
         MemoryBlock::new(0, 4096)
     }
@@ -595,7 +609,7 @@ mod tests {
     #[test]
     fn unmovable_chunk_clears_removable() {
         let mut b = block();
-        b.alloc_chunks(16, AllocationId(1), PageKind::KernelUnmovable);
+        alloc(&mut b, 16, AllocationId(1), PageKind::KernelUnmovable);
         assert!(!b.removable());
         assert_eq!(b.unmovable_pages(), 16);
         let info = b.info(true);
@@ -607,7 +621,7 @@ mod tests {
     #[test]
     fn movable_chunks_keep_removable() {
         let mut b = block();
-        b.alloc_chunks(100, AllocationId(2), PageKind::UserMovable);
+        alloc(&mut b, 100, AllocationId(2), PageKind::UserMovable);
         assert!(b.removable());
         assert!(!b.is_free());
         assert_eq!(b.movable_pages(), 100);
@@ -616,7 +630,7 @@ mod tests {
     #[test]
     fn free_chunk_restores_accounting() {
         let mut b = block();
-        let runs = b.alloc_chunks(64, AllocationId(3), PageKind::UserMovable);
+        let runs = alloc(&mut b, 64, AllocationId(3), PageKind::UserMovable);
         for off in runs.into_iter().flat_map(ChunkRun::offsets) {
             let c = b.free_chunk(off);
             assert_eq!(c.owner, AllocationId(3));
@@ -630,8 +644,18 @@ mod tests {
     #[test]
     fn free_run_matches_per_chunk_frees() {
         let mut b = MemoryBlock::new(0, 130 << MAX_ORDER);
-        b.alloc_chunks(1 << MAX_ORDER, AllocationId(1), PageKind::UserMovable);
-        let runs = b.alloc_chunks(128 << MAX_ORDER | 6, AllocationId(2), PageKind::Pinned);
+        alloc(
+            &mut b,
+            1 << MAX_ORDER,
+            AllocationId(1),
+            PageKind::UserMovable,
+        );
+        let runs = alloc(
+            &mut b,
+            128 << MAX_ORDER | 6,
+            AllocationId(2),
+            PageKind::Pinned,
+        );
         assert_eq!(runs[0].count, 128, "{runs:?}");
         let mut per_chunk = b.clone();
         for run in runs {
@@ -739,8 +763,8 @@ mod tests {
                                 }
                             };
                             let before = extents(&fast).len();
-                            let a = fast.alloc_chunks(want, owner, kind);
-                            let b = reference.alloc_chunks(want, owner, kind);
+                            let a = alloc(&mut fast, want, owner, kind);
+                            let b = alloc(&mut reference, want, owner, kind);
                             assert_eq!(a, b, "{ctx}: placed runs");
                             let top_runs = a.iter().filter(|r| r.order == MAX_ORDER).count();
                             merges += u32::from(extents(&fast).len() < before + top_runs);
@@ -848,7 +872,7 @@ mod tests {
     #[test]
     fn pinned_counts_as_unmovable() {
         let mut b = block();
-        b.alloc_chunks(8, AllocationId(4), PageKind::Pinned);
+        alloc(&mut b, 8, AllocationId(4), PageKind::Pinned);
         assert!(!b.removable());
         assert_eq!(b.unmovable_pages(), 8);
         assert_eq!(b.movable_pages(), 0);

@@ -474,20 +474,22 @@ impl BuddyAllocator {
     }
 
     /// Allocates up to `pages` pages as runs of chunks, preferring large
-    /// chunks. Returns the runs actually obtained (which cover exactly
-    /// `pages` pages on success, fewer if space ran out — the caller must
-    /// free partial results if it needs all-or-nothing).
+    /// chunks, and appends the runs actually obtained to `out` (they cover
+    /// exactly `pages` pages on success, fewer if space ran out — the
+    /// caller must free partial results if it needs all-or-nothing). Runs
+    /// already in `out` are left alone: none absorbs a new one.
     ///
     /// Whole max-order chunks come first, lowest offsets first, a bitmap
     /// word at a time; the rest is split off the smaller orders one chunk
     /// at a time. The chunks, in run order, are the ones repeated
     /// [`alloc`](Self::alloc) calls of the largest order that fits and
     /// succeeds would return.
-    pub fn alloc_pages(&mut self, pages: u64) -> Vec<ChunkRun> {
+    pub fn alloc_pages(&mut self, pages: u64, out: &mut Vec<ChunkRun>) {
         let mut remaining = pages.min(self.free_pages as u64);
-        let mut out: Vec<ChunkRun> = Vec::new();
+        let first = out.len();
         let mut push = |run: ChunkRun| {
-            if !out.last_mut().is_some_and(|last| last.absorb(run)) {
+            let absorbed = out.len() > first && out.last_mut().is_some_and(|last| last.absorb(run));
+            if !absorbed {
                 out.push(run);
             }
         };
@@ -522,7 +524,6 @@ impl BuddyAllocator {
                 None => break,
             }
         }
-        out
     }
 }
 
@@ -563,10 +564,17 @@ mod tests {
         assert!(x.is_multiple_of(4) && y.is_multiple_of(4));
     }
 
+    /// The runs [`BuddyAllocator::alloc_pages`] appends to an empty buffer.
+    fn alloc_runs(b: &mut BuddyAllocator, pages: u64) -> Vec<ChunkRun> {
+        let mut out = Vec::new();
+        b.alloc_pages(pages, &mut out);
+        out
+    }
+
     #[test]
     fn alloc_pages_covers_request() {
         let mut b = BuddyAllocator::new(4096);
-        let chunks = b.alloc_pages(1000);
+        let chunks = alloc_runs(&mut b, 1000);
         let total: u64 = chunks.iter().map(ChunkRun::pages).sum();
         // Greedy binary decomposition: 1000 = 512+256+128+64+32+8.
         assert_eq!(total, 1000);
@@ -576,7 +584,7 @@ mod tests {
     #[test]
     fn alloc_pages_exact_power_of_two() {
         let mut b = BuddyAllocator::new(4096);
-        let chunks = b.alloc_pages(1024);
+        let chunks = alloc_runs(&mut b, 1024);
         let total: u64 = chunks.iter().map(ChunkRun::pages).sum();
         assert_eq!(total, 1024);
         assert_eq!(chunks.len(), 1);
@@ -585,7 +593,7 @@ mod tests {
     #[test]
     fn exhaustion_returns_partial() {
         let mut b = BuddyAllocator::new(1024);
-        let chunks = b.alloc_pages(5000);
+        let chunks = alloc_runs(&mut b, 5000);
         let total: u64 = chunks.iter().map(ChunkRun::pages).sum();
         assert_eq!(total, 1024);
         assert_eq!(b.free_pages(), 0);
@@ -604,7 +612,7 @@ mod tests {
             .filter(|i| i % 3 == 0 || (60..70).contains(i))
             .map(|i| i << MAX_ORDER)
             .collect();
-        let mut all = b.alloc_pages(u64::from(chunks) << MAX_ORDER);
+        let mut all = alloc_runs(&mut b, u64::from(chunks) << MAX_ORDER);
         assert_eq!(all.len(), 1, "a free allocator is one run");
         for run in all.drain(..) {
             for off in run.offsets().filter(|off| !taken.contains(off)) {
@@ -612,7 +620,7 @@ mod tests {
             }
         }
         let mut reference = b.clone();
-        let runs = b.alloc_pages(40 << MAX_ORDER | 7);
+        let runs = alloc_runs(&mut b, 40 << MAX_ORDER | 7);
         let mut singles = Vec::new();
         for _ in 0..40 {
             singles.push((reference.alloc(MAX_ORDER).unwrap(), MAX_ORDER));
@@ -649,7 +657,7 @@ mod tests {
             (199, 1),
         ] {
             let mut run_freed = BuddyAllocator::new(chunks << MAX_ORDER);
-            let all = run_freed.alloc_pages(u64::from(chunks) << MAX_ORDER);
+            let all = alloc_runs(&mut run_freed, u64::from(chunks) << MAX_ORDER);
             assert_eq!(all.len(), 1, "a free allocator is one run");
             let mut singles = run_freed.clone();
             let run = ChunkRun {

@@ -8,6 +8,7 @@ use crate::frame::{
 };
 use crate::latency::HotplugLatencies;
 use gd_faults::{FaultInjector, FaultSite, MIGRATION_SLOWDOWN};
+use gd_types::bits::{self, SetBits};
 use gd_types::rng::{component_rng, StdRng};
 use gd_types::stats::Summary;
 use gd_types::{Fraction, GdError, Result, SimTime};
@@ -149,13 +150,7 @@ impl AllocInfo {
     /// Appends the chunks of `run` in block `bi`, extending the last run
     /// when they continue it.
     fn push_run(&mut self, bi: usize, run: ChunkRun) {
-        let extended = self
-            .runs
-            .last_mut()
-            .is_some_and(|(b, last)| *b == bi && last.absorb(run));
-        if !extended {
-            self.runs.push((bi, run));
-        }
+        push_run(&mut self.runs, 0, bi, run);
     }
 
     /// Every chunk as `(block index, offset)`, in allocation order.
@@ -187,6 +182,18 @@ impl AllocInfo {
     }
 }
 
+/// Appends the chunks of `run` in block `bi` to `runs`, extending the last
+/// run when they continue it and it lies at or after index `first`.
+fn push_run(runs: &mut Vec<(usize, ChunkRun)>, first: usize, bi: usize, run: ChunkRun) {
+    let extended = runs.len() > first
+        && runs
+            .last_mut()
+            .is_some_and(|(b, last)| *b == bi && last.absorb(run));
+    if !extended {
+        runs.push((bi, run));
+    }
+}
+
 /// Two allocations are equal when they list the same chunks in the same
 /// order, however the chunks are grouped into runs.
 #[cfg(test)]
@@ -198,17 +205,20 @@ impl PartialEq for AllocInfo {
 }
 
 /// One journalled migration step: the source chunk's offset and
-/// metadata plus the `(block, run)` destinations reserved for it.
-type MigrationJournalEntry = (u32, Chunk, Vec<(usize, ChunkRun)>);
+/// metadata, and the end of its reserved `(block, run)` destinations in
+/// the journal's shared destination list (they start where the previous
+/// step's end).
+type MigrationJournalEntry = (u32, Chunk, usize);
 
 /// The simulated physical-memory manager.
 #[derive(Debug, Clone)]
 pub struct MemoryManager {
     cfg: MmConfig,
     blocks: Vec<MemoryBlock>,
-    /// Whether each block is on-line, in block order: the one home of the
+    /// Which blocks are on-line, as words (bit `b % 64` of word `b / 64`
+    /// for block `b`; bits past the last block clear): the one home of the
     /// on/off-line state.
-    online: Vec<bool>,
+    online: Vec<u64>,
     block_pages: u32,
     /// Live allocations in id order, the order [`MemoryManager::audit`]
     /// reports their problems in.
@@ -235,8 +245,11 @@ pub struct MemoryManager {
     break_rollback: bool,
     /// Placement counters.
     placement: PlacementWork,
-    /// Test hook: place by the full scan of every on-line block that the
-    /// full-block skip replaced.
+    /// Runs one block placed, on their way to the caller's list: always
+    /// empty between calls, kept only to reuse its capacity.
+    scratch: Vec<ChunkRun>,
+    /// Test hook: place and migrate by the full scan of every on-line
+    /// block that the full-block skip replaced.
     #[cfg(test)]
     scan_every_block: bool,
     /// Hotplug statistics.
@@ -284,7 +297,16 @@ impl MemoryManager {
             blocks: (0..n_blocks)
                 .map(|i| MemoryBlock::new(i, block_pages as u32))
                 .collect(),
-            online: vec![true; n_blocks],
+            online: (0..bits::words_for(n_blocks))
+                .map(|w| {
+                    let left = n_blocks - w * 64;
+                    if left >= 64 {
+                        u64::MAX
+                    } else {
+                        (1 << left) - 1
+                    }
+                })
+                .collect(),
             block_pages: block_pages as u32,
             allocs: BTreeMap::new(),
             deferred_ids: Vec::new(),
@@ -294,6 +316,7 @@ impl MemoryManager {
             faults: None,
             break_rollback: false,
             placement: PlacementWork::default(),
+            scratch: Vec::new(),
             #[cfg(test)]
             scan_every_block: false,
             stats: HotplugStats::default(),
@@ -351,9 +374,9 @@ impl MemoryManager {
     /// Returns [`GdError::NotFound`] for an out-of-range index.
     pub fn block_info(&self, index: usize) -> Result<BlockInfo> {
         let view = self.settled_view();
-        match (view.blocks.get(index), self.online.get(index)) {
-            (Some(b), Some(&online)) => Ok(b.info(online)),
-            _ => Err(GdError::NotFound(format!("memory block {index}"))),
+        match view.blocks.get(index) {
+            Some(b) => Ok(b.info(self.is_online(index))),
+            None => Err(GdError::NotFound(format!("memory block {index}"))),
         }
     }
 
@@ -362,35 +385,56 @@ impl MemoryManager {
         self.settled_view()
             .blocks
             .iter()
-            .zip(&self.online)
-            .map(|(b, &online)| b.info(online))
+            .enumerate()
+            .map(|(i, b)| b.info(self.is_online(i)))
             .collect()
+    }
+
+    /// Whether block `index` is on-line (false when out of range).
+    fn is_online(&self, index: usize) -> bool {
+        bits::test(&self.online, index)
     }
 
     /// Whether each block is off-line, in block order. On/off-lining is
     /// never deferred, so this reads the live flags without a settle.
     pub fn offline_flags(&self) -> impl Iterator<Item = bool> + '_ {
-        self.online.iter().map(|&online| !online)
+        (0..self.blocks.len()).map(|i| !self.is_online(i))
     }
 
     /// Whether block `index` is off-line (false when out of range). Like
     /// [`offline_flags`](Self::offline_flags), it needs no settle.
     pub fn block_offline(&self, index: usize) -> bool {
-        self.online.get(index).is_some_and(|&online| !online)
+        index < self.blocks.len() && !self.is_online(index)
+    }
+
+    /// The on-line blocks as words: bit `b % 64` of word `b / 64` is set
+    /// when block `b` is on-line, and the bits past the last block are
+    /// clear. Like [`offline_flags`](Self::offline_flags), it needs no
+    /// settle.
+    pub fn online_words(&self) -> &[u64] {
+        &self.online
+    }
+
+    /// The lowest-index off-line block, found a word at a time.
+    pub fn first_offline_block(&self) -> Option<usize> {
+        let n = self.blocks.len();
+        self.online.iter().enumerate().find_map(|(w, &word)| {
+            let offline = !word;
+            let at = w * 64 + offline.trailing_zeros() as usize;
+            (offline != 0 && at < n).then_some(at)
+        })
     }
 
     /// The on-line blocks in block order, read in place after placing the
     /// deferred releases: the layout [`blocks`](Self::blocks) snapshots,
-    /// without the copy.
+    /// without the copy. Either end skips a word of off-line blocks at a
+    /// time.
     pub fn settled_online_blocks(
         &mut self,
     ) -> impl DoubleEndedIterator<Item = &MemoryBlock> + Clone {
         self.settle();
-        self.blocks
-            .iter()
-            .zip(&self.online)
-            .filter(|(_, &online)| online)
-            .map(|(b, _)| b)
+        let blocks = &self.blocks;
+        SetBits::new(&self.online).map(move |i| &blocks[i])
     }
 
     /// The layout with every deferred release placed: `self` when none is
@@ -433,8 +477,8 @@ impl MemoryManager {
         let mut free = 0;
         let mut used = 0;
         let mut offline = 0;
-        for (b, &online) in self.blocks.iter().zip(&self.online) {
-            if online {
+        for (i, b) in self.blocks.iter().enumerate() {
+            if self.is_online(i) {
                 total += b.total_pages();
                 free += b.free_pages();
                 used += b.used_pages();
@@ -457,21 +501,32 @@ impl MemoryManager {
     }
 
     /// Allocates up to `pages` pages in block `bi`, taking them off the
-    /// free total; returns the placed runs of chunks.
+    /// free total, and appends the placed runs of chunks to `out` as
+    /// `(bi, run)` entries, extending its last run when they continue it
+    /// and it lies at or after index `first`. Returns the pages placed.
     fn alloc_in_block(
         &mut self,
         bi: usize,
         pages: u64,
         owner: AllocationId,
         kind: PageKind,
-    ) -> Vec<ChunkRun> {
-        let runs = self.blocks[bi].alloc_chunks(pages, owner, kind);
-        for run in runs.iter().filter(|r| r.order == MAX_ORDER) {
-            self.placement.max_order_runs += 1;
-            self.placement.max_order_chunks += u64::from(run.count);
+        out: &mut Vec<(usize, ChunkRun)>,
+        first: usize,
+    ) -> u64 {
+        let mut runs = std::mem::take(&mut self.scratch);
+        self.blocks[bi].alloc_chunks(pages, owner, kind, &mut runs);
+        let mut placed = 0;
+        for run in runs.drain(..) {
+            if run.order == MAX_ORDER {
+                self.placement.max_order_runs += 1;
+                self.placement.max_order_chunks += u64::from(run.count);
+            }
+            placed += run.pages();
+            push_run(out, first, bi, run);
         }
-        self.online_free -= runs.iter().map(ChunkRun::pages).sum::<u64>();
-        runs
+        self.scratch = runs;
+        self.online_free -= placed;
+        placed
     }
 
     /// Frees the chunks of `run` in block `bi`, returning them to the free
@@ -484,7 +539,7 @@ impl MemoryManager {
     /// On- or off-lines block `index`, moving its pages between the
     /// running totals.
     fn set_block_online(&mut self, index: usize, online: bool) {
-        self.online[index] = online;
+        bits::assign(&mut self.online, index, online);
         let block = &self.blocks[index];
         let (free, total) = (block.free_pages(), block.total_pages());
         if online {
@@ -516,19 +571,17 @@ impl MemoryManager {
             pages,
             deferred: 0,
         };
-        for (bi, run) in self.place(pages, id, kind)? {
-            info.push_run(bi, run);
-        }
+        self.place(pages, id, kind, &mut info.runs)?;
         self.next_id += 1;
         self.allocs.insert(id, info);
         Ok(id)
     }
 
     /// Places `pages` pages of `kind` for allocation `id` over the on-line
-    /// blocks, first-fit ascending, and returns the runs placed. Callers
-    /// settle first, so the running free total is the on-line blocks' sum.
-    /// Off-line and full blocks are skipped: handed the request, they
-    /// would place nothing.
+    /// blocks, first-fit ascending, and appends the runs placed to `runs`
+    /// as [`AllocInfo::push_run`] does. Callers settle first, so the
+    /// running free total is the on-line blocks' sum. Off-line and full
+    /// blocks are skipped: handed the request, they would place nothing.
     ///
     /// # Errors
     ///
@@ -539,19 +592,17 @@ impl MemoryManager {
         pages: u64,
         id: AllocationId,
         kind: PageKind,
-    ) -> Result<Vec<(usize, ChunkRun)>> {
+        runs: &mut Vec<(usize, ChunkRun)>,
+    ) -> Result<()> {
         #[cfg(test)]
         if self.scan_every_block {
-            return self.place_by_full_scan(pages, id, kind);
+            return self.place_by_full_scan(pages, id, kind, runs);
         }
         let free_total = self.online_free;
         debug_assert_eq!(
             free_total,
-            self.blocks
-                .iter()
-                .zip(&self.online)
-                .filter(|(_, &online)| online)
-                .map(|(b, _)| b.free_pages())
+            SetBits::new(&self.online)
+                .map(|i| self.blocks[i].free_pages())
                 .sum::<u64>(),
             "the running free total is the on-line blocks' sum once settled"
         );
@@ -562,22 +613,36 @@ impl MemoryManager {
             });
         }
         let mut remaining = pages;
-        let mut placed = Vec::new();
-        for bi in 0..self.blocks.len() {
-            if remaining == 0 {
+        let mut bi = 0;
+        while remaining > 0 {
+            let Some(next) = self.next_open_block(bi, usize::MAX) else {
                 break;
-            }
-            if !self.online[bi] || self.blocks[bi].free_pages() == 0 {
-                continue;
-            }
+            };
             self.placement.place_blocks += 1;
-            for run in self.alloc_in_block(bi, remaining, id, kind) {
-                placed.push((bi, run));
-                remaining = remaining.saturating_sub(run.pages());
-            }
+            remaining -= self.alloc_in_block(next, remaining, id, kind, runs, 0);
+            bi = next + 1;
         }
         debug_assert_eq!(remaining, 0, "free accounting said space existed");
-        Ok(placed)
+        Ok(())
+    }
+
+    /// The lowest-index on-line block at or after `from`, other than
+    /// `except`, with a free page: the next block a first-fit request can
+    /// place pages in. Off-line blocks are skipped a word at a time.
+    fn next_open_block(&self, from: usize, except: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut word = self.online.get(w)? & (u64::MAX << (from % 64));
+        loop {
+            while word != 0 {
+                let bi = w * 64 + word.trailing_zeros() as usize;
+                if bi != except && self.blocks[bi].free_pages() > 0 {
+                    return Some(bi);
+                }
+                word &= word - 1;
+            }
+            w += 1;
+            word = *self.online.get(w)?;
+        }
     }
 
     /// [`place`](Self::place) as it was before the full-block skip: the
@@ -589,8 +654,11 @@ impl MemoryManager {
         pages: u64,
         id: AllocationId,
         kind: PageKind,
-    ) -> Result<Vec<(usize, ChunkRun)>> {
-        let online: Vec<usize> = (0..self.blocks.len()).filter(|&i| self.online[i]).collect();
+        runs: &mut Vec<(usize, ChunkRun)>,
+    ) -> Result<()> {
+        let online: Vec<usize> = (0..self.blocks.len())
+            .filter(|&i| self.is_online(i))
+            .collect();
         let free_total: u64 = online.iter().map(|i| self.blocks[*i].free_pages()).sum();
         if free_total < pages {
             return Err(GdError::OutOfMemory {
@@ -599,19 +667,16 @@ impl MemoryManager {
             });
         }
         let mut remaining = pages;
-        let mut placed = Vec::new();
         for bi in online {
             if remaining == 0 {
                 break;
             }
             self.placement.place_blocks += 1;
-            for run in self.alloc_in_block(bi, remaining, id, kind) {
-                placed.push((bi, run));
-                remaining = remaining.saturating_sub(run.pages());
-            }
+            let placed = self.alloc_in_block(bi, remaining, id, kind, runs, 0);
+            remaining = remaining.saturating_sub(placed);
         }
         debug_assert_eq!(remaining, 0, "free accounting said space existed");
-        Ok(placed)
+        Ok(())
     }
 
     /// Frees an entire allocation.
@@ -729,11 +794,11 @@ impl MemoryManager {
             .get(&id)
             .ok_or_else(|| GdError::NotFound(id.to_string()))?
             .kind;
-        let placed = self.place(pages, id, kind)?;
+        let mut runs = std::mem::take(&mut self.allocs.get_mut(&id).expect("checked above").runs);
+        let placed = self.place(pages, id, kind, &mut runs);
         let info = self.allocs.get_mut(&id).expect("checked above");
-        for (bi, run) in placed {
-            info.push_run(bi, run);
-        }
+        info.runs = runs;
+        placed?;
         info.pages += pages;
         Ok(())
     }
@@ -763,7 +828,7 @@ impl MemoryManager {
         if index >= self.blocks.len() {
             return Err(GdError::NotFound(format!("memory block {index}")));
         }
-        if !self.online[index] {
+        if !self.is_online(index) {
             return Err(GdError::InvalidState(format!(
                 "block {index} is already offline"
             )));
@@ -870,7 +935,9 @@ impl MemoryManager {
     /// byte-identical to the pre-attempt state. Phase 2 commits: sources
     /// are freed and the owners' chunk lists are patched. Destination
     /// placement excludes the source block, so reserving before freeing
-    /// picks exactly the chunks the old single-pass code did.
+    /// picks exactly the chunks the old single-pass code did. Like
+    /// [`place`](Self::place), it skips off-line and full blocks, which
+    /// would place nothing.
     fn try_migrate_out(&mut self, index: usize) -> MigrateOutcome {
         let needed = self.blocks[index].movable_pages();
         let free_elsewhere = self.online_free - self.blocks[index].free_pages();
@@ -886,10 +953,11 @@ impl MemoryManager {
             .is_some_and(|f| f.should_fire(FaultSite::MigrationAbort))
             .then_some(offsets.len() / 2);
         // Phase 1: reserve destinations; sources untouched.
-        let mut journal: Vec<MigrationJournalEntry> = Vec::new();
+        let mut journal: Vec<MigrationJournalEntry> = Vec::with_capacity(offsets.len());
+        let mut dests: Vec<(usize, ChunkRun)> = Vec::new();
         for (pos, off) in offsets.iter().copied().enumerate() {
             if abort_at == Some(pos) {
-                self.rollback_migration(journal);
+                self.rollback_migration(&journal, &dests);
                 self.stats.rollbacks += 1;
                 return MigrateOutcome::Aborted;
             }
@@ -897,42 +965,83 @@ impl MemoryManager {
                 .chunk_at(off)
                 .expect("invariant: chunk_offsets lists live chunks");
             debug_assert!(chunk.kind.is_movable());
-            let mut placed = Vec::new();
+            let first = dests.len();
             let mut remaining = 1u64 << chunk.order;
-            for bi in 0..self.blocks.len() {
-                if bi == index || !self.online[bi] || remaining == 0 {
-                    continue;
-                }
-                for run in self.alloc_in_block(bi, remaining, chunk.owner, chunk.kind) {
-                    placed.push((bi, run));
-                    remaining = remaining.saturating_sub(run.pages());
-                }
+            #[cfg(test)]
+            if self.scan_every_block {
+                remaining = self.reserve_by_full_scan(index, remaining, chunk, &mut dests);
+            }
+            let mut bi = 0;
+            while remaining > 0 {
+                let Some(next) = self.next_open_block(bi, index) else {
+                    break;
+                };
+                remaining -= self.alloc_in_block(
+                    next,
+                    remaining,
+                    chunk.owner,
+                    chunk.kind,
+                    &mut dests,
+                    first,
+                );
+                bi = next + 1;
             }
             debug_assert_eq!(remaining, 0, "free space was pre-checked");
-            journal.push((off, chunk, placed));
+            journal.push((off, chunk, dests.len()));
         }
         // Phase 2: commit — free sources, patch the owners' chunk lists.
-        for (off, chunk, placed) in journal {
+        let mut start = 0;
+        for (off, chunk, end) in journal {
             self.free_in_block(index, ChunkRun::single(off, chunk.order));
             if let Some(info) = self.allocs.get_mut(&chunk.owner) {
                 info.remove_first_chunk(index, off);
-                for (bi, run) in placed {
+                for &(bi, run) in &dests[start..end] {
                     info.push_run(bi, run);
                 }
             }
+            start = end;
         }
         MigrateOutcome::Done
     }
 
+    /// The destination loop of [`try_migrate_out`](Self::try_migrate_out)
+    /// as it was before the full-block skip: every on-line block but the
+    /// source handed the chunk's request, full ones included. Returns the
+    /// pages left unplaced. The tests' reference.
+    #[cfg(test)]
+    fn reserve_by_full_scan(
+        &mut self,
+        index: usize,
+        mut remaining: u64,
+        chunk: Chunk,
+        dests: &mut Vec<(usize, ChunkRun)>,
+    ) -> u64 {
+        let first = dests.len();
+        for bi in 0..self.blocks.len() {
+            if bi == index || !self.is_online(bi) || remaining == 0 {
+                continue;
+            }
+            let placed = self.alloc_in_block(bi, remaining, chunk.owner, chunk.kind, dests, first);
+            remaining = remaining.saturating_sub(placed);
+        }
+        remaining
+    }
+
     /// Undoes a partial migration: frees every reserved destination
-    /// chunk. With `break_rollback` set (negative tests only), the first
+    /// chunk, the journal's steps reading their destinations from
+    /// `dests`. With `break_rollback` set (negative tests only), the first
     /// reservation is instead leaked into its owner's chunk list without
     /// adjusting the page count — corruption [`MemoryManager::audit`]
     /// (and therefore Strict `mm.buddy-consistency`) must detect.
-    fn rollback_migration(&mut self, journal: Vec<MigrationJournalEntry>) {
+    fn rollback_migration(
+        &mut self,
+        journal: &[MigrationJournalEntry],
+        dests: &[(usize, ChunkRun)],
+    ) {
         let mut leak_one = self.break_rollback;
-        for (_, chunk, placed) in journal {
-            for (bi, run) in placed {
+        let mut start = 0;
+        for &(_, chunk, end) in journal {
+            for &(bi, run) in &dests[start..end] {
                 let mut undo = Some(run);
                 if leak_one {
                     leak_one = false;
@@ -945,6 +1054,7 @@ impl MemoryManager {
                     self.free_in_block(bi, run);
                 }
             }
+            start = end;
         }
     }
 
@@ -1043,7 +1153,7 @@ impl MemoryManager {
         if index >= self.blocks.len() {
             return Err(GdError::NotFound(format!("memory block {index}")));
         }
-        if self.online[index] {
+        if self.is_online(index) {
             return Err(GdError::InvalidState(format!(
                 "block {index} is already online"
             )));
@@ -1507,7 +1617,7 @@ mod tests {
                     }
                     6..=8 => {
                         let index = rng.gen_range(0..m.block_count());
-                        if m.online[index] {
+                        if m.is_online(index) {
                             if let Ok(report) = m.offline_block(index).unwrap() {
                                 migrations += u64::from(report.migrated_pages > 0);
                             }
@@ -1515,7 +1625,7 @@ mod tests {
                     }
                     9 => {
                         let index = rng.gen_range(0..m.block_count());
-                        if !m.online[index] {
+                        if !m.is_online(index) {
                             m.online_block(index).unwrap();
                             onlines += 1;
                         }
@@ -1523,7 +1633,7 @@ mod tests {
                     _ => {}
                 }
                 assert_eq!(m.meminfo(), m.meminfo_from_blocks(), "{ctx}: meminfo");
-                let offline = m.online.iter().filter(|&&online| !online).count();
+                let offline = m.offline_flags().filter(|&off| off).count();
                 assert_eq!(m.offline_block_count(), offline, "{ctx}: offline blocks");
                 assert_eq!(m.audit(), Ok(()), "{ctx}: audit");
             }
@@ -1535,8 +1645,9 @@ mod tests {
     }
 
     /// A manager whose blocks keep every chunk in B-trees and that places
-    /// by the full scan: the layout the free bitmap and the chunk extents
-    /// replaced, and the placement the full-block skip replaced.
+    /// and migrates by the full scan: the layout the free bitmap and the
+    /// chunk extents replaced, and the placement the full-block skip
+    /// replaced.
     fn all_btree_manager(cfg: MmConfig) -> MemoryManager {
         let mut m = MemoryManager::new(cfg).unwrap();
         m.scan_every_block = true;
@@ -1575,7 +1686,7 @@ mod tests {
     fn fits_workload(m: &MemoryManager, kind: PageKind, pages: u64) -> bool {
         let low = m.block_count() / 2;
         let room: u64 = (0..low)
-            .filter(|&i| m.online[i])
+            .filter(|&i| m.is_online(i))
             .map(|i| m.blocks[i].free_pages())
             .sum();
         kind.is_movable() || pages <= room
@@ -1592,7 +1703,9 @@ mod tests {
     /// chunk lists and the full-block skip must make every placement,
     /// split, coalesce, migration and rollback the B-tree layout with one
     /// list entry per chunk, placing by the full scan, makes; the skip
-    /// hands no more blocks the request than the scan. Blocks of 1, 64 and 65
+    /// hands no more blocks the request than the scan, and migrations that
+    /// skip full destination blocks reserve what the scan reserves. Blocks
+    /// of 1, 64 and 65
     /// max-order chunks put the bitmap's word edge inside, at and past a
     /// block's end. Coverage: grows that span blocks, settles that trim a
     /// max-order chunk above another of its run, frees of multi-chunk runs,
@@ -1626,7 +1739,7 @@ mod tests {
         let (mut spanning_grows, mut run_trims, mut run_frees, mut inner_migrations) =
             (0u32, 0u32, 0u32, 0u32);
         let (mut edge_run_frees, mut multi_chunk_settles) = (0u32, 0u32);
-        let mut skipped_blocks = 0u64;
+        let (mut skipped_blocks, mut full_block_migrations) = (0u64, 0u32);
         for (chunks_per_block, blocks) in [(1u64, 16u64), (64, 4), (65, 4)] {
             let block_bytes = chunks_per_block << (MAX_ORDER as u64 + 12);
             let cfg = MmConfig {
@@ -1745,19 +1858,25 @@ mod tests {
                         }
                         7..=9 => {
                             let index = rng.gen_range(0..fast.block_count());
-                            if fast.online[index] {
+                            if fast.is_online(index) {
                                 let inner = holds_inner_run(&fast, index);
+                                let full_elsewhere = (0..fast.block_count()).any(|i| {
+                                    i != index
+                                        && fast.is_online(i)
+                                        && fast.blocks[i].free_pages() == 0
+                                });
                                 let a = fast.offline_block(index).unwrap();
                                 let b = reference.offline_block(index).unwrap();
                                 assert_eq!(a, b, "{ctx}: offline outcome");
                                 let migrated = a.is_ok_and(|r| r.migrated_pages > 0);
                                 migrations += u64::from(migrated);
                                 inner_migrations += u32::from(migrated && inner);
+                                full_block_migrations += u32::from(migrated && full_elsewhere);
                             }
                         }
                         10 | 11 => {
                             let index = rng.gen_range(0..fast.block_count());
-                            if !fast.online[index] {
+                            if !fast.is_online(index) {
                                 let a = fast.online_block(index).unwrap();
                                 let b = reference.online_block(index).unwrap();
                                 assert_eq!(a, b, "{ctx}: online latency");
@@ -1813,6 +1932,10 @@ mod tests {
         assert!(migrations > 20, "only {migrations} migrating off-linings");
         assert!(rollbacks > 10, "only {rollbacks} migration rollbacks");
         assert!(skipped_blocks > 0, "no placement skipped a full block");
+        assert!(
+            full_block_migrations > 0,
+            "no migration ran past a full on-line block"
+        );
         assert!(onlines > 20, "only {onlines} on-linings");
         assert!(
             word_edge_hits > 0,

@@ -6,6 +6,7 @@
 //! * simulated-time newtypes with unit conversions ([`time`]),
 //! * the DRAM organization and timing configuration ([`config`]),
 //! * shared error types ([`error`]),
+//! * index sets kept as `u64` words ([`bits`]),
 //! * the checked `[0, 1]` share [`Fraction`] ([`fraction`]),
 //! * deterministic RNG construction ([`rng`]),
 //! * small streaming-statistics helpers ([`stats`]),
@@ -25,6 +26,7 @@
 //! assert_eq!(cfg.subarray_group_bytes() * 64, cfg.total_capacity_bytes());
 //! ```
 
+pub mod bits;
 pub mod config;
 pub mod error;
 pub mod fleet;

@@ -48,9 +48,13 @@ rm -f /tmp/gd_lint.ci.json
 echo "==> engine equivalence (stepped vs event-driven, serial vs parallel sweep)"
 cargo test --quiet --release --test engine_equivalence
 
-echo "==> flat-store differential, wide seeds (gd-mmsim's flat max-order stores, extents and full-block skip vs the B-tree layout and full scan)"
+echo "==> flat-store differential, wide seeds (gd-mmsim's flat max-order stores, extents and full-block skip in placement and migration vs the B-tree layout and full scan)"
 cargo test --quiet --release -p gd-mmsim --lib -- --ignored \
   flat_max_order_stores_match_the_btree_reference_wide_seeds
+
+echo "==> hotplug-words differential, wide seeds (greendimm's on-line, fully-off-line and register words vs the per-block and per-group scans)"
+cargo test --quiet --release -p greendimm --lib -- --ignored \
+  hotplug_words_match_the_scans_wide_seeds
 
 echo "==> sorted-books differential, wide seeds (gd-mmsim's sorted-vector small-chunk books and max-order extents vs the B-tree layout)"
 cargo test --quiet --release -p gd-mmsim --lib -- --ignored \
